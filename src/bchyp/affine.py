@@ -44,7 +44,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .bicomplex import Q3
-from .connection import F0, FlatConnectionField
+from .connection import F0, FlatConnectionField, expm_steps, step_generators
 from .gauss import LinearSolveFailure
 from .metric import BeltramiChart, CubicPair
 
@@ -56,11 +56,11 @@ __all__ = [
     "pick_and_wang", "second_variation_trace",
 ]
 
-#: Column swap of the first two frame vectors; the reality condition of
-#: the Hitchin locus is conj(Ahat) = SWAP12 @ Bhat @ SWAP12 part-wise.
-SWAP12 = np.array([[0.0, 1.0, 0.0],
-                   [1.0, 0.0, 0.0],
-                   [0.0, 0.0, 1.0]])
+#: Swap of the first two frame vectors, as an index order; the reality
+#: condition of the Hitchin locus is conj(Ahat) = Bhat[SWAP12][:, SWAP12]
+#: part-wise (conjugation by the swap matrix, done as a reordering of
+#: rows and columns, with no arithmetic).
+SWAP12 = [1, 0, 2]
 
 #: Residual fields of non-periodic pairs are NaN on this margin.
 FIT_MARGIN = 4
@@ -314,22 +314,6 @@ def normalize_lift(fplus0, fminus0, spacing: float) -> AffinePair:
 # ----------------------------------------------------------------------
 # frame integration
 
-def _expm_batched(A: np.ndarray) -> np.ndarray:
-    """exp of a (..., 3, 3) stack by scaled Taylor-Horner and squaring."""
-    nrm = float(np.max(np.abs(A))) * 3.0
-    s = 0
-    if nrm > 0.25:
-        s = int(np.ceil(np.log2(nrm / 0.25)))
-    B = A / (2.0 ** s)
-    eye = np.broadcast_to(np.eye(3, dtype=A.dtype), A.shape)
-    P = eye.copy()
-    for k in range(16, 0, -1):
-        P = eye + (B @ P) / k
-    for _ in range(s):
-        P = P @ P
-    return P
-
-
 def _require_real(conn: FlatConnectionField, tol: float = 1e-10):
     chart = conn.chart
     chart_dev = max(
@@ -344,7 +328,7 @@ def _require_real(conn: FlatConnectionField, tol: float = 1e-10):
     dev = 0.0
     for a, b in ((conn.Ahat.plus, conn.Bhat.plus),
                  (conn.Ahat.minus, conn.Bhat.minus)):
-        sw = np.einsum("ij,...jk,kl->...il", SWAP12, b, SWAP12)
+        sw = b[..., SWAP12, :][..., SWAP12]
         dev = max(dev, float(np.max(np.abs(np.conj(a) - sw))))
     if dev > tol * scale:
         raise NotReal(f"conjugate-swap defect {dev:.3e} exceeds "
@@ -355,8 +339,10 @@ def _sweep(Ex, Ey, Exi, Eyi, base):
     """Accumulate G over the grid from base, one axis then the other.
 
     Ex[iy, ix] is the step exponential of the edge (ix -> ix+1) in row
-    iy (Exi its inverse), likewise Ey/Eyi for columns; steps multiply
-    on the right in traversal order.
+    iy, likewise Ey for columns; steps multiply on the right in
+    traversal order.  The reverse sweeps read the inverses Exi[iy, ix]
+    (ix < ix0 only) and Eyi[iy] (iy < iy0 only), so those arrays hold
+    just the edges behind the base.
     """
     n = Ex.shape[0]
     iy0, ix0 = base
@@ -379,11 +365,13 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     """Integrate the moving frame of real connection data to a pair.
 
     The frame solves dG = G Omega with G(base) = Id (q-orthonormal,
-    lift column (0, 0, 1)); midpoint-rule step generators share the
-    holonomy stepping.  The lift is the third column of G; conjugating
-    by the model frame F0 turns the conjugate-swap symmetry of real
-    data into literal realness of f+ = F0 sigma_plus, f- = F0
-    sigma_minus.  Each step is exactly Gram-compatible, so
+    lift column (0, 0, 1)); the step exponentials come from the
+    transport kernel that holonomy uses (connection.step_generators,
+    connection.expm_steps), and inverse steps are exponentiated only
+    for the edges behind the base.  The lift is the third column of G;
+    conjugating by the model frame F0 turns the conjugate-swap symmetry
+    of real data into literal realness of f+ = F0 sigma_plus,
+    f- = F0 sigma_minus.  Each step is exactly Gram-compatible, so
     eta(f+, f-) = -1 propagates to rounding.
 
     Row-then-column and column-then-row orders are both integrated;
@@ -398,18 +386,19 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     iy0, ix0 = base
     if not (0 <= iy0 < n and 0 <= ix0 < n):
         raise ValueError(f"base {base} outside grid")
-    Ox, Oy = conn.omega_xy()
+    # x steps (ix -> ix+1) stacked over y steps (iy -> iy+1), every node
+    node_y, node_x = np.ogrid[:n, :n]
+    gens = step_generators(conn, node_y, node_x,
+                           np.array([0, 1])[:, None, None],
+                           np.array([1, 0])[:, None, None])
 
     sigma = {}
     resid = 0.0
     gmax = 0.0
-    for part in ("plus", "minus"):
-        ox = getattr(Ox, part)
-        oy = getattr(Oy, part)
-        Sx = 0.5 * h * (ox + np.roll(ox, -1, axis=1))
-        Sy = 0.5 * h * (oy + np.roll(oy, -1, axis=0))
-        Ex, Exi = _expm_batched(Sx), _expm_batched(-Sx)
-        Ey, Eyi = _expm_batched(Sy), _expm_batched(-Sy)
+    for part, S in zip(("plus", "minus"), gens):
+        Ex, Ey = expm_steps(S)
+        Exi = expm_steps(-S[0, :, :ix0])
+        Eyi = expm_steps(-S[1, :iy0])
         G_xy = _sweep(Ex, Ey, Exi, Eyi, (iy0, ix0))
         # column-then-row: same edges, roles of the axes exchanged
         Gt = _sweep(Ey.transpose(1, 0, 2, 3), Ex.transpose(1, 0, 2, 3),

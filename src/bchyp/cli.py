@@ -16,8 +16,9 @@ check(s); with --config it runs the same measurements over the
 configured data.  All numeric output is JSON (the run manifest) or CSV
 (point clouds); manifests are canonicalized (sorted keys, no
 timestamps or timings) so identical config + seed reproduces identical
-bytes.  Exit codes: 0 all checks passed, 1 a stage check failed,
-2 configuration error.
+bytes.  Exit codes: 0 all checks passed, 1 a stage check failed or a
+stage stopped on one of the package's typed numeric failures (a one-line
+"stage failure" message on stderr, no traceback), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -32,15 +33,21 @@ import numpy as np
 import scipy
 
 from . import __version__, criteria
+from .affine import DegenerateFrame, NotIsotropic, NotReal, PathDependent
 from .bicomplex import BcVec3
 from .chtau import (HyperboloidPoint, para_holo_sectional, project_tangent,
                     q_form, submanifold_membership)
-from .connection import Loop, assemble, holonomy, maurer_cartan_residual
+# maurer_cartan_residual is read through conn.flatness_residual(); the
+# name stays importable here because perfbench/spans.py wraps it
+from .connection import (Loop, assemble, holonomy,  # noqa: F401
+                         maurer_cartan_residual)
 from .criteria import CriterionResult
-from .gauss import GaussProblem, residual_background, solve_newton
+from .gauss import (DidNotConverge, GaussProblem, LinearSolveFailure,
+                    residual_background, solve_newton)
 from .metric import (BeltramiChart, ComplexMetric, CubicPair, TorusGrid,
                      symbol_check)
-from .replib import Representation, anosov_scan
+from .replib import (NotDiagonalizable, NotUnimodular, Representation,
+                     anosov_scan)
 
 __all__ = ["ConfigError", "StageFailure", "main", "load_config",
            "load_generators", "run_manifest"]
@@ -56,6 +63,13 @@ class StageFailure(Exception):
     def __init__(self, criterion: int, message: str):
         super().__init__(message)
         self.criterion = criterion
+
+
+#: Typed numeric failures of the package's stages.  main reports each as
+#: a stage failure (exit code 1) with a one-line message.
+NUMERIC_FAILURES = (LinearSolveFailure, DidNotConverge, PathDependent,
+                    NotReal, NotIsotropic, DegenerateFrame, NotUnimodular,
+                    NotDiagonalizable)
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +323,8 @@ def stage_conn(args):
     rep, problem, chart, grid, _ = _solved_from_config(cfg)
     conn = assemble(rep.psi, problem.C, chart)
     if args.action == "flatness":
-        mc = float(maurer_cartan_residual(conn).max_abs())
-        checks = [("flatness", mc, 10.0 * grid.spacing ** 2)]
+        checks = [("flatness", conn.flatness_residual(),
+                   10.0 * grid.spacing ** 2)]
         return [_check_result(5, "flatness (config)", checks)]
     checks = _holonomy_checks(conn, grid)
     return [_check_result(6, "holonomy (config)", checks)]
@@ -339,24 +353,30 @@ def stage_affine(args):
         return [criteria.criterion_9()]
     result = criteria.criterion_8()
     if args.out:
-        _write_roundtrip_cloud(Path(args.out))
+        _write_point_cloud(Path(args.out), _frozen_roundtrip_pair())
     return [result]
 
 
-def _write_roundtrip_cloud(outdir: Path, n: int = 64):
-    """CSV point cloud of the integrated immersion at a modest grid."""
+def _frozen_roundtrip_pair():
+    """The integrated pair of the frozen Wang datum q = 1.2 at n = 64."""
     from .affine import integrate_frame
     from .gauss import wang_specialize
-    grid = TorusGrid(n)
-    problem = wang_specialize(1.2, grid)
+    problem = wang_specialize(1.2, TorusGrid(64))
     rep = solve_newton(problem)
-    conn = assemble(rep.psi, problem.C, problem.background.chart)
-    pair = integrate_frame(conn)
+    return integrate_frame(assemble(rep.psi, problem.C,
+                                    problem.background.chart))
+
+
+def _write_point_cloud(outdir: Path, pair, max_nodes: int = 64):
+    """CSV point cloud of f+ of an integrated pair, strided down to at
+    most max_nodes x max_nodes nodes; x, y are the node coordinates."""
+    n = pair.n
+    stride = -(-n // max_nodes)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["x,y,f1,f2,f3"]
     f = pair.fplus
-    for iy in range(n):
-        for ix in range(n):
+    for iy in range(0, n, stride):
+        for ix in range(0, n, stride):
             rows.append(",".join([repr(ix / n), repr(iy / n)]
                                  + [repr(float(c)) for c in f[iy, ix]]))
     (outdir / "roundtrip_points.csv").write_text("\n".join(rows) + "\n")
@@ -392,9 +412,9 @@ def stage_pipeline(args):
         4, "solve", [("residual", res, float(cfg["solver"]["tol"]))]))
 
     conn = assemble(rep.psi, problem.C, chart)
-    mc = float(maurer_cartan_residual(conn).max_abs())
     results.append(_check_result(
-        5, "flatness", [("flatness", mc, 10.0 * grid.spacing ** 2)]))
+        5, "flatness", [("flatness", conn.flatness_residual(),
+                         10.0 * grid.spacing ** 2)]))
 
     results.append(_check_result(
         6, "holonomy", _holonomy_checks(conn, grid)))
@@ -421,7 +441,7 @@ def stage_pipeline(args):
              ("blaschke", blaschke, 20 * h2),
              ("pick_sum", q_sum, 20 * h2)]))
         if args.out:
-            _write_roundtrip_cloud(Path(args.out), n=min(grid.n, 64))
+            _write_point_cloud(Path(args.out), pair)
     return results
 
 
@@ -505,6 +525,9 @@ def main(argv=None) -> int:
     except StageFailure as e:
         print(f"stage failure (criterion {e.criterion}): {e}",
               file=sys.stderr)
+        return 1
+    except NUMERIC_FAILURES as e:
+        print(f"stage failure ({type(e).__name__}): {e}", file=sys.stderr)
         return 1
 
     if args.json or args.out:

@@ -15,12 +15,14 @@ the correspondence with the Gauss-solver residuals is exact in floating
 point whenever the discrete product rule does not intervene (constant
 chart factors, or constant psi).
 
-Holonomy is the path-ordered product of midpoint-sampled step exponentials,
-taken per idempotent component (the algebra splits, so two ordinary 3x3
-exponentials per step suffice).  In the "ambient" gauge the result is
-conjugated by a constant model frame F0 with F0^T Q F0 = QTILDE, after
-which group elements satisfy the compatibility X_minus = Q (X_plus^-1)^T Q
-and the plus part lands in SL(3,C).
+Transport along the connection runs on one kernel, shared by holonomy and
+by affine.integrate_frame: midpoint-sampled step generators
+(step_generators), one batched exponential per idempotent component
+(expm_steps; the algebra splits, so ordinary 3x3 exponentials suffice),
+then the ordered product.  Holonomy is that product along a loop.  In the
+"ambient" gauge the result is conjugated by a constant model frame F0 with
+F0^T Q F0 = QTILDE, after which group elements satisfy the compatibility
+X_minus = Q (X_plus^-1)^T Q and the plus part lands in SL(3,C).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bicomplex import BcMat3, NotInImage, compatibility_residual
 from .metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid, laplacian
@@ -37,8 +38,8 @@ __all__ = [
     "QTILDE", "F0", "HTILDE",
     "BcMat3Field", "FlatConnectionField", "Loop", "HiggsData",
     "assemble", "maurer_cartan_residual", "reduced_system_residual",
-    "holonomy", "to_sl3", "higgs_split", "hitchin_residuals",
-    "conjugate_frame",
+    "step_generators", "expm_steps", "holonomy", "to_sl3", "higgs_split",
+    "hitchin_residuals", "conjugate_frame",
 ]
 
 # Gram matrix of the moving frame: q(e1,e2) = 1, q(sigma,sigma) = -1
@@ -60,6 +61,16 @@ HTILDE = np.array([[0.0, 1.0, 0.0],
                    [0.0, 0.0, 1.0]])
 
 FLATNESS_WARN = 1e-4
+
+#: theta_m for the degree-m truncated Taylor series of exp: for
+#: ||S||_1 <= theta_m the series is exact up to a backward error of unit
+#: roundoff in double precision (the backward-error analysis of Al-Mohy
+#: & Higham, SIAM J. Matrix Anal. Appl. 31 (2009), applied to Taylor
+#: approximants in Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)).
+#: Entry m - 1 holds theta_m.
+TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3,
+                2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1,
+                4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09)
 
 
 class BcMat3Field:
@@ -148,7 +159,7 @@ class FlatConnectionField:
     infinitesimal form of preservation of the frame Gram matrix.
     """
 
-    __slots__ = ("Ahat", "Bhat", "chart", "s2")
+    __slots__ = ("Ahat", "Bhat", "chart", "s2", "_flatness")
 
     def __init__(self, Ahat: BcMat3Field, Bhat: BcMat3Field,
                  chart: BeltramiChart, s2):
@@ -165,6 +176,7 @@ class FlatConnectionField:
         object.__setattr__(self, "Bhat", Bhat)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "s2", s2)
+        object.__setattr__(self, "_flatness", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FlatConnectionField is immutable")
@@ -172,6 +184,18 @@ class FlatConnectionField:
     @property
     def grid(self) -> TorusGrid:
         return self.chart.grid
+
+    def flatness_residual(self) -> float:
+        """Max-abs of the Maurer-Cartan residual, computed once.
+
+        The field is immutable, so the value is kept on the instance and
+        every later reader (holonomy's advisory, the CLI checks) shares
+        the one evaluation.
+        """
+        if self._flatness is None:
+            object.__setattr__(self, "_flatness",
+                               maurer_cartan_residual(self).max_abs())
+        return self._flatness
 
     def pairing_residual(self) -> float:
         """Max-abs of M_minus + QTILDE M_plus^T QTILDE over both matrices.
@@ -370,6 +394,54 @@ def reduced_system_residual(psi, C: CubicPair, chart: BeltramiChart
     return r0, r1, r2
 
 
+def step_generators(conn: FlatConnectionField, iy, ix, diy, dix
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint generators of the grid steps (ix, iy) -> (ix+dix, iy+diy).
+
+    Omega is sampled as the average of its values at the two endpoint
+    nodes (indices wrap around the torus) and contracted with the step
+    displacement h (dix, diy).  The four index arguments broadcast
+    together to a batch shape; the result is the (plus, minus) pair of
+    (*batch, 3, 3) generator stacks, whose exponentials transport a
+    frame across each step.
+    """
+    iy, ix, diy, dix = np.broadcast_arrays(iy, ix, diy, dix)
+    g = conn.grid
+    n, h = g.n, g.spacing
+    jy, jx = (iy + diy) % n, (ix + dix) % n
+    wx, wy = dix[..., None, None], diy[..., None, None]
+    Ox, Oy = conn.omega_xy()
+    return tuple(
+        0.5 * h * ((ox[iy, ix] + ox[jy, jx]) * wx
+                   + (oy[iy, ix] + oy[jy, jx]) * wy)
+        for ox, oy in ((Ox.plus, Oy.plus), (Ox.minus, Oy.minus)))
+
+
+def expm_steps(S: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a (..., 3, 3) stack.
+
+    Truncated Taylor series in Horner form, its degree m the smallest
+    with TAYLOR_THETA[m - 1] >= the largest 1-norm in the batch; the
+    batch is scaled by 2^-s and squared s times only when that norm
+    exceeds the last entry of the table.  An empty batch is returned
+    empty.
+    """
+    nrm = float(np.abs(S).sum(axis=-2).max(initial=0.0))
+    s = 0
+    if nrm > TAYLOR_THETA[-1]:
+        s = int(np.ceil(np.log2(nrm / TAYLOR_THETA[-1])))
+        S = S / 2.0 ** s
+        nrm /= 2.0 ** s
+    m = next(k for k, theta in enumerate(TAYLOR_THETA, 1) if nrm <= theta)
+    eye = np.broadcast_to(np.eye(3, dtype=S.dtype), S.shape)
+    P = eye.copy()
+    for k in range(m, 0, -1):
+        P = eye + (S @ P) / k
+    for _ in range(s):
+        P = P @ P
+    return P
+
+
 def holonomy(conn: FlatConnectionField, loop: Loop,
              gauge: str = "ambient") -> BcMat3:
     """Path-ordered product of step exponentials of Omega along the loop.
@@ -377,42 +449,40 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
     Each step samples Omega at the segment midpoint (average of the two
     endpoint node values) and exponentiates per idempotent component;
     later steps multiply on the left, i.e. sections transport by F
-    solving F' = Omega(gamma') F.
+    solving F' = Omega(gamma') F.  All steps of one component go through
+    one batched exponential.
 
     gauge="frame" returns the raw frame-basis holonomy (group condition
     wrt QTILDE); gauge="ambient" conjugates by the constant model frame
     F0, after which X_minus = Q (X_plus^-1)^T Q with Q = diag(1,1,-1).
+
+    A connection whose flatness residual exceeds FLATNESS_WARN draws a
+    warning: its holonomy depends on the loop, not only on its class.
     """
     if gauge not in ("ambient", "frame"):
         raise ValueError(f"unknown gauge {gauge!r}")
     g = conn.grid
     if loop.n != g.n:
         raise ValueError("loop and connection grids differ")
-    flat = maurer_cartan_residual(conn).max_abs()
+    flat = conn.flatness_residual()
     if flat > FLATNESS_WARN:
         warnings.warn(f"holonomy of non-flat data: Maurer-Cartan residual "
                       f"{flat:.2e} exceeds {FLATNESS_WARN:.0e}",
                       stacklevel=2)
-    Ox, Oy = conn.omega_xy()
-    h = g.spacing
-    n = g.n
-    Hp = np.eye(3, dtype=complex)
-    Hm = np.eye(3, dtype=complex)
-    ix = iy = 0
-    for dix, diy in loop.steps:
-        jx = (ix + dix) % n
-        jy = (iy + diy) % n
-        Sp = 0.5 * h * ((Ox.plus[iy, ix] + Ox.plus[jy, jx]) * dix
-                        + (Oy.plus[iy, ix] + Oy.plus[jy, jx]) * diy)
-        Sm = 0.5 * h * ((Ox.minus[iy, ix] + Ox.minus[jy, jx]) * dix
-                        + (Oy.minus[iy, ix] + Oy.minus[jy, jx]) * diy)
-        Hp = expm(Sp) @ Hp
-        Hm = expm(Sm) @ Hm
-        ix, iy = jx, jy
-    if gauge == "ambient":
-        Hp = F0 @ Hp @ F0_INV
-        Hm = F0 @ Hm @ F0_INV
-    return BcMat3(Hp, Hm)
+    d = np.array(loop.steps)                    # (steps, 2): (dix, diy)
+    start = np.cumsum(d, axis=0) - d            # node each step leaves
+    gens = step_generators(conn, start[:, 1] % g.n, start[:, 0] % g.n,
+                           d[:, 1], d[:, 0])
+    parts = []
+    for S in gens:
+        E = expm_steps(S)
+        H = E[0]
+        for Ek in E[1:]:
+            H = Ek @ H
+        if gauge == "ambient":
+            H = F0 @ H @ F0_INV
+        parts.append(H)
+    return BcMat3(*parts)
 
 
 def to_sl3(M: BcMat3, tol: float = 1e-8) -> tuple[np.ndarray, float]:

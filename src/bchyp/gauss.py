@@ -34,7 +34,7 @@ from scipy.sparse.linalg import bicgstab
 
 from .metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
-    laplacian, curvature, cubic_norm,
+    laplacian, curvature, cubic_norm, ellipticity_floor,
 )
 
 __all__ = [
@@ -84,13 +84,6 @@ def project_discrete_kernel(f: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(keep)
 
 
-def _ellipticity_floor(mu: np.ndarray, samples: int = 360) -> float:
-    """min over grid and directions of |1 + conj(mu) e^{2 i theta}|."""
-    theta = np.exp(2j * np.pi * np.arange(samples) / samples)
-    vals = np.abs(1.0 + np.conj(mu).ravel()[:, None] * theta[None, :])
-    return float(vals.min())
-
-
 class GaussProblem:
     """Background metric + cubic datum + explicit K_g field."""
 
@@ -101,7 +94,7 @@ class GaussProblem:
         grid = background.grid
         if C.grid != grid:
             raise ValueError("cubic pair and background live on different grids")
-        floor = _ellipticity_floor(background.chart.mu)
+        floor = ellipticity_floor(background.chart.mu)
         if floor <= SYMBOL_FLOOR:
             raise ValueError(f"chart fails the symbol check: floor {floor:.2e}")
         if C.holomorphic:
@@ -267,7 +260,7 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
     """Damped Newton on residual_background down to max-abs tol."""
     grid = problem.grid
     n = grid.n
-    L = laplacian_matrix(problem.background)
+    L = None                      # built on the first Newton step
     psi = problem.initial_guess()
     F = residual_background(psi, problem)
     res = float(np.abs(F).max())
@@ -275,6 +268,8 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
     for it in range(max_iter):
         if res <= tol:
             return SolveReport(psi, it, history, True)
+        if L is None:
+            L = laplacian_matrix(problem.background)
         weight = (2.0 * np.exp(2 * psi)
                   + 32.0 * np.exp(-4 * psi) * problem.cnorm_g)
         J = L - sp.diags(weight.ravel())

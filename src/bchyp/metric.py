@@ -34,7 +34,7 @@ import numpy as np
 __all__ = [
     "TorusGrid", "BeltramiChart", "ComplexMetric", "CubicPair",
     "commutator_coeffs", "laplacian", "curvature", "cubic_norm",
-    "area_integrate", "symbol_check", "christoffels",
+    "area_integrate", "ellipticity_floor", "symbol_check", "christoffels",
     "save_field_csv", "load_field_csv", "save_field_bin", "load_field_bin",
 ]
 
@@ -290,18 +290,27 @@ def area_integrate(h: ComplexMetric, f) -> complex:
     return complex(val)
 
 
-def symbol_check(mu: complex, samples: int = 360,
-                 threshold: float = 5e-3) -> bool:
+def ellipticity_floor(mu) -> float:
+    """min over nodes and directions theta of |1 + conj(mu) e^{2 i theta}|.
+
+    As theta turns, conj(mu) e^{2 i theta} runs over the circle of radius
+    |mu|, whose nearest point to -1 is -|mu|; so the minimum over theta
+    is |1 - |mu||, which this returns, minimized over the entries of mu
+    (a scalar or a field).  It vanishes exactly on |mu| = 1.
+    """
+    return float(np.min(np.abs(1.0 - np.abs(mu))))
+
+
+def symbol_check(mu, threshold: float = 5e-3) -> bool:
     """True iff the principal symbol of Delta_h has no nonzero real root.
 
     With xi = r e^{i theta} the symbol factors through
-    (xi_1^2 + xi_2^2)(1 + conj(mu) e^{2 i theta}); we sample theta over
-    [0, pi) and require |1 + conj(mu) e^{2 i theta}| above threshold,
-    which separates |mu| = 1 (an exact zero) from elliptic charts.
+    (xi_1^2 + xi_2^2)(1 + conj(mu) e^{2 i theta}); we require the
+    ellipticity floor min_theta |1 + conj(mu) e^{2 i theta}| above
+    threshold, which separates |mu| = 1 (an exact zero) from elliptic
+    charts.
     """
-    theta = np.pi * np.arange(samples) / samples
-    vals = np.abs(1.0 + np.conj(complex(mu)) * np.exp(2j * theta))
-    return bool(vals.min() > threshold)
+    return ellipticity_floor(mu) > threshold
 
 
 def christoffels(h: ComplexMetric) -> dict:

@@ -228,7 +228,7 @@ class AnosovReport:
             prod = np.prod(m, axis=1)
             worst = np.abs(prod - 1.0).max()
             if worst > 1e-8:
-                raise ValueError(
+                raise NotUnimodular(
                     f"eigenvalue-modulus product off unimodular by "
                     f"{worst:.3e}")
 

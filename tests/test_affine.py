@@ -13,7 +13,7 @@ from bchyp.affine import (
 )
 from bchyp.affine import _fit_structure, _gauss_curvature
 from bchyp.bicomplex import Q3
-from bchyp.connection import assemble
+from bchyp.connection import F0, assemble
 from bchyp.gauss import solve_newton, wang_specialize
 from bchyp.metric import BeltramiChart, CubicPair, TorusGrid
 
@@ -379,6 +379,36 @@ def test_integrate_validates_base():
     conn = assemble(report.psi, problem.C, problem.background.chart)
     with pytest.raises(ValueError, match="base"):
         integrate_frame(conn, base=(99, 0))
+
+
+def test_integrate_off_origin_base_rebases_the_pair():
+    # constant Wang data is flat to round-off, so the frame from base b
+    # is G_0(b)^-1 G_0, with G_0(b) = exp(ix0 Sx) exp(iy0 Sy) from the
+    # origin; the reverse sweeps behind b run on both axes
+    n = 32
+    problem = wang_specialize(1.2, TorusGrid(n))
+    report = solve_newton(problem)
+    conn = assemble(report.psi, problem.C, problem.background.chart)
+    iy0, ix0 = n // 2, n // 3
+    pair0 = integrate_frame(conn)
+    pairb = integrate_frame(conn, base=(iy0, ix0))
+    # G(base) = Id: the lift column there is F0 e3 = e3 on both sides
+    for f in (pairb.fplus, pairb.fminus):
+        assert np.array_equal(f[iy0, ix0], [0.0, 0.0, 1.0])
+    Ox, Oy = conn.omega_xy()
+    h = conn.grid.spacing
+    F0i = np.linalg.inv(F0)
+    for part, f0, fb in (("plus", pair0.fplus, pairb.fplus),
+                         ("minus", pair0.fminus, pairb.fminus)):
+        Sx = h * getattr(Ox, part)[0, 0]
+        Sy = h * getattr(Oy, part)[0, 0]
+        G0b = expm(ix0 * Sx) @ expm(iy0 * Sy)
+        Ainv = F0 @ np.linalg.inv(G0b) @ F0i
+        rebased = np.einsum("ij,...j->...i", Ainv, f0)
+        assert np.abs(rebased.imag).max() < 1e-12
+        err = np.abs(fb - rebased.real).max()
+        assert err < 1e-12 * max(1.0, np.abs(f0).max()), (part, err)
+    assert pairb.path_residual < 1e-12
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import bchyp
 from bchyp import cli
+from bchyp.gauss import LinearSolveFailure
 from bchyp.cli import (ConfigError, config_hash, load_config,
                        load_generators, main)
 from bchyp.criteria import CriterionResult
@@ -92,6 +93,41 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["passed"] is False
     assert "stage failure (criterion 1)" in captured.err
+
+
+def test_linear_solve_failure_exits_one_with_message(monkeypatch, capsys):
+    def breakdown(problem, **kwargs):
+        raise LinearSolveFailure("BiCGSTAB returned info=-10")
+
+    monkeypatch.setattr(cli, "solve_newton", breakdown)
+    code = main(["gauss", "solve", "--config",
+                 cfg_path("constant_torus.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("stage failure")
+    assert "BiCGSTAB returned info=-10" in err
+
+
+def test_fuchsian_scan_length_six_raises_nothing(capsys):
+    code = main(["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
+                 "--len", "6"])
+    assert code in (0, 1)
+
+
+def test_pipeline_out_cloud_comes_from_the_configured_pair(tmp_path, capsys):
+    clouds = []
+    for q in (0.5, 1.5):
+        cfg = write_cfg(tmp_path, {"grid": 64, "cubic": {"kind": "wang",
+                                                         "q": q}},
+                        name=f"q{q}.json")
+        out = tmp_path / f"out{q}"
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+        clouds.append((out / "roundtrip_points.csv").read_text())
+    assert clouds[0] != clouds[1]
+    rows = clouds[0].splitlines()
+    assert rows[0] == "x,y,f1,f2,f3"
+    assert len(rows) == 1 + 64 * 64
 
 
 def test_plain_run_builds_no_manifest(monkeypatch, capsys):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import oracles
+from bchyp import connection
 from bchyp.bicomplex import BcMat3, NotInImage, Q3, compatibility_residual, phi_iso
 from bchyp.connection import (
     F0, HTILDE, QTILDE,
     BcMat3Field, FlatConnectionField, Loop,
-    assemble, conjugate_frame, higgs_split, hitchin_residuals, holonomy,
-    maurer_cartan_residual, reduced_system_residual, to_sl3,
+    TAYLOR_THETA,
+    assemble, conjugate_frame, expm_steps, higgs_split, hitchin_residuals,
+    holonomy, maurer_cartan_residual, reduced_system_residual, to_sl3,
 )
 from bchyp.gauss import GaussProblem, residual_intrinsic, solve_newton
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
@@ -293,6 +296,69 @@ def test_frame_conjugation_covariance():
         H1 = holonomy(conn, Loop.x_period(32), gauge="frame")
         H2 = holonomy(conn2, Loop.x_period(32), gauge="frame")
     assert (H2 - gi @ H1 @ g).norm_max() < 1e-11
+
+
+def test_expm_steps_matches_scipy_across_degrees_and_squaring():
+    # 1-norms from 1e-17 to 5: every degree of the table (each at and
+    # below its theta) and the scale-and-square branch above the last
+    rng = np.random.default_rng(21)
+    targets = sorted({*TAYLOR_THETA, *(0.5 * t for t in TAYLOR_THETA),
+                      1e-4, 0.015, 1.5, 2.5, 5.0})
+    assert targets[-1] > TAYLOR_THETA[-1]
+    for target in targets:
+        S = (rng.standard_normal((6, 3, 3))
+             + 1j * rng.standard_normal((6, 3, 3)))
+        S *= target / np.abs(S).sum(axis=-2).max()
+        E = expm_steps(S)
+        ref = oracles.expm_oracle(S)
+        err = (np.abs(E - ref).max(axis=(-2, -1))
+               / np.abs(ref).max(axis=(-2, -1)))
+        assert err.max() < 1e-14, (target, err.max())
+
+
+MIXED_STEPS = (((2, 0),) * 8 + ((1, 1),) * 16 + ((0, -1),) * 16
+               + ((-1, 0),) * 4 + ((1, 0),) * 4 + ((0, 1),) * 32)
+
+
+@pytest.mark.parametrize("loop", [Loop.x_period(32), Loop.y_period(32),
+                                  Loop(32, MIXED_STEPS)],
+                         ids=["x_period", "y_period", "mixed"])
+def test_holonomy_matches_per_step_expm_product(loop):
+    psi, C, chart = solved_sine(32)
+    conn = assemble(psi, C, chart)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        H = holonomy(conn, loop)
+        Hf = holonomy(conn, loop, gauge="frame")
+    for got, (rp, rm) in ((H, oracles.holonomy_oracle(conn, loop, F0)),
+                          (Hf, oracles.holonomy_oracle(conn, loop))):
+        for part, ref in (("plus", rp), ("minus", rm)):
+            err = np.abs(getattr(got, part) - ref).max()
+            assert err < 1e-13 * max(1.0, np.abs(ref).max()), (part, err)
+
+
+def test_flatness_residual_runs_maurer_cartan_once(monkeypatch):
+    calls = []
+    original = connection.maurer_cartan_residual
+
+    def counted(conn):
+        calls.append(conn)
+        return original(conn)
+
+    monkeypatch.setattr(connection, "maurer_cartan_residual", counted)
+    psi, C, chart = solved_sine(32)
+    conn = assemble(psi, C, chart)
+    flat = conn.flatness_residual()
+    assert flat == original(conn).max_abs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        holonomy(conn, Loop.x_period(32))
+        holonomy(conn, Loop.y_period(32))
+    assert conn.flatness_residual() == flat
+    assert len(calls) == 1
+    conn2 = assemble(psi, C, chart)
+    conn2.flatness_residual()
+    assert len(calls) == 2
 
 
 def test_holonomy_warns_on_nonflat_data():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bchyp import gauss
 from bchyp.metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
     laplacian, curvature, cubic_norm,
@@ -141,6 +142,16 @@ def test_laplacian_matrix_matches_operator():
 
 
 # ----------------------------------------------------------------- solver
+
+def test_solve_builds_no_laplacian_without_a_newton_step(monkeypatch):
+    def refuse(metric):
+        raise AssertionError("laplacian_matrix built with no Newton step")
+
+    monkeypatch.setattr(gauss, "laplacian_matrix", refuse)
+    rep = solve_newton(wang_specialize(1.2, TorusGrid(32)))
+    assert rep.converged
+    assert rep.iterations == 0
+
 
 def test_solve_hyperbolic_background():
     p = flat_problem(32, Kg=-1.0)

@@ -4,7 +4,7 @@ import pytest
 from bchyp.metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
     commutator_coeffs, laplacian, curvature, cubic_norm,
-    area_integrate, symbol_check, christoffels,
+    area_integrate, ellipticity_floor, symbol_check, christoffels,
     save_field_csv, load_field_csv, save_field_bin, load_field_bin,
 )
 import oracles
@@ -264,6 +264,21 @@ def test_area_linearity():
 
 
 # ---------------------------------------------------------------- symbol
+
+def test_ellipticity_floor_closed_form_matches_dense_sampling():
+    rng = np.random.default_rng(5)
+    radii = np.concatenate([
+        rng.uniform(0.0, 0.99, 6),                 # elliptic
+        1.0 + rng.uniform(-1e-3, 1e-3, 6),          # within 1e-3 of 1
+        rng.uniform(1.01, 3.0, 4),                  # |mu| > 1
+        [0.0, 1.0]])
+    mus = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, radii.size))
+    sampled = [oracles.ellipticity_floor_oracle(mu) for mu in mus]
+    for mu, ref in zip(mus, sampled):
+        assert abs(ellipticity_floor(mu) - ref) < 1e-9, mu
+    # a field reduces to its worst entry
+    assert abs(ellipticity_floor(mus.reshape(3, 6)) - min(sampled)) < 1e-9
+
 
 def test_symbol_check_examples():
     assert symbol_check(0.0)
