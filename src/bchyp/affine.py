@@ -41,12 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .bicomplex import Q3
 from .connection import F0, FlatConnectionField, expm_steps, step_generators
-from .gauss import LinearSolveFailure
-from .metric import BeltramiChart, CubicPair
+from .metric import (
+    BeltramiChart, CubicPair, centered_dx, centered_dy, stencil_symbols,
+)
 
 __all__ = [
     "NotIsotropic", "NotReal", "PathDependent", "DegenerateFrame",
@@ -97,14 +97,6 @@ def eta(u, v) -> np.ndarray:
     Q3 is symmetric, so the order of the arguments is immaterial.
     """
     return np.einsum("...i,ij,...j->...", np.asarray(v), Q3, np.asarray(u))
-
-
-def _dx(f: np.ndarray, spacing: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * spacing)
-
-
-def _dy(f: np.ndarray, spacing: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * spacing)
 
 
 def _mask_margin(arr: np.ndarray, margin: int) -> np.ndarray:
@@ -170,8 +162,8 @@ class AffinePair:
 
     def conormal_residual(self) -> np.ndarray:
         """max(|eta(d_x f+, f-)|, |eta(d_y f+, f-)|) per node."""
-        cx = eta(_dx(self.fplus, self.spacing), self.fminus)
-        cy = eta(_dy(self.fplus, self.spacing), self.fminus)
+        cx = eta(centered_dx(self.fplus, self.spacing), self.fminus)
+        cy = eta(centered_dy(self.fplus, self.spacing), self.fminus)
         res = np.maximum(np.abs(cx), np.abs(cy))
         return res if self.periodic else _mask_margin(res, 1)
 
@@ -235,7 +227,8 @@ def dual_lift(f, spacing: float, periodic: bool = True) -> np.ndarray:
     duality involution.
     """
     f = np.asarray(f, dtype=float)
-    rows = np.stack([f, _dx(f, spacing), _dy(f, spacing)], axis=-2)
+    rows = np.stack([f, centered_dx(f, spacing), centered_dy(f, spacing)],
+                    axis=-2)
     bad = ~np.all(np.isfinite(rows), axis=(-2, -1))
     rows = np.where(bad[..., None, None], np.eye(3), rows)
     rhs = np.broadcast_to(np.array([-1.0, 0.0, 0.0]), f.shape)
@@ -245,42 +238,21 @@ def dual_lift(f, spacing: float, periodic: bool = True) -> np.ndarray:
     return v if periodic else _mask_margin(v, 1)
 
 
-def _poisson_periodic(rhs: np.ndarray, spacing: float,
-                      rtol: float = 1e-13) -> np.ndarray:
+def _poisson_periodic(rhs: np.ndarray, spacing: float) -> np.ndarray:
     """Solve the composed-stencil periodic Poisson problem Lap u = rhs.
 
-    The composed centered Laplacian annihilates the four parity modes
-    (+-1)^ix (+-1)^iy; the operator is made SPD by completing with
-    those modes, and both sides are kept orthogonal to them, which
-    also fixes the additive constant by zero mean.
+    The composed centered Laplacian has the Fourier symbol
+    sigma_x^2 + sigma_y^2, which vanishes exactly on the four parity
+    modes (+-1)^ix (+-1)^iy and nowhere else.  Dividing by it everywhere
+    else and zeroing those modes inverts Lap on their complement: Lap u
+    is rhs minus its parity-mode projection, and u has zero mean.
     """
-    n = rhs.shape[0]
-    ix = np.arange(n)
-    sx = np.where(ix % 2 == 0, 1.0, -1.0)
-    modes = [np.ones((n, n)), np.outer(np.ones(n), sx),
-             np.outer(sx, np.ones(n)), np.outer(sx, sx)]
-    modes = [m.ravel() / n for m in modes]
-
-    def lap(u):
-        return _dx(_dx(u, spacing), spacing) + _dy(_dy(u, spacing), spacing)
-
-    def matvec(v):
-        u = v.reshape(n, n)
-        out = -lap(u).ravel()
-        for m in modes:
-            out += m * (m @ v)
-        return out
-
-    b = -rhs.ravel().copy()
-    for m in modes:
-        b -= m * (m @ b)
-    if np.max(np.abs(b)) == 0.0:
-        return np.zeros((n, n))
-    A = LinearOperator((n * n, n * n), matvec=matvec, dtype=float)
-    x, info = cg(A, b, rtol=rtol, atol=0.0, maxiter=50 * n * n)
-    if info != 0:
-        raise LinearSolveFailure(f"CG returned info={info}")
-    return x.reshape(n, n)
+    sx, sy = stencil_symbols(rhs.shape[0], spacing)
+    symbol = (sx * sx + sy * sy).real
+    parity = symbol == 0.0
+    coeffs = np.fft.fft2(rhs) / np.where(parity, 1.0, symbol)
+    coeffs[parity] = 0.0
+    return np.fft.ifft2(coeffs).real
 
 
 def normalize_lift(fplus0, fminus0, spacing: float) -> AffinePair:
@@ -298,15 +270,16 @@ def normalize_lift(fplus0, fminus0, spacing: float) -> AffinePair:
     dev = float(np.max(np.abs(eta(fp, fm) + 1.0)))
     if dev > 1e-8:
         raise ValueError(f"eta(f+, f-) deviates from -1 by {dev:.3e}")
-    Fx = eta(_dx(fp, spacing), fm)
-    Fy = eta(_dy(fp, spacing), fm)
-    curl = _dx(Fy, spacing) - _dy(Fx, spacing)
+    Fx = eta(centered_dx(fp, spacing), fm)
+    Fy = eta(centered_dy(fp, spacing), fm)
+    curl = centered_dx(Fy, spacing) - centered_dy(Fx, spacing)
     scale = max(1.0, float(np.max(np.abs(Fx))), float(np.max(np.abs(Fy))))
     gate = 10.0 * spacing ** 2 * scale
     if float(np.max(np.abs(curl))) > gate:
         raise NotIsotropic(
             f"curl {np.max(np.abs(curl)):.3e} exceeds {gate:.3e}")
-    mu = _poisson_periodic(_dx(Fx, spacing) + _dy(Fy, spacing), spacing)
+    mu = _poisson_periodic(centered_dx(Fx, spacing)
+                           + centered_dy(Fy, spacing), spacing)
     em = np.exp(mu)[..., None]
     return AffinePair(em * fp, fm / em, spacing, periodic=True)
 
@@ -442,8 +415,8 @@ def _fit_structure(pair: AffinePair):
     f = pair.fplus
     h = pair.spacing
     per = pair.periodic
-    fx, fy = _dx(f, h), _dy(f, h)
-    fxx, fxy, fyy = _dx(fx, h), _dy(fx, h), _dy(fy, h)
+    fx, fy = centered_dx(f, h), centered_dy(f, h)
+    fxx, fxy, fyy = centered_dx(fx, h), centered_dy(fx, h), centered_dy(fy, h)
 
     frame = np.stack([fx, fy, f], axis=-1)
     det = np.linalg.det(frame)
@@ -475,9 +448,11 @@ def _fit_structure(pair: AffinePair):
                               + ginv[..., 0, 1, None] * fy)
     flux_y = sg[..., None] * (ginv[..., 1, 0, None] * fx
                               + ginv[..., 1, 1, None] * fy)
-    xi = (_dx(flux_x, h) + _dy(flux_y, h)) / (2.0 * sg[..., None])
+    xi = ((centered_dx(flux_x, h) + centered_dy(flux_y, h))
+          / (2.0 * sg[..., None]))
 
-    scoef = np.linalg.solve(frame, np.stack([_dx(xi, h), _dy(xi, h)], axis=-1))
+    scoef = np.linalg.solve(
+        frame, np.stack([centered_dx(xi, h), centered_dy(xi, h)], axis=-1))
     S = scoef[..., :2, :]                   # (n, n, 2 {comp}, 2 {dir})
 
     gamma_lc = _christoffel(gB, ginv, h)
@@ -504,7 +479,7 @@ def _fit_structure(pair: AffinePair):
 def _christoffel(gB: np.ndarray, ginv: np.ndarray,
                  spacing: float) -> np.ndarray:
     """Levi-Civita symbols of a 2x2 metric field, [..., k, a, b]."""
-    dg = np.stack([_dx(gB, spacing), _dy(gB, spacing)], axis=2)
+    dg = np.stack([centered_dx(gB, spacing), centered_dy(gB, spacing)], axis=2)
     lower = np.empty(gB.shape[:2] + (2, 2, 2))
     for l in (0, 1):
         for a in (0, 1):
@@ -554,7 +529,8 @@ def _gauss_curvature(gB: np.ndarray, spacing: float) -> np.ndarray:
     ginv[..., 1, 1] = gB[..., 0, 0] / detg
     ginv[..., 0, 1] = ginv[..., 1, 0] = -gB[..., 0, 1] / detg
     gam = _christoffel(gB, ginv, spacing)
-    dgam = np.stack([_dx(gam, spacing), _dy(gam, spacing)], axis=2)
+    dgam = np.stack([centered_dx(gam, spacing), centered_dy(gam, spacing)],
+                    axis=2)
     # R^i_{1,0,1} = D_0 Gam^i_11 - D_1 Gam^i_01 + Gam^i_0m Gam^m_11
     #                                            - Gam^i_1m Gam^m_01
     R = (dgam[..., 0, :, 1, 1] - dgam[..., 1, :, 0, 1]

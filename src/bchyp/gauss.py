@@ -19,9 +19,16 @@ The Newton linearization is
     F'[d] = Delta_g d - (2 e^{2 psi} + 32 e^{-4 psi} |C|^2_g) d.
 
 (The coefficient 32 e^{-4 psi} is what differentiating 8 e^{-4 psi}
-forces; nothing else is dimensionally consistent.)  Linear systems are
-solved by BiCGSTAB on the real/imaginary split with diagonal
-preconditioning; steps are damped by halving on the residual max-norm.
+forces; nothing else is dimensionally consistent.)  Each Newton system
+J d = -F, with J the complex sparse laplacian_matrix minus the diagonal
+weight, is solved by restarted complex GMRES.  The preconditioner is
+the exact FFT inverse of J's constant-coefficient part: the Fourier
+symbol of the centered stencils with every chart coefficient and the
+weight replaced by its grid mean (Concus & Golub, SIAM J. Numer. Anal.
+10, 1973).  On the identity chart over a constant background it
+differs from J only by the weight's variation about its mean, so the
+Krylov count per step depends on the data, not on the grid size.
+Steps are damped by halving on the residual max-norm.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import bicgstab
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
-    laplacian, curvature, cubic_norm, ellipticity_floor,
+    laplacian, curvature, cubic_norm, ellipticity_floor, stencil_symbols,
 )
 
 __all__ = [
@@ -42,7 +49,7 @@ __all__ = [
     "GaussProblem", "SolveReport",
     "residual_background", "residual_intrinsic", "constant_root",
     "solve_newton", "wang_specialize", "project_discrete_kernel",
-    "laplacian_matrix",
+    "laplacian_matrix", "laplacian_symbol",
 ]
 
 SYMBOL_FLOOR = 5e-3
@@ -133,13 +140,25 @@ class GaussProblem:
 
 
 class SolveReport:
-    __slots__ = ("psi", "iterations", "residual_history", "converged")
+    """Outcome of solve_newton.
 
-    def __init__(self, psi, iterations, residual_history, converged):
+    krylov_iterations and halvings hold one entry per Newton step: the
+    GMRES iterations of its linear solve and the damping halvings before
+    the step was accepted.  They describe how the solve ran, not what it
+    found, so to_json leaves them out.
+    """
+
+    __slots__ = ("psi", "iterations", "residual_history", "converged",
+                 "krylov_iterations", "halvings")
+
+    def __init__(self, psi, iterations, residual_history, converged,
+                 krylov_iterations, halvings):
         self.psi = psi
         self.iterations = iterations
         self.residual_history = list(residual_history)
         self.converged = converged
+        self.krylov_iterations = list(krylov_iterations)
+        self.halvings = list(halvings)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -239,20 +258,51 @@ def laplacian_matrix(metric: ComplexMetric) -> sp.csr_matrix:
     return (pref @ (Dz @ Dzb + mub @ (Dzb @ Dzb) - first @ Dzb)).tocsr()
 
 
-def _solve_split(J: sp.csr_matrix, b: np.ndarray,
-                 rtol: float = 1e-12, maxiter: int = 20000) -> np.ndarray:
-    """Solve J x = b by BiCGSTAB on the real/imaginary block split."""
-    Jr, Ji = J.real.tocsr(), J.imag.tocsr()
-    A = sp.bmat([[Jr, -Ji], [Ji, Jr]], format="csr")
-    rhs = np.concatenate([b.real, b.imag])
-    d = A.diagonal()
-    d = np.where(np.abs(d) < 1e-12, 1.0, d)
-    M = sp.diags(1.0 / d)
-    x, info = bicgstab(A, rhs, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
+def laplacian_symbol(metric: ComplexMetric) -> np.ndarray:
+    """Fourier symbol of laplacian_matrix(metric) at mean coefficients.
+
+    Each coefficient of Delta_h (the prefactor 2 e^{-2 psi} / dzbwb,
+    conj(mu) and logB / dwz) is replaced by its grid mean, so the
+    result is an (n, n) array over the fft2 layout; it equals the
+    symbol of laplacian_matrix exactly when those fields are constant.
+    """
+    g = metric.grid
+    c = metric.chart
+    sx, sy = stencil_symbols(g.n, g.spacing)
+    sz = 0.5 * (sx - 1j * sy)
+    szb = 0.5 * (sx + 1j * sy)
+    pref = np.mean(2.0 * np.exp(-2.0 * metric.psi) / c.dzbwb)
+    mub = np.mean(np.conj(c.mu))
+    first = np.mean(c.logB / c.dwz)
+    return pref * (sz * szb + mub * szb * szb - first * szb)
+
+
+def _solve_krylov(J: sp.csr_matrix, b: np.ndarray,
+                  symbol: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve J x = b by complex GMRES preconditioned with 1/symbol.
+
+    The preconditioner applies ifft2(fft2(r) / symbol).  Returns x and
+    the number of GMRES iterations; raises LinearSolveFailure when the
+    true residual is not below 1e-12 |b| after 20 cycles of restart 50.
+    """
+    shape = symbol.shape
+
+    def precondition(r):
+        return np.fft.ifft2(np.fft.fft2(r.reshape(shape)) / symbol).ravel()
+
+    M = LinearOperator(J.shape, matvec=precondition, dtype=complex)
+    count = 0
+
+    def tick(_):
+        nonlocal count
+        count += 1
+
+    x, info = gmres(J, b, rtol=1e-12, atol=0.0, restart=50, maxiter=20,
+                    M=M, callback=tick, callback_type="pr_norm")
     if info != 0:
-        raise LinearSolveFailure(f"BiCGSTAB returned info={info}")
-    m = b.size
-    return x[:m] + 1j * x[m:]
+        raise LinearSolveFailure(
+            f"GMRES returned info={info} after {count} iterations")
+    return x, count
 
 
 def solve_newton(problem: GaussProblem, tol: float = 1e-10,
@@ -265,29 +315,34 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
     F = residual_background(psi, problem)
     res = float(np.abs(F).max())
     history = [res]
+    krylov, halvings = [], []
     for it in range(max_iter):
         if res <= tol:
-            return SolveReport(psi, it, history, True)
+            return SolveReport(psi, it, history, True, krylov, halvings)
         if L is None:
             L = laplacian_matrix(problem.background)
+            L_symbol = laplacian_symbol(problem.background)
         weight = (2.0 * np.exp(2 * psi)
                   + 32.0 * np.exp(-4 * psi) * problem.cnorm_g)
         J = L - sp.diags(weight.ravel())
-        delta = _solve_split(J, -F.ravel()).reshape(n, n)
+        x, count = _solve_krylov(J, -F.ravel(), L_symbol - weight.mean())
+        delta = x.reshape(n, n)
+        krylov.append(count)
         t = 1.0
-        for _ in range(max_halvings + 1):
+        for k in range(max_halvings + 1):
             trial = psi + t * delta
             Ft = residual_background(trial, problem)
             rt = float(np.abs(Ft).max())
             if rt < res:
                 psi, F, res = trial, Ft, rt
                 history.append(res)
+                halvings.append(k)
                 break
             t *= 0.5
         else:
             raise DidNotConverge(it, res)
     if res <= tol:
-        return SolveReport(psi, max_iter, history, True)
+        return SolveReport(psi, max_iter, history, True, krylov, halvings)
     raise DidNotConverge(max_iter, res)
 
 

@@ -33,12 +33,40 @@ import numpy as np
 
 __all__ = [
     "TorusGrid", "BeltramiChart", "ComplexMetric", "CubicPair",
+    "centered_dx", "centered_dy", "stencil_symbols",
     "commutator_coeffs", "laplacian", "curvature", "cubic_norm",
     "area_integrate", "ellipticity_floor", "symbol_check", "christoffels",
     "save_field_csv", "load_field_csv", "save_field_bin", "load_field_bin",
 ]
 
 FIELD_MAGIC = b"BCFIELD1"
+
+
+# centered first differences on a periodic grid; +x is axis 1, +y is
+# axis 0, and trailing axes (vector-valued fields) ride along
+def centered_dx(f: np.ndarray, spacing: float) -> np.ndarray:
+    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * spacing)
+
+
+def centered_dy(f: np.ndarray, spacing: float) -> np.ndarray:
+    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * spacing)
+
+
+def stencil_symbols(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier symbols (sigma_x, sigma_y) of centered_dx and centered_dy.
+
+    On an n x n periodic field, fft2(centered_dx(f)) = sigma_x fft2(f)
+    with sigma_x = i sin(2 pi m / n) / spacing at the x frequency index
+    m, and likewise along y.  The symbols come shaped (1, n) and (n, 1)
+    to broadcast against the fft2 layout [ky, kx].  They vanish exactly
+    at m = 0 and m = n/2, so every polynomial in them without a constant
+    term vanishes on the four parity modes (+-1)^ix (+-1)^iy.
+    """
+    freq = np.fft.fftfreq(n)
+    s = np.sin(2.0 * np.pi * freq)
+    s[freq == -0.5] = 0.0                 # sin(pi) rounds to 1.2e-16
+    sigma = 1j * s / spacing
+    return sigma[None, :], sigma[:, None]
 
 
 class TorusGrid:
@@ -69,12 +97,11 @@ class TorusGrid:
             raise ValueError(f"field shape {f.shape} != {(self.n, self.n)}")
         return f
 
-    # centered first differences; +x is axis 1, +y is axis 0
     def dx(self, f: np.ndarray) -> np.ndarray:
-        return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * self.spacing)
+        return centered_dx(f, self.spacing)
 
     def dy(self, f: np.ndarray) -> np.ndarray:
-        return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * self.spacing)
+        return centered_dy(f, self.spacing)
 
     def dz(self, f: np.ndarray) -> np.ndarray:
         return 0.5 * (self.dx(f) - 1j * self.dy(f))

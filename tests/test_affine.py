@@ -11,11 +11,13 @@ from bchyp.affine import (
     normalize_lift, pick_and_wang, pick_cubic, second_variation_trace,
     structure_residuals,
 )
-from bchyp.affine import _fit_structure, _gauss_curvature
+from bchyp.affine import _fit_structure, _gauss_curvature, _poisson_periodic
 from bchyp.bicomplex import Q3
 from bchyp.connection import F0, assemble
 from bchyp.gauss import solve_newton, wang_specialize
-from bchyp.metric import BeltramiChart, CubicPair, TorusGrid
+from bchyp.metric import (
+    BeltramiChart, CubicPair, TorusGrid, centered_dx, centered_dy,
+)
 
 _CACHE = {}
 
@@ -146,6 +148,24 @@ def test_normalize_recovers_rescale():
         h2 = grid.spacing ** 2
         assert np.max(np.abs(out.fplus - f)) < 2.0 * h2 * np.max(np.abs(f))
         assert np.max(out.conormal_residual()) < 10.0 * h2
+
+
+def test_poisson_inverts_laplacian_off_parity_modes():
+    # Lap u = rhs minus its projection on the four parity modes
+    # (+-1)^ix (+-1)^iy, which the composed centered Laplacian annihilates
+    n = 32
+    h = 1.0 / n
+    rng = np.random.default_rng(11)
+    rhs = rng.standard_normal((n, n))
+    u = _poisson_periodic(rhs, h)
+    lap = (centered_dx(centered_dx(u, h), h)
+           + centered_dy(centered_dy(u, h), h))
+    sign = (-1.0) ** np.arange(n)
+    modes = [np.ones((n, n)), np.outer(np.ones(n), sign),
+             np.outer(sign, np.ones(n)), np.outer(sign, sign)]
+    want = rhs - sum(m * np.sum(m * rhs) / n ** 2 for m in modes)
+    assert np.max(np.abs(lap - want)) < 1e-10
+    assert abs(np.mean(u)) < 1e-14
 
 
 def test_normalize_rejects_synthetic_curl():

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +16,7 @@ from bchyp.gauss import (
     GaussProblem, SolveReport,
     residual_background, residual_intrinsic, constant_root,
     solve_newton, wang_specialize, project_discrete_kernel,
-    laplacian_matrix,
+    laplacian_matrix, laplacian_symbol,
     ChartMismatch, NoPositiveRoot, DidNotConverge,
 )
 
@@ -20,6 +26,18 @@ def flat_problem(n=32, alpha=0.0, beta=0.0, Kg=0.0, mu=0.0, holo=False):
     bg = ComplexMetric(BeltramiChart.constant_mu(g, mu), 0.0)
     C = CubicPair(g, alpha, beta, holomorphic=holo)
     return GaussProblem(bg, C, Kg=Kg)
+
+
+def band_problem(n, eps, a, perturb, shift=0):
+    """alpha = a + perturb e^{2 pi i (x + shift/n)}, beta = a, Kg = 0,
+    on the identity chart (eps = 0) or the sine chart of amplitude eps.
+    A whole-cell shift is an exact symmetry of the discrete problem."""
+    g = TorusGrid(n)
+    chart = (BeltramiChart.identity(g) if eps == 0
+             else BeltramiChart.sine_perturbed(g, eps))
+    alpha = a + perturb * np.exp(2j * np.pi * (g.x + shift / n))
+    return GaussProblem(ComplexMetric(chart, 0.0), CubicPair(g, alpha, a),
+                        Kg=0.0)
 
 
 # ------------------------------------------------------------ constant root
@@ -141,6 +159,18 @@ def test_laplacian_matrix_matches_operator():
         assert np.abs(lhs - laplacian(h, phi)).max() < 1e-10
 
 
+def test_laplacian_symbol_exact_for_constant_coefficients():
+    # constant mu and psi: the FFT diagonalizes laplacian_matrix exactly
+    g = TorusGrid(32)
+    chart = BeltramiChart.constant_mu(g, 0.3 * np.exp(1j * np.pi / 5))
+    h = ComplexMetric(chart, 0.2 - 0.1j)
+    rng = np.random.default_rng(5)
+    phi = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    lhs = np.fft.fft2((laplacian_matrix(h) @ phi.ravel()).reshape(32, 32))
+    rhs = laplacian_symbol(h) * np.fft.fft2(phi)
+    assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(rhs).max()
+
+
 # ----------------------------------------------------------------- solver
 
 def test_solve_builds_no_laplacian_without_a_newton_step(monkeypatch):
@@ -218,6 +248,66 @@ def test_solve_on_nonidentity_chart():
     assert np.abs(residual_background(rep.psi, p)).max() <= 1e-10
 
 
+def test_krylov_iterations_do_not_grow_with_grid():
+    counts = []
+    for n in (64, 128, 256):
+        rep = solve_newton(band_problem(n, 0.0, 1.0, 0.1))
+        assert rep.converged
+        assert len(rep.krylov_iterations) == rep.iterations
+        assert rep.halvings == [0] * rep.iterations
+        counts.append(rep.krylov_iterations)
+    assert all(len(c) == len(counts[0]) for c in counts), counts
+    for steps in zip(*counts):
+        assert max(steps) <= 10 and max(steps) - min(steps) <= 1, counts
+
+
+def _assert_solved(problem):
+    rep = solve_newton(problem)
+    assert rep.converged
+    assert np.abs(residual_background(rep.psi, problem)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_solve_strong_sine_chart(eps):
+    _assert_solved(band_problem(128, eps, 0.6, 0.1))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02, 0.05, 0.1])
+def test_solve_seeded_band(eps):
+    # alpha = beta in [0.6, 1.0], perturb in [0.05, 0.1], shifted by
+    # whole grid cells; six draws per chart
+    rng = np.random.default_rng(round(100 * eps))
+    for _ in range(6):
+        a = float(rng.uniform(0.6, 1.0))
+        p = float(rng.uniform(0.05, 0.1))
+        shift = int(rng.integers(128))
+        _assert_solved(band_problem(128, eps, a, p, shift))
+
+
+def test_solve_band_corners_with_two_blas_threads():
+    # the outcome of the solve must not depend on the BLAS thread count
+    script = (
+        "import json, numpy as np, test_gauss as t\n"
+        "out = []\n"
+        "for a in (0.6, 1.0):\n"
+        "    for p in (0.05, 0.1):\n"
+        "        prob = t.band_problem(128, 0.02, a, p)\n"
+        "        rep = t.solve_newton(prob)\n"
+        "        res = np.abs(t.residual_background(rep.psi, prob)).max()\n"
+        "        out.append([rep.converged, float(res)])\n"
+        "print(json.dumps(out))\n")
+    src = str(Path(gauss.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert len(out) == 4
+    assert all(ok and res <= 1e-10 for ok, res in out), out
+
+
 # ------------------------------------------------------------------- wang
 
 def test_wang_zero_datum_reduces():
@@ -254,7 +344,9 @@ def test_wang_equation_pointwise():
 def test_report_json():
     p = flat_problem(32, Kg=-1.0)
     rep = solve_newton(p)
-    import json
     d = json.loads(rep.to_json())
     assert d["converged"] is True
     assert d["iterations"] == rep.iterations
+    # solver counters stay out of the manifest
+    assert set(d) == {"converged", "final_residual", "iterations",
+                      "residual_history"}

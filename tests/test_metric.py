@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bchyp.metric import (
-    TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
+    TorusGrid, BeltramiChart, ComplexMetric, CubicPair, stencil_symbols,
     commutator_coeffs, laplacian, curvature, cubic_norm,
     area_integrate, ellipticity_floor, symbol_check, christoffels,
     save_field_csv, load_field_csv, save_field_bin, load_field_bin,
@@ -37,6 +37,15 @@ def test_grid_stencils_exact_on_low_modes():
     # centered difference of a pure mode has the discrete symbol
     want = 1j * np.sin(2 * np.pi * g.spacing) / g.spacing * f
     assert np.abs(g.dx(f) - want).max() < 1e-12
+    # and stencil_symbols carries that symbol for every mode at once
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    sx, sy = stencil_symbols(64, g.spacing)
+    U = np.fft.fft2(u)
+    assert np.abs(np.fft.fft2(g.dx(u)) - sx * U).max() < 1e-9
+    assert np.abs(np.fft.fft2(g.dy(u)) - sy * U).max() < 1e-9
+    for k in (0, 32):
+        assert sx[0, k] == 0.0 and sy[k, 0] == 0.0
 
 
 # ----------------------------------------------------------------- charts
