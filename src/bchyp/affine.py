@@ -38,7 +38,7 @@ np.nanmax).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,6 +130,8 @@ class AffinePair:
     across the grid seam (synthetic torus data does, integrated frames
     do not).  path_residual records the row/column-order disagreement
     of the frame integration that produced the pair, when applicable.
+    The structure fit of f+ is kept on the pair once computed, so
+    structure_residuals and blaschke_data share one fit.
     """
 
     fplus: np.ndarray
@@ -137,6 +139,8 @@ class AffinePair:
     spacing: float
     periodic: bool = True
     path_residual: float = 0.0
+    _fit: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         fp = np.asarray(self.fplus, dtype=float)
@@ -476,6 +480,17 @@ def _fit_structure(pair: AffinePair):
     return gB, xi, S, C_sym, asym
 
 
+def _fitted(pair: AffinePair):
+    """The structure fit of f+, computed once per pair.  Its arrays are
+    shared by every later reader, so they are made read-only."""
+    if pair._fit is None:
+        fit = _fit_structure(pair)
+        for arr in fit[:4]:
+            arr.flags.writeable = False
+        object.__setattr__(pair, "_fit", fit)
+    return pair._fit
+
+
 def _christoffel(gB: np.ndarray, ginv: np.ndarray,
                  spacing: float) -> np.ndarray:
     """Levi-Civita symbols of a 2x2 metric field, [..., k, a, b]."""
@@ -497,7 +512,7 @@ def structure_residuals(pair: AffinePair):
     the affine normal from the position), S_residual that of S - Id.
     A hyperbolic affine sphere drives both to O(spacing^2).
     """
-    gB, xi, S, _, _ = _fit_structure(pair)
+    gB, xi, S, _, _ = _fitted(pair)
     xi_res = np.max(np.abs(xi - pair.fplus), axis=-1)
     eye = np.eye(2)
     S_res = np.max(np.abs(S - eye), axis=(-2, -1))
@@ -506,7 +521,7 @@ def structure_residuals(pair: AffinePair):
 
 def blaschke_data(pair: AffinePair) -> BlaschkeData:
     """Extract Blaschke metric, symmetrized Pick form and shape field."""
-    gB, _, S, C_sym, _ = _fit_structure(pair)
+    gB, _, S, C_sym, _ = _fitted(pair)
     return BlaschkeData(gB, C_sym, S, pair.spacing, periodic=pair.periodic)
 
 

@@ -27,7 +27,6 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import null_space
@@ -333,8 +332,7 @@ def _anchor_transversality(scanned, max_word_len, flag_match_tol):
 
 def anosov_scan(rep: Representation, max_word_len: int,
                 gap_tol: float = GAP_TOL, trans_tol: float = TRANS_TOL,
-                flag_match_tol: float = FLAG_MATCH_TOL,
-                threads: int = 1) -> AnosovReport:
+                flag_match_tol: float = FLAG_MATCH_TOL) -> AnosovReport:
     """Necessary Anosov conditions over all reduced words up to a length.
 
     Two channels.  (1) Loxodromy: every enumerated word, after exact
@@ -354,8 +352,7 @@ def anosov_scan(rep: Representation, max_word_len: int,
 
     The report also carries the centralizer dimension and the full
     per-word moduli/gap/flag tables; word enumeration is split over
-    first-letter classes (optionally on a thread pool) and merged in
-    deterministic order.
+    first-letter classes and merged in deterministic order.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
@@ -365,29 +362,17 @@ def anosov_scan(rep: Representation, max_word_len: int,
         classes.setdefault(w[0], []).append((idx, w))
     keys = sorted(classes, key=lambda t: (t[0], -t[1]))
 
-    def run(key):
-        try:
-            return _scan_class(rep, classes[key], gap_tol)
-        except _Obstruction as o:
-            return o
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, keys))
-    else:
-        results = [run(k) for k in keys]
-
-    cdim = centralizer_check(rep)
     obstruction = None
     scanned = []
-    for res in results:
-        if isinstance(res, _Obstruction):
+    for key in keys:
+        try:
+            scanned.extend(_scan_class(rep, classes[key], gap_tol))
+        except _Obstruction as o:
             if obstruction is None:
-                obstruction = res.message
-            scanned.extend(res.partial)
-        else:
-            scanned.extend(res)
+                obstruction = o.message
+            scanned.extend(o.partial)
     scanned.sort(key=lambda item: item[0])
+    cdim = centralizer_check(rep)
 
     min_t, witness = _anchor_transversality(scanned, max_word_len,
                                             flag_match_tol)

@@ -11,9 +11,11 @@ from bchyp.affine import (
     normalize_lift, pick_and_wang, pick_cubic, second_variation_trace,
     structure_residuals,
 )
+from bchyp import affine
 from bchyp.affine import _fit_structure, _gauss_curvature, _poisson_periodic
 from bchyp.bicomplex import Q3
 from bchyp.connection import F0, assemble
+from bchyp.criteria import roundtrip_checks
 from bchyp.gauss import solve_newton, wang_specialize
 from bchyp.metric import (
     BeltramiChart, CubicPair, TorusGrid, centered_dx, centered_dy,
@@ -300,6 +302,34 @@ def test_integrate_constant_wang_dual_pick_sign():
     q_plus = pick_cubic(blaschke_data(pair))
     q_minus = pick_cubic(blaschke_data(pair.dual()))
     assert np.nanmax(np.abs(q_plus + q_minus)) < 1e-9
+
+
+def test_roundtrip_checks_fit_each_side_once(monkeypatch):
+    """structure_residuals and blaschke_data share the fit of f+, so one
+    roundtrip bundle fits twice (f+ and f-), with the same residuals
+    as three independent fits."""
+    cached, psi, _ = solved_wang(32)
+
+    def fresh():
+        return AffinePair(cached.fplus, cached.fminus, cached.spacing,
+                          periodic=False, path_residual=cached.path_residual)
+
+    fit = affine._fit_structure
+    calls = []
+
+    def counting(pair):
+        calls.append(pair)
+        return fit(pair)
+
+    monkeypatch.setattr(affine, "_fit_structure", counting)
+    shared = roundtrip_checks(fresh(), psi)
+    assert len(calls) == 2
+    assert calls[0].fplus is calls[1].fminus      # f+, then the dual's
+
+    monkeypatch.setattr(affine, "_fitted", counting)    # no sharing
+    separate = roundtrip_checks(fresh(), psi)
+    assert len(calls) == 5
+    assert shared == separate
 
 
 def test_integrate_wang_blaschke_spd_and_apolar():

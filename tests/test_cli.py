@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config validation, manifest
 determinism, and artifact output."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import bchyp
-from bchyp import cli
+from bchyp import affine, cli, criteria
 from bchyp.gauss import LinearSolveFailure
 from bchyp.cli import (ConfigError, config_hash, load_config,
                        load_generators, main)
@@ -48,6 +49,12 @@ def test_unknown_nested_key_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"solver": {"tol": 1e-10, "speed": 2}})
     assert main(["gauss", "solve", "--config", cfg]) == 2
     assert "'speed'" in capsys.readouterr().err
+
+
+def test_threads_key_is_gone(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"grid": 32, "threads": 2})
+    assert main(["gauss", "solve", "--config", cfg]) == 2
+    assert "unknown config key 'threads'" in capsys.readouterr().err
 
 
 def test_degenerate_chart_exits_two(tmp_path, capsys):
@@ -130,6 +137,24 @@ def test_pipeline_out_cloud_comes_from_the_configured_pair(tmp_path, capsys):
     assert len(rows) == 1 + 64 * 64
 
 
+def test_affine_roundtrip_out_writes_the_criterion_pair(monkeypatch,
+                                                       tmp_path, capsys):
+    """The point cloud is criterion 8's own n = 128 pair, strided to
+    64 x 64: one solve, no second datum."""
+    solves = []
+    for module in (cli, criteria):
+        def counting(problem, *a, _fn=module.solve_newton, **k):
+            solves.append(problem.grid.n)
+            return _fn(problem, *a, **k)
+        monkeypatch.setattr(module, "solve_newton", counting)
+    assert main(["affine", "roundtrip", "--out", str(tmp_path)]) == 0
+    assert solves == [128]
+    rows = (tmp_path / "roundtrip_points.csv").read_text().splitlines()
+    assert len(rows) == 1 + 64 * 64
+    assert rows[2].startswith("0.015625,0.0,")
+    assert rows[-1].startswith("0.984375,0.984375,")
+
+
 def test_plain_run_builds_no_manifest(monkeypatch, capsys):
     def no_manifest(*args):
         raise AssertionError("manifest built without --json/--out")
@@ -210,6 +235,74 @@ def test_manifest_structure(capsys):
     assert m["versions"]["artifact"] == bchyp.__version__
     for r in m["results"]:
         assert "runtime" not in r["residuals"]
+
+
+def test_runtime_limit_fails_but_stays_out_of_the_manifest(monkeypatch,
+                                                          capsys):
+    assert main(["algebra", "--json"]) == 0
+    first = capsys.readouterr().out
+    assert main(["algebra", "--json"]) == 0
+    assert capsys.readouterr().out == first
+    assert "runtime" not in first
+
+    clock = itertools.count(0.0, 2.0)      # every reading 2 s later
+    monkeypatch.setattr(criteria.time, "perf_counter", lambda: next(clock))
+    slow = criteria.criterion_1()
+    assert not slow.passed
+    assert "runtime" not in slow.message and "runtime" not in slow.residuals
+    assert slow.line.endswith("(2.00s, limit 1s)")
+
+
+def test_frozen_criteria_match_the_sine_chart_config(capsys):
+    """configs/sine_chart.json is the datum of criteria 5 and 6 (sine
+    chart eps 0.01, alpha = beta = 0.6, n = 64), so the shared bundles
+    give the same numbers.  The only difference between the two cubic
+    pairs is the criteria's holomorphic=True flag: its projection onto
+    the discrete kernel leaves constant coefficients unchanged."""
+    cfg = load_config(cfg_path("sine_chart.json"))
+    assert cfg["grid"] == 64
+    assert cfg["chart"] == {"kind": "sine", "eps": 0.01}
+    assert cfg["cubic"] == {"kind": "pair", "alpha": 0.6, "beta": 0.6}
+
+    def config_residuals(action):
+        code, out = run_json(capsys, ["conn", action, "--config",
+                                      cfg_path("sine_chart.json")])
+        assert code == 0
+        (result,) = json.loads(out)["results"]
+        return result["residuals"]
+
+    assert config_residuals("holonomy") == criteria.criterion_6().residuals
+    assert (config_residuals("flatness")["flatness"]
+            == criteria.criterion_5().residuals["solved"])
+
+
+def test_cli_calls_go_through_the_patched_names(monkeypatch, capsys):
+    """perfbench wraps these module attributes to time the layers and to
+    capture the outputs it checks; the CLI must look them up at call
+    time."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("solve_newton", "holonomy", "anosov_scan"):
+        count(cli, name)
+    for name in ("integrate_frame", "structure_residuals", "blaschke_data"):
+        count(affine, name)
+    assert main(["pipeline", "--config", cfg_path("wang_torus.json")]) == 0
+    assert main(["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
+                 "--len", "3"]) == 0
+    assert {k: len(v) for k, v in calls.items()} == {
+        "solve_newton": 1, "holonomy": 2, "integrate_frame": 1,
+        "structure_residuals": 1, "blaschke_data": 2, "anosov_scan": 1}
+    assert sorted(args[1].steps[0] for args in calls["holonomy"]) == [
+        (0, 1), (1, 0)]
+    assert isinstance(calls["solve_newton"][0][0], cli.GaussProblem)
 
 
 def test_constant_pipeline_exact(capsys):

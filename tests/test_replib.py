@@ -248,15 +248,6 @@ def test_scan_fuchsian_pair_passes():
     assert np.abs(np.prod(rpt.moduli, axis=1) - 1.0).max() < 1e-8
 
 
-def test_scan_is_deterministic_across_threads():
-    r1 = anosov_scan(fuchsian_rep(), 4)
-    r4 = anosov_scan(fuchsian_rep(), 4, threads=4)
-    assert r1.words == r4.words
-    assert r1.min_transversality == r4.min_transversality
-    assert r1.witness_pair == r4.witness_pair
-    assert np.array_equal(r1.moduli, r4.moduli)
-
-
 def test_scan_numbers_are_unitary_conjugation_invariant():
     rng = np.random.default_rng(11)
     Z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
