@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mat3
 from .bicomplex import Q3
 from .connection import F0, FlatConnectionField, expm_steps, step_generators
 from .metric import (
@@ -336,6 +337,27 @@ def _sweep(Ex, Ey, Exi, Eyi, base):
     return G
 
 
+def _integrate_part(Sx, Sy, base, sl):
+    """Frame of one idempotent part from its x- and y-step generators.
+
+    Returns the lift column of the row-then-column frame, the max-abs
+    disagreement with the column-then-row frame on [sl, sl], and the
+    frame size there.
+    """
+    iy0, ix0 = base
+    Ex, Exi = expm_steps(Sx), expm_steps(-Sx[:, :ix0])
+    Ey, Eyi = expm_steps(Sy), expm_steps(-Sy[:iy0])
+    G_xy = _sweep(Ex, Ey, Exi, Eyi, base)
+    # column-then-row: same edges, roles of the axes exchanged
+    Gt = _sweep(Ey.transpose(1, 0, 2, 3), Ex.transpose(1, 0, 2, 3),
+                Eyi.transpose(1, 0, 2, 3), Exi.transpose(1, 0, 2, 3),
+                (ix0, iy0))
+    G_yx = Gt.transpose(1, 0, 2, 3)
+    resid = float(np.max(np.abs((G_xy - G_yx)[sl, sl])))
+    gmax = float(np.max(np.abs(G_xy[sl, sl])))
+    return G_xy[..., :, 2].copy(), resid, gmax
+
+
 def integrate_frame(conn: FlatConnectionField, base=(0, 0),
                     path_tol: float | None = None,
                     trim: int = 0) -> AffinePair:
@@ -363,29 +385,19 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     iy0, ix0 = base
     if not (0 <= iy0 < n and 0 <= ix0 < n):
         raise ValueError(f"base {base} outside grid")
-    # x steps (ix -> ix+1) stacked over y steps (iy -> iy+1), every node
+    # x steps (ix -> ix+1) and y steps (iy -> iy+1) from every node, one
+    # idempotent part at a time: a part's generators and exponentials
+    # are released before the next part's are built
     node_y, node_x = np.ogrid[:n, :n]
-    gens = step_generators(conn, node_y, node_x,
-                           np.array([0, 1])[:, None, None],
-                           np.array([1, 0])[:, None, None])
-
+    sl = slice(trim, n - trim) if trim > 0 else slice(None)
     sigma = {}
     resid = 0.0
     gmax = 0.0
-    for part, S in zip(("plus", "minus"), gens):
-        Ex, Ey = expm_steps(S)
-        Exi = expm_steps(-S[0, :, :ix0])
-        Eyi = expm_steps(-S[1, :iy0])
-        G_xy = _sweep(Ex, Ey, Exi, Eyi, (iy0, ix0))
-        # column-then-row: same edges, roles of the axes exchanged
-        Gt = _sweep(Ey.transpose(1, 0, 2, 3), Ex.transpose(1, 0, 2, 3),
-                    Eyi.transpose(1, 0, 2, 3), Exi.transpose(1, 0, 2, 3),
-                    (ix0, iy0))
-        G_yx = Gt.transpose(1, 0, 2, 3)
-        sl = slice(trim, n - trim) if trim > 0 else slice(None)
-        resid = max(resid, float(np.max(np.abs((G_xy - G_yx)[sl, sl]))))
-        gmax = max(gmax, float(np.max(np.abs(G_xy[sl, sl]))))
-        sigma[part] = G_xy[..., :, 2]
+    for part in ("plus", "minus"):
+        sigma[part], r, g = _integrate_part(
+            step_generators(conn, node_y, node_x, 0, 1, part),
+            step_generators(conn, node_y, node_x, 1, 0, part), base, sl)
+        resid, gmax = max(resid, r), max(gmax, g)
 
     tol = (200.0 * h * h if path_tol is None else path_tol) * max(1.0, gmax)
     if resid > tol:
@@ -422,24 +434,24 @@ def _fit_structure(pair: AffinePair):
     fx, fy = centered_dx(f, h), centered_dy(f, h)
     fxx, fxy, fyy = centered_dx(fx, h), centered_dy(fx, h), centered_dy(fy, h)
 
-    frame = np.stack([fx, fy, f], axis=-1)
-    det = np.linalg.det(frame)
+    frame = mat3.planes(np.stack([fx, fy, f], axis=-1))
+    det = mat3.det(frame)
     det_valid = det if per else _interior(det, 2)
     if float(np.min(np.abs(det_valid))) < 1e-10:
         raise DegenerateFrame(
             f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
 
-    rhs = np.stack([fxx, fxy, fyy], axis=-1)
-    coef = np.linalg.solve(frame, rhs)      # (n, n, 3, {xx, xy, yy})
+    # planes (3, {xx, xy, yy}, n, n)
+    coef = mat3.solve(frame, mat3.planes(np.stack([fxx, fxy, fyy], axis=-1)))
     gB = np.empty(f.shape[:2] + (2, 2))
-    gB[..., 0, 0] = coef[..., 2, 0]
-    gB[..., 0, 1] = gB[..., 1, 0] = coef[..., 2, 1]
-    gB[..., 1, 1] = coef[..., 2, 2]
+    gB[..., 0, 0] = coef[2, 0]
+    gB[..., 0, 1] = gB[..., 1, 0] = coef[2, 1]
+    gB[..., 1, 1] = coef[2, 2]
     gammabar = np.empty(f.shape[:2] + (2, 2, 2))   # [..., k, a, b]
     for k in (0, 1):
-        gammabar[..., k, 0, 0] = coef[..., k, 0]
-        gammabar[..., k, 0, 1] = gammabar[..., k, 1, 0] = coef[..., k, 1]
-        gammabar[..., k, 1, 1] = coef[..., k, 2]
+        gammabar[..., k, 0, 0] = coef[k, 0]
+        gammabar[..., k, 0, 1] = gammabar[..., k, 1, 0] = coef[k, 1]
+        gammabar[..., k, 1, 1] = coef[k, 2]
 
     detg = gB[..., 0, 0] * gB[..., 1, 1] - gB[..., 0, 1] ** 2
     sg = np.sqrt(np.abs(detg))
@@ -455,9 +467,9 @@ def _fit_structure(pair: AffinePair):
     xi = ((centered_dx(flux_x, h) + centered_dy(flux_y, h))
           / (2.0 * sg[..., None]))
 
-    scoef = np.linalg.solve(
-        frame, np.stack([centered_dx(xi, h), centered_dy(xi, h)], axis=-1))
-    S = scoef[..., :2, :]                   # (n, n, 2 {comp}, 2 {dir})
+    scoef = mat3.solve(frame, mat3.planes(
+        np.stack([centered_dx(xi, h), centered_dy(xi, h)], axis=-1)))
+    S = mat3.stacked(scoef[:2])             # (n, n, 2 {comp}, 2 {dir})
 
     gamma_lc = _christoffel(gB, ginv, h)
     K = gammabar - gamma_lc

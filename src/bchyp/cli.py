@@ -289,7 +289,7 @@ def stage_gauss(args):
     if args.config is None:
         return [criteria.criterion_4()]
     t0 = time.perf_counter()
-    cfg = load_config(args.config)
+    cfg = args.cfg
     problem, chart, grid, _ = build_problem(cfg)
     tol = float(cfg["solver"]["tol"])
     rep = solve_newton(problem, tol=tol,
@@ -318,8 +318,7 @@ def stage_conn(args):
             return [criteria.criterion_5()]
         return [criteria.criterion_6()]
     t0 = time.perf_counter()
-    cfg = load_config(args.config)
-    rep, problem, chart, grid, _ = _solved_from_config(cfg)
+    rep, problem, chart, grid, _ = _solved_from_config(args.cfg)
     conn = assemble(rep.psi, problem.C, chart)
     if args.action == "flatness":
         return [criteria._result(
@@ -386,7 +385,7 @@ def stage_pipeline(args):
     """solve -> assemble -> flatness -> holonomy -> (Hitchin) roundtrip;
     each result's runtime covers its own step."""
     t0 = time.perf_counter()
-    cfg = load_config(args.config)
+    cfg = args.cfg
     rep, problem, chart, grid, kind = _solved_from_config(cfg)
     res = float(np.abs(residual_background(rep.psi, problem)).max())
     results = [criteria._result(
@@ -485,6 +484,8 @@ def main(argv=None) -> int:
     command = args.command + (f" {args.action}"
                               if getattr(args, "action", None) else "")
     try:
+        # read once: the stage runs on args.cfg, the manifest records it
+        args.cfg = load_config(getattr(args, "config", None))
         results = _STAGES[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -498,8 +499,7 @@ def main(argv=None) -> int:
         return 1
 
     if args.json or args.out:
-        cfg = load_config(getattr(args, "config", None))
-        manifest = _canonical(run_manifest(command, cfg, results))
+        manifest = _canonical(run_manifest(command, args.cfg, results))
     if args.json:
         sys.stdout.write(manifest)
     else:

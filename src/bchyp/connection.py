@@ -15,14 +15,22 @@ the correspondence with the Gauss-solver residuals is exact in floating
 point whenever the discrete product rule does not intervene (constant
 chart factors, or constant psi).
 
-Transport along the connection runs on one kernel, shared by holonomy and
-by affine.integrate_frame: midpoint-sampled step generators
-(step_generators), one batched exponential per idempotent component
-(expm_steps; the algebra splits, so ordinary 3x3 exponentials suffice),
-then the ordered product.  Holonomy is that product along a loop.  In the
-"ambient" gauge the result is conjugated by a constant model frame F0 with
-F0^T Q F0 = QTILDE, after which group elements satisfy the compatibility
-X_minus = Q (X_plus^-1)^T Q and the plus part lands in SL(3,C).
+The grid-sized 3x3 algebra of transport and flatness (the step
+exponentials and the commutator of the flatness residual) runs on one
+batched kernel, mat3, which works on (3, 3, ...) entry planes.  The
+fields keep their (n, n, 3, 3) storage, on which the derivative stencils
+act; the kernel converts at its boundary.
+
+Transport along the connection, shared by holonomy and by
+affine.integrate_frame: midpoint-sampled step generators
+(step_generators, which gathers Omega only at the nodes the steps
+touch), one batched exponential per idempotent component (expm_steps;
+the algebra splits, so ordinary 3x3 exponentials suffice), then the
+ordered product.  Holonomy is that product along a loop.  In the
+"ambient" gauge the result is conjugated by a constant model frame F0
+with F0^T Q F0 = QTILDE, after which group elements satisfy the
+compatibility X_minus = Q (X_plus^-1)^T Q and the plus part lands in
+SL(3,C).
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import warnings
 
 import numpy as np
 
+from . import mat3
 from .bicomplex import BcMat3, NotInImage, compatibility_residual
 from .metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid, laplacian
 
@@ -139,17 +148,6 @@ class BcMat3Field:
         return f"BcMat3Field(n={self.n})"
 
 
-def _entrywise(op, field: BcMat3Field) -> BcMat3Field:
-    """Apply a scalar-field operator to each of the 18 entry slices."""
-    out_p = np.empty_like(field.plus)
-    out_m = np.empty_like(field.minus)
-    for i in range(3):
-        for j in range(3):
-            out_p[..., i, j] = op(field.plus[..., i, j])
-            out_m[..., i, j] = op(field.minus[..., i, j])
-    return BcMat3Field(out_p, out_m)
-
-
 class FlatConnectionField:
     """Frame connection matrices Ahat, Bhat over a Beltrami chart.
 
@@ -213,20 +211,33 @@ class FlatConnectionField:
         return float(worst)
 
     def omega_xy(self) -> tuple[BcMat3Field, BcMat3Field]:
-        """Omega contracted with d_x and d_y.
-
-        dz(d_x) = 1, dz(d_y) = i, and the wbar leg uses
-        wbar_x = (1 - conj(mu)) dzbwb, wbar_y = -i (1 + conj(mu)) dzbwb,
-        so the dzbwb factors cancel against the Bhat normalization.
-        """
-        c = self.chart
-        mub = np.conj(c.mu)
-        Ox = self.Ahat.scale(1.0 / c.dwz) + self.Bhat.scale(1.0 - mub)
-        Oy = self.Ahat.scale(1j / c.dwz) + self.Bhat.scale(-1j * (1.0 + mub))
-        return Ox, Oy
+        """Omega contracted with d_x and d_y over the whole grid."""
+        every = (slice(None), slice(None))
+        return tuple(BcMat3Field(_omega_at(self, "plus", leg, *every),
+                                 _omega_at(self, "minus", leg, *every))
+                     for leg in (0, 1))
 
     def __repr__(self):
         return f"FlatConnectionField(n={self.grid.n})"
+
+
+def _omega_at(conn: FlatConnectionField, part: str, leg: int, iy, ix
+              ) -> np.ndarray:
+    """One idempotent part of Omega(d_x) (leg 0) or Omega(d_y) (leg 1)
+    at the nodes [iy, ix], as a (..., 3, 3) stack.
+
+    dz(d_x) = 1, dz(d_y) = i, and the wbar leg uses
+    wbar_x = (1 - conj(mu)) dzbwb, wbar_y = -i (1 + conj(mu)) dzbwb,
+    so the dzbwb factors cancel against the Bhat normalization.
+    """
+    c = conn.chart
+    mub = np.conj(c.mu[iy, ix])
+    if leg == 0:
+        fa, fb = 1.0 / c.dwz[iy, ix], 1.0 - mub
+    else:
+        fa, fb = 1j / c.dwz[iy, ix], -1j * (1.0 + mub)
+    return (fa[..., None, None] * getattr(conn.Ahat, part)[iy, ix]
+            + fb[..., None, None] * getattr(conn.Bhat, part)[iy, ix])
 
 
 class Loop:
@@ -358,14 +369,20 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> BcMat3Field:
 
     zero exactly for constant exact data and O(spacing^2) for smooth
     solved data.  The logA/logB terms are the commutator coefficients of
-    the (d_w, d_zbar) frame acting on the matrix legs.
+    the (d_w, d_zbar) frame acting on the matrix legs.  The stencils
+    act on whole (n, n, 3, 3) fields; the commutator runs on the plane
+    kernel.
     """
     c = conn.chart
-    A, B = conn.Ahat, conn.Bhat
-    Bw = _entrywise(c.d_w, B)
-    Azb = _entrywise(c.grid.dzb, A)
-    return (Bw - B.scale(c.logB) - Azb + A.scale(c.logA)
-            + (A @ B) - (B @ A))
+    logA, logB = c.logA[..., None, None], c.logB[..., None, None]
+    parts = []
+    for a, b in ((conn.Ahat.plus, conn.Bhat.plus),
+                 (conn.Ahat.minus, conn.Bhat.minus)):
+        ap, bp = mat3.planes(a), mat3.planes(b)
+        r = c.d_w(b) - logB * b - c.grid.dzb(a) + logA * a
+        r += mat3.stacked(mat3.matmul(ap, bp) - mat3.matmul(bp, ap))
+        parts.append(r)
+    return BcMat3Field(*parts)
 
 
 def reduced_system_residual(psi, C: CubicPair, chart: BeltramiChart
@@ -394,27 +411,30 @@ def reduced_system_residual(psi, C: CubicPair, chart: BeltramiChart
     return r0, r1, r2
 
 
-def step_generators(conn: FlatConnectionField, iy, ix, diy, dix
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint generators of the grid steps (ix, iy) -> (ix+dix, iy+diy).
+def step_generators(conn: FlatConnectionField, iy, ix, diy, dix,
+                    part: str) -> np.ndarray:
+    """Midpoint generators of the grid steps (ix, iy) -> (ix+dix, iy+diy)
+    in one idempotent part ("plus" or "minus").
 
     Omega is sampled as the average of its values at the two endpoint
     nodes (indices wrap around the torus) and contracted with the step
     displacement h (dix, diy).  The four index arguments broadcast
-    together to a batch shape; the result is the (plus, minus) pair of
-    (*batch, 3, 3) generator stacks, whose exponentials transport a
-    frame across each step.
+    together to a batch shape; the result is the (*batch, 3, 3)
+    generator stack, whose exponentials transport a frame across each
+    step.  Omega is read only at the endpoint nodes, and a leg whose
+    displacement is zero across the batch is skipped.
     """
     iy, ix, diy, dix = np.broadcast_arrays(iy, ix, diy, dix)
-    g = conn.grid
-    n, h = g.n, g.spacing
+    n = conn.grid.n
     jy, jx = (iy + diy) % n, (ix + dix) % n
-    wx, wy = dix[..., None, None], diy[..., None, None]
-    Ox, Oy = conn.omega_xy()
-    return tuple(
-        0.5 * h * ((ox[iy, ix] + ox[jy, jx]) * wx
-                   + (oy[iy, ix] + oy[jy, jx]) * wy)
-        for ox, oy in ((Ox.plus, Oy.plus), (Ox.minus, Oy.minus)))
+    S = np.zeros(iy.shape + (3, 3), dtype=complex)
+    for leg, w in ((0, dix), (1, diy)):
+        if np.any(w):
+            S += ((_omega_at(conn, part, leg, iy, ix)
+                   + _omega_at(conn, part, leg, jy, jx))
+                  * w[..., None, None])
+    S *= 0.5 * conn.grid.spacing
+    return S
 
 
 def expm_steps(S: np.ndarray) -> np.ndarray:
@@ -423,23 +443,16 @@ def expm_steps(S: np.ndarray) -> np.ndarray:
     Truncated Taylor series in Horner form, its degree m the smallest
     with TAYLOR_THETA[m - 1] >= the largest 1-norm in the batch; the
     batch is scaled by 2^-s and squared s times only when that norm
-    exceeds the last entry of the table.  An empty batch is returned
-    empty.
+    exceeds the last entry of the table.  The arithmetic runs on the
+    plane kernel (mat3.expm).  An empty batch is returned empty.
     """
     nrm = float(np.abs(S).sum(axis=-2).max(initial=0.0))
     s = 0
     if nrm > TAYLOR_THETA[-1]:
         s = int(np.ceil(np.log2(nrm / TAYLOR_THETA[-1])))
-        S = S / 2.0 ** s
         nrm /= 2.0 ** s
     m = next(k for k, theta in enumerate(TAYLOR_THETA, 1) if nrm <= theta)
-    eye = np.broadcast_to(np.eye(3, dtype=S.dtype), S.shape)
-    P = eye.copy()
-    for k in range(m, 0, -1):
-        P = eye + (S @ P) / k
-    for _ in range(s):
-        P = P @ P
-    return P
+    return mat3.stacked(mat3.expm(mat3.planes(S), m, s))
 
 
 def holonomy(conn: FlatConnectionField, loop: Loop,
@@ -471,10 +484,10 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
                       stacklevel=2)
     d = np.array(loop.steps)                    # (steps, 2): (dix, diy)
     start = np.cumsum(d, axis=0) - d            # node each step leaves
-    gens = step_generators(conn, start[:, 1] % g.n, start[:, 0] % g.n,
-                           d[:, 1], d[:, 0])
     parts = []
-    for S in gens:
+    for part in ("plus", "minus"):
+        S = step_generators(conn, start[:, 1] % g.n, start[:, 0] % g.n,
+                            d[:, 1], d[:, 0], part)
         E = expm_steps(S)
         H = E[0]
         for Ek in E[1:]:

@@ -191,8 +191,14 @@ class BeltramiChart:
         return cls(grid, mu, dwz, dzbwb, logA=logA, logB=logB)
 
     def d_w(self, f: np.ndarray) -> np.ndarray:
-        """d_w = dwz (d_z + conj(mu) d_zbar) applied with grid stencils."""
-        return self.dwz * (self.grid.dz(f) + np.conj(self.mu) * self.grid.dzb(f))
+        """d_w = dwz (d_z + conj(mu) d_zbar) applied with grid stencils.
+
+        Trailing axes of f (vector or matrix fields) ride along: the
+        chart coefficients broadcast over them.
+        """
+        tail = (...,) + (None,) * (np.ndim(f) - 2)
+        return self.dwz[tail] * (self.grid.dz(f)
+                                 + np.conj(self.mu)[tail] * self.grid.dzb(f))
 
     def consistency_residual(self) -> float:
         """Max-abs gap between supplied and stencil-computed commutator

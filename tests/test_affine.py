@@ -1,6 +1,8 @@
 """Affine-sphere side: dual lifts, frame integration, structure fits,
 Pick/Wang cross-checks, and the second-variation trace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -459,6 +461,26 @@ def test_integrate_off_origin_base_rebases_the_pair():
         err = np.abs(fb - rebased.real).max()
         assert err < 1e-12 * max(1.0, np.abs(f0).max()), (part, err)
     assert pairb.path_residual < 1e-12
+
+
+#: one complex 3x3 field at n = 128, the unit of the memory bounds
+FIELD_128 = 128 * 128 * 9 * 16
+
+
+def test_integrate_frame_peak_memory_within_ten_fields():
+    # one idempotent part's step generators and exponentials are live at
+    # a time; the x and y generators of both parts alone are 4 fields
+    n = 128
+    problem = wang_specialize(1.2, TorusGrid(n))
+    report = solve_newton(problem)
+    conn = assemble(report.psi, problem.C, problem.background.chart)
+    tracemalloc.start()
+    try:
+        integrate_frame(conn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * FIELD_128, peak / FIELD_128
 
 
 # ----------------------------------------------------------------------

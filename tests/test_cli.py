@@ -223,6 +223,27 @@ def test_manifest_bytes_reproduce(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gauss", "solve", "--config", cfg_path("constant_torus.json")],
+    ["pipeline", "--config", cfg_path("constant_torus.json")],
+], ids=["gauss_solve", "pipeline"])
+def test_config_is_read_once(monkeypatch, capsys, argv):
+    """The stage runs on the config main read, and the manifest records
+    that same config."""
+    calls = []
+    load = cli.load_config
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_config", counted)
+    code, out = run_json(capsys, argv)
+    assert code == 0
+    assert calls == [argv[-1]]
+    assert json.loads(out)["config"] == load(argv[-1])
+
+
 def test_manifest_structure(capsys):
     code, out = run_json(capsys,
                          ["conn", "flatness", "--config",

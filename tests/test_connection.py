@@ -1,5 +1,6 @@
 """Connection assembly, flatness residuals, holonomy, and the Higgs split."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,9 @@ from bchyp.connection import (
     assemble, conjugate_frame, expm_steps, higgs_split, hitchin_residuals,
     holonomy, maurer_cartan_residual, reduced_system_residual, to_sl3,
 )
-from bchyp.gauss import GaussProblem, residual_intrinsic, solve_newton
+from bchyp.gauss import (
+    GaussProblem, residual_intrinsic, solve_newton, wang_specialize,
+)
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 
 AHAT_CONST = BcMat3.from_tau_parts([[0, 0, 0], [0, 0, 1], [1, 0, 0]],
@@ -359,6 +362,24 @@ def test_flatness_residual_runs_maurer_cartan_once(monkeypatch):
     conn2 = assemble(psi, C, chart)
     conn2.flatness_residual()
     assert len(calls) == 2
+
+
+def test_holonomy_reads_omega_only_on_its_loop():
+    # the loop visits n nodes; Omega over the whole grid would be 4
+    # fields (Ox, Oy, two idempotent parts each)
+    n = 128
+    field = n * n * 9 * 16          # one complex 3x3 field
+    problem = wang_specialize(1.2, TorusGrid(n))
+    report = solve_newton(problem)
+    conn = assemble(report.psi, problem.C, problem.background.chart)
+    conn.flatness_residual()        # once per connection, not per loop
+    tracemalloc.start()
+    try:
+        holonomy(conn, Loop.x_period(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= field, peak / field
 
 
 def test_holonomy_warns_on_nonflat_data():
