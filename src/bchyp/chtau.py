@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .bicomplex import (
     Bicomplex, BcVec3, TAU, Q3,
@@ -346,23 +345,48 @@ def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9,
     return tags
 
 
+def _unit_incident(lines, planes, tol):
+    """Unit rows of (N, 3) lines and plane covectors, each line inside
+    its plane: |plane . line| <= tol after normalization."""
+    lines = np.asarray(lines, dtype=complex)
+    planes = np.asarray(planes, dtype=complex)
+    nl = np.linalg.norm(lines, axis=-1)
+    np_ = np.linalg.norm(planes, axis=-1)
+    if np.any(nl == 0) or np.any(np_ == 0):
+        raise ValueError("flag components must be nonzero")
+    lines = lines / nl[:, None]
+    planes = planes / np_[:, None]
+    pairing = np.einsum("ni,ni->n", planes, lines)
+    bad = np.flatnonzero(np.abs(pairing) > tol)
+    if bad.size:
+        raise ValueError(f"line not inside plane: pairing {pairing[bad[0]]}")
+    return lines, planes
+
+
 class Flag:
     """A projective full flag in C^3: a line inside a plane (= ker covector)."""
 
     __slots__ = ("line", "plane")
 
     def __init__(self, line: np.ndarray, plane: np.ndarray, tol: float = 1e-10):
-        line = np.asarray(line, dtype=complex).reshape(3)
-        plane = np.asarray(plane, dtype=complex).reshape(3)
-        nl, np_ = np.linalg.norm(line), np.linalg.norm(plane)
-        if nl == 0 or np_ == 0:
-            raise ValueError("flag components must be nonzero")
-        line = line / nl
-        plane = plane / np_
-        if abs(plane @ line) > tol:
-            raise ValueError(f"line not inside plane: pairing {plane @ line}")
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "plane", plane)
+        lines, planes = _unit_incident(np.reshape(line, (1, 3)),
+                                       np.reshape(plane, (1, 3)), tol)
+        object.__setattr__(self, "line", lines[0])
+        object.__setattr__(self, "plane", planes[0])
+
+    @classmethod
+    def batch(cls, lines: np.ndarray, planes: np.ndarray,
+              tol: float = 1e-10) -> tuple:
+        """Flags from stacked (N, 3) lines and plane covectors; the
+        normalization and the incidence check run once over the batch."""
+        lines, planes = _unit_incident(lines, planes, tol)
+        out = []
+        for line, plane in zip(lines, planes):
+            f = object.__new__(cls)
+            object.__setattr__(f, "line", line)
+            object.__setattr__(f, "plane", plane)
+            out.append(f)
+        return tuple(out)
 
     def __setattr__(self, name, value):
         raise AttributeError("Flag is immutable")
@@ -400,12 +424,13 @@ def line_plane_det(line: np.ndarray, plane_covector: np.ndarray) -> float:
     """|det| of the line stacked with an orthonormal basis of the plane.
 
     Nonzero iff line (+) plane = C^3; used as a transversality measure.
+    The plane ker(phi) is the Hermitian complement of conj(phi), so with
+    unit vectors the determinant is phi . line up to a unit phase.
     """
     line = np.asarray(line, dtype=complex).reshape(3)
-    line = line / np.linalg.norm(line)
-    basis = null_space(np.asarray(plane_covector, dtype=complex).reshape(1, 3))
-    M = np.vstack([line, basis.T])
-    return float(abs(np.linalg.det(M)))
+    phi = np.asarray(plane_covector, dtype=complex).reshape(3)
+    return float(abs(phi @ line) / (np.linalg.norm(phi)
+                                      * np.linalg.norm(line)))
 
 
 def transversal(f1: Flag, f2: Flag, tol: float = 1e-10) -> bool:

@@ -10,7 +10,7 @@ connection-variation 1-forms integrated over the torus.
 
 The scan is a necessary-condition filter, not a certificate: its
 strongest positive outcome is "no obstruction found up to length L".
-Loxodromy is checked for every enumerated word.  The transversality
+Loxodromy is checked shortest first, to the first failure.  The transversality
 minimum is taken over the short-word sample (length <= 2, closed under
 inversion), whose fixed flags approximate distinct boundary points of
 the group; a deep word w = x g x^-1 has flags dragged toward the
@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .bicomplex import Bicomplex
-from .chtau import Flag
+from .chtau import Flag, line_plane_det
 from .connection import BcMat3Field
 from .metric import ComplexMetric
 
@@ -47,6 +46,10 @@ GAP_TOL = 1e-6          # relative eigenvalue-modulus gap for loxodromy
 TRANS_TOL = 1e-8        # transversality below this is an obstruction
 FLAG_MATCH_TOL = 1e-8   # projective closeness that identifies two flags
 COND_TOL = 1e12         # eigenvector-matrix condition: defective beyond
+DET_TOL = 1e-10         # det slack per generator, as in Representation
+DET_DRIFT = 4 * np.finfo(float).eps   # det round-off per ||M||_F^3
+TIE_TOL = 1e-12         # relative: transversality values this close tie
+GAP_FLOOR = np.cbrt(np.finfo(float).eps)   # times ||M||_F / |l1|
 
 
 class NotUnimodular(ValueError):
@@ -156,48 +159,68 @@ class LoxodromyReport:
     repelling: Flag | None = None
 
 
+def _spectra(M, length, gap_tol=GAP_TOL, cond_tol=COND_TOL):
+    """Loxodromy data of N words M (N, 3, 3), each a product of `length`
+    generators, from one batched eigendecomposition.
+
+    Returns (moduli, gaps, stop, attracting, repelling): eigenvalue
+    moduli, descending, over the cube root of the modulus of their
+    product (the word's det); relative gaps; the index of the first
+    word that is not loxodromic (N if none); and the flags of the words
+    before it, attracting = (top eigenvector, span of top two) and
+    repelling = the attracting flag of the inverse.  Both gaps must
+    exceed gap_tol and the round-off floor GAP_FLOOR ||M||_F / |l1|,
+    which rescaling leaves alone: a unipotent word's eigenvalues scatter
+    by about eps^(1/3) ||M||.  Raises NotUnimodular for a det off one by
+    more than length * DET_TOL + DET_DRIFT ||M||_F^3, and
+    NotDiagonalizable when that first word has gaps above gap_tol but a
+    numerically defective eigenvector matrix.
+    """
+    vals, vecs = np.linalg.eig(M)
+    order = np.argsort(-np.abs(vals), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    det = vals.prod(axis=-1)
+    fro = np.linalg.norm(M, axis=(1, 2))
+    drift = np.abs(det - 1.0) / (length * DET_TOL + DET_DRIFT * fro ** 3)
+    worst = int(np.argmax(drift))
+    if not drift[worst] <= 1.0:
+        raise NotUnimodular(f"det {det[worst]:.12g} is not 1")
+    m = np.abs(vals)
+    moduli = m / np.cbrt(np.abs(det))[:, None]
+    gaps = np.stack([(m[:, 0] - m[:, 1]) / m[:, 0],
+                     (m[:, 1] - m[:, 2]) / m[:, 1]], axis=-1)
+    low = gaps.min(axis=1)
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    defective = (low > gap_tol) & (sv[:, 0] > cond_tol * sv[:, 2])
+    floor = np.maximum(gap_tol, GAP_FLOOR * fro / m[:, 0])
+    bad = np.flatnonzero(~(low > floor) | defective)
+    stop = int(bad[0]) if bad.size else len(M)
+    if stop < len(M) and defective[stop]:
+        raise NotDiagonalizable(f"eigenvector matrix condition "
+                                f"{np.linalg.cond(vecs[stop]):.3e}")
+    top, mid, bottom = (vecs[:stop, :, k] for k in range(3))
+    return (moduli, gaps, stop,
+            Flag.batch(top, np.cross(top, mid)),
+            Flag.batch(bottom, np.cross(bottom, mid)))
+
+
 def loxodromy(M, gap_tol: float = GAP_TOL,
               cond_tol: float = COND_TOL) -> LoxodromyReport:
-    """Eigenvalue moduli, gap ratios, and fixed flags of one matrix.
-
-    Attracting flag = (top eigenvector, span of top two); the repelling
-    flag is the attracting flag of the inverse, read off the same
-    eigen-decomposition since eigenvectors are shared.
-    """
+    """Eigenvalue moduli, gap ratios, and fixed flags of one matrix: the
+    one-word case of the scan's batched test (see `_spectra`)."""
     M = np.asarray(M, dtype=complex)
-    d = np.linalg.det(M)
-    if abs(d - 1.0) > 1e-8:
-        raise NotUnimodular(f"det {d:.12g} is not 1")
-    vals, vecs = np.linalg.eig(M)
-    order = np.argsort(-np.abs(vals))
-    vals, vecs = vals[order], vecs[:, order]
-    m = tuple(np.abs(vals))
-    gaps = ((m[0] - m[1]) / m[0], (m[1] - m[2]) / m[1])
-    lox = gaps[0] > gap_tol and gaps[1] > gap_tol
-    if not lox:
-        return LoxodromyReport(m, gaps, False)
-    if np.linalg.cond(vecs) > cond_tol:
-        raise NotDiagonalizable(
-            f"eigenvector matrix condition {np.linalg.cond(vecs):.3e}")
-    attracting = Flag(vecs[:, 0], np.cross(vecs[:, 0], vecs[:, 1]))
-    repelling = Flag(vecs[:, 2], np.cross(vecs[:, 2], vecs[:, 1]))
-    return LoxodromyReport(m, gaps, True, attracting, repelling)
-
-
-def _plane_basis(flag: Flag) -> np.ndarray:
-    """Orthonormal basis (columns) of the plane ker(covector)."""
-    return null_space(flag.plane[None, :])
+    moduli, gaps, stop, att, rpl = _spectra(M[None], 1, gap_tol, cond_tol)
+    return LoxodromyReport(tuple(moduli[0]), tuple(gaps[0]), stop == 1,
+                           *att, *rpl)
 
 
 def transversality(F1: Flag, F2: Flag) -> float:
-    """Min over both pairings of |det[line; plane basis]|; 0 iff not
-    transverse (a line falling inside the other plane)."""
-    out = np.inf
-    for line, other in ((F1.line, F2), (F2.line, F1)):
-        B = _plane_basis(other)
-        out = min(out, abs(np.linalg.det(
-            np.stack([line, B[:, 0], B[:, 1]]))))
-    return float(out)
+    """Min over both pairings of |det[line; plane basis]|, in closed form
+    |plane . line| on unit vectors; 0 iff not transverse (a line falling
+    inside the other plane)."""
+    return min(line_plane_det(F1.line, F2.plane),
+               line_plane_det(F2.line, F1.plane))
 
 
 # ----------------------------------------------------------------------
@@ -239,95 +262,51 @@ class AnosovReport:
                 f"{self.max_word_len}")
 
 
-def _reduced_words(names, max_len):
-    """All reduced words over names and inverses, shortest first."""
-    alphabet = [(n, e) for n in names for e in (1, -1)]
-    frontier = [(t,) for t in alphabet]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            yield w
-            last = w[-1]
-            for t in alphabet:
-                if t[0] == last[0] and t[1] == -last[1]:
-                    continue
-                nxt.append(w + (t,))
-        frontier = nxt
+def _determinants(lines, planes, p, q):
+    """min over both pairings of |det[line; orthonormal basis of the
+    other plane]|, the bases from one batched SVD of the covectors."""
+    basis = np.linalg.svd(planes[:, None, :])[2][:, 1:, :]
+    dets = [np.abs(np.linalg.det(np.concatenate([lines[a][:, None, :],
+                                                 basis[b]], axis=1)))
+            for a, b in ((p, q), (q, p))]
+    return np.minimum(*dets)
 
 
-class _Obstruction(Exception):
-    """Carries the failure message plus the data gathered so far."""
-
-    def __init__(self, message, partial):
-        self.message = message
-        self.partial = partial
-
-
-def _unit_det(M):
-    """Rescale to determinant one (principal cube root).
-
-    The float determinant of a long word product drifts from 1 by about
-    eps * ||M||^3 through cancellation, which is far above any fixed det
-    gate once eigenvalues grow; rescaling restores it exactly without
-    touching eigenvectors or eigenvalue ratios.
-    """
-    return M / np.exp(np.log(np.linalg.det(M)) / 3.0)
-
-
-def _scan_class(rep, words, gap_tol):
-    """Loxodromy data for one prefix class of words, products cached
-    along the shared prefixes."""
-    cache = {}
-    out = []
-    for idx, w in words:
-        prefix = w[:-1]
-        base = cache[prefix] if prefix else np.eye(3, dtype=complex)
-        name, e = w[-1]
-        g = rep.generators[name]
-        M = base @ (g if e > 0 else np.linalg.inv(g))
-        cache[w] = M
-        rep_w = loxodromy(_unit_det(M), gap_tol=gap_tol)
-        if not rep_w.loxodromic:
-            raise _Obstruction(
-                f"word {word_str(w)} is not loxodromic: moduli "
-                f"({rep_w.moduli[0]:.6g}, {rep_w.moduli[1]:.6g}, "
-                f"{rep_w.moduli[2]:.6g})", out)
-        out.append((idx, w, rep_w))
-    return out
-
-
-def _same_flag(F1: Flag, F2: Flag, tol: float) -> bool:
-    return (abs(np.vdot(F1.line, F2.line)) > 1.0 - tol
-            and abs(np.vdot(F1.plane, F2.plane)) > 1.0 - tol)
-
-
-def _anchor_transversality(scanned, max_word_len, flag_match_tol):
+def _anchor_transversality(words, attracting, repelling, flag_match_tol):
     """Minimum flag transversality over the short-word sample.
 
-    Anchors are the scanned words of length <= min(2, max_word_len);
+    The anchors are the scanned words of length <= min(2, max_word_len);
     the sample is closed under inversion, so sweeping the four
     attracting/repelling combinations of each distinct pair covers
     every boundary-point pairing.  Combinations whose two flags are
     projectively identical are skipped (their vanishing is forced by
-    the incidence line-in-plane, not by any degeneracy).
+    the incidence line-in-plane, not by any degeneracy).  Every value
+    comes from one matrix of pairings |plane . line|.
+
+    A symmetric example ties whole orbits of pairs at the minimum, so
+    the witness is, among the pairs within a relative TIE_TOL of it,
+    the one with the smallest determinant form (`_determinants`; the
+    first in loop order on equal values): the pair the determinant
+    route reported when it computed every value.
     """
-    cutoff = min(2, max_word_len)
-    anchors = [(w, r) for _, w, r in scanned if len(w) <= cutoff]
-    best = np.inf
-    witness = ("", "")
-    for i in range(len(anchors)):
-        wi, ri = anchors[i]
-        for j in range(i + 1, len(anchors)):
-            wj, rj = anchors[j]
-            for si, Fi in (("+", ri.attracting), ("-", ri.repelling)):
-                for sj, Fj in (("+", rj.attracting), ("-", rj.repelling)):
-                    if _same_flag(Fi, Fj, flag_match_tol):
-                        continue
-                    v = transversality(Fi, Fj)
-                    if v < best:
-                        best = v
-                        witness = (word_str(wi) + si, word_str(wj) + sj)
-    return float(best), witness
+    flags = [f for pair in zip(attracting, repelling) for f in pair]
+    lines = np.array([f.line for f in flags]).reshape(-1, 3)
+    planes = np.array([f.plane for f in flags]).reshape(-1, 3)
+    pairing = np.abs(planes @ lines.T)       # [q, p] = |plane_q . line_p|
+    trans = np.minimum(pairing, pairing.T)
+    same = ((np.abs(lines.conj() @ lines.T) > 1.0 - flag_match_tol)
+            & (np.abs(planes.conj() @ planes.T) > 1.0 - flag_match_tol))
+    i, j = np.triu_indices(len(words), 1)
+    p = (2 * i[:, None] + (0, 0, 1, 1)).ravel()       # anchor i, then
+    q = (2 * j[:, None] + (0, 1, 0, 1)).ravel()       # j; + before -
+    values = np.where(same[p, q], np.inf, trans[p, q])
+    best = values.min() if values.size else np.inf
+    if not np.isfinite(best):
+        return np.inf, ("", "")
+    tied = np.flatnonzero(values <= best * (1.0 + TIE_TOL))
+    k = tied[np.argmin(_determinants(lines, planes, p[tied], q[tied]))]
+    return float(best), tuple(words[f // 2] + "+-"[f % 2]
+                              for f in (p[k], q[k]))
 
 
 def anosov_scan(rep: Representation, max_word_len: int,
@@ -335,10 +314,13 @@ def anosov_scan(rep: Representation, max_word_len: int,
                 flag_match_tol: float = FLAG_MATCH_TOL) -> AnosovReport:
     """Necessary Anosov conditions over all reduced words up to a length.
 
-    Two channels.  (1) Loxodromy: every enumerated word, after exact
-    determinant renormalization, must have three distinct eigenvalue
-    moduli with relative gaps above gap_tol; any failure is reported as
-    the obstruction.  (2) Transversality: the minimum over the
+    Two channels.  (1) Loxodromy: every enumerated word must have three
+    distinct eigenvalue moduli with relative gaps above gap_tol and
+    above the round-off floor of the word (see `_spectra`).  Words are
+    enumerated shortest first, one batched product and one batched
+    eigendecomposition per word length; the scan stops at the first
+    word that fails, reports it as the obstruction, and reports the
+    words before it.  (2) Transversality: the minimum over the
     short-word sample (length <= 2) of flag-pair transversality, all
     four attracting/repelling combinations per pair, identical flags
     skipped.  Short words are used because their fixed flags stand for
@@ -350,53 +332,60 @@ def anosov_scan(rep: Representation, max_word_len: int,
     (the reducible degeneracy) drives the minimum to zero and is
     reported as an obstruction against trans_tol.
 
-    The report also carries the centralizer dimension and the full
-    per-word moduli/gap/flag tables; word enumeration is split over
-    first-letter classes and merged in deterministic order.
+    The report also carries the centralizer dimension and the per-word
+    moduli/gap/flag tables of the scanned words.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
-    indexed = list(enumerate(_reduced_words(rep.names, max_word_len)))
-    classes = {}
-    for idx, w in indexed:
-        classes.setdefault(w[0], []).append((idx, w))
-    keys = sorted(classes, key=lambda t: (t[0], -t[1]))
-
+    letters = [(n, e) for n in rep.names for e in (1, -1)]
+    gens = np.stack([g for g in rep.generators.values()
+                     for g in (g, np.linalg.inv(g))])
+    spelled = [word_str((t,)) for t in letters]
+    sep = "" if all(len(n) == 1 for n in rep.names) else "."
+    # letter t may follow s unless it cancels it (inverses: 2j, 2j + 1)
+    follow = np.array([[t for t in range(len(letters)) if t != s ^ 1]
+                       for s in range(len(letters))])
+    mats, last, level = gens, np.arange(len(letters)), spelled
+    words, moduli, gaps, attracting, repelling = [], [], [], [], []
     obstruction = None
-    scanned = []
-    for key in keys:
-        try:
-            scanned.extend(_scan_class(rep, classes[key], gap_tol))
-        except _Obstruction as o:
-            if obstruction is None:
-                obstruction = o.message
-            scanned.extend(o.partial)
-    scanned.sort(key=lambda item: item[0])
-    cdim = centralizer_check(rep)
-
-    min_t, witness = _anchor_transversality(scanned, max_word_len,
-                                            flag_match_tol)
+    for length in range(1, max_word_len + 1):
+        if length > 1:
+            parent = np.repeat(np.arange(len(level)), follow.shape[1])
+            last = follow[last].ravel()
+            mats = mats[parent] @ gens[last]
+            level = [level[p] + sep + spelled[t]
+                     for p, t in zip(parent.tolist(), last.tolist())]
+        m, g, stop, att, rpl = _spectra(mats, length, gap_tol)
+        words += level[:stop]
+        moduli.append(m[:stop])
+        gaps.append(g[:stop])
+        attracting += att
+        repelling += rpl
+        if length <= 2:
+            anchors = len(words)
+        if stop < len(level):
+            obstruction = (f"word {level[stop]} is not loxodromic: moduli "
+                           f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
+                           f"{m[stop, 2]:.6g})")
+            break
+    min_t, witness = _anchor_transversality(
+        words[:anchors], attracting[:anchors], repelling[:anchors],
+        flag_match_tol)
     if obstruction is None and min_t < trans_tol:
         obstruction = (f"flags of {witness[0]} and {witness[1]} are not "
                        f"transverse: {min_t:.3e}")
-    return _report_from(scanned, max_word_len, min_t, witness, cdim,
-                        obstruction)
-
-
-def _report_from(scanned, max_word_len, min_t, witness, cdim,
-                 obstruction):
+    gaps = np.concatenate(gaps)
     return AnosovReport(
         max_word_len=max_word_len,
-        words=tuple(word_str(w) for _, w, _r in scanned),
-        moduli=np.array([r.moduli for _, _w, r in scanned], dtype=float),
-        gaps=np.array([r.gaps for _, _w, r in scanned], dtype=float),
-        attracting=tuple(r.attracting for _, _w, r in scanned),
-        repelling=tuple(r.repelling for _, _w, r in scanned),
-        min_gap=float(np.min([min(r.gaps) for _, _w, r in scanned]))
-        if scanned else np.inf,
+        words=tuple(words),
+        moduli=np.concatenate(moduli),
+        gaps=gaps,
+        attracting=tuple(attracting),
+        repelling=tuple(repelling),
+        min_gap=float(gaps.min()) if gaps.size else np.inf,
         min_transversality=min_t,
         witness_pair=witness,
-        centralizer_dim=cdim,
+        centralizer_dim=centralizer_check(rep),
         obstruction=obstruction,
     )
 

@@ -8,11 +8,13 @@ circulations around plaquettes.  Oracle truncation errors are O(h^4)
 own O(h^2) behaviour.  Matrix exponentials come from scipy.linalg.expm
 (Pade with scaling and squaring), one matrix at a time, never from the
 package's batched Taylor kernel; the holonomy oracle walks the loop in
-a plain Python loop.
+a plain Python loop.  The line-plane determinant stacks the line with
+an SVD basis of the plane (scipy.linalg.null_space), not the package's
+closed form.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 
 def lap5(f: np.ndarray, h: float) -> np.ndarray:
@@ -147,3 +149,13 @@ def ellipticity_floor_oracle(mu: complex, samples: int = 100_000) -> float:
     k = int(np.argmin(np.abs(1.0 + np.conj(mu) * np.exp(1j * t))))
     fine = t[k] + step * np.linspace(-1.0, 1.0, samples)
     return float(np.abs(1.0 + np.conj(mu) * np.exp(1j * fine)).min())
+
+
+def line_plane_det_oracle(line, plane_covector) -> float:
+    """|det| of the unit line stacked with an orthonormal basis of the
+    plane ker(plane_covector), the basis from scipy.linalg.null_space."""
+    line = np.asarray(line, dtype=complex).reshape(3)
+    basis = null_space(np.asarray(plane_covector, dtype=complex)
+                       .reshape(1, 3))
+    return float(abs(np.linalg.det(
+        np.vstack([line / np.linalg.norm(line), basis.T]))))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from bchyp.bicomplex import (
     Bicomplex, BcVec3, BcMat3, TAU, Q3, tau_conj, re_tau, im_tau, phi_iso,
 )
@@ -338,3 +340,38 @@ def test_transversality_predicate():
     f3 = boundary_flag([0, 1, 0], [0, 0, 1])
     assert line_plane_det(f1.line, f3.plane) < 1e-12
     assert not transversal(f1, f3)
+
+
+def test_line_plane_det_matches_determinant_oracle():
+    rng = np.random.default_rng(8)
+    cases = [([1, 0, 0], [1, 0, 0]), ([1, 0, 0], [0, 0, 1]),
+             ([0, 0, 1], [1, 0, 0]), ([0, 1, 0], [0, 0, 1])]
+    for _ in range(40):
+        line = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        cases.append((line, phi))
+        inside = line - (phi @ line) / np.vdot(phi, phi) * phi.conj()
+        cases.append((inside, phi))              # line inside the plane
+    for line, phi in cases:
+        want = oracles.line_plane_det_oracle(line, phi)
+        assert abs(line_plane_det(line, phi) - want) < 1e-14
+
+
+def test_flag_batch_matches_single_flags():
+    rng = np.random.default_rng(13)
+    phis = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    vs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    lines = 3.0 * np.array([v - (p @ v) / np.vdot(p, p) * p.conj()
+                            for v, p in zip(vs, phis)])
+    batch = Flag.batch(lines, phis)
+    assert len(batch) == 6
+    for f, line, phi in zip(batch, lines, phis):
+        g = Flag(line, phi)
+        assert np.array_equal(f.line, g.line)
+        assert np.array_equal(f.plane, g.plane)
+        with pytest.raises(AttributeError):
+            f.line = line
+    with pytest.raises(ValueError, match="inside"):
+        Flag.batch(vs, phis)
+    with pytest.raises(ValueError, match="nonzero"):
+        Flag.batch(np.zeros((1, 3)), phis[:1])

@@ -10,9 +10,14 @@ translation length ln 6, and a seeded conjugate of an upper-triangular
 (reducible) pair.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
+from bchyp.chtau import Flag
+from bchyp.cli import load_generators
 from bchyp.connection import BcMat3Field
 from bchyp.metric import BeltramiChart, ComplexMetric, TorusGrid
 from bchyp.replib import (
@@ -32,6 +37,8 @@ from bchyp.replib import (
     vertical_variation,
     word_str,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # ----------------------------------------------------------------------
 # standing examples
@@ -62,6 +69,17 @@ def reducible_rep():
     G = G / np.linalg.det(G) ** (1 / 3)
     Gi = np.linalg.inv(G)
     return Representation({"a": G @ T1 @ Gi, "b": G @ T2 @ Gi})
+
+
+def conjugated(rep, U):
+    return Representation({k: U @ M @ np.linalg.inv(U)
+                           for k, M in rep.generators.items()})
+
+
+def random_su3(rng):
+    Z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    U = np.linalg.qr(Z)[0]
+    return U / np.linalg.det(U) ** (1 / 3)
 
 
 def random_sl2(rng):
@@ -231,6 +249,29 @@ def test_transversality_extremes():
     assert transversality(F1, F1) < 1e-14   # incidence: line in own plane
 
 
+def random_flag(rng):
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return Flag(v - (phi @ v) / np.vdot(phi, phi) * phi.conj(), phi)
+
+
+def oracle_transversality(F1, F2):
+    return min(oracles.line_plane_det_oracle(F1.line, F2.plane),
+               oracles.line_plane_det_oracle(F2.line, F1.plane))
+
+
+def test_transversality_matches_determinant_oracle():
+    rng = np.random.default_rng(9)
+    r = loxodromy(irreducible_embed(np.diag([2.0, 0.5])))
+    shared = Flag(r.attracting.line, [0, 1, 0])      # same line
+    cases = [(r.attracting, r.repelling), (r.attracting, r.attracting),
+             (r.attracting, shared)]
+    cases += [(random_flag(rng), random_flag(rng)) for _ in range(30)]
+    for F1, F2 in cases:
+        assert abs(transversality(F1, F2)
+                   - oracle_transversality(F1, F2)) < 1e-14
+
+
 # ----------------------------------------------------------------------
 # the word scan
 
@@ -246,6 +287,76 @@ def test_scan_fuchsian_pair_passes():
     # moduli table is internally consistent
     assert np.all(np.diff(rpt.moduli, axis=1) <= 0)
     assert np.abs(np.prod(rpt.moduli, axis=1) - 1.0).max() < 1e-8
+
+
+def test_scan_fuchsian_pair_passes_to_length_eight():
+    rpt = anosov_scan(fuchsian_rep(), 8)
+    assert rpt.obstruction is None
+    assert len(rpt.words) == 13120
+    assert rpt.min_gap > 0.6
+    assert 0.0151 < rpt.min_transversality < 0.0153
+    assert np.abs(np.prod(rpt.moduli, axis=1) - 1.0).max() < 1e-12
+
+
+def test_scan_diagonal_su3_conjugate_passes():
+    """Seed 704's first diagonal conjugate of the shipped Fuchsian file:
+    its length-5 words once missed the fixed det and modulus-product
+    gates by 1e-8."""
+    a, b = 2.399153235626715, 5.454452311404331
+    D = np.diag(np.exp(1j * np.array([a, b, -a - b])))
+    rep = conjugated(load_generators(str(CONFIGS / "gens_fuchsian.json")), D)
+    for length, count in ((5, 484), (8, 13120)):
+        rpt = anosov_scan(rep, length)
+        assert rpt.obstruction is None
+        assert len(rpt.words) == count
+
+
+def test_scan_batches_one_eig_per_word_length(monkeypatch):
+    calls = {"eig": 0, "Flag": 0}
+    eig, init = np.linalg.eig, Flag.__init__
+
+    def counted_eig(a):
+        calls["eig"] += 1
+        return eig(a)
+
+    def counted_init(self, *args, **kwargs):
+        calls["Flag"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(Flag, "__init__", counted_init)
+    rpt = anosov_scan(fuchsian_rep(), 4)
+    assert calls == {"eig": 4, "Flag": 0}
+    assert len(rpt.words) == 160
+    assert all(isinstance(f, Flag) for f in rpt.attracting + rpt.repelling)
+
+
+def test_scan_transversality_matches_pairwise_oracle():
+    """Off the symmetric example (no tied pairs) the batched minimum and
+    its witness agree with a pairwise loop over the determinant oracle."""
+    rng = np.random.default_rng(5)
+
+    def bump(M):
+        M = irreducible_embed(M) + 1e-3 * rng.standard_normal((3, 3))
+        return M / np.linalg.det(M) ** (1 / 3)
+
+    rpt = anosov_scan(Representation(
+        {k: bump(M) for k, M in zip("ab", fuchsian_sl2())}), 3)
+    best, witness = np.inf, None
+    anchors = [(w, fa, fr) for w, fa, fr in zip(
+        rpt.words, rpt.attracting, rpt.repelling) if len(w) <= 2]
+    for i, (wi, ai, ri) in enumerate(anchors):
+        for wj, aj, rj in anchors[i + 1:]:
+            for si, Fi in (("+", ai), ("-", ri)):
+                for sj, Fj in (("+", aj), ("-", rj)):
+                    if (abs(np.vdot(Fi.line, Fj.line)) > 1 - 1e-8
+                            and abs(np.vdot(Fi.plane, Fj.plane)) > 1 - 1e-8):
+                        continue
+                    v = oracle_transversality(Fi, Fj)
+                    if v < best:
+                        best, witness = v, (wi + si, wj + sj)
+    assert abs(rpt.min_transversality - best) < 1e-14
+    assert rpt.witness_pair == witness
 
 
 def test_scan_numbers_are_unitary_conjugation_invariant():
@@ -281,6 +392,26 @@ def test_scan_reducible_pair_fails_with_zero_transversality():
     rpt = anosov_scan(reducible_rep(), 5)
     assert rpt.obstruction is not None
     assert rpt.min_transversality < 1e-12
+
+
+def test_reducible_conjugates_stop_where_the_shipped_file_stops():
+    """The unipotent commutator abAB of the reducible pair has eigenvalue
+    round-off of about eps^(1/3) ||M||; with the gap floor scaled to it,
+    unitary conjugates stop on the same word as the shipped file."""
+    shipped = load_generators(str(CONFIGS / "gens_reducible.json"))
+    ref = anosov_scan(shipped, 5)
+    assert ref.obstruction.startswith("word abAB is not loxodromic")
+    assert len(ref.words) == 66
+    rng = np.random.default_rng(17)
+    for k in range(16):
+        if k % 2:
+            a, b = rng.uniform(0.0, 2.0 * np.pi, size=2)
+            U = np.diag(np.exp(1j * np.array([a, b, -a - b])))
+        else:
+            U = random_su3(rng)
+        rpt = anosov_scan(conjugated(shipped, U), 5)
+        assert rpt.obstruction.split(":")[0] == ref.obstruction.split(":")[0]
+        assert len(rpt.words) == len(ref.words)
 
 
 def test_scan_non_loxodromic_generator_is_the_obstruction():
