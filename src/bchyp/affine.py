@@ -44,7 +44,9 @@ import numpy as np
 
 from . import mat3
 from .bicomplex import Q3
-from .connection import F0, FlatConnectionField, expm_steps, step_generators
+from .connection import (
+    F0, FlatConnectionField, expm_steps, grid_step_generators,
+)
 from .metric import (
     BeltramiChart, CubicPair, centered_dx, centered_dy, stencil_symbols,
 )
@@ -365,13 +367,15 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
 
     The frame solves dG = G Omega with G(base) = Id (q-orthonormal,
     lift column (0, 0, 1)); the step exponentials come from the
-    transport kernel that holonomy uses (connection.step_generators,
-    connection.expm_steps), and inverse steps are exponentiated only
-    for the edges behind the base.  The lift is the third column of G;
-    conjugating by the model frame F0 turns the conjugate-swap symmetry
-    of real data into literal realness of f+ = F0 sigma_plus,
-    f- = F0 sigma_minus.  Each step is exactly Gram-compatible, so
-    eta(f+, f-) = -1 propagates to rounding.
+    transport kernel that holonomy uses (the midpoint rule of
+    connection.step_generators, taken over the whole grid by
+    connection.grid_step_generators, and connection.expm_steps), and
+    inverse steps are exponentiated only for the edges behind the
+    base.  The lift is the third column of G; conjugating by the model
+    frame F0 turns the conjugate-swap symmetry of real data into
+    literal realness of f+ = F0 sigma_plus, f- = F0 sigma_minus.  Each
+    step is exactly Gram-compatible, so eta(f+, f-) = -1 propagates to
+    rounding.
 
     Row-then-column and column-then-row orders are both integrated;
     their disagreement (max over both idempotent parts, optionally
@@ -388,15 +392,14 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     # x steps (ix -> ix+1) and y steps (iy -> iy+1) from every node, one
     # idempotent part at a time: a part's generators and exponentials
     # are released before the next part's are built
-    node_y, node_x = np.ogrid[:n, :n]
     sl = slice(trim, n - trim) if trim > 0 else slice(None)
     sigma = {}
     resid = 0.0
     gmax = 0.0
     for part in ("plus", "minus"):
         sigma[part], r, g = _integrate_part(
-            step_generators(conn, node_y, node_x, 0, 1, part),
-            step_generators(conn, node_y, node_x, 1, 0, part), base, sl)
+            grid_step_generators(conn, part, 0),
+            grid_step_generators(conn, part, 1), base, sl)
         resid, gmax = max(resid, r), max(gmax, g)
 
     tol = (200.0 * h * h if path_tol is None else path_tol) * max(1.0, gmax)

@@ -24,9 +24,16 @@ act; the kernel converts at its boundary.
 Transport along the connection, shared by holonomy and by
 affine.integrate_frame: midpoint-sampled step generators
 (step_generators, which gathers Omega only at the nodes the steps
-touch), one batched exponential per idempotent component (expm_steps;
-the algebra splits, so ordinary 3x3 exponentials suffice), then the
-ordered product.  Holonomy is that product along a loop.  In the
+touch, for a loop; grid_step_generators, the same rule for every step
+of the grid from one evaluation of Omega and a shift), one batched
+exponential per idempotent component (expm_steps; the algebra splits,
+so ordinary 3x3 exponentials suffice), then the ordered product.  The
+exponential keeps the Taylor degree table and backward-error reasoning
+of Al-Mohy & Higham; mat3.expm only evaluates the chosen polynomial
+more cheaply, as a Horner recurrence that Cayley-Hamilton reduces to
+one plane product.  It adds the identity last, so each step keeps the
+minus-part structure E_minus = QTILDE E_plus^-T QTILDE to round-off far
+below ulp(1).  Holonomy is that product along a loop.  In the
 "ambient" gauge the result is conjugated by a constant model frame F0
 with F0^T Q F0 = QTILDE, after which group elements satisfy the
 compatibility X_minus = Q (X_plus^-1)^T Q and the plus part lands in
@@ -47,8 +54,8 @@ __all__ = [
     "QTILDE", "F0", "HTILDE",
     "BcMat3Field", "FlatConnectionField", "Loop", "HiggsData",
     "assemble", "maurer_cartan_residual", "reduced_system_residual",
-    "step_generators", "expm_steps", "holonomy", "to_sl3", "higgs_split",
-    "hitchin_residuals", "conjugate_frame",
+    "step_generators", "grid_step_generators", "expm_steps", "holonomy",
+    "to_sl3", "higgs_split", "hitchin_residuals", "conjugate_frame",
 ]
 
 # Gram matrix of the moving frame: q(e1,e2) = 1, q(sigma,sigma) = -1
@@ -152,9 +159,10 @@ class FlatConnectionField:
     """Frame connection matrices Ahat, Bhat over a Beltrami chart.
 
     Omega = (Ahat/dwz) dz + (Bhat/dzbwb) dwbar.  Both matrices are
-    traceless by construction (enforced here), and the idempotent parts of
-    well-formed data satisfy M_minus = -QTILDE M_plus^T QTILDE, the
-    infinitesimal form of preservation of the frame Gram matrix.
+    traceless by construction (enforced here, as are finite Ahat, Bhat
+    and s2), and the idempotent parts of well-formed data satisfy
+    M_minus = -QTILDE M_plus^T QTILDE, the infinitesimal form of
+    preservation of the frame Gram matrix.
     """
 
     __slots__ = ("Ahat", "Bhat", "chart", "s2", "_flatness")
@@ -165,7 +173,12 @@ class FlatConnectionField:
         if Ahat.n != n or Bhat.n != n:
             raise ValueError("connection fields do not match the chart grid")
         s2 = chart.grid.field(s2)
+        if not np.isfinite(s2).all():
+            raise ValueError("s2 has non-finite entries")
         for name, field in (("Ahat", Ahat), ("Bhat", Bhat)):
+            if not (np.isfinite(field.plus).all()
+                    and np.isfinite(field.minus).all()):
+                raise ValueError(f"{name} has non-finite entries")
             tp, tm = field.trace()
             worst = max(np.abs(tp).max(), np.abs(tm).max())
             if worst > 1e-12 * max(1.0, field.max_abs()):
@@ -437,16 +450,36 @@ def step_generators(conn: FlatConnectionField, iy, ix, diy, dix,
     return S
 
 
+def grid_step_generators(conn: FlatConnectionField, part: str,
+                         leg: int) -> np.ndarray:
+    """Midpoint generators of every unit grid step along x (leg 0:
+    (ix, iy) -> (ix+1, iy)) or along y (leg 1: (ix, iy) -> (ix, iy+1)),
+    as an (n, n, 3, 3) stack indexed by the node each step leaves.
+
+    The rule of step_generators on the whole grid, with Omega evaluated
+    once over the grid and shifted instead of gathered at both ends of
+    every edge; the sum runs in the same order, so the two agree bit
+    for bit.
+    """
+    S = _omega_at(conn, part, leg, slice(None), slice(None))
+    S += np.roll(S, -1, axis=1 - leg)       # Omega(start) + Omega(end)
+    S *= 0.5 * conn.grid.spacing
+    return S
+
+
 def expm_steps(S: np.ndarray) -> np.ndarray:
     """exp of every matrix in a (..., 3, 3) stack.
 
-    Truncated Taylor series in Horner form, its degree m the smallest
-    with TAYLOR_THETA[m - 1] >= the largest 1-norm in the batch; the
-    batch is scaled by 2^-s and squared s times only when that norm
-    exceeds the last entry of the table.  The arithmetic runs on the
-    plane kernel (mat3.expm).  An empty batch is returned empty.
+    Truncated Taylor series, its degree m the smallest with
+    TAYLOR_THETA[m - 1] >= the largest 1-norm in the batch; the batch
+    is scaled by 2^-s and squared s times only when that norm exceeds
+    the last entry of the table.  The arithmetic runs on the plane
+    kernel (mat3.expm, Horner reduced by Cayley-Hamilton).  An empty
+    batch is returned empty; a non-finite entry raises ValueError.
     """
     nrm = float(np.abs(S).sum(axis=-2).max(initial=0.0))
+    if not np.isfinite(nrm):
+        raise ValueError(f"non-finite step generator (1-norm {nrm})")
     s = 0
     if nrm > TAYLOR_THETA[-1]:
         s = int(np.ceil(np.log2(nrm / TAYLOR_THETA[-1])))

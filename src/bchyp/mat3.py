@@ -10,6 +10,16 @@ batched small-matrix pattern of Abdelfattah et al., "A set of batched
 basic linear algebra subprograms and LAPACK routines", ACM Trans. Math.
 Softw. 47 (2021).
 
+The exponential is the truncated Taylor series whose degree and
+squarings the caller chooses (connection.expm_steps, with the degree
+table of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).  For 3x3
+matrices Cayley-Hamilton folds every power above S^2 back onto I, S and
+S^2, so the Horner recurrence is carried by three scalar planes and one
+plane product (S^2) instead of degree - 1 products.  The polynomial is
+the same, so the degree table and its backward-error bound do not
+change; only the rounding of the evaluation does, and the identity is
+added last to keep that rounding as fine as Horner's (see expm).
+
 The module stores nothing.  Callers keep their (..., 3, 3) stacks and
 convert at this boundary with `planes` and `stacked`.  Batch shapes
 broadcast, so a constant matrix enters as plain (3, 3) planes.
@@ -55,27 +65,38 @@ def matmul(A, B, out=None) -> np.ndarray:
     return out
 
 
-def _add_identity(P):
-    for d in range(3):
-        P[d, d] += 1.0
-
-
 def expm(S, degree: int, squarings: int = 0) -> np.ndarray:
     """exp(S) for planes S: the degree-`degree` Taylor polynomial of
-    S / 2^squarings in Horner form, P <- I + S P / k for k = degree,
-    ..., 1, then squared `squarings` times.  The caller chooses the
-    degree and the squarings from the norm of S."""
+    S / 2^squarings, then squared `squarings` times.  The caller
+    chooses the degree and the squarings from the norm of S.
+
+    The polynomial is the Horner recurrence P <- I + S P / k for
+    k = degree, ..., 1, reduced by Cayley-Hamilton: S^3 = t S^2 - e2 S
+    + d I with t = tr S, e2 = (t^2 - tr S^2) / 2 and d = det S, so P
+    stays I + a I + b S + c S^2 with scalar planes a, b, c, and the
+    recurrence costs one plane product (S^2) instead of degree - 1.
+    The identity is added last, after a: adding 1 + a in one step
+    would round the diagonal at ulp(1) twice and lose the structure
+    that Horner keeps to far below ulp(1) (E_minus = QTILDE E_plus^-T
+    QTILDE for a connection step).
+    """
     S = np.asarray(S)
     if squarings:
         S = S / 2.0 ** squarings
-    P = S / degree                          # first Horner step: S I = S
-    _add_identity(P)
-    T = np.empty_like(P)
+    S2 = matmul(S, S)
+    t = S[0, 0] + S[1, 1] + S[2, 2]
+    e2 = 0.5 * (t * t - (S2[0, 0] + S2[1, 1] + S2[2, 2]))
+    d = det(S)
+    a, b, c = 0.0, 1.0 / degree, 0.0        # first Horner step: S I = S
     for k in range(degree - 1, 0, -1):
-        matmul(S, P, out=T)
-        T /= k
-        _add_identity(T)
-        P, T = T, P
+        a, b, c = c * d / k, (1.0 + a - c * e2) / k, (b + c * t) / k
+    P = S * b
+    S2 *= c
+    P += S2                                 # b S + c S^2
+    for i in range(3):
+        P[i, i] += a
+        P[i, i] += 1.0
+    T = np.empty_like(P)
     for _ in range(squarings):
         matmul(P, P, out=T)
         P, T = T, P

@@ -44,12 +44,28 @@ FIELD_MAGIC = b"BCFIELD1"
 
 # centered first differences on a periodic grid; +x is axis 1, +y is
 # axis 0, and trailing axes (vector-valued fields) ride along
+def _centered(f, spacing: float, axis: int) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / (2 spacing) along axis, indices wrapping.
+
+    The interior difference is written straight into the output and the
+    two wrap rows are set apart, so no shifted copy of f is made.
+    """
+    f = np.asarray(f)
+    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    fa, oa = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(fa[2:], fa[:-2], out=oa[1:-1])
+    np.subtract(fa[1], fa[-1], out=oa[0])
+    np.subtract(fa[0], fa[-2], out=oa[-1])
+    out /= 2 * spacing
+    return out
+
+
 def centered_dx(f: np.ndarray, spacing: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * spacing)
+    return _centered(f, spacing, 1)
 
 
 def centered_dy(f: np.ndarray, spacing: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * spacing)
+    return _centered(f, spacing, 0)
 
 
 def stencil_symbols(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +213,10 @@ class BeltramiChart:
         chart coefficients broadcast over them.
         """
         tail = (...,) + (None,) * (np.ndim(f) - 2)
-        return self.dwz[tail] * (self.grid.dz(f)
-                                 + np.conj(self.mu)[tail] * self.grid.dzb(f))
+        fx, fy = self.grid.dx(f), self.grid.dy(f)   # shared by d_z, d_zbar
+        return self.dwz[tail] * (0.5 * (fx - 1j * fy)
+                                 + np.conj(self.mu)[tail]
+                                 * (0.5 * (fx + 1j * fy)))
 
     def consistency_residual(self) -> float:
         """Max-abs gap between supplied and stencil-computed commutator

@@ -11,6 +11,12 @@ package's batched Taylor kernel; the holonomy oracle walks the loop in
 a plain Python loop.  The line-plane determinant stacks the line with
 an SVD basis of the plane (scipy.linalg.null_space), not the package's
 closed form.
+
+Two references restate the package's own second-order stencils in a
+plainer form that copies, to pin the package's form bit for bit: the
+centered differences as the difference of two np.roll copies, and d_w
+as dwz (d_z + conj(mu) d_zbar) with d_z and d_zbar each taking their
+own x and y differences.
 """
 
 import numpy as np
@@ -41,6 +47,38 @@ def dz4(f: np.ndarray, h: float) -> np.ndarray:
 
 def dzb4(f: np.ndarray, h: float) -> np.ndarray:
     return 0.5 * (dx4(f, h) + 1j * dy4(f, h))
+
+
+def dx_roll(f: np.ndarray, h: float) -> np.ndarray:
+    """2nd-order centered d/dx as two shifted copies (x along axis 1)."""
+    return (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * h)
+
+
+def dy_roll(f: np.ndarray, h: float) -> np.ndarray:
+    return (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
+
+
+def dz_roll(f: np.ndarray, h: float) -> np.ndarray:
+    return 0.5 * (dx_roll(f, h) - 1j * dy_roll(f, h))
+
+
+def dzb_roll(f: np.ndarray, h: float) -> np.ndarray:
+    return 0.5 * (dx_roll(f, h) + 1j * dy_roll(f, h))
+
+
+def d_w_two_pass(chart, f: np.ndarray) -> np.ndarray:
+    """dwz (d_z f + conj(mu) d_zbar f), d_z and d_zbar each differencing
+    f along x and y again (4 stencil passes, trailing axes ride along).
+
+    The operands keep the package's order and temporaries: NumPy's
+    vectorized complex product is not bitwise commutative, and it may
+    evaluate a product with a temporary operand in that operand's
+    place, swapping the factors.
+    """
+    h = chart.grid.spacing
+    tail = (...,) + (None,) * (np.ndim(f) - 2)
+    return chart.dwz[tail] * (dz_roll(f, h)
+                              + np.conj(chart.mu)[tail] * dzb_roll(f, h))
 
 
 def laplacian_oracle(metric, phi: np.ndarray) -> np.ndarray:

@@ -8,14 +8,15 @@ import pytest
 from scipy.linalg import expm
 
 import oracles
-from bchyp import connection
+from bchyp import connection, mat3
 from bchyp.bicomplex import BcMat3, NotInImage, Q3, compatibility_residual, phi_iso
 from bchyp.connection import (
     F0, HTILDE, QTILDE,
     BcMat3Field, FlatConnectionField, Loop,
     TAYLOR_THETA,
-    assemble, conjugate_frame, expm_steps, higgs_split, hitchin_residuals,
-    holonomy, maurer_cartan_residual, reduced_system_residual, to_sl3,
+    assemble, conjugate_frame, expm_steps, grid_step_generators,
+    higgs_split, hitchin_residuals, holonomy, maurer_cartan_residual,
+    reduced_system_residual, step_generators, to_sl3,
 )
 from bchyp.gauss import (
     GaussProblem, residual_intrinsic, solve_newton, wang_specialize,
@@ -317,6 +318,65 @@ def test_expm_steps_matches_scipy_across_degrees_and_squaring():
         err = (np.abs(E - ref).max(axis=(-2, -1))
                / np.abs(ref).max(axis=(-2, -1)))
         assert err.max() < 1e-14, (target, err.max())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_steps_rejects_non_finite_generators(bad):
+    S = np.zeros((4, 3, 3), dtype=complex)
+    S[2, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        expm_steps(S)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["Ahat", "Bhat", "s2"])
+def test_connection_rejects_non_finite_entries(where, bad):
+    grid = TorusGrid(16)
+    conn = assemble(0.0, CubicPair(grid, 1.0, 1.0),
+                    BeltramiChart.identity(grid))
+    fields = {"Ahat": conn.Ahat, "Bhat": conn.Bhat, "s2": conn.s2.copy()}
+    if where == "s2":
+        fields["s2"][3, 5] = bad
+    else:
+        minus = fields[where].minus.copy()
+        minus[3, 5, 0, 1] = bad         # off the diagonal: trace stays finite
+        fields[where] = BcMat3Field(fields[where].plus, minus)
+    with pytest.raises(ValueError, match=f"{where} has non-finite"):
+        FlatConnectionField(fields["Ahat"], fields["Bhat"], conn.chart,
+                            fields["s2"])
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1], ids=["identity", "sine"])
+def test_grid_step_generators_equal_gathered_generators_bitwise(eps):
+    grid = TorusGrid(32)
+    chart = (BeltramiChart.sine_perturbed(grid, eps) if eps
+             else BeltramiChart.identity(grid))
+    conn = assemble(smooth_psi(grid), CubicPair(grid, 0.6, 0.8), chart)
+    node_y, node_x = np.ogrid[:grid.n, :grid.n]
+    for part in ("plus", "minus"):
+        for leg, (diy, dix) in ((0, (0, 1)), (1, (1, 0))):
+            want = step_generators(conn, node_y, node_x, diy, dix, part)
+            assert np.array_equal(grid_step_generators(conn, part, leg),
+                                  want), (part, leg)
+
+
+def test_step_exponentials_keep_the_minus_part_structure():
+    # S_minus = -QTILDE S_plus^T QTILDE entry for entry, so exactly
+    # exp(S_minus) = QTILDE exp(S_plus)^-T QTILDE.  The kernel keeps that
+    # far below ulp(1) (about 1e-18 on this loop); adding the identity
+    # together with the scalar part of the I coefficient rounds the
+    # diagonal twice and gives 2.2e-16.  The inverse is the adjugate
+    # solve, which is exact enough here; LAPACK's pivoted inverse rounds
+    # the diagonal at ulp(1) by itself.
+    n = 128
+    problem = wang_specialize(1.2, TorusGrid(n))
+    report = solve_newton(problem)
+    conn = assemble(report.psi, problem.C, problem.background.chart)
+    E = {part: expm_steps(step_generators(conn, 0, np.arange(n), 0, 1, part))
+         for part in ("plus", "minus")}
+    inv = mat3.stacked(mat3.solve(mat3.planes(E["plus"]), np.eye(3)))
+    err = np.abs(E["minus"] - QTILDE @ np.swapaxes(inv, -1, -2) @ QTILDE)
+    assert err.max() < 1e-16, err.max()
 
 
 MIXED_STEPS = (((2, 0),) * 8 + ((1, 1),) * 16 + ((0, -1),) * 16
