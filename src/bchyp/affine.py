@@ -400,10 +400,11 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
         sigma[part], r, g = _integrate_part(
             grid_step_generators(conn, part, 0),
             grid_step_generators(conn, part, 1), base, sl)
-        resid, gmax = max(resid, r), max(gmax, g)
+        resid = float(np.maximum(resid, r))
+        gmax = float(np.maximum(gmax, g))
 
     tol = (200.0 * h * h if path_tol is None else path_tol) * max(1.0, gmax)
-    if resid > tol:
+    if not resid <= tol:
         raise PathDependent(resid, tol)
 
     out = {}

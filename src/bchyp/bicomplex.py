@@ -261,7 +261,8 @@ class BcVec3:
         return self.scale(a)
 
     def norm_max(self) -> float:
-        return float(max(np.abs(self.plus).max(), np.abs(self.minus).max()))
+        return float(np.maximum(np.abs(self.plus).max(),
+                                np.abs(self.minus).max()))
 
     def __repr__(self):
         return "BcVec3(plus=%s, minus=%s)" % (self.plus.tolist(), self.minus.tolist())
@@ -367,7 +368,8 @@ class BcMat3:
         return Bicomplex.from_idempotent(self.plus[i, j], self.minus[i, j])
 
     def norm_max(self) -> float:
-        return float(max(np.abs(self.plus).max(), np.abs(self.minus).max()))
+        return float(np.maximum(np.abs(self.plus).max(),
+                                np.abs(self.minus).max()))
 
     def __repr__(self):
         return "BcMat3(plus=%s,\n       minus=%s)" % (self.plus.tolist(),

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 POINT_TOL = 1e-12
-ORBIT_SAMPLES = 64
+FLAG_TOL = 1e-10    # |plane . line| on unit vectors: line inside plane
 
 
 class BaseMismatch(ValueError):
@@ -283,35 +283,27 @@ def para_holo_sectional(p: HyperboloidPoint, X: TangentVector,
     return route1
 
 
-def _orbit_phase_min(plus: np.ndarray, minus: np.ndarray,
-                     samples: int) -> float:
-    """Min over t of max(|Im(e^{it} plus)|, |Im(e^{-it} minus)|).
+def _orbit_phase_min(plus: np.ndarray, minus: np.ndarray) -> float:
+    """max(|Im(e^{it} plus)|, |Im(e^{-it} minus)|) at the phase t that
+    makes both halves real when one does.
 
-    Coarse 64-grid scan, then exact refinement: the smooth surrogate
-    sum of squared imaginary parts is a + b cos 2t + c sin 2t, whose
-    minimizer is closed-form (iterative refiners stall near sqrt(eps)
-    on the V-shaped max-abs objective, which is too coarse for 1e-9).
+    The smooth surrogate, the sum of the squared imaginary parts, is
+    a + b cos 2t + c sin 2t; it vanishes at a phase iff that phase makes
+    both halves real, and its minimizer is closed-form (t = 0 when the
+    surrogate is flat).  Iterative refiners stall near sqrt(eps) on the
+    V-shaped max-abs objective, which is too coarse for 1e-9.
     """
-    def defect(t: float) -> float:
-        return max(np.abs((np.exp(1j * t) * plus).imag).max(),
-                   np.abs((np.exp(-1j * t) * minus).imag).max())
-
-    ts = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    best = min(defect(t) for t in ts)
-
     s_r = (plus.real ** 2).sum() + (minus.real ** 2).sum()
     s_i = (plus.imag ** 2).sum() + (minus.imag ** 2).sum()
     cross = (plus.real * plus.imag).sum() - (minus.real * minus.imag).sum()
     beta, gamma = (s_i - s_r) / 2.0, cross
-    if beta != 0.0 or gamma != 0.0:
-        t_star = 0.5 * np.arctan2(-gamma, -beta)
-        best = min(best, defect(t_star))
-    return best
+    t = 0.5 * np.arctan2(-gamma, -beta) if beta or gamma else 0.0
+    return float(np.maximum(np.abs((np.exp(1j * t) * plus).imag).max(),
+                            np.abs((np.exp(-1j * t) * minus).imag).max()))
 
 
-def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9,
-                           samples: int = ORBIT_SAMPLES) -> set:
-    """Tags among {H2tau, CH2, X, generic} after scanning the unit orbit.
+def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9) -> set:
+    """Tags among {H2tau, CH2, X, generic} over the unit orbit.
 
     The orbit scales the idempotent halves by (e^v, e^-v).  In those
     coordinates the three real forms read:
@@ -322,7 +314,7 @@ def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9,
               (the radial part of the orbit is irrelevant).
 
     The first two conditions are orbit-invariant as stated; the third is
-    located by a grid scan over the orbit phase with local refinement.
+    tested at the closed-form orbit phase of `_orbit_phase_min`.
     """
     plus, minus = p.rep.plus, p.rep.minus
     scale = max(p.rep.norm_max(), 1.0)
@@ -337,7 +329,7 @@ def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9,
     if r > 0 and np.abs(r * c - minus).max() < tol * scale:
         tags.add("CH2")
 
-    if _orbit_phase_min(plus, minus, samples) < tol * scale:
+    if _orbit_phase_min(plus, minus) < tol * scale:
         tags.add("H2tau")
 
     if not tags:
@@ -345,9 +337,9 @@ def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9,
     return tags
 
 
-def _unit_incident(lines, planes, tol):
+def _unit_incident(lines, planes):
     """Unit rows of (N, 3) lines and plane covectors, each line inside
-    its plane: |plane . line| <= tol after normalization."""
+    its plane: |plane . line| <= FLAG_TOL after normalization."""
     lines = np.asarray(lines, dtype=complex)
     planes = np.asarray(planes, dtype=complex)
     nl = np.linalg.norm(lines, axis=-1)
@@ -357,7 +349,7 @@ def _unit_incident(lines, planes, tol):
     lines = lines / nl[:, None]
     planes = planes / np_[:, None]
     pairing = np.einsum("ni,ni->n", planes, lines)
-    bad = np.flatnonzero(np.abs(pairing) > tol)
+    bad = np.flatnonzero(np.abs(pairing) > FLAG_TOL)
     if bad.size:
         raise ValueError(f"line not inside plane: pairing {pairing[bad[0]]}")
     return lines, planes
@@ -368,25 +360,11 @@ class Flag:
 
     __slots__ = ("line", "plane")
 
-    def __init__(self, line: np.ndarray, plane: np.ndarray, tol: float = 1e-10):
+    def __init__(self, line: np.ndarray, plane: np.ndarray):
         lines, planes = _unit_incident(np.reshape(line, (1, 3)),
-                                       np.reshape(plane, (1, 3)), tol)
+                                       np.reshape(plane, (1, 3)))
         object.__setattr__(self, "line", lines[0])
         object.__setattr__(self, "plane", planes[0])
-
-    @classmethod
-    def batch(cls, lines: np.ndarray, planes: np.ndarray,
-              tol: float = 1e-10) -> tuple:
-        """Flags from stacked (N, 3) lines and plane covectors; the
-        normalization and the incidence check run once over the batch."""
-        lines, planes = _unit_incident(lines, planes, tol)
-        out = []
-        for line, plane in zip(lines, planes):
-            f = object.__new__(cls)
-            object.__setattr__(f, "line", line)
-            object.__setattr__(f, "plane", plane)
-            out.append(f)
-        return tuple(out)
 
     def __setattr__(self, name, value):
         raise AttributeError("Flag is immutable")
@@ -408,16 +386,16 @@ class Flag:
         return f"Flag(line={self.line!r}, plane={self.plane!r})"
 
 
-def boundary_flag(v: np.ndarray, phi: np.ndarray, tol: float = 1e-10) -> Flag:
+def boundary_flag(v: np.ndarray, phi: np.ndarray) -> Flag:
     """Boundary pair (v, phi) with phi(v) = 0 -> the flag (v, ker phi)."""
     v = np.asarray(v, dtype=complex).reshape(3)
     phi = np.asarray(phi, dtype=complex).reshape(3)
     nv, nphi = np.linalg.norm(v), np.linalg.norm(phi)
     if nv == 0 or nphi == 0:
         raise NotOnBoundary("zero vector/covector has no boundary flag")
-    if abs((phi / nphi) @ (v / nv)) > tol:
+    if abs((phi / nphi) @ (v / nv)) > FLAG_TOL:
         raise NotOnBoundary(f"phi(v) = {phi @ v} after normalization")
-    return Flag(v, phi, tol=tol)
+    return Flag(v, phi)
 
 
 def line_plane_det(line: np.ndarray, plane_covector: np.ndarray) -> float:

@@ -140,16 +140,13 @@ class BcMat3Field:
             f = f[:, :, None, None]
         return BcMat3Field(f * self.plus, f * self.minus)
 
-    def transpose(self) -> "BcMat3Field":
-        return BcMat3Field(np.swapaxes(self.plus, -1, -2),
-                           np.swapaxes(self.minus, -1, -2))
-
     def trace(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.einsum("...ii->...", self.plus),
                 np.einsum("...ii->...", self.minus))
 
     def max_abs(self) -> float:
-        return float(max(np.abs(self.plus).max(), np.abs(self.minus).max()))
+        return float(np.maximum(np.abs(self.plus).max(),
+                                np.abs(self.minus).max()))
 
     def __repr__(self):
         return f"BcMat3Field(n={self.n})"

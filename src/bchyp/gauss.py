@@ -42,6 +42,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
     laplacian, curvature, cubic_norm, ellipticity_floor, stencil_symbols,
+    symbol_check,
 )
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "solve_newton", "wang_specialize", "project_discrete_kernel",
     "laplacian_matrix", "laplacian_symbol",
 ]
-
-SYMBOL_FLOOR = 5e-3
 
 
 class ChartMismatch(ValueError):
@@ -101,9 +100,9 @@ class GaussProblem:
         grid = background.grid
         if C.grid != grid:
             raise ValueError("cubic pair and background live on different grids")
-        floor = ellipticity_floor(background.chart.mu)
-        if floor <= SYMBOL_FLOOR:
-            raise ValueError(f"chart fails the symbol check: floor {floor:.2e}")
+        if not symbol_check(background.chart.mu):
+            raise ValueError(f"chart fails the symbol check: floor "
+                             f"{ellipticity_floor(background.chart.mu):.2e}")
         if C.holomorphic:
             C = CubicPair(grid, project_discrete_kernel(C.alpha),
                           project_discrete_kernel(C.beta), holomorphic=True)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 FIELD_MAGIC = b"BCFIELD1"
+SYMBOL_FLOOR = 5e-3     # least ellipticity floor of an accepted chart
 
 
 # centered first differences on a periodic grid; +x is axis 1, +y is
@@ -352,16 +353,16 @@ def ellipticity_floor(mu) -> float:
     return float(np.min(np.abs(1.0 - np.abs(mu))))
 
 
-def symbol_check(mu, threshold: float = 5e-3) -> bool:
+def symbol_check(mu) -> bool:
     """True iff the principal symbol of Delta_h has no nonzero real root.
 
     With xi = r e^{i theta} the symbol factors through
     (xi_1^2 + xi_2^2)(1 + conj(mu) e^{2 i theta}); we require the
     ellipticity floor min_theta |1 + conj(mu) e^{2 i theta}| above
-    threshold, which separates |mu| = 1 (an exact zero) from elliptic
+    SYMBOL_FLOOR, which separates |mu| = 1 (an exact zero) from elliptic
     charts.
     """
-    return ellipticity_floor(mu) > threshold
+    return ellipticity_floor(mu) > SYMBOL_FLOOR
 
 
 def christoffels(h: ComplexMetric) -> dict:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bicomplex import Bicomplex
-from .chtau import Flag, line_plane_det
+from .chtau import Flag, _unit_incident, line_plane_det
 from .connection import BcMat3Field
 from .metric import ComplexMetric
 
@@ -50,6 +50,7 @@ DET_TOL = 1e-10         # det slack per generator, as in Representation
 DET_DRIFT = 4 * np.finfo(float).eps   # det round-off per ||M||_F^3
 TIE_TOL = 1e-12         # relative: transversality values this close tie
 GAP_FLOOR = np.cbrt(np.finfo(float).eps)   # times ||M||_F / |l1|
+CENTRALIZER_TOL = 1e-8  # singular values below this span the centralizer
 
 
 class NotUnimodular(ValueError):
@@ -159,7 +160,7 @@ class LoxodromyReport:
     repelling: Flag | None = None
 
 
-def _spectra(M, length, gap_tol=GAP_TOL, cond_tol=COND_TOL):
+def _spectra(M, length):
     """Loxodromy data of N words M (N, 3, 3), each a product of `length`
     generators, from one batched eigendecomposition.
 
@@ -167,13 +168,14 @@ def _spectra(M, length, gap_tol=GAP_TOL, cond_tol=COND_TOL):
     moduli, descending, over the cube root of the modulus of their
     product (the word's det); relative gaps; the index of the first
     word that is not loxodromic (N if none); and the flags of the words
-    before it, attracting = (top eigenvector, span of top two) and
+    before it as (stop, 2, 3) arrays of unit rows [line, plane
+    covector], attracting = (top eigenvector, span of top two) and
     repelling = the attracting flag of the inverse.  Both gaps must
-    exceed gap_tol and the round-off floor GAP_FLOOR ||M||_F / |l1|,
+    exceed GAP_TOL and the round-off floor GAP_FLOOR ||M||_F / |l1|,
     which rescaling leaves alone: a unipotent word's eigenvalues scatter
     by about eps^(1/3) ||M||.  Raises NotUnimodular for a det off one by
     more than length * DET_TOL + DET_DRIFT ||M||_F^3, and
-    NotDiagonalizable when that first word has gaps above gap_tol but a
+    NotDiagonalizable when that first word has gaps above GAP_TOL but a
     numerically defective eigenvector matrix.
     """
     vals, vecs = np.linalg.eig(M)
@@ -192,27 +194,28 @@ def _spectra(M, length, gap_tol=GAP_TOL, cond_tol=COND_TOL):
                      (m[:, 1] - m[:, 2]) / m[:, 1]], axis=-1)
     low = gaps.min(axis=1)
     sv = np.linalg.svd(vecs, compute_uv=False)
-    defective = (low > gap_tol) & (sv[:, 0] > cond_tol * sv[:, 2])
-    floor = np.maximum(gap_tol, GAP_FLOOR * fro / m[:, 0])
+    defective = (low > GAP_TOL) & (sv[:, 0] > COND_TOL * sv[:, 2])
+    floor = np.maximum(GAP_TOL, GAP_FLOOR * fro / m[:, 0])
     bad = np.flatnonzero(~(low > floor) | defective)
     stop = int(bad[0]) if bad.size else len(M)
     if stop < len(M) and defective[stop]:
         raise NotDiagonalizable(f"eigenvector matrix condition "
                                 f"{np.linalg.cond(vecs[stop]):.3e}")
     top, mid, bottom = (vecs[:stop, :, k] for k in range(3))
-    return (moduli, gaps, stop,
-            Flag.batch(top, np.cross(top, mid)),
-            Flag.batch(bottom, np.cross(bottom, mid)))
+    flags = np.stack(_unit_incident(
+        np.concatenate([top, bottom]),
+        np.concatenate([np.cross(top, mid), np.cross(bottom, mid)])), axis=1)
+    return moduli, gaps, stop, flags[:stop], flags[stop:]
 
 
-def loxodromy(M, gap_tol: float = GAP_TOL,
-              cond_tol: float = COND_TOL) -> LoxodromyReport:
+def loxodromy(M) -> LoxodromyReport:
     """Eigenvalue moduli, gap ratios, and fixed flags of one matrix: the
     one-word case of the scan's batched test (see `_spectra`)."""
     M = np.asarray(M, dtype=complex)
-    moduli, gaps, stop, att, rpl = _spectra(M[None], 1, gap_tol, cond_tol)
+    moduli, gaps, stop, att, rpl = _spectra(M[None], 1)
+    flags = (Flag(*att[0]), Flag(*rpl[0])) if stop else ()
     return LoxodromyReport(tuple(moduli[0]), tuple(gaps[0]), stop == 1,
-                           *att, *rpl)
+                           *flags)
 
 
 def transversality(F1: Flag, F2: Flag) -> float:
@@ -234,8 +237,8 @@ class AnosovReport:
     words: tuple                    # word strings, enumeration order
     moduli: np.ndarray              # (W, 3) descending per word
     gaps: np.ndarray                # (W, 2) relative gaps
-    attracting: tuple               # Flag per word
-    repelling: tuple                # Flag per word
+    attracting: np.ndarray          # (W, 2, 3) unit [line, plane]
+    repelling: np.ndarray           # (W, 2, 3) unit [line, plane]
     min_gap: float
     min_transversality: float
     witness_pair: tuple             # words realizing the minimum
@@ -272,7 +275,7 @@ def _determinants(lines, planes, p, q):
     return np.minimum(*dets)
 
 
-def _anchor_transversality(words, attracting, repelling, flag_match_tol):
+def _anchor_transversality(words, attracting, repelling):
     """Minimum flag transversality over the short-word sample.
 
     The anchors are the scanned words of length <= min(2, max_word_len);
@@ -289,13 +292,13 @@ def _anchor_transversality(words, attracting, repelling, flag_match_tol):
     first in loop order on equal values): the pair the determinant
     route reported when it computed every value.
     """
-    flags = [f for pair in zip(attracting, repelling) for f in pair]
-    lines = np.array([f.line for f in flags]).reshape(-1, 3)
-    planes = np.array([f.plane for f in flags]).reshape(-1, 3)
+    flags = np.stack([attracting, repelling], axis=1)   # + before -
+    lines = flags[:, :, 0].reshape(-1, 3)
+    planes = flags[:, :, 1].reshape(-1, 3)
     pairing = np.abs(planes @ lines.T)       # [q, p] = |plane_q . line_p|
     trans = np.minimum(pairing, pairing.T)
-    same = ((np.abs(lines.conj() @ lines.T) > 1.0 - flag_match_tol)
-            & (np.abs(planes.conj() @ planes.T) > 1.0 - flag_match_tol))
+    same = ((np.abs(lines.conj() @ lines.T) > 1.0 - FLAG_MATCH_TOL)
+            & (np.abs(planes.conj() @ planes.T) > 1.0 - FLAG_MATCH_TOL))
     i, j = np.triu_indices(len(words), 1)
     p = (2 * i[:, None] + (0, 0, 1, 1)).ravel()       # anchor i, then
     q = (2 * j[:, None] + (0, 1, 0, 1)).ravel()       # j; + before -
@@ -309,13 +312,11 @@ def _anchor_transversality(words, attracting, repelling, flag_match_tol):
                               for f in (p[k], q[k]))
 
 
-def anosov_scan(rep: Representation, max_word_len: int,
-                gap_tol: float = GAP_TOL, trans_tol: float = TRANS_TOL,
-                flag_match_tol: float = FLAG_MATCH_TOL) -> AnosovReport:
+def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     """Necessary Anosov conditions over all reduced words up to a length.
 
     Two channels.  (1) Loxodromy: every enumerated word must have three
-    distinct eigenvalue moduli with relative gaps above gap_tol and
+    distinct eigenvalue moduli with relative gaps above GAP_TOL and
     above the round-off floor of the word (see `_spectra`).  Words are
     enumerated shortest first, one batched product and one batched
     eigendecomposition per word length; the scan stops at the first
@@ -330,10 +331,10 @@ def anosov_scan(rep: Representation, max_word_len: int,
     for *every* faithful discrete example, and says nothing about flag
     position.  A shared line or plane between distinct sample flags
     (the reducible degeneracy) drives the minimum to zero and is
-    reported as an obstruction against trans_tol.
+    reported as an obstruction against TRANS_TOL.
 
     The report also carries the centralizer dimension and the per-word
-    moduli/gap/flag tables of the scanned words.
+    moduli/gap tables and (W, 2, 3) flag arrays of the scanned words.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
@@ -355,12 +356,12 @@ def anosov_scan(rep: Representation, max_word_len: int,
             mats = mats[parent] @ gens[last]
             level = [level[p] + sep + spelled[t]
                      for p, t in zip(parent.tolist(), last.tolist())]
-        m, g, stop, att, rpl = _spectra(mats, length, gap_tol)
+        m, g, stop, att, rpl = _spectra(mats, length)
         words += level[:stop]
         moduli.append(m[:stop])
         gaps.append(g[:stop])
-        attracting += att
-        repelling += rpl
+        attracting.append(att)
+        repelling.append(rpl)
         if length <= 2:
             anchors = len(words)
         if stop < len(level):
@@ -368,10 +369,11 @@ def anosov_scan(rep: Representation, max_word_len: int,
                            f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
                            f"{m[stop, 2]:.6g})")
             break
+    attracting = np.concatenate(attracting)
+    repelling = np.concatenate(repelling)
     min_t, witness = _anchor_transversality(
-        words[:anchors], attracting[:anchors], repelling[:anchors],
-        flag_match_tol)
-    if obstruction is None and min_t < trans_tol:
+        words[:anchors], attracting[:anchors], repelling[:anchors])
+    if obstruction is None and min_t < TRANS_TOL:
         obstruction = (f"flags of {witness[0]} and {witness[1]} are not "
                        f"transverse: {min_t:.3e}")
     gaps = np.concatenate(gaps)
@@ -380,8 +382,8 @@ def anosov_scan(rep: Representation, max_word_len: int,
         words=tuple(words),
         moduli=np.concatenate(moduli),
         gaps=gaps,
-        attracting=tuple(attracting),
-        repelling=tuple(repelling),
+        attracting=attracting,
+        repelling=repelling,
         min_gap=float(gaps.min()) if gaps.size else np.inf,
         min_transversality=min_t,
         witness_pair=witness,
@@ -390,7 +392,7 @@ def anosov_scan(rep: Representation, max_word_len: int,
     )
 
 
-def centralizer_check(rep: Representation, sv_tol: float = 1e-8) -> int:
+def centralizer_check(rep: Representation) -> int:
     """Dimension of {X : X g = g X for every generator g}, via the rank
     of the stacked 9x9 commutator systems."""
     blocks = []
@@ -398,7 +400,7 @@ def centralizer_check(rep: Representation, sv_tol: float = 1e-8) -> int:
     for g in rep.generators.values():
         blocks.append(np.kron(eye, g) - np.kron(g.T, eye))
     sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
-    return int(np.sum(sv < sv_tol))
+    return int(np.sum(sv < CENTRALIZER_TOL))
 
 
 # ----------------------------------------------------------------------

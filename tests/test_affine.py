@@ -559,3 +559,19 @@ def test_second_variation_rejects_bad_shape():
     C0 = CubicPair(grid, zero, zero, holomorphic=True)
     with pytest.raises(ValueError):
         second_variation_trace(np.zeros((n, n, 3)), zero, C0, chart)
+
+
+def test_integrate_rejects_nan_path_residual_of_the_minus_part(monkeypatch):
+    problem = wang_specialize(1.2, TorusGrid(16))
+    conn = assemble(solve_newton(problem).psi, problem.C,
+                    problem.background.chart)
+    integrate_part, calls = affine._integrate_part, []
+
+    def nan_on_minus(*args):              # parts run plus, then minus
+        sigma, resid, gmax = integrate_part(*args)
+        calls.append(resid)
+        return sigma, (resid if len(calls) == 1 else np.nan), gmax
+
+    monkeypatch.setattr(affine, "_integrate_part", nan_on_minus)
+    with pytest.raises(PathDependent):
+        integrate_frame(conn)

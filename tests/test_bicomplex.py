@@ -230,3 +230,8 @@ def test_phi_inv_roundtrip_and_errors():
 def test_phi_singular_rejected():
     with pytest.raises(Singular):
         phi_iso(np.zeros((3, 3)))
+
+
+def test_norm_max_propagates_nan_in_the_minus_part():
+    assert np.isnan(BcMat3(np.eye(3), np.full((3, 3), np.nan)).norm_max())
+    assert np.isnan(BcVec3([1.0, 0, 0], [np.nan, 0, 0]).norm_max())

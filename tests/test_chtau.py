@@ -357,21 +357,14 @@ def test_line_plane_det_matches_determinant_oracle():
         assert abs(line_plane_det(line, phi) - want) < 1e-14
 
 
-def test_flag_batch_matches_single_flags():
+def test_flag_validates_and_is_immutable():
     rng = np.random.default_rng(13)
-    phis = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    vs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    lines = 3.0 * np.array([v - (p @ v) / np.vdot(p, p) * p.conj()
-                            for v, p in zip(vs, phis)])
-    batch = Flag.batch(lines, phis)
-    assert len(batch) == 6
-    for f, line, phi in zip(batch, lines, phis):
-        g = Flag(line, phi)
-        assert np.array_equal(f.line, g.line)
-        assert np.array_equal(f.plane, g.plane)
-        with pytest.raises(AttributeError):
-            f.line = line
+    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    f = Flag(v - (phi @ v) / np.vdot(phi, phi) * phi.conj(), phi)
+    with pytest.raises(AttributeError):
+        f.line = v
     with pytest.raises(ValueError, match="inside"):
-        Flag.batch(vs, phis)
+        Flag(v, phi)
     with pytest.raises(ValueError, match="nonzero"):
-        Flag.batch(np.zeros((1, 3)), phis[:1])
+        Flag(np.zeros(3), phi)

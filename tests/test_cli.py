@@ -10,7 +10,8 @@ import pytest
 
 import bchyp
 from bchyp import affine, cli, criteria
-from bchyp.gauss import LinearSolveFailure
+from bchyp.gauss import GaussProblem, LinearSolveFailure
+from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 from bchyp.cli import (ConfigError, config_hash, load_config,
                        load_generators, main)
 from bchyp.criteria import CriterionResult
@@ -62,6 +63,26 @@ def test_degenerate_chart_exits_two(tmp_path, capsys):
                     {"chart": {"kind": "constant", "mu": [1.0, 0.0]}})
     assert main(["pipeline", "--config", cfg]) == 2
     assert "symbol check" in capsys.readouterr().err
+
+
+def test_symbol_floor_is_one_boundary_for_solver_and_config(tmp_path,
+                                                            capsys):
+    grid = TorusGrid(16)
+    for modulus, elliptic in ((0.994, True), (0.996, False)):
+        mu = modulus * np.exp(1j * np.pi / 3)
+        chart = BeltramiChart.constant_mu(grid, mu)
+        cfg = {"chart": {"kind": "constant", "mu": [mu.real, mu.imag]}}
+        if elliptic:
+            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0))
+            assert np.allclose(cli.build_chart(cfg, grid).mu, mu)
+            continue
+        with pytest.raises(ValueError, match="symbol check"):
+            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0))
+        with pytest.raises(ConfigError, match="symbol check"):
+            cli.build_chart(cfg, grid)
+        assert main(["gauss", "solve", "--config",
+                     write_cfg(tmp_path, cfg)]) == 2
+        assert "symbol check" in capsys.readouterr().err
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

@@ -18,6 +18,7 @@ from bchyp.connection import (
     higgs_split, hitchin_residuals, holonomy, maurer_cartan_residual,
     reduced_system_residual, step_generators, to_sl3,
 )
+from bchyp.criteria import _result, holonomy_checks
 from bchyp.gauss import (
     GaussProblem, residual_intrinsic, solve_newton, wang_specialize,
 )
@@ -511,3 +512,20 @@ def test_loop_validation():
         holonomy(conn, Loop.x_period(32))
     with pytest.raises(ValueError):
         holonomy(conn, Loop.x_period(16), gauge="chart")
+
+
+def test_max_abs_propagates_nan_in_the_minus_part():
+    n = 4
+    field = BcMat3Field(np.ones((n, n, 3, 3), dtype=complex),
+                        np.full((n, n, 3, 3), np.nan, dtype=complex))
+    assert np.isnan(field.max_abs())
+
+
+def test_holonomy_checks_fail_on_nan_minus_part():
+    minus = np.eye(3, dtype=complex)
+    minus[0, 0] = np.nan
+    checks = holonomy_checks(BcMat3.identity(), BcMat3(np.eye(3), minus),
+                             0.1)
+    values = {name: value for name, value, _ in checks}
+    assert np.isnan(values["compat"]) and np.isnan(values["commute"])
+    assert not _result(6, "holonomy", checks, 0.0).passed

@@ -328,7 +328,11 @@ def test_scan_batches_one_eig_per_word_length(monkeypatch):
     rpt = anosov_scan(fuchsian_rep(), 4)
     assert calls == {"eig": 4, "Flag": 0}
     assert len(rpt.words) == 160
-    assert all(isinstance(f, Flag) for f in rpt.attracting + rpt.repelling)
+    for flags in (rpt.attracting, rpt.repelling):
+        assert isinstance(flags, np.ndarray) and flags.shape == (160, 2, 3)
+        assert np.abs(np.linalg.norm(flags, axis=-1) - 1.0).max() < 1e-15
+        lines, planes = flags[:, 0], flags[:, 1]
+        assert np.abs(np.einsum("ni,ni->n", planes, lines)).max() < 1e-10
 
 
 def test_scan_transversality_matches_pairwise_oracle():
@@ -343,7 +347,7 @@ def test_scan_transversality_matches_pairwise_oracle():
     rpt = anosov_scan(Representation(
         {k: bump(M) for k, M in zip("ab", fuchsian_sl2())}), 3)
     best, witness = np.inf, None
-    anchors = [(w, fa, fr) for w, fa, fr in zip(
+    anchors = [(w, Flag(*fa), Flag(*fr)) for w, fa, fr in zip(
         rpt.words, rpt.attracting, rpt.repelling) if len(w) <= 2]
     for i, (wi, ai, ri) in enumerate(anchors):
         for wj, aj, rj in anchors[i + 1:]:
