@@ -9,10 +9,8 @@ classical affine differential geometry:
   * normalize_lift      rescales a raw pair to the special lift with
                         eta(f+, f-) = -1 and vanishing conormal, via a
                         periodic Poisson solve for the log factor;
-  * integrate_frame     integrates the flat frame over the grid from a
-                        base point (steps multiply on the right, the
-                        orientation under which the assembled connection
-                        is the curvature of dG = G Omega) and projects
+  * integrate_frame     transports the flat frame over the grid from a
+                        base point (connection.transport) and projects
                         the lift column to the real pair;
   * structure_residuals fits D_X df(Y) = f_*(nabla) + g_B(X, Y) xi at
                         each node, rebuilds the affine normal as
@@ -45,7 +43,7 @@ import numpy as np
 from . import mat3
 from .bicomplex import Q3
 from .connection import (
-    F0, FlatConnectionField, expm_steps, grid_step_generators,
+    F0, FlatConnectionField, expm_steps, grid_step_generators, transport,
 )
 from .metric import (
     BeltramiChart, CubicPair, centered_dx, centered_dy, stencil_symbols,
@@ -67,6 +65,10 @@ SWAP12 = [1, 0, 2]
 
 #: Residual fields of non-periodic pairs are NaN on this margin.
 FIT_MARGIN = 4
+
+#: Path-independence bound of integrate_frame, in spacing^2 times the
+#: frame size.
+PATH_TOL = 200.0
 
 
 class NotIsotropic(ValueError):
@@ -319,23 +321,18 @@ def _sweep(Ex, Ey, Exi, Eyi, base):
     """Accumulate G over the grid from base, one axis then the other.
 
     Ex[iy, ix] is the step exponential of the edge (ix -> ix+1) in row
-    iy, likewise Ey for columns; steps multiply on the right in
-    traversal order.  The reverse sweeps read the inverses Exi[iy, ix]
-    (ix < ix0 only) and Eyi[iy] (iy < iy0 only), so those arrays hold
-    just the edges behind the base.
+    iy, likewise Ey for columns; four transports fill G in place, forward
+    and back along the base row, then along every column.  The reverse
+    ones read the inverses Exi[iy, ix] (ix < ix0 only) and Eyi[iy]
+    (iy < iy0 only), so those arrays hold just the edges behind the base.
     """
-    n = Ex.shape[0]
     iy0, ix0 = base
     G = np.empty_like(Ex)
-    G[iy0, ix0] = np.eye(3, dtype=Ex.dtype)
-    for ix in range(ix0 + 1, n):
-        G[iy0, ix] = G[iy0, ix - 1] @ Ex[iy0, ix - 1]
-    for ix in range(ix0 - 1, -1, -1):
-        G[iy0, ix] = G[iy0, ix + 1] @ Exi[iy0, ix]
-    for iy in range(iy0 + 1, n):
-        G[iy] = G[iy - 1] @ Ey[iy - 1]
-    for iy in range(iy0 - 1, -1, -1):
-        G[iy] = G[iy + 1] @ Eyi[iy]
+    row = G[iy0]
+    transport(Ex[iy0, ix0:-1], out=row[ix0:])
+    transport(Exi[iy0, ::-1], row[ix0], out=row[ix0::-1])
+    transport(Ey[iy0:-1], row, out=G[iy0:])
+    transport(Eyi[::-1], row, out=G[iy0::-1])
     return G
 
 
@@ -361,15 +358,12 @@ def _integrate_part(Sx, Sy, base, sl):
 
 
 def integrate_frame(conn: FlatConnectionField, base=(0, 0),
-                    path_tol: float | None = None,
                     trim: int = 0) -> AffinePair:
     """Integrate the moving frame of real connection data to a pair.
 
     The frame solves dG = G Omega with G(base) = Id (q-orthonormal,
-    lift column (0, 0, 1)); the step exponentials come from the
-    transport kernel that holonomy uses (the midpoint rule of
-    connection.step_generators, taken over the whole grid by
-    connection.grid_step_generators, and connection.expm_steps), and
+    lift column (0, 0, 1)) through the transport kernel that holonomy
+    uses (connection.grid_step_generators, expm_steps and transport);
     inverse steps are exponentiated only for the edges behind the
     base.  The lift is the third column of G; conjugating by the model
     frame F0 turns the conjugate-swap symmetry of real data into
@@ -380,8 +374,8 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     Row-then-column and column-then-row orders are both integrated;
     their disagreement (max over both idempotent parts, optionally
     trimmed by `trim` nodes for data whose seam rows are invalid) must
-    stay below path_tol, default 200 spacing^2 scaled by the frame
-    size, else PathDependent.
+    stay below PATH_TOL spacing^2 scaled by the frame size, else
+    PathDependent.
     """
     _require_real(conn)
     grid = conn.chart.grid
@@ -403,7 +397,7 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
         resid = float(np.maximum(resid, r))
         gmax = float(np.maximum(gmax, g))
 
-    tol = (200.0 * h * h if path_tol is None else path_tol) * max(1.0, gmax)
+    tol = PATH_TOL * h * h * max(1.0, gmax)
     if not resid <= tol:
         raise PathDependent(resid, tol)
 

@@ -409,8 +409,7 @@ def phi_inv(X: BcMat3, tol: float = 1e-9) -> np.ndarray:
     dp = np.linalg.det(X.plus)
     if abs(dp) < 1e-12:
         raise NotInImage("plus part singular")
-    expected = Q3 @ np.linalg.inv(X.plus).T @ Q3
-    resid = float(np.abs(X.minus - expected).max())
+    resid = compatibility_residual(X)
     if resid > tol:
         raise NotInImage("compatibility residual %.3e exceeds %.1e" % (resid, tol))
     return X.plus.copy()

@@ -27,17 +27,20 @@ affine.integrate_frame: midpoint-sampled step generators
 touch, for a loop; grid_step_generators, the same rule for every step
 of the grid from one evaluation of Omega and a shift), one batched
 exponential per idempotent component (expm_steps; the algebra splits,
-so ordinary 3x3 exponentials suffice), then the ordered product.  The
-exponential keeps the Taylor degree table and backward-error reasoning
-of Al-Mohy & Higham; mat3.expm only evaluates the chosen polynomial
-more cheaply, as a Horner recurrence that Cayley-Hamilton reduces to
-one plane product.  It adds the identity last, so each step keeps the
-minus-part structure E_minus = QTILDE E_plus^-T QTILDE to round-off far
-below ulp(1).  Holonomy is that product along a loop.  In the
-"ambient" gauge the result is conjugated by a constant model frame F0
-with F0^T Q F0 = QTILDE, after which group elements satisfy the
-compatibility X_minus = Q (X_plus^-1)^T Q and the plus part lands in
-SL(3,C).
+so ordinary 3x3 exponentials suffice), then the ordered product
+(transport).  The exponential keeps the Taylor degree table and
+backward-error reasoning of Al-Mohy & Higham; mat3.expm only evaluates
+the chosen polynomial more cheaply, as a Horner recurrence that
+Cayley-Hamilton reduces to one plane product.  It adds the identity
+last, so each step keeps the minus-part structure
+E_minus = QTILDE E_plus^-T QTILDE to round-off far below ulp(1).
+Steps multiply on the right, as the frame equation dG = G Omega has
+it; in that order the assembled connection is flat.  Holonomy is the
+product along a loop, G(end) = G(start) H, and sections (F' = Omega F)
+transport by H^-1.  In the "ambient" gauge the result is conjugated by
+a constant model frame F0 with F0^T Q F0 = QTILDE, after which group
+elements satisfy the compatibility X_minus = Q (X_plus^-1)^T Q and the
+plus part lands in SL(3,C).
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ __all__ = [
     "QTILDE", "F0", "HTILDE",
     "BcMat3Field", "FlatConnectionField", "Loop", "HiggsData",
     "assemble", "maurer_cartan_residual", "reduced_system_residual",
-    "step_generators", "grid_step_generators", "expm_steps", "holonomy",
+    "step_generators", "grid_step_generators", "expm_steps", "transport",
+    "holonomy",
     "to_sl3", "higgs_split", "hitchin_residuals", "conjugate_frame",
 ]
 
@@ -485,15 +489,32 @@ def expm_steps(S: np.ndarray) -> np.ndarray:
     return mat3.stacked(mat3.expm(mat3.planes(S), m, s))
 
 
+def transport(E: np.ndarray, start=None, out=None) -> np.ndarray:
+    """Frames along a path of steps; steps multiply on the right.
+
+    G_0 = start (the identity by default) and G_{k+1} = G_k E_k, the
+    discrete frame equation dG = G Omega.  E is a (K, ..., 3, 3) stack
+    of K steps, each one matrix or a batch carried side by side.
+    Returns the (K + 1, ..., 3, 3) frames, written into out if given:
+    a strided (even reversed) view of a larger array, filled in place.
+    """
+    if out is None:
+        out = np.empty((len(E) + 1,) + E.shape[1:], dtype=E.dtype)
+    out[0] = np.eye(3) if start is None else start
+    for k, Ek in enumerate(E):
+        np.matmul(out[k], Ek, out=out[k + 1])
+    return out
+
+
 def holonomy(conn: FlatConnectionField, loop: Loop,
              gauge: str = "ambient") -> BcMat3:
     """Path-ordered product of step exponentials of Omega along the loop.
 
     Each step samples Omega at the segment midpoint (average of the two
     endpoint node values) and exponentiates per idempotent component;
-    later steps multiply on the left, i.e. sections transport by F
-    solving F' = Omega(gamma') F.  All steps of one component go through
-    one batched exponential.
+    the steps multiply on the right in traversal order (transport), so
+    a frame carried around the loop returns as G(end) = G(start) H.
+    All steps of one component go through one batched exponential.
 
     gauge="frame" returns the raw frame-basis holonomy (group condition
     wrt QTILDE); gauge="ambient" conjugates by the constant model frame
@@ -518,10 +539,7 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
     for part in ("plus", "minus"):
         S = step_generators(conn, start[:, 1] % g.n, start[:, 0] % g.n,
                             d[:, 1], d[:, 0], part)
-        E = expm_steps(S)
-        H = E[0]
-        for Ek in E[1:]:
-            H = Ek @ H
+        H = transport(expm_steps(S))[-1]
         if gauge == "ambient":
             H = F0 @ H @ F0_INV
         parts.append(H)

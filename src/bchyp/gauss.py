@@ -20,8 +20,9 @@ The Newton linearization is
 
 (The coefficient 32 e^{-4 psi} is what differentiating 8 e^{-4 psi}
 forces; nothing else is dimensionally consistent.)  Each Newton system
-J d = -F, with J the complex sparse laplacian_matrix minus the diagonal
-weight, is solved by restarted complex GMRES.  The preconditioner is
+J d = -F, with J = metric.laplacian minus the diagonal weight applied
+matrix-free (Knoll & Keyes, J. Comput. Phys. 193, 2004), is solved by
+restarted complex GMRES.  The preconditioner is
 the exact FFT inverse of J's constant-coefficient part: the Fourier
 symbol of the centered stencils with every chart coefficient and the
 weight replaced by its grid mean (Concus & Golub, SIAM J. Numer. Anal.
@@ -34,6 +35,7 @@ Steps are damped by halving on the residual max-norm.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -138,6 +140,7 @@ class GaussProblem:
                        dtype=complex)
 
 
+@dataclass(eq=False)
 class SolveReport:
     """Outcome of solve_newton.
 
@@ -147,17 +150,12 @@ class SolveReport:
     found, so to_json leaves them out.
     """
 
-    __slots__ = ("psi", "iterations", "residual_history", "converged",
-                 "krylov_iterations", "halvings")
-
-    def __init__(self, psi, iterations, residual_history, converged,
-                 krylov_iterations, halvings):
-        self.psi = psi
-        self.iterations = iterations
-        self.residual_history = list(residual_history)
-        self.converged = converged
-        self.krylov_iterations = list(krylov_iterations)
-        self.halvings = list(halvings)
+    psi: np.ndarray
+    iterations: int
+    residual_history: list
+    converged: bool
+    krylov_iterations: list
+    halvings: list
 
     def to_json(self) -> str:
         return json.dumps({
@@ -233,17 +231,12 @@ def constant_root(c: float, Kg: float) -> float:
     return float(u)
 
 
-def _shift_matrix(n: int) -> sp.csr_matrix:
-    """(P f)[i] = f[i+1 mod n], matching np.roll(f, -1)."""
-    rows = np.arange(n)
-    return sp.csr_matrix((np.ones(n), (rows, (rows + 1) % n)), shape=(n, n))
-
-
 def laplacian_matrix(metric: ComplexMetric) -> sp.csr_matrix:
-    """Sparse matrix equal (to roundoff) to metric.laplacian on ravel order."""
+    """Sparse matrix equal (to roundoff) to metric.laplacian on ravel
+    order: a reference route for checks, which the solver never builds."""
     g = metric.grid
     n, h = g.n, g.spacing
-    P = _shift_matrix(n)
+    P = sp.eye(n, k=1) + sp.eye(n, k=1 - n)       # (P f)[i] = f[i+1 mod n]
     S = (P - P.T) / (2 * h)                       # centered difference
     I = sp.identity(n, format="csr")
     DX = sp.kron(I, S, format="csr")              # x along axis 1
@@ -276,19 +269,27 @@ def laplacian_symbol(metric: ComplexMetric) -> np.ndarray:
     return pref * (sz * szb + mub * szb * szb - first * szb)
 
 
-def _solve_krylov(J: sp.csr_matrix, b: np.ndarray,
-                  symbol: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve J x = b by complex GMRES preconditioned with 1/symbol.
+def _solve_krylov(background: ComplexMetric, weight: np.ndarray,
+                  F: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve the Newton system J d = -F by complex GMRES.
 
-    The preconditioner applies ifft2(fft2(r) / symbol).  Returns x and
-    the number of GMRES iterations; raises LinearSolveFailure when the
-    true residual is not below 1e-12 |b| after 20 cycles of restart 50.
+    J d = laplacian(background, d) - weight d is applied matrix-free,
+    and the preconditioner is ifft2(fft2(r) / symbol) with the symbol
+    of J at mean coefficients.  Returns d and the number of GMRES
+    iterations; raises LinearSolveFailure when the true residual is not
+    below 1e-12 |F| after 20 cycles of restart 50.
     """
-    shape = symbol.shape
+    shape = F.shape
+    symbol = laplacian_symbol(background) - weight.mean()
+
+    def apply(d):
+        d = d.reshape(shape)
+        return (laplacian(background, d) - weight * d).ravel()
 
     def precondition(r):
         return np.fft.ifft2(np.fft.fft2(r.reshape(shape)) / symbol).ravel()
 
+    J = LinearOperator((F.size, F.size), matvec=apply, dtype=complex)
     M = LinearOperator(J.shape, matvec=precondition, dtype=complex)
     count = 0
 
@@ -296,20 +297,17 @@ def _solve_krylov(J: sp.csr_matrix, b: np.ndarray,
         nonlocal count
         count += 1
 
-    x, info = gmres(J, b, rtol=1e-12, atol=0.0, restart=50, maxiter=20,
-                    M=M, callback=tick, callback_type="pr_norm")
+    x, info = gmres(J, -F.ravel(), rtol=1e-12, atol=0.0, restart=50,
+                    maxiter=20, M=M, callback=tick, callback_type="pr_norm")
     if info != 0:
         raise LinearSolveFailure(
             f"GMRES returned info={info} after {count} iterations")
-    return x, count
+    return x.reshape(shape), count
 
 
 def solve_newton(problem: GaussProblem, tol: float = 1e-10,
                  max_iter: int = 50, max_halvings: int = 10) -> SolveReport:
     """Damped Newton on residual_background down to max-abs tol."""
-    grid = problem.grid
-    n = grid.n
-    L = None                      # built on the first Newton step
     psi = problem.initial_guess()
     F = residual_background(psi, problem)
     res = float(np.abs(F).max())
@@ -318,14 +316,9 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
     for it in range(max_iter):
         if res <= tol:
             return SolveReport(psi, it, history, True, krylov, halvings)
-        if L is None:
-            L = laplacian_matrix(problem.background)
-            L_symbol = laplacian_symbol(problem.background)
         weight = (2.0 * np.exp(2 * psi)
                   + 32.0 * np.exp(-4 * psi) * problem.cnorm_g)
-        J = L - sp.diags(weight.ravel())
-        x, count = _solve_krylov(J, -F.ravel(), L_symbol - weight.mean())
-        delta = x.reshape(n, n)
+        delta, count = _solve_krylov(problem.background, weight, F)
         krylov.append(count)
         t = 1.0
         for k in range(max_halvings + 1):

@@ -136,8 +136,7 @@ class TorusGrid:
 class BeltramiChart:
     """First-order data of a w-coordinate over the z-chart."""
 
-    __slots__ = ("grid", "mu", "dwz", "dzbwb", "logA", "logB",
-                 "_supplied_logs")
+    __slots__ = ("grid", "mu", "dwz", "dzbwb", "logA", "logB")
 
     def __init__(self, grid: TorusGrid, mu, dwz, dzbwb,
                  logA=None, logB=None):
@@ -147,7 +146,6 @@ class BeltramiChart:
             raise ValueError(f"sup|mu| = {sup} >= 1: metric not positive")
         dwz = grid.field(dwz)
         dzbwb = grid.field(dzbwb)
-        supplied = logA is not None or logB is not None
         if logA is None:
             logA = grid.dzb(dwz) / dwz
         else:
@@ -157,8 +155,7 @@ class BeltramiChart:
         else:
             logB = grid.field(logB)
         for name, val in (("grid", grid), ("mu", mu), ("dwz", dwz),
-                          ("dzbwb", dzbwb), ("logA", logA), ("logB", logB),
-                          ("_supplied_logs", supplied)):
+                          ("dzbwb", dzbwb), ("logA", logA), ("logB", logB)):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, name, value):
@@ -312,8 +309,9 @@ def laplacian(h: ComplexMetric, phi) -> np.ndarray:
     c = h.chart
     phi = g.field(phi)
     phi_zb = g.dzb(phi)
-    bracket = (g.dz(phi_zb)
-               + np.conj(c.mu) * g.dzb(phi_zb)
+    fx, fy = g.dx(phi_zb), g.dy(phi_zb)     # shared by d_z and d_zbar
+    bracket = (0.5 * (fx - 1j * fy)
+               + np.conj(c.mu) * (0.5 * (fx + 1j * fy))
                - (c.logB / c.dwz) * phi_zb)
     return 2.0 * np.exp(-2.0 * h.psi) / c.dzbwb * bracket
 

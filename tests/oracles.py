@@ -149,7 +149,8 @@ def expm_oracle(S: np.ndarray) -> np.ndarray:
 
 
 def holonomy_oracle(conn, loop, F0=None):
-    """Holonomy as the left-ordered product of per-step expm.
+    """Holonomy as the right-ordered product of per-step expm (frame
+    convention: a frame carried around the loop returns as G H).
 
     Each step (dix, diy) from node (ix, iy) exponentiates the midpoint
     rule h/2 [(Ox(start) + Ox(end)) dix + (Oy(start) + Oy(end)) diy] of
@@ -166,7 +167,7 @@ def holonomy_oracle(conn, loop, F0=None):
             jx, jy = (ix + dix) % n, (iy + diy) % n
             S = 0.5 * h * ((ox[iy, ix] + ox[jy, jx]) * dix
                            + (oy[iy, ix] + oy[jy, jx]) * diy)
-            H = expm(S) @ H
+            H = H @ expm(S)
             ix, iy = jx, jy
         if F0 is not None:
             H = F0 @ H @ np.linalg.inv(F0)

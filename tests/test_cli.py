@@ -111,6 +111,19 @@ def test_fuchsian_generators_exit_zero(capsys):
     assert "[PASS]" in out and "min_transversality" in out
 
 
+def test_sine_chart_holonomy_passes_on_a_finer_grid(tmp_path, capsys):
+    # the commutator bound is 10 spacing; the period holonomies must
+    # commute to O(spacing^2), which needs the frame order of transport
+    cfg = json.loads(Path(cfg_path("sine_chart.json")).read_text())
+    cfg["grid"] = 128
+    cfg["chart"]["eps"] = 0.02
+    code, out = run_json(capsys, ["conn", "holonomy", "--config",
+                                  write_cfg(tmp_path, cfg)])
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert result["residuals"]["commute"] < 1e-3
+
+
 def test_failing_check_exits_one(monkeypatch, capsys):
     failed = CriterionResult(1, "forced failure", False, 0.0,
                              {"err": 1.0}, "err=1>0")

@@ -174,13 +174,20 @@ def test_laplacian_symbol_exact_for_constant_coefficients():
 # ----------------------------------------------------------------- solver
 
 def test_solve_builds_no_laplacian_without_a_newton_step(monkeypatch):
+    # the Newton operator applies metric.laplacian; no solve, with or
+    # without Newton steps, assembles the sparse matrix
     def refuse(metric):
-        raise AssertionError("laplacian_matrix built with no Newton step")
+        raise AssertionError("laplacian_matrix built by the solver")
 
     monkeypatch.setattr(gauss, "laplacian_matrix", refuse)
     rep = solve_newton(wang_specialize(1.2, TorusGrid(32)))
     assert rep.converged
     assert rep.iterations == 0
+    p = band_problem(32, 0.0, 1.0, 0.1)      # the perturbed datum
+    rep = solve_newton(p)
+    assert rep.converged
+    assert rep.iterations >= 2
+    assert np.abs(residual_background(rep.psi, p)).max() <= 1e-10
 
 
 def test_solve_hyperbolic_background():
