@@ -28,6 +28,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -361,6 +362,8 @@ def _write_point_cloud(outdir: Path, pair, max_nodes: int = 64):
 def stage_rep(args):
     if args.action == "goldman":
         return [criteria.criterion_7()]
+    if args.len < 1:
+        raise ConfigError(f"--len must be at least 1, got {args.len}")
     if args.gens is None:
         return [criteria.criterion_10()]
     t0 = time.perf_counter()
@@ -413,7 +416,10 @@ def stage_pipeline(args):
 # ----------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every main() call parses against the same tables."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="print the run manifest as JSON")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["planes", "stacked", "matmul", "expm", "det", "solve"]
+__all__ = ["planes", "stacked", "matmul", "expm", "det", "adj", "solve"]
 
 
 def planes(M) -> np.ndarray:
@@ -123,6 +123,12 @@ def det(A) -> np.ndarray:
             + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
 
 
+def adj(A) -> np.ndarray:
+    """Adjugate planes of A (3, 3, ...): the transposed cofactors, so
+    adj(A) A = A adj(A) = det(A) I."""
+    return _cofactors(np.asarray(A)).swapaxes(0, 1)
+
+
 def solve(A, B) -> np.ndarray:
     """X with A X = B for planes A (3, 3, ...) and B (3, k, ...).
 
@@ -131,7 +137,7 @@ def solve(A, B) -> np.ndarray:
     det(A) first; NaN entries of A or B propagate to X.
     """
     A = np.asarray(A)
-    X = matmul(_cofactors(A).swapaxes(0, 1), B)     # adj(A) = C^T
+    X = matmul(adj(A), B)
     with np.errstate(divide="ignore", invalid="ignore"):
         X /= det(A)
     return X

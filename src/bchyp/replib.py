@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import mat3
 from .bicomplex import Bicomplex
 from .chtau import Flag, _unit_incident, line_plane_det
 from .connection import BcMat3Field
@@ -45,12 +46,14 @@ __all__ = [
 GAP_TOL = 1e-6          # relative eigenvalue-modulus gap for loxodromy
 TRANS_TOL = 1e-8        # transversality below this is an obstruction
 FLAG_MATCH_TOL = 1e-8   # projective closeness that identifies two flags
-COND_TOL = 1e12         # eigenvector-matrix condition: defective beyond
+COND_TOL = 1e12         # eigenvalue condition: defective beyond
 DET_TOL = 1e-10         # det slack per generator, as in Representation
-DET_DRIFT = 4 * np.finfo(float).eps   # det round-off per ||M||_F^3
+EPS = np.finfo(float).eps
+DET_DRIFT = 4 * EPS     # det round-off per ||M||_F^3
 TIE_TOL = 1e-12         # relative: transversality values this close tie
-GAP_FLOOR = np.cbrt(np.finfo(float).eps)   # times ||M||_F / |l1|
+GAP_FLOOR = np.cbrt(EPS)   # times ||M||_F / |l1|
 CENTRALIZER_TOL = 1e-8  # singular values below this span the centralizer
+CUBE_ROOTS = np.exp(2j * np.pi / 3) ** np.arange(3)
 
 
 class NotUnimodular(ValueError):
@@ -160,48 +163,121 @@ class LoxodromyReport:
     repelling: Flag | None = None
 
 
-def _spectra(M, length):
-    """Loxodromy data of N words M (N, 3, 3), each a product of `length`
-    generators, from one batched eigendecomposition.
+def _top_root(X):
+    """Largest-modulus root of the characteristic polynomial
+    l^3 - c1 l^2 + c2 l - c3 of planes X (3, 3, ...), by Cardano's
+    formula, with the trace c1 and the determinant c3.
+
+    The shift l = t + c1/3 leaves t^3 + p t + q.  Its roots are
+    t = u w^k - p / (3 u w^k), k = 0, 1, 2, with w a cube root of one
+    and u^3 = -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that gives
+    u^3 the larger modulus so that no cancellation enters it.  A triple
+    root has p = q = 0 and u = 0; its roots are all c1/3.
+    """
+    c1 = X[0, 0] + X[1, 1] + X[2, 2]
+    c2 = (X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0]
+          + X[0, 0] * X[2, 2] - X[0, 2] * X[2, 0]
+          + X[1, 1] * X[2, 2] - X[1, 2] * X[2, 1])
+    c3 = mat3.det(X)
+    s = c1 / 3.0
+    p = c2 - 3.0 * s * s
+    q = s * (c2 - 2.0 * s * s) - c3
+    h = -0.5 * q
+    r = np.sqrt(h * h + p * p * p / 27.0)
+    u3 = np.where(np.abs(h + r) >= np.abs(h - r), h + r, h - r)
+    u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)
+    v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0)
+    w = CUBE_ROOTS.reshape((3,) + (1,) * u.ndim)
+    roots = s + w * u + w.conj() * v
+    k = np.abs(roots).argmax(axis=0)[None]
+    return np.take_along_axis(roots, k, axis=0)[0], c1, c3
+
+
+def _adjugate_eigen(X, lam):
+    """Eigenvector data of planes X (3, 3, ...) at approximate simple
+    eigenvalues lam, from P = adj(X - lam I).
+
+    At a simple eigenvalue P is rank one, P = p'(lam) v w / (w . v) for
+    the right eigenvector v and left eigenvector w, so its largest
+    column is v and its largest row w.  Returns those (3, ...) and the
+    eigenvalue condition number kappa = ||P||_F / |tr P| =
+    ||v|| ||w|| / |w . v|, infinite where tr P = 0 (at a repeated root
+    P vanishes or is nilpotent).
+    """
+    B = X.copy()
+    for i in range(3):
+        B[i, i] -= lam
+    P = mat3.adj(B)
+    a2 = P.real ** 2 + P.imag ** 2
+    cols, rows = a2.sum(axis=0), a2.sum(axis=1)
+    v = np.take_along_axis(P, cols.argmax(axis=0)[None, None], axis=1)[:, 0]
+    w = np.take_along_axis(P, rows.argmax(axis=0)[None, None], axis=0)[0]
+    tr = np.abs(P[0, 0] + P[1, 1] + P[2, 2])
+    kappa = np.divide(np.sqrt(cols.sum(axis=0)), tr,
+                      out=np.full(tr.shape, np.inf), where=tr != 0)
+    return v, w, kappa
+
+
+def _spectra(X, length):
+    """Loxodromy data of N words in closed form, from planes X
+    (3, 3, 2, N) of the words X[:, :, 0] and of their inverses
+    X[:, :, 1], each a product of `length` generators.
+
+    l1 is the top root of the word's characteristic polynomial and
+    l3 = 1 / (top root of the inverse's), each refined by one Rayleigh
+    quotient w.X.v / (w.v) on the eigenvectors of `_adjugate_eigen`;
+    l2 = tr - l1 - l3.  Taking l3 from the inverse keeps its relative
+    accuracy, which the word's own polynomial loses to |l1|.  The
+    quotient is taken only where its round-off, about eps kappa
+    ||X||_F, is below GAP_TOL |l|: the roots of a unipotent word form a
+    round-off cluster of condition near eps^(-2/3), where one quotient
+    would move a root past the gap floor and fake a gap.
 
     Returns (moduli, gaps, stop, attracting, repelling): eigenvalue
-    moduli, descending, over the cube root of the modulus of their
-    product (the word's det); relative gaps; the index of the first
-    word that is not loxodromic (N if none); and the flags of the words
-    before it as (stop, 2, 3) arrays of unit rows [line, plane
-    covector], attracting = (top eigenvector, span of top two) and
-    repelling = the attracting flag of the inverse.  Both gaps must
-    exceed GAP_TOL and the round-off floor GAP_FLOOR ||M||_F / |l1|,
-    which rescaling leaves alone: a unipotent word's eigenvalues scatter
-    by about eps^(1/3) ||M||.  Raises NotUnimodular for a det off one by
-    more than length * DET_TOL + DET_DRIFT ||M||_F^3, and
-    NotDiagonalizable when that first word has gaps above GAP_TOL but a
-    numerically defective eigenvector matrix.
+    moduli, descending, over the cube root of their product; relative
+    gaps; the index of the first word that is not loxodromic (N if
+    none); and the flags of the words before it as (stop, 2, 3) arrays
+    of unit rows [line, plane covector], attracting = (top eigenvector,
+    span of top two) and repelling = the attracting flag of the
+    inverse.  Both gaps must exceed GAP_TOL and the round-off floor
+    GAP_FLOOR ||M||_F / |l1|, which rescaling leaves alone: a unipotent
+    word's eigenvalues scatter by about eps^(1/3) ||M||.  Raises
+    NotUnimodular for a word whose det is off one by more than
+    length * DET_TOL + DET_DRIFT ||M||_F^3, and NotDiagonalizable when
+    that first word has gaps above GAP_TOL but all three eigenvalues
+    have condition kappa of COND_TOL or more.  A single large kappa
+    does not count: a cluster root can land near a critical point of
+    the polynomial, where tr adj vanishes and kappa means nothing.
     """
-    vals, vecs = np.linalg.eig(M)
-    order = np.argsort(-np.abs(vals), axis=-1)
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    det = vals.prod(axis=-1)
-    fro = np.linalg.norm(M, axis=(1, 2))
-    drift = np.abs(det - 1.0) / (length * DET_TOL + DET_DRIFT * fro ** 3)
+    top, c1, det = _top_root(X)
+    M = X[:, :, 0]
+    norms = np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=(0, 1)))
+    fro = norms[0]
+    drift = np.abs(det[0] - 1.0) / (length * DET_TOL + DET_DRIFT * fro ** 3)
     worst = int(np.argmax(drift))
     if not drift[worst] <= 1.0:
-        raise NotUnimodular(f"det {det[worst]:.12g} is not 1")
-    m = np.abs(vals)
-    moduli = m / np.cbrt(np.abs(det))[:, None]
+        raise NotUnimodular(f"det {det[0, worst]:.12g} is not 1")
+    vec, w, kappa = _adjugate_eigen(X, top)
+    Xv = mat3.matmul(X, vec[:, None])[:, 0]
+    np.divide((w * Xv).sum(axis=0), (w * vec).sum(axis=0), out=top,
+              where=EPS * kappa * norms < GAP_TOL * np.abs(top))
+    l1, l3 = top[0], 1.0 / top[1]
+    l2 = c1[0] - l1 - l3
+    mid, _, kappa2 = _adjugate_eigen(M, l2)
+    kappa = np.minimum(kappa.min(axis=0), kappa2)
+    m = -np.sort(-np.abs(np.stack([l1, l2, l3], axis=-1)), axis=-1)
+    moduli = m / np.cbrt(m.prod(axis=-1))[:, None]
     gaps = np.stack([(m[:, 0] - m[:, 1]) / m[:, 0],
                      (m[:, 1] - m[:, 2]) / m[:, 1]], axis=-1)
     low = gaps.min(axis=1)
-    sv = np.linalg.svd(vecs, compute_uv=False)
-    defective = (low > GAP_TOL) & (sv[:, 0] > COND_TOL * sv[:, 2])
+    defective = (low > GAP_TOL) & ~(kappa < COND_TOL)
     floor = np.maximum(GAP_TOL, GAP_FLOOR * fro / m[:, 0])
     bad = np.flatnonzero(~(low > floor) | defective)
-    stop = int(bad[0]) if bad.size else len(M)
-    if stop < len(M) and defective[stop]:
-        raise NotDiagonalizable(f"eigenvector matrix condition "
-                                f"{np.linalg.cond(vecs[stop]):.3e}")
-    top, mid, bottom = (vecs[:stop, :, k] for k in range(3))
+    stop = int(bad[0]) if bad.size else M.shape[-1]
+    if stop < M.shape[-1] and defective[stop]:
+        raise NotDiagonalizable(f"eigenvalue condition {kappa[stop]:.3e}")
+    top, bottom = vec[:, 0, :stop].T, vec[:, 1, :stop].T
+    mid = mid[:, :stop].T
     flags = np.stack(_unit_incident(
         np.concatenate([top, bottom]),
         np.concatenate([np.cross(top, mid), np.cross(bottom, mid)])), axis=1)
@@ -210,9 +286,11 @@ def _spectra(M, length):
 
 def loxodromy(M) -> LoxodromyReport:
     """Eigenvalue moduli, gap ratios, and fixed flags of one matrix: the
-    one-word case of the scan's batched test (see `_spectra`)."""
+    one-word case of the scan's closed-form test (see `_spectra`), with
+    the inverse from np.linalg.inv."""
     M = np.asarray(M, dtype=complex)
-    moduli, gaps, stop, att, rpl = _spectra(M[None], 1)
+    X = mat3.planes(np.stack([M, np.linalg.inv(M)]))[..., None]
+    moduli, gaps, stop, att, rpl = _spectra(X, 1)
     flags = (Flag(*att[0]), Flag(*rpl[0])) if stop else ()
     return LoxodromyReport(tuple(moduli[0]), tuple(gaps[0]), stop == 1,
                            *flags)
@@ -265,16 +343,6 @@ class AnosovReport:
                 f"{self.max_word_len}")
 
 
-def _determinants(lines, planes, p, q):
-    """min over both pairings of |det[line; orthonormal basis of the
-    other plane]|, the bases from one batched SVD of the covectors."""
-    basis = np.linalg.svd(planes[:, None, :])[2][:, 1:, :]
-    dets = [np.abs(np.linalg.det(np.concatenate([lines[a][:, None, :],
-                                                 basis[b]], axis=1)))
-            for a, b in ((p, q), (q, p))]
-    return np.minimum(*dets)
-
-
 def _anchor_transversality(words, attracting, repelling):
     """Minimum flag transversality over the short-word sample.
 
@@ -286,11 +354,9 @@ def _anchor_transversality(words, attracting, repelling):
     the incidence line-in-plane, not by any degeneracy).  Every value
     comes from one matrix of pairings |plane . line|.
 
-    A symmetric example ties whole orbits of pairs at the minimum, so
-    the witness is, among the pairs within a relative TIE_TOL of it,
-    the one with the smallest determinant form (`_determinants`; the
-    first in loop order on equal values): the pair the determinant
-    route reported when it computed every value.
+    A symmetric example ties whole orbits of pairs at the minimum, and
+    which of them round-off puts lowest is arbitrary, so the witness is
+    the first pair in loop order within a relative TIE_TOL of it.
     """
     flags = np.stack([attracting, repelling], axis=1)   # + before -
     lines = flags[:, :, 0].reshape(-1, 3)
@@ -306,8 +372,7 @@ def _anchor_transversality(words, attracting, repelling):
     best = values.min() if values.size else np.inf
     if not np.isfinite(best):
         return np.inf, ("", "")
-    tied = np.flatnonzero(values <= best * (1.0 + TIE_TOL))
-    k = tied[np.argmin(_determinants(lines, planes, p[tied], q[tied]))]
+    k = np.flatnonzero(values <= best * (1.0 + TIE_TOL))[0]
     return float(best), tuple(words[f // 2] + "+-"[f % 2]
                               for f in (p[k], q[k]))
 
@@ -318,20 +383,20 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     Two channels.  (1) Loxodromy: every enumerated word must have three
     distinct eigenvalue moduli with relative gaps above GAP_TOL and
     above the round-off floor of the word (see `_spectra`).  Words are
-    enumerated shortest first, one batched product and one batched
-    eigendecomposition per word length; the scan stops at the first
-    word that fails, reports it as the obstruction, and reports the
-    words before it.  (2) Transversality: the minimum over the
-    short-word sample (length <= 2) of flag-pair transversality, all
-    four attracting/repelling combinations per pair, identical flags
-    skipped.  Short words are used because their fixed flags stand for
-    distinct boundary points; the flags of a deep conjugate w = x g x'
-    are dragged toward the attractor of x, so a pairwise determinant
-    against them shrinks like the fourth power of the contraction of x
-    for *every* faithful discrete example, and says nothing about flag
-    position.  A shared line or plane between distinct sample flags
-    (the reducible degeneracy) drives the minimum to zero and is
-    reported as an obstruction against TRANS_TOL.
+    enumerated shortest first, with one batched product of the words and
+    one of their inverses per word length and closed-form spectra; the
+    scan stops at the first word that fails, reports it as the
+    obstruction, and reports the words before it.  (2) Transversality:
+    the minimum over the short-word sample (length <= 2) of flag-pair
+    transversality, all four attracting/repelling combinations per pair,
+    identical flags skipped.  Short words are used because their fixed
+    flags stand for distinct boundary points; the flags of a deep
+    conjugate w = x g x' are dragged toward the attractor of x, so a
+    pairwise determinant against them shrinks like the fourth power of
+    the contraction of x for *every* faithful discrete example, and says
+    nothing about flag position.  A shared line or plane between
+    distinct sample flags (the reducible degeneracy) drives the minimum
+    to zero and is reported as an obstruction against TRANS_TOL.
 
     The report also carries the centralizer dimension and the per-word
     moduli/gap tables and (W, 2, 3) flag arrays of the scanned words.
@@ -339,21 +404,26 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
     letters = [(n, e) for n in rep.names for e in (1, -1)]
-    gens = np.stack([g for g in rep.generators.values()
-                     for g in (g, np.linalg.inv(g))])
+    gens = mat3.planes(np.stack([g for g in rep.generators.values()
+                                 for g in (g, np.linalg.inv(g))]))
     spelled = [word_str((t,)) for t in letters]
     sep = "" if all(len(n) == 1 for n in rep.names) else "."
     # letter t may follow s unless it cancels it (inverses: 2j, 2j + 1)
     follow = np.array([[t for t in range(len(letters)) if t != s ^ 1]
                        for s in range(len(letters))])
-    mats, last, level = gens, np.arange(len(letters)), spelled
+    last, level = np.arange(len(letters)), spelled
+    mats = np.stack([gens, gens[:, :, last ^ 1]], axis=2)  # words, inverses
     words, moduli, gaps, attracting, repelling = [], [], [], [], []
     obstruction = None
     for length in range(1, max_word_len + 1):
         if length > 1:
             parent = np.repeat(np.arange(len(level)), follow.shape[1])
             last = follow[last].ravel()
-            mats = mats[parent] @ gens[last]
+            prev, mats = mats, np.empty((3, 3, 2, len(last)), complex)
+            mat3.matmul(prev[:, :, 0, parent], gens[:, :, last],
+                        out=mats[:, :, 0])
+            mat3.matmul(gens[:, :, last ^ 1], prev[:, :, 1, parent],
+                        out=mats[:, :, 1])
             level = [level[p] + sep + spelled[t]
                      for p, t in zip(parent.tolist(), last.tolist())]
         m, g, stop, att, rpl = _spectra(mats, length)

@@ -22,6 +22,9 @@ own x and y differences.
 import numpy as np
 from scipy.linalg import expm, null_space
 
+from bchyp.replib import (COND_TOL, DET_DRIFT, DET_TOL, GAP_FLOOR, GAP_TOL,
+                          NotDiagonalizable, NotUnimodular)
+
 
 def lap5(f: np.ndarray, h: float) -> np.ndarray:
     """5-point periodic Laplacian d_xx + d_yy."""
@@ -198,3 +201,41 @@ def line_plane_det_oracle(line, plane_covector) -> float:
                        .reshape(1, 3))
     return float(abs(np.linalg.det(
         np.vstack([line / np.linalg.norm(line), basis.T]))))
+
+
+def spectra_oracle(M, length):
+    """The scan's loxodromy data of N words M (N, 3, 3) from a batched
+    np.linalg.eig: (moduli, gaps, stop, attracting, repelling) as
+    replib._spectra returns them, with the same gates.  A numerically
+    defective word is one whose gaps exceed GAP_TOL while its
+    eigenvector matrix has condition above COND_TOL (an SVD); the det
+    gate uses the product of the eigenvalues."""
+    vals, vecs = np.linalg.eig(M)
+    order = np.argsort(-np.abs(vals), axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    det = vals.prod(axis=-1)
+    fro = np.linalg.norm(M, axis=(1, 2))
+    drift = np.abs(det - 1.0) / (length * DET_TOL + DET_DRIFT * fro ** 3)
+    if not drift.max() <= 1.0:
+        raise NotUnimodular(f"det {det[np.argmax(drift)]:.12g} is not 1")
+    m = np.abs(vals)
+    moduli = m / np.cbrt(np.abs(det))[:, None]
+    gaps = np.stack([(m[:, 0] - m[:, 1]) / m[:, 0],
+                     (m[:, 1] - m[:, 2]) / m[:, 1]], axis=-1)
+    low = gaps.min(axis=1)
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    defective = (low > GAP_TOL) & (sv[:, 0] > COND_TOL * sv[:, 2])
+    floor = np.maximum(GAP_TOL, GAP_FLOOR * fro / m[:, 0])
+    bad = np.flatnonzero(~(low > floor) | defective)
+    stop = int(bad[0]) if bad.size else len(M)
+    if stop < len(M) and defective[stop]:
+        raise NotDiagonalizable("defective eigenvector matrix")
+
+    def unit(V):
+        return V / np.linalg.norm(V, axis=-1, keepdims=True)
+
+    top, mid, bottom = (vecs[:stop, :, k] for k in range(3))
+    attracting = np.stack([unit(top), unit(np.cross(top, mid))], axis=1)
+    repelling = np.stack([unit(bottom), unit(np.cross(bottom, mid))], axis=1)
+    return moduli, gaps, stop, attracting, repelling

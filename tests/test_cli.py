@@ -3,6 +3,9 @@ determinism, and artifact output."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +153,16 @@ def test_linear_solve_failure_exits_one_with_message(monkeypatch, capsys):
     assert "BiCGSTAB returned info=-10" in err
 
 
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_scan_length_below_one_is_a_usage_error(capsys, length):
+    code = main(["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
+                 "--len", length])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error") and "--len" in err
+
+
 def test_fuchsian_scan_length_six_raises_nothing(capsys):
     code = main(["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
                  "--len", "6"])
@@ -276,6 +289,25 @@ def test_config_is_read_once(monkeypatch, capsys, argv):
     assert code == 0
     assert calls == [argv[-1]]
     assert json.loads(out)["config"] == load(argv[-1])
+
+
+def test_main_calls_share_one_parser_and_no_flags(capsys):
+    """The parser is built once per process; successive main() calls
+    with different commands and flags each print what a fresh process
+    prints (no --len or --gens carries over)."""
+    src = str(Path(bchyp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    gens = cfg_path("gens_fuchsian.json")
+    for argv in (["rep", "anosov", "--gens", gens, "--len", "3", "--json"],
+                 ["rep", "anosov", "--gens", gens, "--json"],
+                 ["chtau", "--json"]):
+        code = main(argv)
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "bchyp.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout,
+                                            fresh.stderr)
+    assert cli._parser() is cli._parser()
 
 
 def test_manifest_structure(capsys):

@@ -10,6 +10,8 @@ translation length ln 6, and a seeded conjugate of an upper-triangular
 (reducible) pair.
 """
 
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from bchyp.cli import load_generators
 from bchyp.connection import BcMat3Field
 from bchyp.metric import BeltramiChart, ComplexMetric, TorusGrid
 from bchyp.replib import (
+    TIE_TOL,
     AnosovReport,
     NotDiagonalizable,
     NotUnimodular,
@@ -282,7 +285,15 @@ def test_scan_fuchsian_pair_passes():
     assert 0.0151 < rpt.min_transversality < 0.0153
     assert rpt.min_gap > 0.6
     assert rpt.centralizer_dim == 1
-    assert sorted(rpt.witness_pair) == ["Ab-", "B+"]
+    # the pairs tie by symmetry: the witness realizes the minimum, and
+    # it is the first tied pair in loop order
+    flags = {w + s: Flag(*F) for w, a, r in zip(
+        rpt.words, rpt.attracting, rpt.repelling)
+        for s, F in (("+", a), ("-", r))}
+    value = oracle_transversality(*(flags[w] for w in rpt.witness_pair))
+    assert abs(value - rpt.min_transversality) <= TIE_TOL * value
+    assert rpt.witness_pair == first_tied(anchor_pairs(rpt),
+                                          rpt.min_transversality)
     assert "word length 5" in rpt.claim
     # moduli table is internally consistent
     assert np.all(np.diff(rpt.moduli, axis=1) <= 0)
@@ -311,22 +322,31 @@ def test_scan_diagonal_su3_conjugate_passes():
         assert len(rpt.words) == count
 
 
-def test_scan_batches_one_eig_per_word_length(monkeypatch):
+def test_scan_calls_neither_eig_nor_svd(monkeypatch):
+    """Word spectra are closed-form: no eig, and no SVD beyond the one
+    of the centralizer's stacked (18, 9) commutator system."""
     calls = {"eig": 0, "Flag": 0}
-    eig, init = np.linalg.eig, Flag.__init__
+    svd_shapes = []
+    eig, svd, init = np.linalg.eig, np.linalg.svd, Flag.__init__
 
     def counted_eig(a):
         calls["eig"] += 1
         return eig(a)
+
+    def recorded_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     def counted_init(self, *args, **kwargs):
         calls["Flag"] += 1
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eig", counted_eig)
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(Flag, "__init__", counted_init)
     rpt = anosov_scan(fuchsian_rep(), 4)
-    assert calls == {"eig": 4, "Flag": 0}
+    assert calls == {"eig": 0, "Flag": 0}
+    assert svd_shapes == [(18, 9)]
     assert len(rpt.words) == 160
     for flags in (rpt.attracting, rpt.repelling):
         assert isinstance(flags, np.ndarray) and flags.shape == (160, 2, 3)
@@ -335,18 +355,10 @@ def test_scan_batches_one_eig_per_word_length(monkeypatch):
         assert np.abs(np.einsum("ni,ni->n", planes, lines)).max() < 1e-10
 
 
-def test_scan_transversality_matches_pairwise_oracle():
-    """Off the symmetric example (no tied pairs) the batched minimum and
-    its witness agree with a pairwise loop over the determinant oracle."""
-    rng = np.random.default_rng(5)
-
-    def bump(M):
-        M = irreducible_embed(M) + 1e-3 * rng.standard_normal((3, 3))
-        return M / np.linalg.det(M) ** (1 / 3)
-
-    rpt = anosov_scan(Representation(
-        {k: bump(M) for k, M in zip("ab", fuchsian_sl2())}), 3)
-    best, witness = np.inf, None
+def anchor_pairs(rpt):
+    """(label, label, oracle transversality) of the short-word flag
+    pairs in the scan's loop order, projectively identical flags
+    skipped."""
     anchors = [(w, Flag(*fa), Flag(*fr)) for w, fa, fr in zip(
         rpt.words, rpt.attracting, rpt.repelling) if len(w) <= 2]
     for i, (wi, ai, ri) in enumerate(anchors):
@@ -356,11 +368,34 @@ def test_scan_transversality_matches_pairwise_oracle():
                     if (abs(np.vdot(Fi.line, Fj.line)) > 1 - 1e-8
                             and abs(np.vdot(Fi.plane, Fj.plane)) > 1 - 1e-8):
                         continue
-                    v = oracle_transversality(Fi, Fj)
-                    if v < best:
-                        best, witness = v, (wi + si, wj + sj)
+                    yield wi + si, wj + sj, oracle_transversality(Fi, Fj)
+
+
+def first_tied(pairs, best):
+    """The first (label, label) in loop order whose value ties best."""
+    return next((wi, wj) for wi, wj, v in pairs
+                if v <= best * (1.0 + TIE_TOL))
+
+
+def test_scan_transversality_matches_pairwise_oracle():
+    """Off the symmetric example the batched minimum and its witness
+    agree with a pairwise loop over the determinant oracle.  Exact ties
+    remain, since the sample is closed under inversion and a flag pair
+    carries more than one label (a repelling flag of w is the attracting
+    flag of w^-1), so the witness is the first tied pair in loop
+    order."""
+    rng = np.random.default_rng(5)
+
+    def bump(M):
+        M = irreducible_embed(M) + 1e-3 * rng.standard_normal((3, 3))
+        return M / np.linalg.det(M) ** (1 / 3)
+
+    rpt = anosov_scan(Representation(
+        {k: bump(M) for k, M in zip("ab", fuchsian_sl2())}), 3)
+    pairs = list(anchor_pairs(rpt))
+    best = min(v for _, _, v in pairs)
     assert abs(rpt.min_transversality - best) < 1e-14
-    assert rpt.witness_pair == witness
+    assert rpt.witness_pair == first_tied(pairs, best)
 
 
 def test_scan_numbers_are_unitary_conjugation_invariant():
@@ -416,6 +451,152 @@ def test_reducible_conjugates_stop_where_the_shipped_file_stops():
         rpt = anosov_scan(conjugated(shipped, U), 5)
         assert rpt.obstruction.split(":")[0] == ref.obstruction.split(":")[0]
         assert len(rpt.words) == len(ref.words)
+
+
+# ----------------------------------------------------------------------
+# closed-form spectra against the eig oracle
+
+UNI = np.array([[1.0, 1, 0], [0, 1, 1], [0, 0, 1]])
+
+
+def word_levels(generators, max_len):
+    """(length, labels, products) per word length: the reduced words in
+    the scan's order, each level multiplied as one stacked product."""
+    letters = [(n, e) for n in generators for e in (1, -1)]
+    gens = np.stack([generators[n] if e > 0 else np.linalg.inv(generators[n])
+                     for n, e in letters])
+    labels, last, prods = [word_str((t,)) for t in letters], \
+        list(range(len(letters))), gens
+    for length in range(1, max_len + 1):
+        if length > 1:
+            pairs = [(i, t) for i, s in enumerate(last)
+                     for t in range(len(letters))
+                     if letters[t] != (letters[s][0], -letters[s][1])]
+            parent, last = (list(x) for x in zip(*pairs))
+            labels = [labels[i] + word_str((letters[t],)) for i, t in pairs]
+            prods = prods[parent] @ gens[last]
+        yield length, labels, prods
+
+
+def oracle_scan(rep, max_len):
+    """Labels, moduli and flags of every word up to max_len from the eig
+    oracle, and the (label, index) of its first non-loxodromic word."""
+    labels, moduli, att, rpl, count = [], [], [], [], 0
+    for length, level, prods in word_levels(rep.generators, max_len):
+        m, _, stop, a, r = oracles.spectra_oracle(prods, length)
+        labels += level[:stop]
+        moduli.append(m[:stop])
+        att.append(a)
+        rpl.append(r)
+        if stop < len(level):
+            return labels, None, None, None, (level[stop], count + stop)
+        count += stop
+    return (labels, np.concatenate(moduli), np.concatenate(att),
+            np.concatenate(rpl), None)
+
+
+def sym2_moduli(A, B, max_len):
+    """(|mu|^2, 1, |mu|^-2) for every word of the SL(2) pair, mu the
+    larger eigenvalue of its 2x2 product."""
+    out = []
+    for _, _, W in word_levels({"a": A, "b": B}, max_len):
+        t = np.trace(W, axis1=1, axis2=2).astype(complex)
+        d = np.sqrt(t * t - 4.0)
+        mu = np.maximum(np.abs(t + d), np.abs(t - d)) / 2.0
+        out.append(np.stack([mu ** 2, np.ones_like(mu), mu ** -2], axis=1))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("conjugate", [False, True],
+                         ids=["shipped", "diagonal_su3"])
+def test_scan_moduli_and_flags_match_the_eig_oracle(conjugate):
+    """Against the exact symmetric-square moduli the closed form is no
+    less accurate than eig, and its flags are eig's to 1e-12."""
+    rep = load_generators(str(CONFIGS / "gens_fuchsian.json"))
+    if conjugate:
+        a, b = 2.399153235626715, 5.454452311404331
+        rep = conjugated(rep, np.diag(np.exp(1j * np.array([a, b, -a - b]))))
+    for length in (5, 8):
+        rpt = anosov_scan(rep, length)
+        labels, moduli, att, rpl, stop = oracle_scan(rep, length)
+        assert stop is None and list(rpt.words) == labels
+        exact = sym2_moduli(*fuchsian_sl2(), length)
+        assert (np.abs(rpt.moduli / exact - 1.0).max()
+                <= np.abs(moduli / exact - 1.0).max())
+        for flags, ref in ((rpt.attracting, att), (rpt.repelling, rpl)):
+            overlap = np.abs(np.einsum("wki,wki->wk", flags.conj(), ref))
+            assert (1.0 - overlap).max() < 1e-12
+
+
+def test_scan_stops_where_the_eig_oracle_stops():
+    """The reducible pair and 49 unitary conjugates of it, a generator
+    set with a parabolic, and the once-punctured torus pair (parabolic
+    commutator abAB) stop on the oracle's word."""
+    shipped = load_generators(str(CONFIGS / "gens_reducible.json"))
+    rng = np.random.default_rng(23)
+    reps = [shipped] + [conjugated(shipped, random_su3(rng))
+                        for _ in range(49)]
+    _, B = fuchsian_sl2()
+    parabolic = irreducible_embed(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    reps.append(Representation({"a": irreducible_embed(B), "b": parabolic}))
+    t = np.log(1.0 + np.sqrt(2.0))          # tr a = tr b = 2 sqrt(2)
+    reps.append(Representation({
+        "a": irreducible_embed(np.diag([np.exp(t), np.exp(-t)])),
+        "b": irreducible_embed(np.array([[np.cosh(t), np.sinh(t)],
+                                         [np.sinh(t), np.cosh(t)]]))}))
+    for rep in reps:
+        rpt = anosov_scan(rep, 5)
+        *_, (word, index) = oracle_scan(rep, 5)
+        assert rpt.obstruction.startswith(f"word {word} is not loxodromic")
+        assert len(rpt.words) == index
+
+
+@pytest.mark.parametrize("M", [
+    np.eye(3), UNI, np.diag([2.0, 2.0, 0.25]),
+    irreducible_embed(np.array([[np.cos(0.7), -np.sin(0.7)],
+                                [np.sin(0.7), np.cos(0.7)]]))],
+    ids=["identity", "jordan", "double_root", "rotation"])
+def test_repeated_roots_raise_no_warning(M):
+    _, B = fuchsian_sl2()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = loxodromy(M)
+        rpt = anosov_scan(Representation({"a": M,
+                                          "b": irreducible_embed(B)}), 2)
+    assert not r.loxodromic
+    want = (2.0, 2.0, 0.25) if M[2, 2] == 0.25 else (1.0, 1.0, 1.0)
+    assert np.allclose(r.moduli, want, atol=1e-12)
+    assert rpt.obstruction.startswith("word a is not loxodromic")
+
+
+def test_moduli_are_sorted_near_a_triple_root():
+    """Round-off scatters the three roots of a unipotent word; the
+    reported moduli stay in descending order."""
+    r = loxodromy(UNI)
+    assert list(r.moduli) == sorted(r.moduli, reverse=True)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        G = np.eye(3) + 0.5 * rng.standard_normal((3, 3))
+        m = loxodromy(G @ UNI @ np.linalg.inv(G)).moduli
+        assert list(m) == sorted(m, reverse=True)
+    rpt = anosov_scan(load_generators(str(CONFIGS / "gens_reducible.json")),
+                      5)
+    m = [float(x) for x in
+         re.search(r"moduli \((.*)\)", rpt.obstruction).group(1).split(",")]
+    assert rpt.obstruction.startswith("word abAB") and \
+        m == sorted(m, reverse=True)
+
+
+def test_unitary_conjugates_of_a_unipotent_are_not_loxodromic():
+    """A round-off cluster has roots of condition near eps^(-2/3); a
+    Rayleigh step there moves a root by about eps kappa ||M||, past the
+    gap floor, so it must not be taken (these seeds made loxodromic
+    words of a step gated only by COND_TOL)."""
+    for seed in (41, 882, 2445):
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((3, 3))
+                         + 1j * rng.standard_normal((3, 3)))[0]
+        assert not loxodromy(U @ UNI @ np.linalg.inv(U)).loxodromic
 
 
 def test_scan_non_loxodromic_generator_is_the_obstruction():
