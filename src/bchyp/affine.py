@@ -70,6 +70,8 @@ FIT_MARGIN = 4
 #: frame size.
 PATH_TOL = 200.0
 
+REAL_TOL = 1e-10    # integrate_frame's chart and conjugate-swap bound
+
 
 class NotIsotropic(ValueError):
     """The conormal 1-form has curl; no special lift exists."""
@@ -296,7 +298,7 @@ def normalize_lift(fplus0, fminus0, spacing: float) -> AffinePair:
 # ----------------------------------------------------------------------
 # frame integration
 
-def _require_real(conn: FlatConnectionField, tol: float = 1e-10):
+def _require_real(conn: FlatConnectionField):
     chart = conn.chart
     chart_dev = max(
         float(np.max(np.abs(chart.mu))),
@@ -304,7 +306,7 @@ def _require_real(conn: FlatConnectionField, tol: float = 1e-10):
         float(np.max(np.abs(chart.dzbwb - 1.0))),
         float(np.max(np.abs(chart.logA))),
         float(np.max(np.abs(chart.logB))))
-    if chart_dev > tol:
+    if chart_dev > REAL_TOL:
         raise NotReal(f"chart deviates from the flat chart by {chart_dev:.3e}")
     scale = max(1.0, conn.Ahat.max_abs(), conn.Bhat.max_abs())
     dev = 0.0
@@ -312,9 +314,9 @@ def _require_real(conn: FlatConnectionField, tol: float = 1e-10):
                  (conn.Ahat.minus, conn.Bhat.minus)):
         sw = b[..., SWAP12, :][..., SWAP12]
         dev = max(dev, float(np.max(np.abs(np.conj(a) - sw))))
-    if dev > tol * scale:
+    if dev > REAL_TOL * scale:
         raise NotReal(f"conjugate-swap defect {dev:.3e} exceeds "
-                      f"{tol * scale:.3e}")
+                      f"{REAL_TOL * scale:.3e}")
 
 
 def _sweep(Ex, Ey, Exi, Eyi, base):

@@ -27,6 +27,7 @@ Q3 = np.diag([1.0, 1.0, -1.0])
 
 # zero-divisor cutoff per idempotent component (double precision roundoff scale)
 ZERO_DIVISOR_TOL = 1e-14
+IMAGE_TOL = 1e-9    # phi_inv's bound on the compatibility residual
 
 
 class ZeroDivisor(ArithmeticError):
@@ -390,28 +391,27 @@ class BcMat3:
         return cls(p, m)
 
 
-def phi_iso(A, Q=None) -> BcMat3:
-    """A in GL(3,C) |-> A e+ + Q (A^-1)^T Q e-.
+def phi_iso(A) -> BcMat3:
+    """A in GL(3,C) |-> A e+ + Q3 (A^-1)^T Q3 e-.
 
-    Group isomorphism onto the matrices with X^T Q conj_tau(X) = Q.
+    Group isomorphism onto the matrices with X^T Q3 conj_tau(X) = Q3.
     """
-    if Q is None:
-        Q = Q3
     A = np.asarray(A, dtype=complex).reshape(3, 3)
     d = np.linalg.det(A)
     if abs(d) < 1e-12:
         raise Singular("det A = %r below threshold 1e-12" % d)
-    return BcMat3(A, Q @ np.linalg.inv(A).T @ Q)
+    return BcMat3(A, Q3 @ np.linalg.inv(A).T @ Q3)
 
 
-def phi_inv(X: BcMat3, tol: float = 1e-9) -> np.ndarray:
+def phi_inv(X: BcMat3) -> np.ndarray:
     """Invert phi_iso; checks the idempotent compatibility X- = Q (X+^-1)^T Q."""
     dp = np.linalg.det(X.plus)
     if abs(dp) < 1e-12:
         raise NotInImage("plus part singular")
     resid = compatibility_residual(X)
-    if resid > tol:
-        raise NotInImage("compatibility residual %.3e exceeds %.1e" % (resid, tol))
+    if resid > IMAGE_TOL:
+        raise NotInImage("compatibility residual %.3e exceeds %.1e"
+                         % (resid, IMAGE_TOL))
     return X.plus.copy()
 
 

@@ -46,6 +46,7 @@ __all__ = [
 
 POINT_TOL = 1e-12
 FLAG_TOL = 1e-10    # |plane . line| on unit vectors: line inside plane
+ORBIT_TOL = 1e-9    # relative scale-fit residual: on the unit-norm orbit
 
 
 class BaseMismatch(ValueError):
@@ -100,7 +101,7 @@ class HyperboloidPoint:
         a = 1.0 / np.sqrt(-cval + 0j)
         return cls(z.scale(a))
 
-    def same_as(self, other: "HyperboloidPoint", tol: float = 1e-9) -> bool:
+    def same_as(self, other: "HyperboloidPoint") -> bool:
         """Equality modulo the unit-tau-norm orbit u = e^v e+ + e^-v e-.
 
         The orbit acts by independent complex scalings (lam, 1/lam) on the
@@ -112,9 +113,10 @@ class HyperboloidPoint:
         scale = max(p.norm_max(), m.norm_max(), 1.0)
         lam_p, res_p = _fit_scale(p.plus, m.plus)
         lam_m, res_m = _fit_scale(p.minus, m.minus)
-        if res_p > tol * scale or res_m > tol * scale:
+        if res_p > ORBIT_TOL * scale or res_m > ORBIT_TOL * scale:
             return False
-        return abs(lam_p * lam_m - 1.0) < tol * max(1.0, abs(lam_p * lam_m))
+        return (abs(lam_p * lam_m - 1.0)
+                < ORBIT_TOL * max(1.0, abs(lam_p * lam_m)))
 
     def __eq__(self, other):
         if not isinstance(other, HyperboloidPoint):
@@ -302,7 +304,7 @@ def _orbit_phase_min(plus: np.ndarray, minus: np.ndarray) -> float:
                             np.abs((np.exp(-1j * t) * minus).imag).max()))
 
 
-def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9) -> set:
+def submanifold_membership(p: HyperboloidPoint) -> set:
     """Tags among {H2tau, CH2, X, generic} over the unit orbit.
 
     The orbit scales the idempotent halves by (e^v, e^-v).  In those
@@ -321,15 +323,15 @@ def submanifold_membership(p: HyperboloidPoint, tol: float = 1e-9) -> set:
     tags = set()
 
     _, res_x = _fit_scale(plus, minus)
-    if res_x < tol * scale:
+    if res_x < ORBIT_TOL * scale:
         tags.add("X")
 
     c = np.conj(plus)
     r = np.vdot(c, minus).real / np.vdot(c, c).real
-    if r > 0 and np.abs(r * c - minus).max() < tol * scale:
+    if r > 0 and np.abs(r * c - minus).max() < ORBIT_TOL * scale:
         tags.add("CH2")
 
-    if _orbit_phase_min(plus, minus) < tol * scale:
+    if _orbit_phase_min(plus, minus) < ORBIT_TOL * scale:
         tags.add("H2tau")
 
     if not tags:
@@ -411,7 +413,7 @@ def line_plane_det(line: np.ndarray, plane_covector: np.ndarray) -> float:
                                       * np.linalg.norm(line)))
 
 
-def transversal(f1: Flag, f2: Flag, tol: float = 1e-10) -> bool:
-    """True when l1 (+) V2 = C^3 = l2 (+) V1 within tolerance."""
-    return (line_plane_det(f1.line, f2.plane) > tol
-            and line_plane_det(f2.line, f1.plane) > tol)
+def transversal(f1: Flag, f2: Flag) -> bool:
+    """True when l1 (+) V2 = C^3 = l2 (+) V1, beyond FLAG_TOL."""
+    return (line_plane_det(f1.line, f2.plane) > FLAG_TOL
+            and line_plane_det(f2.line, f1.plane) > FLAG_TOL)

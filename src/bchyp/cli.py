@@ -17,7 +17,7 @@ configured datum, through the same check bundles for flatness,
 holonomy and the roundtrip (criteria.flatness_check, holonomy_checks,
 roundtrip_checks).  All numeric output is JSON (the run manifest) or
 CSV (point clouds); manifests are canonicalized (sorted keys, no
-timestamps or timings) so identical config + seed reproduces identical
+timestamps or timings) so an identical config reproduces identical
 bytes.  Wall times and runtime limits show only on the plain-text
 result lines.  Exit codes: 0 all checks passed, 1 a stage check failed
 or a stage stopped on one of the package's typed numeric failures (a
@@ -78,138 +78,143 @@ NUMERIC_FAILURES = (LinearSolveFailure, DidNotConverge, PathDependent,
                     NotReal, NotIsotropic, DegenerateFrame, NotUnimodular,
                     NotDiagonalizable)
 
+CLOUD_NODES = 64   # point clouds keep at most this many nodes per axis
+
 
 # ----------------------------------------------------------------------
 # configuration
 
-DEFAULTS = {
-    "grid": 64,
-    "chart": {"kind": "identity"},
-    "background": {"kg": 0.0},
-    "cubic": {"kind": "wang", "q": [1.2, 0.0]},
-    "solver": {"tol": 1e-10, "max_iter": 50},
-    "seed": 0,
+#: Every config entry with its type and default.  chart and cubic list
+#: their keys per kind under "kind"; the first kind is the default.  A
+#: complex value is a number or an [re, im] pair, and a bool is no number.
+#: seed is recorded in the manifest and never read.
+SCHEMA = {
+    "grid": (int, 64),
+    "chart": {"kind": {"identity": {},
+                       "constant": {"mu": (complex, 0.0)},
+                       "sine": {"eps": (float, 0.01)}}},
+    "background": {"kg": (float, 0.0)},
+    "cubic": {"kind": {"wang": {"q": (complex, [1.2, 0.0]),
+                                "perturb": (float, 0.0)},
+                       "pair": {"alpha": (complex, 1.0),
+                                "beta": (complex, 1.0),
+                                "perturb": (float, 0.0)}}},
+    "solver": {"tol": (float, 1e-10), "max_iter": (int, 50)},
+    "seed": (int, 0),
 }
 
-_SCHEMA = {
-    "grid": None,
-    "chart": {"kind", "mu", "eps"},
-    "background": {"kg"},
-    "cubic": {"kind", "q", "alpha", "beta", "perturb"},
-    "solver": {"tol", "max_iter"},
-    "seed": None,
-}
+
+def _typed(value, type_, what):
+    """value as a type_ (int, float or complex); ConfigError otherwise."""
+    parts = (value if type_ is complex and isinstance(value, list)
+             and len(value) == 2 else [value])
+    if not all(isinstance(v, int if type_ is int else (int, float))
+               and not isinstance(v, bool) for v in parts):
+        form = {int: "an integer", float: "a number",
+                complex: "a number or [re, im] pair"}[type_]
+        raise ConfigError(f"{what} must be {form}")
+    return type_(*parts)
 
 
-def _merge(user: dict) -> dict:
-    cfg = json.loads(json.dumps(DEFAULTS))
-    for key, value in user.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        allowed = _SCHEMA[key]
-        if allowed is None:
-            cfg[key] = value
-        else:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            bad = set(value) - allowed
-            if bad:
-                raise ConfigError(
-                    f"unknown config key {key!r}.{sorted(bad)[0]!r}")
-            cfg[key] = value
-    return cfg
+def _section(name: str, given: dict) -> tuple[dict, dict]:
+    """(given over the defaults, {key: (type, default)} but "kind") of
+    section name; a section with kinds has the keys of the given kind."""
+    spec, defaults = SCHEMA[name], {}
+    if "kind" in spec:
+        kind = ({"kind": next(iter(spec["kind"]))} | given)["kind"]
+        if not isinstance(kind, str) or kind not in spec["kind"]:
+            raise ConfigError(f"unknown {name} kind {kind!r}")
+        spec, defaults = spec["kind"][kind], {"kind": kind}
+    defaults |= {key: default for key, (_, default) in spec.items()}
+    bad = sorted(set(given) - set(defaults))
+    if bad:
+        raise ConfigError(f"unknown config key {name!r}.{bad[0]!r}" + (
+            f" for {name} kind {kind!r}" if "kind" in defaults else ""))
+    return defaults | given, spec
+
+
+def read(cfg: dict, name: str):
+    """Config entry name checked against SCHEMA, defaulted and typed: a
+    number for grid and seed, else a dict of every key of the section."""
+    spec, given = SCHEMA[name], cfg[name]
+    if isinstance(spec, tuple):
+        return _typed(given, spec[0], name)
+    if not isinstance(given, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    values, spec = _section(name, given)
+    return values | {key: _typed(values[key], type_, f"{name}.{key}")
+                     for key, (type_, _) in spec.items()}
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read {what}: {e}") from e
 
 
 def load_config(path: str | None) -> dict:
-    """Read, validate, and default-fill an experiment config."""
-    if path is None:
-        user = {}
-    else:
-        try:
-            user = json.loads(Path(path).read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read config: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
-        if not isinstance(user, dict):
-            raise ConfigError("config must be a JSON object")
-    cfg = _merge(user)
-    if not isinstance(cfg["grid"], int):
-        raise ConfigError("grid must be an integer")
+    """Read and validate an experiment config; entries it leaves out
+    take their SCHEMA defaults, and a given section is kept as given."""
+    user = {} if path is None else _read_json(path, "config")
+    if not isinstance(user, dict):
+        raise ConfigError("config must be a JSON object")
+    bad = sorted(set(user) - set(SCHEMA))
+    if bad:
+        raise ConfigError(f"unknown config key {bad[0]!r}")
+    defaults = {name: spec[1] if isinstance(spec, tuple)
+                else _section(name, {})[0] for name, spec in SCHEMA.items()}
+    # a copy, so no caller can change the defaults through cfg
+    cfg = json.loads(json.dumps(defaults)) | user
+    for name in SCHEMA:
+        read(cfg, name)
     return cfg
 
 
-def _as_complex(v, what):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)):
-        return complex(v[0], v[1])
-    raise ConfigError(f"{what} must be a number or [re, im] pair")
-
-
 def build_chart(cfg: dict, grid: TorusGrid) -> BeltramiChart:
-    section = cfg["chart"]
-    kind = section.get("kind", "identity")
-    try:
-        if kind == "identity":
-            return BeltramiChart.identity(grid)
-        if kind == "constant":
-            mu = _as_complex(section.get("mu", 0.0), "chart.mu")
-            if not symbol_check(mu):
-                raise ConfigError(
-                    "chart fails the ellipticity symbol check")
-            return BeltramiChart.constant_mu(grid, mu)
-        if kind == "sine":
-            return BeltramiChart.sine_perturbed(
-                grid, float(section.get("eps", 0.01)))
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"invalid chart: {e}") from e
-    raise ConfigError(f"unknown chart kind {kind!r}")
+    chart = read(cfg, "chart")
+    if chart["kind"] == "constant":
+        if not symbol_check(chart["mu"]):
+            raise ConfigError("chart fails the ellipticity symbol check")
+        return BeltramiChart.constant_mu(grid, chart["mu"])
+    if chart["kind"] == "sine":
+        return BeltramiChart.sine_perturbed(grid, chart["eps"])
+    return BeltramiChart.identity(grid)
 
 
 def build_problem(cfg: dict):
-    grid = TorusGrid(int(cfg["grid"]))
-    chart = build_chart(cfg, grid)
-    section = cfg["cubic"]
-    kind = section.get("kind", "wang")
-    if kind == "wang":
-        q = _as_complex(section.get("q", 1.0), "cubic.q")
-        alpha = np.full((grid.n, grid.n), q)
-        beta = np.full((grid.n, grid.n), np.conj(q))
-    elif kind == "pair":
-        alpha = np.full((grid.n, grid.n),
-                        _as_complex(section.get("alpha", 1.0), "cubic.alpha"))
-        beta = np.full((grid.n, grid.n),
-                       _as_complex(section.get("beta", 1.0), "cubic.beta"))
-    else:
-        raise ConfigError(f"unknown cubic kind {kind!r}")
-    amp = float(section.get("perturb", 0.0))
-    if amp:
-        alpha = alpha + amp * np.exp(2j * np.pi * grid.x)
-    C = CubicPair(grid, alpha, beta)
-    bg = ComplexMetric(chart, 0.0)
-    kg = float(cfg["background"].get("kg", 0.0))
-    return GaussProblem(bg, C, Kg=kg), chart, grid, kind
+    """(GaussProblem, chart, grid, cubic kind) of a config; a datum the
+    constructors reject is a ConfigError."""
+    cubic = read(cfg, "cubic")
+    try:
+        grid = TorusGrid(read(cfg, "grid"))
+        chart = build_chart(cfg, grid)
+        if cubic["kind"] == "wang":
+            alpha, beta = cubic["q"], np.conj(cubic["q"])
+        else:
+            alpha, beta = cubic["alpha"], cubic["beta"]
+        if cubic["perturb"]:
+            alpha = alpha + cubic["perturb"] * np.exp(2j * np.pi * grid.x)
+        problem = GaussProblem(ComplexMetric(chart, 0.0),
+                               CubicPair(grid, alpha, beta),
+                               Kg=read(cfg, "background")["kg"])
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"invalid datum: {e}") from e
+    return problem, chart, grid, cubic["kind"]
 
 
 def load_generators(path: str) -> Representation:
     """Generator file: a JSON list of 3x3 complex matrices, entries as
     numbers or [re, im] pairs; names assigned a, b, c, ..."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ConfigError(f"cannot read generators: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"generators are not valid JSON: {e}") from e
+    raw = _read_json(path, "generator file")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("generator file must be a non-empty JSON list")
     gens = {}
     for k, mat in enumerate(raw):
         try:
-            M = np.array([[_as_complex(e, "matrix entry") for e in row]
+            M = np.array([[_typed(e, complex, "matrix entry") for e in row]
                           for row in mat])
         except (TypeError, ConfigError) as e:
             raise ConfigError(f"generator {k}: {e}") from e
@@ -290,23 +295,18 @@ def stage_gauss(args):
     if args.config is None:
         return [criteria.criterion_4()]
     t0 = time.perf_counter()
-    cfg = args.cfg
-    problem, chart, grid, _ = build_problem(cfg)
-    tol = float(cfg["solver"]["tol"])
-    rep = solve_newton(problem, tol=tol,
-                       max_iter=int(cfg["solver"]["max_iter"]))
+    rep, problem, *_ = _solved_from_config(args.cfg)
+    solver = read(args.cfg, "solver")
     res = float(np.abs(residual_background(rep.psi, problem)).max())
     checks = [("converged", 0.0 if rep.converged else 1.0, 0.0),
-              ("residual", res, tol),
-              ("iterations", float(rep.iterations),
-               float(cfg["solver"]["max_iter"]))]
+              ("residual", res, solver["tol"]),
+              ("iterations", float(rep.iterations), solver["max_iter"])]
     return [criteria._result(4, "Gauss solve (config)", checks, t0)]
 
 
 def _solved_from_config(cfg):
     problem, chart, grid, kind = build_problem(cfg)
-    rep = solve_newton(problem, tol=float(cfg["solver"]["tol"]),
-                       max_iter=int(cfg["solver"]["max_iter"]))
+    rep = solve_newton(problem, **read(cfg, "solver"))
     return rep, problem, chart, grid, kind
 
 
@@ -344,11 +344,11 @@ def stage_affine(args):
     return [result]
 
 
-def _write_point_cloud(outdir: Path, pair, max_nodes: int = 64):
+def _write_point_cloud(outdir: Path, pair):
     """CSV point cloud of f+ of an integrated pair, strided down to at
-    most max_nodes x max_nodes nodes; x, y are the node coordinates."""
+    most CLOUD_NODES x CLOUD_NODES nodes; x, y are the node coordinates."""
     n = pair.n
-    stride = -(-n // max_nodes)
+    stride = -(-n // CLOUD_NODES)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = ["x,y,f1,f2,f3"]
     f = pair.fplus
@@ -385,11 +385,10 @@ def stage_pipeline(args):
     """solve -> assemble -> flatness -> holonomy -> (Hitchin) roundtrip;
     each result's runtime covers its own step."""
     t0 = time.perf_counter()
-    cfg = args.cfg
-    rep, problem, chart, grid, kind = _solved_from_config(cfg)
+    rep, problem, chart, grid, kind = _solved_from_config(args.cfg)
     res = float(np.abs(residual_background(rep.psi, problem)).max())
-    results = [criteria._result(
-        4, "solve", [("residual", res, float(cfg["solver"]["tol"]))], t0)]
+    results = [criteria._result(4, "solve", [
+        ("residual", res, read(args.cfg, "solver")["tol"])], t0)]
 
     t0 = time.perf_counter()
     conn = assemble(rep.psi, problem.C, chart)

@@ -81,6 +81,7 @@ HTILDE = np.array([[0.0, 1.0, 0.0],
                    [0.0, 0.0, 1.0]])
 
 FLATNESS_WARN = 1e-4
+SL3_TOL = 1e-8      # to_sl3's compatibility bound, relative to the scale
 
 #: theta_m for the degree-m truncated Taylor series of exp: for
 #: ||S||_1 <= theta_m the series is exact up to a backward error of unit
@@ -546,17 +547,17 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
     return BcMat3(*parts)
 
 
-def to_sl3(M: BcMat3, tol: float = 1e-8) -> tuple[np.ndarray, float]:
+def to_sl3(M: BcMat3) -> tuple[np.ndarray, float]:
     """Extract the SL(3,C) representative of an ambient-gauge element.
 
     Checks the idempotent compatibility M_minus = Q (M_plus^-1)^T Q within
-    tol (relative to the matrix scale) and returns (M_plus, |det - 1|);
-    the determinant defect is reported, not enforced.
+    SL3_TOL (relative to the matrix scale) and returns (M_plus,
+    |det - 1|); the determinant defect is reported, not enforced.
     """
     resid = compatibility_residual(M)
-    if resid > tol * max(1.0, M.norm_max()):
+    if resid > SL3_TOL * max(1.0, M.norm_max()):
         raise NotInImage(f"compatibility residual {resid:.3e} exceeds "
-                         f"{tol:.1e}")
+                         f"{SL3_TOL:.1e}")
     defect = float(abs(np.linalg.det(M.plus) - 1.0))
     return M.plus.copy(), defect
 

@@ -186,10 +186,10 @@ def _test_phi(g):
             + 0.5 * np.sin(2 * np.pi * (g.x + g.y)))
 
 
-def _solved_sine(n, eps=0.01):
+def _solved_sine(n):
     """Gauss-solved constant cubic datum over the smooth sine chart."""
     grid = TorusGrid(n)
-    chart = BeltramiChart.sine_perturbed(grid, eps)
+    chart = BeltramiChart.sine_perturbed(grid, 0.01)
     C = CubicPair(grid, 0.6, 0.6, holomorphic=True)
     report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C))
     return report.psi, C, chart
@@ -205,13 +205,13 @@ def fuchsian_generators():
     return irreducible_embed(A), irreducible_embed(B)
 
 
-def reducible_generators(seed=7):
+def reducible_generators():
     """A seeded conjugate of an upper-triangular pair: the shared
     invariant line/plane survive conjugation, the triangular shape does
     not, so the degeneracy is only visible to the flag diagnostics."""
     T1 = np.array([[2, 1, 0], [0, 1, 1], [0, 0, 0.5]], dtype=float)
     T2 = np.array([[3, 0.5, 1], [0, 1 / 3, 0.3], [0, 0, 1]], dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     G = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
     G = G / np.linalg.det(G) ** (1 / 3)
     Gi = np.linalg.inv(G)

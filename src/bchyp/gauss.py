@@ -35,6 +35,7 @@ Steps are damped by halving on the residual max-norm.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ __all__ = [
     "solve_newton", "wang_specialize", "project_discrete_kernel",
     "laplacian_matrix", "laplacian_symbol",
 ]
+
+MAX_HALVINGS = 10   # damping halvings per Newton step before it stalls
 
 
 class ChartMismatch(ValueError):
@@ -95,10 +98,9 @@ def project_discrete_kernel(f: np.ndarray) -> np.ndarray:
 class GaussProblem:
     """Background metric + cubic datum + explicit K_g field."""
 
-    __slots__ = ("background", "C", "Kg", "initial", "cnorm_g")
+    __slots__ = ("background", "C", "Kg", "cnorm_g")
 
-    def __init__(self, background: ComplexMetric, C: CubicPair,
-                 Kg=None, initial=None):
+    def __init__(self, background: ComplexMetric, C: CubicPair, Kg=None):
         grid = background.grid
         if C.grid != grid:
             raise ValueError("cubic pair and background live on different grids")
@@ -113,9 +115,8 @@ class GaussProblem:
         object.__setattr__(self, "background", background)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "Kg", grid.field(Kg))
-        object.__setattr__(self, "initial",
-                           None if initial is None else grid.field(initial))
-        object.__setattr__(self, "cnorm_g", cubic_norm(background, C))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            object.__setattr__(self, "cnorm_g", cubic_norm(background, C))
         if not np.all(np.isfinite(self.cnorm_g)):
             raise ValueError("|C|^2_g is not finite")
 
@@ -127,9 +128,7 @@ class GaussProblem:
         return self.background.grid
 
     def initial_guess(self) -> np.ndarray:
-        """Stored psi0, else the constant root of the averaged data."""
-        if self.initial is not None:
-            return self.initial.copy()
+        """The constant root of the averaged data (zero if it has none)."""
         c = float(np.mean(self.cnorm_g).real)
         kg = float(np.mean(self.Kg).real)
         try:
@@ -192,7 +191,10 @@ def residual_intrinsic(psi, problem: GaussProblem) -> np.ndarray:
 def constant_root(c: float, Kg: float) -> float:
     """Largest positive root of -Kg - u + 8c/u^2 = 0, to 1e-14.
 
-    Equivalently the largest positive root of p(u) = u^3 + Kg u^2 - 8c.
+    Equivalently the largest real root of p(u) = u^3 + Kg u^2 - 8c: with
+    u = t - Kg/3, the trigonometric form of the depressed cubic in t when
+    all three roots are real, else Cardano's formula, and then at most
+    two Newton steps.
     """
     c = float(c)
     Kg = float(Kg)
@@ -203,21 +205,18 @@ def constant_root(c: float, Kg: float) -> float:
             raise NoPositiveRoot(f"c = 0 and Kg = {Kg} >= 0")
         u = -Kg
     else:
-        p = lambda u: u ** 3 + Kg * u ** 2 - 8 * c
-        lo = 0.0
-        hi = max(1.0, -2.0 * Kg, (8 * c) ** (1 / 3) + max(0.0, -Kg))
-        while p(hi) <= 0:
-            hi *= 2
-        for _ in range(200):          # bisection to a tight bracket
-            mid = 0.5 * (lo + hi)
-            if p(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-12 * max(1.0, hi):
-                break
-        u = 0.5 * (lo + hi)
-    for _ in range(100):              # Newton polish
+        a = -Kg * Kg / 3.0
+        b = 2.0 * Kg ** 3 / 27.0 - 8.0 * c
+        disc = 0.25 * b * b + a ** 3 / 27.0
+        if disc < 0:
+            r = math.sqrt(-a / 3.0)
+            cos3 = max(-1.0, min(1.0, -0.5 * b / r ** 3))
+            t = 2.0 * r * math.cos(math.acos(cos3) / 3.0)
+        else:
+            s = math.copysign(math.cbrt(0.5 * abs(b) + math.sqrt(disc)), -b)
+            t = s - a / (3.0 * s)
+        u = t - Kg / 3.0
+    for _ in range(2):                # Newton polish
         f = u ** 3 + Kg * u ** 2 - 8 * c
         df = 3 * u ** 2 + 2 * Kg * u
         if df == 0:
@@ -306,7 +305,7 @@ def _solve_krylov(background: ComplexMetric, weight: np.ndarray,
 
 
 def solve_newton(problem: GaussProblem, tol: float = 1e-10,
-                 max_iter: int = 50, max_halvings: int = 10) -> SolveReport:
+                 max_iter: int = 50) -> SolveReport:
     """Damped Newton on residual_background down to max-abs tol."""
     psi = problem.initial_guess()
     F = residual_background(psi, problem)
@@ -321,7 +320,7 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
         delta, count = _solve_krylov(problem.background, weight, F)
         krylov.append(count)
         t = 1.0
-        for k in range(max_halvings + 1):
+        for k in range(MAX_HALVINGS + 1):
             trial = psi + t * delta
             Ft = residual_background(trial, problem)
             rt = float(np.abs(Ft).max())
@@ -338,20 +337,15 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
     raise DidNotConverge(max_iter, res)
 
 
-def wang_specialize(q, grid: TorusGrid | None = None,
-                    Kg=0.0) -> GaussProblem:
-    """Hitchin-locus (affine sphere) problem for a cubic differential q.
+def wang_specialize(q, grid: TorusGrid) -> GaussProblem:
+    """Hitchin-locus (affine sphere) problem for a cubic differential q
+    (a scalar or a field on grid) over the flat torus.
 
     Wang's normalization q relates to the pair by alpha = beta = q/2, so
     that 2|q|^2_{g_B} of the solved Blaschke metric equals 8|C|^2_h
     exactly, and the solved metric satisfies K - 2|q|^2 = -1.
     """
-    if grid is None:
-        qa = np.asarray(q)
-        if qa.ndim != 2:
-            raise ValueError("pass a grid for scalar q")
-        grid = TorusGrid(qa.shape[0])
     qf = grid.field(q)
     bg = ComplexMetric(BeltramiChart.identity(grid), 0.0)
     C = CubicPair(grid, qf / 2.0, qf / 2.0, holomorphic=True)
-    return GaussProblem(bg, C, Kg=Kg)
+    return GaussProblem(bg, C, Kg=0.0)

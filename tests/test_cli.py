@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config validation, manifest
 determinism, and artifact output."""
 
+import importlib.util
 import itertools
 import json
 import os
@@ -225,6 +226,59 @@ def test_partial_config_merges(tmp_path):
     assert cfg["solver"]["tol"] == 1e-10
 
 
+@pytest.mark.parametrize("payload", [
+    {"grid": 100},
+    {"grid": 8},
+    {"grid": True},
+    {"solver": {"tol": "x"}},
+    {"cubic": {"perturb": "a"}},
+    {"background": {"kg": "x"}},
+    {"cubic": {"kind": "wang", "q": 1e200}},
+    {"solver": {"tol": 1e-10, "max_iter": 2.5}},
+    {"solver": {"tol": 1e-10, "max_iter": "5"}},
+    {"seed": "abc"},
+    {"chart": {"kind": "identity", "mu": 0.3}},
+], ids=["grid_100", "grid_8", "grid_bool", "tol_str", "perturb_str",
+        "kg_str", "q_overflow", "max_iter_float", "max_iter_str",
+        "seed_str", "mu_on_identity"])
+def test_malformed_config_exits_two(tmp_path, capsys, payload):
+    cfg = write_cfg(tmp_path, {"grid": 16} | payload)
+    assert main(["gauss", "solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _solver_calls(monkeypatch):
+    calls = []
+    solve = cli.solve_newton
+
+    def recorded(problem, **kwargs):
+        rep = solve(problem, **kwargs)
+        calls.append((kwargs, rep.psi))
+        return rep
+    monkeypatch.setattr(cli, "solve_newton", recorded)
+    return calls
+
+
+def test_partial_section_keeps_the_other_defaults(tmp_path, capsys,
+                                                  monkeypatch):
+    calls = _solver_calls(monkeypatch)
+    cfg = write_cfg(tmp_path, {"grid": 16, "solver": {"max_iter": 5}})
+    assert main(["gauss", "solve", "--config", cfg]) == 0
+    assert calls[0][0] == {"tol": 1e-10, "max_iter": 5}
+
+
+def test_wang_kind_alone_takes_the_default_q(tmp_path, capsys,
+                                             monkeypatch):
+    calls = _solver_calls(monkeypatch)
+    for payload in ({"grid": 16}, {"grid": 16, "cubic": {"kind": "wang"}}):
+        assert main(["gauss", "solve", "--config",
+                     write_cfg(tmp_path, payload)]) == 0
+    (_, omitted), (_, wang) = calls
+    assert np.array_equal(omitted, wang)
+
+
 def test_non_object_config_rejected(tmp_path):
     p = tmp_path / "list.json"
     p.write_text("[1, 2]")
@@ -390,6 +444,24 @@ def test_cli_calls_go_through_the_patched_names(monkeypatch, capsys):
     assert sorted(args[1].steps[0] for args in calls["holonomy"]) == [
         (0, 1), (1, 0)]
     assert isinstance(calls["solve_newton"][0][0], cli.GaussProblem)
+
+
+def test_benchmark_hooks_resolve():
+    """perfbench/spans.py replaces these attributes by name, and
+    perfbench/test_checks.py unpacks build_problem's 4-tuple; renaming or
+    inlining them would break the traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for owner, attr, *_ in spans.LAYERS + spans.CAPTURES:
+        assert callable(getattr(spans._owner(bchyp, owner), attr))
+    cfg = load_config(None)
+    cfg.update({"grid": 16, "cubic": {"kind": "wang", "q": [1.2, 0.0]}})
+    problem, chart, grid, kind = cli.build_problem(cfg)
+    assert (isinstance(problem, GaussProblem), grid.n, kind) == (
+        True, 16, "wang")
+    assert problem.background.chart is chart
 
 
 def test_constant_pipeline_exact(capsys):

@@ -62,6 +62,18 @@ def test_constant_root_polish_accuracy():
         assert abs(u ** 3 + kg * u ** 2 - 8 * c) < 1e-12 * max(1.0, 8 * c)
 
 
+def test_constant_root_matches_companion_roots():
+    # closed form against the largest positive real eigenvalue root of
+    # u^3 + Kg u^2 - 8c on a seeded grid; c >= 1e-3 keeps np.roots itself
+    # accurate (its absolute error is about eps |Kg|)
+    rng = np.random.default_rng(13)
+    for c, kg in zip(10.0 ** rng.uniform(-3, 3, 200), rng.uniform(-5, 5, 200)):
+        roots = np.roots([1.0, kg, 0.0, -8.0 * c])
+        real = roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real
+        ref = real[real > 0].max()
+        assert abs(constant_root(c, kg) - ref) <= 1e-13 * ref
+
+
 def test_constant_root_picks_largest():
     # Kg < 0 with small c: roots near 0 and near -Kg; want the largest
     u = constant_root(1e-4, -1.0)
