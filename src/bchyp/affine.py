@@ -43,7 +43,8 @@ import numpy as np
 from . import mat3
 from .bicomplex import Q3
 from .connection import (
-    F0, FlatConnectionField, expm_steps, grid_step_generators, transport,
+    F0, PARTS, FlatConnectionField, expm_steps, grid_step_generators,
+    transport,
 )
 from .metric import (
     BeltramiChart, CubicPair, centered_dx, centered_dy, stencil_symbols,
@@ -101,9 +102,12 @@ class DegenerateFrame(ArithmeticError):
 def eta(u, v) -> np.ndarray:
     """Quadric pairing eta(u, v) = v^T Q3 u on (..., 3) stacks.
 
-    Q3 is symmetric, so the order of the arguments is immaterial.
+    Q3 = diag(1, 1, -1), so the pairing is u0 v0 + u1 v1 - u2 v2 and
+    the order of the arguments is immaterial.
     """
-    return np.einsum("...i,ij,...j->...", np.asarray(v), Q3, np.asarray(u))
+    u, v = np.asarray(u), np.asarray(v)
+    return (u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+            - u[..., 2] * v[..., 2])
 
 
 def _mask_margin(arr: np.ndarray, margin: int) -> np.ndarray:
@@ -209,10 +213,12 @@ class BlaschkeData:
             raise ValueError("gB/shapeS must be (n, n, 2, 2)")
         if C.shape != (n, n, 2, 2, 2):
             raise ValueError("pickC must be (n, n, 2, 2, 2)")
+        # a 2x2x2 tensor is totally symmetric iff C_001 = C_010 = C_100
+        # and C_011 = C_101 = C_110
         dev = 0.0
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            axes = (0, 1) + tuple(2 + p for p in perm)
-            d = np.abs(C - np.transpose(C, axes))
+        for u, v in (((0, 0, 1), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)),
+                     ((0, 1, 1), (1, 0, 1)), ((1, 0, 1), (1, 1, 0))):
+            d = np.abs(C[(...,) + u] - C[(...,) + v])
             if np.any(~np.isnan(d)):
                 dev = max(dev, float(np.nanmax(d)))
         if dev > 1e-10:
@@ -308,12 +314,17 @@ def _require_real(conn: FlatConnectionField):
         float(np.max(np.abs(chart.logB))))
     if chart_dev > REAL_TOL:
         raise NotReal(f"chart deviates from the flat chart by {chart_dev:.3e}")
-    scale = max(1.0, conn.Ahat.max_abs(), conn.Bhat.max_abs())
+    scale = max(1.0, conn.max_abs())
     dev = 0.0
-    for a, b in ((conn.Ahat.plus, conn.Bhat.plus),
-                 (conn.Ahat.minus, conn.Bhat.minus)):
-        sw = b[..., SWAP12, :][..., SWAP12]
-        dev = max(dev, float(np.max(np.abs(np.conj(a) - sw))))
+    for part in PARTS:
+        a, b = conn.planes["Ahat"][part], conn.planes["Bhat"][part]
+        for i in range(3):
+            for j in range(3):
+                # conj(Ahat)_ij against Bhat at the swapped indices; an
+                # absent plane is zero
+                d = (np.conj(a.get((i, j), 0.0))
+                     - b.get((SWAP12[i], SWAP12[j]), 0.0))
+                dev = max(dev, float(np.max(np.abs(d))))
     if dev > REAL_TOL * scale:
         raise NotReal(f"conjugate-swap defect {dev:.3e} exceeds "
                       f"{REAL_TOL * scale:.3e}")
@@ -322,41 +333,56 @@ def _require_real(conn: FlatConnectionField):
 def _sweep(Ex, Ey, Exi, Eyi, base):
     """Accumulate G over the grid from base, one axis then the other.
 
-    Ex[iy, ix] is the step exponential of the edge (ix -> ix+1) in row
-    iy, likewise Ey for columns; four transports fill G in place, forward
-    and back along the base row, then along every column.  The reverse
-    ones read the inverses Exi[iy, ix] (ix < ix0 only) and Eyi[iy]
-    (iy < iy0 only), so those arrays hold just the edges behind the base.
+    All arguments are (3, 3, ny, nx) planes.  Ex[:, :, iy, ix] is the
+    step exponential of the edge (ix -> ix+1) in row iy, likewise Ey for
+    columns; four transports fill G in place, forward and back along the
+    base row, then along every column, one grid row of frames per step.
+    The reverse ones read the inverses Exi[:, :, iy, ix] (ix < ix0 only)
+    and Eyi[:, :, iy] (iy < iy0 only), so those arrays hold just the
+    edges behind the base.
     """
     iy0, ix0 = base
     G = np.empty_like(Ex)
-    row = G[iy0]
-    transport(Ex[iy0, ix0:-1], out=row[ix0:])
-    transport(Exi[iy0, ::-1], row[ix0], out=row[ix0::-1])
-    transport(Ey[iy0:-1], row, out=G[iy0:])
-    transport(Eyi[::-1], row, out=G[iy0::-1])
+    row = G[:, :, iy0]
+    transport(Ex[:, :, iy0, ix0:-1], out=row[:, :, ix0:])
+    transport(Exi[:, :, iy0, ::-1], row[:, :, ix0], out=row[:, :, ix0::-1])
+    transport(Ey[:, :, iy0:-1], row, out=G[:, :, iy0:])
+    transport(Eyi[:, :, ::-1], row, out=G[:, :, iy0::-1])
     return G
 
 
-def _integrate_part(Sx, Sy, base, sl):
-    """Frame of one idempotent part from its x- and y-step generators.
+def _integrate_part(conn, part, base, sl):
+    """Frame of one idempotent part, integrated both ways.
 
-    Returns the lift column of the row-then-column frame, the max-abs
-    disagreement with the column-then-row frame on [sl, sl], and the
-    frame size there.
+    Builds the x- and y-step generators and their exponentials (inverse
+    steps only for the edges behind the base), sweeps row-then-column,
+    then column-then-row over contiguous transposed copies of the same
+    exponentials, so both sweeps walk whole grid rows.  Returns the lift
+    column of the row-then-column frame as (3, n, n) planes, the max-abs
+    disagreement of the two frames on [sl, sl], and the frame size
+    there.  Each generator field is released once exponentiated.
     """
     iy0, ix0 = base
-    Ex, Exi = expm_steps(Sx), expm_steps(-Sx[:, :ix0])
-    Ey, Eyi = expm_steps(Sy), expm_steps(-Sy[:iy0])
+    S = grid_step_generators(conn, part, 0)
+    Ex, Exi = expm_steps(S), expm_steps(-S[..., :ix0])
+    S = grid_step_generators(conn, part, 1)
+    Ey, Eyi = expm_steps(S), expm_steps(-S[:, :, :iy0])
+    del S
     G_xy = _sweep(Ex, Ey, Exi, Eyi, base)
     # column-then-row: same edges, roles of the axes exchanged
-    Gt = _sweep(Ey.transpose(1, 0, 2, 3), Ex.transpose(1, 0, 2, 3),
-                Eyi.transpose(1, 0, 2, 3), Exi.transpose(1, 0, 2, 3),
-                (ix0, iy0))
-    G_yx = Gt.transpose(1, 0, 2, 3)
-    resid = float(np.max(np.abs((G_xy - G_yx)[sl, sl])))
-    gmax = float(np.max(np.abs(G_xy[sl, sl])))
-    return G_xy[..., :, 2].copy(), resid, gmax
+    Ex = np.ascontiguousarray(Ex.swapaxes(2, 3))
+    Ey = np.ascontiguousarray(Ey.swapaxes(2, 3))
+    Exi = np.ascontiguousarray(Exi.swapaxes(2, 3))
+    Eyi = np.ascontiguousarray(Eyi.swapaxes(2, 3))
+    Gt = _sweep(Ey, Ex, Eyi, Exi, (ix0, iy0))
+    del Ex, Ey, Exi, Eyi
+    # plane by plane, so no grid-sized difference is held; np.max keeps
+    # a NaN
+    entries = [(i, j) for i in range(3) for j in range(3)]
+    resid = np.max([np.abs(G_xy[i, j, sl, sl] - Gt[i, j].T[sl, sl]).max()
+                    for i, j in entries])
+    gmax = np.max([np.abs(G_xy[i, j, sl, sl]).max() for i, j in entries])
+    return G_xy[:, 2].copy(), float(resid), float(gmax)
 
 
 def integrate_frame(conn: FlatConnectionField, base=(0, 0),
@@ -365,19 +391,19 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
 
     The frame solves dG = G Omega with G(base) = Id (q-orthonormal,
     lift column (0, 0, 1)) through the transport kernel that holonomy
-    uses (connection.grid_step_generators, expm_steps and transport);
-    inverse steps are exponentiated only for the edges behind the
-    base.  The lift is the third column of G; conjugating by the model
-    frame F0 turns the conjugate-swap symmetry of real data into
-    literal realness of f+ = F0 sigma_plus, f- = F0 sigma_minus.  Each
-    step is exactly Gram-compatible, so eta(f+, f-) = -1 propagates to
-    rounding.
+    uses (connection.grid_step_generators, expm_steps and transport),
+    on (3, 3, n, n) entry planes throughout; inverse steps are
+    exponentiated only for the edges behind the base.  The lift is the
+    third column of G; conjugating by the model frame F0 turns the
+    conjugate-swap symmetry of real data into literal realness of
+    f+ = F0 sigma_plus, f- = F0 sigma_minus.  Each step is exactly
+    Gram-compatible, so eta(f+, f-) = -1 propagates to rounding.
 
-    Row-then-column and column-then-row orders are both integrated;
-    their disagreement (max over both idempotent parts, optionally
-    trimmed by `trim` nodes for data whose seam rows are invalid) must
-    stay below PATH_TOL spacing^2 scaled by the frame size, else
-    PathDependent.
+    Row-then-column and column-then-row orders are both integrated from
+    the same exponentials; their disagreement over the whole grid (max
+    over both idempotent parts, optionally trimmed by `trim` nodes for
+    data whose seam rows are invalid) must stay below PATH_TOL
+    spacing^2 scaled by the frame size, else PathDependent.
     """
     _require_real(conn)
     grid = conn.chart.grid
@@ -385,17 +411,14 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     iy0, ix0 = base
     if not (0 <= iy0 < n and 0 <= ix0 < n):
         raise ValueError(f"base {base} outside grid")
-    # x steps (ix -> ix+1) and y steps (iy -> iy+1) from every node, one
-    # idempotent part at a time: a part's generators and exponentials
-    # are released before the next part's are built
+    # one idempotent part at a time: a part's generators and
+    # exponentials are released before the next part's are built
     sl = slice(trim, n - trim) if trim > 0 else slice(None)
     sigma = {}
     resid = 0.0
     gmax = 0.0
-    for part in ("plus", "minus"):
-        sigma[part], r, g = _integrate_part(
-            grid_step_generators(conn, part, 0),
-            grid_step_generators(conn, part, 1), base, sl)
+    for part in PARTS:
+        sigma[part], r, g = _integrate_part(conn, part, base, sl)
         resid = float(np.maximum(resid, r))
         gmax = float(np.maximum(gmax, g))
 
@@ -404,8 +427,10 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
         raise PathDependent(resid, tol)
 
     out = {}
-    for part in ("plus", "minus"):
-        amb = np.einsum("ij,...j->...i", F0, sigma[part])
+    for part in PARTS:
+        s = sigma[part]
+        amb = np.stack([F0[i, 0] * s[0] + F0[i, 1] * s[1] + F0[i, 2] * s[2]
+                        for i in range(3)], axis=-1)
         imax = float(np.max(np.abs(amb.imag)))
         if imax > 1e-7 * max(1.0, float(np.max(np.abs(amb)))):
             raise NotReal(f"projected {part} lift has imaginary part {imax:.3e}")
@@ -427,67 +452,90 @@ def _fit_structure(pair: AffinePair):
     C(X,Y,Z) = gB((LC(gB) - induced)(X,Y), Z), symmetrized, with the
     raw asymmetry defect.  Non-periodic output carries NaN margins
     (gB: 2, xi: 3, C: 3, S: 4 nodes deep).
+
+    The fit runs on entry planes: the frame and the right-hand sides are
+    (3, 3, n, n) planes (rows the components, columns the vectors), both
+    solves share the frame's adjugate and determinant, and the 2x2
+    metric and Pick algebra is written out entry by entry over the
+    independent entries (g_00, g_01, g_11; Christoffel and Pick entries
+    up to symmetry).  The results are stacked only on output.
     """
     f = pair.fplus
     h = pair.spacing
     per = pair.periodic
-    fx, fy = centered_dx(f, h), centered_dy(f, h)
-    fxx, fxy, fyy = centered_dx(fx, h), centered_dy(fx, h), centered_dy(fy, h)
+    n = pair.n
+    frame = np.empty((3, 3, n, n))       # columns f_x, f_y, f
+    second = np.empty((3, 3, n, n))      # columns f_xx, f_xy, f_yy
+    for i in range(3):
+        fi = f[..., i]
+        fx, fy = centered_dx(fi, h), centered_dy(fi, h)
+        frame[i, 0], frame[i, 1], frame[i, 2] = fx, fy, fi
+        second[i, 0] = centered_dx(fx, h)
+        second[i, 1] = centered_dy(fx, h)
+        second[i, 2] = centered_dy(fy, h)
 
-    frame = mat3.planes(np.stack([fx, fy, f], axis=-1))
     det = mat3.det(frame)
     det_valid = det if per else _interior(det, 2)
     if float(np.min(np.abs(det_valid))) < 1e-10:
         raise DegenerateFrame(
             f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
+    # X = adj B / det, the solve of mat3.solve with adj and det shared
+    adj = mat3.adj(frame)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = mat3.matmul(adj, second)      # [k, {xx, xy, yy}]
+        coef /= det
 
-    # planes (3, {xx, xy, yy}, n, n)
-    coef = mat3.solve(frame, mat3.planes(np.stack([fxx, fxy, fyy], axis=-1)))
-    gB = np.empty(f.shape[:2] + (2, 2))
-    gB[..., 0, 0] = coef[2, 0]
-    gB[..., 0, 1] = gB[..., 1, 0] = coef[2, 1]
-    gB[..., 1, 1] = coef[2, 2]
-    gammabar = np.empty(f.shape[:2] + (2, 2, 2))   # [..., k, a, b]
-    for k in (0, 1):
-        gammabar[..., k, 0, 0] = coef[k, 0]
-        gammabar[..., k, 0, 1] = gammabar[..., k, 1, 0] = coef[k, 1]
-        gammabar[..., k, 1, 1] = coef[k, 2]
-
-    detg = gB[..., 0, 0] * gB[..., 1, 1] - gB[..., 0, 1] ** 2
+    g00, g01, g11 = coef[2]
+    detg = g00 * g11 - g01 ** 2
     sg = np.sqrt(np.abs(detg))
-    ginv = np.empty_like(gB)
-    ginv[..., 0, 0] = gB[..., 1, 1] / detg
-    ginv[..., 1, 1] = gB[..., 0, 0] / detg
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -gB[..., 0, 1] / detg
+    i00, i01, i11 = g11 / detg, -g01 / detg, g00 / detg
 
-    flux_x = sg[..., None] * (ginv[..., 0, 0, None] * fx
-                              + ginv[..., 0, 1, None] * fy)
-    flux_y = sg[..., None] * (ginv[..., 1, 0, None] * fx
-                              + ginv[..., 1, 1, None] * fy)
-    xi = ((centered_dx(flux_x, h) + centered_dy(flux_y, h))
-          / (2.0 * sg[..., None]))
+    xi = np.empty((3, n, n))
+    dxi = np.empty((3, 2, n, n))         # columns d_x xi, d_y xi
+    for i in range(3):
+        fx, fy = frame[i, 0], frame[i, 1]
+        flux_x = sg * (i00 * fx + i01 * fy)
+        flux_y = sg * (i01 * fx + i11 * fy)
+        xi[i] = ((centered_dx(flux_x, h) + centered_dy(flux_y, h))
+                 / (2.0 * sg))
+        dxi[i, 0] = centered_dx(xi[i], h)
+        dxi[i, 1] = centered_dy(xi[i], h)
+    # only the tangential rows: S[k, d], component k along direction d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scoef = mat3.matmul(adj[:2], dxi)
+        scoef /= det
 
-    scoef = mat3.solve(frame, mat3.planes(
-        np.stack([centered_dx(xi, h), centered_dy(xi, h)], axis=-1)))
-    S = mat3.stacked(scoef[:2])             # (n, n, 2 {comp}, 2 {dir})
+    g = ((g00, g01), (g01, g11))
+    K = coef[:2] - _christoffel(g, ((i00, i01), (i01, i11)), h)
+    # C_raw[ab, c] = -g_cl K^l_ab; symmetric in (a, b), so its six
+    # distinct entries give the four of the symmetrized tensor
+    C = [[-(g[c][0] * K[0, ab] + g[c][1] * K[1, ab]) for c in (0, 1)]
+         for ab in range(3)]
+    c001 = (C[0][1] + 2.0 * C[1][0]) / 3.0
+    c011 = (2.0 * C[1][1] + C[2][0]) / 3.0
+    asym_field = np.max([np.abs(C[0][1] - c001), np.abs(C[1][0] - c001),
+                         np.abs(C[1][1] - c011), np.abs(C[2][0] - c011)],
+                        axis=0)
 
-    gamma_lc = _christoffel(gB, ginv, h)
-    K = gammabar - gamma_lc
-    C_raw = -np.einsum("...cl,...lab->...abc", gB, K)
-    C_sym = (C_raw
-             + np.transpose(C_raw, (0, 1, 2, 4, 3))
-             + np.transpose(C_raw, (0, 1, 3, 2, 4))
-             + np.transpose(C_raw, (0, 1, 3, 4, 2))
-             + np.transpose(C_raw, (0, 1, 4, 2, 3))
-             + np.transpose(C_raw, (0, 1, 4, 3, 2))) / 6.0
+    gB = np.empty((n, n, 2, 2))
+    gB[..., 0, 0] = g00
+    gB[..., 0, 1] = gB[..., 1, 0] = g01
+    gB[..., 1, 1] = g11
+    C_sym = np.empty((n, n, 2, 2, 2))
+    C_sym[..., 0, 0, 0] = C[0][0]
+    C_sym[..., 0, 0, 1] = C_sym[..., 0, 1, 0] = C_sym[..., 1, 0, 0] = c001
+    C_sym[..., 0, 1, 1] = C_sym[..., 1, 0, 1] = C_sym[..., 1, 1, 0] = c011
+    C_sym[..., 1, 1, 1] = C[2][1]
+    S = np.moveaxis(scoef, (0, 1), (2, 3))
+    xi = np.moveaxis(xi, 0, -1)
     if per:
-        asym = float(np.max(np.abs(C_raw - C_sym)))
+        asym = float(np.max(asym_field))
+        S, xi = np.ascontiguousarray(S), np.ascontiguousarray(xi)
     else:
         gB = _mask_margin(gB, 2)
         xi = _mask_margin(xi, 3)
         S = _mask_margin(S, FIT_MARGIN)
-        asym = float(np.nanmax(_mask_margin(
-            np.max(np.abs(C_raw - C_sym), axis=(2, 3, 4)), 3)))
+        asym = float(np.nanmax(_mask_margin(asym_field, 3)))
         C_sym = _mask_margin(C_sym, 3)
     return gB, xi, S, C_sym, asym
 
@@ -503,18 +551,22 @@ def _fitted(pair: AffinePair):
     return pair._fit
 
 
-def _christoffel(gB: np.ndarray, ginv: np.ndarray,
-                 spacing: float) -> np.ndarray:
-    """Levi-Civita symbols of a 2x2 metric field, [..., k, a, b]."""
-    dg = np.stack([centered_dx(gB, spacing), centered_dy(gB, spacing)], axis=2)
-    lower = np.empty(gB.shape[:2] + (2, 2, 2))
-    for l in (0, 1):
-        for a in (0, 1):
-            for b in (0, 1):
-                lower[..., l, a, b] = 0.5 * (dg[..., a, b, l]
-                                             + dg[..., b, a, l]
-                                             - dg[..., l, a, b])
-    return np.einsum("...kl,...lab->...kab", ginv, lower)
+def _christoffel(g, ginv, spacing: float) -> np.ndarray:
+    """Levi-Civita symbols of a 2x2 metric field given by its entry
+    planes g[a][b] (and those of its inverse), as (2, 3, n, n) planes
+    Gamma[k, ab] over ab = 00, 01, 11."""
+    d = {}                               # d[a, b][l] = d_l g_ab
+    for a, b in ((0, 0), (0, 1), (1, 1)):
+        d[a, b] = d[b, a] = (centered_dx(g[a][b], spacing),
+                             centered_dy(g[a][b], spacing))
+    gam = np.empty((2, 3) + np.shape(g[0][0]))
+    for ab, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+        # first kind: Gamma_{l, ab} = (d_a g_bl + d_b g_al - d_l g_ab) / 2
+        lower = [0.5 * (d[b, l][a] + d[a, l][b] - d[a, b][l])
+                 for l in (0, 1)]
+        for k in (0, 1):
+            gam[k, ab] = ginv[k][0] * lower[0] + ginv[k][1] * lower[1]
+    return gam
 
 
 def structure_residuals(pair: AffinePair):
@@ -550,21 +602,18 @@ def pick_cubic(data: BlaschkeData) -> np.ndarray:
 
 def _gauss_curvature(gB: np.ndarray, spacing: float) -> np.ndarray:
     """Sectional curvature K = R_0101 / det g of a 2x2 metric field."""
-    detg = gB[..., 0, 0] * gB[..., 1, 1] - gB[..., 0, 1] ** 2
-    ginv = np.empty_like(gB)
-    ginv[..., 0, 0] = gB[..., 1, 1] / detg
-    ginv[..., 1, 1] = gB[..., 0, 0] / detg
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -gB[..., 0, 1] / detg
-    gam = _christoffel(gB, ginv, spacing)
-    dgam = np.stack([centered_dx(gam, spacing), centered_dy(gam, spacing)],
-                    axis=2)
+    g00, g01, g11 = gB[..., 0, 0], gB[..., 0, 1], gB[..., 1, 1]
+    detg = g00 * g11 - g01 ** 2
+    i00, i01, i11 = g11 / detg, -g01 / detg, g00 / detg
+    gam = _christoffel(((g00, g01), (g01, g11)), ((i00, i01), (i01, i11)),
+                       spacing)
     # R^i_{1,0,1} = D_0 Gam^i_11 - D_1 Gam^i_01 + Gam^i_0m Gam^m_11
     #                                            - Gam^i_1m Gam^m_01
-    R = (dgam[..., 0, :, 1, 1] - dgam[..., 1, :, 0, 1]
-         + np.einsum("...im,...m->...i", gam[..., :, 0, :], gam[..., :, 1, 1])
-         - np.einsum("...im,...m->...i", gam[..., :, 1, :], gam[..., :, 0, 1]))
-    R0101 = np.einsum("...i,...i->...", gB[..., 0, :], R)
-    return R0101 / detg
+    R = [centered_dx(gam[i, 2], spacing) - centered_dy(gam[i, 1], spacing)
+         + (gam[i, 0] * gam[0, 2] + gam[i, 1] * gam[1, 2])
+         - (gam[i, 1] * gam[0, 1] + gam[i, 2] * gam[1, 1])
+         for i in (0, 1)]
+    return (g00 * R[0] + g01 * R[1]) / detg
 
 
 def pick_and_wang(data: BlaschkeData, q) -> np.ndarray:

@@ -47,6 +47,7 @@ __all__ = [
 POINT_TOL = 1e-12
 FLAG_TOL = 1e-10    # |plane . line| on unit vectors: line inside plane
 ORBIT_TOL = 1e-9    # relative scale-fit residual: on the unit-norm orbit
+ISO_TOL = 1e-10     # para_holo_sectional: |q(X,X)| below it is isotropic
 
 
 class BaseMismatch(ValueError):
@@ -232,8 +233,7 @@ def para_hermitian_eval(X: TangentVector, Y: TangentVector,
     return re_tau(qxy), im_tau(qxy)
 
 
-def para_holo_sectional(p: HyperboloidPoint, X: TangentVector,
-                        iso_tol: float = 1e-10) -> complex:
+def para_holo_sectional(p: HyperboloidPoint, X: TangentVector) -> complex:
     """Sectional curvature of span{X, PX} in the rescaled metric (-4).
 
     Computed two independent ways and cross-checked:
@@ -248,7 +248,7 @@ def para_holo_sectional(p: HyperboloidPoint, X: TangentVector,
        g(X,X)^2.
     """
     c = q_form(X.vec, X.vec)
-    if min(abs(c.plus), abs(c.minus)) < iso_tol:
+    if min(abs(c.plus), abs(c.minus)) < ISO_TOL:
         raise IsotropicPlane(f"q(X,X) = {c!r} is numerically null")
 
     # route 1: second-fundamental-form scalars, tau arithmetic throughout

@@ -155,20 +155,24 @@ def _read_json(path: str, what: str):
 
 def load_config(path: str | None) -> dict:
     """Read and validate an experiment config; entries it leaves out
-    take their SCHEMA defaults, and a given section is kept as given."""
+    take their SCHEMA defaults, and a given section is merged with the
+    defaults of its kind, so the config (and the manifest that records
+    it) holds every value the run uses."""
     user = {} if path is None else _read_json(path, "config")
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     bad = sorted(set(user) - set(SCHEMA))
     if bad:
         raise ConfigError(f"unknown config key {bad[0]!r}")
-    defaults = {name: spec[1] if isinstance(spec, tuple)
-                else _section(name, {})[0] for name, spec in SCHEMA.items()}
-    # a copy, so no caller can change the defaults through cfg
-    cfg = json.loads(json.dumps(defaults)) | user
-    for name in SCHEMA:
+    cfg = {}
+    for name, spec in SCHEMA.items():
+        scalar = isinstance(spec, tuple)
+        cfg[name] = user.get(name, spec[1] if scalar else {})
         read(cfg, name)
-    return cfg
+        if not scalar:                  # the section with its defaults
+            cfg[name] = _section(name, cfg[name])[0]
+    # a copy, so no caller can change the defaults through cfg
+    return json.loads(json.dumps(cfg))
 
 
 def build_chart(cfg: dict, grid: TorusGrid) -> BeltramiChart:

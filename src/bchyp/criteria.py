@@ -33,7 +33,7 @@ from .replib import (Representation, anosov_scan, goldman_pairing,
                      vertical_variation)
 
 __all__ = [
-    "CriterionResult", "run_criterion", "run_all", "CRITERIA",
+    "CriterionResult", "run_criterion", "CRITERIA",
     "fuchsian_generators", "reducible_generators", "flatness_check",
     "holonomy_checks", "roundtrip_checks", "roundtrip_criterion",
 ] + [f"criterion_{i}" for i in range(1, 11)]
@@ -430,6 +430,3 @@ def run_criterion(cid: int) -> CriterionResult:
         raise ValueError(f"no criterion {cid}")
     return CRITERIA[cid]()
 
-
-def run_all():
-    return [CRITERIA[i]() for i in sorted(CRITERIA)]

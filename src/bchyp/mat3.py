@@ -3,12 +3,16 @@
 A batch of 3x3 matrices is held here as planes: an array P of shape
 (3, 3, *batch) whose P[i, j] is entry (i, j) of every matrix of the
 batch, one contiguous array.  Each operation is written out as entry
-arithmetic on whole planes (the 27 products of a matrix product, the
+arithmetic on whole planes (the products of a matrix product, the
 cofactors of det and of the adjugate), so every NumPy call runs over
 the full batch at once instead of looping over tiny matrices: the
 batched small-matrix pattern of Abdelfattah et al., "A set of batched
 basic linear algebra subprograms and LAPACK routines", ACM Trans. Math.
 Softw. 47 (2021).
+
+The product is written in row form, three broadcast multiply-adds
+A[:, l] B[l, :] over l, so a small batch (one grid row of frames, or a
+single matrix) costs five NumPy calls rather than one per entry.
 
 The exponential is the truncated Taylor series whose degree and
 squarings the caller chooses (connection.expm_steps, with the degree
@@ -20,9 +24,11 @@ the same, so the degree table and its backward-error bound do not
 change; only the rounding of the evaluation does, and the identity is
 added last to keep that rounding as fine as Horner's (see expm).
 
-The module stores nothing.  Callers keep their (..., 3, 3) stacks and
-convert at this boundary with `planes` and `stacked`.  Batch shapes
-broadcast, so a constant matrix enters as plain (3, 3) planes.
+The module stores nothing.  The transport chain (connection, affine)
+keeps its data as planes from end to end; `planes` and `stacked`
+convert a (..., 3, 3) stack for callers that hold stacks (the word
+scan's generators, tests).  Batch shapes broadcast, so a constant
+matrix enters as plain (3, 3) planes.
 """
 
 from __future__ import annotations
@@ -43,25 +49,29 @@ def stacked(P) -> np.ndarray:
 
 
 def matmul(A, B, out=None) -> np.ndarray:
-    """A @ B for planes A (3, 3, ...) and B (3, k, ...).
+    """A @ B for planes A (m, 3, ...) and B (3, k, ...).
 
-    Each entry is summed left to right, (A_i0 B_0j + A_i1 B_1j) + A_i2
-    B_2j.  out, when given, must not share memory with A or B.
+    Row form: out = A[:, 0] B[0, :] + A[:, 1] B[1, :] + A[:, 2] B[2, :],
+    each term one broadcast product over all m k entries, so every entry
+    is summed left to right, (A_i0 B_0j + A_i1 B_1j) + A_i2 B_2j.  out,
+    when given, must not share memory with A or B.
     """
     A, B = np.asarray(A), np.asarray(B)
-    k = B.shape[1]
-    shape = (3, k) + np.broadcast_shapes(A.shape[2:], B.shape[2:])
+    batch = A.shape[2:]
+    if B.shape[2:] != batch:
+        # line up the batch axes, so a constant factor broadcasts
+        batch = np.broadcast_shapes(batch, B.shape[2:])
+        A, B = (M.reshape(M.shape[:2] + (1,) * (len(batch) + 2 - M.ndim)
+                          + M.shape[2:]) for M in (A, B))
+    shape = (A.shape[0], B.shape[1]) + batch
     if out is None:
         out = np.empty(shape, dtype=np.result_type(A, B))
-    tmp = np.empty(shape[2:], dtype=out.dtype)
-    for i in range(3):
-        for j in range(k):
-            o = out[i, j, ...]
-            np.multiply(A[i, 0], B[0, j], out=o)
-            np.multiply(A[i, 1], B[1, j], out=tmp)
-            o += tmp
-            np.multiply(A[i, 2], B[2, j], out=tmp)
-            o += tmp
+    tmp = np.empty(shape, dtype=out.dtype)
+    np.multiply(A[:, 0:1], B[0:1], out=out)
+    np.multiply(A[:, 1:2], B[1:2], out=tmp)
+    out += tmp
+    np.multiply(A[:, 2:3], B[2:3], out=tmp)
+    out += tmp
     return out
 
 

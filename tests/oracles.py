@@ -17,6 +17,14 @@ plainer form that copies, to pin the package's form bit for bit: the
 centered differences as the difference of two np.roll copies, and d_w
 as dwz (d_z + conj(mu) d_zbar) with d_z and d_zbar each taking their
 own x and y differences.
+
+The connection has dense references on (n, n, 3, 3) stacks, where the
+package works on entry planes and leaves structural zeros out: the
+dense assembly (through the restated stencils, so it pins the
+package's entries bit for bit), the dense Maurer-Cartan residual with
+np.matmul for its commutator, and transport as a loop of np.matmul
+products.  matmul_in_order writes out the product order that the
+package documents for its plane kernel, entry by entry.
 """
 
 import numpy as np
@@ -176,6 +184,69 @@ def holonomy_oracle(conn, loop, F0=None):
             H = F0 @ H @ np.linalg.inv(F0)
         out.append(H)
     return tuple(out)
+
+
+def assemble_dense(psi, C, chart):
+    """The connection matrices of assemble as dense (n, n, 3, 3) stacks
+    (Ahat_plus, Ahat_minus, Bhat_plus, Bhat_minus), every structural
+    zero written out, the derivatives through the restated stencils."""
+    h = chart.grid.spacing
+    psi = chart.grid.field(psi)
+    dwz, dzbwb = chart.dwz, chart.dzbwb
+    s2 = np.exp(2.0 * psi) * dwz * dzbwb
+    s = np.sqrt(s2)
+    a = (-d_w_two_pass(chart, psi) + 0.5 * chart.logB
+         - 0.5 * d_w_two_pass(chart, dwz) / dwz)
+    b = (dzb_roll(psi, h) + 0.5 * dzb_roll(dzbwb, h) / dzbwb
+         - 0.5 * chart.logA)
+    pA = C.alpha * dwz ** 3 / s2
+    rB = np.conj(C.beta) * dzbwb ** 3 / s2
+    n = chart.grid.n
+    out = []
+    for tau in (1.0, -1.0):
+        A = np.zeros((n, n, 3, 3), dtype=complex)
+        B = np.zeros((n, n, 3, 3), dtype=complex)
+        A[..., 0, 0], A[..., 1, 1] = a, -a
+        A[..., 1, 2] = A[..., 2, 0] = s
+        A[..., 0, 1] = -pA if tau > 0 else pA
+        B[..., 0, 0], B[..., 1, 1] = b, -b
+        B[..., 0, 2] = B[..., 2, 1] = s
+        B[..., 1, 0] = -rB if tau > 0 else rB
+        out.append((A, B))
+    (Ap, Bp), (Am, Bm) = out
+    return Ap, Am, Bp, Bm
+
+
+def maurer_cartan_dense(A, B, chart):
+    """B_w - logB B - A_zbar + logA A + [A, B] for one idempotent part
+    given as dense (n, n, 3, 3) stacks; the commutator by np.matmul."""
+    h = chart.grid.spacing
+    lA, lB = chart.logA[..., None, None], chart.logB[..., None, None]
+    return (d_w_two_pass(chart, B) - lB * B - dzb_roll(A, h) + lA * A
+            + (A @ B - B @ A))
+
+
+def matmul_in_order(A, B):
+    """A @ B on (..., 3, 3) stacks with every entry summed left to
+    right, (A_i0 B_0j + A_i1 B_1j) + A_i2 B_2j, one entry at a time."""
+    out = np.empty(np.broadcast_shapes(A.shape, B.shape),
+                   dtype=np.result_type(A, B))
+    for i in range(3):
+        for j in range(3):
+            out[..., i, j] = ((A[..., i, 0] * B[..., 0, j]
+                               + A[..., i, 1] * B[..., 1, j])
+                              + A[..., i, 2] * B[..., 2, j])
+    return out
+
+
+def transport_matmul(E, start=None):
+    """Frames G_0 = start (identity by default), G_{k+1} = G_k E_k for a
+    (K, ..., 3, 3) stack of steps, by np.matmul; (K + 1, ..., 3, 3)."""
+    G = [np.broadcast_to(np.eye(3), E.shape[1:]) if start is None
+         else start]
+    for Ek in E:
+        G.append(G[-1] @ Ek)
+    return np.array(G)
 
 
 def ellipticity_floor_oracle(mu: complex, samples: int = 100_000) -> float:

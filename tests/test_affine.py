@@ -424,6 +424,29 @@ def test_integrate_flags_path_dependence():
         integrate_frame(conn)
 
 
+def test_integrate_generic_nine_plane_field_like_the_structured_one():
+    # a field built from dense matrices keeps all nine planes per part;
+    # its structural zeros add exact zeros, so it integrates to the same
+    # pair, and a non-flat datum still raises
+    from bchyp.connection import FlatConnectionField
+    n = 32
+    grid = TorusGrid(n)
+    problem = wang_specialize(1.2, grid)
+    conn = assemble(solve_newton(problem).psi, problem.C,
+                    problem.background.chart)
+    generic = FlatConnectionField(conn.Ahat, conn.Bhat, conn.chart, conn.s2)
+    pair, pair_generic = integrate_frame(conn), integrate_frame(generic)
+    assert np.array_equal(pair_generic.fplus, pair.fplus)
+    assert np.array_equal(pair_generic.fminus, pair.fminus)
+    C = CubicPair(grid, np.full((n, n), 2.0 + 0j),
+                  np.full((n, n), 2.0 + 0j), holomorphic=True)
+    bad = assemble(0.3 * np.sin(2 * np.pi * grid.x), C,
+                   BeltramiChart.identity(grid))
+    with pytest.raises(PathDependent):
+        integrate_frame(FlatConnectionField(bad.Ahat, bad.Bhat, bad.chart,
+                                            bad.s2))
+
+
 def test_integrate_validates_base():
     pair, psi, grid = solved_wang(32)
     problem = wang_specialize(1.2, grid)

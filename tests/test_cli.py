@@ -226,6 +226,26 @@ def test_partial_config_merges(tmp_path):
     assert cfg["solver"]["tol"] == 1e-10
 
 
+@pytest.mark.parametrize("payload, section, want", [
+    ({"cubic": {"kind": "wang"}}, "cubic",
+     {"kind": "wang", "q": [1.2, 0.0], "perturb": 0.0}),
+    ({"solver": {"max_iter": 5}}, "solver", {"tol": 1e-10, "max_iter": 5}),
+], ids=["cubic", "solver"])
+def test_given_section_records_its_defaults(tmp_path, capsys, payload,
+                                            section, want):
+    # the manifest records, and config_hash pins, every value the run
+    # uses, also those a given section leaves to the defaults
+    path = write_cfg(tmp_path, payload)
+    assert load_config(path)[section] == want
+    code, out = run_json(capsys, ["gauss", "solve", "--config", path])
+    assert code == 0
+    m = json.loads(out)
+    assert m["config"][section] == want
+    assert m["config_hash"] == config_hash(load_config(path))
+    assert m["config_hash"] != config_hash(
+        load_config(None) | payload)
+
+
 @pytest.mark.parametrize("payload", [
     {"grid": 100},
     {"grid": 8},
@@ -403,7 +423,8 @@ def test_frozen_criteria_match_the_sine_chart_config(capsys):
     cfg = load_config(cfg_path("sine_chart.json"))
     assert cfg["grid"] == 64
     assert cfg["chart"] == {"kind": "sine", "eps": 0.01}
-    assert cfg["cubic"] == {"kind": "pair", "alpha": 0.6, "beta": 0.6}
+    assert cfg["cubic"] == {"kind": "pair", "alpha": 0.6, "beta": 0.6,
+                            "perturb": 0.0}
 
     def config_residuals(action):
         code, out = run_json(capsys, ["conn", action, "--config",

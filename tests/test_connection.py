@@ -110,6 +110,78 @@ def test_assemble_traceless_and_gram_compatible():
     assert conn.pairing_residual() < 1e-13
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1], ids=["identity", "sine"])
+def test_structured_assemble_and_residual_match_dense_oracles(eps):
+    grid = TorusGrid(32)
+    chart = (BeltramiChart.sine_perturbed(grid, eps) if eps
+             else BeltramiChart.identity(grid))
+    psi = smooth_psi(grid)
+    C = CubicPair(grid, 0.6 + 0.2 * np.sin(2 * np.pi * grid.x),
+                  0.8 - 0.1j * np.cos(2 * np.pi * grid.y))
+    conn = assemble(psi, C, chart)
+    Ap, Am, Bp, Bm = oracles.assemble_dense(psi, C, chart)
+    for got, want in ((conn.Ahat.plus, Ap), (conn.Ahat.minus, Am),
+                      (conn.Bhat.plus, Bp), (conn.Bhat.minus, Bm)):
+        assert np.array_equal(got, want)
+    # 5 structural entries per matrix and part, 9 distinct planes in all
+    support = {"Ahat": {(0, 0), (1, 1), (0, 1), (1, 2), (2, 0)},
+               "Bhat": {(0, 0), (1, 1), (0, 2), (1, 0), (2, 1)}}
+    for name, parts in conn.planes.items():
+        for part in ("plus", "minus"):
+            assert set(parts[part]) == support[name], (name, part)
+    assert len({id(p) for parts in conn.planes.values()
+                for part in parts.values() for p in part.values()}) == 9
+    mc = maurer_cartan_residual(conn)
+    for got, A, B in ((mc.plus, Ap, Bp), (mc.minus, Am, Bm)):
+        ref = oracles.maurer_cartan_dense(A, B, chart)
+        assert np.abs(ref).max() > 0.1
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_generic_nine_plane_field_is_accepted_and_checked():
+    grid = TorusGrid(16)
+    chart = BeltramiChart.sine_perturbed(grid, 0.1)
+    conn = assemble(smooth_psi(grid), CubicPair(grid, 0.6, 0.8), chart)
+    generic = FlatConnectionField(conn.Ahat, conn.Bhat, chart, conn.s2)
+    for parts in generic.planes.values():
+        assert all(len(parts[part]) == 9 for part in ("plus", "minus"))
+    for name in ("Ahat", "Bhat"):
+        for part in ("plus", "minus"):
+            assert np.array_equal(getattr(getattr(generic, name), part),
+                                  getattr(getattr(conn, name), part))
+    # the structural zeros of the generic field add exact zeros
+    mc, mc_generic = (maurer_cartan_residual(c) for c in (conn, generic))
+    assert np.array_equal(mc_generic.plus, mc.plus)
+    assert np.array_equal(mc_generic.minus, mc.minus)
+    for part in ("plus", "minus"):
+        for leg in (0, 1):
+            assert np.array_equal(grid_step_generators(generic, part, leg),
+                                  grid_step_generators(conn, part, leg))
+
+    # a dense random traceless field, against the dense residual
+    rng = np.random.default_rng(5)
+    n = grid.n
+
+    def traceless():
+        M = (rng.standard_normal((n, n, 3, 3))
+             + 1j * rng.standard_normal((n, n, 3, 3)))
+        M -= np.trace(M, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) / 3
+        return M
+
+    A = BcMat3Field(traceless(), traceless())
+    B = BcMat3Field(traceless(), traceless())
+    field = FlatConnectionField(A, B, chart, 1.0)
+    mc = maurer_cartan_residual(field)
+    for got, a, b in ((mc.plus, A.plus, B.plus), (mc.minus, A.minus,
+                                                   B.minus)):
+        ref = oracles.maurer_cartan_dense(a, b, chart)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    traced = A.plus.copy()
+    traced[3, 5, 2, 2] += 1e-6
+    with pytest.raises(ValueError, match="Ahat has nonzero trace"):
+        FlatConnectionField(BcMat3Field(traced, A.minus), B, chart, 1.0)
+
+
 def test_maurer_cartan_constant_data_zero():
     grid = TorusGrid(16)
     chart = BeltramiChart.identity(grid)
@@ -332,7 +404,7 @@ def test_expm_steps_matches_scipy_across_degrees_and_squaring():
         S = (rng.standard_normal((6, 3, 3))
              + 1j * rng.standard_normal((6, 3, 3)))
         S *= target / np.abs(S).sum(axis=-2).max()
-        E = expm_steps(S)
+        E = mat3.stacked(expm_steps(mat3.planes(S)))
         ref = oracles.expm_oracle(S)
         err = (np.abs(E - ref).max(axis=(-2, -1))
                / np.abs(ref).max(axis=(-2, -1)))
@@ -341,8 +413,8 @@ def test_expm_steps_matches_scipy_across_degrees_and_squaring():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_expm_steps_rejects_non_finite_generators(bad):
-    S = np.zeros((4, 3, 3), dtype=complex)
-    S[2, 0, 1] = bad
+    S = np.zeros((3, 3, 4), dtype=complex)
+    S[0, 1, 2] = bad
     with pytest.raises(ValueError, match="non-finite"):
         expm_steps(S)
 
@@ -391,7 +463,8 @@ def test_step_exponentials_keep_the_minus_part_structure():
     problem = wang_specialize(1.2, TorusGrid(n))
     report = solve_newton(problem)
     conn = assemble(report.psi, problem.C, problem.background.chart)
-    E = {part: expm_steps(step_generators(conn, 0, np.arange(n), 0, 1, part))
+    E = {part: mat3.stacked(expm_steps(step_generators(
+                conn, 0, np.arange(n), 0, 1, part)))
          for part in ("plus", "minus")}
     inv = mat3.stacked(mat3.solve(mat3.planes(E["plus"]), np.eye(3)))
     err = np.abs(E["minus"] - QTILDE @ np.swapaxes(inv, -1, -2) @ QTILDE)
@@ -410,15 +483,18 @@ def test_transport_multiplies_steps_on_the_right(batch, with_start):
 
     E = matrices(7)
     start = matrices() if with_start else None
-    G = connection.transport(E, start)
+    G = mat3.stacked(connection.transport(
+        mat3.planes(E), None if start is None else mat3.planes(start)))
     assert G.shape == (8,) + batch + (3, 3)
     P = np.broadcast_to(np.eye(3), batch + (3, 3)) if start is None else start
     for k in range(8):
         assert np.array_equal(G[k], P), k       # start E_0 E_1 ... E_{k-1}
-        if k < 7:
-            P = P @ E[k]
+        if k < 7:                               # P E_k as P + P (E_k - I)
+            P = P + oracles.matmul_in_order(P, E[k] - np.eye(3))
     # the steps do not commute, so the opposite order is another answer
     assert not np.allclose(G[-1], E[-1] @ G[-2])
+    ref = oracles.transport_matmul(E, start)
+    assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 MIXED_STEPS = (((2, 0),) * 8 + ((1, 1),) * 16 + ((0, -1),) * 16
