@@ -10,12 +10,13 @@ classical affine differential geometry:
                         eta(f+, f-) = -1 and vanishing conormal, via a
                         periodic Poisson solve for the log factor;
   * integrate_frame     transports the flat frame over the grid from a
-                        base point (connection.transport) and projects
-                        the lift column to the real pair;
+                        base point (connection.transport), in blocks of
+                        step exponentials, and projects the lift column
+                        to the real pair;
   * structure_residuals fits D_X df(Y) = f_*(nabla) + g_B(X, Y) xi at
-                        each node, rebuilds the affine normal as
-                        (1/2) Laplace-Beltrami of f, and reports how far
-                        the pair is from S = Id, xi = f;
+                        each node, in row blocks, rebuilds the affine
+                        normal as (1/2) Laplace-Beltrami of f, and
+                        reports how far the pair is from S = Id, xi = f;
   * blaschke_data       extracts the Blaschke metric, Pick form and
                         shape operator; pick_and_wang evaluates the
                         Wang identity K - 2|q|^2 = -1 pointwise;
@@ -43,8 +44,8 @@ import numpy as np
 from . import mat3
 from .bicomplex import Q3
 from .connection import (
-    F0, PARTS, FlatConnectionField, expm_steps, grid_step_generators,
-    transport,
+    F0, PARTS, FlatConnectionField, grid_step_generators, step_norms,
+    taylor_degree, transport,
 )
 from .metric import (
     BeltramiChart, CubicPair, centered_dx, centered_dy, stencil_symbols,
@@ -64,8 +65,16 @@ __all__ = [
 #: rows and columns, with no arithmetic).
 SWAP12 = [1, 0, 2]
 
-#: Residual fields of non-periodic pairs are NaN on this margin.
+#: Residual fields of non-periodic pairs are NaN on this margin, and
+#: the structure fit reads a row block with this many rows of halo.
 FIT_MARGIN = 4
+
+#: Grid rows that the structure fit works on at a time.
+FIT_ROWS = 32
+
+#: Rows or columns of step exponentials that integrate_frame builds at a
+#: time.
+FRAME_BLOCK = 32
 
 #: Path-independence bound of integrate_frame, in spacing^2 times the
 #: frame size.
@@ -115,11 +124,17 @@ def _mask_margin(arr: np.ndarray, margin: int) -> np.ndarray:
     if margin <= 0:
         return arr
     out = np.array(arr, dtype=float if arr.dtype != complex else complex)
-    out[:margin] = np.nan
-    out[-margin:] = np.nan
-    out[:, :margin] = np.nan
-    out[:, -margin:] = np.nan
+    _nan_margin(out, margin)
     return out
+
+
+def _nan_margin(arr: np.ndarray, margin: int) -> None:
+    """Set the band `margin` nodes deep along the seam of arr to NaN, in
+    place."""
+    arr[:margin] = np.nan
+    arr[-margin:] = np.nan
+    arr[:, :margin] = np.nan
+    arr[:, -margin:] = np.nan
 
 
 def _interior(arr: np.ndarray, margin: int) -> np.ndarray:
@@ -330,59 +345,90 @@ def _require_real(conn: FlatConnectionField):
                       f"{REAL_TOL * scale:.3e}")
 
 
-def _sweep(Ex, Ey, Exi, Eyi, base):
-    """Accumulate G over the grid from base, one axis then the other.
-
-    All arguments are (3, 3, ny, nx) planes.  Ex[:, :, iy, ix] is the
-    step exponential of the edge (ix -> ix+1) in row iy, likewise Ey for
-    columns; four transports fill G in place, forward and back along the
-    base row, then along every column, one grid row of frames per step.
-    The reverse ones read the inverses Exi[:, :, iy, ix] (ix < ix0 only)
-    and Eyi[:, :, iy] (iy < iy0 only), so those arrays hold just the
-    edges behind the base.
-    """
-    iy0, ix0 = base
-    G = np.empty_like(Ex)
-    row = G[:, :, iy0]
-    transport(Ex[:, :, iy0, ix0:-1], out=row[:, :, ix0:])
-    transport(Exi[:, :, iy0, ::-1], row[:, :, ix0], out=row[:, :, ix0::-1])
-    transport(Ey[:, :, iy0:-1], row, out=G[:, :, iy0:])
-    transport(Eyi[:, :, ::-1], row, out=G[:, :, iy0::-1])
-    return G
-
-
 def _integrate_part(conn, part, base, sl):
     """Frame of one idempotent part, integrated both ways.
 
-    Builds the x- and y-step generators and their exponentials (inverse
-    steps only for the edges behind the base), sweeps row-then-column,
-    then column-then-row over contiguous transposed copies of the same
-    exponentials, so both sweeps walk whole grid rows.  Returns the lift
-    column of the row-then-column frame as (3, n, n) planes, the max-abs
-    disagreement of the two frames on [sl, sl], and the frame size
-    there.  Each generator field is released once exponentiated.
+    Builds the x- and y-step generators over the grid and takes each
+    leg's Taylor degree from the norm of all its steps (the inverse
+    steps' from the edges behind the base), as expm_steps would, then
+    exponentiates in blocks of FRAME_BLOCK rows or columns; the kernel
+    works entry by entry, so the blocks equal the whole bit for bit.
+    Row-then-column: the base row along x, then every column along y,
+    one grid row of frames per step, through row blocks of y-steps; the
+    frames G are kept.  Column-then-row: the base column along y, then
+    every row along x, one grid column of frames per step, through
+    column blocks of x-steps built as contiguous (3, 3, B, n) planes;
+    each block of frames is compared against G and dropped.  Returns
+    the lift column of G as (3, n, n) planes, the max-abs disagreement
+    of the two orders on [sl, sl] (NaN if either frame is), and the
+    frame size there.
     """
     iy0, ix0 = base
-    S = grid_step_generators(conn, part, 0)
-    Ex, Exi = expm_steps(S), expm_steps(-S[..., :ix0])
-    S = grid_step_generators(conn, part, 1)
-    Ey, Eyi = expm_steps(S), expm_steps(-S[:, :, :iy0])
-    del S
-    G_xy = _sweep(Ex, Ey, Exi, Eyi, base)
-    # column-then-row: same edges, roles of the axes exchanged
-    Ex = np.ascontiguousarray(Ex.swapaxes(2, 3))
-    Ey = np.ascontiguousarray(Ey.swapaxes(2, 3))
-    Exi = np.ascontiguousarray(Exi.swapaxes(2, 3))
-    Eyi = np.ascontiguousarray(Eyi.swapaxes(2, 3))
-    Gt = _sweep(Ey, Ex, Eyi, Exi, (ix0, iy0))
-    del Ex, Ey, Exi, Eyi
-    # plane by plane, so no grid-sized difference is held; np.max keeps
-    # a NaN
-    entries = [(i, j) for i in range(3) for j in range(3)]
-    resid = np.max([np.abs(G_xy[i, j, sl, sl] - Gt[i, j].T[sl, sl]).max()
-                    for i, j in entries])
-    gmax = np.max([np.abs(G_xy[i, j, sl, sl]).max() for i, j in entries])
-    return G_xy[:, 2].copy(), float(resid), float(gmax)
+    n = conn.grid.n
+    Sx = grid_step_generators(conn, part, 0)
+    Sy = grid_step_generators(conn, part, 1)
+    norms = step_norms(Sx)
+    kx = taylor_degree(norms.max())
+    kxi = taylor_degree(norms[:, :ix0].max(initial=0.0))
+    norms = step_norms(Sy)
+    ky = taylor_degree(norms.max())
+    kyi = taylor_degree(norms[:iy0].max(initial=0.0))
+    del norms
+
+    # row then column, into G[:, :, iy, ix]
+    G = np.empty((3, 3, n, n), dtype=complex)
+    row = G[:, :, iy0]
+    transport(mat3.expm(Sx[:, :, iy0, ix0:-1], *kx), out=row[:, :, ix0:])
+    transport(mat3.expm(-Sx[:, :, iy0, :ix0], *kxi)[:, :, ::-1],
+              row[:, :, ix0], out=row[:, :, ix0::-1])
+    for r0 in range(iy0, n - 1, FRAME_BLOCK):
+        r1 = min(r0 + FRAME_BLOCK, n - 1)
+        transport(mat3.expm(Sy[:, :, r0:r1], *ky), G[:, :, r0],
+                  out=G[:, :, r0:r1 + 1])
+    for r1 in range(iy0, 0, -FRAME_BLOCK):
+        r0 = max(r1 - FRAME_BLOCK, 0)
+        transport(mat3.expm(-Sy[:, :, r0:r1], *kyi)[:, :, ::-1],
+                  G[:, :, r1], out=G[:, :, r0:r1 + 1][:, :, ::-1])
+
+    # column then row, frames [.., ix, iy]: the base column first
+    col = np.empty((3, 3, n), dtype=complex)
+    transport(mat3.expm(Sy[:, :, iy0:-1, ix0], *ky), out=col[:, :, iy0:])
+    transport(mat3.expm(-Sy[:, :, :iy0, ix0], *kyi)[:, :, ::-1],
+              col[:, :, iy0], out=col[:, :, iy0::-1])
+    del Sy
+    lo, hi = sl.indices(n)[:2]
+
+    def gap(F, c0):
+        """max |G - F| inside [sl, sl] over the columns c0, c0 + 1, ...
+        whose frames F[:, :, 0], F[:, :, 1], ... holds"""
+        a, b = max(c0, lo), min(c0 + F.shape[2], hi)
+        if a >= b:
+            return 0.0
+        return np.abs(G[:, :, sl, a:b]
+                      - F[:, :, a - c0:b - c0, sl].swapaxes(2, 3)).max()
+
+    resid = gap(col[:, :, None], ix0)
+    F = np.empty((3, 3, FRAME_BLOCK + 1, n), dtype=complex)
+    start = col
+    for c0 in range(ix0, n - 1, FRAME_BLOCK):
+        c1 = min(c0 + FRAME_BLOCK, n - 1)
+        St = np.ascontiguousarray(Sx[:, :, :, c0:c1].swapaxes(2, 3))
+        out = transport(mat3.expm(St, *kx), start, out=F[:, :, :c1 - c0 + 1])
+        resid = np.maximum(resid, gap(out[:, :, 1:], c0 + 1))
+        start = out[:, :, -1]
+    start = col
+    for c1 in range(ix0, 0, -FRAME_BLOCK):
+        c0 = max(c1 - FRAME_BLOCK, 0)
+        St = np.ascontiguousarray(Sx[:, :, :, c0:c1].swapaxes(2, 3))
+        np.negative(St, out=St)
+        out = transport(mat3.expm(St, *kxi)[:, :, ::-1], start,
+                        out=F[:, :, :c1 - c0 + 1])
+        resid = np.maximum(resid, gap(out[:, :, :0:-1], c0))
+        start = out[:, :, -1]
+    # plane by plane, so no grid-sized temporary is held
+    gmax = np.max([np.abs(G[i, j, sl, sl]).max()
+                   for i in range(3) for j in range(3)])
+    return G[:, 2].copy(), float(resid), float(gmax)
 
 
 def integrate_frame(conn: FlatConnectionField, base=(0, 0),
@@ -391,19 +437,22 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
 
     The frame solves dG = G Omega with G(base) = Id (q-orthonormal,
     lift column (0, 0, 1)) through the transport kernel that holonomy
-    uses (connection.grid_step_generators, expm_steps and transport),
-    on (3, 3, n, n) entry planes throughout; inverse steps are
-    exponentiated only for the edges behind the base.  The lift is the
-    third column of G; conjugating by the model frame F0 turns the
-    conjugate-swap symmetry of real data into literal realness of
-    f+ = F0 sigma_plus, f- = F0 sigma_minus.  Each step is exactly
-    Gram-compatible, so eta(f+, f-) = -1 propagates to rounding.
+    uses (connection.grid_step_generators, the Taylor exponential at
+    the degree taylor_degree picks, and transport), on (3, 3, ...)
+    entry planes throughout; the step exponentials are built FRAME_BLOCK
+    rows or columns at a time, and inverse steps only for the edges
+    behind the base.  The lift is the third column of G; conjugating by
+    the model frame F0 turns the conjugate-swap symmetry of real data
+    into literal realness of f+ = F0 sigma_plus, f- = F0 sigma_minus.
+    Each step is exactly Gram-compatible, so eta(f+, f-) = -1
+    propagates to rounding.
 
     Row-then-column and column-then-row orders are both integrated from
-    the same exponentials; their disagreement over the whole grid (max
-    over both idempotent parts, optionally trimmed by `trim` nodes for
-    data whose seam rows are invalid) must stay below PATH_TOL
-    spacing^2 scaled by the frame size, else PathDependent.
+    the same exponentials, the second compared block by block and never
+    stored; their disagreement over the whole grid (max over both
+    idempotent parts, optionally trimmed by `trim` nodes for data whose
+    seam rows are invalid) must stay below PATH_TOL spacing^2 scaled by
+    the frame size, else PathDependent.
     """
     _require_real(conn)
     grid = conn.chart.grid
@@ -453,91 +502,132 @@ def _fit_structure(pair: AffinePair):
     raw asymmetry defect.  Non-periodic output carries NaN margins
     (gB: 2, xi: 3, C: 3, S: 4 nodes deep).
 
-    The fit runs on entry planes: the frame and the right-hand sides are
-    (3, 3, n, n) planes (rows the components, columns the vectors), both
-    solves share the frame's adjugate and determinant, and the 2x2
-    metric and Pick algebra is written out entry by entry over the
-    independent entries (g_00, g_01, g_11; Christoffel and Pick entries
-    up to symmetry).  The results are stacked only on output.
+    The fit runs FIT_ROWS grid rows at a time, each block read with
+    FIT_MARGIN rows of halo on either side, wrapped across the seam:
+    the longest stencil chain (f, f_y, the metric, xi, d xi, S) reaches
+    4 rows, so every fitted row equals the whole-grid fit bit for bit,
+    and only the outputs are grid-sized.  The frame determinant is
+    gated before a block is solved, over the block and its halo (the
+    seam band 2 deep left out for a non-periodic pair): once a node
+    fails, no further block is fitted, and DegenerateFrame reports the
+    grid's smallest determinant after the last block.  The asymmetry
+    defect reduces over the whole grid.
     """
     f = pair.fplus
     h = pair.spacing
     per = pair.periodic
     n = pair.n
-    frame = np.empty((3, 3, n, n))       # columns f_x, f_y, f
-    second = np.empty((3, 3, n, n))      # columns f_xx, f_xy, f_yy
+    gB = np.empty((n, n, 2, 2))
+    xi = np.empty((n, n, 3))
+    S = np.empty((n, n, 2, 2))
+    C_sym = np.empty((n, n, 2, 2, 2))
+    det = np.empty((n, n))
+    asym_field = np.empty((n, n))
+    lo = 0 if per else 2                 # the gate leaves out the seam band
+    degenerate = False
+    for r0 in range(0, n, FIT_ROWS):
+        r1 = min(r0 + FIT_ROWS, n)
+        rows = np.arange(r0 - FIT_MARGIN, r1 + FIT_MARGIN) % n
+        block = f[rows]
+        frame = np.empty((3, 3) + block.shape[:2])   # columns f_x, f_y, f
+        for i in range(3):
+            fi = block[..., i]
+            frame[i, 0], frame[i, 1], frame[i, 2] = (
+                centered_dx(fi, h), centered_dy(fi, h), fi)
+        d = mat3.det(frame)
+        det[r0:r1] = d[FIT_MARGIN:-FIT_MARGIN]
+        gate = d[(rows >= lo) & (rows < n - lo), lo:n - lo]
+        degenerate = degenerate or (gate.size > 0
+                                    and np.min(np.abs(gate)) < 1e-10)
+        if not degenerate:
+            _fit_rows(frame, d, h, [arr[r0:r1] for arr in
+                                    (gB, xi, S, C_sym, asym_field)])
+
+    if degenerate:
+        det_valid = det if per else _interior(det, 2)
+        raise DegenerateFrame(
+            f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
+    if per:
+        asym = float(np.max(asym_field))
+    else:
+        for arr, margin in ((gB, 2), (xi, 3), (S, FIT_MARGIN), (C_sym, 3)):
+            _nan_margin(arr, margin)
+        asym = float(np.nanmax(_mask_margin(asym_field, 3)))
+    return gB, xi, S, C_sym, asym
+
+
+def _fit_rows(frame, det, h, out):
+    """The structure fit of one row block, from its frame planes
+    (3, 3, m, n) (columns f_x, f_y, f) and their determinant, read with
+    FIT_MARGIN rows of halo on either side.
+
+    Writes the block's rows of gB, xi, S, C_sym and the asymmetry field
+    into `out`.  The fit runs on entry planes: the right-hand sides are
+    (3, 3, m, n) planes too (rows the components, columns the vectors),
+    both solves share the frame's adjugate and determinant, and the 2x2
+    metric and Pick algebra is written out entry by entry over the
+    independent entries (g_00, g_01, g_11; Christoffel and Pick entries
+    up to symmetry).
+    """
+    gB, xi, S, C_sym, asym_field = out
+    m, n = det.shape
+    rows = slice(FIT_MARGIN, m - FIT_MARGIN)
+    second = np.empty((3, 3, m, n))      # columns f_xx, f_xy, f_yy
     for i in range(3):
-        fi = f[..., i]
-        fx, fy = centered_dx(fi, h), centered_dy(fi, h)
-        frame[i, 0], frame[i, 1], frame[i, 2] = fx, fy, fi
+        fx, fy = frame[i, 0], frame[i, 1]
         second[i, 0] = centered_dx(fx, h)
         second[i, 1] = centered_dy(fx, h)
         second[i, 2] = centered_dy(fy, h)
-
-    det = mat3.det(frame)
-    det_valid = det if per else _interior(det, 2)
-    if float(np.min(np.abs(det_valid))) < 1e-10:
-        raise DegenerateFrame(
-            f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
-    # X = adj B / det, the solve of mat3.solve with adj and det shared
+    # X = adj B / det, with adj and det shared by both solves
     adj = mat3.adj(frame)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = mat3.matmul(adj, second)      # [k, {xx, xy, yy}]
         coef /= det
+    del second
 
     g00, g01, g11 = coef[2]
     detg = g00 * g11 - g01 ** 2
     sg = np.sqrt(np.abs(detg))
     i00, i01, i11 = g11 / detg, -g01 / detg, g00 / detg
 
-    xi = np.empty((3, n, n))
-    dxi = np.empty((3, 2, n, n))         # columns d_x xi, d_y xi
+    xib = np.empty((3, m, n))
+    dxi = np.empty((3, 2, m, n))         # columns d_x xi, d_y xi
     for i in range(3):
         fx, fy = frame[i, 0], frame[i, 1]
         flux_x = sg * (i00 * fx + i01 * fy)
         flux_y = sg * (i01 * fx + i11 * fy)
-        xi[i] = ((centered_dx(flux_x, h) + centered_dy(flux_y, h))
-                 / (2.0 * sg))
-        dxi[i, 0] = centered_dx(xi[i], h)
-        dxi[i, 1] = centered_dy(xi[i], h)
+        xib[i] = ((centered_dx(flux_x, h) + centered_dy(flux_y, h))
+                  / (2.0 * sg))
+        dxi[i, 0] = centered_dx(xib[i], h)
+        dxi[i, 1] = centered_dy(xib[i], h)
     # only the tangential rows: S[k, d], component k along direction d
     with np.errstate(divide="ignore", invalid="ignore"):
         scoef = mat3.matmul(adj[:2], dxi)
         scoef /= det
+    del adj, dxi
+    S[:] = np.moveaxis(scoef[:, :, rows], (0, 1), (2, 3))
+    xi[:] = np.moveaxis(xib[:, rows], 0, -1)
+    del scoef, xib
 
     g = ((g00, g01), (g01, g11))
     K = coef[:2] - _christoffel(g, ((i00, i01), (i01, i11)), h)
     # C_raw[ab, c] = -g_cl K^l_ab; symmetric in (a, b), so its six
     # distinct entries give the four of the symmetrized tensor
-    C = [[-(g[c][0] * K[0, ab] + g[c][1] * K[1, ab]) for c in (0, 1)]
+    C = [[-(g[c][0] * K[0, ab] + g[c][1] * K[1, ab])[rows] for c in (0, 1)]
          for ab in range(3)]
     c001 = (C[0][1] + 2.0 * C[1][0]) / 3.0
     c011 = (2.0 * C[1][1] + C[2][0]) / 3.0
-    asym_field = np.max([np.abs(C[0][1] - c001), np.abs(C[1][0] - c001),
-                         np.abs(C[1][1] - c011), np.abs(C[2][0] - c011)],
-                        axis=0)
+    asym_field[:] = np.max([np.abs(C[0][1] - c001), np.abs(C[1][0] - c001),
+                            np.abs(C[1][1] - c011), np.abs(C[2][0] - c011)],
+                           axis=0)
 
-    gB = np.empty((n, n, 2, 2))
-    gB[..., 0, 0] = g00
-    gB[..., 0, 1] = gB[..., 1, 0] = g01
-    gB[..., 1, 1] = g11
-    C_sym = np.empty((n, n, 2, 2, 2))
+    gB[..., 0, 0] = g00[rows]
+    gB[..., 0, 1] = gB[..., 1, 0] = g01[rows]
+    gB[..., 1, 1] = g11[rows]
     C_sym[..., 0, 0, 0] = C[0][0]
     C_sym[..., 0, 0, 1] = C_sym[..., 0, 1, 0] = C_sym[..., 1, 0, 0] = c001
     C_sym[..., 0, 1, 1] = C_sym[..., 1, 0, 1] = C_sym[..., 1, 1, 0] = c011
     C_sym[..., 1, 1, 1] = C[2][1]
-    S = np.moveaxis(scoef, (0, 1), (2, 3))
-    xi = np.moveaxis(xi, 0, -1)
-    if per:
-        asym = float(np.max(asym_field))
-        S, xi = np.ascontiguousarray(S), np.ascontiguousarray(xi)
-    else:
-        gB = _mask_margin(gB, 2)
-        xi = _mask_margin(xi, 3)
-        S = _mask_margin(S, FIT_MARGIN)
-        asym = float(np.nanmax(_mask_margin(asym_field, 3)))
-        C_sym = _mask_margin(C_sym, 3)
-    return gB, xi, S, C_sym, asym
 
 
 def _fitted(pair: AffinePair):

@@ -36,18 +36,23 @@ of the grid from one evaluation of Omega and a shift), one batched
 exponential per idempotent component (expm_steps; the algebra splits,
 so ordinary 3x3 exponentials suffice), then the ordered product
 (transport).  The exponential keeps the Taylor degree table and
-backward-error reasoning of Al-Mohy & Higham; mat3.expm only evaluates
-the chosen polynomial more cheaply, as a Horner recurrence that
-Cayley-Hamilton reduces to one plane product.  It adds the identity
-last, so each step keeps the minus-part structure
-E_minus = QTILDE E_plus^-T QTILDE to round-off far below ulp(1).
-Steps multiply on the right, as the frame equation dG = G Omega has
-it; in that order the assembled connection is flat.  Holonomy is the
-product along a loop, G(end) = G(start) H, and sections (F' = Omega F)
-transport by H^-1.  In the "ambient" gauge the result is conjugated by
-a constant model frame F0 with F0^T Q F0 = QTILDE, after which group
-elements satisfy the compatibility X_minus = Q (X_plus^-1)^T Q and the
-plus part lands in SL(3,C).
+backward-error reasoning of Al-Mohy & Higham: taylor_degree picks the
+degree from the largest step 1-norm (step_norms), once per batch, so
+integrate_frame can exponentiate a grid's steps in blocks with the
+degree of the whole.  mat3.expm only evaluates the chosen polynomial
+more cheaply, as a Horner recurrence that Cayley-Hamilton reduces to
+one plane product.  It adds the identity last, so each step keeps the
+minus-part structure E_minus = QTILDE E_plus^-T QTILDE to round-off far
+below ulp(1).  Steps multiply on the right, as the frame equation
+dG = G Omega has it; in that order the assembled connection is flat.
+Each step is G + G (E - I), its 27 products written by one broadcast
+multiply into a reused buffer and summed in the order of the row-form
+product mat3.matmul.  Holonomy is the product along a loop,
+G(end) = G(start) H, and sections (F' = Omega F) transport by H^-1.
+In the "ambient" gauge the result is conjugated by a constant model
+frame F0 with F0^T Q F0 = QTILDE, after which group elements satisfy
+the compatibility X_minus = Q (X_plus^-1)^T Q and the plus part lands
+in SL(3,C).
 """
 
 from __future__ import annotations
@@ -64,7 +69,8 @@ __all__ = [
     "QTILDE", "F0", "HTILDE",
     "BcMat3Field", "FlatConnectionField", "Loop", "HiggsData",
     "assemble", "maurer_cartan_residual", "reduced_system_residual",
-    "step_generators", "grid_step_generators", "expm_steps", "transport",
+    "step_generators", "grid_step_generators", "step_norms", "taylor_degree",
+    "expm_steps", "transport",
     "holonomy",
     "to_sl3", "higgs_split", "hitchin_residuals", "conjugate_frame",
 ]
@@ -597,32 +603,46 @@ def grid_step_generators(conn: FlatConnectionField, part: str,
     return S
 
 
-def expm_steps(S: np.ndarray) -> np.ndarray:
-    """exp of every matrix of (3, 3, ...) planes, as planes.
-
-    Truncated Taylor series, its degree m the smallest with
-    TAYLOR_THETA[m - 1] >= the largest 1-norm in the batch (the column
-    sums of |S_ij| over i); the batch is scaled by 2^-s and squared s
-    times only when that norm exceeds the last entry of the table.  The
-    arithmetic runs on the plane kernel (mat3.expm, Horner reduced by
-    Cayley-Hamilton).  An empty batch is returned empty; a non-finite
-    entry raises ValueError.
-    """
-    cols = []
+def step_norms(S: np.ndarray) -> np.ndarray:
+    """1-norm of every matrix of (3, 3, ...) planes: the largest column
+    sum of |S_ij| over i, as a (...) array."""
+    norms = None
     for j in range(3):
         col = np.abs(S[0, j])
         col += np.abs(S[1, j])
         col += np.abs(S[2, j])
-        cols.append(col.max(initial=0.0))
-    nrm = float(np.max(cols))
-    if not np.isfinite(nrm):
-        raise ValueError(f"non-finite step generator (1-norm {nrm})")
+        norms = col if norms is None else np.maximum(norms, col)
+    return norms
+
+
+def taylor_degree(norm: float) -> tuple[int, int]:
+    """(degree, squarings) of the Taylor exponential for steps whose
+    1-norm is at most `norm`: the smallest degree m with
+    TAYLOR_THETA[m - 1] >= the norm, after scaling by 2^-s when the
+    norm exceeds the last entry of the table.  A non-finite norm raises
+    ValueError."""
+    norm = float(norm)
+    if not np.isfinite(norm):
+        raise ValueError(f"non-finite step generator (1-norm {norm})")
     s = 0
-    if nrm > TAYLOR_THETA[-1]:
-        s = int(np.ceil(np.log2(nrm / TAYLOR_THETA[-1])))
-        nrm /= 2.0 ** s
-    m = next(k for k, theta in enumerate(TAYLOR_THETA, 1) if nrm <= theta)
-    return mat3.expm(S, m, s)
+    if norm > TAYLOR_THETA[-1]:
+        s = int(np.ceil(np.log2(norm / TAYLOR_THETA[-1])))
+        norm /= 2.0 ** s
+    m = next(k for k, theta in enumerate(TAYLOR_THETA, 1) if norm <= theta)
+    return m, s
+
+
+def expm_steps(S: np.ndarray) -> np.ndarray:
+    """exp of every matrix of (3, 3, ...) planes, as planes.
+
+    Truncated Taylor series, its degree and squarings chosen by
+    taylor_degree from the largest 1-norm in the batch (step_norms).
+    The arithmetic runs on the plane kernel (mat3.expm, Horner reduced
+    by Cayley-Hamilton), entry by entry over the batch, so a caller may
+    exponentiate a batch in blocks with the degree of the whole.  An
+    empty batch is returned empty; a non-finite entry raises ValueError.
+    """
+    return mat3.expm(S, *taylor_degree(step_norms(S).max(initial=0.0)))
 
 
 def transport(E: np.ndarray, start=None, out=None) -> np.ndarray:
@@ -635,14 +655,18 @@ def transport(E: np.ndarray, start=None, out=None) -> np.ndarray:
     written into out if given: a strided (even reversed) view of a
     larger array, filled in place.
 
-    Each product is evaluated as G_k + G_k (E_k - I), the plane product
-    (mat3.matmul) of G_k with the increment E_k - I, then G_k added.  A
-    step is close to the identity, so the increment is small and exact
+    Each product is evaluated as G_k + G_k (E_k - I).  A step is close
+    to the identity, so the increment E_k - I is small and exact
     (E_ii - 1 loses nothing), its product rounds far below ulp(G_k), and
     each frame entry takes about one rounding of its own size per step
     instead of one per product term: over the n steps of a grid sweep
     this halves the round-off that the structure fit's third
-    differences amplify.
+    differences amplify.  The 27 products G_il (E_k - I)_lj of a step
+    are written by one broadcast multiply into a reused (3, 3, 3, ...)
+    buffer indexed [l, i, j] and reduced over its outer axis, which adds
+    them in order, (l = 0 + l = 1) + l = 2, before G_k is added: the
+    sums of the row-form product mat3.matmul, bit for bit, in three
+    NumPy calls per step.
     """
     E = np.asarray(E)
     if out is None:
@@ -654,10 +678,15 @@ def transport(E: np.ndarray, start=None, out=None) -> np.ndarray:
     D = E.copy()
     for i in range(3):
         D[i, i] -= 1.0
+    # [l, i, None] and [l, None, j]: column l of G against row l of the
+    # increment
+    Gl, D = out.swapaxes(0, 1)[:, :, None], D[:, None]
+    P = np.empty((3,) + out.shape[:2] + out.shape[3:], dtype=out.dtype)
     for k in range(E.shape[2]):
-        G = out[:, :, k + 1]
-        mat3.matmul(out[:, :, k], D[:, :, k], out=G)
-        G += out[:, :, k]
+        nxt = out[:, :, k + 1]
+        np.multiply(Gl[:, :, :, k], D[:, :, :, k], out=P)
+        np.add.reduce(P, axis=0, out=nxt)      # (l = 0 + l = 1) + l = 2
+        nxt += out[:, :, k]
     return out
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["planes", "stacked", "matmul", "expm", "det", "adj", "solve"]
+__all__ = ["planes", "stacked", "matmul", "expm", "det", "adj"]
 
 
 def planes(M) -> np.ndarray:
@@ -137,17 +137,3 @@ def adj(A) -> np.ndarray:
     """Adjugate planes of A (3, 3, ...): the transposed cofactors, so
     adj(A) A = A adj(A) = det(A) I."""
     return _cofactors(np.asarray(A)).swapaxes(0, 1)
-
-
-def solve(A, B) -> np.ndarray:
-    """X with A X = B for planes A (3, 3, ...) and B (3, k, ...).
-
-    X = adj(A) B / det(A).  A singular matrix gives non-finite entries
-    without a warning, so a caller that needs a definite answer checks
-    det(A) first; NaN entries of A or B propagate to X.
-    """
-    A = np.asarray(A)
-    X = matmul(adj(A), B)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        X /= det(A)
-    return X

@@ -25,11 +25,25 @@ package's entries bit for bit), the dense Maurer-Cartan residual with
 np.matmul for its commutator, and transport as a loop of np.matmul
 products.  matmul_in_order writes out the product order that the
 package documents for its plane kernel, entry by entry.
+
+Whole-grid references pin the streamed and blocked routes of the
+package bit for bit: transport_row_form steps G + mat3.matmul(G, E - I)
+(the package's transport sums the same products in one buffer),
+integrate_part_sweeps integrates a frame from whole-grid step
+exponentials, sweeping both orders into full frame fields, and
+fit_structure_whole fits the structure equations over the whole grid
+at once.  solve is the adjugate solve X = adj(A) B / det(A) on planes.
 """
 
 import numpy as np
 from scipy.linalg import expm, null_space
 
+from bchyp import mat3
+from bchyp.affine import (
+    FIT_MARGIN, DegenerateFrame, _christoffel, _interior, _mask_margin,
+)
+from bchyp.connection import expm_steps, grid_step_generators, transport
+from bchyp.metric import centered_dx, centered_dy
 from bchyp.replib import (COND_TOL, DET_DRIFT, DET_TOL, GAP_FLOOR, GAP_TOL,
                           NotDiagonalizable, NotUnimodular)
 
@@ -247,6 +261,142 @@ def transport_matmul(E, start=None):
     for Ek in E:
         G.append(G[-1] @ Ek)
     return np.array(G)
+
+
+def transport_row_form(E, start=None, out=None):
+    """connection.transport on (3, 3, K, ...) planes with each step
+    evaluated as G_k + mat3.matmul(G_k, E_k - I), the row-form product
+    written into the next frame and G_k added to it."""
+    E = np.asarray(E)
+    if out is None:
+        out = np.empty(E.shape[:2] + (E.shape[2] + 1,) + E.shape[3:],
+                       dtype=E.dtype)
+    if start is None:
+        start = np.eye(3).reshape((3, 3) + (1,) * (E.ndim - 3))
+    out[:, :, 0] = start
+    D = E.copy()
+    for i in range(3):
+        D[i, i] -= 1.0
+    for k in range(E.shape[2]):
+        G = out[:, :, k + 1]
+        mat3.matmul(out[:, :, k], D[:, :, k], out=G)
+        G += out[:, :, k]
+    return out
+
+
+def solve(A, B):
+    """X with A X = B for planes A (3, 3, ...) and B (3, k, ...), as
+    adj(A) B / det(A); a singular A gives non-finite entries without a
+    warning."""
+    A = np.asarray(A)
+    X = mat3.matmul(mat3.adj(A), B)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X /= mat3.det(A)
+    return X
+
+
+def _sweep(Ex, Ey, Exi, Eyi, base):
+    """Frames over the grid from base, row then column, from whole-grid
+    (3, 3, ny, nx) step exponentials (inverses only behind the base)."""
+    iy0, ix0 = base
+    G = np.empty_like(Ex)
+    row = G[:, :, iy0]
+    transport(Ex[:, :, iy0, ix0:-1], out=row[:, :, ix0:])
+    transport(Exi[:, :, iy0, ::-1], row[:, :, ix0], out=row[:, :, ix0::-1])
+    transport(Ey[:, :, iy0:-1], row, out=G[:, :, iy0:])
+    transport(Eyi[:, :, ::-1], row, out=G[:, :, iy0::-1])
+    return G
+
+
+def integrate_part_sweeps(conn, part, base, sl):
+    """affine._integrate_part from whole-grid exponentials: both sweep
+    orders fill full frame fields (the column-then-row one over
+    transposed copies of the exponentials), compared afterwards."""
+    iy0, ix0 = base
+    S = grid_step_generators(conn, part, 0)
+    Ex, Exi = expm_steps(S), expm_steps(-S[..., :ix0])
+    S = grid_step_generators(conn, part, 1)
+    Ey, Eyi = expm_steps(S), expm_steps(-S[:, :, :iy0])
+    del S
+    G_xy = _sweep(Ex, Ey, Exi, Eyi, base)
+    Ex, Ey, Exi, Eyi = (np.ascontiguousarray(E.swapaxes(2, 3))
+                        for E in (Ex, Ey, Exi, Eyi))
+    Gt = _sweep(Ey, Ex, Eyi, Exi, (ix0, iy0))
+    entries = [(i, j) for i in range(3) for j in range(3)]
+    resid = np.max([np.abs(G_xy[i, j, sl, sl] - Gt[i, j].T[sl, sl]).max()
+                    for i, j in entries])
+    gmax = np.max([np.abs(G_xy[i, j, sl, sl]).max() for i, j in entries])
+    return G_xy[:, 2].copy(), float(resid), float(gmax)
+
+
+def fit_structure_whole(pair):
+    """affine._fit_structure over the whole grid at once: the same
+    (gB, xi, S, C_sym, asym) from grid-sized planes, with the
+    degenerate-frame gate before the solves."""
+    f = pair.fplus
+    h = pair.spacing
+    per = pair.periodic
+    n = pair.n
+    frame = np.empty((3, 3, n, n))
+    second = np.empty((3, 3, n, n))
+    for i in range(3):
+        fi = f[..., i]
+        fx, fy = centered_dx(fi, h), centered_dy(fi, h)
+        frame[i, 0], frame[i, 1], frame[i, 2] = fx, fy, fi
+        second[i, 0] = centered_dx(fx, h)
+        second[i, 1] = centered_dy(fx, h)
+        second[i, 2] = centered_dy(fy, h)
+    det = mat3.det(frame)
+    det_valid = det if per else _interior(det, 2)
+    if float(np.min(np.abs(det_valid))) < 1e-10:
+        raise DegenerateFrame(
+            f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
+    adj = mat3.adj(frame)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = mat3.matmul(adj, second)
+        coef /= det
+    g00, g01, g11 = coef[2]
+    detg = g00 * g11 - g01 ** 2
+    sg = np.sqrt(np.abs(detg))
+    i00, i01, i11 = g11 / detg, -g01 / detg, g00 / detg
+    xi = np.empty((3, n, n))
+    dxi = np.empty((3, 2, n, n))
+    for i in range(3):
+        fx, fy = frame[i, 0], frame[i, 1]
+        flux_x = sg * (i00 * fx + i01 * fy)
+        flux_y = sg * (i01 * fx + i11 * fy)
+        xi[i] = ((centered_dx(flux_x, h) + centered_dy(flux_y, h))
+                 / (2.0 * sg))
+        dxi[i, 0] = centered_dx(xi[i], h)
+        dxi[i, 1] = centered_dy(xi[i], h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scoef = mat3.matmul(adj[:2], dxi)
+        scoef /= det
+    g = ((g00, g01), (g01, g11))
+    K = coef[:2] - _christoffel(g, ((i00, i01), (i01, i11)), h)
+    C = [[-(g[c][0] * K[0, ab] + g[c][1] * K[1, ab]) for c in (0, 1)]
+         for ab in range(3)]
+    c001 = (C[0][1] + 2.0 * C[1][0]) / 3.0
+    c011 = (2.0 * C[1][1] + C[2][0]) / 3.0
+    asym_field = np.max([np.abs(C[0][1] - c001), np.abs(C[1][0] - c001),
+                         np.abs(C[1][1] - c011), np.abs(C[2][0] - c011)],
+                        axis=0)
+    gB = np.empty((n, n, 2, 2))
+    gB[..., 0, 0] = g00
+    gB[..., 0, 1] = gB[..., 1, 0] = g01
+    gB[..., 1, 1] = g11
+    C_sym = np.empty((n, n, 2, 2, 2))
+    C_sym[..., 0, 0, 0] = C[0][0]
+    C_sym[..., 0, 0, 1] = C_sym[..., 0, 1, 0] = C_sym[..., 1, 0, 0] = c001
+    C_sym[..., 0, 1, 1] = C_sym[..., 1, 0, 1] = C_sym[..., 1, 1, 0] = c011
+    C_sym[..., 1, 1, 1] = C[2][1]
+    S = np.moveaxis(scoef, (0, 1), (2, 3))
+    xi = np.moveaxis(xi, 0, -1)
+    if per:
+        return gB, xi, S, C_sym, float(np.max(asym_field))
+    return (_mask_margin(gB, 2), _mask_margin(xi, 3),
+            _mask_margin(S, FIT_MARGIN), _mask_margin(C_sym, 3),
+            float(np.nanmax(_mask_margin(asym_field, 3))))
 
 
 def ellipticity_floor_oracle(mu: complex, samples: int = 100_000) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import oracles
 from bchyp.affine import (
     AffinePair, BlaschkeData, DegenerateFrame, NotIsotropic, NotReal,
     PathDependent, blaschke_data, dual_lift, eta, integrate_frame,
@@ -490,20 +491,146 @@ def test_integrate_off_origin_base_rebases_the_pair():
 FIELD_128 = 128 * 128 * 9 * 16
 
 
-def test_integrate_frame_peak_memory_within_ten_fields():
-    # one idempotent part's step generators and exponentials are live at
-    # a time; the x and y generators of both parts alone are 4 fields
-    n = 128
+def wang_conn(n):
     problem = wang_specialize(1.2, TorusGrid(n))
-    report = solve_newton(problem)
-    conn = assemble(report.psi, problem.C, problem.background.chart)
+    return assemble(solve_newton(problem).psi, problem.C,
+                    problem.background.chart)
+
+
+def strip_conn(n, flip=False):
+    """The C = 0 strip datum of the Fuchsian patch test: flat, real and
+    not constant, and not periodic in y, so the two sweep orders
+    disagree across the seam rows.  Flipped (y -> 1 - y, also a
+    solution), its largest steps lie at the far end of the grid."""
+    grid = TorusGrid(n)
+    zero = np.zeros((n, n))
+    y = 1.0 - grid.y if flip else grid.y
+    psi = -np.log(np.sqrt(2.0) * (y + 0.35))
+    return assemble(psi, CubicPair(grid, zero, zero, holomorphic=True),
+                    BeltramiChart.identity(grid))
+
+
+def integrated(conn, base, trim):
+    """The pair of integrate_frame, or the residual it raised."""
+    try:
+        return integrate_frame(conn, base=base, trim=trim)
+    except PathDependent as exc:
+        return exc.residual
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("base", [(0, 0), (40, 70)], ids=["origin", "off"])
+@pytest.mark.parametrize("trim", [0, 2])
+@pytest.mark.parametrize("datum", [wang_conn, strip_conn],
+                         ids=["wang", "strip"])
+def test_streamed_integrate_frame_equals_the_sweep_oracle(
+        monkeypatch, n, base, trim, datum):
+    # blocks of step exponentials, and column-then-row frames compared
+    # block by block, give the pair and the path residual of whole-grid
+    # sweeps bit for bit; n = 16 is smaller than one block, and the off
+    # base wraps into the grid
+    conn = datum(n)
+    base = (base[0] % n, base[1] % n)
+    got = integrated(conn, base, trim)
+    monkeypatch.setattr(affine, "_integrate_part",
+                        oracles.integrate_part_sweeps)
+    want = integrated(conn, base, trim)
+    if isinstance(want, AffinePair):
+        assert np.array_equal(got.fplus, want.fplus)
+        assert np.array_equal(got.fminus, want.fminus)
+        assert got.path_residual == want.path_residual
+    else:
+        assert got == want
+
+
+def test_streamed_integrate_part_keeps_the_whole_grid_taylor_degrees(
+        monkeypatch):
+    # on the flipped strip the y-steps behind an off-origin base take a
+    # lower degree than the rest (8 against 9 at n = 64); the blocks use
+    # the same degrees as whole-grid exponentials, where a higher degree
+    # could give the same bits and slip past the bitwise test above
+    conn = strip_conn(64, flip=True)
+    expm = affine.mat3.expm
+
+    def degrees(integrate_part):
+        used = set()
+
+        def recording(S, degree, squarings=0):
+            used.add((degree, squarings))
+            return expm(S, degree, squarings)
+
+        monkeypatch.setattr(affine.mat3, "expm", recording)
+        integrate_part(conn, "plus", (40, 6), slice(None))
+        monkeypatch.setattr(affine.mat3, "expm", expm)
+        return used
+
+    want = degrees(oracles.integrate_part_sweeps)
+    assert len(want) == 3
+    assert degrees(affine._integrate_part) == want
+
+
+def same_fit(got, want):
+    return (all(np.array_equal(a, b, equal_nan=True)
+                for a, b in zip(got[:4], want[:4]))
+            and got[4] == want[4])
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_blocked_fit_equals_the_whole_grid_oracle(n):
+    # row blocks with a 4-row halo fit every node as the whole grid
+    # does: a pair flagged periodic wraps its halo across the seam (the
+    # hyperboloid patch, whose seam jump reaches every stencil), and an
+    # integrated pair matches with its NaN margins
+    f, _, grid = hyperboloid_patch(n)
+    wrapped = AffinePair(f, f, grid.spacing, periodic=True)
+    pair = integrate_frame(wang_conn(n))
+    for p in (wrapped, pair, pair.dual()):
+        assert same_fit(_fit_structure(p), oracles.fit_structure_whole(p))
+
+
+@pytest.mark.parametrize("row", [40, 33], ids=["inside", "halo"])
+def test_blocked_fit_raises_the_grid_minimum_of_a_degenerate_frame(row):
+    # four equal rows make f_y vanish on the middle two, so the frame has
+    # rank 2 there (det = 0, nonzero adjugate); the rows lie inside one
+    # block, or also in the halo of the block before, and the blocked
+    # gate raises with the whole-grid fit's minimum
+    f, _, grid = hyperboloid_patch(128)
+    f[row:row + 4] = f[row]
+    for per in (True, False):
+        pair = AffinePair(f, f, grid.spacing, periodic=per)
+        with pytest.raises(DegenerateFrame) as want:
+            oracles.fit_structure_whole(pair)
+        with pytest.raises(DegenerateFrame) as got:
+            _fit_structure(pair)
+        assert str(got.value) == str(want.value)
+
+
+def test_integrate_frame_peak_memory_within_five_fields():
+    # one idempotent part at a time: its two generator fields and the
+    # row-then-column frames are held, the step exponentials only a
+    # block of rows or columns at a time, and the column-then-row frames
+    # never as a whole
+    conn = wang_conn(128)
     tracemalloc.start()
     try:
         integrate_frame(conn)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * FIELD_128, peak / FIELD_128
+    assert peak <= 5 * FIELD_128, peak / FIELD_128
+
+
+def test_fit_structure_peak_memory_within_three_and_a_half_fields():
+    # the outputs (19 real planes) are grid-sized; the fit's own planes
+    # are held one row block at a time
+    pair = integrate_frame(wang_conn(128))
+    tracemalloc.start()
+    try:
+        _fit_structure(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * FIELD_128, peak / FIELD_128
 
 
 # ----------------------------------------------------------------------

@@ -466,7 +466,7 @@ def test_step_exponentials_keep_the_minus_part_structure():
     E = {part: mat3.stacked(expm_steps(step_generators(
                 conn, 0, np.arange(n), 0, 1, part)))
          for part in ("plus", "minus")}
-    inv = mat3.stacked(mat3.solve(mat3.planes(E["plus"]), np.eye(3)))
+    inv = mat3.stacked(oracles.solve(mat3.planes(E["plus"]), np.eye(3)))
     err = np.abs(E["minus"] - QTILDE @ np.swapaxes(inv, -1, -2) @ QTILDE)
     assert err.max() < 1e-16, err.max()
 
@@ -495,6 +495,38 @@ def test_transport_multiplies_steps_on_the_right(batch, with_start):
     assert not np.allclose(G[-1], E[-1] @ G[-2])
     ref = oracles.transport_matmul(E, start)
     assert np.abs(G - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("batch", [(), (2,), (64,)],
+                         ids=["single", "pair", "row"])
+@pytest.mark.parametrize("layout", ["fresh", "strided", "reversed"])
+def test_transport_step_equals_the_row_form_bitwise(batch, layout):
+    # the broadcast step sums the row-form product's terms in its order,
+    # into the views the sweeps write: a frame row of a grid (strided in
+    # the step axis) and a reversed run behind the base
+    rng = np.random.default_rng(23)
+    shape = (3, 3, 9) + batch
+    E = (np.eye(3).reshape((3, 3, 1) + (1,) * len(batch))
+         + 0.3 * (rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape)))
+    start = (rng.standard_normal((3, 3) + batch)
+             + 1j * rng.standard_normal((3, 3) + batch))
+    for st in (None, start):
+        if layout == "fresh":
+            got = connection.transport(E, st)
+            want = oracles.transport_row_form(E, st)
+        else:
+            bufs = [np.zeros((3, 3, 12) + batch + (2,), dtype=complex)
+                    for _ in range(2)]
+            views = [b[..., 1] for b in bufs]
+            if layout == "reversed":
+                views = [v[:, :, 10::-1][:, :, :10] for v in views]
+            else:
+                views = [v[:, :, 1:11] for v in views]
+            got = connection.transport(E, st, out=views[0])
+            want = oracles.transport_row_form(E, st, out=views[1])
+            assert np.array_equal(bufs[0], bufs[1])
+        assert np.array_equal(got, want)
 
 
 MIXED_STEPS = (((2, 0),) * 8 + ((1, 1),) * 16 + ((0, -1),) * 16

