@@ -128,15 +128,6 @@ class Bicomplex:
         # sup of the idempotent moduli; a convenient absolute scale, not the tau-norm
         return max(abs(self.plus), abs(self.minus))
 
-    def to_json(self) -> dict:
-        return {"z1": [self.z1.real, self.z1.imag],
-                "z2": [self.z2.real, self.z2.imag]}
-
-    @classmethod
-    def from_json(cls, obj) -> "Bicomplex":
-        return cls(complex(obj["z1"][0], obj["z1"][1]),
-                   complex(obj["z2"][0], obj["z2"][1]))
-
 
 ONE = Bicomplex(1.0, 0.0)
 TAU = Bicomplex(0.0, 1.0)
@@ -223,11 +214,6 @@ class BcVec3:
         v = np.asarray(v, dtype=complex).reshape(3)
         return cls(v, v)
 
-    @classmethod
-    def from_entries(cls, entries) -> "BcVec3":
-        entries = [as_bicomplex(e) for e in entries]
-        return cls([e.plus for e in entries], [e.minus for e in entries])
-
     @property
     def z1(self) -> np.ndarray:
         return (self.plus + self.minus) / 2.0
@@ -235,9 +221,6 @@ class BcVec3:
     @property
     def z2(self) -> np.ndarray:
         return (self.plus - self.minus) / 2.0
-
-    def entry(self, i: int) -> Bicomplex:
-        return Bicomplex.from_idempotent(self.plus[i], self.minus[i])
 
     def tau_conj(self) -> "BcVec3":
         return BcVec3(self.minus, self.plus)
@@ -267,13 +250,6 @@ class BcVec3:
 
     def __repr__(self):
         return "BcVec3(plus=%s, minus=%s)" % (self.plus.tolist(), self.minus.tolist())
-
-    def to_json(self):
-        return [self.entry(i).to_json() for i in range(3)]
-
-    @classmethod
-    def from_json(cls, obj) -> "BcVec3":
-        return cls.from_entries([Bicomplex.from_json(e) for e in obj])
 
 
 class BcMat3:
@@ -344,18 +320,12 @@ class BcMat3:
 
     __rmul__ = __mul__
 
-    def transpose(self) -> "BcMat3":
-        return BcMat3(self.plus.T, self.minus.T)
-
     def tau_conj(self) -> "BcMat3":
         return BcMat3(self.minus, self.plus)
 
     def det(self) -> Bicomplex:
         return Bicomplex.from_idempotent(np.linalg.det(self.plus),
                                          np.linalg.det(self.minus))
-
-    def trace(self) -> Bicomplex:
-        return Bicomplex.from_idempotent(np.trace(self.plus), np.trace(self.minus))
 
     def inv(self) -> "BcMat3":
         dp = np.linalg.det(self.plus)
@@ -365,9 +335,6 @@ class BcMat3:
                            % (abs(dp), abs(dm)))
         return BcMat3(np.linalg.inv(self.plus), np.linalg.inv(self.minus))
 
-    def entry(self, i: int, j: int) -> Bicomplex:
-        return Bicomplex.from_idempotent(self.plus[i, j], self.minus[i, j])
-
     def norm_max(self) -> float:
         return float(np.maximum(np.abs(self.plus).max(),
                                 np.abs(self.minus).max()))
@@ -375,20 +342,6 @@ class BcMat3:
     def __repr__(self):
         return "BcMat3(plus=%s,\n       minus=%s)" % (self.plus.tolist(),
                                                       self.minus.tolist())
-
-    def to_json(self):
-        return [[self.entry(i, j).to_json() for j in range(3)] for i in range(3)]
-
-    @classmethod
-    def from_json(cls, obj) -> "BcMat3":
-        p = np.zeros((3, 3), dtype=complex)
-        m = np.zeros((3, 3), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                w = Bicomplex.from_json(obj[i][j])
-                p[i, j] = w.plus
-                m[i, j] = w.minus
-        return cls(p, m)
 
 
 def phi_iso(A) -> BcMat3:

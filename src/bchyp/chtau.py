@@ -26,8 +26,6 @@ g -> g/2, under which the para-holomorphic sectional curvature is -4.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .bicomplex import (
@@ -126,13 +124,6 @@ class HyperboloidPoint:
 
     def __repr__(self):
         return f"HyperboloidPoint({self.rep!r})"
-
-    def to_json(self) -> str:
-        return self.rep.to_json()
-
-    @classmethod
-    def from_json(cls, s: str) -> "HyperboloidPoint":
-        return cls(BcVec3.from_json(s))
 
 
 class IncidencePoint:
@@ -370,19 +361,6 @@ class Flag:
 
     def __setattr__(self, name, value):
         raise AttributeError("Flag is immutable")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "line": [[z.real, z.imag] for z in self.line],
-            "plane": [[z.real, z.imag] for z in self.plane],
-        })
-
-    @classmethod
-    def from_json(cls, s: str) -> "Flag":
-        d = json.loads(s)
-        line = np.array([complex(a, b) for a, b in d["line"]])
-        plane = np.array([complex(a, b) for a, b in d["plane"]])
-        return cls(line, plane)
 
     def __repr__(self):
         return f"Flag(line={self.line!r}, plane={self.plane!r})"

@@ -31,9 +31,9 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,7 +105,8 @@ SCHEMA = {
 
 
 def _typed(value, type_, what):
-    """value as a type_ (int, float or complex); ConfigError otherwise."""
+    """value as a type_ (int, float or complex); ConfigError otherwise,
+    also for the NaN and infinities that JSON readers accept."""
     parts = (value if type_ is complex and isinstance(value, list)
              and len(value) == 2 else [value])
     if not all(isinstance(v, int if type_ is int else (int, float))
@@ -113,6 +114,13 @@ def _typed(value, type_, what):
         form = {int: "an integer", float: "a number",
                 complex: "a number or [re, im] pair"}[type_]
         raise ConfigError(f"{what} must be {form}")
+    if type_ is not int:
+        try:
+            parts = [float(v) for v in parts]
+        except OverflowError:               # an integer past the float range
+            parts = [math.inf]
+        if not all(map(math.isfinite, parts)):
+            raise ConfigError(f"{what} must be finite")
     return type_(*parts)
 
 
@@ -142,8 +150,13 @@ def read(cfg: dict, name: str):
     if not isinstance(given, dict):
         raise ConfigError(f"config key {name!r} must be an object")
     values, spec = _section(name, given)
-    return values | {key: _typed(values[key], type_, f"{name}.{key}")
-                     for key, (type_, _) in spec.items()}
+    values |= {key: _typed(values[key], type_, f"{name}.{key}")
+               for key, (type_, _) in spec.items()}
+    if name == "solver" and values["tol"] <= 0:
+        raise ConfigError("solver.tol must be positive")
+    if name == "solver" and values["max_iter"] < 0:
+        raise ConfigError("solver.max_iter must not be negative")
+    return values
 
 
 def _read_json(path: str, what: str):
@@ -333,10 +346,8 @@ def stage_conn(args):
 
 
 def _period_holonomies(conn, n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # advisory fires on O(h^2) data
-        return (holonomy(conn, Loop.x_period(n)),
-                holonomy(conn, Loop.y_period(n)))
+    return (holonomy(conn, Loop.x_period(n)),
+            holonomy(conn, Loop.y_period(n)))
 
 
 def stage_affine(args):

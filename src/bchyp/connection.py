@@ -57,8 +57,6 @@ in SL(3,C).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import mat3
@@ -93,7 +91,6 @@ HTILDE = np.array([[0.0, 1.0, 0.0],
                    [1.0, 0.0, 0.0],
                    [0.0, 0.0, 1.0]])
 
-FLATNESS_WARN = 1e-4
 SL3_TOL = 1e-8      # to_sl3's compatibility bound, relative to the scale
 
 #: theta_m for the degree-m truncated Taylor series of exp: for
@@ -134,22 +131,11 @@ class BcMat3Field:
     def n(self) -> int:
         return self.plus.shape[0]
 
-    def at(self, iy: int, ix: int) -> BcMat3:
-        return BcMat3(self.plus[iy, ix], self.minus[iy, ix])
-
     def __add__(self, other):
         return BcMat3Field(self.plus + other.plus, self.minus + other.minus)
 
     def __sub__(self, other):
         return BcMat3Field(self.plus - other.plus, self.minus - other.minus)
-
-    def __neg__(self):
-        return BcMat3Field(-self.plus, -self.minus)
-
-    def __matmul__(self, other):
-        if not isinstance(other, BcMat3Field):
-            return NotImplemented
-        return BcMat3Field(self.plus @ other.plus, self.minus @ other.minus)
 
     def scale(self, f) -> "BcMat3Field":
         """Multiply by a complex scalar or (n, n) scalar field."""
@@ -157,10 +143,6 @@ class BcMat3Field:
         if f.ndim == 2:
             f = f[:, :, None, None]
         return BcMat3Field(f * self.plus, f * self.minus)
-
-    def trace(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.einsum("...ii->...", self.plus),
-                np.einsum("...ii->...", self.minus))
 
     def max_abs(self) -> float:
         return float(np.maximum(np.abs(self.plus).max(),
@@ -208,7 +190,7 @@ class FlatConnectionField:
     preservation of the frame Gram matrix.
     """
 
-    __slots__ = ("planes", "chart", "s2", "_flatness")
+    __slots__ = ("planes", "chart", "s2")
 
     def __init__(self, Ahat, Bhat, chart: BeltramiChart, s2):
         n = chart.grid.n
@@ -236,7 +218,6 @@ class FlatConnectionField:
         object.__setattr__(self, "planes", planes)
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "_flatness", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FlatConnectionField is immutable")
@@ -271,16 +252,13 @@ class FlatConnectionField:
                    for p in _distinct(field))
 
     def flatness_residual(self) -> float:
-        """Max-abs of the Maurer-Cartan residual, computed once.
+        """Max-abs of the Maurer-Cartan residual.
 
-        The field is immutable, so the value is kept on the instance and
-        every later reader (holonomy's advisory, the CLI checks) shares
-        the one evaluation.
+        This is the flatness check: holonomy does not run it, and the
+        holonomy of data that is not flat depends on the loop, not only
+        on its class.
         """
-        if self._flatness is None:
-            object.__setattr__(self, "_flatness",
-                               maurer_cartan_residual(self).max_abs())
-        return self._flatness
+        return maurer_cartan_residual(self).max_abs()
 
     def pairing_residual(self) -> float:
         """Max-abs of M_minus + QTILDE M_plus^T QTILDE over both matrices.
@@ -375,13 +353,6 @@ class Loop:
     @classmethod
     def y_period(cls, n: int) -> "Loop":
         return cls(n, ((0, 1),) * n)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "steps": [list(s) for s in self.steps]}
-
-    @classmethod
-    def from_json(cls, obj) -> "Loop":
-        return cls(obj["n"], obj["steps"])
 
     def __repr__(self):
         return f"Loop(n={self.n}, {len(self.steps)} steps)"
@@ -704,19 +675,15 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
     wrt QTILDE); gauge="ambient" conjugates by the constant model frame
     F0, after which X_minus = Q (X_plus^-1)^T Q with Q = diag(1,1,-1).
 
-    A connection whose flatness residual exceeds FLATNESS_WARN draws a
-    warning: its holonomy depends on the loop, not only on its class.
+    The holonomy of data that is not flat depends on the loop, not only
+    on its class; holonomy does not check flatness, and
+    FlatConnectionField.flatness_residual is that check.
     """
     if gauge not in ("ambient", "frame"):
         raise ValueError(f"unknown gauge {gauge!r}")
     g = conn.grid
     if loop.n != g.n:
         raise ValueError("loop and connection grids differ")
-    flat = conn.flatness_residual()
-    if flat > FLATNESS_WARN:
-        warnings.warn(f"holonomy of non-flat data: Maurer-Cartan residual "
-                      f"{flat:.2e} exceeds {FLATNESS_WARN:.0e}",
-                      stacklevel=2)
     d = np.array(loop.steps)                    # (steps, 2): (dix, diy)
     start = np.cumsum(d, axis=0) - d            # node each step leaves
     # the two parts' steps side by side, transported together

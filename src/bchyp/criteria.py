@@ -15,7 +15,6 @@ and by the CLI's --config runs alike.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -319,10 +318,8 @@ def criterion_6() -> CriterionResult:
     n = 64
     psi, C, chart = _solved_sine(n)
     conn = assemble(psi, C, chart)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # advisory fires on O(h^2) data
-        Hx = holonomy(conn, Loop.x_period(n))
-        Hy = holonomy(conn, Loop.y_period(n))
+    Hx = holonomy(conn, Loop.x_period(n))
+    Hy = holonomy(conn, Loop.y_period(n))
     return _result(6, "holonomy invariants",
                    holonomy_checks(Hx, Hy, chart.grid.spacing), t0)
 

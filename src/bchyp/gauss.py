@@ -34,7 +34,6 @@ Steps are damped by halving on the residual max-norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -145,8 +144,7 @@ class SolveReport:
 
     krylov_iterations and halvings hold one entry per Newton step: the
     GMRES iterations of its linear solve and the damping halvings before
-    the step was accepted.  They describe how the solve ran, not what it
-    found, so to_json leaves them out.
+    the step was accepted.
     """
 
     psi: np.ndarray
@@ -155,14 +153,6 @@ class SolveReport:
     converged: bool
     krylov_iterations: list
     halvings: list
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "iterations": self.iterations,
-            "residual_history": [repr(r) for r in self.residual_history],
-            "final_residual": repr(self.residual_history[-1]),
-            "converged": self.converged,
-        }, sort_keys=True)
 
     def __repr__(self):
         return (f"SolveReport(converged={self.converged}, "

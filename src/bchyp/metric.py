@@ -27,19 +27,15 @@ z-chart stencils to w-derivatives throughout.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 __all__ = [
     "TorusGrid", "BeltramiChart", "ComplexMetric", "CubicPair",
     "centered_dx", "centered_dy", "stencil_symbols",
-    "commutator_coeffs", "laplacian", "curvature", "cubic_norm",
+    "laplacian", "curvature", "cubic_norm",
     "area_integrate", "ellipticity_floor", "symbol_check", "christoffels",
-    "save_field_csv", "load_field_csv", "save_field_bin", "load_field_bin",
 ]
 
-FIELD_MAGIC = b"BCFIELD1"
 SYMBOL_FLOOR = 5e-3     # least ellipticity floor of an accepted chart
 
 
@@ -290,11 +286,6 @@ class CubicPair:
         return f"CubicPair(n={self.grid.n}, holomorphic={self.holomorphic})"
 
 
-def commutator_coeffs(chart: BeltramiChart) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (cW, cZ) of [d_zbar, d_w] = cW d_w - cZ d_zbar."""
-    return chart.logA, chart.logB
-
-
 def laplacian(h: ComplexMetric, phi) -> np.ndarray:
     """Laplace-Beltrami of h applied to a periodic scalar field.
 
@@ -387,43 +378,3 @@ def christoffels(h: ComplexMetric) -> dict:
         "zb_zbzb": dlog_zb - c.logA,
         "zb_wzb": c.logB,
     }
-
-
-# ------------------------------------------------------------ serialization
-
-def save_field_csv(f: np.ndarray, path: str) -> None:
-    """Row-major CSV, complex entries flattened to alternating re,im."""
-    f = np.asarray(f, dtype=complex)
-    flat = np.empty((f.shape[0], 2 * f.shape[1]))
-    flat[:, 0::2] = f.real
-    flat[:, 1::2] = f.imag
-    np.savetxt(path, flat, delimiter=",", fmt="%.17g")
-
-
-def load_field_csv(path: str) -> np.ndarray:
-    flat = np.loadtxt(path, delimiter=",", ndmin=2)
-    return flat[:, 0::2] + 1j * flat[:, 1::2]
-
-
-def save_field_bin(f: np.ndarray, path: str) -> None:
-    """Container: magic, 8-byte little-endian header length, JSON header
-    (shape/dtype), then raw complex128 bytes in C order."""
-    f = np.ascontiguousarray(f, dtype=np.complex128)
-    header = json.dumps({"shape": list(f.shape), "dtype": "complex128"},
-                        sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(FIELD_MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        fh.write(f.tobytes())
-
-
-def load_field_bin(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(FIELD_MAGIC))
-        if magic != FIELD_MAGIC:
-            raise ValueError(f"bad field container magic: {magic!r}")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode())
-        data = np.frombuffer(fh.read(), dtype=np.complex128)
-    return data.reshape(header["shape"]).copy()

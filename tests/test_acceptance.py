@@ -6,8 +6,6 @@ line (bypassing capture so it always appears in the run log), then
 asserts the verdict.
 """
 
-import pytest
-
 from bchyp.criteria import run_criterion
 
 

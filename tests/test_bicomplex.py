@@ -118,17 +118,6 @@ def test_scalar_coercion():
     assert isclose((1 + 1j) * TAU, Bicomplex(0, 1 + 1j))
 
 
-def test_json_roundtrip():
-    w = Bicomplex(1.5 - 2j, 0.25 + 3j)
-    assert Bicomplex.from_json(w.to_json()) == w
-    rng = np.random.default_rng(0)
-    M = BcMat3(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
-               rng.standard_normal((3, 3)))
-    M2 = BcMat3.from_json(M.to_json())
-    assert np.abs(M.plus - M2.plus).max() < 1e-15
-    assert np.abs(M.minus - M2.minus).max() < 1e-15
-
-
 def test_vec3_basics():
     v = BcVec3.from_tau_parts([1, 0, 0], [0, 1, 0])
     assert np.allclose(v.plus, [1, 1, 0])

@@ -4,10 +4,10 @@ import pytest
 import oracles
 
 from bchyp.bicomplex import (
-    Bicomplex, BcVec3, BcMat3, TAU, Q3, tau_conj, re_tau, im_tau, phi_iso,
+    Bicomplex, BcVec3, TAU, Q3, tau_conj, re_tau, im_tau, phi_iso,
 )
 from bchyp.chtau import (
-    HyperboloidPoint, IncidencePoint, Flag,
+    HyperboloidPoint, Flag,
     q_form, to_incidence, from_incidence, project_tangent,
     para_hermitian_eval, para_holo_sectional, submanifold_membership,
     boundary_flag, line_plane_det, transversal,
@@ -308,12 +308,6 @@ def test_boundary_flag_basic():
 def test_boundary_flag_rejects_offboundary():
     with pytest.raises(NotOnBoundary):
         boundary_flag([1, 0, 0], np.array([1.0, 0, 0]) @ Q3)
-
-
-def test_flag_json_roundtrip():
-    f = boundary_flag([1, 1j, 0], [0, 0, 1.0 - 2j])
-    f2 = Flag.from_json(f.to_json())
-    assert np.abs(f.line - f2.line).max() < 1e-15
 
 
 def test_loxodromic_eigenflag_fixed():

@@ -258,9 +258,17 @@ def test_given_section_records_its_defaults(tmp_path, capsys, payload,
     {"solver": {"tol": 1e-10, "max_iter": "5"}},
     {"seed": "abc"},
     {"chart": {"kind": "identity", "mu": 0.3}},
+    {"solver": {"max_iter": -2}},
+    {"solver": {"tol": float("inf")}},
+    {"solver": {"tol": 0}},
+    {"solver": {"tol": -1}},
+    {"solver": {"tol": float("nan")}},
+    {"background": {"kg": float("nan")}},
+    {"chart": {"kind": "sine", "eps": float("nan")}},
 ], ids=["grid_100", "grid_8", "grid_bool", "tol_str", "perturb_str",
         "kg_str", "q_overflow", "max_iter_float", "max_iter_str",
-        "seed_str", "mu_on_identity"])
+        "seed_str", "mu_on_identity", "max_iter_negative", "tol_inf",
+        "tol_zero", "tol_negative", "tol_nan", "kg_nan", "eps_nan"])
 def test_malformed_config_exits_two(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, {"grid": 16} | payload)
     assert main(["gauss", "solve", "--config", cfg]) == 2
@@ -342,6 +350,28 @@ def test_manifest_bytes_reproduce(capsys):
     code2, out2 = run_json(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_manifest_leaves_out_the_solver_counters(tmp_path, capsys):
+    # the Krylov iterations and damping halvings of each Newton step say
+    # how the solve ran, not what it found
+    cfg = write_cfg(tmp_path, {"grid": 32,
+                               "cubic": {"kind": "pair", "perturb": 0.1}})
+    code, out = run_json(capsys, ["gauss", "solve", "--config", cfg])
+    manifest = json.loads(out)
+    assert code == 0
+    assert manifest["results"][0]["residuals"]["iterations"] > 0
+    keys = set()
+
+    def collect(obj):
+        if isinstance(obj, dict):
+            keys.update(obj)
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            for v in obj:
+                collect(v)
+    collect(manifest)
+    assert not any("krylov" in k or "halvings" in k for k in keys), keys
 
 
 @pytest.mark.parametrize("argv", [

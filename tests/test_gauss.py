@@ -13,11 +13,11 @@ from bchyp.metric import (
     laplacian, curvature, cubic_norm,
 )
 from bchyp.gauss import (
-    GaussProblem, SolveReport,
+    GaussProblem,
     residual_background, residual_intrinsic, constant_root,
     solve_newton, wang_specialize, project_discrete_kernel,
     laplacian_matrix, laplacian_symbol,
-    ChartMismatch, NoPositiveRoot, DidNotConverge,
+    ChartMismatch, NoPositiveRoot,
 )
 
 
@@ -358,14 +358,3 @@ def test_wang_equation_pointwise():
     assert np.abs(two_q2 - want).max() < 1e-13
     K = curvature(h)
     assert np.abs(K - two_q2 + 1.0).max() < 1e-10
-
-
-def test_report_json():
-    p = flat_problem(32, Kg=-1.0)
-    rep = solve_newton(p)
-    d = json.loads(rep.to_json())
-    assert d["converged"] is True
-    assert d["iterations"] == rep.iterations
-    # solver counters stay out of the manifest
-    assert set(d) == {"converged", "final_residual", "iterations",
-                      "residual_history"}

@@ -4,9 +4,8 @@ import pytest
 from bchyp.metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair, stencil_symbols,
     centered_dx, centered_dy,
-    commutator_coeffs, laplacian, curvature, cubic_norm,
+    laplacian, curvature, cubic_norm,
     area_integrate, ellipticity_floor, symbol_check, christoffels,
-    save_field_csv, load_field_csv, save_field_bin, load_field_bin,
 )
 import oracles
 
@@ -100,13 +99,12 @@ def test_constant_mu_chart_fields():
     assert np.allclose(c.mu, m)
     assert np.allclose(c.dwz, 1 / (1 - abs(m) ** 2))
     assert np.allclose(c.dzbwb, 1.0)
-    cW, cZ = commutator_coeffs(c)
-    assert np.abs(cW).max() == 0 and np.abs(cZ).max() == 0
+    assert np.abs(c.logA).max() == 0 and np.abs(c.logB).max() == 0
 
 
 def test_commutator_zero_chart():
-    g = TorusGrid(16)
-    cW, cZ = commutator_coeffs(BeltramiChart.identity(g))
+    c = BeltramiChart.identity(TorusGrid(16))
+    cW, cZ = c.logA, c.logB
     assert np.abs(cW).max() == 0 and np.abs(cZ).max() == 0
 
 
@@ -117,7 +115,7 @@ def test_commutator_synthetic_chart_vs_4th_order():
         F = 0.2 * np.sin(2 * np.pi * g.x) * np.cos(2 * np.pi * g.y)
         G = 0.1 * np.cos(2 * np.pi * (g.x + g.y))
         chart = BeltramiChart(g, 0.1, np.exp(F), np.exp(G + 0.05j))
-        cW, cZ = commutator_coeffs(chart)
+        cW, cZ = chart.logA, chart.logB
         # independent: 4th-order differencing of log(dwz), log(dzbwb)
         oW = oracles.dzb4(F, g.spacing)
         oZ = np.exp(F) * (oracles.dz4(G + 0.05j, g.spacing)
@@ -358,26 +356,3 @@ def test_christoffel_identities():
     assert errs[0] < 0.05
     assert 3.4 < errs[0] / errs[1] < 4.6
 
-
-# ---------------------------------------------------------- serialization
-
-def test_field_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    p = tmp_path / "f.csv"
-    save_field_csv(f, p)
-    g = load_field_csv(p)
-    assert np.abs(f - g).max() < 1e-15
-
-
-def test_field_bin_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    f = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    p = tmp_path / "f.bcf"
-    save_field_bin(f, p)
-    g = load_field_bin(p)
-    assert np.array_equal(f, g)
-    with pytest.raises(ValueError):
-        p2 = tmp_path / "bad.bcf"
-        p2.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        load_field_bin(p2)

@@ -20,9 +20,10 @@ import pytest
 import oracles
 from bchyp.chtau import Flag
 from bchyp.cli import load_generators
-from bchyp.connection import BcMat3Field
 from bchyp.metric import BeltramiChart, ComplexMetric, TorusGrid
 from bchyp.replib import (
+    GAP_FLOOR,
+    GAP_TOL,
     TIE_TOL,
     AnosovReport,
     NotDiagonalizable,
@@ -237,6 +238,24 @@ def test_loxodromy_defective_matrix_raises():
     J = J / np.linalg.det(J) ** (1 / 3)
     with pytest.raises(NotDiagonalizable):
         loxodromy(J)
+
+
+def test_loxodromy_jordan_pair_with_a_wide_gap_reads_not_loxodromic():
+    # a defective pair (a Jordan 2-block with a large coupling) beside a
+    # simple root: round-off splits the double root by a gap far above
+    # GAP_TOL, but the round-off floor GAP_FLOOR ||M||_F / |l1| lies
+    # above that gap, so the word is "not loxodromic" and nothing raises
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    J = np.array([[2.0, 3e4, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.25]])
+    M = Q @ J @ Q.T
+    r = loxodromy(M)
+    assert not r.loxodromic and r.attracting is None
+    assert 1e3 * GAP_TOL < r.gaps[0] < GAP_FLOOR * np.linalg.norm(M) / 2.0
+    assert np.allclose(r.moduli, (2.0, 2.0, 0.25), rtol=1e-2)
+    # the scan never meets such a word: its det misses 1 by more than
+    # the generator gate allows
+    with pytest.raises(NotUnimodular):
+        Representation({"a": M})
 
 
 def test_loxodromy_det_gate():
