@@ -379,7 +379,7 @@ def boundary_flag(v: np.ndarray, phi: np.ndarray) -> Flag:
 
 
 def line_plane_det(line: np.ndarray, plane_covector: np.ndarray) -> float:
-    """|det| of the line stacked with an orthonormal basis of the plane.
+    """|det| of the line together with an orthonormal basis of the plane.
 
     Nonzero iff line (+) plane = C^3; used as a transversality measure.
     The plane ker(phi) is the Hermitian complement of conj(phi), so with

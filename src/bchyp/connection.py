@@ -18,14 +18,14 @@ chart factors, or constant psi).
 The connection is stored by its structure: FlatConnectionField keeps
 each idempotent part of Ahat and Bhat as (n, n) entry planes and leaves
 out the entries that are structurally zero (assemble writes 5 of 9, and
-shares the planes that repeat), while a field built from dense
-BcMat3Fields enters with all nine.  Everything grid-sized downstream
-runs on (3, 3, ...) entry planes and the batched kernel mat3: Omega and
-the step generators are written entry by entry from the present
-planes, the Maurer-Cartan residual differentiates only the present
-planes and multiplies only present pairs in its commutator, and the
-exponentials and transported frames stay planes.  Dense Ahat/Bhat
-fields are built on demand for the pointwise algebra that wants them
+shares the planes that repeat); a caller may give all nine.  Every dense
+3x3 grid field is held as {part: (3, 3, n, n) planes}, keyed by PARTS,
+and runs on the batched kernel mat3: Omega and the step generators are
+written entry by entry from the present planes, the Maurer-Cartan
+residual differentiates only the present planes and multiplies only
+present pairs in its commutator, and the exponentials and transported
+frames stay planes.  The dense Ahat/Bhat planes are built on demand
+(FlatConnectionField.dense) for the pointwise algebra that wants them
 (pairing residual, Higgs split, frame change).
 
 Transport along the connection, shared by holonomy and by
@@ -65,7 +65,7 @@ from .metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid, laplacia
 
 __all__ = [
     "QTILDE", "F0", "HTILDE",
-    "BcMat3Field", "FlatConnectionField", "Loop", "HiggsData",
+    "PARTS", "FlatConnectionField", "Loop", "HiggsData", "max_abs",
     "assemble", "maurer_cartan_residual", "reduced_system_residual",
     "step_generators", "grid_step_generators", "step_norms", "taylor_degree",
     "expm_steps", "transport",
@@ -104,68 +104,22 @@ TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3,
                 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09)
 
 
-class BcMat3Field:
-    """(n, n) grid of 3x3 C_tau matrices; idempotent storage (n, n, 3, 3)."""
-
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus, minus):
-        p = np.asarray(plus, dtype=complex)
-        m = np.asarray(minus, dtype=complex)
-        if p.shape != m.shape:
-            raise ValueError("idempotent parts have different shapes")
-        if p.ndim != 4 or p.shape[-2:] != (3, 3) or p.shape[0] != p.shape[1]:
-            raise ValueError(f"expected (n, n, 3, 3) storage, got {p.shape}")
-        object.__setattr__(self, "plus", p)
-        object.__setattr__(self, "minus", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BcMat3Field is immutable")
-
-    @classmethod
-    def zeros(cls, n: int) -> "BcMat3Field":
-        return cls(np.zeros((n, n, 3, 3), dtype=complex),
-                   np.zeros((n, n, 3, 3), dtype=complex))
-
-    @property
-    def n(self) -> int:
-        return self.plus.shape[0]
-
-    def __add__(self, other):
-        return BcMat3Field(self.plus + other.plus, self.minus + other.minus)
-
-    def __sub__(self, other):
-        return BcMat3Field(self.plus - other.plus, self.minus - other.minus)
-
-    def scale(self, f) -> "BcMat3Field":
-        """Multiply by a complex scalar or (n, n) scalar field."""
-        f = np.asarray(f, dtype=complex)
-        if f.ndim == 2:
-            f = f[:, :, None, None]
-        return BcMat3Field(f * self.plus, f * self.minus)
-
-    def max_abs(self) -> float:
-        return float(np.maximum(np.abs(self.plus).max(),
-                                np.abs(self.minus).max()))
-
-    def __repr__(self):
-        return f"BcMat3Field(n={self.n})"
-
-
 #: Idempotent parts, in storage order.
 PARTS = ("plus", "minus")
 
 
-def _entry_planes(field) -> dict:
-    """{part: {(i, j): (n, n) plane}} of a connection matrix given as a
-    BcMat3Field (all nine entries, as contiguous copies) or already as
-    such a mapping (absent entries structurally zero)."""
-    if isinstance(field, BcMat3Field):
-        return {part: {(i, j): np.ascontiguousarray(
-                           getattr(field, part)[..., i, j])
-                       for i in range(3) for j in range(3)}
-                for part in PARTS}
-    return {part: dict(field[part]) for part in PARTS}
+def max_abs(*fields) -> float:
+    """Largest |entry| over the parts of {part: planes} fields; NaN if
+    any entry is NaN (np.max propagates it, Python's max would not)."""
+    return float(np.max([np.abs(P).max() for field in fields
+                         for P in field.values()]))
+
+
+def _adjoint(M: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """K M^T K for planes M and a constant symmetric K (QTILDE, HTILDE).
+    The pairings are bilinear over C_tau, so no conjugation enters and
+    the adjoint respects the idempotent parts."""
+    return mat3.matmul(mat3.matmul(K, M.swapaxes(0, 1)), K)
 
 
 def _distinct(planes: dict):
@@ -179,11 +133,10 @@ class FlatConnectionField:
     stored as entry planes.
 
     Omega = (Ahat/dwz) dz + (Bhat/dzbwb) dwbar.  Ahat and Bhat are each
-    given as a BcMat3Field, whose nine entries all enter as planes, or
-    as {part: {(i, j): (n, n) plane}} with the structurally zero
-    entries left out (assemble); one array may stand for several
-    entries.  The planes are kept read-only in `planes`, keyed
-    "Ahat"/"Bhat", then part.  Both matrices are traceless by
+    given as {part: {(i, j): (n, n) plane}}, the structurally zero
+    entries left out (assemble) or all nine present; one array may
+    stand for several entries.  The planes are kept read-only in
+    `planes`, keyed "Ahat"/"Bhat", then part.  Both matrices are traceless by
     construction (enforced here, as are finite entries and s2), and the
     idempotent parts of well-formed data satisfy
     M_minus = -QTILDE M_plus^T QTILDE, the infinitesimal form of
@@ -194,7 +147,8 @@ class FlatConnectionField:
 
     def __init__(self, Ahat, Bhat, chart: BeltramiChart, s2):
         n = chart.grid.n
-        planes = {"Ahat": _entry_planes(Ahat), "Bhat": _entry_planes(Bhat)}
+        planes = {name: {part: dict(field[part]) for part in PARTS}
+                  for name, field in (("Ahat", Ahat), ("Bhat", Bhat))}
         s2 = chart.grid.field(s2)
         if not np.isfinite(s2).all():
             raise ValueError("s2 has non-finite entries")
@@ -226,25 +180,17 @@ class FlatConnectionField:
     def grid(self) -> TorusGrid:
         return self.chart.grid
 
-    def _dense(self, name: str) -> BcMat3Field:
+    def dense(self, name: str) -> dict:
+        """Ahat or Bhat as {part: (3, 3, n, n) planes}, its absent
+        entries written as zeros; built afresh on each call."""
         n = self.grid.n
-        parts = []
+        out = {}
         for part in PARTS:
-            M = np.zeros((n, n, 3, 3), dtype=complex)
-            for (i, j), p in self.planes[name][part].items():
-                M[..., i, j] = p
-            parts.append(M)
-        return BcMat3Field(*parts)
-
-    @property
-    def Ahat(self) -> BcMat3Field:
-        """Ahat as a dense field, built from the planes on each access."""
-        return self._dense("Ahat")
-
-    @property
-    def Bhat(self) -> BcMat3Field:
-        """Bhat as a dense field, built from the planes on each access."""
-        return self._dense("Bhat")
+            M = np.zeros((3, 3, n, n), dtype=complex)
+            for ij, p in self.planes[name][part].items():
+                M[ij] = p
+            out[part] = M
+        return out
 
     def max_abs(self) -> float:
         """Largest |entry| of Ahat and Bhat over the grid."""
@@ -258,7 +204,7 @@ class FlatConnectionField:
         holonomy of data that is not flat depends on the loop, not only
         on its class.
         """
-        return maurer_cartan_residual(self).max_abs()
+        return max_abs(maurer_cartan_residual(self))
 
     def pairing_residual(self) -> float:
         """Max-abs of M_minus + QTILDE M_plus^T QTILDE over both matrices.
@@ -266,23 +212,19 @@ class FlatConnectionField:
         Zero exactly when the connection takes values in the stabilizer
         algebra of the frame Gram matrix.
         """
-        worst = 0.0
-        for field in (self.Ahat, self.Bhat):
-            tp = np.swapaxes(field.plus, -1, -2)
-            tm = np.swapaxes(field.minus, -1, -2)
-            worst = max(worst,
-                        np.abs(field.minus + QTILDE @ tp @ QTILDE).max(),
-                        np.abs(field.plus + QTILDE @ tm @ QTILDE).max())
-        return float(worst)
+        gaps = []
+        for name in ("Ahat", "Bhat"):
+            M = self.dense(name)
+            gaps.append({"plus": M["minus"] + _adjoint(M["plus"], QTILDE),
+                         "minus": M["plus"] + _adjoint(M["minus"], QTILDE)})
+        return max_abs(*gaps)
 
-    def omega_xy(self) -> tuple[BcMat3Field, BcMat3Field]:
-        """Omega contracted with d_x and d_y over the whole grid, as
-        dense fields."""
+    def omega_xy(self) -> tuple[dict, dict]:
+        """Omega contracted with d_x and d_y over the whole grid, each as
+        {part: (3, 3, n, n) planes}."""
         every = (slice(None), slice(None))
-        return tuple(BcMat3Field(*(mat3.stacked(_omega_at(self, part, leg,
-                                                           *every))
-                                   for part in PARTS))
-                     for leg in (0, 1))
+        return tuple({part: _omega_at(self, part, leg, *every)
+                      for part in PARTS} for leg in (0, 1))
 
     def __repr__(self):
         return f"FlatConnectionField(n={self.grid.n})"
@@ -363,7 +305,8 @@ class HiggsData:
 
     dH10 + phi10 = Ahat and dH01 + phi01 = Bhat exactly: the split is the
     linear projection onto the HTILDE-skew (metric connection) and
-    HTILDE-symmetric (Higgs field) parts, per dz / dwbar leg.
+    HTILDE-symmetric (Higgs field) parts, per dz / dwbar leg.  Each of
+    the four is {part: (3, 3, n, n) planes}.
     """
 
     __slots__ = ("metricH", "dH10", "dH01", "phi10", "phi01")
@@ -379,9 +322,13 @@ class HiggsData:
         raise AttributeError("HiggsData is immutable")
 
     def reconstruction_residual(self, conn: FlatConnectionField) -> float:
-        ra = (self.dH10 + self.phi10 - conn.Ahat).max_abs()
-        rb = (self.dH01 + self.phi01 - conn.Bhat).max_abs()
-        return max(ra, rb)
+        gaps = []
+        for name, dH, phi in (("Ahat", self.dH10, self.phi10),
+                              ("Bhat", self.dH01, self.phi01)):
+            M = conn.dense(name)
+            gaps.append({part: dH[part] + phi[part] - M[part]
+                         for part in PARTS})
+        return max_abs(*gaps)
 
 
 def assemble(psi, C: CubicPair, chart: BeltramiChart) -> FlatConnectionField:
@@ -424,7 +371,7 @@ def assemble(psi, C: CubicPair, chart: BeltramiChart) -> FlatConnectionField:
     return FlatConnectionField(Ahat, Bhat, chart, s2)
 
 
-def maurer_cartan_residual(conn: FlatConnectionField) -> BcMat3Field:
+def maurer_cartan_residual(conn: FlatConnectionField) -> dict:
     """d Omega + Omega ^ Omega contracted to the frame coefficient
 
         Bhat_w - logB Bhat - Ahat_zbar + logA Ahat + [Ahat, Bhat],
@@ -436,8 +383,9 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> BcMat3Field:
     run only on the planes present, and each commutator entry sums, left
     to right over k, only the products A_ik B_kj (and B_ik A_kj) whose
     factors are both present, so the result equals the dense evaluation
-    bit for bit.  Returned as a dense field: its entries that the
-    structure leaves out of Ahat and Bhat need not vanish.
+    bit for bit.  Returned dense, as {part: (3, 3, n, n) planes}: its
+    entries that the structure leaves out of Ahat and Bhat need not
+    vanish.
     """
     c = conn.chart
     n = conn.grid.n
@@ -457,11 +405,11 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> BcMat3Field:
     def a_terms(a):
         return c.grid.dzb(a), c.logA * a
 
-    out = []
+    out = {}
     for part in PARTS:
         A = conn.planes["Ahat"][part]
         B = conn.planes["Bhat"][part]
-        r = np.zeros((n, n, 3, 3), dtype=complex)
+        r = np.zeros((3, 3, n, n), dtype=complex)
         for i in range(3):
             for j in range(3):
                 a, b = A.get((i, j)), B.get((i, j))
@@ -484,9 +432,9 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> BcMat3Field:
                 elif comm is not None:
                     rij = rij + comm
                 if rij is not None:
-                    r[..., i, j] = rij
-        out.append(r)
-    return BcMat3Field(*out)
+                    r[i, j] = rij
+        out[part] = r
+    return out
 
 
 def _product_entry(A: dict, B: dict, i: int, j: int):
@@ -712,12 +660,15 @@ def to_sl3(M: BcMat3) -> tuple[np.ndarray, float]:
     return M.plus.copy(), defect
 
 
-def _h_adjoint(field: BcMat3Field) -> BcMat3Field:
-    # HTILDE M^T HTILDE per node; the pairing is bilinear over C_tau, so
-    # no conjugation enters and the split respects the idempotent parts
-    tp = np.swapaxes(field.plus, -1, -2)
-    tm = np.swapaxes(field.minus, -1, -2)
-    return BcMat3Field(HTILDE @ tp @ HTILDE, HTILDE @ tm @ HTILDE)
+def _h_halves(field: dict) -> tuple[dict, dict]:
+    """(HTILDE-skew, HTILDE-symmetric) halves of {part: planes}, which
+    sum back to the field."""
+    skew, sym = {}, {}
+    for part, M in field.items():
+        Ms = _adjoint(M, HTILDE)
+        skew[part] = 0.5 * (M - Ms)
+        sym[part] = 0.5 * (M + Ms)
+    return skew, sym
 
 
 def higgs_split(conn: FlatConnectionField) -> HiggsData:
@@ -728,17 +679,12 @@ def higgs_split(conn: FlatConnectionField) -> HiggsData:
     Higgs field (phi10, phi01).  For a datum with constant chart factors
     and psi, dH vanishes and phi carries the cubic and s entries.
     """
-    As = _h_adjoint(conn.Ahat)
-    Bs = _h_adjoint(conn.Bhat)
-    phi10 = (conn.Ahat + As).scale(0.5)
-    dH10 = (conn.Ahat - As).scale(0.5)
-    phi01 = (conn.Bhat + Bs).scale(0.5)
-    dH01 = (conn.Bhat - Bs).scale(0.5)
+    dH10, phi10 = _h_halves(conn.dense("Ahat"))
+    dH01, phi01 = _h_halves(conn.dense("Bhat"))
     return HiggsData(HTILDE.copy(), dH10, dH01, phi10, phi01)
 
 
-def hitchin_residuals(conn: FlatConnectionField
-                      ) -> tuple[BcMat3Field, BcMat3Field]:
+def hitchin_residuals(conn: FlatConnectionField) -> tuple[dict, dict]:
     """(curvature part, holomorphy part) of the flatness residual.
 
     The HTILDE-skew projection of the Maurer-Cartan residual is the
@@ -746,11 +692,7 @@ def hitchin_residuals(conn: FlatConnectionField
     the HTILDE-symmetric projection is the holomorphy sub-equation for
     the Higgs field.  Their sum reconstructs the full residual exactly.
     """
-    mc = maurer_cartan_residual(conn)
-    ms = _h_adjoint(mc)
-    curv = (mc - ms).scale(0.5)
-    holo = (mc + ms).scale(0.5)
-    return curv, holo
+    return _h_halves(maurer_cartan_residual(conn))
 
 
 def conjugate_frame(conn: FlatConnectionField, g: BcMat3
@@ -762,9 +704,13 @@ def conjugate_frame(conn: FlatConnectionField, g: BcMat3
     """
     gi = g.inv()
 
-    def cf(field: BcMat3Field) -> BcMat3Field:
-        return BcMat3Field(gi.plus @ field.plus @ g.plus,
-                           gi.minus @ field.minus @ g.minus)
+    def cf(name: str) -> dict:
+        M = conn.dense(name)
+        out = {}
+        for part in PARTS:
+            P = mat3.matmul(mat3.matmul(getattr(gi, part), M[part]),
+                            getattr(g, part))
+            out[part] = {(i, j): P[i, j] for i in range(3) for j in range(3)}
+        return out
 
-    return FlatConnectionField(cf(conn.Ahat), cf(conn.Bhat),
-                               conn.chart, conn.s2)
+    return FlatConnectionField(cf("Ahat"), cf("Bhat"), conn.chart, conn.s2)

@@ -184,15 +184,28 @@ def constant_root(c: float, Kg: float) -> float:
     Equivalently the largest real root of p(u) = u^3 + Kg u^2 - 8c: with
     u = t - Kg/3, the trigonometric form of the depressed cubic in t when
     all three roots are real, else Cardano's formula, and then at most
-    two Newton steps.
+    two Newton steps.  An estimate that overflows (|Kg| from about 1e52
+    up) or comes out NaN gives no reliable root either.
     """
     c = float(c)
     Kg = float(Kg)
     if c < 0:
         raise ValueError("c must be nonnegative")
+    if c == 0.0 and Kg >= 0:
+        raise NoPositiveRoot(f"c = 0 and Kg = {Kg} >= 0")
+    try:
+        u = _largest_root(c, Kg)
+        residual = abs(u ** 3 + Kg * u ** 2 - 8 * c)
+    except OverflowError:               # float ** int raises past 1e308
+        u = residual = math.nan
+    if not (u > 0 and residual <= 1e-10 * max(1.0, 8 * c)):
+        raise NoPositiveRoot(f"no reliable positive root for c={c}, Kg={Kg}")
+    return float(u)
+
+
+def _largest_root(c: float, Kg: float) -> float:
+    """constant_root's estimate of the largest real root, unchecked."""
     if c == 0.0:
-        if Kg >= 0:
-            raise NoPositiveRoot(f"c = 0 and Kg = {Kg} >= 0")
         u = -Kg
     else:
         a = -Kg * Kg / 3.0
@@ -215,9 +228,7 @@ def constant_root(c: float, Kg: float) -> float:
         u -= step
         if abs(step) < 1e-14 * max(1.0, abs(u)):
             break
-    if u <= 0 or abs(u ** 3 + Kg * u ** 2 - 8 * c) > 1e-10 * max(1.0, 8 * c):
-        raise NoPositiveRoot(f"no reliable positive root for c={c}, Kg={Kg}")
-    return float(u)
+    return u
 
 
 def laplacian_matrix(metric: ComplexMetric) -> sp.csr_matrix:

@@ -24,28 +24,24 @@ the same, so the degree table and its backward-error bound do not
 change; only the rounding of the evaluation does, and the identity is
 added last to keep that rounding as fine as Horner's (see expm).
 
-The module stores nothing.  The transport chain (connection, affine)
-keeps its data as planes from end to end; `planes` and `stacked`
-convert a (..., 3, 3) stack for callers that hold stacks (the word
-scan's generators, tests).  Batch shapes broadcast, so a constant
-matrix enters as plain (3, 3) planes.
+The module stores nothing.  Planes are the one dense layout of the
+package's 3x3 fields: the transport chain (connection, affine) keeps its
+data as planes from end to end, and `planes` converts a (..., 3, 3)
+stack for the callers that start from one (the word scan's generators).
+Batch shapes broadcast, so a constant matrix enters as plain (3, 3)
+planes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["planes", "stacked", "matmul", "expm", "det", "adj"]
+__all__ = ["planes", "matmul", "expm", "det", "adj"]
 
 
 def planes(M) -> np.ndarray:
     """(..., m, k) stack -> contiguous (m, k, ...) planes."""
     return np.ascontiguousarray(np.moveaxis(np.asarray(M), (-2, -1), (0, 1)))
-
-
-def stacked(P) -> np.ndarray:
-    """(m, k, ...) planes -> contiguous (..., m, k) stack."""
-    return np.ascontiguousarray(np.moveaxis(np.asarray(P), (0, 1), (-2, -1)))
 
 
 def matmul(A, B, out=None) -> np.ndarray:

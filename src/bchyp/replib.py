@@ -33,7 +33,7 @@ import numpy as np
 from . import mat3
 from .bicomplex import Bicomplex
 from .chtau import Flag, _unit_incident, line_plane_det
-from .connection import BcMat3Field
+from .connection import PARTS
 from .metric import ComplexMetric
 
 __all__ = [
@@ -464,7 +464,7 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
 
 def centralizer_check(rep: Representation) -> int:
     """Dimension of {X : X g = g X for every generator g}, via the rank
-    of the stacked 9x9 commutator systems."""
+    of the generators' 9x9 commutator systems taken together."""
     blocks = []
     eye = np.eye(3)
     for g in rep.generators.values():
@@ -478,13 +478,14 @@ def centralizer_check(rep: Representation) -> int:
 
 @dataclass(frozen=True)
 class VariationField:
-    """A matrix-valued 1-form delta Omega = dz_part dz + dzb_part dzb."""
+    """A matrix-valued 1-form delta Omega = dz_part dz + dzb_part dzb,
+    each part {"plus"/"minus": (3, 3, n, n) planes}."""
 
-    dz: BcMat3Field
-    dzb: BcMat3Field
+    dz: dict
+    dzb: dict
 
     def __post_init__(self):
-        if self.dz.plus.shape != self.dzb.plus.shape:
+        if self.dz["plus"].shape != self.dzb["plus"].shape:
             raise ValueError("dz and dzb parts live on different grids")
 
 
@@ -498,12 +499,13 @@ def vertical_variation(qdot1, qbardot2, h: ComplexMetric) -> VariationField:
     s2 = h.s2
     cz = -grid.field(qdot1) / s2
     czb = -grid.field(qbardot2) / s2
-    Pz = np.zeros((n, n, 3, 3), dtype=complex)
-    Pzb = np.zeros((n, n, 3, 3), dtype=complex)
-    Pz[..., 0, 1] = cz
-    Pzb[..., 1, 0] = czb
+    Pz = np.zeros((3, 3, n, n), dtype=complex)
+    Pzb = np.zeros((3, 3, n, n), dtype=complex)
+    Pz[0, 1] = cz
+    Pzb[1, 0] = czb
     # tau = e_plus - e_minus: the idempotent parts differ by sign
-    return VariationField(BcMat3Field(Pz, -Pz), BcMat3Field(Pzb, -Pzb))
+    return VariationField({"plus": Pz, "minus": -Pz},
+                          {"plus": Pzb, "minus": -Pzb})
 
 
 def horizontal_pattern(h: ComplexMetric, seed: int = 0) -> VariationField:
@@ -527,15 +529,15 @@ def horizontal_pattern(h: ComplexMetric, seed: int = 0) -> VariationField:
 
     def masked(slots):
         out = {}
-        for part in ("p", "m"):
-            M = np.zeros((n, n, 3, 3), dtype=complex)
+        for part in PARTS:
+            M = np.zeros((3, 3, n, n), dtype=complex)
             t = smooth()
-            M[..., 0, 0] = t
-            M[..., 1, 1] = -t
-            for (i, j) in slots:
-                M[..., i, j] = smooth()
+            M[0, 0] = t
+            M[1, 1] = -t
+            for ij in slots:
+                M[ij] = smooth()
             out[part] = M
-        return BcMat3Field(out["p"], out["m"])
+        return out
 
     return VariationField(masked([(1, 2), (2, 0)]),
                           masked([(0, 2), (2, 1)]))
@@ -550,14 +552,14 @@ def goldman_pairing(d1: VariationField, d2: VariationField,
     idempotent part; exactly antisymmetric under d1 <-> d2.
     """
     n = h.grid.n
-    if d1.dz.plus.shape[0] != n or d2.dz.plus.shape[0] != n:
+    if d1.dz["plus"].shape[-1] != n or d2.dz["plus"].shape[-1] != n:
         raise ValueError("variation fields do not match the metric grid")
     w = -2j * h.grid.spacing ** 2
     parts = []
-    for part in ("plus", "minus"):
-        P1, R1 = getattr(d1.dz, part), getattr(d1.dzb, part)
-        P2, R2 = getattr(d2.dz, part), getattr(d2.dzb, part)
-        tr = np.einsum("...ij,...ji->...", P1, R2) \
-            - np.einsum("...ij,...ji->...", R1, P2)
+    for part in PARTS:
+        P1, R1 = d1.dz[part], d1.dzb[part]
+        P2, R2 = d2.dz[part], d2.dzb[part]
+        tr = np.einsum("ij...,ji...->...", P1, R2) \
+            - np.einsum("ij...,ji...->...", R1, P2)
         parts.append(w * tr.sum())
     return Bicomplex.from_idempotent(parts[0], parts[1])

@@ -33,6 +33,11 @@ integrate_part_sweeps integrates a frame from whole-grid step
 exponentials, sweeping both orders into full frame fields, and
 fit_structure_whole fits the structure equations over the whole grid
 at once.  solve is the adjugate solve X = adj(A) B / det(A) on planes.
+
+stacked turns (3, 3, ...) planes back into a (..., 3, 3) stack, for
+comparing the package's planes with stack references, and entry_mapping
+turns dense {part: planes} fields into the entry mappings that
+FlatConnectionField takes, with all nine entries present.
 """
 
 import numpy as np
@@ -185,13 +190,14 @@ def holonomy_oracle(conn, loop, F0=None):
     Ox, Oy = conn.omega_xy()
     n, h = conn.grid.n, conn.grid.spacing
     out = []
-    for ox, oy in ((Ox.plus, Oy.plus), (Ox.minus, Oy.minus)):
+    for part in ("plus", "minus"):
+        ox, oy = Ox[part], Oy[part]
         H = np.eye(3, dtype=complex)
         ix = iy = 0
         for dix, diy in loop.steps:
             jx, jy = (ix + dix) % n, (iy + diy) % n
-            S = 0.5 * h * ((ox[iy, ix] + ox[jy, jx]) * dix
-                           + (oy[iy, ix] + oy[jy, jx]) * diy)
+            S = 0.5 * h * ((ox[:, :, iy, ix] + ox[:, :, jy, jx]) * dix
+                           + (oy[:, :, iy, ix] + oy[:, :, jy, jx]) * diy)
             H = H @ expm(S)
             ix, iy = jx, jy
         if F0 is not None:
@@ -282,6 +288,19 @@ def transport_row_form(E, start=None, out=None):
         mat3.matmul(out[:, :, k], D[:, :, k], out=G)
         G += out[:, :, k]
     return out
+
+
+def stacked(P) -> np.ndarray:
+    """(m, k, ...) planes -> contiguous (..., m, k) stack."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(P), (0, 1), (-2, -1)))
+
+
+def entry_mapping(field):
+    """{part: {(i, j): (n, n) plane}} with all nine entries, from a dense
+    {part: (3, 3, n, n) planes} field."""
+    return {part: {(i, j): np.ascontiguousarray(P[i, j])
+                   for i in range(3) for j in range(3)}
+            for part, P in field.items()}
 
 
 def solve(A, B):

@@ -382,10 +382,11 @@ def test_integrate_dual_swap_exchanges_lifts():
     problem = wang_specialize(1.2, grid)
     report = solve_newton(problem)
     conn = assemble(report.psi, problem.C, problem.background.chart)
-    from bchyp.connection import BcMat3Field, FlatConnectionField
+    from bchyp.connection import FlatConnectionField
+    A, B = conn.dense("Ahat"), conn.dense("Bhat")
     sw = FlatConnectionField(
-        BcMat3Field(conn.Ahat.minus, conn.Ahat.plus),
-        BcMat3Field(conn.Bhat.minus, conn.Bhat.plus),
+        oracles.entry_mapping({"plus": A["minus"], "minus": A["plus"]}),
+        oracles.entry_mapping({"plus": B["minus"], "minus": B["plus"]}),
         conn.chart, conn.s2)
     swapped = integrate_frame(sw)
     assert np.max(np.abs(swapped.fplus - pair.fminus)) < 1e-11
@@ -430,13 +431,18 @@ def test_integrate_generic_nine_plane_field_like_the_structured_one():
     # its structural zeros add exact zeros, so it integrates to the same
     # pair, and a non-flat datum still raises
     from bchyp.connection import FlatConnectionField
+
+    def generic(c):
+        return FlatConnectionField(oracles.entry_mapping(c.dense("Ahat")),
+                                   oracles.entry_mapping(c.dense("Bhat")),
+                                   c.chart, c.s2)
+
     n = 32
     grid = TorusGrid(n)
     problem = wang_specialize(1.2, grid)
     conn = assemble(solve_newton(problem).psi, problem.C,
                     problem.background.chart)
-    generic = FlatConnectionField(conn.Ahat, conn.Bhat, conn.chart, conn.s2)
-    pair, pair_generic = integrate_frame(conn), integrate_frame(generic)
+    pair, pair_generic = integrate_frame(conn), integrate_frame(generic(conn))
     assert np.array_equal(pair_generic.fplus, pair.fplus)
     assert np.array_equal(pair_generic.fminus, pair.fminus)
     C = CubicPair(grid, np.full((n, n), 2.0 + 0j),
@@ -444,8 +450,7 @@ def test_integrate_generic_nine_plane_field_like_the_structured_one():
     bad = assemble(0.3 * np.sin(2 * np.pi * grid.x), C,
                    BeltramiChart.identity(grid))
     with pytest.raises(PathDependent):
-        integrate_frame(FlatConnectionField(bad.Ahat, bad.Bhat, bad.chart,
-                                            bad.s2))
+        integrate_frame(generic(bad))
 
 
 def test_integrate_validates_base():
@@ -476,8 +481,8 @@ def test_integrate_off_origin_base_rebases_the_pair():
     F0i = np.linalg.inv(F0)
     for part, f0, fb in (("plus", pair0.fplus, pairb.fplus),
                          ("minus", pair0.fminus, pairb.fminus)):
-        Sx = h * getattr(Ox, part)[0, 0]
-        Sy = h * getattr(Oy, part)[0, 0]
+        Sx = h * Ox[part][:, :, 0, 0]
+        Sy = h * Oy[part][:, :, 0, 0]
         G0b = expm(ix0 * Sx) @ expm(iy0 * Sy)
         Ainv = F0 @ np.linalg.inv(G0b) @ F0i
         rebased = np.einsum("ij,...j->...i", Ainv, f0)

@@ -154,6 +154,23 @@ def test_linear_solve_failure_exits_one_with_message(monkeypatch, capsys):
     assert "BiCGSTAB returned info=-10" in err
 
 
+@pytest.mark.parametrize("payload, iterations", [
+    ({"grid": 16, "cubic": {"kind": "pair", "perturb": 1e3}}, 14),
+    (json.loads((CONFIGS / "gauss_perturbed.json").read_text())
+     | {"grid": 16, "solver": {"tol": 1e-10, "max_iter": 1}}, 1),
+], ids=["damping_stall", "iteration_cap"])
+def test_newton_failure_exits_one_with_message(tmp_path, capsys, payload,
+                                               iterations):
+    # one case per raise site of DidNotConverge in solve_newton: no
+    # damped step lowers the residual, and max_iter runs out
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["gauss", "solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"stage failure (DidNotConverge): Newton stalled "
+                          f"after {iterations} iterations")
+
+
 @pytest.mark.parametrize("length", ["0", "-1"])
 def test_scan_length_below_one_is_a_usage_error(capsys, length):
     code = main(["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),

@@ -55,6 +55,14 @@ def test_constant_root_no_root():
         constant_root(0.0, 2.0)
 
 
+@pytest.mark.parametrize("kg", [1e300, -1e300], ids=["plus", "minus"])
+def test_constant_root_overflow_is_no_positive_root(kg):
+    # Kg ** 3 leaves the float range and raises OverflowError, which
+    # initial_guess would not catch
+    with pytest.raises(NoPositiveRoot):
+        constant_root(0.18, kg)
+
+
 def test_constant_root_polish_accuracy():
     for c, kg in [(0.3, -0.7), (2.5, 1.2), (1e-6, -2.0), (7.0, 0.0)]:
         u = constant_root(c, kg)
