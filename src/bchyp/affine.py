@@ -355,7 +355,8 @@ def _integrate_part(conn, part, base, sl):
     works entry by entry, so the blocks equal the whole bit for bit.
     Row-then-column: the base row along x, then every column along y,
     one grid row of frames per step, through row blocks of y-steps; the
-    frames G are kept.  Column-then-row: the base column along y, then
+    frames G are kept.  Column-then-row: from the base column of G,
+    which the first sweep reached along y alone with the same steps,
     every row along x, one grid column of frames per step, through
     column blocks of x-steps built as contiguous (3, 3, B, n) planes;
     each block of frames is compared against G and dropped.  Returns
@@ -389,12 +390,6 @@ def _integrate_part(conn, part, base, sl):
         r0 = max(r1 - FRAME_BLOCK, 0)
         transport(mat3.expm(-Sy[:, :, r0:r1], *kyi)[:, :, ::-1],
                   G[:, :, r1], out=G[:, :, r0:r1 + 1][:, :, ::-1])
-
-    # column then row, frames [.., ix, iy]: the base column first
-    col = np.empty((3, 3, n), dtype=complex)
-    transport(mat3.expm(Sy[:, :, iy0:-1, ix0], *ky), out=col[:, :, iy0:])
-    transport(mat3.expm(-Sy[:, :, :iy0, ix0], *kyi)[:, :, ::-1],
-              col[:, :, iy0], out=col[:, :, iy0::-1])
     del Sy
     lo, hi = sl.indices(n)[:2]
 
@@ -407,16 +402,18 @@ def _integrate_part(conn, part, base, sl):
         return np.abs(G[:, :, sl, a:b]
                       - F[:, :, a - c0:b - c0, sl].swapaxes(2, 3)).max()
 
-    resid = gap(col[:, :, None], ix0)
+    # column then row, frames [.., ix, iy], both ways from G's base
+    # column: the two orders agree there bit for bit
+    resid = 0.0
     F = np.empty((3, 3, FRAME_BLOCK + 1, n), dtype=complex)
-    start = col
+    start = G[:, :, :, ix0]
     for c0 in range(ix0, n - 1, FRAME_BLOCK):
         c1 = min(c0 + FRAME_BLOCK, n - 1)
         St = np.ascontiguousarray(Sx[:, :, :, c0:c1].swapaxes(2, 3))
         out = transport(mat3.expm(St, *kx), start, out=F[:, :, :c1 - c0 + 1])
         resid = np.maximum(resid, gap(out[:, :, 1:], c0 + 1))
         start = out[:, :, -1]
-    start = col
+    start = G[:, :, :, ix0]
     for c1 in range(ix0, 0, -FRAME_BLOCK):
         c0 = max(c1 - FRAME_BLOCK, 0)
         St = np.ascontiguousarray(Sx[:, :, :, c0:c1].swapaxes(2, 3))
@@ -448,11 +445,12 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     propagates to rounding.
 
     Row-then-column and column-then-row orders are both integrated from
-    the same exponentials, the second compared block by block and never
-    stored; their disagreement over the whole grid (max over both
-    idempotent parts, optionally trimmed by `trim` nodes for data whose
-    seam rows are invalid) must stay below PATH_TOL spacing^2 scaled by
-    the frame size, else PathDependent.
+    the same exponentials, the second starting from the first's base
+    column and compared block by block, never stored; their
+    disagreement over the whole grid (max over both idempotent parts,
+    optionally trimmed by `trim` nodes for data whose seam rows are
+    invalid) must stay below PATH_TOL spacing^2 scaled by the frame
+    size, else PathDependent.
     """
     _require_real(conn)
     grid = conn.chart.grid

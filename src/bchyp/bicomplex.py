@@ -23,6 +23,8 @@ import numbers
 
 import numpy as np
 
+from ._frozen import Frozen
+
 Q3 = np.diag([1.0, 1.0, -1.0])
 
 # zero-divisor cutoff per idempotent component (double precision roundoff scale)
@@ -42,17 +44,13 @@ class NotInImage(ValueError):
     """Matrix fails the U(2,1) compatibility between idempotent parts."""
 
 
-class Bicomplex:
+class Bicomplex(Frozen):
     """A scalar z1 + tau*z2.  Immutable."""
 
     __slots__ = ("z1", "z2")
 
     def __init__(self, z1=0.0, z2=0.0):
-        object.__setattr__(self, "z1", complex(z1))
-        object.__setattr__(self, "z2", complex(z2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Bicomplex values are immutable")
+        self._set(z1=complex(z1), z2=complex(z2))
 
     @classmethod
     def from_idempotent(cls, p, m) -> "Bicomplex":
@@ -186,7 +184,7 @@ def isclose(a, b, tol: float = 1e-12) -> bool:
     return abs(a.z1 - b.z1) <= tol and abs(a.z2 - b.z2) <= tol
 
 
-class BcVec3:
+class BcVec3(Frozen):
     """Vector in C_tau^3 stored by idempotent parts (two complex 3-vectors)."""
 
     __slots__ = ("plus", "minus")
@@ -196,11 +194,7 @@ class BcVec3:
         m = np.asarray(minus, dtype=complex).reshape(3).copy()
         p.setflags(write=False)
         m.setflags(write=False)
-        object.__setattr__(self, "plus", p)
-        object.__setattr__(self, "minus", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BcVec3 values are immutable")
+        self._set(plus=p, minus=m)
 
     @classmethod
     def from_tau_parts(cls, x, y) -> "BcVec3":
@@ -252,7 +246,7 @@ class BcVec3:
         return "BcVec3(plus=%s, minus=%s)" % (self.plus.tolist(), self.minus.tolist())
 
 
-class BcMat3:
+class BcMat3(Frozen):
     """3x3 matrix over C_tau as an idempotent pair (plus, minus).
 
     Products, inverses and determinants act componentwise because
@@ -266,11 +260,7 @@ class BcMat3:
         m = np.asarray(minus, dtype=complex).reshape(3, 3).copy()
         p.setflags(write=False)
         m.setflags(write=False)
-        object.__setattr__(self, "plus", p)
-        object.__setattr__(self, "minus", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BcMat3 values are immutable")
+        self._set(plus=p, minus=m)
 
     @classmethod
     def identity(cls) -> "BcMat3":

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._frozen import Frozen
 from .bicomplex import (
     Bicomplex, BcVec3, TAU, Q3,
     re_tau, im_tau, invert,
@@ -75,7 +76,7 @@ def _fit_scale(a: np.ndarray, b: np.ndarray) -> tuple[complex, float]:
     return lam, float(np.abs(lam * a - b).max())
 
 
-class HyperboloidPoint:
+class HyperboloidPoint(Frozen):
     """A point of the hyperboloid model, stored as a normalized lift."""
 
     __slots__ = ("rep",)
@@ -84,10 +85,7 @@ class HyperboloidPoint:
         qz = q_form(rep, rep)
         if abs(qz.plus + 1) > POINT_TOL or abs(qz.minus + 1) > POINT_TOL:
             raise ValueError(f"representative not normalized: q(z,z) = {qz!r}")
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperboloidPoint is immutable")
+        self._set(rep=rep)
 
     @classmethod
     def normalize(cls, z: BcVec3) -> "HyperboloidPoint":
@@ -126,7 +124,7 @@ class HyperboloidPoint:
         return f"HyperboloidPoint({self.rep!r})"
 
 
-class IncidencePoint:
+class IncidencePoint(Frozen):
     """Incidence-model point: vector v and covector phi with phi(v) = -1."""
 
     __slots__ = ("v", "phi")
@@ -134,11 +132,7 @@ class IncidencePoint:
     def __init__(self, v: np.ndarray, phi: np.ndarray):
         v = np.asarray(v, dtype=complex).reshape(3)
         phi = np.asarray(phi, dtype=complex).reshape(3)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "phi", phi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IncidencePoint is immutable")
+        self._set(v=v, phi=phi)
 
     def pairing(self) -> complex:
         return complex(self.phi @ self.v)
@@ -164,7 +158,7 @@ def from_incidence(pt: IncidencePoint) -> HyperboloidPoint:
     return HyperboloidPoint(BcVec3.from_tau_parts(x, y))
 
 
-class TangentVector:
+class TangentVector(Frozen):
     """Tangent vector at a hyperboloid point: q(vec, base.rep) = 0."""
 
     __slots__ = ("base", "vec")
@@ -175,11 +169,7 @@ class TangentVector:
             bound = POINT_TOL * max(1.0, vec.norm_max())
             if abs(r.plus) > bound or abs(r.minus) > bound:
                 raise ValueError(f"not tangent: q(vec, rep) = {r!r}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "vec", vec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentVector is immutable")
+        self._set(base=base, vec=vec)
 
     # the three para-Hermitian structures; all preserve tangency since
     # q is C_tau-linear in its first slot
@@ -348,7 +338,7 @@ def _unit_incident(lines, planes):
     return lines, planes
 
 
-class Flag:
+class Flag(Frozen):
     """A projective full flag in C^3: a line inside a plane (= ker covector)."""
 
     __slots__ = ("line", "plane")
@@ -356,11 +346,7 @@ class Flag:
     def __init__(self, line: np.ndarray, plane: np.ndarray):
         lines, planes = _unit_incident(np.reshape(line, (1, 3)),
                                        np.reshape(plane, (1, 3)))
-        object.__setattr__(self, "line", lines[0])
-        object.__setattr__(self, "plane", planes[0])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Flag is immutable")
+        self._set(line=lines[0], plane=planes[0])
 
     def __repr__(self):
         return f"Flag(line={self.line!r}, plane={self.plane!r})"

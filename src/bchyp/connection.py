@@ -60,6 +60,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import mat3
+from ._frozen import Frozen
 from .bicomplex import BcMat3, NotInImage, compatibility_residual
 from .metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid, laplacian
 
@@ -128,7 +129,7 @@ def _distinct(planes: dict):
             for p in part.values()}.values()
 
 
-class FlatConnectionField:
+class FlatConnectionField(Frozen):
     """Frame connection matrices Ahat, Bhat over a Beltrami chart,
     stored as entry planes.
 
@@ -160,21 +161,14 @@ class FlatConnectionField:
             if not all(np.isfinite(p).all() for p in arrays):
                 raise ValueError(f"{name} has non-finite entries")
             scale = max([1.0] + [float(np.abs(p).max()) for p in arrays])
-            worst = 0.0
-            for part in field.values():
-                diag = [part[i, i] for i in range(3) if (i, i) in part]
-                if diag:
-                    worst = max(worst, float(np.abs(sum(diag)).max()))
+            worst = max(float(np.abs(sum(part.get((i, i), 0.0)
+                                         for i in range(3))).max())
+                        for part in field.values())
             if worst > 1e-12 * scale:
                 raise ValueError(f"{name} has nonzero trace ({worst:.2e})")
             for p in arrays:
                 p.flags.writeable = False
-        object.__setattr__(self, "planes", planes)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "s2", s2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlatConnectionField is immutable")
+        self._set(planes=planes, chart=chart, s2=s2)
 
     @property
     def grid(self) -> TorusGrid:
@@ -260,7 +254,7 @@ def _omega_at(conn: FlatConnectionField, part: str, leg: int, iy, ix
     return out
 
 
-class Loop:
+class Loop(Frozen):
     """Closed grid-aligned path on the torus.
 
     Steps are (dix, diy) cell displacements; closure means the total
@@ -282,11 +276,7 @@ class Loop:
         if sx % n != 0 or sy % n != 0:
             raise ValueError(f"loop is not closed: total displacement "
                              f"({sx}, {sy}) cells on an n={n} grid")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "steps", steps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Loop is immutable")
+        self._set(n=n, steps=steps)
 
     @classmethod
     def x_period(cls, n: int) -> "Loop":
@@ -300,7 +290,7 @@ class Loop:
         return f"Loop(n={self.n}, {len(self.steps)} steps)"
 
 
-class HiggsData:
+class HiggsData(Frozen):
     """Metric/Higgs decomposition of the connection against HTILDE.
 
     dH10 + phi10 = Ahat and dH01 + phi01 = Bhat exactly: the split is the
@@ -312,14 +302,8 @@ class HiggsData:
     __slots__ = ("metricH", "dH10", "dH01", "phi10", "phi01")
 
     def __init__(self, metricH, dH10, dH01, phi10, phi01):
-        object.__setattr__(self, "metricH", np.asarray(metricH, dtype=float))
-        object.__setattr__(self, "dH10", dH10)
-        object.__setattr__(self, "dH01", dH01)
-        object.__setattr__(self, "phi10", phi10)
-        object.__setattr__(self, "phi01", phi01)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HiggsData is immutable")
+        self._set(metricH=np.asarray(metricH, dtype=float), dH10=dH10,
+                  dH01=dH01, phi10=phi10, phi01=phi01)
 
     def reconstruction_residual(self, conn: FlatConnectionField) -> float:
         gaps = []
@@ -380,10 +364,11 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> dict:
     solved data.  The logA/logB terms are the commutator coefficients of
     the (d_w, d_zbar) frame acting on the matrix legs.  The residual is
     evaluated entry by entry on the connection's planes: the stencils
-    run only on the planes present, and each commutator entry sums, left
-    to right over k, only the products A_ik B_kj (and B_ik A_kj) whose
-    factors are both present, so the result equals the dense evaluation
-    bit for bit.  Returned dense, as {part: (3, 3, n, n) planes}: its
+    run only on the planes present, an absent plane enters as a scalar
+    zero, and each commutator entry sums, left to right over k, only the
+    products A_ik B_kj (and B_ik A_kj) whose factors are both present, so
+    the result equals the dense evaluation bit for bit up to the sign of
+    a zero.  Returned dense, as {part: (3, 3, n, n) planes}: its
     entries that the structure leaves out of Ahat and Bhat need not
     vanish.
     """
@@ -412,40 +397,24 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> dict:
         r = np.zeros((3, 3, n, n), dtype=complex)
         for i in range(3):
             for j in range(3):
-                a, b = A.get((i, j)), B.get((i, j))
-                rij = None
-                if b is not None:
-                    rij = once(b_terms, b)
-                if a is not None:
-                    dzb_a, la = once(a_terms, a)
-                    rij = la - dzb_a if rij is None else rij - dzb_a + la
-                ab = _product_entry(A, B, i, j)
-                ba = _product_entry(B, A, i, j)
-                if ab is not None:
-                    comm = ab if ba is None else ab - ba
-                elif ba is not None:
-                    comm = -ba
-                else:
-                    comm = None
-                if rij is None:
-                    rij = comm
-                elif comm is not None:
-                    rij = rij + comm
-                if rij is not None:
-                    r[i, j] = rij
+                rb = once(b_terms, B[i, j]) if (i, j) in B else 0.0
+                dzb_a, la = (once(a_terms, A[i, j]) if (i, j) in A
+                             else (0.0, 0.0))
+                r[i, j] = rb - dzb_a + la + (_product_entry(A, B, i, j)
+                                             - _product_entry(B, A, i, j))
         out[part] = r
     return out
 
 
 def _product_entry(A: dict, B: dict, i: int, j: int):
     """Entry (i, j) of A B from entry planes, summed left to right over
-    the k whose A_ik and B_kj are both present; None if there is none."""
+    the k whose A_ik and B_kj are both present; 0.0 if there is none."""
     acc = None
     for k in range(3):
         if (i, k) in A and (k, j) in B:
             term = A[i, k] * B[k, j]
             acc = term if acc is None else acc + term
-    return acc
+    return 0.0 if acc is None else acc
 
 
 def reduced_system_residual(psi, C: CubicPair, chart: BeltramiChart

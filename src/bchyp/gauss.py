@@ -41,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from ._frozen import Frozen
 from .metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
     laplacian, curvature, cubic_norm, ellipticity_floor, stencil_symbols,
@@ -67,9 +68,14 @@ class NoPositiveRoot(ArithmeticError):
 
 
 class DidNotConverge(RuntimeError):
-    def __init__(self, iterations: int, residual: float):
-        super().__init__(f"Newton stalled after {iterations} iterations, "
-                         f"residual {residual:.3e}")
+    """Newton ended above tol: no damped step lowered the residual
+    (stalled), or max_iter steps ran out."""
+
+    def __init__(self, iterations: int, residual: float,
+                 stalled: bool = True):
+        what = (f"stalled after {iterations} iterations" if stalled
+                else f"reached max_iter ({iterations} iterations)")
+        super().__init__(f"Newton {what}, residual {residual:.3e}")
         self.iterations = iterations
         self.residual = residual
 
@@ -94,7 +100,7 @@ def project_discrete_kernel(f: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(keep)
 
 
-class GaussProblem:
+class GaussProblem(Frozen):
     """Background metric + cubic datum + explicit K_g field."""
 
     __slots__ = ("background", "C", "Kg", "cnorm_g")
@@ -111,16 +117,11 @@ class GaussProblem:
                           project_discrete_kernel(C.beta), holomorphic=True)
         if Kg is None:
             Kg = curvature(background)
-        object.__setattr__(self, "background", background)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "Kg", grid.field(Kg))
+        self._set(background=background, C=C, Kg=grid.field(Kg))
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            object.__setattr__(self, "cnorm_g", cubic_norm(background, C))
+            self._set(cnorm_g=cubic_norm(background, C))
         if not np.all(np.isfinite(self.cnorm_g)):
             raise ValueError("|C|^2_g is not finite")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussProblem is immutable")
 
     @property
     def grid(self) -> TorusGrid:
@@ -297,12 +298,16 @@ def _solve_krylov(background: ComplexMetric, weight: np.ndarray,
         nonlocal count
         count += 1
 
-    x, info = gmres(J, -F.ravel(), rtol=1e-12, atol=0.0, restart=50,
-                    maxiter=20, M=M, callback=tick, callback_type="pr_norm")
+    # GMRES sees F scaled below 1 by a power of two, which is exact, so
+    # the norms of a huge residual cannot overflow
+    scale = 2.0 ** -max(math.frexp(float(np.abs(F).max()))[1], 0)
+    x, info = gmres(J, -scale * F.ravel(), rtol=1e-12, atol=0.0,
+                    restart=50, maxiter=20, M=M, callback=tick,
+                    callback_type="pr_norm")
     if info != 0:
         raise LinearSolveFailure(
             f"GMRES returned info={info} after {count} iterations")
-    return x.reshape(shape), count
+    return x.reshape(shape) / scale, count
 
 
 def solve_newton(problem: GaussProblem, tol: float = 1e-10,
@@ -323,7 +328,9 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
         t = 1.0
         for k in range(MAX_HALVINGS + 1):
             trial = psi + t * delta
-            Ft = residual_background(trial, problem)
+            # a trial that overflows has a non-finite rt and fails rt < res
+            with np.errstate(over="ignore", invalid="ignore"):
+                Ft = residual_background(trial, problem)
             rt = float(np.abs(Ft).max())
             if rt < res:
                 psi, F, res = trial, Ft, rt
@@ -335,7 +342,7 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
             raise DidNotConverge(it, res)
     if res <= tol:
         return SolveReport(psi, max_iter, history, True, krylov, halvings)
-    raise DidNotConverge(max_iter, res)
+    raise DidNotConverge(max_iter, res, stalled=False)
 
 
 def wang_specialize(q, grid: TorusGrid) -> GaussProblem:

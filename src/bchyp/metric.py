@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._frozen import Frozen
+
 __all__ = [
     "TorusGrid", "BeltramiChart", "ComplexMetric", "CubicPair",
     "centered_dx", "centered_dy", "stencil_symbols",
@@ -82,7 +84,7 @@ def stencil_symbols(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     return sigma[None, :], sigma[:, None]
 
 
-class TorusGrid:
+class TorusGrid(Frozen):
     """Periodic n x n grid on [0,1)^2; fields are indexed [iy, ix]."""
 
     __slots__ = ("n", "spacing", "x", "y", "z")
@@ -90,16 +92,9 @@ class TorusGrid:
     def __init__(self, n: int):
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {n}")
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "spacing", 1.0 / n)
         ax = np.arange(n) / n
         x, y = np.meshgrid(ax, ax)          # x varies along axis 1
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", x + 1j * y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusGrid is immutable")
+        self._set(n=int(n), spacing=1.0 / n, x=x, y=y, z=x + 1j * y)
 
     def field(self, values) -> np.ndarray:
         """Broadcast a scalar or array to a complex (n, n) field."""
@@ -129,7 +124,7 @@ class TorusGrid:
         return f"TorusGrid(n={self.n})"
 
 
-class BeltramiChart:
+class BeltramiChart(Frozen):
     """First-order data of a w-coordinate over the z-chart."""
 
     __slots__ = ("grid", "mu", "dwz", "dzbwb", "logA", "logB")
@@ -150,12 +145,8 @@ class BeltramiChart:
             logB = dwz * (grid.dz(dzbwb) + np.conj(mu) * grid.dzb(dzbwb)) / dzbwb
         else:
             logB = grid.field(logB)
-        for name, val in (("grid", grid), ("mu", mu), ("dwz", dwz),
-                          ("dzbwb", dzbwb), ("logA", logA), ("logB", logB)):
-            object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BeltramiChart is immutable")
+        self._set(grid=grid, mu=mu, dwz=dwz, dzbwb=dzbwb, logA=logA,
+                  logB=logB)
 
     @classmethod
     def constant_mu(cls, grid: TorusGrid, m: complex) -> "BeltramiChart":
@@ -227,17 +218,13 @@ class BeltramiChart:
                 f"sup|mu|={np.abs(self.mu).max():.3g})")
 
 
-class ComplexMetric:
+class ComplexMetric(Frozen):
     """h = 2 e^{2 psi} dz dwbar over a Beltrami chart."""
 
     __slots__ = ("chart", "psi")
 
     def __init__(self, chart: BeltramiChart, psi):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "psi", chart.grid.field(psi))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexMetric is immutable")
+        self._set(chart=chart, psi=chart.grid.field(psi))
 
     @property
     def grid(self) -> TorusGrid:
@@ -261,19 +248,14 @@ class ComplexMetric:
         return f"ComplexMetric(n={self.grid.n})"
 
 
-class CubicPair:
+class CubicPair(Frozen):
     """Cubic differential data C = alpha dz^3 + conj(beta dw^3)."""
 
     __slots__ = ("grid", "alpha", "beta", "holomorphic")
 
     def __init__(self, grid: TorusGrid, alpha, beta, holomorphic: bool = False):
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "alpha", grid.field(alpha))
-        object.__setattr__(self, "beta", grid.field(beta))
-        object.__setattr__(self, "holomorphic", bool(holomorphic))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CubicPair is immutable")
+        self._set(grid=grid, alpha=grid.field(alpha),
+                  beta=grid.field(beta), holomorphic=bool(holomorphic))
 
     def holomorphy_residual(self, chart: BeltramiChart) -> tuple[float, float]:
         """(max|d_zbar alpha|, max|d_w beta|); small iff the pair is

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mat3
+from ._frozen import Frozen
 from .bicomplex import Bicomplex
 from .chtau import Flag, _unit_incident, line_plane_det
 from .connection import PARTS
@@ -83,7 +84,7 @@ def word_str(tokens) -> str:
         else ".".join(out)
 
 
-class Representation:
+class Representation(Frozen):
     """Named SL(3, C) generators with optional relation words."""
 
     __slots__ = ("generators", "relations")
@@ -99,7 +100,7 @@ class Representation:
                 raise NotUnimodular(
                     f"generator {name!r} has det {d:.12g}")
             gens[name] = M
-        object.__setattr__(self, "generators", gens)
+        self._set(generators=gens)
         rels = []
         for w in (relations or []):
             tokens = parse_word(w) if isinstance(w, str) else tuple(w)
@@ -109,10 +110,7 @@ class Representation:
                 raise ValueError(
                     f"relation {word_str(tokens)} fails by {defect:.3e}")
             rels.append(tokens)
-        object.__setattr__(self, "relations", tuple(rels))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Representation is immutable")
+        self._set(relations=tuple(rels))
 
     @property
     def names(self):

@@ -154,21 +154,33 @@ def test_linear_solve_failure_exits_one_with_message(monkeypatch, capsys):
     assert "BiCGSTAB returned info=-10" in err
 
 
-@pytest.mark.parametrize("payload, iterations", [
-    ({"grid": 16, "cubic": {"kind": "pair", "perturb": 1e3}}, 14),
+@pytest.mark.parametrize("payload, message", [
+    ({"grid": 16, "cubic": {"kind": "pair", "perturb": 1e3}},
+     "Newton stalled after 14 iterations"),
     (json.loads((CONFIGS / "gauss_perturbed.json").read_text())
-     | {"grid": 16, "solver": {"tol": 1e-10, "max_iter": 1}}, 1),
+     | {"grid": 16, "solver": {"tol": 1e-10, "max_iter": 1}},
+     "Newton reached max_iter (1 iterations)"),
 ], ids=["damping_stall", "iteration_cap"])
 def test_newton_failure_exits_one_with_message(tmp_path, capsys, payload,
-                                               iterations):
+                                               message):
     # one case per raise site of DidNotConverge in solve_newton: no
     # damped step lowers the residual, and max_iter runs out
     cfg = write_cfg(tmp_path, payload)
     assert main(["gauss", "solve", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith(f"stage failure (DidNotConverge): Newton stalled "
-                          f"after {iterations} iterations")
+    assert err.startswith(f"stage failure (DidNotConverge): {message}")
+
+
+@pytest.mark.parametrize("kg", [-1e4, 1e8, -1e8, 1e20, 1e100, 1e300,
+                                -1e300])
+def test_huge_kg_prints_no_warning(tmp_path, capsys, kg):
+    # damping trials that overflow and GMRES on a residual near the
+    # float range must not print RuntimeWarnings (errors here, under
+    # filterwarnings = error) around the one outcome line
+    cfg = write_cfg(tmp_path, {"grid": 16, "background": {"kg": kg}})
+    assert main(["gauss", "solve", "--config", cfg]) in (0, 1)
+    assert capsys.readouterr().err.count("\n") <= 1
 
 
 @pytest.mark.parametrize("length", ["0", "-1"])
