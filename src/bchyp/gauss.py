@@ -19,11 +19,13 @@ The Newton linearization is
     F'[d] = Delta_g d - (2 e^{2 psi} + 32 e^{-4 psi} |C|^2_g) d.
 
 (The coefficient 32 e^{-4 psi} is what differentiating 8 e^{-4 psi}
-forces; nothing else is dimensionally consistent.)  Each Newton system
-J d = -F, with J = metric.laplacian minus the diagonal weight applied
-matrix-free (Knoll & Keyes, J. Comput. Phys. 193, 2004), is solved by
-restarted complex GMRES.  The preconditioner is
-the exact FFT inverse of J's constant-coefficient part: the Fourier
+forces; nothing else is dimensionally consistent.)  Delta_g is a
+metric.LaplaceBeltrami operator whose coefficient fields are built
+once, with the GaussProblem; every residual and matvec of a solve
+reuses them.  Each Newton system J d = -F, with J = Delta_g minus the
+diagonal weight applied matrix-free (Knoll & Keyes, J. Comput. Phys.
+193, 2004), is solved by restarted complex GMRES.  The preconditioner
+is the exact FFT inverse of J's constant-coefficient part: the Fourier
 symbol of the centered stencils with every chart coefficient and the
 weight replaced by its grid mean (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973).  On the identity chart over a constant background it
@@ -43,9 +45,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from ._frozen import Frozen
 from .metric import (
-    TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
-    laplacian, curvature, cubic_norm, ellipticity_floor, stencil_symbols,
-    symbol_check,
+    TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
+    laplacian, cubic_norm, ellipticity_floor, stencil_symbols, symbol_check,
 )
 
 __all__ = [
@@ -101,9 +102,14 @@ def project_discrete_kernel(f: np.ndarray) -> np.ndarray:
 
 
 class GaussProblem(Frozen):
-    """Background metric + cubic datum + explicit K_g field."""
+    """Background metric + cubic datum + explicit K_g field.
 
-    __slots__ = ("background", "C", "Kg", "cnorm_g")
+    laplacian is Delta_g, the LaplaceBeltrami operator of the
+    background, built once here; every residual and Newton matvec of a
+    solve applies it.
+    """
+
+    __slots__ = ("background", "C", "Kg", "cnorm_g", "laplacian")
 
     def __init__(self, background: ComplexMetric, C: CubicPair, Kg=None):
         grid = background.grid
@@ -115,9 +121,11 @@ class GaussProblem(Frozen):
         if C.holomorphic:
             C = CubicPair(grid, project_discrete_kernel(C.alpha),
                           project_discrete_kernel(C.beta), holomorphic=True)
+        lap = LaplaceBeltrami(background)
         if Kg is None:
-            Kg = curvature(background)
-        self._set(background=background, C=C, Kg=grid.field(Kg))
+            Kg = -lap(background.psi)                 # K_g = -Delta_g psi_g
+        self._set(background=background, C=C, Kg=grid.field(Kg),
+                  laplacian=lap)
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             self._set(cnorm_g=cubic_norm(background, C))
         if not np.all(np.isfinite(self.cnorm_g)):
@@ -164,7 +172,7 @@ class SolveReport:
 def residual_background(psi, problem: GaussProblem) -> np.ndarray:
     """Delta_g psi - K_g - e^{2 psi} + 8 e^{-4 psi} |C|^2_g."""
     psi = problem.grid.field(psi)
-    return (laplacian(problem.background, psi) - problem.Kg
+    return (problem.laplacian(psi) - problem.Kg
             - np.exp(2 * psi) + 8 * np.exp(-4 * psi) * problem.cnorm_g)
 
 
@@ -251,41 +259,42 @@ def laplacian_matrix(metric: ComplexMetric) -> sp.csr_matrix:
     return (pref @ (Dz @ Dzb + mub @ (Dzb @ Dzb) - first @ Dzb)).tocsr()
 
 
-def laplacian_symbol(metric: ComplexMetric) -> np.ndarray:
-    """Fourier symbol of laplacian_matrix(metric) at mean coefficients.
+def laplacian_symbol(lap: LaplaceBeltrami) -> np.ndarray:
+    """Fourier symbol of lap at mean coefficients.
 
     Each coefficient of Delta_h (the prefactor 2 e^{-2 psi} / dzbwb,
-    conj(mu) and logB / dwz) is replaced by its grid mean, so the
-    result is an (n, n) array over the fft2 layout; it equals the
-    symbol of laplacian_matrix exactly when those fields are constant.
+    conj(mu) and logB / dwz) is replaced by its grid mean, which lap
+    keeps, so the result is an (n, n) array over the fft2 layout; it
+    equals the symbol of laplacian_matrix exactly when those fields are
+    constant.
     """
-    g = metric.grid
-    c = metric.chart
+    g = lap.grid
     sx, sy = stencil_symbols(g.n, g.spacing)
     sz = 0.5 * (sx - 1j * sy)
     szb = 0.5 * (sx + 1j * sy)
-    pref = np.mean(2.0 * np.exp(-2.0 * metric.psi) / c.dzbwb)
-    mub = np.mean(np.conj(c.mu))
-    first = np.mean(c.logB / c.dwz)
+    pref, mub, first = lap.means
     return pref * (sz * szb + mub * szb * szb - first * szb)
 
 
-def _solve_krylov(background: ComplexMetric, weight: np.ndarray,
+def _solve_krylov(problem: GaussProblem, weight: np.ndarray,
                   F: np.ndarray) -> tuple[np.ndarray, int]:
     """Solve the Newton system J d = -F by complex GMRES.
 
-    J d = laplacian(background, d) - weight d is applied matrix-free,
-    and the preconditioner is ifft2(fft2(r) / symbol) with the symbol
-    of J at mean coefficients.  Returns d and the number of GMRES
-    iterations; raises LinearSolveFailure when the true residual is not
-    below 1e-12 |F| after 20 cycles of restart 50.
+    J d = problem.laplacian(d) - weight d is applied matrix-free with
+    the operator built once per problem, and the preconditioner is
+    ifft2(fft2(r) / symbol) with the symbol of J at mean coefficients,
+    rebuilt per Newton step from the operator's three means.  Returns d
+    and the number of GMRES iterations; raises LinearSolveFailure when
+    the true residual is not below 1e-12 |F| after 20 cycles of restart
+    50.
     """
     shape = F.shape
-    symbol = laplacian_symbol(background) - weight.mean()
+    lap = problem.laplacian
+    symbol = laplacian_symbol(lap) - weight.mean()
 
     def apply(d):
         d = d.reshape(shape)
-        return (laplacian(background, d) - weight * d).ravel()
+        return (lap(d) - weight * d).ravel()
 
     def precondition(r):
         return np.fft.ifft2(np.fft.fft2(r.reshape(shape)) / symbol).ravel()
@@ -323,7 +332,7 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
             return SolveReport(psi, it, history, True, krylov, halvings)
         weight = (2.0 * np.exp(2 * psi)
                   + 32.0 * np.exp(-4 * psi) * problem.cnorm_g)
-        delta, count = _solve_krylov(problem.background, weight, F)
+        delta, count = _solve_krylov(problem, weight, F)
         krylov.append(count)
         t = 1.0
         for k in range(MAX_HALVINGS + 1):

@@ -34,7 +34,7 @@ from ._frozen import Frozen
 __all__ = [
     "TorusGrid", "BeltramiChart", "ComplexMetric", "CubicPair",
     "centered_dx", "centered_dy", "stencil_symbols",
-    "laplacian", "curvature", "cubic_norm",
+    "LaplaceBeltrami", "laplacian", "curvature", "cubic_norm",
     "area_integrate", "ellipticity_floor", "symbol_check", "christoffels",
 ]
 
@@ -268,25 +268,70 @@ class CubicPair(Frozen):
         return f"CubicPair(n={self.grid.n}, holomorphic={self.holomorphic})"
 
 
-def laplacian(h: ComplexMetric, phi) -> np.ndarray:
-    """Laplace-Beltrami of h applied to a periodic scalar field.
+def _compact(f: np.ndarray):
+    """A constant field as its one value, any other field as itself."""
+    return f.flat[0] if (f == f.flat[0]).all() else f
+
+
+class LaplaceBeltrami(Frozen):
+    """Laplace-Beltrami operator of h, its coefficient fields built once.
 
     Delta_h phi = (2 e^{-2 psi} / dzbwb) [ phi_zzb + conj(mu) phi_zbzb
                                            - (logB / dwz) phi_zb ]
 
     with the first-order coefficient -logB/dwz equal to the zbar
     derivative of conj(mu).  Second derivatives are compositions of the
-    primitive centered differences.
+    primitive centered differences.  The three coefficient fields (pref,
+    mub, first above) are built here: a field that is identically zero
+    (conj(mu) and logB/dwz on the identity chart) is neither kept nor
+    applied, and a constant one is kept as its value (a constant psi
+    takes one exp).  means holds the grid means of the three whole
+    fields.
     """
-    g = h.grid
-    c = h.chart
-    phi = g.field(phi)
-    phi_zb = g.dzb(phi)
-    fx, fy = g.dx(phi_zb), g.dy(phi_zb)     # shared by d_z and d_zbar
-    bracket = (0.5 * (fx - 1j * fy)
-               + np.conj(c.mu) * (0.5 * (fx + 1j * fy))
-               - (c.logB / c.dwz) * phi_zb)
-    return 2.0 * np.exp(-2.0 * h.psi) / c.dzbwb * bracket
+
+    __slots__ = ("grid", "pref", "mub", "first", "means")
+
+    def __init__(self, h: ComplexMetric):
+        c = h.chart
+        pref = 2.0 * np.exp(-2.0 * _compact(h.psi)) / c.dzbwb
+        mub = np.conj(c.mu)
+        first = c.logB / c.dwz
+        self._set(grid=h.grid, pref=_compact(pref),
+                  mub=_compact(mub) if mub.any() else None,
+                  first=_compact(first) if first.any() else None,
+                  means=(np.mean(pref), np.mean(mub), np.mean(first)))
+
+    def __call__(self, phi) -> np.ndarray:
+        """Delta_h phi for a periodic scalar field (or a scalar).
+
+        Every product and sum is taken in the formula's order, operands
+        included (NumPy's complex product is not bitwise commutative),
+        so leaving out a zero term changes no bit of the result.  The
+        difference buffers are reused in place: a call holds at most
+        four n x n temporaries.
+        """
+        g = self.grid
+        phi_zb = g.dzb(g.field(phi))
+        fx = g.dx(phi_zb)
+        jfy = g.dy(phi_zb)
+        np.multiply(1j, jfy, out=jfy)               # 1j fy
+        out = np.subtract(fx, jfy)
+        np.multiply(0.5, out, out=out)              # phi_zzb
+        if self.mub is not None:
+            np.add(fx, jfy, out=fx)
+            np.multiply(0.5, fx, out=fx)            # phi_zbzb
+            np.multiply(self.mub, fx, out=fx)
+            out += fx
+        if self.first is not None:
+            np.multiply(self.first, phi_zb, out=phi_zb)
+            out -= phi_zb
+        np.multiply(self.pref, out, out=out)
+        return out
+
+
+def laplacian(h: ComplexMetric, phi) -> np.ndarray:
+    """Delta_h phi through a LaplaceBeltrami operator built for this call."""
+    return LaplaceBeltrami(h)(phi)
 
 
 def curvature(h: ComplexMetric) -> np.ndarray:

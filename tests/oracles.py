@@ -12,11 +12,12 @@ a plain Python loop.  The line-plane determinant stacks the line with
 an SVD basis of the plane (scipy.linalg.null_space), not the package's
 closed form.
 
-Two references restate the package's own second-order stencils in a
-plainer form that copies, to pin the package's form bit for bit: the
-centered differences as the difference of two np.roll copies, and d_w
-as dwz (d_z + conj(mu) d_zbar) with d_z and d_zbar each taking their
-own x and y differences.
+Three references restate the package's own second-order stencils in
+a plainer form that copies, to pin the package's form bit for bit: the
+centered differences as the difference of two np.roll copies, d_w as
+dwz (d_z + conj(mu) d_zbar) with d_z and d_zbar each taking their own
+x and y differences, and Delta_h as one expression that rebuilds its
+three coefficient fields on every call.
 
 The connection has dense references on (n, n, 3, 3) stacks, where the
 package works on entry planes and leaves structural zeros out: the
@@ -117,6 +118,20 @@ def laplacian_oracle(metric, phi: np.ndarray) -> np.ndarray:
     c = metric.chart
     phi_zb = dzb4(phi, h)
     bracket = (dz4(phi_zb, h) + np.conj(c.mu) * dzb4(phi_zb, h)
+               - (c.logB / c.dwz) * phi_zb)
+    return 2.0 * np.exp(-2.0 * metric.psi) / c.dzbwb * bracket
+
+
+def laplacian_per_call(metric, phi: np.ndarray) -> np.ndarray:
+    """Delta_h phi through the restated 2nd-order stencils, with
+    2 e^{-2 psi} / dzbwb, conj(mu) and logB / dwz built on every call and
+    every term applied, zero or not."""
+    h = metric.grid.spacing
+    c = metric.chart
+    phi_zb = dzb_roll(phi, h)
+    fx, fy = dx_roll(phi_zb, h), dy_roll(phi_zb, h)
+    bracket = (0.5 * (fx - 1j * fy)
+               + np.conj(c.mu) * (0.5 * (fx + 1j * fy))
                - (c.logB / c.dwz) * phi_zb)
     return 2.0 * np.exp(-2.0 * metric.psi) / c.dzbwb * bracket
 

@@ -9,7 +9,7 @@ import pytest
 
 from bchyp import gauss
 from bchyp.metric import (
-    TorusGrid, BeltramiChart, ComplexMetric, CubicPair,
+    TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
     laplacian, curvature, cubic_norm,
 )
 from bchyp.gauss import (
@@ -187,15 +187,15 @@ def test_laplacian_symbol_exact_for_constant_coefficients():
     rng = np.random.default_rng(5)
     phi = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     lhs = np.fft.fft2((laplacian_matrix(h) @ phi.ravel()).reshape(32, 32))
-    rhs = laplacian_symbol(h) * np.fft.fft2(phi)
+    rhs = laplacian_symbol(LaplaceBeltrami(h)) * np.fft.fft2(phi)
     assert np.abs(lhs - rhs).max() < 1e-9 * np.abs(rhs).max()
 
 
 # ----------------------------------------------------------------- solver
 
 def test_solve_builds_no_laplacian_without_a_newton_step(monkeypatch):
-    # the Newton operator applies metric.laplacian; no solve, with or
-    # without Newton steps, assembles the sparse matrix
+    # the Newton operator applies the problem's LaplaceBeltrami; no
+    # solve, with or without Newton steps, assembles the sparse matrix
     def refuse(metric):
         raise AssertionError("laplacian_matrix built by the solver")
 
@@ -208,6 +208,31 @@ def test_solve_builds_no_laplacian_without_a_newton_step(monkeypatch):
     assert rep.converged
     assert rep.iterations >= 2
     assert np.abs(residual_background(rep.psi, p)).max() <= 1e-10
+
+
+def test_solve_builds_the_coefficient_fields_once(monkeypatch):
+    # one LaplaceBeltrami per problem, built with it; the residuals and
+    # every GMRES matvec of a 2-step solve reuse it
+    built = []
+    build = LaplaceBeltrami.__init__
+
+    def counted(self, h):
+        built.append(h)
+        build(self, h)
+
+    monkeypatch.setattr(LaplaceBeltrami, "__init__", counted)
+    p = band_problem(64, 0.0, 1.0, 0.1)
+    q = GaussProblem(p.background, p.C)          # K_g from the operator
+    assert len(built) == 2
+    assert np.array_equal(q.Kg, curvature(p.background))
+
+    def refuse(self, h):
+        raise AssertionError("coefficient fields rebuilt by the solver")
+
+    monkeypatch.setattr(LaplaceBeltrami, "__init__", refuse)
+    rep = solve_newton(p)
+    assert rep.converged and rep.iterations == 2
+    assert sum(rep.krylov_iterations) >= 2
 
 
 def test_solve_hyperbolic_background():

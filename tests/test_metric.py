@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from bchyp.gauss import laplacian_matrix
 from bchyp.metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair, stencil_symbols,
     centered_dx, centered_dy,
-    laplacian, curvature, cubic_norm,
+    LaplaceBeltrami, laplacian, curvature, cubic_norm,
     area_integrate, ellipticity_floor, symbol_check, christoffels,
 )
 import oracles
@@ -169,6 +170,48 @@ def test_laplacian_vs_independent_stencils(mu):
             assert np.abs(ref - ref5).max() < 200 * g.spacing ** 2
         errs.append(np.abs(mine - ref).max())
     assert 3.4 < errs[0] / errs[1] < 4.6
+
+
+CHARTS = {
+    "identity": BeltramiChart.identity,
+    "constant": lambda g: BeltramiChart.constant_mu(g, 0.3),
+    "sine": lambda g: BeltramiChart.sine_perturbed(g, 0.05),
+}
+
+
+@pytest.mark.parametrize("psi", ["zero", "wave"])
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_laplace_beltrami_equals_per_call_formula(chart, psi):
+    # the operator built once applies the same expression as the per-call
+    # formula, which builds and applies every coefficient field, zero or not
+    g = TorusGrid(32)
+    fields = {"zero": 0.0,
+              "wave": wave_psi(g) + 0.05j * np.cos(2 * np.pi * g.y)}
+    h = ComplexMetric(CHARTS[chart](g), fields[psi])
+    rng = np.random.default_rng(11)
+    phi = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    mine = LaplaceBeltrami(h)(phi)
+    ref = oracles.laplacian_per_call(h, phi)
+    scale = np.abs(ref).max()
+    if chart == "identity":
+        assert mine.tobytes() == ref.tobytes()
+    else:
+        assert np.abs(mine - ref).max() <= 1e-15 * scale
+    dense = (laplacian_matrix(h) @ phi.ravel()).reshape(32, 32)
+    assert np.abs(mine - dense).max() <= 1e-12 * scale
+
+
+def test_laplace_beltrami_keeps_no_zero_field():
+    g = TorusGrid(16)
+    ops = {kind: LaplaceBeltrami(ComplexMetric(make(g), 0.0))
+           for kind, make in CHARTS.items()}
+    assert ops["identity"].mub is None and ops["identity"].first is None
+    assert ops["constant"].first is None
+    assert np.shape(ops["constant"].mub) == ()          # one value
+    assert np.shape(ops["identity"].pref) == ()
+    assert ops["sine"].mub.shape == ops["sine"].first.shape == (16, 16)
+    # the means are those of the whole fields, zero ones included
+    assert ops["identity"].means == (2.0, 0.0, 0.0)
 
 
 def test_stokes_identity_flat_and_curved_charts():
