@@ -10,10 +10,13 @@ The tau-conjugate z1 - tau*z2 swaps the idempotent components and fixes C.
 The tau-norm w * conj_tau(w) = z1^2 - z2^2 is complex valued; it vanishes
 exactly on the zero divisors.
 
-Matrices over C_tau are stored as a pair of complex 3x3 arrays (plus, minus)
-and multiply componentwise.  The map phi_iso embeds GL(3,C) into the
-matrices preserving the Hermitian form q via A |-> A e+ + Q (A^-1)^T Q e-,
-with Q = diag(1,1,-1).
+Vectors and matrices over C_tau share one private base, _Pair: a pair
+(plus, minus) of complex arrays of a fixed SHAPE, with the pair arithmetic
+written once.  BcVec3 pairs 3-vectors; BcMat3 pairs 3x3 arrays and adds
+identity, products, det and inverse, each componentwise.  Scalars keep
+their (z1, z2) storage, which fixes the rounding of tau-scalar results.
+The map phi_iso embeds GL(3,C) into the matrices preserving the Hermitian
+form q via A |-> A e+ + Q (A^-1)^T Q e-, with Q = diag(1,1,-1).
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ class Bicomplex(Frozen):
         return self.z1 == other.z1 and self.z2 == other.z2
 
     def __hash__(self):
-        return hash((self.z1, self.z2))
+        # a tau-real value equals its complex number, so it hashes as one
+        return hash(self.z1) if self.z2 == 0 else hash((self.z1, self.z2))
 
     def __add__(self, other):
         other = as_bicomplex(other)
@@ -184,28 +188,31 @@ def isclose(a, b, tol: float = 1e-12) -> bool:
     return abs(a.z1 - b.z1) <= tol and abs(a.z2 - b.z2) <= tol
 
 
-class BcVec3(Frozen):
-    """Vector in C_tau^3 stored by idempotent parts (two complex 3-vectors)."""
+class _Pair(Frozen):
+    """An idempotent pair w = plus e+ + minus e- of complex arrays of
+    shape SHAPE.  Addition, scaling by a C_tau scalar and
+    tau-conjugation (which swaps the parts) act part by part."""
 
     __slots__ = ("plus", "minus")
+    SHAPE: tuple = ()
 
     def __init__(self, plus, minus):
-        p = np.asarray(plus, dtype=complex).reshape(3).copy()
-        m = np.asarray(minus, dtype=complex).reshape(3).copy()
+        p, m = (np.asarray(x, dtype=complex).reshape(self.SHAPE).copy()
+                for x in (plus, minus))
         p.setflags(write=False)
         m.setflags(write=False)
         self._set(plus=p, minus=m)
 
     @classmethod
-    def from_tau_parts(cls, x, y) -> "BcVec3":
-        """Build from w = x + tau*y with complex 3-vectors x, y."""
-        x = np.asarray(x, dtype=complex).reshape(3)
-        y = np.asarray(y, dtype=complex).reshape(3)
+    def from_tau_parts(cls, x, y):
+        """Build from w = x + tau*y with complex arrays x, y."""
+        x = np.asarray(x, dtype=complex).reshape(cls.SHAPE)
+        y = np.asarray(y, dtype=complex).reshape(cls.SHAPE)
         return cls(x + y, x - y)
 
     @classmethod
-    def from_complex(cls, v) -> "BcVec3":
-        v = np.asarray(v, dtype=complex).reshape(3)
+    def from_complex(cls, v):
+        v = np.asarray(v, dtype=complex).reshape(cls.SHAPE)
         return cls(v, v)
 
     @property
@@ -216,102 +223,63 @@ class BcVec3(Frozen):
     def z2(self) -> np.ndarray:
         return (self.plus - self.minus) / 2.0
 
-    def tau_conj(self) -> "BcVec3":
-        return BcVec3(self.minus, self.plus)
+    def tau_conj(self):
+        return type(self)(self.minus, self.plus)
 
     def __add__(self, other):
-        return BcVec3(self.plus + other.plus, self.minus + other.minus)
+        return type(self)(self.plus + other.plus, self.minus + other.minus)
 
     def __sub__(self, other):
-        return BcVec3(self.plus - other.plus, self.minus - other.minus)
+        return type(self)(self.plus - other.plus, self.minus - other.minus)
 
     def __neg__(self):
-        return BcVec3(-self.plus, -self.minus)
+        return type(self)(-self.plus, -self.minus)
 
-    def scale(self, a) -> "BcVec3":
+    def scale(self, a):
         a = as_bicomplex(a)
-        return BcVec3(a.plus * self.plus, a.minus * self.minus)
-
-    def __rmul__(self, a):
-        return self.scale(a)
-
-    def __mul__(self, a):
-        return self.scale(a)
-
-    def norm_max(self) -> float:
-        return float(np.maximum(np.abs(self.plus).max(),
-                                np.abs(self.minus).max()))
-
-    def __repr__(self):
-        return "BcVec3(plus=%s, minus=%s)" % (self.plus.tolist(), self.minus.tolist())
-
-
-class BcMat3(Frozen):
-    """3x3 matrix over C_tau as an idempotent pair (plus, minus).
-
-    Products, inverses and determinants act componentwise because
-    e+ e- = 0.  tau-conjugation swaps the two components.
-    """
-
-    __slots__ = ("plus", "minus")
-
-    def __init__(self, plus, minus):
-        p = np.asarray(plus, dtype=complex).reshape(3, 3).copy()
-        m = np.asarray(minus, dtype=complex).reshape(3, 3).copy()
-        p.setflags(write=False)
-        m.setflags(write=False)
-        self._set(plus=p, minus=m)
-
-    @classmethod
-    def identity(cls) -> "BcMat3":
-        return cls(np.eye(3), np.eye(3))
-
-    @classmethod
-    def from_complex(cls, M) -> "BcMat3":
-        M = np.asarray(M, dtype=complex)
-        return cls(M, M)
-
-    @classmethod
-    def from_tau_parts(cls, M1, M2) -> "BcMat3":
-        M1 = np.asarray(M1, dtype=complex)
-        M2 = np.asarray(M2, dtype=complex)
-        return cls(M1 + M2, M1 - M2)
-
-    @property
-    def z1(self) -> np.ndarray:
-        return (self.plus + self.minus) / 2.0
-
-    @property
-    def z2(self) -> np.ndarray:
-        return (self.plus - self.minus) / 2.0
-
-    def __add__(self, other):
-        return BcMat3(self.plus + other.plus, self.minus + other.minus)
-
-    def __sub__(self, other):
-        return BcMat3(self.plus - other.plus, self.minus - other.minus)
-
-    def __neg__(self):
-        return BcMat3(-self.plus, -self.minus)
-
-    def __matmul__(self, other):
-        if isinstance(other, BcMat3):
-            return BcMat3(self.plus @ other.plus, self.minus @ other.minus)
-        if isinstance(other, BcVec3):
-            return BcVec3(self.plus @ other.plus, self.minus @ other.minus)
-        return NotImplemented
-
-    def scale(self, a) -> "BcMat3":
-        a = as_bicomplex(a)
-        return BcMat3(a.plus * self.plus, a.minus * self.minus)
+        return type(self)(a.plus * self.plus, a.minus * self.minus)
 
     def __mul__(self, a):
         return self.scale(a)
 
     __rmul__ = __mul__
 
-    def tau_conj(self) -> "BcMat3":
-        return BcMat3(self.minus, self.plus)
+    def norm_max(self) -> float:
+        return float(np.maximum(np.abs(self.plus).max(),
+                                np.abs(self.minus).max()))
+
+    def __repr__(self):
+        return "%s(plus=%s, minus=%s)" % (type(self).__name__,
+                                          self.plus.tolist(),
+                                          self.minus.tolist())
+
+
+class BcVec3(_Pair):
+    """Vector in C_tau^3 stored by idempotent parts (two complex 3-vectors)."""
+
+    __slots__ = ()
+    SHAPE = (3,)
+
+
+class BcMat3(_Pair):
+    """3x3 matrix over C_tau as an idempotent pair (plus, minus).
+
+    Products, inverses and determinants act componentwise because
+    e+ e- = 0.  tau-conjugation swaps the two components.
+    """
+
+    __slots__ = ()
+    SHAPE = (3, 3)
+
+    @classmethod
+    def identity(cls) -> "BcMat3":
+        return cls(np.eye(3), np.eye(3))
+
+    def __matmul__(self, other):
+        if isinstance(other, (BcMat3, BcVec3)):
+            return type(other)(self.plus @ other.plus,
+                               self.minus @ other.minus)
+        return NotImplemented
 
     def det(self) -> Bicomplex:
         return Bicomplex.from_idempotent(np.linalg.det(self.plus),
@@ -324,14 +292,6 @@ class BcMat3(Frozen):
             raise Singular("idempotent determinant too small: %g / %g"
                            % (abs(dp), abs(dm)))
         return BcMat3(np.linalg.inv(self.plus), np.linalg.inv(self.minus))
-
-    def norm_max(self) -> float:
-        return float(np.maximum(np.abs(self.plus).max(),
-                                np.abs(self.minus).max()))
-
-    def __repr__(self):
-        return "BcMat3(plus=%s,\n       minus=%s)" % (self.plus.tolist(),
-                                                      self.minus.tolist())
 
 
 def phi_iso(A) -> BcMat3:

@@ -354,14 +354,10 @@ class Flag(Frozen):
 
 def boundary_flag(v: np.ndarray, phi: np.ndarray) -> Flag:
     """Boundary pair (v, phi) with phi(v) = 0 -> the flag (v, ker phi)."""
-    v = np.asarray(v, dtype=complex).reshape(3)
-    phi = np.asarray(phi, dtype=complex).reshape(3)
-    nv, nphi = np.linalg.norm(v), np.linalg.norm(phi)
-    if nv == 0 or nphi == 0:
-        raise NotOnBoundary("zero vector/covector has no boundary flag")
-    if abs((phi / nphi) @ (v / nv)) > FLAG_TOL:
-        raise NotOnBoundary(f"phi(v) = {phi @ v} after normalization")
-    return Flag(v, phi)
+    try:
+        return Flag(v, phi)
+    except ValueError as err:
+        raise NotOnBoundary(str(err)) from err
 
 
 def line_plane_det(line: np.ndarray, plane_covector: np.ndarray) -> float:

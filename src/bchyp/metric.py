@@ -124,6 +124,13 @@ class TorusGrid(Frozen):
         return f"TorusGrid(n={self.n})"
 
 
+def _stencil_logs(grid, mu, dwz, dzbwb):
+    """Commutator coefficients (logA, logB) of a chart from grid stencils."""
+    logA = grid.dzb(dwz) / dwz
+    logB = dwz * (grid.dz(dzbwb) + np.conj(mu) * grid.dzb(dzbwb)) / dzbwb
+    return logA, logB
+
+
 class BeltramiChart(Frozen):
     """First-order data of a w-coordinate over the z-chart."""
 
@@ -137,16 +144,12 @@ class BeltramiChart(Frozen):
             raise ValueError(f"sup|mu| = {sup} >= 1: metric not positive")
         dwz = grid.field(dwz)
         dzbwb = grid.field(dzbwb)
-        if logA is None:
-            logA = grid.dzb(dwz) / dwz
-        else:
-            logA = grid.field(logA)
-        if logB is None:
-            logB = dwz * (grid.dz(dzbwb) + np.conj(mu) * grid.dzb(dzbwb)) / dzbwb
-        else:
-            logB = grid.field(logB)
-        self._set(grid=grid, mu=mu, dwz=dwz, dzbwb=dzbwb, logA=logA,
-                  logB=logB)
+        if logA is None or logB is None:
+            la, lb = _stencil_logs(grid, mu, dwz, dzbwb)
+            logA = la if logA is None else logA
+            logB = lb if logB is None else logB
+        self._set(grid=grid, mu=mu, dwz=dwz, dzbwb=dzbwb,
+                  logA=grid.field(logA), logB=grid.field(logB))
 
     @classmethod
     def constant_mu(cls, grid: TorusGrid, m: complex) -> "BeltramiChart":
@@ -206,10 +209,7 @@ class BeltramiChart(Frozen):
     def consistency_residual(self) -> float:
         """Max-abs gap between supplied and stencil-computed commutator
         coefficients; O(spacing^2) for genuinely smooth chart data."""
-        g = self.grid
-        la = g.dzb(self.dwz) / self.dwz
-        lb = self.dwz * (g.dz(self.dzbwb)
-                         + np.conj(self.mu) * g.dzb(self.dzbwb)) / self.dzbwb
+        la, lb = _stencil_logs(self.grid, self.mu, self.dwz, self.dzbwb)
         return float(max(np.abs(self.logA - la).max(),
                          np.abs(self.logB - lb).max()))
 

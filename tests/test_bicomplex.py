@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bchyp import bicomplex
 from bchyp.bicomplex import (
     Bicomplex, BcVec3, BcMat3, ONE, TAU, E_PLUS, E_MINUS, Q3,
     tau_conj, tau_norm, invert, unit_scalar, isclose,
@@ -116,6 +120,88 @@ def test_scalar_coercion():
     assert isclose(2 * w, Bicomplex(2, 4))
     assert isclose(w + 1, Bicomplex(2, 2))
     assert isclose((1 + 1j) * TAU, Bicomplex(0, 1 + 1j))
+
+
+@pytest.mark.parametrize("x", [1, -2, 0.5, 3 + 4j, 1j, 0])
+def test_tau_real_values_hash_as_their_number(x):
+    w = Bicomplex(x, 0)
+    assert w == x and hash(w) == hash(x)
+    assert w in {x} and x in {w}
+    assert {x: "x"}[w] == "x"
+    assert Bicomplex(x, -0.0) in {w}
+    assert TAU + x not in {x}
+
+
+@pytest.mark.parametrize("cls", [BcVec3, BcMat3])
+def test_pair_arithmetic(cls):
+    rng = np.random.default_rng(4)
+
+    def draw():
+        return (rng.standard_normal(cls.SHAPE)
+                + 1j * rng.standard_normal(cls.SHAPE))
+
+    x, y = draw(), draw()
+    w = cls.from_tau_parts(x, y)
+    assert type(w) is cls and w.plus.shape == cls.SHAPE
+    assert np.allclose(w.z1, x, rtol=0, atol=1e-14)
+    assert np.allclose(w.z2, y, rtol=0, atol=1e-14)
+    c = cls.from_complex(x)
+    assert np.array_equal(c.plus, x) and np.array_equal(c.minus, x)
+    assert not c.plus.flags.writeable
+    v = cls(draw(), draw())
+    for got, p, m in ((w + v, w.plus + v.plus, w.minus + v.minus),
+                      (w - v, w.plus - v.plus, w.minus - v.minus),
+                      (-w, -w.plus, -w.minus)):
+        assert type(got) is cls
+        assert np.array_equal(got.plus, p) and np.array_equal(got.minus, m)
+    a = Bicomplex(0.5 - 1j, 2 + 0.25j)
+    for s, sp, sm in ((2 - 1j, 2 - 1j, 2 - 1j), (a, a.plus, a.minus)):
+        for got in (w.scale(s), w * s, s * w):
+            assert type(got) is cls
+            assert np.array_equal(got.plus, sp * w.plus)
+            assert np.array_equal(got.minus, sm * w.minus)
+    t = w.tau_conj()
+    assert np.array_equal(t.plus, w.minus) and np.array_equal(t.minus, w.plus)
+    assert np.array_equal(t.tau_conj().plus, w.plus)
+    assert np.array_equal(t.tau_conj().minus, w.minus)
+    assert w.norm_max() == max(np.abs(w.plus).max(), np.abs(w.minus).max())
+    assert repr(w).startswith(f"{cls.__name__}(plus=")
+
+
+def test_mat3_acts_on_vec3():
+    X = BcMat3([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2 * np.eye(3))
+    v = BcVec3([1, 2, 3], [1j, 0, 0])
+    Xv = X @ v
+    assert type(Xv) is BcVec3
+    assert np.array_equal(Xv.plus, [2, 3, 1])
+    assert np.array_equal(Xv.minus, [2j, 0, 0])
+    with pytest.raises(TypeError):
+        X @ Bicomplex(1, 0)
+
+
+def test_mat3_inv_rejects_a_singular_part():
+    with pytest.raises(Singular, match="idempotent determinant too small"):
+        BcMat3(np.eye(3), np.diag([1.0, 1.0, 0.0])).inv()
+
+
+def test_pair_arithmetic_lives_once_on_the_base():
+    # BcVec3 and BcMat3 share one copy of the pair arithmetic: neither
+    # redefines a method of the base
+    tree = ast.parse(Path(bicomplex.__file__).read_text())
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = (
+                {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
+                | {t.id for s in node.body if isinstance(s, ast.Assign)
+                   for t in s.targets if isinstance(t, ast.Name)})
+    shared = {"__init__", "from_tau_parts", "from_complex", "z1", "z2",
+              "tau_conj", "__add__", "__sub__", "__neg__", "scale",
+              "__mul__", "__rmul__", "norm_max", "__repr__"}
+    assert shared <= names.get("_Pair", set())
+    assert names["BcVec3"] == {"__slots__", "SHAPE"}
+    assert names["BcMat3"] == {"__slots__", "SHAPE", "identity",
+                               "__matmul__", "det", "inv"}
 
 
 def test_vec3_basics():

@@ -60,7 +60,10 @@ def test_every_value_type_is_immutable():
     for v in values:
         name = type(v).__name__
         assert not hasattr(v, "__dict__"), name
-        for attr in (type(v).__slots__[0], "extra"):
+        # the first slot along the MRO: a subclass may declare none
+        first = next(s for c in type(v).__mro__
+                     for s in getattr(c, "__slots__", ()))
+        for attr in (first, "extra"):
             with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
                 setattr(v, attr, None)
 
