@@ -10,9 +10,9 @@ classical affine differential geometry:
                         eta(f+, f-) = -1 and vanishing conormal, via a
                         periodic Poisson solve for the log factor;
   * integrate_frame     transports the flat frame over the grid from a
-                        base point (connection.transport), in blocks of
-                        step exponentials, and projects the lift column
-                        to the real pair;
+                        base point, every row and column through one
+                        blocked two-way sweep (_sweep), and projects
+                        the lift column to the real pair;
   * structure_residuals fits D_X df(Y) = f_*(nabla) + g_B(X, Y) xi at
                         each node, in row blocks, rebuilds the affine
                         normal as (1/2) Laplace-Beltrami of f, and
@@ -345,83 +345,83 @@ def _require_real(conn: FlatConnectionField):
                       f"{REAL_TOL * scale:.3e}")
 
 
-def _integrate_part(conn, part, base, sl):
-    """Frame of one idempotent part, integrated both ways.
+def _sweep(S, k, ki, i0, start, view, each=None):
+    """Transport `start`, the frames of line i0, across the lines of the
+    step generators S (axis 2): forward at Taylor degree k, then back
+    through the inverse steps at degree ki.  A batch of lines (S of
+    ndim 4) goes FRAME_BLOCK steps at a time, a single line in one
+    block, its step planes copied contiguous if S's are strided.
+    view(a, b) is the array that takes the frames of lines a..b in line
+    order (a backward block fills it reversed); each(F, a) sees a
+    block's new frames, F[:, :, 0] those of line a.
+    """
+    n = S.shape[2]
+    size = FRAME_BLOCK if S.ndim > 3 else n
+    for back in (False, True):
+        frames = start
+        for e in range(i0, 0, -size) if back else range(i0, n - 1, size):
+            a, b = (max(e - size, 0), e) if back else (e, min(e + size, n - 1))
+            steps = S[:, :, a:b]
+            if not steps[0, 0].flags.c_contiguous:
+                steps = np.ascontiguousarray(steps)
+            E = (mat3.expm(-steps, *ki)[:, :, ::-1] if back
+                 else mat3.expm(steps, *k))
+            block = view(a, b)
+            frames = transport(E, frames, out=block[:, :, ::-1] if back
+                               else block)[:, :, -1]
+            if each is not None:        # the frames past the start
+                each(block[:, :, :-1] if back else block[:, :, 1:],
+                     a if back else a + 1)
 
-    Builds the x- and y-step generators over the grid and takes each
-    leg's Taylor degree from the norm of all its steps (the inverse
-    steps' from the edges behind the base), as expm_steps would, then
-    exponentiates in blocks of FRAME_BLOCK rows or columns; the kernel
-    works entry by entry, so the blocks equal the whole bit for bit.
-    Row-then-column: the base row along x, then every column along y,
-    one grid row of frames per step, through row blocks of y-steps; the
-    frames G are kept.  Column-then-row: from the base column of G,
-    which the first sweep reached along y alone with the same steps,
-    every row along x, one grid column of frames per step, through
-    column blocks of x-steps built as contiguous (3, 3, B, n) planes;
-    each block of frames is compared against G and dropped.  Returns
-    the lift column of G as (3, n, n) planes, the max-abs disagreement
-    of the two orders on [sl, sl] (NaN if either frame is), and the
-    frame size there.
+
+def _integrate_part(conn, part, base, sl):
+    """Frame of one idempotent part, integrated both ways by _sweep,
+    with each leg's Taylor degree taken from the norm of all its steps
+    (the inverse steps' from the edges behind the base) as expm_steps
+    would; the kernel works entry by entry, so blocks equal the whole
+    bit for bit.  Row then column: the base row along x, then every
+    column along y, into the kept frames G.  Column then row: from G's
+    base column, reached along y alone with the same steps, every row
+    along x over the transposed x-steps [.., ix, iy], a block of frames
+    at a time into a rolling buffer compared against G.  Returns the
+    lift column of G as (3, n, n) planes, the max-abs disagreement of
+    the two orders on [sl, sl] (NaN if either frame is), and the frame
+    size there.
     """
     iy0, ix0 = base
     n = conn.grid.n
     Sx = grid_step_generators(conn, part, 0)
     Sy = grid_step_generators(conn, part, 1)
-    norms = step_norms(Sx)
-    kx = taylor_degree(norms.max())
-    kxi = taylor_degree(norms[:, :ix0].max(initial=0.0))
-    norms = step_norms(Sy)
-    ky = taylor_degree(norms.max())
-    kyi = taylor_degree(norms[:iy0].max(initial=0.0))
-    del norms
+    nx, ny = step_norms(Sx), step_norms(Sy)
+    kx, kxi, ky, kyi = (taylor_degree(m.max(initial=0.0))
+                        for m in (nx, nx[:, :ix0], ny, ny[:iy0]))
+    del nx, ny
 
     # row then column, into G[:, :, iy, ix]
     G = np.empty((3, 3, n, n), dtype=complex)
     row = G[:, :, iy0]
-    transport(mat3.expm(Sx[:, :, iy0, ix0:-1], *kx), out=row[:, :, ix0:])
-    transport(mat3.expm(-Sx[:, :, iy0, :ix0], *kxi)[:, :, ::-1],
-              row[:, :, ix0], out=row[:, :, ix0::-1])
-    for r0 in range(iy0, n - 1, FRAME_BLOCK):
-        r1 = min(r0 + FRAME_BLOCK, n - 1)
-        transport(mat3.expm(Sy[:, :, r0:r1], *ky), G[:, :, r0],
-                  out=G[:, :, r0:r1 + 1])
-    for r1 in range(iy0, 0, -FRAME_BLOCK):
-        r0 = max(r1 - FRAME_BLOCK, 0)
-        transport(mat3.expm(-Sy[:, :, r0:r1], *kyi)[:, :, ::-1],
-                  G[:, :, r1], out=G[:, :, r0:r1 + 1][:, :, ::-1])
+    _sweep(Sx[:, :, iy0], kx, kxi, ix0, np.eye(3),
+           lambda a, b: row[:, :, a:b + 1])
+    _sweep(Sy, ky, kyi, iy0, row, lambda a, b: G[:, :, a:b + 1])
     del Sy
     lo, hi = sl.indices(n)[:2]
+    resid = 0.0
 
     def gap(F, c0):
-        """max |G - F| inside [sl, sl] over the columns c0, c0 + 1, ...
-        whose frames F[:, :, 0], F[:, :, 1], ... holds"""
+        """Fold max |G - F| on [sl, sl] into resid; F[:, :, 0], F[:, :,
+        1], ... holds the frames of the columns c0, c0 + 1, ..."""
+        nonlocal resid
         a, b = max(c0, lo), min(c0 + F.shape[2], hi)
-        if a >= b:
-            return 0.0
-        return np.abs(G[:, :, sl, a:b]
-                      - F[:, :, a - c0:b - c0, sl].swapaxes(2, 3)).max()
+        if a < b:
+            resid = np.maximum(resid, np.abs(
+                G[:, :, sl, a:b]
+                - F[:, :, a - c0:b - c0, sl].swapaxes(2, 3)).max())
 
     # column then row, frames [.., ix, iy], both ways from G's base
     # column: the two orders agree there bit for bit
-    resid = 0.0
     F = np.empty((3, 3, FRAME_BLOCK + 1, n), dtype=complex)
-    start = G[:, :, :, ix0]
-    for c0 in range(ix0, n - 1, FRAME_BLOCK):
-        c1 = min(c0 + FRAME_BLOCK, n - 1)
-        St = np.ascontiguousarray(Sx[:, :, :, c0:c1].swapaxes(2, 3))
-        out = transport(mat3.expm(St, *kx), start, out=F[:, :, :c1 - c0 + 1])
-        resid = np.maximum(resid, gap(out[:, :, 1:], c0 + 1))
-        start = out[:, :, -1]
-    start = G[:, :, :, ix0]
-    for c1 in range(ix0, 0, -FRAME_BLOCK):
-        c0 = max(c1 - FRAME_BLOCK, 0)
-        St = np.ascontiguousarray(Sx[:, :, :, c0:c1].swapaxes(2, 3))
-        np.negative(St, out=St)
-        out = transport(mat3.expm(St, *kxi)[:, :, ::-1], start,
-                        out=F[:, :, :c1 - c0 + 1])
-        resid = np.maximum(resid, gap(out[:, :, :0:-1], c0))
-        start = out[:, :, -1]
+    _sweep(Sx.swapaxes(2, 3), kx, kxi, ix0, G[:, :, :, ix0],
+           lambda a, b: F[:, :, :b - a + 1], gap)
     # plane by plane, so no grid-sized temporary is held
     gmax = np.max([np.abs(G[i, j, sl, sl]).max()
                    for i in range(3) for j in range(3)])
@@ -436,9 +436,10 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     lift column (0, 0, 1)) through the transport kernel that holonomy
     uses (connection.grid_step_generators, the Taylor exponential at
     the degree taylor_degree picks, and transport), on (3, 3, ...)
-    entry planes throughout; the step exponentials are built FRAME_BLOCK
-    rows or columns at a time, and inverse steps only for the edges
-    behind the base.  The lift is the third column of G; conjugating by
+    entry planes throughout.  _sweep carries frames from a line of
+    nodes forward, then back through inverse steps (built only for the
+    edges behind the base), exponentiating FRAME_BLOCK rows or columns
+    at a time.  The lift is the third column of G; conjugating by
     the model frame F0 turns the conjugate-swap symmetry of real data
     into literal realness of f+ = F0 sigma_plus, f- = F0 sigma_minus.
     Each step is exactly Gram-compatible, so eta(f+, f-) = -1
@@ -453,8 +454,7 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     size, else PathDependent.
     """
     _require_real(conn)
-    grid = conn.chart.grid
-    n, h = grid.n, grid.spacing
+    n, h = conn.grid.n, conn.grid.spacing
     iy0, ix0 = base
     if not (0 <= iy0 < n and 0 <= ix0 < n):
         raise ValueError(f"base {base} outside grid")
@@ -462,8 +462,7 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     # exponentials are released before the next part's are built
     sl = slice(trim, n - trim) if trim > 0 else slice(None)
     sigma = {}
-    resid = 0.0
-    gmax = 0.0
+    resid = gmax = 0.0
     for part in PARTS:
         sigma[part], r, g = _integrate_part(conn, part, base, sl)
         resid = float(np.maximum(resid, r))

@@ -227,19 +227,28 @@ class _Pair(Frozen):
         return type(self)(self.minus, self.plus)
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(self.plus + other.plus, self.minus + other.minus)
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return type(self)(self.plus - other.plus, self.minus - other.minus)
 
     def __neg__(self):
         return type(self)(-self.plus, -self.minus)
 
     def scale(self, a):
-        a = as_bicomplex(a)
-        return type(self)(a.plus * self.plus, a.minus * self.minus)
+        w = as_bicomplex(a)
+        if w is None:
+            raise TypeError(f"cannot scale {type(self).__name__} by "
+                            f"{type(a).__name__}")
+        return type(self)(w.plus * self.plus, w.minus * self.minus)
 
     def __mul__(self, a):
+        if as_bicomplex(a) is None:
+            return NotImplemented
         return self.scale(a)
 
     __rmul__ = __mul__

@@ -338,7 +338,7 @@ def stage_conn(args):
     if args.action == "flatness":
         return [criteria._result(
             5, "flatness (config)",
-            [criteria.flatness_check(conn, grid.spacing)], t0)]
+            [criteria.flatness_check(conn)], t0)]
     return [criteria._result(
         6, "holonomy (config)",
         criteria.holonomy_checks(*_period_holonomies(conn, grid.n),
@@ -408,7 +408,7 @@ def stage_pipeline(args):
     t0 = time.perf_counter()
     conn = assemble(rep.psi, problem.C, chart)
     results.append(criteria._result(
-        5, "flatness", [criteria.flatness_check(conn, grid.spacing)], t0))
+        5, "flatness", [criteria.flatness_check(conn)], t0))
 
     t0 = time.perf_counter()
     results.append(criteria._result(

@@ -376,20 +376,10 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> dict:
     n = conn.grid.n
     # the derivative terms of a plane that stands for several entries
     # (or both parts) are computed once, keyed by the array
-    memo = {}
-
-    def once(op, p):
-        key = (op, id(p))
-        if key not in memo:
-            memo[key] = op(p)
-        return memo[key]
-
-    def b_terms(b):
-        return c.d_w(b) - c.logB * b
-
-    def a_terms(a):
-        return c.grid.dzb(a), c.logA * a
-
+    b_terms = {id(b): c.d_w(b) - c.logB * b
+               for b in _distinct(conn.planes["Bhat"])}
+    a_terms = {id(a): (c.grid.dzb(a), c.logA * a)
+               for a in _distinct(conn.planes["Ahat"])}
     out = {}
     for part in PARTS:
         A = conn.planes["Ahat"][part]
@@ -397,8 +387,8 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> dict:
         r = np.zeros((3, 3, n, n), dtype=complex)
         for i in range(3):
             for j in range(3):
-                rb = once(b_terms, B[i, j]) if (i, j) in B else 0.0
-                dzb_a, la = (once(a_terms, A[i, j]) if (i, j) in A
+                rb = b_terms[id(B[i, j])] if (i, j) in B else 0.0
+                dzb_a, la = (a_terms[id(A[i, j])] if (i, j) in A
                              else (0.0, 0.0))
                 r[i, j] = rb - dzb_a + la + (_product_entry(A, B, i, j)
                                              - _product_entry(B, A, i, j))

@@ -72,9 +72,9 @@ def _result(cid, title, checks, t0, limit=None):
 # ----------------------------------------------------------------------
 # check bundles: (name, value, bound) lists from computed objects
 
-def flatness_check(conn, spacing, name="flatness"):
+def flatness_check(conn, name="flatness"):
     """The Maurer-Cartan residual of conn against 10 spacing^2."""
-    return (name, conn.flatness_residual(), 10.0 * spacing ** 2)
+    return (name, conn.flatness_residual(), 10.0 * conn.grid.spacing ** 2)
 
 
 def holonomy_checks(Hx, Hy, spacing):
@@ -306,8 +306,7 @@ def criterion_5() -> CriterionResult:
                      BeltramiChart.identity(g16))
     psi, C, chart = _solved_sine(64)
     checks = [("constant", conn0.flatness_residual(), 1e-13),
-              flatness_check(assemble(psi, C, chart), chart.grid.spacing,
-                             "solved")]
+              flatness_check(assemble(psi, C, chart), "solved")]
     return _result(5, "flatness residual", checks, t0)
 
 

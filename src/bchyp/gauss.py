@@ -327,9 +327,11 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
     res = float(np.abs(F).max())
     history = [res]
     krylov, halvings = [], []
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         if res <= tol:
             return SolveReport(psi, it, history, True, krylov, halvings)
+        if it == max_iter:
+            break
         weight = (2.0 * np.exp(2 * psi)
                   + 32.0 * np.exp(-4 * psi) * problem.cnorm_g)
         delta, count = _solve_krylov(problem, weight, F)
@@ -349,8 +351,6 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
             t *= 0.5
         else:
             raise DidNotConverge(it, res)
-    if res <= tol:
-        return SolveReport(psi, max_iter, history, True, krylov, halvings)
     raise DidNotConverge(max_iter, res, stalled=False)
 
 

@@ -17,8 +17,8 @@ def _run(cid, capsys):
 
 
 def test_criterion_01_algebra_isomorphism(capsys):
-    """Seeded 2x2 pairs: multiplicativity of the degree-2 symmetric
-    lift and preservation of the invariant pairing."""
+    """100 seeded complex 3x3 pairs: phi_iso is a homomorphism into
+    C_tau matrices, and its images keep the pairing compatibility."""
     _run(1, capsys)
 
 

@@ -1,7 +1,9 @@
 """Affine-sphere side: dual lifts, frame integration, structure fits,
 Pick/Wang cross-checks, and the second-variation trace."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,6 +574,20 @@ def test_streamed_integrate_part_keeps_the_whole_grid_taylor_degrees(
     want = degrees(oracles.integrate_part_sweeps)
     assert len(want) == 3
     assert degrees(affine._integrate_part) == want
+
+
+def test_sweep_is_the_only_transport_in_affine():
+    # one blocked two-way sweep: no other function of the module builds
+    # step exponentials or transports frames
+    tree = ast.parse(Path(affine.__file__).read_text())
+    callers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(
+                        node.func) in ("transport", "mat3.expm"):
+                    callers.add(fn.name)
+    assert callers == {"_sweep"}
 
 
 def same_fit(got, want):

@@ -168,6 +168,19 @@ def test_pair_arithmetic(cls):
     assert repr(w).startswith(f"{cls.__name__}(plus=")
 
 
+def test_pair_arithmetic_refuses_foreign_operands():
+    # + and - take only the same pair type, * and scale only a C_tau
+    # scalar; anything else is a TypeError, never a silent broadcast
+    v = BcVec3([1, 2, 3], [1j, 0, 0])
+    X = BcMat3.identity()
+    for bad in (lambda: X + v, lambda: v + X, lambda: X - v, lambda: v - X,
+                lambda: v + 1, lambda: 1 - v, lambda: v + Bicomplex(1, 0),
+                lambda: v * "a", lambda: "a" * v, lambda: v * None,
+                lambda: v * v, lambda: X * X, lambda: v.scale("a")):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_mat3_acts_on_vec3():
     X = BcMat3([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2 * np.eye(3))
     v = BcVec3([1, 2, 3], [1j, 0, 0])

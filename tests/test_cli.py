@@ -140,6 +140,23 @@ def test_failing_check_exits_one(monkeypatch, capsys):
     assert "stage failure (criterion 1)" in captured.err
 
 
+@pytest.mark.parametrize("command, cid", [
+    ("metric convergence", 2), ("gauss solve", 4), ("conn flatness", 5),
+    ("conn holonomy", 6), ("affine secondvar", 9), ("rep goldman", 7),
+    ("rep anosov", 10)])
+def test_bare_stage_runs_its_own_criterion(monkeypatch, capsys, command,
+                                           cid):
+    calls = []
+    for k in range(1, 11):
+        def recorder(k=k):
+            calls.append(k)
+            return CriterionResult(k, "stub", True, 0.0, {}, "stub")
+        monkeypatch.setattr(criteria, f"criterion_{k}", recorder)
+    assert main(command.split()) == 0
+    assert calls == [cid]
+    assert f"criterion {cid:2d} [PASS] stub" in capsys.readouterr().out
+
+
 def test_linear_solve_failure_exits_one_with_message(monkeypatch, capsys):
     message = "GMRES returned info=20 after 1000 iterations"
 

@@ -266,6 +266,18 @@ def test_solve_perturbed_datum():
     assert all(b < a for a, b in zip(hist[1:], hist[2:]))
 
 
+def test_newton_converged_on_its_last_allowed_step():
+    # the perturbed datum converges in 2 steps: max_iter = 2 reports
+    # them, max_iter = 1 stops one step short
+    p = band_problem(32, 0.0, 1.0, 0.1)
+    assert solve_newton(p).iterations == 2
+    rep = solve_newton(p, max_iter=2)
+    assert rep.converged and rep.iterations == 2
+    with pytest.raises(gauss.DidNotConverge,
+                       match=r"reached max_iter \(1 iterations\)"):
+        solve_newton(p, max_iter=1)
+
+
 def test_newton_quadratic_tail():
     g = TorusGrid(64)
     alpha = 1.0 + 0.1 * np.exp(2j * np.pi * g.x)
