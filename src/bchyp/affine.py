@@ -9,10 +9,13 @@ classical affine differential geometry:
   * normalize_lift      rescales a raw pair to the special lift with
                         eta(f+, f-) = -1 and vanishing conormal, via a
                         periodic Poisson solve for the log factor;
-  * integrate_frame     transports the flat frame over the grid from a
+  * integrate_frame     transports the plus frame over the grid from a
                         base point, every row and column through one
-                        blocked two-way sweep (_sweep), and projects
-                        the lift column to the real pair;
+                        blocked two-way sweep (_sweep), takes the dual
+                        lift as the cross product of its tangent
+                        columns, checked against the minus frame
+                        integrated along the base row and column, and
+                        projects both lifts to the real pair;
   * structure_residuals fits D_X df(Y) = f_*(nabla) + g_B(X, Y) xi at
                         each node, in row blocks, rebuilds the affine
                         normal as (1/2) Laplace-Beltrami of f, and
@@ -44,8 +47,8 @@ import numpy as np
 from . import mat3
 from .bicomplex import Q3
 from .connection import (
-    F0, PARTS, FlatConnectionField, grid_step_generators, step_norms,
-    taylor_degree, transport,
+    F0, PARTS, FlatConnectionField, grid_step_generators, step_generators,
+    step_norms, taylor_degree, transport,
 )
 from .metric import (
     BeltramiChart, CubicPair, centered_dx, centered_dy, stencil_symbols,
@@ -155,7 +158,9 @@ class AffinePair:
     exchange of the two arrays.  periodic marks whether the fields wrap
     across the grid seam (synthetic torus data does, integrated frames
     do not).  path_residual records the row/column-order disagreement
-    of the frame integration that produced the pair, when applicable.
+    of the frame integration that produced the pair, when applicable,
+    and dual_residual how far its derived f- lift strays from the minus
+    frame integrated on its own along the base row and column.
     The structure fit of f+ is kept on the pair once computed, so
     structure_residuals and blaschke_data share one fit.
     """
@@ -165,6 +170,7 @@ class AffinePair:
     spacing: float
     periodic: bool = True
     path_residual: float = 0.0
+    dual_residual: float = 0.0
     _fit: tuple | None = field(default=None, init=False, repr=False,
                                compare=False)
 
@@ -200,7 +206,8 @@ class AffinePair:
     def dual(self) -> "AffinePair":
         return AffinePair(self.fminus, self.fplus, self.spacing,
                           periodic=self.periodic,
-                          path_residual=self.path_residual)
+                          path_residual=self.path_residual,
+                          dual_residual=self.dual_residual)
 
 
 @dataclass(frozen=True)
@@ -374,24 +381,24 @@ def _sweep(S, k, ki, i0, start, view, each=None):
                      a if back else a + 1)
 
 
-def _integrate_part(conn, part, base, sl):
-    """Frame of one idempotent part, integrated both ways by _sweep,
-    with each leg's Taylor degree taken from the norm of all its steps
-    (the inverse steps' from the edges behind the base) as expm_steps
-    would; the kernel works entry by entry, so blocks equal the whole
-    bit for bit.  Row then column: the base row along x, then every
-    column along y, into the kept frames G.  Column then row: from G's
-    base column, reached along y alone with the same steps, every row
-    along x over the transposed x-steps [.., ix, iy], a block of frames
-    at a time into a rolling buffer compared against G.  Returns the
-    lift column of G as (3, n, n) planes, the max-abs disagreement of
-    the two orders on [sl, sl] (NaN if either frame is), and the frame
-    size there.
+def _integrate_part(conn, base, sl):
+    """Frame of the plus part, integrated both ways by _sweep, with each
+    leg's Taylor degree taken from the norm of all its steps (the
+    inverse steps' from the edges behind the base) as expm_steps would;
+    the kernel works entry by entry, so blocks equal the whole bit for
+    bit.  Row then column: the base row along x, then every column
+    along y, into the kept frames G.  Column then row: from G's base
+    column, reached along y alone with the same steps, every row along
+    x over the transposed x-steps [.., ix, iy], a block of frames at a
+    time into a rolling buffer compared against G.  Returns the lift
+    column of G and the dual lift column derived from G (_dual_column)
+    as (3, n, n) planes, the max-abs disagreement of the two orders on
+    [sl, sl] (NaN if either frame is), and the frame size there.
     """
     iy0, ix0 = base
     n = conn.grid.n
-    Sx = grid_step_generators(conn, part, 0)
-    Sy = grid_step_generators(conn, part, 1)
+    Sx = grid_step_generators(conn, "plus", 0)
+    Sy = grid_step_generators(conn, "plus", 1)
     nx, ny = step_norms(Sx), step_norms(Sy)
     kx, kxi, ky, kyi = (taylor_degree(m.max(initial=0.0))
                         for m in (nx, nx[:, :ix0], ny, ny[:iy0]))
@@ -425,56 +432,93 @@ def _integrate_part(conn, part, base, sl):
     # plane by plane, so no grid-sized temporary is held
     gmax = np.max([np.abs(G[i, j, sl, sl]).max()
                    for i in range(3) for j in range(3)])
-    return G[:, 2].copy(), float(resid), float(gmax)
+    return G[:, 2].copy(), _dual_column(G), float(resid), float(gmax)
+
+
+def _dual_column(G):
+    """-QTILDE (e1 x e2) of frames G (3, 3, ...) with columns e1, e2,
+    e3, as (3, ...) planes: the lift column of the dual frame
+    QTILDE G^-T QTILDE, times det G.  The frame equation keeps det G at
+    1 to rounding, and it is not divided out, so eta(f+, f-) + 1 still
+    measures how far it drifted."""
+    (a0, a1, a2), (b0, b1, b2) = G[:, 0], G[:, 1]
+    # e1 x e2 = (a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0); -QTILDE
+    # exchanges its first two entries and negates them
+    return np.stack([a0 * b2 - a2 * b0, a2 * b1 - a1 * b2,
+                     a0 * b1 - a1 * b0])
+
+
+def _dual_residual(conn, base, sigma_minus):
+    """Max-abs gap, NaN if either side is NaN, between the derived minus
+    lift sigma_minus (3, n, n) and the lift column of the minus frame
+    integrated on its own along the base row and the base column: the
+    line generators of step_generators, swept both ways from the
+    identity at the base, each line at the Taylor degrees of its own
+    steps."""
+    iy0, ix0 = base
+    n = conn.grid.n
+    line = np.arange(n)
+    resid = 0.0
+    for i0, iy, ix, diy, dix, derived in (
+            (ix0, iy0, line, 0, 1, sigma_minus[:, iy0]),
+            (iy0, line, ix0, 1, 0, sigma_minus[:, :, ix0])):
+        S = step_generators(conn, iy, ix, diy, dix, "minus")
+        norms = step_norms(S)
+        k, ki = (taylor_degree(m.max(initial=0.0))
+                 for m in (norms, norms[:i0]))
+        frames = np.empty((3, 3, n), dtype=complex)
+        _sweep(S, k, ki, i0, np.eye(3), lambda a, b: frames[:, :, a:b + 1])
+        resid = np.maximum(resid, np.abs(frames[:, 2] - derived).max())
+    return float(resid)
 
 
 def integrate_frame(conn: FlatConnectionField, base=(0, 0),
                     trim: int = 0) -> AffinePair:
     """Integrate the moving frame of real connection data to a pair.
 
-    The frame solves dG = G Omega with G(base) = Id (q-orthonormal,
+    The plus frame solves dG = G Omega with G(base) = Id (q-orthonormal,
     lift column (0, 0, 1)) through the transport kernel that holonomy
     uses (connection.grid_step_generators, the Taylor exponential at
     the degree taylor_degree picks, and transport), on (3, 3, ...)
     entry planes throughout.  _sweep carries frames from a line of
     nodes forward, then back through inverse steps (built only for the
     edges behind the base), exponentiating FRAME_BLOCK rows or columns
-    at a time.  The lift is the third column of G; conjugating by
-    the model frame F0 turns the conjugate-swap symmetry of real data
-    into literal realness of f+ = F0 sigma_plus, f- = F0 sigma_minus.
-    Each step is exactly Gram-compatible, so eta(f+, f-) = -1
-    propagates to rounding.
+    at a time.  The lift is the third column of G.  Each minus step is
+    QTILDE E^-T QTILDE of its plus step, so the minus frame is
+    QTILDE G^-T QTILDE and its lift column is -QTILDE (e1 x e2) / det G
+    over the plus frame's columns e1, e2: the dual affine sphere is the
+    cross product of the tangent frame.  So the minus part is not
+    integrated over the grid; its lift is that cross product, with
+    det G left in.  Conjugating by the model frame F0 turns the
+    conjugate-swap symmetry of real data into literal realness of
+    f+ = F0 sigma_plus, f- = F0 sigma_minus, and eta(f+, f-) = -det G,
+    which the traceless steps keep at -1 to rounding.
 
     Row-then-column and column-then-row orders are both integrated from
     the same exponentials, the second starting from the first's base
     column and compared block by block, never stored; their
-    disagreement over the whole grid (max over both idempotent parts,
-    optionally trimmed by `trim` nodes for data whose seam rows are
-    invalid) must stay below PATH_TOL spacing^2 scaled by the frame
-    size, else PathDependent.
+    disagreement over the grid (optionally trimmed by `trim` nodes for
+    data whose seam rows are invalid) is the path residual.  The minus
+    frame is integrated on its own along the base row and the base
+    column only, and its lift column there is compared with the derived
+    one: the dual residual.  Each must stay below PATH_TOL spacing^2
+    scaled by the plus frame size, else PathDependent.
     """
     _require_real(conn)
     n, h = conn.grid.n, conn.grid.spacing
     iy0, ix0 = base
     if not (0 <= iy0 < n and 0 <= ix0 < n):
         raise ValueError(f"base {base} outside grid")
-    # one idempotent part at a time: a part's generators and
-    # exponentials are released before the next part's are built
     sl = slice(trim, n - trim) if trim > 0 else slice(None)
-    sigma = {}
-    resid = gmax = 0.0
-    for part in PARTS:
-        sigma[part], r, g = _integrate_part(conn, part, base, sl)
-        resid = float(np.maximum(resid, r))
-        gmax = float(np.maximum(gmax, g))
-
+    sigma_plus, sigma_minus, resid, gmax = _integrate_part(conn, base, sl)
+    dual = _dual_residual(conn, base, sigma_minus)
     tol = PATH_TOL * h * h * max(1.0, gmax)
-    if not resid <= tol:
-        raise PathDependent(resid, tol)
+    for r in (resid, dual):
+        if not r <= tol:
+            raise PathDependent(r, tol)
 
     out = {}
-    for part in PARTS:
-        s = sigma[part]
+    for part, s in zip(PARTS, (sigma_plus, sigma_minus)):
         amb = np.stack([F0[i, 0] * s[0] + F0[i, 1] * s[1] + F0[i, 2] * s[2]
                         for i in range(3)], axis=-1)
         imax = float(np.max(np.abs(amb.imag)))
@@ -482,7 +526,7 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
             raise NotReal(f"projected {part} lift has imaginary part {imax:.3e}")
         out[part] = amb.real
     return AffinePair(out["plus"], out["minus"], h, periodic=False,
-                      path_residual=resid)
+                      path_residual=resid, dual_residual=dual)
 
 
 # ----------------------------------------------------------------------

@@ -419,7 +419,8 @@ def stage_pipeline(args):
     if kind == "wang":
         t0 = time.perf_counter()
         pair = affine.integrate_frame(conn)
-        checks = ([("path", float(pair.path_residual), 1e-12)]
+        checks = ([("path", float(pair.path_residual), 1e-12),
+                   ("dual", float(pair.dual_residual), 1e-9)]
                   + criteria.roundtrip_checks(pair, rep.psi))
         results.append(criteria._result(8, "roundtrip", checks, t0))
         if args.out:

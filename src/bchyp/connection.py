@@ -43,7 +43,9 @@ degree of the whole.  mat3.expm only evaluates the chosen polynomial
 more cheaply, as a Horner recurrence that Cayley-Hamilton reduces to
 one plane product.  It adds the identity last, so each step keeps the
 minus-part structure E_minus = QTILDE E_plus^-T QTILDE to round-off far
-below ulp(1).  Steps multiply on the right, as the frame equation
+below ulp(1); affine.integrate_frame relies on it, integrating only the
+plus part over the grid and deriving the minus lift from the plus
+frame.  Steps multiply on the right, as the frame equation
 dG = G Omega has it; in that order the assembled connection is flat.
 Each step is G + G (E - I), its 27 products written by one broadcast
 multiply into a reused buffer and summed in the order of the row-form

@@ -321,7 +321,16 @@ def _solve_krylov(problem: GaussProblem, weight: np.ndarray,
 
 def solve_newton(problem: GaussProblem, tol: float = 1e-10,
                  max_iter: int = 50) -> SolveReport:
-    """Damped Newton on residual_background down to max-abs tol."""
+    """Damped Newton on residual_background down to max-abs tol.
+
+    ValueError unless max_iter is an integer >= 0 and tol a finite
+    number > 0, the rules the config reader applies."""
+    if not (isinstance(max_iter, (int, np.integer))
+            and not isinstance(max_iter, bool) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if not (isinstance(tol, (int, float, np.integer, np.floating))
+            and not isinstance(tol, bool) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     psi = problem.initial_guess()
     F = residual_background(psi, problem)
     res = float(np.abs(F).max())

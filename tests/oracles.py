@@ -30,8 +30,9 @@ package documents for its plane kernel, entry by entry.
 Whole-grid references pin the streamed and blocked routes of the
 package bit for bit: transport_row_form steps G + mat3.matmul(G, E - I)
 (the package's transport sums the same products in one buffer),
-integrate_part_sweeps integrates a frame from whole-grid step
-exponentials, sweeping both orders into full frame fields, and
+integrate_part_sweeps integrates the frame of either idempotent part
+from whole-grid step exponentials, sweeping both orders into full frame
+fields, and takes the dual lift column from its np.cross;
 fit_structure_whole fits the structure equations over the whole grid
 at once.  solve is the adjugate solve X = adj(A) B / det(A) on planes.
 
@@ -343,9 +344,12 @@ def _sweep(Ex, Ey, Exi, Eyi, base):
 
 
 def integrate_part_sweeps(conn, part, base, sl):
-    """affine._integrate_part from whole-grid exponentials: both sweep
-    orders fill full frame fields (the column-then-row one over
-    transposed copies of the exponentials), compared afterwards."""
+    """affine._integrate_part from whole-grid exponentials, for either
+    idempotent part: both sweep orders fill full frame fields (the
+    column-then-row one over transposed copies of the exponentials),
+    compared afterwards.  Returns the lift column, the dual lift column
+    -QTILDE (e1 x e2) through np.cross, the order disagreement and the
+    frame size."""
     iy0, ix0 = base
     S = grid_step_generators(conn, part, 0)
     Ex, Exi = expm_steps(S), expm_steps(-S[..., :ix0])
@@ -360,7 +364,11 @@ def integrate_part_sweeps(conn, part, base, sl):
     resid = np.max([np.abs(G_xy[i, j, sl, sl] - Gt[i, j].T[sl, sl]).max()
                     for i, j in entries])
     gmax = np.max([np.abs(G_xy[i, j, sl, sl]).max() for i, j in entries])
-    return G_xy[:, 2].copy(), float(resid), float(gmax)
+    # -QTILDE (e1 x e2): QTILDE exchanges the first two entries and
+    # negates the third
+    c = np.cross(G_xy[:, 0], G_xy[:, 1], axis=0)
+    dual = np.stack([-c[1], -c[0], c[2]])
+    return G_xy[:, 2].copy(), dual, float(resid), float(gmax)
 
 
 def fit_structure_whole(pair):

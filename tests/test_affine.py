@@ -3,6 +3,7 @@ Pick/Wang cross-checks, and the second-variation trace."""
 
 import ast
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,14 @@ from bchyp.affine import (
 from bchyp import affine
 from bchyp.affine import _fit_structure, _gauss_curvature, _poisson_periodic
 from bchyp.bicomplex import Q3
-from bchyp.connection import F0, assemble
+from bchyp.connection import (
+    F0, FlatConnectionField, assemble, grid_step_generators,
+)
 from bchyp.criteria import roundtrip_checks
-from bchyp.gauss import solve_newton, wang_specialize
+from bchyp.gauss import GaussProblem, solve_newton, wang_specialize
 from bchyp.metric import (
-    BeltramiChart, CubicPair, TorusGrid, centered_dx, centered_dy,
+    BeltramiChart, ComplexMetric, CubicPair, TorusGrid, centered_dx,
+    centered_dy,
 )
 
 _CACHE = {}
@@ -539,13 +543,15 @@ def test_streamed_integrate_frame_equals_the_sweep_oracle(
     conn = datum(n)
     base = (base[0] % n, base[1] % n)
     got = integrated(conn, base, trim)
-    monkeypatch.setattr(affine, "_integrate_part",
-                        oracles.integrate_part_sweeps)
+    monkeypatch.setattr(
+        affine, "_integrate_part", lambda conn, base, sl:
+        oracles.integrate_part_sweeps(conn, "plus", base, sl))
     want = integrated(conn, base, trim)
     if isinstance(want, AffinePair):
         assert np.array_equal(got.fplus, want.fplus)
         assert np.array_equal(got.fminus, want.fminus)
         assert got.path_residual == want.path_residual
+        assert got.dual_residual == want.dual_residual
     else:
         assert got == want
 
@@ -559,7 +565,7 @@ def test_streamed_integrate_part_keeps_the_whole_grid_taylor_degrees(
     conn = strip_conn(64, flip=True)
     expm = affine.mat3.expm
 
-    def degrees(integrate_part):
+    def degrees(integrate_part, *part):
         used = set()
 
         def recording(S, degree, squarings=0):
@@ -567,13 +573,80 @@ def test_streamed_integrate_part_keeps_the_whole_grid_taylor_degrees(
             return expm(S, degree, squarings)
 
         monkeypatch.setattr(affine.mat3, "expm", recording)
-        integrate_part(conn, "plus", (40, 6), slice(None))
+        integrate_part(conn, *part, (40, 6), slice(None))
         monkeypatch.setattr(affine.mat3, "expm", expm)
         return used
 
-    want = degrees(oracles.integrate_part_sweeps)
+    want = degrees(oracles.integrate_part_sweeps, "plus")
     assert len(want) == 3
     assert degrees(affine._integrate_part) == want
+
+
+def sine_pair_conn(n):
+    """A Gauss-solved datum over the sine chart with unequal constant
+    cubic halves: complex data, which integrate_frame refuses, but whose
+    frame the sweeps integrate all the same."""
+    grid = TorusGrid(n)
+    chart = BeltramiChart.sine_perturbed(grid, 0.01)
+    C = CubicPair(grid, 0.6, 0.3 + 0.2j, holomorphic=True)
+    report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C))
+    return assemble(report.psi, C, chart)
+
+
+@pytest.mark.parametrize("datum", [partial(wang_conn, 256),
+                                   partial(sine_pair_conn, 64)],
+                         ids=["wang", "sine-pair"])
+def test_derived_minus_lift_equals_the_integrated_one(datum):
+    # each minus step is QTILDE E^-T QTILDE of its plus step, so the
+    # minus lift is -QTILDE (e1 x e2) / det G of the plus frame G, and
+    # det G = 1 to rounding
+    conn = datum()
+    n = conn.grid.n
+    for base in ((0, 0), (n // 2, n // 3)):
+        derived = affine._integrate_part(conn, base, slice(None))[1]
+        want = oracles.integrate_part_sweeps(conn, "minus", base,
+                                             slice(None))[0]
+        err = np.abs(derived - want).max()
+        assert err <= 1e-12 * np.abs(want).max(), (base, err)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, -0.7, 1.2, 2.5])
+def test_dual_residual_is_rounding_on_wang_data(q):
+    problem = wang_specialize(q, TorusGrid(128))
+    conn = assemble(solve_newton(problem).psi, problem.C,
+                    problem.background.chart)
+    assert integrate_frame(conn).dual_residual <= 1e-12
+
+
+def test_dual_residual_flags_a_minus_part_that_is_not_the_dual():
+    # scaling both minus-part matrices keeps each part's conjugate-swap
+    # symmetry, so the datum still counts as real, but the minus frame
+    # no longer is the dual of the plus frame
+    conn = wang_conn(64)
+    planes = {name: {"plus": conn.planes[name]["plus"],
+                     "minus": {ij: (1.0 + 1e-6) * p for ij, p
+                               in conn.planes[name]["minus"].items()}}
+              for name in ("Ahat", "Bhat")}
+    scaled = FlatConnectionField(planes["Ahat"], planes["Bhat"],
+                                 conn.chart, conn.s2)
+    affine._require_real(scaled)
+    assert integrate_frame(conn).dual_residual <= 1e-12
+    pair = integrate_frame(scaled)
+    assert pair.dual_residual > 1e-9
+    assert pair.dual().dual_residual == pair.dual_residual
+
+
+def test_integrate_frame_builds_no_grid_of_minus_generators(monkeypatch):
+    # the minus part is integrated only along the base row and column
+    built = []
+
+    def spy(conn, part, leg):
+        built.append((part, leg))
+        return grid_step_generators(conn, part, leg)
+
+    monkeypatch.setattr(affine, "grid_step_generators", spy)
+    integrate_frame(wang_conn(32), base=(5, 7))
+    assert sorted(built) == [("plus", 0), ("plus", 1)]
 
 
 def test_sweep_is_the_only_transport_in_affine():
@@ -732,17 +805,27 @@ def test_second_variation_rejects_bad_shape():
         second_variation_trace(np.zeros((n, n, 3)), zero, C0, chart)
 
 
-def test_integrate_rejects_nan_path_residual_of_the_minus_part(monkeypatch):
+def test_integrate_rejects_nan_path_and_dual_residuals(monkeypatch):
+    # a NaN fails both `<= tol` gates: in the two orders' disagreement
+    # of the plus frame, and in the base-line comparison of the derived
+    # minus lift, poisoned on the base row and on the base column
     problem = wang_specialize(1.2, TorusGrid(16))
     conn = assemble(solve_newton(problem).psi, problem.C,
                     problem.background.chart)
-    integrate_part, calls = affine._integrate_part, []
+    integrate_part = affine._integrate_part
 
-    def nan_on_minus(*args):              # parts run plus, then minus
-        sigma, resid, gmax = integrate_part(*args)
-        calls.append(resid)
-        return sigma, (resid if len(calls) == 1 else np.nan), gmax
+    def poisoned(where):
+        def integrate(*args):
+            plus, minus, resid, gmax = integrate_part(*args)
+            if where is None:
+                resid = np.nan
+            else:
+                minus[(slice(None),) + where] = np.nan
+            return plus, minus, resid, gmax
+        return integrate
 
-    monkeypatch.setattr(affine, "_integrate_part", nan_on_minus)
-    with pytest.raises(PathDependent):
-        integrate_frame(conn)
+    for where in (None, (0, 5), (5, 0)):
+        monkeypatch.setattr(affine, "_integrate_part", poisoned(where))
+        with pytest.raises(PathDependent) as exc:
+            integrate_frame(conn)
+        assert np.isnan(exc.value.residual), where

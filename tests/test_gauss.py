@@ -278,6 +278,20 @@ def test_newton_converged_on_its_last_allowed_step():
         solve_newton(p, max_iter=1)
 
 
+@pytest.mark.parametrize("solver", [
+    {"max_iter": -1}, {"max_iter": 2.0}, {"max_iter": True},
+    {"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0}, {"tol": -1e-10},
+    {"tol": "1e-10"},
+], ids=["max_iter_negative", "max_iter_float", "max_iter_bool", "tol_nan",
+        "tol_inf", "tol_zero", "tol_negative", "tol_str"])
+def test_newton_rejects_solver_settings_the_config_refuses(solver):
+    # the constant datum meets any tol at once, so only the check raises
+    p = flat_problem(16, 1.0, 1.0, holo=True)
+    assert solve_newton(p, max_iter=0).converged
+    with pytest.raises(ValueError, match=next(iter(solver))):
+        solve_newton(p, **solver)
+
+
 def test_newton_quadratic_tail():
     g = TorusGrid(64)
     alpha = 1.0 + 0.1 * np.exp(2j * np.pi * g.x)

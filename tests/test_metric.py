@@ -75,6 +75,23 @@ def test_sliced_stencils_equal_roll_form_bitwise(n):
         assert np.array_equal(gy[-1], (f[0] - f[-2]) / (2 * h))
 
 
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+def test_centered_stencils_equal_the_division_form_bitwise(n):
+    # the stencils multiply by 0.5 / spacing, which is exact at every
+    # TorusGrid spacing, so they give the division by 2 spacing (a
+    # complex division on complex fields) to the byte
+    h = TorusGrid(n).spacing
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (n, n, 3)):
+        real = rng.standard_normal(shape)
+        for f in (real, real + 1j * rng.standard_normal(shape)):
+            for axis, stencil in ((1, centered_dx), (0, centered_dy)):
+                want = (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2 * h)
+                got = stencil(f, h)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (shape, f.dtype, axis)
+
+
 @pytest.mark.parametrize("n", [16, 128])
 def test_d_w_shared_differences_equal_two_pass_form_bitwise(n):
     chart = BeltramiChart.sine_perturbed(TorusGrid(n), 0.1)
