@@ -31,7 +31,8 @@ weight replaced by its grid mean (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973).  On the identity chart over a constant background it
 differs from J only by the weight's variation about its mean, so the
 Krylov count per step depends on the data, not on the grid size.
-Steps are damped by halving on the residual max-norm.
+Steps are damped by halving on the residual max-norm, from the constant
+root of the averaged data, complex where the mean of |C|^2_g is.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres
 
+from . import mat3
 from ._frozen import Frozen
 from .metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
@@ -65,7 +67,7 @@ class ChartMismatch(ValueError):
 
 
 class NoPositiveRoot(ArithmeticError):
-    """The constant reduction -Kg - u + 8c/u^2 = 0 has no positive root."""
+    """-Kg - u + 8c/u^2 = 0 has no reliable root with Re u > 0."""
 
 
 class DidNotConverge(RuntimeError):
@@ -137,10 +139,9 @@ class GaussProblem(Frozen):
 
     def initial_guess(self) -> np.ndarray:
         """The constant root of the averaged data (zero if it has none)."""
-        c = float(np.mean(self.cnorm_g).real)
         kg = float(np.mean(self.Kg).real)
         try:
-            u = constant_root(max(c, 0.0), kg)
+            u = constant_root(np.mean(self.cnorm_g), kg)
         except NoPositiveRoot:
             return np.zeros((self.grid.n, self.grid.n), dtype=complex)
         return np.full((self.grid.n, self.grid.n), 0.5 * np.log(u),
@@ -171,9 +172,16 @@ class SolveReport:
 
 def residual_background(psi, problem: GaussProblem) -> np.ndarray:
     """Delta_g psi - K_g - e^{2 psi} + 8 e^{-4 psi} |C|^2_g."""
+    return _residual_and_weight(psi, problem)[0]
+
+
+def _residual_and_weight(psi, problem: GaussProblem):
+    """residual_background and the Newton weight, from one pair of exps."""
     psi = problem.grid.field(psi)
-    return (problem.laplacian(psi) - problem.Kg
-            - np.exp(2 * psi) + 8 * np.exp(-4 * psi) * problem.cnorm_g)
+    e2, e4 = np.exp(2 * psi), np.exp(-4 * psi)
+    return (problem.laplacian(psi) - problem.Kg - e2
+            + 8 * e4 * problem.cnorm_g,
+            2.0 * e2 + 32.0 * e4 * problem.cnorm_g)
 
 
 def residual_intrinsic(psi, problem: GaussProblem) -> np.ndarray:
@@ -187,57 +195,44 @@ def residual_intrinsic(psi, problem: GaussProblem) -> np.ndarray:
     return laplacian(h, psi) + ab * np.exp(-6 * psi) - 1.0
 
 
-def constant_root(c: float, Kg: float) -> float:
-    """Largest positive root of -Kg - u + 8c/u^2 = 0, to 1e-14.
+def constant_root(c, Kg: float):
+    """Root u = e^{2 psi} of -Kg - u + 8c/u^2 = 0: the root of
+    u^3 + Kg u^2 - 8c with the largest real part, from mat3.cubic_roots,
+    then at most two Newton steps, to 1e-14.
 
-    Equivalently the largest real root of p(u) = u^3 + Kg u^2 - 8c: with
-    u = t - Kg/3, the trigonometric form of the depressed cubic in t when
-    all three roots are real, else Cardano's formula, and then at most
-    two Newton steps.  An estimate that overflows (|Kg| from about 1e52
-    up) or comes out NaN gives no reliable root either.
+    For real c >= 0 it is the largest positive root, a float (a complex
+    pair has real part (-Kg - r)/2 < 0 beside the real root r > -Kg).
+    Else it is complex: the root continued from the positive root at |c|
+    along the arc to arg c.  On the branch cut c < 0 two roots tie in
+    real part, and the one with Im u > 0 is taken, the limit from
+    arg c > 0: a convention, not a claim about quasi-Fuchsian pairs.
+    NoPositiveRoot when Re u <= 0 or the residual exceeds
+    1e-10 max(1, 8|c|), as for the NaN of an overflow (|Kg| >~ 1e51).
     """
-    c = float(c)
+    c = complex(c)
+    if c.imag == 0 and c.real >= 0:
+        c = c.real
     Kg = float(Kg)
-    if c < 0:
-        raise ValueError("c must be nonnegative")
     if c == 0.0 and Kg >= 0:
         raise NoPositiveRoot(f"c = 0 and Kg = {Kg} >= 0")
-    try:
-        u = _largest_root(c, Kg)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        roots = mat3.cubic_roots(-Kg, 0.0, 8 * c)
+        u = roots[np.argmax(roots.real)]
+        if c.imag == 0:               # real: a tie is a conjugate pair
+            u = u.real if isinstance(c, float) else u.real + 1j * abs(u.imag)
+        for _ in range(2):            # Newton polish
+            f = u ** 3 + Kg * u ** 2 - 8 * c
+            df = 3 * u ** 2 + 2 * Kg * u
+            if df == 0:
+                break
+            step = f / df
+            u -= step
+            if abs(step) < 1e-14 * max(1.0, abs(u)):
+                break
         residual = abs(u ** 3 + Kg * u ** 2 - 8 * c)
-    except OverflowError:               # float ** int raises past 1e308
-        u = residual = math.nan
-    if not (u > 0 and residual <= 1e-10 * max(1.0, 8 * c)):
+    if not (u.real > 0 and residual <= 1e-10 * max(1.0, 8 * abs(c))):
         raise NoPositiveRoot(f"no reliable positive root for c={c}, Kg={Kg}")
-    return float(u)
-
-
-def _largest_root(c: float, Kg: float) -> float:
-    """constant_root's estimate of the largest real root, unchecked."""
-    if c == 0.0:
-        u = -Kg
-    else:
-        a = -Kg * Kg / 3.0
-        b = 2.0 * Kg ** 3 / 27.0 - 8.0 * c
-        disc = 0.25 * b * b + a ** 3 / 27.0
-        if disc < 0:
-            r = math.sqrt(-a / 3.0)
-            cos3 = max(-1.0, min(1.0, -0.5 * b / r ** 3))
-            t = 2.0 * r * math.cos(math.acos(cos3) / 3.0)
-        else:
-            s = math.copysign(math.cbrt(0.5 * abs(b) + math.sqrt(disc)), -b)
-            t = s - a / (3.0 * s)
-        u = t - Kg / 3.0
-    for _ in range(2):                # Newton polish
-        f = u ** 3 + Kg * u ** 2 - 8 * c
-        df = 3 * u ** 2 + 2 * Kg * u
-        if df == 0:
-            break
-        step = f / df
-        u -= step
-        if abs(step) < 1e-14 * max(1.0, abs(u)):
-            break
-    return u
+    return float(u) if isinstance(c, float) else complex(u)
 
 
 def laplacian_matrix(metric: ComplexMetric) -> sp.csr_matrix:
@@ -332,7 +327,7 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
             and not isinstance(tol, bool) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     psi = problem.initial_guess()
-    F = residual_background(psi, problem)
+    F, weight = _residual_and_weight(psi, problem)
     res = float(np.abs(F).max())
     history = [res]
     krylov, halvings = [], []
@@ -341,8 +336,6 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
             return SolveReport(psi, it, history, True, krylov, halvings)
         if it == max_iter:
             break
-        weight = (2.0 * np.exp(2 * psi)
-                  + 32.0 * np.exp(-4 * psi) * problem.cnorm_g)
         delta, count = _solve_krylov(problem, weight, F)
         krylov.append(count)
         t = 1.0
@@ -350,10 +343,10 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
             trial = psi + t * delta
             # a trial that overflows has a non-finite rt and fails rt < res
             with np.errstate(over="ignore", invalid="ignore"):
-                Ft = residual_background(trial, problem)
+                Ft, wt = _residual_and_weight(trial, problem)
             rt = float(np.abs(Ft).max())
             if rt < res:
-                psi, F, res = trial, Ft, rt
+                psi, F, res, weight = trial, Ft, rt, wt
                 history.append(res)
                 halvings.append(k)
                 break

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["planes", "matmul", "expm", "det", "adj"]
+__all__ = ["planes", "matmul", "expm", "det", "adj", "cubic_roots"]
 
 
 def planes(M) -> np.ndarray:
@@ -133,3 +133,26 @@ def adj(A) -> np.ndarray:
     """Adjugate planes of A (3, 3, ...): the transposed cofactors, so
     adj(A) A = A adj(A) = det(A) I."""
     return _cofactors(np.asarray(A)).swapaxes(0, 1)
+
+
+def cubic_roots(c1, c2, c3) -> np.ndarray:
+    """The roots (3, ...) of l^3 - c1 l^2 + c2 l - c3, the characteristic
+    polynomial of a 3x3 matrix, batched and complex, by Cardano's formula.
+
+    The shift l = t + c1/3 leaves t^3 + p t + q, whose roots are
+    t = u w^k - p / (3 u w^k), k = 0, 1, 2, with w a cube root of one
+    and u^3 = -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that gives
+    u^3 the larger modulus so that no cancellation enters it.  A triple
+    root has p = q = 0 and u = 0; its roots are all c1/3.
+    """
+    c1, c2, c3 = (np.asarray(c, dtype=complex) for c in (c1, c2, c3))
+    s = c1 / 3.0
+    p = c2 - 3.0 * s * s
+    q = s * (c2 - 2.0 * s * s) - c3
+    h = -0.5 * q
+    r = np.sqrt(h * h + p * p * p / 27.0)
+    u3 = np.where(np.abs(h + r) >= np.abs(h - r), h + r, h - r)
+    u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)
+    v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0)
+    w = (np.exp(2j * np.pi / 3) ** np.arange(3)).reshape((3,) + (1,) * u.ndim)
+    return s + w * u + w.conj() * v

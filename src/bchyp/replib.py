@@ -54,7 +54,6 @@ DET_DRIFT = 4 * EPS     # det round-off per ||M||_F^3
 TIE_TOL = 1e-12         # relative: transversality values this close tie
 GAP_FLOOR = np.cbrt(EPS)   # times ||M||_F / |l1|
 CENTRALIZER_TOL = 1e-8  # singular values below this span the centralizer
-CUBE_ROOTS = np.exp(2j * np.pi / 3) ** np.arange(3)
 
 
 class NotUnimodular(ValueError):
@@ -163,30 +162,14 @@ class LoxodromyReport:
 
 def _top_root(X):
     """Largest-modulus root of the characteristic polynomial
-    l^3 - c1 l^2 + c2 l - c3 of planes X (3, 3, ...), by Cardano's
-    formula, with the trace c1 and the determinant c3.
-
-    The shift l = t + c1/3 leaves t^3 + p t + q.  Its roots are
-    t = u w^k - p / (3 u w^k), k = 0, 1, 2, with w a cube root of one
-    and u^3 = -q/2 +- sqrt(q^2/4 + p^3/27), the sign taken that gives
-    u^3 the larger modulus so that no cancellation enters it.  A triple
-    root has p = q = 0 and u = 0; its roots are all c1/3.
-    """
+    l^3 - c1 l^2 + c2 l - c3 of planes X (3, 3, ...), from
+    mat3.cubic_roots, with the trace c1 and the determinant c3."""
     c1 = X[0, 0] + X[1, 1] + X[2, 2]
     c2 = (X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0]
           + X[0, 0] * X[2, 2] - X[0, 2] * X[2, 0]
           + X[1, 1] * X[2, 2] - X[1, 2] * X[2, 1])
     c3 = mat3.det(X)
-    s = c1 / 3.0
-    p = c2 - 3.0 * s * s
-    q = s * (c2 - 2.0 * s * s) - c3
-    h = -0.5 * q
-    r = np.sqrt(h * h + p * p * p / 27.0)
-    u3 = np.where(np.abs(h + r) >= np.abs(h - r), h + r, h - r)
-    u = np.cbrt(np.abs(u3)) * np.exp(1j * np.angle(u3) / 3.0)
-    v = np.divide(-p, 3.0 * u, out=np.zeros_like(u), where=u != 0)
-    w = CUBE_ROOTS.reshape((3,) + (1,) * u.ndim)
-    roots = s + w * u + w.conj() * v
+    roots = mat3.cubic_roots(c1, c2, c3)
     k = np.abs(roots).argmax(axis=0)[None]
     return np.take_along_axis(roots, k, axis=0)[0], c1, c3
 

@@ -14,7 +14,8 @@ import pytest
 
 import bchyp
 from bchyp import affine, cli, criteria
-from bchyp.gauss import GaussProblem, LinearSolveFailure
+from bchyp.gauss import (GaussProblem, LinearSolveFailure,
+                         residual_background)
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 from bchyp.cli import (ConfigError, config_hash, load_config,
                        load_generators, main)
@@ -200,6 +201,36 @@ def test_huge_kg_prints_no_warning(tmp_path, capsys, kg):
     cfg = write_cfg(tmp_path, {"grid": 16, "background": {"kg": kg}})
     assert main(["gauss", "solve", "--config", cfg]) in (0, 1)
     assert capsys.readouterr().err.count("\n") <= 1
+
+
+def test_pair_on_the_branch_cut_solves(tmp_path, capsys):
+    # alpha conj(beta) = -1: the constant root is complex, Newton needs
+    # no step
+    cfg = write_cfg(tmp_path, {"cubic": {"kind": "pair", "alpha": 1.0,
+                                         "beta": [-1.0, 0.0]}})
+    assert main(["gauss", "solve", "--config", cfg]) == 0
+    assert "iterations=0<=50" in capsys.readouterr().out
+
+
+def test_reported_residual_is_the_solve_s_last(monkeypatch, capsys):
+    # the stage reports the residual history's last entry; recomputing
+    # residual_background on the solved psi gives the same bits
+    solves = []
+
+    def recorded(problem, _solve=cli.solve_newton, **kwargs):
+        rep = _solve(problem, **kwargs)
+        solves.append((problem, rep))
+        return rep
+
+    monkeypatch.setattr(cli, "solve_newton", recorded)
+    cfg = cfg_path("sine_chart.json")
+    for argv in (["gauss", "solve"], ["pipeline"]):
+        code, out = run_json(capsys, argv + ["--config", cfg])
+        assert code == 0
+        problem, rep = solves.pop()
+        again = float(np.abs(residual_background(rep.psi, problem)).max())
+        assert json.loads(out)["results"][0]["residuals"]["residual"] == again
+        assert rep.residual_history[-1] == again
 
 
 @pytest.mark.parametrize("length", ["0", "-1"])

@@ -57,8 +57,8 @@ def test_constant_root_no_root():
 
 @pytest.mark.parametrize("kg", [1e300, -1e300], ids=["plus", "minus"])
 def test_constant_root_overflow_is_no_positive_root(kg):
-    # Kg ** 3 leaves the float range and raises OverflowError, which
-    # initial_guess would not catch
+    # the Cardano estimate leaves the float range and comes out NaN,
+    # which the residual gate turns into the error initial_guess catches
     with pytest.raises(NoPositiveRoot):
         constant_root(0.18, kg)
 
@@ -86,6 +86,46 @@ def test_constant_root_picks_largest():
     # Kg < 0 with small c: roots near 0 and near -Kg; want the largest
     u = constant_root(1e-4, -1.0)
     assert u > 0.9
+
+
+def test_constant_root_is_a_float_exactly_for_real_nonnegative_c():
+    assert type(constant_root(0.18, 0.0)) is float
+    assert type(constant_root(np.complex128(0.18), -1.0)) is float
+    assert type(constant_root(-0.18, 0.0)) is complex
+    assert type(constant_root(0.18 + 1e-21j, 0.0)) is complex
+
+
+def test_constant_root_follows_the_arc_from_the_positive_root():
+    # largest real part = the root continued from the positive root at
+    # |c| along the arc to arg c, tracked with np.roots in small steps
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        kg = rng.uniform(-3.0, 3.0)
+        r = 10.0 ** rng.uniform(-3.0, 1.4)
+        arg = np.deg2rad(rng.uniform(-179.0, 179.0))
+        u = constant_root(r, kg)
+        for t in np.linspace(0.0, arg, 400)[1:]:
+            roots = np.roots([1.0, kg, 0.0, -8.0 * r * np.exp(1j * t)])
+            u = roots[np.argmin(np.abs(roots - u))]
+        got = constant_root(r * np.exp(1j * arg), kg)
+        assert abs(got - u) <= 1e-12 * abs(u)
+        assert abs(got ** 3 + kg * got ** 2 - 8 * r * np.exp(1j * arg)) \
+            < 1e-12 * max(1.0, 8 * r)
+
+
+@pytest.mark.parametrize("kg", [0.0, -1.0, 1.0])
+def test_constant_root_branch_cut_is_reached_from_above(kg):
+    # on c < 0 two roots tie in real part; the one with Im > 0 is taken,
+    # the limit from arg c > 0, and arg c < 0 gives its conjugate
+    on_cut = constant_root(-1.0 / 8.0, kg)
+    above = constant_root(np.exp(1j * (np.pi - 1e-9)) / 8.0, kg)
+    below = constant_root(np.exp(-1j * (np.pi - 1e-9)) / 8.0, kg)
+    assert on_cut.imag > 0 and on_cut.real > 0
+    assert abs(on_cut - above) < 1e-8
+    assert abs(on_cut - below.conjugate()) < 1e-8
+    assert constant_root(complex(-1.0 / 8.0, -0.0), kg) == on_cut
+    if kg == 0.0:
+        assert abs(on_cut - np.exp(1j * np.pi / 3)) < 1e-15
 
 
 # -------------------------------------------------------------- residuals
@@ -343,6 +383,22 @@ def _assert_solved(problem):
     rep = solve_newton(problem)
     assert rep.converged
     assert np.abs(residual_background(rep.psi, problem)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05], ids=["identity", "sine"])
+@pytest.mark.parametrize("theta", [0, 15, 90, 135, 165, 180])
+def test_constant_pair_off_the_hitchin_locus_starts_solved(eps, theta):
+    # alpha = 1, beta = e^{-i theta}: alpha conj(beta) = e^{i theta}, and
+    # the complex constant root of the mean is the solution
+    g = TorusGrid(64)
+    chart = (BeltramiChart.identity(g) if eps == 0
+             else BeltramiChart.sine_perturbed(g, eps))
+    beta = np.exp(-1j * np.deg2rad(theta))
+    p = GaussProblem(ComplexMetric(chart, 0.0), CubicPair(g, 1.0, beta),
+                     Kg=0.0)
+    rep = solve_newton(p)
+    assert rep.converged and rep.iterations == 0
+    assert rep.residual_history[-1] <= 1e-14
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.1])

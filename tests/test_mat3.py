@@ -103,3 +103,63 @@ def test_adjugate_solve_on_integrated_wang_frame():
     ref = np.linalg.solve(frame, rhs)
     got = oracles.stacked(oracles.solve(mat3.planes(frame), mat3.planes(rhs)))
     assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+def _cubic_coefficients(roots):
+    """(c1, c2, c3) of prod (l - r) = l^3 - c1 l^2 + c2 l - c3 over the
+    leading axis of roots."""
+    a, b, c = roots
+    return a + b + c, a * b + a * c + b * c, a * b * c
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cubic_roots_match_np_roots(dtype):
+    rng = np.random.default_rng(8)
+    c = stack(rng, (3, 40), dtype)
+    got = mat3.cubic_roots(*c)
+    assert got.shape == (3, 40) and got.dtype == complex
+    for k in range(40):
+        ref = np.sort_complex(np.roots([1.0, -c[0, k], c[1, k], -c[2, k]]))
+        err = np.abs(np.sort_complex(got[:, k]) - ref).max()
+        assert err < 1e-12 * max(1.0, np.abs(ref).max()), (k, err)
+
+
+@pytest.mark.parametrize("roots, tol", [
+    # a double root is conditioned like sqrt(eps), a triple like
+    # eps^(1/3); np.roots misses these by 8e-9 to 3e-5
+    ((2.0, 2.0, -1.0), 1e-7),
+    ((0.5 - 1j, 0.5 - 1j, 3j), 1e-7),
+    ((1.5, 1.5, 1.5), 1e-5),
+    ((0.0, 0.0, 0.0), 0.0),
+    ((-1.0 + 2j, -1.0 + 2j, -1.0 + 2j), 1e-5),
+], ids=["double_real", "double_complex", "triple", "zero", "triple_complex"])
+def test_cubic_roots_of_repeated_roots(roots, tol):
+    want = np.sort_complex(np.array(roots, dtype=complex))
+    got = np.sort_complex(mat3.cubic_roots(*_cubic_coefficients(want)))
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+def test_cubic_roots_of_a_0d_input():
+    got = mat3.cubic_roots(6.0, 11.0, np.float64(6.0))    # (l-1)(l-2)(l-3)
+    assert got.shape == (3,)
+    assert np.abs(np.sort_complex(got) - [1, 2, 3]).max() < 1e-14
+
+
+def test_every_cubic_goes_through_mat3(monkeypatch):
+    """The Gauss constant root and the word spectra of the scan take their
+    roots from mat3.cubic_roots, the one closed form in the package."""
+    from bchyp import gauss, replib
+    calls = []
+
+    def spy(*c, _roots=mat3.cubic_roots):
+        calls.append(np.shape(c[0]))
+        return _roots(*c)
+
+    monkeypatch.setattr(mat3, "cubic_roots", spy)
+    assert gauss.constant_root(0.125, 0.0) == 1.0
+    assert calls == [()]
+    M = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    replib.anosov_scan(replib.Representation({"a": M}), 1)
+    assert len(calls) > 1
+    assert not hasattr(gauss, "_largest_root")
