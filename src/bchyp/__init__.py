@@ -3,10 +3,10 @@
 Chain of constructions covered, each cross-verified against at least one
 independent route:
 
-  bi-complex arithmetic -> hyperboloid / incidence models of the bi-complex
+  bi-complex arithmetic -> hyperboloid model of the bi-complex
   hyperbolic plane -> positive complex metrics and cubic differentials on a
   periodic chart -> Newton solve of the Gauss equation -> flat sl(3,C_tau)
-  connection, holonomy, Higgs split -> affine-sphere correspondence ->
+  connection, holonomy -> affine-sphere correspondence ->
   representation diagnostics (loxodromy, flag transversality, Goldman
   pairing).
 """

@@ -6,9 +6,6 @@ dual pair of hyperbolic affine spheres (f+, f-) in R^3.  This module
 carries out that correspondence numerically and closes the loop with
 classical affine differential geometry:
 
-  * normalize_lift      rescales a raw pair to the special lift with
-                        eta(f+, f-) = -1 and vanishing conormal, via a
-                        periodic Poisson solve for the log factor;
   * integrate_frame     transports the plus frame over the grid from a
                         base point, every row and column through one
                         blocked two-way sweep (_sweep), takes the dual
@@ -21,8 +18,7 @@ classical affine differential geometry:
                         normal as (1/2) Laplace-Beltrami of f, and
                         reports how far the pair is from S = Id, xi = f;
   * blaschke_data       extracts the Blaschke metric, Pick form and
-                        shape operator; pick_and_wang evaluates the
-                        Wang identity K - 2|q|^2 = -1 pointwise;
+                        shape operator;
   * second_variation_trace  assembles the trace of the index form of
                         the normal variation PZ, negative wherever
                         Z != 0.
@@ -45,21 +41,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mat3
-from .bicomplex import Q3
 from .connection import (
     F0, PARTS, FlatConnectionField, grid_step_generators, step_generators,
     step_norms, taylor_degree, transport,
 )
-from .metric import (
-    BeltramiChart, CubicPair, centered_dx, centered_dy, stencil_symbols,
-)
+from .metric import BeltramiChart, CubicPair, centered_dx, centered_dy
 
 __all__ = [
-    "NotIsotropic", "NotReal", "PathDependent", "DegenerateFrame",
+    "NotReal", "PathDependent", "DegenerateFrame",
     "AffinePair", "BlaschkeData",
-    "eta", "dual_lift", "normalize_lift", "integrate_frame",
+    "eta", "integrate_frame",
     "structure_residuals", "blaschke_data", "pick_cubic",
-    "pick_and_wang", "second_variation_trace",
+    "second_variation_trace",
 ]
 
 #: Swap of the first two frame vectors, as an index order; the reality
@@ -84,10 +77,6 @@ FRAME_BLOCK = 32
 PATH_TOL = 200.0
 
 REAL_TOL = 1e-10    # integrate_frame's chart and conjugate-swap bound
-
-
-class NotIsotropic(ValueError):
-    """The conormal 1-form has curl; no special lift exists."""
 
 
 class NotReal(ValueError):
@@ -196,13 +185,6 @@ class AffinePair:
     def eta_field(self) -> np.ndarray:
         return eta(self.fplus, self.fminus)
 
-    def conormal_residual(self) -> np.ndarray:
-        """max(|eta(d_x f+, f-)|, |eta(d_y f+, f-)|) per node."""
-        cx = eta(centered_dx(self.fplus, self.spacing), self.fminus)
-        cy = eta(centered_dy(self.fplus, self.spacing), self.fminus)
-        res = np.maximum(np.abs(cx), np.abs(cy))
-        return res if self.periodic else _mask_margin(res, 1)
-
     def dual(self) -> "AffinePair":
         return AffinePair(self.fminus, self.fplus, self.spacing,
                           periodic=self.periodic,
@@ -252,75 +234,6 @@ class BlaschkeData:
     @property
     def n(self) -> int:
         return self.gB.shape[0]
-
-
-# ----------------------------------------------------------------------
-# special lift
-
-def dual_lift(f, spacing: float, periodic: bool = True) -> np.ndarray:
-    """The dual determined by one transverse immersion alone.
-
-    Solves eta(f, v) = -1, eta(d_x f, v) = eta(d_y f, v) = 0 per node
-    (possible wherever {f, f_x, f_y} is a frame); applying it twice
-    returns f to O(spacing^2), which is the discrete form of the
-    duality involution.
-    """
-    f = np.asarray(f, dtype=float)
-    rows = np.stack([f, centered_dx(f, spacing), centered_dy(f, spacing)],
-                    axis=-2)
-    bad = ~np.all(np.isfinite(rows), axis=(-2, -1))
-    rows = np.where(bad[..., None, None], np.eye(3), rows)
-    rhs = np.broadcast_to(np.array([-1.0, 0.0, 0.0]), f.shape)
-    y = np.linalg.solve(rows, rhs[..., None])[..., 0]
-    y[bad] = np.nan
-    v = np.einsum("ij,...j->...i", Q3, y)
-    return v if periodic else _mask_margin(v, 1)
-
-
-def _poisson_periodic(rhs: np.ndarray, spacing: float) -> np.ndarray:
-    """Solve the composed-stencil periodic Poisson problem Lap u = rhs.
-
-    The composed centered Laplacian has the Fourier symbol
-    sigma_x^2 + sigma_y^2, which vanishes exactly on the four parity
-    modes (+-1)^ix (+-1)^iy and nowhere else.  Dividing by it everywhere
-    else and zeroing those modes inverts Lap on their complement: Lap u
-    is rhs minus its parity-mode projection, and u has zero mean.
-    """
-    sx, sy = stencil_symbols(rhs.shape[0], spacing)
-    symbol = (sx * sx + sy * sy).real
-    parity = symbol == 0.0
-    coeffs = np.fft.fft2(rhs) / np.where(parity, 1.0, symbol)
-    coeffs[parity] = 0.0
-    return np.fft.ifft2(coeffs).real
-
-
-def normalize_lift(fplus0, fminus0, spacing: float) -> AffinePair:
-    """Rescale a raw dual pair to the special lift.
-
-    With mu the potential of F = (eta(d_x f+, f-), eta(d_y f+, f-)),
-    the pair (e^mu f+, e^-mu f-) has vanishing conormal; mu is fixed to
-    zero mean.  Requires eta(f+, f-) = -1 already (the rescale family
-    preserves it) and periodic fields; raises NotIsotropic when F has
-    curl beyond 10 spacing^2 times the field scale, in which case no
-    potential exists.
-    """
-    fp = np.asarray(fplus0, dtype=float)
-    fm = np.asarray(fminus0, dtype=float)
-    dev = float(np.max(np.abs(eta(fp, fm) + 1.0)))
-    if dev > 1e-8:
-        raise ValueError(f"eta(f+, f-) deviates from -1 by {dev:.3e}")
-    Fx = eta(centered_dx(fp, spacing), fm)
-    Fy = eta(centered_dy(fp, spacing), fm)
-    curl = centered_dx(Fy, spacing) - centered_dy(Fx, spacing)
-    scale = max(1.0, float(np.max(np.abs(Fx))), float(np.max(np.abs(Fy))))
-    gate = 10.0 * spacing ** 2 * scale
-    if float(np.max(np.abs(curl))) > gate:
-        raise NotIsotropic(
-            f"curl {np.max(np.abs(curl)):.3e} exceeds {gate:.3e}")
-    mu = _poisson_periodic(centered_dx(Fx, spacing)
-                           + centered_dy(Fy, spacing), spacing)
-    em = np.exp(mu)[..., None]
-    return AffinePair(em * fp, fm / em, spacing, periodic=True)
 
 
 # ----------------------------------------------------------------------
@@ -729,38 +642,6 @@ def pick_cubic(data: BlaschkeData) -> np.ndarray:
     """
     C = data.pickC
     return C[..., 0, 0, 0] - 1j * C[..., 0, 0, 1]
-
-
-def _gauss_curvature(gB: np.ndarray, spacing: float) -> np.ndarray:
-    """Sectional curvature K = R_0101 / det g of a 2x2 metric field."""
-    g00, g01, g11 = gB[..., 0, 0], gB[..., 0, 1], gB[..., 1, 1]
-    detg = g00 * g11 - g01 ** 2
-    i00, i01, i11 = g11 / detg, -g01 / detg, g00 / detg
-    gam = _christoffel(((g00, g01), (g01, g11)), ((i00, i01), (i01, i11)),
-                       spacing)
-    # R^i_{1,0,1} = D_0 Gam^i_11 - D_1 Gam^i_01 + Gam^i_0m Gam^m_11
-    #                                            - Gam^i_1m Gam^m_01
-    R = [centered_dx(gam[i, 2], spacing) - centered_dy(gam[i, 1], spacing)
-         + (gam[i, 0] * gam[0, 2] + gam[i, 1] * gam[1, 2])
-         - (gam[i, 1] * gam[0, 1] + gam[i, 2] * gam[1, 1])
-         for i in (0, 1)]
-    return (g00 * R[0] + g01 * R[1]) / detg
-
-
-def pick_and_wang(data: BlaschkeData, q) -> np.ndarray:
-    """Pointwise Wang residual K_gB - 2 |q|^2_gB + 1.
-
-    q is the cubic coefficient field (extracted via pick_cubic or known
-    analytically); its squared norm is |q|^2 (det gB)^(-3/2).  The
-    residual vanishes to O(spacing^2) on data extracted from a solved
-    Hitchin-locus connection, and reduces to K + 1 for q = 0.
-    """
-    qf = np.asarray(q)
-    K = _gauss_curvature(data.gB, data.spacing)
-    detg = (data.gB[..., 0, 0] * data.gB[..., 1, 1]
-            - data.gB[..., 0, 1] ** 2)
-    nq2 = np.abs(qf) ** 2 * detg ** (-1.5)
-    return K - 2.0 * nq2 + 1.0
 
 
 # ----------------------------------------------------------------------

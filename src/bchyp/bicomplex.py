@@ -21,7 +21,6 @@ form q via A |-> A e+ + Q (A^-1)^T Q e-, with Q = diag(1,1,-1).
 
 from __future__ import annotations
 
-import cmath
 import numbers
 
 import numpy as np
@@ -32,7 +31,6 @@ Q3 = np.diag([1.0, 1.0, -1.0])
 
 # zero-divisor cutoff per idempotent component (double precision roundoff scale)
 ZERO_DIVISOR_TOL = 1e-14
-IMAGE_TOL = 1e-9    # phi_inv's bound on the compatibility residual
 
 
 class ZeroDivisor(ArithmeticError):
@@ -41,10 +39,6 @@ class ZeroDivisor(ArithmeticError):
 
 class Singular(ArithmeticError):
     """Matrix argument is not invertible."""
-
-
-class NotInImage(ValueError):
-    """Matrix fails the U(2,1) compatibility between idempotent parts."""
 
 
 class Bicomplex(Frozen):
@@ -151,11 +145,6 @@ def tau_conj(w: Bicomplex) -> Bicomplex:
     return Bicomplex(w.z1, -w.z2)
 
 
-def tau_norm(w: Bicomplex) -> complex:
-    """w * conj_tau(w) = z1^2 - z2^2 = (idempotent plus)*(minus)."""
-    return w.z1 * w.z1 - w.z2 * w.z2
-
-
 def re_tau(w: Bicomplex) -> complex:
     return w.z1
 
@@ -170,22 +159,6 @@ def invert(w: Bicomplex) -> Bicomplex:
     if abs(p) < ZERO_DIVISOR_TOL or abs(m) < ZERO_DIVISOR_TOL:
         raise ZeroDivisor("idempotent component below %g" % ZERO_DIVISOR_TOL)
     return Bicomplex.from_idempotent(1.0 / p, 1.0 / m)
-
-
-def unit_scalar(v) -> Bicomplex:
-    """cosh(v) + tau sinh(v); tau-norm 1 for every complex v.
-
-    In the idempotent basis this is e^v e+ + e^{-v} e-, so v parameterizes
-    the full group of unit-norm scalars up to sign.
-    """
-    v = complex(v)
-    return Bicomplex(cmath.cosh(v), cmath.sinh(v))
-
-
-def isclose(a, b, tol: float = 1e-12) -> bool:
-    a = as_bicomplex(a)
-    b = as_bicomplex(b)
-    return abs(a.z1 - b.z1) <= tol and abs(a.z2 - b.z2) <= tol
 
 
 class _Pair(Frozen):
@@ -313,18 +286,6 @@ def phi_iso(A) -> BcMat3:
     if abs(d) < 1e-12:
         raise Singular("det A = %r below threshold 1e-12" % d)
     return BcMat3(A, Q3 @ np.linalg.inv(A).T @ Q3)
-
-
-def phi_inv(X: BcMat3) -> np.ndarray:
-    """Invert phi_iso; checks the idempotent compatibility X- = Q (X+^-1)^T Q."""
-    dp = np.linalg.det(X.plus)
-    if abs(dp) < 1e-12:
-        raise NotInImage("plus part singular")
-    resid = compatibility_residual(X)
-    if resid > IMAGE_TOL:
-        raise NotInImage("compatibility residual %.3e exceeds %.1e"
-                         % (resid, IMAGE_TOL))
-    return X.plus.copy()
 
 
 def compatibility_residual(X: BcMat3) -> float:

@@ -6,13 +6,7 @@ unit-tau-norm scalars cosh(v) + tau*sinh(v), where
     q(z, w) = z^T Q conj_tau(w),      Q = diag(1, 1, -1).
 
 The form q is C_tau-linear in the first slot and tau-conjugated in the
-second, so q(z,z) is always tau-real (a plain complex number).  An
-equivalent incidence model stores a point as a vector/covector pair
-(v, phi) with phi(v) = -1; the two are exchanged by
-
-    z = x + tau*y   <->   (v, phi) = (x + y, (x - y)^T Q),
-
-i.e. v is the e_plus component of z and Q phi^T the e_minus component.
+second, so q(z,z) is always tau-real (a plain complex number).
 
 Tangent vectors at z are the q-orthogonal complement of C_tau*z.  They
 carry three commuting structures: I (multiplication by i), P
@@ -35,12 +29,11 @@ from .bicomplex import (
 )
 
 __all__ = [
-    "BaseMismatch", "IsotropicPlane", "NotOnBoundary",
-    "HyperboloidPoint", "IncidencePoint", "TangentVector", "Flag",
-    "q_form", "to_incidence", "from_incidence", "project_tangent",
+    "BaseMismatch", "IsotropicPlane",
+    "HyperboloidPoint", "TangentVector", "Flag",
+    "q_form", "project_tangent",
     "para_hermitian_eval", "para_holo_sectional",
-    "submanifold_membership", "boundary_flag",
-    "line_plane_det", "transversal",
+    "submanifold_membership", "line_plane_det",
 ]
 
 POINT_TOL = 1e-12
@@ -55,10 +48,6 @@ class BaseMismatch(ValueError):
 
 class IsotropicPlane(ArithmeticError):
     """q(X, X) is (numerically) a zero divisor; no sectional curvature."""
-
-
-class NotOnBoundary(ValueError):
-    """Pair (v, phi) violates the boundary incidence phi(v) = 0."""
 
 
 def q_form(z: BcVec3, w: BcVec3) -> Bicomplex:
@@ -122,40 +111,6 @@ class HyperboloidPoint(Frozen):
 
     def __repr__(self):
         return f"HyperboloidPoint({self.rep!r})"
-
-
-class IncidencePoint(Frozen):
-    """Incidence-model point: vector v and covector phi with phi(v) = -1."""
-
-    __slots__ = ("v", "phi")
-
-    def __init__(self, v: np.ndarray, phi: np.ndarray):
-        v = np.asarray(v, dtype=complex).reshape(3)
-        phi = np.asarray(phi, dtype=complex).reshape(3)
-        self._set(v=v, phi=phi)
-
-    def pairing(self) -> complex:
-        return complex(self.phi @ self.v)
-
-    def rescaled(self, c: complex) -> "IncidencePoint":
-        """Projective rescale (v, phi) -> (c v, phi / c); pairing fixed."""
-        return IncidencePoint(c * self.v, self.phi / c)
-
-    def __repr__(self):
-        return f"IncidencePoint(v={self.v!r}, phi={self.phi!r})"
-
-
-def to_incidence(p: HyperboloidPoint) -> IncidencePoint:
-    """Hyperboloid -> incidence: z = x + tau y maps to (x+y, (x-y)^T Q)."""
-    return IncidencePoint(p.rep.plus, p.rep.minus @ Q3)
-
-
-def from_incidence(pt: IncidencePoint) -> HyperboloidPoint:
-    """Inverse chart: x = (v + Q phi^T)/2, y = (v - Q phi^T)/2."""
-    qphi = Q3 @ pt.phi
-    x = (pt.v + qphi) / 2.0
-    y = (pt.v - qphi) / 2.0
-    return HyperboloidPoint(BcVec3.from_tau_parts(x, y))
 
 
 class TangentVector(Frozen):
@@ -352,14 +307,6 @@ class Flag(Frozen):
         return f"Flag(line={self.line!r}, plane={self.plane!r})"
 
 
-def boundary_flag(v: np.ndarray, phi: np.ndarray) -> Flag:
-    """Boundary pair (v, phi) with phi(v) = 0 -> the flag (v, ker phi)."""
-    try:
-        return Flag(v, phi)
-    except ValueError as err:
-        raise NotOnBoundary(str(err)) from err
-
-
 def line_plane_det(line: np.ndarray, plane_covector: np.ndarray) -> float:
     """|det| of the line together with an orthonormal basis of the plane.
 
@@ -371,9 +318,3 @@ def line_plane_det(line: np.ndarray, plane_covector: np.ndarray) -> float:
     phi = np.asarray(plane_covector, dtype=complex).reshape(3)
     return float(abs(phi @ line) / (np.linalg.norm(phi)
                                       * np.linalg.norm(line)))
-
-
-def transversal(f1: Flag, f2: Flag) -> bool:
-    """True when l1 (+) V2 = C^3 = l2 (+) V1, beyond FLAG_TOL."""
-    return (line_plane_det(f1.line, f2.plane) > FLAG_TOL
-            and line_plane_det(f2.line, f1.plane) > FLAG_TOL)

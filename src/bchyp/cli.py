@@ -41,7 +41,7 @@ import numpy as np
 import scipy
 
 from . import __version__, affine, criteria
-from .affine import DegenerateFrame, NotIsotropic, NotReal, PathDependent
+from .affine import DegenerateFrame, NotReal, PathDependent
 from .bicomplex import BcVec3
 from .chtau import (HyperboloidPoint, para_holo_sectional, project_tangent,
                     q_form, submanifold_membership)
@@ -75,7 +75,7 @@ class StageFailure(Exception):
 #: Typed numeric failures of the package's stages.  main reports each as
 #: a stage failure (exit code 1) with a one-line message.
 NUMERIC_FAILURES = (LinearSolveFailure, DidNotConverge, PathDependent,
-                    NotReal, NotIsotropic, DegenerateFrame, NotUnimodular,
+                    NotReal, DegenerateFrame, NotUnimodular,
                     NotDiagonalizable)
 
 CLOUD_NODES = 64   # point clouds keep at most this many nodes per axis

@@ -24,9 +24,7 @@ and runs on the batched kernel mat3: Omega and the step generators are
 written entry by entry from the present planes, the Maurer-Cartan
 residual differentiates only the present planes and multiplies only
 present pairs in its commutator, and the exponentials and transported
-frames stay planes.  The dense Ahat/Bhat planes are built on demand
-(FlatConnectionField.dense) for the pointwise algebra that wants them
-(pairing residual, Higgs split, frame change).
+frames stay planes.
 
 Transport along the connection, shared by holonomy and by
 affine.integrate_frame: midpoint-sampled step generators
@@ -63,23 +61,16 @@ import numpy as np
 
 from . import mat3
 from ._frozen import Frozen
-from .bicomplex import BcMat3, NotInImage, compatibility_residual
-from .metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid, laplacian
+from .bicomplex import BcMat3
+from .metric import BeltramiChart, CubicPair, TorusGrid
 
 __all__ = [
-    "QTILDE", "F0", "HTILDE",
-    "PARTS", "FlatConnectionField", "Loop", "HiggsData", "max_abs",
-    "assemble", "maurer_cartan_residual", "reduced_system_residual",
+    "F0", "PARTS", "FlatConnectionField", "Loop", "max_abs",
+    "assemble", "maurer_cartan_residual",
     "step_generators", "grid_step_generators", "step_norms", "taylor_degree",
     "expm_steps", "transport",
     "holonomy",
-    "to_sl3", "higgs_split", "hitchin_residuals", "conjugate_frame",
 ]
-
-# Gram matrix of the moving frame: q(e1,e2) = 1, q(sigma,sigma) = -1
-QTILDE = np.array([[0.0, 1.0, 0.0],
-                   [1.0, 0.0, 0.0],
-                   [0.0, 0.0, -1.0]])
 
 # constant model frame over the ambient form diag(1,1,-1); its columns have
 # Gram QTILDE, and F0 F0^T diag(1,1,-1) F0 F0^T = diag(1,1,-1)
@@ -88,13 +79,6 @@ F0 = np.array([[1.0 / _RT2, 1.0 / _RT2, 0.0],
                [1j / _RT2, -1j / _RT2, 0.0],
                [0.0, 0.0, 1.0]], dtype=complex)
 F0_INV = np.linalg.inv(F0)
-
-# bilinear pairing defining the metric/Higgs split of the connection
-HTILDE = np.array([[0.0, 1.0, 0.0],
-                   [1.0, 0.0, 0.0],
-                   [0.0, 0.0, 1.0]])
-
-SL3_TOL = 1e-8      # to_sl3's compatibility bound, relative to the scale
 
 #: theta_m for the degree-m truncated Taylor series of exp: for
 #: ||S||_1 <= theta_m the series is exact up to a backward error of unit
@@ -116,13 +100,6 @@ def max_abs(*fields) -> float:
     any entry is NaN (np.max propagates it, Python's max would not)."""
     return float(np.max([np.abs(P).max() for field in fields
                          for P in field.values()]))
-
-
-def _adjoint(M: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """K M^T K for planes M and a constant symmetric K (QTILDE, HTILDE).
-    The pairings are bilinear over C_tau, so no conjugation enters and
-    the adjoint respects the idempotent parts."""
-    return mat3.matmul(mat3.matmul(K, M.swapaxes(0, 1)), K)
 
 
 def _distinct(planes: dict):
@@ -176,18 +153,6 @@ class FlatConnectionField(Frozen):
     def grid(self) -> TorusGrid:
         return self.chart.grid
 
-    def dense(self, name: str) -> dict:
-        """Ahat or Bhat as {part: (3, 3, n, n) planes}, its absent
-        entries written as zeros; built afresh on each call."""
-        n = self.grid.n
-        out = {}
-        for part in PARTS:
-            M = np.zeros((3, 3, n, n), dtype=complex)
-            for ij, p in self.planes[name][part].items():
-                M[ij] = p
-            out[part] = M
-        return out
-
     def max_abs(self) -> float:
         """Largest |entry| of Ahat and Bhat over the grid."""
         return max(float(np.abs(p).max()) for field in self.planes.values()
@@ -201,26 +166,6 @@ class FlatConnectionField(Frozen):
         on its class.
         """
         return max_abs(maurer_cartan_residual(self))
-
-    def pairing_residual(self) -> float:
-        """Max-abs of M_minus + QTILDE M_plus^T QTILDE over both matrices.
-
-        Zero exactly when the connection takes values in the stabilizer
-        algebra of the frame Gram matrix.
-        """
-        gaps = []
-        for name in ("Ahat", "Bhat"):
-            M = self.dense(name)
-            gaps.append({"plus": M["minus"] + _adjoint(M["plus"], QTILDE),
-                         "minus": M["plus"] + _adjoint(M["minus"], QTILDE)})
-        return max_abs(*gaps)
-
-    def omega_xy(self) -> tuple[dict, dict]:
-        """Omega contracted with d_x and d_y over the whole grid, each as
-        {part: (3, 3, n, n) planes}."""
-        every = (slice(None), slice(None))
-        return tuple({part: _omega_at(self, part, leg, *every)
-                      for part in PARTS} for leg in (0, 1))
 
     def __repr__(self):
         return f"FlatConnectionField(n={self.grid.n})"
@@ -290,31 +235,6 @@ class Loop(Frozen):
 
     def __repr__(self):
         return f"Loop(n={self.n}, {len(self.steps)} steps)"
-
-
-class HiggsData(Frozen):
-    """Metric/Higgs decomposition of the connection against HTILDE.
-
-    dH10 + phi10 = Ahat and dH01 + phi01 = Bhat exactly: the split is the
-    linear projection onto the HTILDE-skew (metric connection) and
-    HTILDE-symmetric (Higgs field) parts, per dz / dwbar leg.  Each of
-    the four is {part: (3, 3, n, n) planes}.
-    """
-
-    __slots__ = ("metricH", "dH10", "dH01", "phi10", "phi01")
-
-    def __init__(self, metricH, dH10, dH01, phi10, phi01):
-        self._set(metricH=np.asarray(metricH, dtype=float), dH10=dH10,
-                  dH01=dH01, phi10=phi10, phi01=phi01)
-
-    def reconstruction_residual(self, conn: FlatConnectionField) -> float:
-        gaps = []
-        for name, dH, phi in (("Ahat", self.dH10, self.phi10),
-                              ("Bhat", self.dH01, self.phi01)):
-            M = conn.dense(name)
-            gaps.append({part: dH[part] + phi[part] - M[part]
-                         for part in PARTS})
-        return max_abs(*gaps)
 
 
 def assemble(psi, C: CubicPair, chart: BeltramiChart) -> FlatConnectionField:
@@ -407,32 +327,6 @@ def _product_entry(A: dict, B: dict, i: int, j: int):
             term = A[i, k] * B[k, j]
             acc = term if acc is None else acc + term
     return 0.0 if acc is None else acc
-
-
-def reduced_system_residual(psi, C: CubicPair, chart: BeltramiChart
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three scalar equations equivalent to flatness.
-
-        r0 = s^2 (Delta_h psi + alpha conj(beta) e^{-6 psi} - 1)
-        r1 = d_zbar(alpha) dwz^3 / s^2          (coefficient of tau)
-        r2 = d_w(conj(beta)) dzbwb^3 / s^2      (coefficient of tau)
-
-    r1 and r2 are pure tau multiples; the returned arrays are their
-    idempotent plus components (the minus components are the negatives).
-    r0 is s^2 times the intrinsic Gauss residual, computed through the
-    same laplacian stencil, so the agreement with the Gauss module is
-    exact in floating point.
-    """
-    g = chart.grid
-    psi = g.field(psi)
-    h = ComplexMetric(chart, psi)
-    s2 = h.s2
-    gauss = (laplacian(h, psi)
-             + C.alpha * np.conj(C.beta) * np.exp(-6.0 * psi) - 1.0)
-    r0 = s2 * gauss
-    r1 = g.dzb(C.alpha) * chart.dwz ** 3 / s2
-    r2 = chart.d_w(np.conj(C.beta)) * chart.dzbwb ** 3 / s2
-    return r0, r1, r2
 
 
 def step_generators(conn: FlatConnectionField, iy, ix, diy, dix,
@@ -604,74 +498,3 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
     if gauge == "ambient":
         parts = [F0 @ Hk @ F0_INV for Hk in parts]
     return BcMat3(*parts)
-
-
-def to_sl3(M: BcMat3) -> tuple[np.ndarray, float]:
-    """Extract the SL(3,C) representative of an ambient-gauge element.
-
-    Checks the idempotent compatibility M_minus = Q (M_plus^-1)^T Q within
-    SL3_TOL (relative to the matrix scale) and returns (M_plus,
-    |det - 1|); the determinant defect is reported, not enforced.
-    """
-    resid = compatibility_residual(M)
-    if resid > SL3_TOL * max(1.0, M.norm_max()):
-        raise NotInImage(f"compatibility residual {resid:.3e} exceeds "
-                         f"{SL3_TOL:.1e}")
-    defect = float(abs(np.linalg.det(M.plus) - 1.0))
-    return M.plus.copy(), defect
-
-
-def _h_halves(field: dict) -> tuple[dict, dict]:
-    """(HTILDE-skew, HTILDE-symmetric) halves of {part: planes}, which
-    sum back to the field."""
-    skew, sym = {}, {}
-    for part, M in field.items():
-        Ms = _adjoint(M, HTILDE)
-        skew[part] = 0.5 * (M - Ms)
-        sym[part] = 0.5 * (M + Ms)
-    return skew, sym
-
-
-def higgs_split(conn: FlatConnectionField) -> HiggsData:
-    """Split Omega into metric-connection and Higgs parts against HTILDE.
-
-    The HTILDE-skew half of each leg is the pairing-compatible connection
-    (dH10 from Ahat, dH01 from Bhat); the HTILDE-symmetric half is the
-    Higgs field (phi10, phi01).  For a datum with constant chart factors
-    and psi, dH vanishes and phi carries the cubic and s entries.
-    """
-    dH10, phi10 = _h_halves(conn.dense("Ahat"))
-    dH01, phi01 = _h_halves(conn.dense("Bhat"))
-    return HiggsData(HTILDE.copy(), dH10, dH01, phi10, phi01)
-
-
-def hitchin_residuals(conn: FlatConnectionField) -> tuple[dict, dict]:
-    """(curvature part, holomorphy part) of the flatness residual.
-
-    The HTILDE-skew projection of the Maurer-Cartan residual is the
-    curvature sub-equation (metric curvature + phi ^ phi adjoint term);
-    the HTILDE-symmetric projection is the holomorphy sub-equation for
-    the Higgs field.  Their sum reconstructs the full residual exactly.
-    """
-    return _h_halves(maurer_cartan_residual(conn))
-
-
-def conjugate_frame(conn: FlatConnectionField, g: BcMat3
-                    ) -> FlatConnectionField:
-    """Constant frame change F -> F g; the coefficients map to g^-1 M g.
-
-    For g in the stabilizer group of QTILDE this preserves the pairing
-    residual exactly; holonomies conjugate by the same g.
-    """
-    gi = g.inv()
-
-    def cf(name: str) -> dict:
-        M = conn.dense(name)
-        out = {}
-        for part in PARTS:
-            P = mat3.matmul(mat3.matmul(getattr(gi, part), M[part]),
-                            getattr(g, part))
-            out[part] = {(i, j): P[i, j] for i in range(3) for j in range(3)}
-        return out
-
-    return FlatConnectionField(cf("Ahat"), cf("Bhat"), conn.chart, conn.s2)

@@ -15,7 +15,7 @@ and by the CLI's --config runs alike.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -410,12 +410,10 @@ def criterion_10() -> CriterionResult:
 
     R1, R2 = reducible_generators()
     bad = anosov_scan(Representation({"a": R1, "b": R2}), 5)
-    bad_ok = bad.min_transversality < 1e-10
     checks = [("fuchsian_fail", 0.0 if good_ok else 1.0, 0.0),
               ("fuchsian_min_t", -good.min_transversality, -0.01),
               ("reducible_min_t", bad.min_transversality, 1e-10)]
-    res = _result(10, "representation scan", checks, t0, limit=30.0)
-    return res if bad_ok else replace(res, passed=False)
+    return _result(10, "representation scan", checks, t0, limit=30.0)
 
 
 CRITERIA = {i: globals()[f"criterion_{i}"] for i in range(1, 11)}

@@ -10,9 +10,10 @@ explicit field so both the hyperbolic-background case (K_g = -1) and
 the flat torus testbed (K_g = 0) run through one code path.
 
 An intrinsic formulation Delta_h psi + alpha conj(beta) e^{-6 psi} - 1
-(valid when the background is the bare chart metric) provides an
-independent residual; with shared stencils the two are related by the
-exact discrete identity  F = e^{2 psi} * F_intrinsic.
+(valid when the background is the bare chart metric; the tests'
+oracles.residual_intrinsic) provides an independent residual; with
+shared stencils the two are related by the exact discrete identity
+F = e^{2 psi} * F_intrinsic.
 
 The Newton linearization is
 
@@ -48,22 +49,18 @@ from . import mat3
 from ._frozen import Frozen
 from .metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
-    laplacian, cubic_norm, ellipticity_floor, stencil_symbols, symbol_check,
+    cubic_norm, ellipticity_floor, stencil_symbols, symbol_check,
 )
 
 __all__ = [
-    "ChartMismatch", "NoPositiveRoot", "DidNotConverge", "LinearSolveFailure",
+    "NoPositiveRoot", "DidNotConverge", "LinearSolveFailure",
     "GaussProblem", "SolveReport",
-    "residual_background", "residual_intrinsic", "constant_root",
+    "residual_background", "constant_root",
     "solve_newton", "wang_specialize", "project_discrete_kernel",
     "laplacian_matrix", "laplacian_symbol",
 ]
 
 MAX_HALVINGS = 10   # damping halvings per Newton step before it stalls
-
-
-class ChartMismatch(ValueError):
-    """Intrinsic residual requires a bare-chart (psi = 0) background."""
 
 
 class NoPositiveRoot(ArithmeticError):
@@ -184,17 +181,6 @@ def _residual_and_weight(psi, problem: GaussProblem):
             2.0 * e2 + 32.0 * e4 * problem.cnorm_g)
 
 
-def residual_intrinsic(psi, problem: GaussProblem) -> np.ndarray:
-    """Delta_h psi + alpha conj(beta) e^{-6 psi} - 1 in the unknown h."""
-    if np.abs(problem.background.psi).max() > 1e-13:
-        raise ChartMismatch("background must be the bare chart metric "
-                            "(psi field identically zero)")
-    psi = problem.grid.field(psi)
-    h = ComplexMetric(problem.background.chart, psi)
-    ab = problem.C.alpha * np.conj(problem.C.beta)
-    return laplacian(h, psi) + ab * np.exp(-6 * psi) - 1.0
-
-
 def constant_root(c, Kg: float):
     """Root u = e^{2 psi} of -Kg - u + 8c/u^2 = 0: the root of
     u^3 + Kg u^2 - 8c with the largest real part, from mat3.cubic_roots,
@@ -206,8 +192,10 @@ def constant_root(c, Kg: float):
     along the arc to arg c.  On the branch cut c < 0 two roots tie in
     real part, and the one with Im u > 0 is taken, the limit from
     arg c > 0: a convention, not a claim about quasi-Fuchsian pairs.
-    NoPositiveRoot when Re u <= 0 or the residual exceeds
-    1e-10 max(1, 8|c|), as for the NaN of an overflow (|Kg| >~ 1e51).
+    NoPositiveRoot when Re u <= 0 or the residual exceeds 1e-10 times
+    the size of the terms, max(1, |u|^3, |Kg| |u|^2, 8|c|), whose
+    rounding grows with |Kg|, as for the NaN of an overflow
+    (|Kg| >~ 1e51).
     """
     c = complex(c)
     if c.imag == 0 and c.real >= 0:
@@ -230,7 +218,8 @@ def constant_root(c, Kg: float):
             if abs(step) < 1e-14 * max(1.0, abs(u)):
                 break
         residual = abs(u ** 3 + Kg * u ** 2 - 8 * c)
-    if not (u.real > 0 and residual <= 1e-10 * max(1.0, 8 * abs(c))):
+        size = max(1.0, abs(u) ** 3, abs(Kg) * abs(u) ** 2, 8 * abs(c))
+    if not (u.real > 0 and residual <= 1e-10 * size):
         raise NoPositiveRoot(f"no reliable positive root for c={c}, Kg={Kg}")
     return float(u) if isinstance(c, float) else complex(u)
 

@@ -34,8 +34,8 @@ from ._frozen import Frozen
 __all__ = [
     "TorusGrid", "BeltramiChart", "ComplexMetric", "CubicPair",
     "centered_dx", "centered_dy", "stencil_symbols",
-    "LaplaceBeltrami", "laplacian", "curvature", "cubic_norm",
-    "area_integrate", "ellipticity_floor", "symbol_check", "christoffels",
+    "LaplaceBeltrami", "laplacian", "cubic_norm",
+    "ellipticity_floor", "symbol_check",
 ]
 
 SYMBOL_FLOOR = 5e-3     # least ellipticity floor of an accepted chart
@@ -215,13 +215,6 @@ class BeltramiChart(Frozen):
                                  + np.conj(self.mu)[tail]
                                  * (0.5 * (fx + 1j * fy)))
 
-    def consistency_residual(self) -> float:
-        """Max-abs gap between supplied and stencil-computed commutator
-        coefficients; O(spacing^2) for genuinely smooth chart data."""
-        la, lb = _stencil_logs(self.grid, self.mu, self.dwz, self.dzbwb)
-        return float(max(np.abs(self.logA - la).max(),
-                         np.abs(self.logB - lb).max()))
-
     def __repr__(self):
         return (f"BeltramiChart(n={self.grid.n}, "
                 f"sup|mu|={np.abs(self.mu).max():.3g})")
@@ -249,10 +242,6 @@ class ComplexMetric(Frozen):
         """dA_h(d_x, d_y) = 2 e^{2 psi} dzbwb (positive for mu=0, real psi)."""
         return 2.0 * np.exp(2 * self.psi) * self.chart.dzbwb
 
-    def conformal(self, phi) -> "ComplexMetric":
-        """e^{2 phi} h, same chart."""
-        return ComplexMetric(self.chart, self.psi + self.grid.field(phi))
-
     def __repr__(self):
         return f"ComplexMetric(n={self.grid.n})"
 
@@ -265,13 +254,6 @@ class CubicPair(Frozen):
     def __init__(self, grid: TorusGrid, alpha, beta, holomorphic: bool = False):
         self._set(grid=grid, alpha=grid.field(alpha),
                   beta=grid.field(beta), holomorphic=bool(holomorphic))
-
-    def holomorphy_residual(self, chart: BeltramiChart) -> tuple[float, float]:
-        """(max|d_zbar alpha|, max|d_w beta|); small iff the pair is
-        holomorphic in its respective coordinate."""
-        ra = np.abs(self.grid.dzb(self.alpha)).max()
-        rb = np.abs(chart.d_w(self.beta)).max()
-        return float(ra), float(rb)
 
     def __repr__(self):
         return f"CubicPair(n={self.grid.n}, holomorphic={self.holomorphic})"
@@ -343,28 +325,12 @@ def laplacian(h: ComplexMetric, phi) -> np.ndarray:
     return LaplaceBeltrami(h)(phi)
 
 
-def curvature(h: ComplexMetric) -> np.ndarray:
-    """Complex Gaussian curvature K_h = -Delta_h psi."""
-    return -laplacian(h, h.psi)
-
-
 def cubic_norm(h: ComplexMetric, C: CubicPair) -> np.ndarray:
     """|C|^2_h = alpha conj(beta) (dz/dw)^3 (dwbar/dzbar)^3 / (8 s^6)."""
     c = h.chart
     s2 = h.s2
     return (C.alpha * np.conj(C.beta) * c.dwz ** 3 * c.dzbwb ** 3
             / (8.0 * s2 ** 3))
-
-
-def area_integrate(h: ComplexMetric, f) -> complex:
-    """Integral of f against dA_h = (i/2) rho dz ^ dwbar, rho = 2 e^{2 psi}.
-
-    On the periodic grid the trapezoid rule is the plain scaled sum.  The
-    sign convention makes the mu = 0, real-psi area positive.
-    """
-    f = h.grid.field(f)
-    val = np.sum(f * h.area_density, dtype=complex) * h.grid.spacing ** 2
-    return complex(val)
 
 
 def ellipticity_floor(mu) -> float:
@@ -388,29 +354,3 @@ def symbol_check(mu) -> bool:
     charts.
     """
     return ellipticity_floor(mu) > SYMBOL_FLOOR
-
-
-def christoffels(h: ComplexMetric) -> dict:
-    """Levi-Civita coefficients on the null frame (d_w, d_zbar).
-
-    Built from metric compatibility (Koszul) using only s^2 and the
-    commutator coefficients:
-
-        G^w_ww     = d_w log s^2 - logB
-        G^w_zbw    = logA
-        G^zb_zbzb  = d_zbar log s^2 - logA
-        G^zb_wzb   = logB
-
-    which reduce to 2 psi_w + d_w log(dz/dw) and
-    2 psi_zb + d_zbar log(dwbar/dzbar) respectively.
-    """
-    c = h.chart
-    s2 = h.s2
-    dlog_w = c.d_w(s2) / s2
-    dlog_zb = h.grid.dzb(s2) / s2
-    return {
-        "w_ww": dlog_w - c.logB,
-        "w_zbw": c.logA,
-        "zb_zbzb": dlog_zb - c.logA,
-        "zb_wzb": c.logB,
-    }

@@ -40,17 +40,33 @@ stacked turns (3, 3, ...) planes back into a (..., 3, 3) stack, for
 comparing the package's planes with stack references, and entry_mapping
 turns dense {part: planes} fields into the entry mappings that
 FlatConnectionField takes, with all nine entries present.
+
+The last section holds the reference routes that no program path
+runs, as the package once held them (a method there is a function of
+its object here): the connection's dense planes, Omega on the whole
+grid, the pairing residual, the Higgs split with its Hitchin halves,
+the reduced system and the constant frame change; the intrinsic Gauss
+residual; the metric curvature and the chart's consistency residual;
+the C_tau isclose; the conormal residual of a pair and the Wang
+identity of Blaschke data.
 """
 
 import numpy as np
 from scipy.linalg import expm, null_space
 
 from bchyp import mat3
+from bchyp._frozen import Frozen
 from bchyp.affine import (
-    FIT_MARGIN, DegenerateFrame, _christoffel, _interior, _mask_margin,
+    FIT_MARGIN, DegenerateFrame, _christoffel, _interior, _mask_margin, eta,
 )
-from bchyp.connection import expm_steps, grid_step_generators, transport
-from bchyp.metric import centered_dx, centered_dy
+from bchyp.bicomplex import as_bicomplex
+from bchyp.connection import (
+    PARTS, FlatConnectionField, _omega_at, expm_steps, grid_step_generators,
+    max_abs, maurer_cartan_residual, transport,
+)
+from bchyp.metric import (
+    ComplexMetric, _stencil_logs, centered_dx, centered_dy, laplacian,
+)
 from bchyp.replib import (COND_TOL, DET_DRIFT, DET_TOL, GAP_FLOOR, GAP_TOL,
                           NotDiagonalizable, NotUnimodular)
 
@@ -203,7 +219,7 @@ def holonomy_oracle(conn, loop, F0=None):
     each idempotent part.  With F0 given, the result is conjugated to
     F0 H F0^-1 (the ambient gauge).  Returns (plus, minus).
     """
-    Ox, Oy = conn.omega_xy()
+    Ox, Oy = omega_xy(conn)
     n, h = conn.grid.n, conn.grid.spacing
     out = []
     for part in ("plus", "minus"):
@@ -502,3 +518,242 @@ def spectra_oracle(M, length):
     attracting = np.stack([unit(top), unit(np.cross(top, mid))], axis=1)
     repelling = np.stack([unit(bottom), unit(np.cross(bottom, mid))], axis=1)
     return moduli, gaps, stop, attracting, repelling
+
+
+# ----------------------------------------------------------------------
+# reference routes that no program path runs, kept for the tests that
+# compare the package against them: the connection's dense planes,
+# pairing residual, Higgs split, Hitchin halves and reduced system; the
+# intrinsic Gauss residual; the metric curvature and chart consistency;
+# the Wang identity of Blaschke data and the conormal of a pair
+
+# Gram matrix of the moving frame: q(e1,e2) = 1, q(sigma,sigma) = -1
+QTILDE = np.array([[0.0, 1.0, 0.0],
+                   [1.0, 0.0, 0.0],
+                   [0.0, 0.0, -1.0]])
+
+# bilinear pairing defining the metric/Higgs split of the connection
+HTILDE = np.array([[0.0, 1.0, 0.0],
+                   [1.0, 0.0, 0.0],
+                   [0.0, 0.0, 1.0]])
+
+
+def _adjoint(M: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """K M^T K for planes M and a constant symmetric K (QTILDE, HTILDE).
+    The pairings are bilinear over C_tau, so no conjugation enters and
+    the adjoint respects the idempotent parts."""
+    return mat3.matmul(mat3.matmul(K, M.swapaxes(0, 1)), K)
+
+
+def dense(conn, name: str) -> dict:
+    """Ahat or Bhat as {part: (3, 3, n, n) planes}, its absent
+    entries written as zeros; built afresh on each call."""
+    n = conn.grid.n
+    out = {}
+    for part in PARTS:
+        M = np.zeros((3, 3, n, n), dtype=complex)
+        for ij, p in conn.planes[name][part].items():
+            M[ij] = p
+        out[part] = M
+    return out
+
+
+def pairing_residual(conn) -> float:
+    """Max-abs of M_minus + QTILDE M_plus^T QTILDE over both matrices.
+
+    Zero exactly when the connection takes values in the stabilizer
+    algebra of the frame Gram matrix.
+    """
+    gaps = []
+    for name in ("Ahat", "Bhat"):
+        M = dense(conn, name)
+        gaps.append({"plus": M["minus"] + _adjoint(M["plus"], QTILDE),
+                     "minus": M["plus"] + _adjoint(M["minus"], QTILDE)})
+    return max_abs(*gaps)
+
+
+def omega_xy(conn) -> tuple[dict, dict]:
+    """Omega contracted with d_x and d_y over the whole grid, each as
+    {part: (3, 3, n, n) planes}."""
+    every = (slice(None), slice(None))
+    return tuple({part: _omega_at(conn, part, leg, *every)
+                  for part in PARTS} for leg in (0, 1))
+
+
+class HiggsData(Frozen):
+    """Metric/Higgs decomposition of the connection against HTILDE.
+
+    dH10 + phi10 = Ahat and dH01 + phi01 = Bhat exactly: the split is the
+    linear projection onto the HTILDE-skew (metric connection) and
+    HTILDE-symmetric (Higgs field) parts, per dz / dwbar leg.  Each of
+    the four is {part: (3, 3, n, n) planes}.
+    """
+
+    __slots__ = ("metricH", "dH10", "dH01", "phi10", "phi01")
+
+    def __init__(self, metricH, dH10, dH01, phi10, phi01):
+        self._set(metricH=np.asarray(metricH, dtype=float), dH10=dH10,
+                  dH01=dH01, phi10=phi10, phi01=phi01)
+
+    def reconstruction_residual(self, conn) -> float:
+        gaps = []
+        for name, dH, phi in (("Ahat", self.dH10, self.phi10),
+                              ("Bhat", self.dH01, self.phi01)):
+            M = dense(conn, name)
+            gaps.append({part: dH[part] + phi[part] - M[part]
+                         for part in PARTS})
+        return max_abs(*gaps)
+
+
+def reduced_system_residual(psi, C, chart):
+    """The three scalar equations equivalent to flatness.
+
+        r0 = s^2 (Delta_h psi + alpha conj(beta) e^{-6 psi} - 1)
+        r1 = d_zbar(alpha) dwz^3 / s^2          (coefficient of tau)
+        r2 = d_w(conj(beta)) dzbwb^3 / s^2      (coefficient of tau)
+
+    r1 and r2 are pure tau multiples; the returned arrays are their
+    idempotent plus components (the minus components are the negatives).
+    r0 is s^2 times the intrinsic Gauss residual, computed through the
+    same laplacian stencil, so the agreement with the Gauss module is
+    exact in floating point.
+    """
+    g = chart.grid
+    psi = g.field(psi)
+    h = ComplexMetric(chart, psi)
+    s2 = h.s2
+    gauss = (laplacian(h, psi)
+             + C.alpha * np.conj(C.beta) * np.exp(-6.0 * psi) - 1.0)
+    r0 = s2 * gauss
+    r1 = g.dzb(C.alpha) * chart.dwz ** 3 / s2
+    r2 = chart.d_w(np.conj(C.beta)) * chart.dzbwb ** 3 / s2
+    return r0, r1, r2
+
+
+def _h_halves(field: dict) -> tuple[dict, dict]:
+    """(HTILDE-skew, HTILDE-symmetric) halves of {part: planes}, which
+    sum back to the field."""
+    skew, sym = {}, {}
+    for part, M in field.items():
+        Ms = _adjoint(M, HTILDE)
+        skew[part] = 0.5 * (M - Ms)
+        sym[part] = 0.5 * (M + Ms)
+    return skew, sym
+
+
+def higgs_split(conn) -> HiggsData:
+    """Split Omega into metric-connection and Higgs parts against HTILDE.
+
+    The HTILDE-skew half of each leg is the pairing-compatible connection
+    (dH10 from Ahat, dH01 from Bhat); the HTILDE-symmetric half is the
+    Higgs field (phi10, phi01).  For a datum with constant chart factors
+    and psi, dH vanishes and phi carries the cubic and s entries.
+    """
+    dH10, phi10 = _h_halves(dense(conn, "Ahat"))
+    dH01, phi01 = _h_halves(dense(conn, "Bhat"))
+    return HiggsData(HTILDE.copy(), dH10, dH01, phi10, phi01)
+
+
+def hitchin_residuals(conn) -> tuple[dict, dict]:
+    """(curvature part, holomorphy part) of the flatness residual.
+
+    The HTILDE-skew projection of the Maurer-Cartan residual is the
+    curvature sub-equation (metric curvature + phi ^ phi adjoint term);
+    the HTILDE-symmetric projection is the holomorphy sub-equation for
+    the Higgs field.  Their sum reconstructs the full residual exactly.
+    """
+    return _h_halves(maurer_cartan_residual(conn))
+
+
+def conjugate_frame(conn, g):
+    """Constant frame change F -> F g; the coefficients map to g^-1 M g.
+
+    For g in the stabilizer group of QTILDE this preserves the pairing
+    residual exactly; holonomies conjugate by the same g.
+    """
+    gi = g.inv()
+
+    def cf(name: str) -> dict:
+        M = dense(conn, name)
+        out = {}
+        for part in PARTS:
+            P = mat3.matmul(mat3.matmul(getattr(gi, part), M[part]),
+                            getattr(g, part))
+            out[part] = {(i, j): P[i, j] for i in range(3) for j in range(3)}
+        return out
+
+    return FlatConnectionField(cf("Ahat"), cf("Bhat"), conn.chart, conn.s2)
+
+
+class ChartMismatch(ValueError):
+    """Intrinsic residual requires a bare-chart (psi = 0) background."""
+
+
+def residual_intrinsic(psi, problem) -> np.ndarray:
+    """Delta_h psi + alpha conj(beta) e^{-6 psi} - 1 in the unknown h."""
+    if np.abs(problem.background.psi).max() > 1e-13:
+        raise ChartMismatch("background must be the bare chart metric "
+                            "(psi field identically zero)")
+    psi = problem.grid.field(psi)
+    h = ComplexMetric(problem.background.chart, psi)
+    ab = problem.C.alpha * np.conj(problem.C.beta)
+    return laplacian(h, psi) + ab * np.exp(-6 * psi) - 1.0
+
+
+def curvature(h) -> np.ndarray:
+    """Complex Gaussian curvature K_h = -Delta_h psi."""
+    return -laplacian(h, h.psi)
+
+
+def consistency_residual(chart) -> float:
+    """Max-abs gap between supplied and stencil-computed commutator
+    coefficients; O(spacing^2) for genuinely smooth chart data."""
+    la, lb = _stencil_logs(chart.grid, chart.mu, chart.dwz, chart.dzbwb)
+    return float(max(np.abs(chart.logA - la).max(),
+                     np.abs(chart.logB - lb).max()))
+
+
+def isclose(a, b, tol: float = 1e-12) -> bool:
+    a = as_bicomplex(a)
+    b = as_bicomplex(b)
+    return abs(a.z1 - b.z1) <= tol and abs(a.z2 - b.z2) <= tol
+
+
+def conormal_residual(pair) -> np.ndarray:
+    """max(|eta(d_x f+, f-)|, |eta(d_y f+, f-)|) per node."""
+    cx = eta(centered_dx(pair.fplus, pair.spacing), pair.fminus)
+    cy = eta(centered_dy(pair.fplus, pair.spacing), pair.fminus)
+    res = np.maximum(np.abs(cx), np.abs(cy))
+    return res if pair.periodic else _mask_margin(res, 1)
+
+
+def _gauss_curvature(gB: np.ndarray, spacing: float) -> np.ndarray:
+    """Sectional curvature K = R_0101 / det g of a 2x2 metric field."""
+    g00, g01, g11 = gB[..., 0, 0], gB[..., 0, 1], gB[..., 1, 1]
+    detg = g00 * g11 - g01 ** 2
+    i00, i01, i11 = g11 / detg, -g01 / detg, g00 / detg
+    gam = _christoffel(((g00, g01), (g01, g11)), ((i00, i01), (i01, i11)),
+                       spacing)
+    # R^i_{1,0,1} = D_0 Gam^i_11 - D_1 Gam^i_01 + Gam^i_0m Gam^m_11
+    #                                            - Gam^i_1m Gam^m_01
+    R = [centered_dx(gam[i, 2], spacing) - centered_dy(gam[i, 1], spacing)
+         + (gam[i, 0] * gam[0, 2] + gam[i, 1] * gam[1, 2])
+         - (gam[i, 1] * gam[0, 1] + gam[i, 2] * gam[1, 1])
+         for i in (0, 1)]
+    return (g00 * R[0] + g01 * R[1]) / detg
+
+
+def pick_and_wang(data, q) -> np.ndarray:
+    """Pointwise Wang residual K_gB - 2 |q|^2_gB + 1.
+
+    q is the cubic coefficient field (extracted via pick_cubic or known
+    analytically); its squared norm is |q|^2 (det gB)^(-3/2).  The
+    residual vanishes to O(spacing^2) on data extracted from a solved
+    Hitchin-locus connection, and reduces to K + 1 for q = 0.
+    """
+    qf = np.asarray(q)
+    K = _gauss_curvature(data.gB, data.spacing)
+    detg = (data.gB[..., 0, 0] * data.gB[..., 1, 1]
+            - data.gB[..., 0, 1] ** 2)
+    nq2 = np.abs(qf) ** 2 * detg ** (-1.5)
+    return K - 2.0 * nq2 + 1.0

@@ -4,15 +4,16 @@ import pytest
 import oracles
 
 from bchyp.bicomplex import (
-    Bicomplex, BcVec3, TAU, Q3, tau_conj, re_tau, im_tau, phi_iso,
+    Bicomplex, BcVec3, TAU, tau_conj, re_tau, im_tau, phi_iso,
 )
 from bchyp.chtau import (
-    HyperboloidPoint, Flag,
-    q_form, to_incidence, from_incidence, project_tangent,
+    FLAG_TOL, HyperboloidPoint, Flag,
+    q_form, project_tangent,
     para_hermitian_eval, para_holo_sectional, submanifold_membership,
-    boundary_flag, line_plane_det, transversal,
-    BaseMismatch, IsotropicPlane, NotOnBoundary,
+    line_plane_det,
+    BaseMismatch, IsotropicPlane,
 )
+from bchyp.replib import transversality
 
 RNG = np.random.default_rng(42)
 
@@ -112,50 +113,6 @@ def test_isometry_action_preserves_q_200():
         d = q_form(moved, moved) - q_form(p.rep, p.rep)
         worst = max(worst, abs(d.z1), abs(d.z2))
     assert worst < 1e-11, worst
-
-
-# ------------------------------------------------------------- incidence
-
-def test_to_incidence_real_base():
-    # hand computation: x = (0,0,1), y = 0 -> v = x + y = (0,0,1),
-    # phi = (x - y)^T Q = (0,0,-1)
-    inc = to_incidence(base_point())
-    assert np.allclose(inc.v, [0, 0, 1])
-    assert np.allclose(inc.phi, [0, 0, -1])
-    assert abs(inc.pairing() + 1) < 1e-15
-
-
-def test_to_incidence_tau_free_rep():
-    z = HyperboloidPoint.normalize(BcVec3.from_complex([0.2j, 0.1, 1.2]))
-    inc = to_incidence(z)
-    assert np.abs(inc.v - z.rep.z1).max() < 1e-15
-    assert np.abs(inc.phi - z.rep.z1 @ Q3).max() < 1e-15
-
-
-def test_incidence_roundtrip_100_points():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        p = rand_point(rng)
-        inc = to_incidence(p)
-        assert abs(inc.pairing() + 1) < 1e-12
-        # exact inverse on the normalized lift
-        back = from_incidence(inc)
-        assert np.abs(back.rep.plus - p.rep.plus).max() < 1e-12
-        # projective rescale lands on the same point modulo the unit orbit
-        c = np.exp(rng.standard_normal() + 1j * rng.uniform(0, 2 * np.pi))
-        back2 = from_incidence(inc.rescaled(c))
-        assert back2.same_as(p)
-
-
-def test_incidence_equivariance():
-    rng = np.random.default_rng(23)
-    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    p = rand_point(rng)
-    inc = to_incidence(p)
-    moved = HyperboloidPoint(phi_iso(A) @ p.rep)
-    inc2 = to_incidence(moved)
-    assert np.abs(inc2.v - A @ inc.v).max() < 1e-10
-    assert np.abs(inc2.phi - inc.phi @ np.linalg.inv(A)).max() < 1e-10
 
 
 # ------------------------------------------------------------- tangency
@@ -297,18 +254,7 @@ def test_membership_orbit_hidden_real_form():
     assert "H2tau" in submanifold_membership(p)
 
 
-# ------------------------------------------------------- boundary & flags
-
-def test_boundary_flag_basic():
-    f = boundary_flag([1, 0, 0], [0, 0, 1])
-    assert np.allclose(np.abs(f.line), [1, 0, 0])
-    assert np.allclose(np.abs(f.plane), [0, 0, 1])
-
-
-def test_boundary_flag_rejects_offboundary():
-    with pytest.raises(NotOnBoundary):
-        boundary_flag([1, 0, 0], np.array([1.0, 0, 0]) @ Q3)
-
+# ------------------------------------------------------------------ flags
 
 def test_loxodromic_eigenflag_fixed():
     rng = np.random.default_rng(12)
@@ -318,22 +264,23 @@ def test_loxodromic_eigenflag_fixed():
     order = np.argsort(-np.abs(w))
     v1, v2 = V[:, order[0]], V[:, order[1]]
     phi = np.cross(v1, v2)          # covector vanishing on span(v1, v2)
-    f = boundary_flag(v1, phi)
+    f = Flag(v1, phi)
     # push through M: line -> M v, plane covector -> phi M^{-1}
-    f2 = boundary_flag(M @ f.line, f.plane @ np.linalg.inv(M))
+    f2 = Flag(M @ f.line, f.plane @ np.linalg.inv(M))
     assert abs(abs(np.vdot(f.line, f2.line)) - 1) < 1e-9
     assert abs(abs(np.vdot(f.plane, f2.plane)) - 1) < 1e-9
 
 
 def test_transversality_predicate():
-    f1 = boundary_flag([1, 0, 0], [0, 0, 1])
-    f2 = boundary_flag([0, 0, 1], [1, 0, 0])
-    assert transversal(f1, f2)
+    # transverse: l1 (+) V2 = C^3 = l2 (+) V1, beyond FLAG_TOL
+    f1 = Flag([1, 0, 0], [0, 0, 1])
+    f2 = Flag([0, 0, 1], [1, 0, 0])
+    assert transversality(f1, f2) > FLAG_TOL
     assert line_plane_det([1, 0, 0], [1, 0, 0]) > 0.99   # e1 + ker(dx1)
     # line of f1 inside the plane of f3: degenerate pairing
-    f3 = boundary_flag([0, 1, 0], [0, 0, 1])
+    f3 = Flag([0, 1, 0], [0, 0, 1])
     assert line_plane_det(f1.line, f3.plane) < 1e-12
-    assert not transversal(f1, f3)
+    assert not transversality(f1, f3) > FLAG_TOL
 
 
 def test_line_plane_det_matches_determinant_oracle():

@@ -8,19 +8,18 @@ from scipy.linalg import expm
 
 import oracles
 from bchyp import connection, mat3
-from bchyp.bicomplex import BcMat3, NotInImage, Q3, compatibility_residual, phi_iso
+from bchyp.bicomplex import BcMat3, Q3, compatibility_residual
 from bchyp.connection import (
-    F0, HTILDE, QTILDE,
-    PARTS, FlatConnectionField, Loop,
+    F0, PARTS, FlatConnectionField, Loop,
     TAYLOR_THETA,
-    assemble, conjugate_frame, expm_steps, grid_step_generators,
-    higgs_split, hitchin_residuals, holonomy, max_abs,
-    maurer_cartan_residual, reduced_system_residual, step_generators,
-    to_sl3,
+    assemble, expm_steps, grid_step_generators, holonomy, max_abs,
+    maurer_cartan_residual, step_generators,
 )
 from bchyp.criteria import _result, holonomy_checks
-from bchyp.gauss import (
-    GaussProblem, residual_intrinsic, solve_newton, wang_specialize,
+from bchyp.gauss import GaussProblem, solve_newton, wang_specialize
+from oracles import (
+    HTILDE, QTILDE, conjugate_frame, dense, higgs_split, hitchin_residuals,
+    pairing_residual, reduced_system_residual, residual_intrinsic,
 )
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 
@@ -66,7 +65,7 @@ def test_assemble_constant_data_closed_form():
     chart = BeltramiChart.identity(grid)
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0), chart)
     assert np.abs(conn.s2 - 1.0).max() < 1e-14
-    Ahat, Bhat = conn.dense("Ahat"), conn.dense("Bhat")
+    Ahat, Bhat = dense(conn, "Ahat"), dense(conn, "Bhat")
     A = BcMat3(Ahat["plus"][:, :, 3, 5], Ahat["minus"][:, :, 3, 5])
     B = BcMat3(Bhat["plus"][:, :, 11, 2], Bhat["minus"][:, :, 11, 2])
     assert (A - AHAT_CONST).norm_max() < 1e-14
@@ -84,9 +83,9 @@ def test_assemble_zero_cubic_pattern():
     a_ref[1, 2] = a_ref[2, 0] = 1.0
     b_ref = np.zeros((3, 3))
     b_ref[0, 2] = b_ref[2, 1] = 1.0
-    for part in conn.dense("Ahat").values():
+    for part in dense(conn, "Ahat").values():
         assert np.abs(part - a_ref[:, :, None, None]).max() < 1e-14
-    for part in conn.dense("Bhat").values():
+    for part in dense(conn, "Bhat").values():
         assert np.abs(part - b_ref[:, :, None, None]).max() < 1e-14
 
 
@@ -96,9 +95,9 @@ def test_assemble_s_entries_track_conformal_factor():
     psi = smooth_psi(grid)
     conn = assemble(psi, CubicPair(grid, 0.3, 0.1), chart)
     s = np.sqrt(conn.s2)
-    for part in conn.dense("Ahat").values():
+    for part in dense(conn, "Ahat").values():
         assert np.abs(part[1, 2] - s).max() < 1e-13
-    for part in conn.dense("Bhat").values():
+    for part in dense(conn, "Bhat").values():
         assert np.abs(part[2, 1] - s).max() < 1e-13
 
 
@@ -106,9 +105,9 @@ def test_assemble_traceless_and_gram_compatible():
     grid = TorusGrid(32)
     chart = BeltramiChart.sine_perturbed(grid)
     conn = assemble(smooth_psi(grid), CubicPair(grid, 0.7, 0.2 + 0.1j), chart)
-    for part in conn.dense("Ahat").values():
+    for part in dense(conn, "Ahat").values():
         assert np.abs(np.trace(part)).max() < 1e-13
-    assert conn.pairing_residual() < 1e-13
+    assert pairing_residual(conn) < 1e-13
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1], ids=["identity", "sine"])
@@ -121,7 +120,7 @@ def test_structured_assemble_and_residual_match_dense_oracles(eps):
                   0.8 - 0.1j * np.cos(2 * np.pi * grid.y))
     conn = assemble(psi, C, chart)
     Ap, Am, Bp, Bm = oracles.assemble_dense(psi, C, chart)
-    A, B = conn.dense("Ahat"), conn.dense("Bhat")
+    A, B = dense(conn, "Ahat"), dense(conn, "Bhat")
     for got, want in ((A["plus"], Ap), (A["minus"], Am),
                       (B["plus"], Bp), (B["minus"], Bm)):
         assert np.array_equal(oracles.stacked(got), want)
@@ -145,15 +144,15 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
     grid = TorusGrid(16)
     chart = BeltramiChart.sine_perturbed(grid, 0.1)
     conn = assemble(smooth_psi(grid), CubicPair(grid, 0.6, 0.8), chart)
-    generic = FlatConnectionField(oracles.entry_mapping(conn.dense("Ahat")),
-                                  oracles.entry_mapping(conn.dense("Bhat")),
+    generic = FlatConnectionField(oracles.entry_mapping(dense(conn, "Ahat")),
+                                  oracles.entry_mapping(dense(conn, "Bhat")),
                                   chart, conn.s2)
     for parts in generic.planes.values():
         assert all(len(parts[part]) == 9 for part in ("plus", "minus"))
     for name in ("Ahat", "Bhat"):
         for part in ("plus", "minus"):
-            assert np.array_equal(generic.dense(name)[part],
-                                  conn.dense(name)[part])
+            assert np.array_equal(dense(generic, name)[part],
+                                  dense(conn, name)[part])
     # the structural zeros of the generic field add exact zeros
     mc, mc_generic = (maurer_cartan_residual(c) for c in (conn, generic))
     assert np.array_equal(mc_generic["plus"], mc["plus"])
@@ -324,10 +323,11 @@ def test_holonomy_solved_datum_invariants():
     Hx = holonomy(conn, Loop.x_period(64))
     Hy = holonomy(conn, Loop.y_period(64))
     for H in (Hx, Hy):
-        M, defect = to_sl3(H)
-        assert defect < 1e-9
+        # the SL(3,C) representative is the plus part, unimodular, and
+        # the minus part is its compatible partner
+        assert abs(np.linalg.det(H.plus) - 1.0) < 1e-9
         assert compatibility_residual(H) < 1e-9
-        assert M.shape == (3, 3)
+        assert H.plus.shape == (3, 3)
     assert (Hx @ Hy - Hy @ Hx).norm_max() < 10 * chart.grid.spacing
     Hf = holonomy(conn, Loop.x_period(64), gauge="frame")
     expected = QTILDE @ np.linalg.inv(Hf.plus).T @ QTILDE
@@ -362,17 +362,6 @@ def test_period_commutator_converges_on_sine_data():
     assert comms[0] > 3.0 * comms[1] > 9.0 * comms[2], comms
 
 
-def test_to_sl3_round_trip_and_rejection():
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    A = A / np.linalg.det(A) ** (1.0 / 3.0)
-    M, defect = to_sl3(phi_iso(A))
-    assert np.abs(M - A).max() < 1e-12
-    assert defect < 1e-12
-    with pytest.raises(NotInImage):
-        to_sl3(BcMat3(A, 2.0 * A))
-
-
 def test_frame_conjugation_covariance():
     grid = TorusGrid(32)
     chart = BeltramiChart.constant_mu(grid, 0.15)
@@ -382,7 +371,7 @@ def test_frame_conjugation_covariance():
     gp = expm(xi)
     g = BcMat3(gp, QTILDE @ np.linalg.inv(gp).T @ QTILDE)
     conn2 = conjugate_frame(conn, g)
-    assert conn2.pairing_residual() < 1e-10
+    assert pairing_residual(conn2) < 1e-10
     gi = g.inv()
     mc1 = maurer_cartan_residual(conn)
     mc2 = maurer_cartan_residual(conn2)
@@ -427,7 +416,7 @@ def test_connection_rejects_non_finite_entries(where, bad):
     grid = TorusGrid(16)
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0),
                     BeltramiChart.identity(grid))
-    fields = {"Ahat": conn.dense("Ahat"), "Bhat": conn.dense("Bhat"),
+    fields = {"Ahat": dense(conn, "Ahat"), "Bhat": dense(conn, "Bhat"),
               "s2": conn.s2.copy()}
     if where == "s2":
         fields["s2"][3, 5] = bad
@@ -598,7 +587,7 @@ def test_higgs_split_constant_datum():
     assert max_abs(hd.dH10) < 1e-14
     assert max_abs(hd.dH01) < 1e-14
     for phi, name in ((hd.phi10, "Ahat"), (hd.phi01, "Bhat")):
-        M = conn.dense(name)
+        M = dense(conn, name)
         assert max_abs({part: phi[part] - M[part] for part in PARTS}) < 1e-14
     assert hd.reconstruction_residual(conn) < 1e-14
 

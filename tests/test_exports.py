@@ -1,6 +1,7 @@
 """Every module of the package that declares __all__ exports only names
-it defines, and every slotted value type keeps the one immutability
-rule of bchyp._frozen.Frozen."""
+it defines, every name of the package runs on a program path, and every
+slotted value type keeps the one immutability rule of
+bchyp._frozen.Frozen."""
 
 import ast
 import importlib
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import bchyp
+from bchyp.criteria import CRITERIA
 from bchyp.bicomplex import BcMat3, BcVec3, Bicomplex
-from bchyp.chtau import Flag, HyperboloidPoint, IncidencePoint, TangentVector
-from bchyp.connection import Loop, assemble, higgs_split
+from bchyp.chtau import Flag, HyperboloidPoint, TangentVector
+from bchyp.connection import Loop, assemble
 from bchyp.gauss import wang_specialize
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 from bchyp.replib import Representation
@@ -32,6 +34,123 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+#: The program paths: the CLI and the frozen acceptance criteria, whose
+#: table CRITERIA names its functions through globals(), so they are
+#: read off the table itself.
+ROOTS = {"cli.main", "criteria.run_criterion", "criteria.CRITERIA"} | {
+    f"criteria.{f.__name__}" for f in CRITERIA.values()}
+
+#: Names that no program path runs but that stay, each with its reason:
+#: perfbench/spans.py LAYERS patches it, so `perfbench --trace 1` needs
+#: it until the package records its own spans (ROADMAP item 1), or an
+#: open item puts it on a program path.  What a kept name uses is kept
+#: with it.
+KEPT = {
+    "gauss.laplacian_matrix": "a perfbench LAYERS span (item 1)",
+    "cli.maurer_cartan_residual": "a perfbench LAYERS span (item 1)",
+    "cli.residual_background": "a perfbench LAYERS span (item 1)",
+    "replib.loxodromy": "a perfbench LAYERS span (item 1)",
+    "replib.transversality": "a perfbench LAYERS span (item 1)",
+    "replib.LoxodromyReport": "loxodromy's report (item 1)",
+    "chtau.Flag": "the flags of loxodromy and transversality (item 1)",
+    "chtau.HyperboloidPoint.normalize": "the surface checks (item 19)",
+    "chtau.TangentVector.I": "the surface checks (item 19)",
+    "chtau.para_hermitian_eval": "the surface checks (item 19)",
+    "bicomplex.tau_conj": "the surface checks (item 19)",
+    "bicomplex.im_tau": "the surface checks (item 19)",
+    "bicomplex._Pair.from_tau_parts": "the surface checks (item 19)",
+    "bicomplex._Pair.tau_conj": "the surface checks (item 19)",
+}
+
+
+def package_graph():
+    """(defs, imports, wholes, checked) of the package source, keyed
+    "module.name", with a method keyed "module.Class.method".  defs
+    maps each top-level def, class, assignment and method to the AST
+    nodes that run with it (a class: its body but the methods, its bases
+    and decorators); imports maps a relative import to the name it
+    imports; wholes maps a module to the package modules it imports
+    whole.  checked holds every __all__ entry, top-level def and class,
+    public method and relative import."""
+    defs, imports, wholes, checked = {}, {}, {}, set()
+    for path in SOURCES:
+        mod, wholes[path.stem] = path.stem, set()
+        checked |= {f"{mod}.{name}" for name in getattr(
+            importlib.import_module(f"bchyp.{mod}"), "__all__", ())}
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module is None:
+                        wholes[mod].add(a.asname or a.name)
+                    else:
+                        key = f"{mod}.{a.asname or a.name}"
+                        imports[key] = f"{node.module}.{a.name}"
+                        checked.add(key)
+            elif isinstance(node, ast.FunctionDef):
+                defs[f"{mod}.{node.name}"] = [node]
+                checked.add(f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                cls = f"{mod}.{node.name}"
+                defs[cls] = node.bases + node.decorator_list
+                checked.add(cls)
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        defs[f"{cls}.{stmt.name}"] = [stmt]
+                        if not stmt.name.startswith("_"):
+                            checked.add(f"{cls}.{stmt.name}")
+                    else:
+                        defs[cls].append(stmt)
+            elif isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name) and t.id != "__all__":
+                        defs[f"{mod}.{t.id}"] = [node.value]
+    return defs, imports, wholes, checked
+
+
+def reach(roots, defs, imports, wholes):
+    """Every key that a name-level walk from roots reaches.  A name
+    resolves in its own module, through its imports; an attribute of a
+    module imported whole resolves in that module; any other attribute
+    reaches the method (or property) of that name of every reached
+    class, and a reached class reaches its dunder methods."""
+    seen, attrs, todo = set(), set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            if key in imports:
+                todo.append(imports[key])
+            mod = key.split(".")[0]
+            for node in (n for top in defs.get(key, ())
+                         for n in ast.walk(top)):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)):
+                    todo.append(f"{mod}.{node.id}")
+                elif isinstance(node, ast.Attribute):
+                    base = getattr(node.value, "id", None)
+                    if base in wholes[mod]:
+                        todo.append(f"{base}.{node.attr}")
+                    attrs.add(node.attr)
+        if not todo:
+            todo = [m for m in defs if m.count(".") == 2
+                    and m.rsplit(".", 1)[0] in seen and m not in seen
+                    and (m.rsplit(".", 1)[1] in attrs
+                         or m.endswith("__"))]
+    return seen
+
+
+def test_every_name_runs_on_a_program_path():
+    # a name reached from no program path is dead code: it is deleted,
+    # or it moves to tests/oracles.py when a test compares against it
+    defs, imports, wholes, checked = package_graph()
+    assert set(KEPT) <= set(defs) | set(imports)
+    program = reach(ROOTS, defs, imports, wholes)
+    kept = reach(ROOTS | set(KEPT), defs, imports, wholes)
+    assert sorted(checked - kept) == []
+    # a kept name that a program path comes to run leaves the list
+    assert sorted(set(KEPT) & program) == []
+
+
 def test_every_value_type_is_immutable():
     grid = TorusGrid(16)
     chart = BeltramiChart.identity(grid)
@@ -43,12 +162,10 @@ def test_every_value_type_is_immutable():
         BcVec3([1, 0, 0], [0, 1, 0]),
         BcMat3(np.eye(3), np.eye(3)),
         base,
-        IncidencePoint([0, 0, 1], [0, 0, -1]),
         TangentVector(base, BcVec3.from_complex([1, 0, 0])),
         Flag([1, 0, 0], [0, 0, 1]),
         conn,
         Loop.x_period(16),
-        higgs_split(conn),
         wang_specialize(0.5, grid),
         grid,
         chart,
@@ -56,7 +173,7 @@ def test_every_value_type_is_immutable():
         C,
         Representation({"a": np.eye(3)}),
     ]
-    assert len({type(v) for v in values}) == 16
+    assert len({type(v) for v in values}) == 14
     for v in values:
         name = type(v).__name__
         assert not hasattr(v, "__dict__"), name

@@ -10,15 +10,16 @@ import pytest
 from bchyp import gauss
 from bchyp.metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
-    laplacian, curvature, cubic_norm,
+    laplacian, cubic_norm,
 )
 from bchyp.gauss import (
     GaussProblem,
-    residual_background, residual_intrinsic, constant_root,
+    residual_background, constant_root,
     solve_newton, wang_specialize, project_discrete_kernel,
     laplacian_matrix, laplacian_symbol,
-    ChartMismatch, NoPositiveRoot,
+    NoPositiveRoot,
 )
+from oracles import ChartMismatch, curvature, residual_intrinsic
 
 
 def flat_problem(n=32, alpha=0.0, beta=0.0, Kg=0.0, mu=0.0, holo=False):
@@ -111,6 +112,21 @@ def test_constant_root_follows_the_arc_from_the_positive_root():
         assert abs(got - u) <= 1e-12 * abs(u)
         assert abs(got ** 3 + kg * got ** 2 - 8 * r * np.exp(1j * arg)) \
             < 1e-12 * max(1.0, 8 * r)
+
+
+@pytest.mark.parametrize("band", [(-100.0, -30.0), (-300.0, -100.0),
+                                  (-1000.0, -300.0), (-1000.0, 3.0)])
+def test_constant_root_accepts_correct_roots_at_large_negative_kg(band):
+    # the rounding of u^3 and Kg u^2 grows with |Kg|, so the residual
+    # gate scales with the size of the terms: every seeded draw is
+    # accepted, and each root is np.roots' largest real root
+    rng = np.random.default_rng(abs(int(band[0] * band[1])))
+    for _ in range(1000):
+        c = rng.uniform(1e-4, 10.0)
+        kg = rng.uniform(*band)
+        roots = np.roots([1.0, kg, 0.0, -8.0 * c])
+        ref = roots[np.argmax(roots.real)].real
+        assert abs(constant_root(c, kg) - ref) <= 1e-12 * ref, (c, kg)
 
 
 @pytest.mark.parametrize("kg", [0.0, -1.0, 1.0])
