@@ -111,15 +111,6 @@ def eta(u, v) -> np.ndarray:
             - u[..., 2] * v[..., 2])
 
 
-def _mask_margin(arr: np.ndarray, margin: int) -> np.ndarray:
-    """NaN out the wrap-contaminated band of a non-periodic field."""
-    if margin <= 0:
-        return arr
-    out = np.array(arr, dtype=float if arr.dtype != complex else complex)
-    _nan_margin(out, margin)
-    return out
-
-
 def _nan_margin(arr: np.ndarray, margin: int) -> None:
     """Set the band `margin` nodes deep along the seam of arr to NaN, in
     place."""
@@ -448,13 +439,13 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
 def _fit_structure(pair: AffinePair):
     """Node-wise fit of the affine structure equations of f+.
 
-    Returns (gB, xi, S, C_sym, C_asym_defect): Blaschke metric from
-    the decomposition of second derivatives in the frame {f_x, f_y, f},
-    affine normal xi = (1/2) Laplace-Beltrami(gB) f in divergence form,
-    shape operator from the tangential part of d(xi), and the Pick form
-    C(X,Y,Z) = gB((LC(gB) - induced)(X,Y), Z), symmetrized, with the
-    raw asymmetry defect.  Non-periodic output carries NaN margins
-    (gB: 2, xi: 3, C: 3, S: 4 nodes deep).
+    Returns (gB, xi, S, C_sym): Blaschke metric from the decomposition
+    of second derivatives in the frame {f_x, f_y, f}, affine normal
+    xi = (1/2) Laplace-Beltrami(gB) f in divergence form, shape
+    operator from the tangential part of d(xi), and the Pick form
+    C(X,Y,Z) = gB((LC(gB) - induced)(X,Y), Z), symmetrized.
+    Non-periodic output carries NaN margins (gB: 2, xi: 3, C: 3, S: 4
+    nodes deep).
 
     The fit runs FIT_ROWS grid rows at a time, each block read with
     FIT_MARGIN rows of halo on either side, wrapped across the seam:
@@ -464,8 +455,7 @@ def _fit_structure(pair: AffinePair):
     gated before a block is solved, over the block and its halo (the
     seam band 2 deep left out for a non-periodic pair): once a node
     fails, no further block is fitted, and DegenerateFrame reports the
-    grid's smallest determinant after the last block.  The asymmetry
-    defect reduces over the whole grid.
+    grid's smallest determinant after the last block.
     """
     f = pair.fplus
     h = pair.spacing
@@ -476,7 +466,6 @@ def _fit_structure(pair: AffinePair):
     S = np.empty((n, n, 2, 2))
     C_sym = np.empty((n, n, 2, 2, 2))
     det = np.empty((n, n))
-    asym_field = np.empty((n, n))
     lo = 0 if per else 2                 # the gate leaves out the seam band
     degenerate = False
     for r0 in range(0, n, FIT_ROWS):
@@ -495,19 +484,16 @@ def _fit_structure(pair: AffinePair):
                                     and np.min(np.abs(gate)) < 1e-10)
         if not degenerate:
             _fit_rows(frame, d, h, [arr[r0:r1] for arr in
-                                    (gB, xi, S, C_sym, asym_field)])
+                                    (gB, xi, S, C_sym)])
 
     if degenerate:
         det_valid = det if per else _interior(det, 2)
         raise DegenerateFrame(
             f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
-    if per:
-        asym = float(np.max(asym_field))
-    else:
+    if not per:
         for arr, margin in ((gB, 2), (xi, 3), (S, FIT_MARGIN), (C_sym, 3)):
             _nan_margin(arr, margin)
-        asym = float(np.nanmax(_mask_margin(asym_field, 3)))
-    return gB, xi, S, C_sym, asym
+    return gB, xi, S, C_sym
 
 
 def _fit_rows(frame, det, h, out):
@@ -515,15 +501,14 @@ def _fit_rows(frame, det, h, out):
     (3, 3, m, n) (columns f_x, f_y, f) and their determinant, read with
     FIT_MARGIN rows of halo on either side.
 
-    Writes the block's rows of gB, xi, S, C_sym and the asymmetry field
-    into `out`.  The fit runs on entry planes: the right-hand sides are
-    (3, 3, m, n) planes too (rows the components, columns the vectors),
-    both solves share the frame's adjugate and determinant, and the 2x2
-    metric and Pick algebra is written out entry by entry over the
-    independent entries (g_00, g_01, g_11; Christoffel and Pick entries
-    up to symmetry).
+    Writes the block's rows of gB, xi, S and C_sym into `out`.  The fit
+    runs on entry planes: the right-hand sides are (3, 3, m, n) planes
+    too (rows the components, columns the vectors), both solves share
+    the frame's adjugate and determinant, and the 2x2 metric and Pick
+    algebra is written out entry by entry over the independent entries
+    (g_00, g_01, g_11; Christoffel and Pick entries up to symmetry).
     """
-    gB, xi, S, C_sym, asym_field = out
+    gB, xi, S, C_sym = out
     m, n = det.shape
     rows = slice(FIT_MARGIN, m - FIT_MARGIN)
     second = np.empty((3, 3, m, n))      # columns f_xx, f_xy, f_yy
@@ -571,9 +556,6 @@ def _fit_rows(frame, det, h, out):
          for ab in range(3)]
     c001 = (C[0][1] + 2.0 * C[1][0]) / 3.0
     c011 = (2.0 * C[1][1] + C[2][0]) / 3.0
-    asym_field[:] = np.max([np.abs(C[0][1] - c001), np.abs(C[1][0] - c001),
-                            np.abs(C[1][1] - c011), np.abs(C[2][0] - c011)],
-                           axis=0)
 
     gB[..., 0, 0] = g00[rows]
     gB[..., 0, 1] = gB[..., 1, 0] = g01[rows]
@@ -589,7 +571,7 @@ def _fitted(pair: AffinePair):
     shared by every later reader, so they are made read-only."""
     if pair._fit is None:
         fit = _fit_structure(pair)
-        for arr in fit[:4]:
+        for arr in fit:
             arr.flags.writeable = False
         object.__setattr__(pair, "_fit", fit)
     return pair._fit
@@ -620,7 +602,7 @@ def structure_residuals(pair: AffinePair):
     the affine normal from the position), S_residual that of S - Id.
     A hyperbolic affine sphere drives both to O(spacing^2).
     """
-    gB, xi, S, _, _ = _fitted(pair)
+    gB, xi, S, _ = _fitted(pair)
     xi_res = np.max(np.abs(xi - pair.fplus), axis=-1)
     eye = np.eye(2)
     S_res = np.max(np.abs(S - eye), axis=(-2, -1))
@@ -629,7 +611,7 @@ def structure_residuals(pair: AffinePair):
 
 def blaschke_data(pair: AffinePair) -> BlaschkeData:
     """Extract Blaschke metric, symmetrized Pick form and shape field."""
-    gB, _, S, C_sym, _ = _fitted(pair)
+    gB, _, S, C_sym = _fitted(pair)
     return BlaschkeData(gB, C_sym, S, pair.spacing, periodic=pair.periodic)
 
 

@@ -223,8 +223,9 @@ def build_problem(cfg: dict):
 
 
 def load_generators(path: str) -> Representation:
-    """Generator file: a JSON list of 3x3 complex matrices, entries as
-    numbers or [re, im] pairs; names assigned a, b, c, ..."""
+    """Generator file: a JSON list of at most 26 3x3 complex matrices,
+    entries as numbers or [re, im] pairs; names assigned a, b, c, ...
+    A ragged matrix, or a 27th, is a ConfigError."""
     raw = _read_json(path, "generator file")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("generator file must be a non-empty JSON list")
@@ -233,7 +234,7 @@ def load_generators(path: str) -> Representation:
         try:
             M = np.array([[_typed(e, complex, "matrix entry") for e in row]
                           for row in mat])
-        except (TypeError, ConfigError) as e:
+        except (TypeError, ValueError) as e:     # ragged rows, bad entries
             raise ConfigError(f"generator {k}: {e}") from e
         if M.shape != (3, 3):
             raise ConfigError(f"generator {k} is not 3x3")

@@ -49,10 +49,10 @@ Each step is G + G (E - I), its 27 products written by one broadcast
 multiply into a reused buffer and summed in the order of the row-form
 product mat3.matmul.  Holonomy is the product along a loop,
 G(end) = G(start) H, and sections (F' = Omega F) transport by H^-1.
-In the "ambient" gauge the result is conjugated by a constant model
-frame F0 with F0^T Q F0 = QTILDE, after which group elements satisfy
-the compatibility X_minus = Q (X_plus^-1)^T Q and the plus part lands
-in SL(3,C).
+Holonomy is returned in the ambient gauge: conjugated by a constant
+model frame F0 with F0^T Q F0 = QTILDE, after which group elements
+satisfy the compatibility X_minus = Q (X_plus^-1)^T Q and the plus
+part lands in SL(3,C).
 """
 
 from __future__ import annotations
@@ -464,8 +464,7 @@ def transport(E: np.ndarray, start=None, out=None) -> np.ndarray:
     return out
 
 
-def holonomy(conn: FlatConnectionField, loop: Loop,
-             gauge: str = "ambient") -> BcMat3:
+def holonomy(conn: FlatConnectionField, loop: Loop) -> BcMat3:
     """Path-ordered product of step exponentials of Omega along the loop.
 
     Each step samples Omega at the segment midpoint (average of the two
@@ -474,16 +473,14 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
     a frame carried around the loop returns as G(end) = G(start) H.
     All steps of one component go through one batched exponential.
 
-    gauge="frame" returns the raw frame-basis holonomy (group condition
-    wrt QTILDE); gauge="ambient" conjugates by the constant model frame
-    F0, after which X_minus = Q (X_plus^-1)^T Q with Q = diag(1,1,-1).
+    The frame-basis product (group condition wrt QTILDE) is returned
+    in the ambient gauge, conjugated by the constant model frame F0,
+    after which X_minus = Q (X_plus^-1)^T Q with Q = diag(1,1,-1).
 
     The holonomy of data that is not flat depends on the loop, not only
     on its class; holonomy does not check flatness, and
     FlatConnectionField.flatness_residual is that check.
     """
-    if gauge not in ("ambient", "frame"):
-        raise ValueError(f"unknown gauge {gauge!r}")
     g = conn.grid
     if loop.n != g.n:
         raise ValueError("loop and connection grids differ")
@@ -494,7 +491,4 @@ def holonomy(conn: FlatConnectionField, loop: Loop,
         conn, start[:, 1] % g.n, start[:, 0] % g.n, d[:, 1], d[:, 0], part))
         for part in PARTS], axis=-1)
     H = transport(E)[:, :, -1]
-    parts = [H[..., k] for k in range(len(PARTS))]
-    if gauge == "ambient":
-        parts = [F0 @ Hk @ F0_INV for Hk in parts]
-    return BcMat3(*parts)
+    return BcMat3(*(F0 @ H[..., k] @ F0_INV for k in range(len(PARTS))))

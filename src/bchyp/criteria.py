@@ -189,8 +189,8 @@ def _solved_sine(n):
     """Gauss-solved constant cubic datum over the smooth sine chart."""
     grid = TorusGrid(n)
     chart = BeltramiChart.sine_perturbed(grid, 0.01)
-    C = CubicPair(grid, 0.6, 0.6, holomorphic=True)
-    report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C))
+    C = CubicPair(grid, 0.6, 0.6)
+    report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0))
     return report.psi, C, chart
 
 

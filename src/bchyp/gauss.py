@@ -6,8 +6,10 @@ background metric g.  The solved equation, in background form, is
     F(psi) = Delta_g psi - K_g - e^{2 psi} + 8 e^{-4 psi} |C|^2_g = 0,
 
 whose zero set realizes K_h = -1 + 8 |C|^2_h.  K_g enters as an
-explicit field so both the hyperbolic-background case (K_g = -1) and
-the flat torus testbed (K_g = 0) run through one code path.
+explicit field, which every GaussProblem is given, so both the
+hyperbolic-background case (K_g = -1) and the flat torus testbed
+(K_g = 0) run through one code path.  The cubic pair enters as given:
+the solver neither projects nor checks its holomorphy.
 
 An intrinsic formulation Delta_h psi + alpha conj(beta) e^{-6 psi} - 1
 (valid when the background is the bare chart metric; the tests'
@@ -56,7 +58,7 @@ __all__ = [
     "NoPositiveRoot", "DidNotConverge", "LinearSolveFailure",
     "GaussProblem", "SolveReport",
     "residual_background", "constant_root",
-    "solve_newton", "wang_specialize", "project_discrete_kernel",
+    "solve_newton", "wang_specialize",
     "laplacian_matrix", "laplacian_symbol",
 ]
 
@@ -84,22 +86,6 @@ class LinearSolveFailure(RuntimeError):
     """Inner Krylov solve broke down or hit its iteration cap."""
 
 
-def project_discrete_kernel(f: np.ndarray) -> np.ndarray:
-    """Project onto the kernel of the centered d_zbar (and d_z) stencil.
-
-    On the periodic grid the centered-difference symbol vanishes exactly
-    on the DC mode and the three Nyquist modes, so those four Fourier
-    coefficients span every discretely holomorphic field.
-    """
-    n = f.shape[0]
-    F = np.fft.fft2(f)
-    keep = np.zeros_like(F)
-    for ky in (0, n // 2):
-        for kx in (0, n // 2):
-            keep[ky, kx] = F[ky, kx]
-    return np.fft.ifft2(keep)
-
-
 class GaussProblem(Frozen):
     """Background metric + cubic datum + explicit K_g field.
 
@@ -110,21 +96,15 @@ class GaussProblem(Frozen):
 
     __slots__ = ("background", "C", "Kg", "cnorm_g", "laplacian")
 
-    def __init__(self, background: ComplexMetric, C: CubicPair, Kg=None):
+    def __init__(self, background: ComplexMetric, C: CubicPair, Kg):
         grid = background.grid
         if C.grid != grid:
             raise ValueError("cubic pair and background live on different grids")
         if not symbol_check(background.chart.mu):
             raise ValueError(f"chart fails the symbol check: floor "
                              f"{ellipticity_floor(background.chart.mu):.2e}")
-        if C.holomorphic:
-            C = CubicPair(grid, project_discrete_kernel(C.alpha),
-                          project_discrete_kernel(C.beta), holomorphic=True)
-        lap = LaplaceBeltrami(background)
-        if Kg is None:
-            Kg = -lap(background.psi)                 # K_g = -Delta_g psi_g
         self._set(background=background, C=C, Kg=grid.field(Kg),
-                  laplacian=lap)
+                  laplacian=LaplaceBeltrami(background))
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             self._set(cnorm_g=cubic_norm(background, C))
         if not np.all(np.isfinite(self.cnorm_g)):
@@ -355,5 +335,5 @@ def wang_specialize(q, grid: TorusGrid) -> GaussProblem:
     """
     qf = grid.field(q)
     bg = ComplexMetric(BeltramiChart.identity(grid), 0.0)
-    C = CubicPair(grid, qf / 2.0, qf / 2.0, holomorphic=True)
+    C = CubicPair(grid, qf / 2.0, qf / 2.0)
     return GaussProblem(bg, C, Kg=0.0)

@@ -249,14 +249,13 @@ class ComplexMetric(Frozen):
 class CubicPair(Frozen):
     """Cubic differential data C = alpha dz^3 + conj(beta dw^3)."""
 
-    __slots__ = ("grid", "alpha", "beta", "holomorphic")
+    __slots__ = ("grid", "alpha", "beta")
 
-    def __init__(self, grid: TorusGrid, alpha, beta, holomorphic: bool = False):
-        self._set(grid=grid, alpha=grid.field(alpha),
-                  beta=grid.field(beta), holomorphic=bool(holomorphic))
+    def __init__(self, grid: TorusGrid, alpha, beta):
+        self._set(grid=grid, alpha=grid.field(alpha), beta=grid.field(beta))
 
     def __repr__(self):
-        return f"CubicPair(n={self.grid.n}, holomorphic={self.holomorphic})"
+        return f"CubicPair(n={self.grid.n})"
 
 
 def _compact(f: np.ndarray):

@@ -1,12 +1,15 @@
 """Representation-level diagnostics for SL(3) holonomy data.
 
-The pieces: the irreducible (symmetric-square) embedding of SL(2) into
-SL(3); loxodromy of individual matrices with their attracting/repelling
-flags; transversality of flag pairs; a finite word-length scan over a
-generated subgroup collecting the necessary Anosov-type conditions
-(loxodromy of every word, transversality of fixed flags of distinct
-words, trivial centralizer); and the pairing tr(d1 ^ d2) of
-connection-variation 1-forms integrated over the torus.
+The pieces: a container of SL(3, C) generators, each named by one
+lowercase letter; the irreducible (symmetric-square) embedding of
+SL(2) into SL(3); loxodromy of individual matrices with their
+attracting/repelling flags; transversality of flag pairs; a finite
+word-length scan over a generated subgroup collecting the necessary
+Anosov-type conditions (loxodromy of every word, transversality of
+fixed flags of distinct words, trivial centralizer), which spells a
+word letter by letter with upper case for an inverse, "abA" for
+a b a^-1; and the pairing tr(d1 ^ d2) of connection-variation 1-forms
+integrated over the torus.
 
 The scan is a necessary-condition filter, not a certificate: its
 strongest positive outcome is "no obstruction found up to length L".
@@ -67,30 +70,20 @@ class NotDiagonalizable(ArithmeticError):
 # ----------------------------------------------------------------------
 # representation container
 
-def parse_word(s: str):
-    """Letters name generators, uppercase means inverse: "abA" etc."""
-    return tuple((c.lower(), -1 if c.isupper() else 1) for c in s)
-
-
-def word_str(tokens) -> str:
-    out = []
-    for name, e in tokens:
-        if len(name) == 1 and name.islower():
-            out.append(name.upper() if e < 0 else name)
-        else:
-            out.append(f"{name}^-1" if e < 0 else name)
-    return "".join(out) if all(len(n) == 1 for n, _ in tokens) \
-        else ".".join(out)
-
-
 class Representation(Frozen):
-    """Named SL(3, C) generators with optional relation words."""
+    """Named SL(3, C) generators.  Each name is one lowercase ASCII
+    letter, so the scan spells a word letter by letter, with upper case
+    for an inverse."""
 
-    __slots__ = ("generators", "relations")
+    __slots__ = ("generators",)
 
-    def __init__(self, generators: dict, relations=None):
+    def __init__(self, generators: dict):
         gens = {}
         for name, M in generators.items():
+            if not (isinstance(name, str) and len(name) == 1
+                    and "a" <= name <= "z"):
+                raise ValueError(f"generator name {name!r} is not one "
+                                 f"lowercase ASCII letter")
             M = np.asarray(M, dtype=complex)
             if M.shape != (3, 3):
                 raise ValueError(f"generator {name!r} is not 3x3")
@@ -100,27 +93,10 @@ class Representation(Frozen):
                     f"generator {name!r} has det {d:.12g}")
             gens[name] = M
         self._set(generators=gens)
-        rels = []
-        for w in (relations or []):
-            tokens = parse_word(w) if isinstance(w, str) else tuple(w)
-            R = self.evaluate(tokens)
-            defect = np.abs(R - np.eye(3)).max()
-            if defect > 1e-8:
-                raise ValueError(
-                    f"relation {word_str(tokens)} fails by {defect:.3e}")
-            rels.append(tokens)
-        self._set(relations=tuple(rels))
 
     @property
     def names(self):
         return tuple(self.generators)
-
-    def evaluate(self, tokens) -> np.ndarray:
-        M = np.eye(3, dtype=complex)
-        for name, e in tokens:
-            g = self.generators[name]
-            M = M @ (g if e > 0 else np.linalg.inv(g))
-        return M
 
 
 # ----------------------------------------------------------------------
@@ -387,8 +363,7 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     letters = [(n, e) for n in rep.names for e in (1, -1)]
     gens = mat3.planes(np.stack([g for g in rep.generators.values()
                                  for g in (g, np.linalg.inv(g))]))
-    spelled = [word_str((t,)) for t in letters]
-    sep = "" if all(len(n) == 1 for n in rep.names) else "."
+    spelled = [n.upper() if e < 0 else n for n, e in letters]
     # letter t may follow s unless it cancels it (inverses: 2j, 2j + 1)
     follow = np.array([[t for t in range(len(letters)) if t != s ^ 1]
                        for s in range(len(letters))])
@@ -405,7 +380,7 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
                         out=mats[:, :, 0])
             mat3.matmul(gens[:, :, last ^ 1], prev[:, :, 1, parent],
                         out=mats[:, :, 1])
-            level = [level[p] + sep + spelled[t]
+            level = [level[p] + spelled[t]
                      for p, t in zip(parent.tolist(), last.tolist())]
         m, g, stop, att, rpl = _spectra(mats, length)
         words += level[:stop]

@@ -57,7 +57,7 @@ from scipy.linalg import expm, null_space
 from bchyp import mat3
 from bchyp._frozen import Frozen
 from bchyp.affine import (
-    FIT_MARGIN, DegenerateFrame, _christoffel, _interior, _mask_margin, eta,
+    FIT_MARGIN, DegenerateFrame, _christoffel, _interior, _nan_margin, eta,
 )
 from bchyp.bicomplex import as_bicomplex
 from bchyp.connection import (
@@ -389,7 +389,7 @@ def integrate_part_sweeps(conn, part, base, sl):
 
 def fit_structure_whole(pair):
     """affine._fit_structure over the whole grid at once: the same
-    (gB, xi, S, C_sym, asym) from grid-sized planes, with the
+    (gB, xi, S, C_sym) from grid-sized planes, with the
     degenerate-frame gate before the solves."""
     f = pair.fplus
     h = pair.spacing
@@ -436,9 +436,6 @@ def fit_structure_whole(pair):
          for ab in range(3)]
     c001 = (C[0][1] + 2.0 * C[1][0]) / 3.0
     c011 = (2.0 * C[1][1] + C[2][0]) / 3.0
-    asym_field = np.max([np.abs(C[0][1] - c001), np.abs(C[1][0] - c001),
-                         np.abs(C[1][1] - c011), np.abs(C[2][0] - c011)],
-                        axis=0)
     gB = np.empty((n, n, 2, 2))
     gB[..., 0, 0] = g00
     gB[..., 0, 1] = gB[..., 1, 0] = g01
@@ -451,10 +448,18 @@ def fit_structure_whole(pair):
     S = np.moveaxis(scoef, (0, 1), (2, 3))
     xi = np.moveaxis(xi, 0, -1)
     if per:
-        return gB, xi, S, C_sym, float(np.max(asym_field))
+        return gB, xi, S, C_sym
     return (_mask_margin(gB, 2), _mask_margin(xi, 3),
-            _mask_margin(S, FIT_MARGIN), _mask_margin(C_sym, 3),
-            float(np.nanmax(_mask_margin(asym_field, 3))))
+            _mask_margin(S, FIT_MARGIN), _mask_margin(C_sym, 3))
+
+
+def _mask_margin(arr: np.ndarray, margin: int) -> np.ndarray:
+    """NaN out the wrap-contaminated band of a non-periodic field."""
+    if margin <= 0:
+        return arr
+    out = np.array(arr, dtype=float if arr.dtype != complex else complex)
+    _nan_margin(out, margin)
+    return out
 
 
 def ellipticity_floor_oracle(mu: complex, samples: int = 100_000) -> float:

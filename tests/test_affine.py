@@ -139,7 +139,7 @@ def test_structure_hyperboloid_convergence():
 def test_structure_curvature_and_pick_hyperboloid():
     pair, _, grid = hyperboloid_pair(64)
     h2 = grid.spacing ** 2
-    gB, _, _, C_sym, _ = _fit_structure(pair)
+    gB, _, _, C_sym = _fit_structure(pair)
     K = oracles._gauss_curvature(gB, grid.spacing)
     assert np.nanmax(np.abs(K + 1.0)) < 0.5 * h2
     assert np.nanmax(np.abs(C_sym)) < 0.1 * h2
@@ -159,8 +159,8 @@ def test_structure_equivariance_unimodular():
                     pair.fminus)
     pairL = AffinePair(fL, fmL, grid.spacing, periodic=False)
 
-    gB0, xi0, S0, C0, _ = _fit_structure(pair)
-    gBL, xiL, SL_, CL, _ = _fit_structure(pairL)
+    gB0, xi0, S0, C0 = _fit_structure(pair)
+    gBL, xiL, SL_, CL = _fit_structure(pairL)
     assert np.nanmax(np.abs(gB0 - gBL)) < 1e-10
     assert np.nanmax(np.abs(C0 - CL)) < 1e-8
     assert np.nanmax(np.abs(S0 - SL_)) < 1e-5
@@ -273,7 +273,7 @@ def test_integrate_fuchsian_patch_lands_on_hyperboloid():
     n = 64
     grid = TorusGrid(n)
     zero = np.zeros((n, n))
-    C0 = CubicPair(grid, zero, zero, holomorphic=True)
+    C0 = CubicPair(grid, zero, zero)
     psi = -np.log(np.sqrt(2.0) * (grid.y + 0.35))
     conn = assemble(psi, C0, BeltramiChart.identity(grid))
     pair = integrate_frame(conn, base=(n // 2, 0), trim=2)
@@ -314,7 +314,7 @@ def test_integrate_rejects_nonreal_chart():
     n = 32
     grid = TorusGrid(n)
     zero = np.zeros((n, n))
-    C0 = CubicPair(grid, zero, zero, holomorphic=True)
+    C0 = CubicPair(grid, zero, zero)
     conn = assemble(zero, C0, BeltramiChart.constant_mu(grid, 0.3))
     with pytest.raises(NotReal):
         integrate_frame(conn)
@@ -323,8 +323,7 @@ def test_integrate_rejects_nonreal_chart():
 def test_integrate_rejects_unequal_cubic_halves():
     n = 32
     grid = TorusGrid(n)
-    C = CubicPair(grid, np.full((n, n), 1.0), np.full((n, n), 2.0),
-                  holomorphic=True)
+    C = CubicPair(grid, np.full((n, n), 1.0), np.full((n, n), 2.0))
     conn = assemble(np.zeros((n, n)), C, BeltramiChart.identity(grid))
     with pytest.raises(NotReal):
         integrate_frame(conn)
@@ -336,7 +335,7 @@ def test_integrate_flags_path_dependence():
     n = 32
     grid = TorusGrid(n)
     C = CubicPair(grid, np.full((n, n), 2.0 + 0j),
-                  np.full((n, n), 2.0 + 0j), holomorphic=True)
+                  np.full((n, n), 2.0 + 0j))
     psi_bad = 0.3 * np.sin(2 * np.pi * grid.x)
     conn = assemble(psi_bad, C, BeltramiChart.identity(grid))
     with pytest.raises(PathDependent):
@@ -363,7 +362,7 @@ def test_integrate_generic_nine_plane_field_like_the_structured_one():
     assert np.array_equal(pair_generic.fplus, pair.fplus)
     assert np.array_equal(pair_generic.fminus, pair.fminus)
     C = CubicPair(grid, np.full((n, n), 2.0 + 0j),
-                  np.full((n, n), 2.0 + 0j), holomorphic=True)
+                  np.full((n, n), 2.0 + 0j))
     bad = assemble(0.3 * np.sin(2 * np.pi * grid.x), C,
                    BeltramiChart.identity(grid))
     with pytest.raises(PathDependent):
@@ -428,7 +427,7 @@ def strip_conn(n, flip=False):
     zero = np.zeros((n, n))
     y = 1.0 - grid.y if flip else grid.y
     psi = -np.log(np.sqrt(2.0) * (y + 0.35))
-    return assemble(psi, CubicPair(grid, zero, zero, holomorphic=True),
+    return assemble(psi, CubicPair(grid, zero, zero),
                     BeltramiChart.identity(grid))
 
 
@@ -499,8 +498,8 @@ def sine_pair_conn(n):
     frame the sweeps integrate all the same."""
     grid = TorusGrid(n)
     chart = BeltramiChart.sine_perturbed(grid, 0.01)
-    C = CubicPair(grid, 0.6, 0.3 + 0.2j, holomorphic=True)
-    report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C))
+    C = CubicPair(grid, 0.6, 0.3 + 0.2j)
+    report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0))
     return assemble(report.psi, C, chart)
 
 
@@ -575,9 +574,9 @@ def test_sweep_is_the_only_transport_in_affine():
 
 
 def same_fit(got, want):
-    return (all(np.array_equal(a, b, equal_nan=True)
-                for a, b in zip(got[:4], want[:4]))
-            and got[4] == want[4])
+    return (len(got) == len(want)
+            and all(np.array_equal(a, b, equal_nan=True)
+                    for a, b in zip(got, want)))
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
@@ -648,7 +647,7 @@ def test_second_variation_unit_direction_constant_data():
     grid = TorusGrid(n)
     chart = BeltramiChart.identity(grid)
     zero = np.zeros((n, n))
-    C0 = CubicPair(grid, zero, zero, holomorphic=True)
+    C0 = CubicPair(grid, zero, zero)
     for psic in (0.0, 0.4, -0.7):
         lam = 2.0 * np.exp(2.0 * psic)
         Z = np.zeros((n, n, 2))
@@ -679,7 +678,7 @@ def test_second_variation_local_support():
     grid = TorusGrid(n)
     chart = BeltramiChart.identity(grid)
     zero = np.zeros((n, n))
-    C0 = CubicPair(grid, zero, zero, holomorphic=True)
+    C0 = CubicPair(grid, zero, zero)
     Z = np.zeros((n, n, 2))
     Z[:, :n // 2, 0] = np.sin(2 * np.pi * grid.y[:, :n // 2])
     t = second_variation_trace(Z, zero, C0, chart)
@@ -711,7 +710,7 @@ def test_second_variation_rejects_bad_shape():
     grid = TorusGrid(n)
     chart = BeltramiChart.identity(grid)
     zero = np.zeros((n, n))
-    C0 = CubicPair(grid, zero, zero, holomorphic=True)
+    C0 = CubicPair(grid, zero, zero)
     with pytest.raises(ValueError):
         second_variation_trace(np.zeros((n, n, 3)), zero, C0, chart)
 

@@ -78,11 +78,13 @@ def test_symbol_floor_is_one_boundary_for_solver_and_config(tmp_path,
         chart = BeltramiChart.constant_mu(grid, mu)
         cfg = {"chart": {"kind": "constant", "mu": [mu.real, mu.imag]}}
         if elliptic:
-            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0))
+            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0),
+                         Kg=0.0)
             assert np.allclose(cli.build_chart(cfg, grid).mu, mu)
             continue
         with pytest.raises(ValueError, match="symbol check"):
-            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0))
+            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0),
+                         Kg=0.0)
         with pytest.raises(ConfigError, match="symbol check"):
             cli.build_chart(cfg, grid)
         assert main(["gauss", "solve", "--config",
@@ -414,6 +416,28 @@ def test_empty_generator_list_rejected(tmp_path):
         load_generators(str(p))
 
 
+def test_ragged_generator_file_exits_two(tmp_path, capsys):
+    p = tmp_path / "gens.json"
+    p.write_text(json.dumps([[[1, 0, 0], [0, 1], [0, 0, 1]]]))
+    assert main(["rep", "anosov", "--gens", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: generator 0: "), err
+    assert "Traceback" not in err
+
+
+def test_twenty_seventh_generator_exits_two(tmp_path, capsys):
+    # generators are named a to z, one letter each; a 27th has no name
+    mats = [np.diag([t, 1.0, 1.0 / t]).tolist()
+            for t in np.arange(2.0, 29.0)]
+    assert len(mats) == 27
+    p = tmp_path / "gens.json"
+    p.write_text(json.dumps(mats))
+    assert main(["rep", "anosov", "--gens", str(p), "--len", "1"]) == 2
+    assert "lowercase ASCII letter" in capsys.readouterr().err
+    p.write_text(json.dumps(mats[:26]))
+    assert sorted(load_generators(str(p)).generators)[-1] == "z"
+
+
 # ----------------------------------------------------------------------
 # manifests
 
@@ -526,9 +550,8 @@ def test_runtime_limit_fails_but_stays_out_of_the_manifest(monkeypatch,
 def test_frozen_criteria_match_the_sine_chart_config(capsys):
     """configs/sine_chart.json is the datum of criteria 5 and 6 (sine
     chart eps 0.01, alpha = beta = 0.6, n = 64), so the shared bundles
-    give the same numbers.  The only difference between the two cubic
-    pairs is the criteria's holomorphic=True flag: its projection onto
-    the discrete kernel leaves constant coefficients unchanged."""
+    give the same numbers: the criteria build the same cubic pair and
+    give the same K_g = 0 that the config's background sets."""
     cfg = load_config(cfg_path("sine_chart.json"))
     assert cfg["grid"] == 64
     assert cfg["chart"] == {"kind": "sine", "eps": 0.01}

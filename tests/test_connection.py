@@ -30,6 +30,16 @@ BHAT_CONST = BcMat3.from_tau_parts([[0, 0, 1], [0, 0, 0], [0, 1, 0]],
 
 _SOLVED = {}
 
+#: The model frame on both idempotent parts: holonomy returns G0 H G0^-1
+#: for the frame-basis product H.
+G0 = BcMat3(F0, F0)
+
+
+def frame_holonomy(conn, loop):
+    """The frame-basis holonomy, conjugated back from the ambient gauge
+    that holonomy returns."""
+    return G0.inv() @ holonomy(conn, loop) @ G0
+
 
 def solved_sine(n, eps=0.01):
     """Gauss-solved datum with constant cubic pair over the sine chart.
@@ -41,8 +51,8 @@ def solved_sine(n, eps=0.01):
     if (n, eps) not in _SOLVED:
         grid = TorusGrid(n)
         chart = BeltramiChart.sine_perturbed(grid, eps)
-        C = CubicPair(grid, 0.6, 0.6, holomorphic=True)
-        problem = GaussProblem(ComplexMetric(chart, 0.0), C)
+        C = CubicPair(grid, 0.6, 0.6)
+        problem = GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0)
         report = solve_newton(problem)
         assert report.converged
         _SOLVED[(n, eps)] = (report.psi, problem.C, chart)
@@ -249,7 +259,7 @@ def test_reduced_r0_is_scaled_gauss_residual():
     tx, ty = 2 * np.pi * grid.x, 2 * np.pi * grid.y
     psi = smooth_psi(grid)
     C = CubicPair(grid, 0.5 + 0.2 * np.sin(ty), 0.3 * np.cos(tx) + 0.8)
-    problem = GaussProblem(ComplexMetric(chart, 0.0), C)
+    problem = GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0)
     ri = residual_intrinsic(psi, problem)
     s2 = ComplexMetric(chart, psi).s2
     r0, _, _ = reduced_system_residual(psi, C, chart)
@@ -306,8 +316,8 @@ def test_holonomy_constant_data_matches_exponential_oracle():
     grid = TorusGrid(32)
     chart = BeltramiChart.identity(grid)
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0), chart)
-    Hx = holonomy(conn, Loop.x_period(32), gauge="frame")
-    Hy = holonomy(conn, Loop.y_period(32), gauge="frame")
+    Hx = frame_holonomy(conn, Loop.x_period(32))
+    Hy = frame_holonomy(conn, Loop.y_period(32))
     for part in ("plus", "minus"):
         A = getattr(AHAT_CONST, part)
         B = getattr(BHAT_CONST, part)
@@ -329,7 +339,7 @@ def test_holonomy_solved_datum_invariants():
         assert compatibility_residual(H) < 1e-9
         assert H.plus.shape == (3, 3)
     assert (Hx @ Hy - Hy @ Hx).norm_max() < 10 * chart.grid.spacing
-    Hf = holonomy(conn, Loop.x_period(64), gauge="frame")
+    Hf = frame_holonomy(conn, Loop.x_period(64))
     expected = QTILDE @ np.linalg.inv(Hf.plus).T @ QTILDE
     assert np.abs(Hf.minus - expected).max() < 1e-12
 
@@ -339,7 +349,7 @@ def test_holonomy_refinement_first_order_or_better():
     for n in (32, 64, 128):
         psi, C, chart = solved_sine(n)
         conn = assemble(psi, C, chart)
-        mats.append(holonomy(conn, Loop.x_period(n), gauge="frame"))
+        mats.append(frame_holonomy(conn, Loop.x_period(n)))
     e1 = (mats[0] - mats[1]).norm_max()
     e2 = (mats[1] - mats[2]).norm_max()
     assert e2 < e1
@@ -355,8 +365,8 @@ def test_period_commutator_converges_on_sine_data():
     for n in (64, 128, 256):
         psi, C, chart = solved_sine(n, eps=0.05)
         conn = assemble(psi, C, chart)
-        Hx = holonomy(conn, Loop.x_period(n), gauge="frame")
-        Hy = holonomy(conn, Loop.y_period(n), gauge="frame")
+        Hx = frame_holonomy(conn, Loop.x_period(n))
+        Hy = frame_holonomy(conn, Loop.y_period(n))
         comms.append((Hx @ Hy - Hy @ Hx).norm_max())
     assert comms[0] < 1e-2, comms
     assert comms[0] > 3.0 * comms[1] > 9.0 * comms[2], comms
@@ -379,8 +389,8 @@ def test_frame_conjugation_covariance():
         want = (getattr(gi, part) @ oracles.stacked(mc1[part])
                 @ getattr(g, part))
         assert np.abs(oracles.stacked(mc2[part]) - want).max() < 1e-11
-    H1 = holonomy(conn, Loop.x_period(32), gauge="frame")
-    H2 = holonomy(conn2, Loop.x_period(32), gauge="frame")
+    H1 = frame_holonomy(conn, Loop.x_period(32))
+    H2 = frame_holonomy(conn2, Loop.x_period(32))
     assert (H2 - gi @ H1 @ g).norm_max() < 1e-11
 
 
@@ -533,12 +543,10 @@ def test_holonomy_matches_per_step_expm_product(loop):
     psi, C, chart = solved_sine(32)
     conn = assemble(psi, C, chart)
     H = holonomy(conn, loop)
-    Hf = holonomy(conn, loop, gauge="frame")
-    for got, (rp, rm) in ((H, oracles.holonomy_oracle(conn, loop, F0)),
-                          (Hf, oracles.holonomy_oracle(conn, loop))):
-        for part, ref in (("plus", rp), ("minus", rm)):
-            err = np.abs(getattr(got, part) - ref).max()
-            assert err < 1e-13 * max(1.0, np.abs(ref).max()), (part, err)
+    rp, rm = oracles.holonomy_oracle(conn, loop, F0)
+    for part, ref in (("plus", rp), ("minus", rm)):
+        err = np.abs(getattr(H, part) - ref).max()
+        assert err < 1e-13 * max(1.0, np.abs(ref).max()), (part, err)
 
 
 def test_holonomy_never_evaluates_the_maurer_cartan_residual(monkeypatch):
@@ -638,8 +646,6 @@ def test_loop_validation():
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0), chart)
     with pytest.raises(ValueError):
         holonomy(conn, Loop.x_period(32))
-    with pytest.raises(ValueError):
-        holonomy(conn, Loop.x_period(16), gauge="chart")
 
 
 def test_max_abs_propagates_nan_in_the_minus_part():

@@ -1,7 +1,7 @@
 """Every module of the package that declares __all__ exports only names
-it defines, every name of the package runs on a program path, and every
-slotted value type keeps the one immutability rule of
-bchyp._frozen.Frozen."""
+it defines, every name of the package runs on a program path, every
+defaulted parameter is set by a call on one, and every slotted value
+type keeps the one immutability rule of bchyp._frozen.Frozen."""
 
 import ast
 import importlib
@@ -149,6 +149,93 @@ def test_every_name_runs_on_a_program_path():
     assert sorted(checked - kept) == []
     # a kept name that a program path comes to run leaves the list
     assert sorted(set(KEPT) & program) == []
+
+
+#: Defaulted parameters that no program call sets but that stay, each
+#: with its reason, keyed "module.def.parameter" (a method's def is
+#: "Class.method").
+KNOBS = {
+    "cli.main.argv": "the entry point reads sys.argv",
+    "affine.integrate_frame.base": (
+        "the C = 0 strip datum, the only non-constant geometry the tests "
+        "integrate, needs an off-seam base (ROADMAP Known gaps)"),
+    "affine.integrate_frame.trim": (
+        "the C = 0 strip datum needs a trimmed residual (ROADMAP Known "
+        "gaps)"),
+}
+
+
+def parameters(node):
+    """(positional, keyword-only, defaulted) parameter names of a def."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    keyword = [a.arg for a in args.kwonlyargs]
+    defaulted = set(positional[len(positional) - len(args.defaults):]) | {
+        name for name, d in zip(keyword, args.kw_defaults) if d is not None}
+    return positional, keyword, defaulted
+
+
+def resolve(key, imports):
+    while key in imports:
+        key = imports[key]
+    return key
+
+
+def callees(call, mod, cls, functions, imports, wholes):
+    """(def key, leading parameters bound without passing) of every def
+    that call may run.  A name resolves in its module through its
+    imports, and `cls` in a classmethod to its class; a class runs its
+    __init__.  An attribute of a module imported whole resolves in that
+    module; any other attribute, but a dunder, reaches every method of
+    that name."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        key = cls if func.id == "cls" and cls else f"{mod}.{func.id}"
+    elif (isinstance(func, ast.Attribute)
+          and getattr(func.value, "id", None) in wholes[mod]):
+        key = f"{func.value.id}.{func.attr}"
+    elif isinstance(func, ast.Attribute) and not func.attr.startswith("__"):
+        return [(k, 0 if any(getattr(d, "id", None) == "staticmethod"
+                             for d in functions[k].decorator_list) else 1)
+                for k in functions
+                if k.count(".") == 2 and k.endswith(f".{func.attr}")]
+    else:
+        return []
+    key = resolve(key, imports)
+    if key in functions:
+        return [(key, 0)]
+    return [(f"{key}.__init__", 1)] if f"{key}.__init__" in functions else []
+
+
+def test_every_parameter_is_set_on_a_program_path():
+    # a default that no program call overrides is a knob that changes
+    # nothing: the parameter goes, or it joins KNOBS with its reason
+    defs, imports, wholes, _ = package_graph()
+    program = reach(ROOTS, defs, imports, wholes)
+    functions = {k: v[0] for k, v in defs.items()
+                 if len(v) == 1 and isinstance(v[0], ast.FunctionDef)}
+    unset = {f"{k}.{name}" for k in program & set(functions)
+             for name in parameters(functions[k])[2]}
+    for key in program:
+        mod = key.split(".")[0]
+        node = functions.get(key)
+        cls = (key.rsplit(".", 1)[0] if node is not None and any(
+            getattr(d, "id", None) == "classmethod"
+            for d in node.decorator_list) else None)
+        for call in (n for top in defs.get(key, ()) for n in ast.walk(top)
+                     if isinstance(n, ast.Call)):
+            spread = (any(isinstance(a, ast.Starred) for a in call.args)
+                      or any(k.arg is None for k in call.keywords))
+            for target, bound in callees(call, mod, cls, functions,
+                                         imports, wholes):
+                positional, keyword, _ = parameters(functions[target])
+                passed = (positional + keyword if spread else
+                          positional[bound:bound + len(call.args)]
+                          + [k.arg for k in call.keywords])
+                unset -= {f"{target}.{name}" for name in passed}
+    assert sorted(unset - set(KNOBS)) == []
+    # a knob that a program call comes to set leaves the list
+    assert sorted(set(KNOBS) - unset) == []
 
 
 def test_every_value_type_is_immutable():

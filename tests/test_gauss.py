@@ -15,17 +15,17 @@ from bchyp.metric import (
 from bchyp.gauss import (
     GaussProblem,
     residual_background, constant_root,
-    solve_newton, wang_specialize, project_discrete_kernel,
+    solve_newton, wang_specialize,
     laplacian_matrix, laplacian_symbol,
     NoPositiveRoot,
 )
 from oracles import ChartMismatch, curvature, residual_intrinsic
 
 
-def flat_problem(n=32, alpha=0.0, beta=0.0, Kg=0.0, mu=0.0, holo=False):
+def flat_problem(n=32, alpha=0.0, beta=0.0, Kg=0.0, mu=0.0):
     g = TorusGrid(n)
     bg = ComplexMetric(BeltramiChart.constant_mu(g, mu), 0.0)
-    C = CubicPair(g, alpha, beta, holomorphic=holo)
+    C = CubicPair(g, alpha, beta)
     return GaussProblem(bg, C, Kg=Kg)
 
 
@@ -205,19 +205,7 @@ def test_problem_rejects_degenerate_symbol():
     g = TorusGrid(16)
     bg = ComplexMetric(BeltramiChart.constant_mu(g, 0.9995), 0.0)
     with pytest.raises(ValueError):
-        GaussProblem(bg, CubicPair(g, 0.0, 0.0))
-
-
-def test_holomorphic_projection():
-    g = TorusGrid(32)
-    f = 1.0 + 0.1 * np.exp(2j * np.pi * g.x)
-    proj = project_discrete_kernel(f)
-    assert np.abs(proj - 1.0).max() < 1e-13
-    # Nyquist mode survives
-    nyq = (-1.0) ** np.arange(32)[None, :] * np.ones((32, 1))
-    assert np.abs(project_discrete_kernel(nyq) - nyq).max() < 1e-12
-    p = flat_problem(32, alpha=f, beta=1.0, holo=True)
-    assert np.abs(p.C.alpha - 1.0).max() < 1e-13
+        GaussProblem(bg, CubicPair(g, 0.0, 0.0), Kg=0.0)
 
 
 def test_laplacian_matrix_matches_operator():
@@ -278,9 +266,7 @@ def test_solve_builds_the_coefficient_fields_once(monkeypatch):
 
     monkeypatch.setattr(LaplaceBeltrami, "__init__", counted)
     p = band_problem(64, 0.0, 1.0, 0.1)
-    q = GaussProblem(p.background, p.C)          # K_g from the operator
-    assert len(built) == 2
-    assert np.array_equal(q.Kg, curvature(p.background))
+    assert len(built) == 1
 
     def refuse(self, h):
         raise AssertionError("coefficient fields rebuilt by the solver")
@@ -342,7 +328,7 @@ def test_newton_converged_on_its_last_allowed_step():
         "tol_inf", "tol_zero", "tol_negative", "tol_str"])
 def test_newton_rejects_solver_settings_the_config_refuses(solver):
     # the constant datum meets any tol at once, so only the check raises
-    p = flat_problem(16, 1.0, 1.0, holo=True)
+    p = flat_problem(16, 1.0, 1.0)
     assert solve_newton(p, max_iter=0).converged
     with pytest.raises(ValueError, match=next(iter(solver))):
         solve_newton(p, **solver)

@@ -36,10 +36,8 @@ from bchyp.replib import (
     horizontal_pattern,
     irreducible_embed,
     loxodromy,
-    parse_word,
     transversality,
     vertical_variation,
-    word_str,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -94,32 +92,23 @@ def random_sl2(rng):
 # ----------------------------------------------------------------------
 # words and the representation container
 
-def test_word_parse_roundtrip():
-    assert parse_word("abA") == (("a", 1), ("b", 1), ("a", -1))
-    assert word_str(parse_word("aBBa")) == "aBBa"
-
-
-def test_representation_validates_and_evaluates():
+def test_representation_validates():
     rep = fuchsian_rep()
     assert rep.names == ("a", "b")
-    M = rep.evaluate(parse_word("abA"))
-    a, b = rep.generators["a"], rep.generators["b"]
-    assert np.abs(M - a @ b @ np.linalg.inv(a)).max() < 1e-12
     with pytest.raises(AttributeError):
         rep.generators = {}
+
+
+@pytest.mark.parametrize("name", ["A", "ab", "{", 0])
+def test_representation_names_are_single_lowercase_letters(name):
+    # the scan spells a word letter by letter, upper case for an inverse
+    with pytest.raises(ValueError, match="lowercase ASCII letter"):
+        Representation({name: np.eye(3)})
 
 
 def test_representation_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         Representation({"a": 2.0 * np.eye(3)})
-
-
-def test_representation_relation_check():
-    g = irreducible_embed(np.diag([2.0, 0.5]))
-    rep = Representation({"a": g}, relations=["aA"])
-    assert rep.relations == (parse_word("aA"),)
-    with pytest.raises(ValueError, match="relation"):
-        Representation({"a": g}, relations=["aa"])
 
 
 # ----------------------------------------------------------------------
@@ -484,15 +473,15 @@ def word_levels(generators, max_len):
     letters = [(n, e) for n in generators for e in (1, -1)]
     gens = np.stack([generators[n] if e > 0 else np.linalg.inv(generators[n])
                      for n, e in letters])
-    labels, last, prods = [word_str((t,)) for t in letters], \
-        list(range(len(letters))), gens
+    spelled = [n.upper() if e < 0 else n for n, e in letters]
+    labels, last, prods = spelled, list(range(len(letters))), gens
     for length in range(1, max_len + 1):
         if length > 1:
             pairs = [(i, t) for i, s in enumerate(last)
                      for t in range(len(letters))
                      if letters[t] != (letters[s][0], -letters[s][1])]
             parent, last = (list(x) for x in zip(*pairs))
-            labels = [labels[i] + word_str((letters[t],)) for i, t in pairs]
+            labels = [labels[i] + spelled[t] for i, t in pairs]
             prods = prods[parent] @ gens[last]
         yield length, labels, prods
 
