@@ -36,6 +36,13 @@ differs from J only by the weight's variation about its mean, so the
 Krylov count per step depends on the data, not on the grid size.
 Steps are damped by halving on the residual max-norm, from the constant
 root of the averaged data, complex where the mean of |C|^2_g is.
+
+SciPy's sparse stack (scipy.sparse and scipy.sparse.linalg, which pull
+in scipy.linalg) is imported inside the two functions that use it,
+_solve_krylov and laplacian_matrix, not at module level: importing it
+costs about 0.3 s and 27 MB, and a CLI command that never solves
+(rep) or whose Newton loop takes no step (constant data) should not pay
+for it.
 """
 
 from __future__ import annotations
@@ -44,8 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import mat3
 from ._frozen import Frozen
@@ -204,9 +209,11 @@ def constant_root(c, Kg: float):
     return float(u) if isinstance(c, float) else complex(u)
 
 
-def laplacian_matrix(metric: ComplexMetric) -> sp.csr_matrix:
+def laplacian_matrix(metric: ComplexMetric) -> "scipy.sparse.csr_matrix":
     """Sparse matrix equal (to roundoff) to metric.laplacian on ravel
     order: a reference route for checks, which the solver never builds."""
+    import scipy.sparse as sp
+
     g = metric.grid
     n, h = g.n, g.spacing
     P = sp.eye(n, k=1) + sp.eye(n, k=1 - n)       # (P f)[i] = f[i+1 mod n]
@@ -252,6 +259,8 @@ def _solve_krylov(problem: GaussProblem, weight: np.ndarray,
     the true residual is not below 1e-12 |F| after 20 cycles of restart
     50.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     shape = F.shape
     lap = problem.laplacian
     symbol = laplacian_symbol(lap) - weight.mean()

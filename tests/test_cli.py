@@ -517,6 +517,32 @@ def test_main_calls_share_one_parser_and_no_flags(capsys):
     assert cli._parser() is cli._parser()
 
 
+LOADS_SPARSE = """\
+import contextlib, io, sys
+from bchyp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "scipy.sparse" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
+      "--len", "5"], False),
+    (["pipeline", "--config", cfg_path("wang_torus.json")], False),
+    (["gauss", "solve", "--config", cfg_path("gauss_perturbed.json")], True),
+], ids=["rep-anosov", "pipeline-wang", "gauss-solve"])
+def test_only_a_newton_step_imports_the_sparse_stack(argv, loaded):
+    """SciPy's sparse stack is imported at the first GMRES call, so a
+    scan or a pipeline whose Newton loop takes no step never loads it.
+    Each run needs a fresh interpreter, since the tests import SciPy."""
+    src = str(Path(bchyp.__file__).resolve().parents[1])
+    fresh = subprocess.run([sys.executable, "-c", LOADS_SPARSE, *argv],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert (fresh.stdout, fresh.stderr) == (f"0 {loaded}\n", "")
+
+
 def test_manifest_structure(capsys):
     code, out = run_json(capsys,
                          ["conn", "flatness", "--config",

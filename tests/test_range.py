@@ -4,7 +4,7 @@ ROADMAP aim 3 claims, each with the outcome it has today.
 A cell expects exit 0, or exit 1 with the first line of stderr, and the
 ROADMAP item that tracks the failure.  No cell may end in a traceback.
 A change that mends a cell flips it to exit 0 and says so in
-CHANGES.md.  The cells at n = 512 are not in the matrix yet.
+CHANGES.md.
 """
 
 import contextlib
@@ -21,6 +21,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 WANG_NOT_REAL = "stage failure (NotReal): conjugate-swap defect"   # item 8
 FLATNESS = "stage failure (criterion 5)"                           # item 24
+ROUNDTRIP = "stage failure (criterion 8)"                          # item 13
 # the reducible pair is the scan's negative control, not a fault
 REDUCIBLE = "stage failure (criterion 10)"
 
@@ -39,6 +40,9 @@ def cells():
         yield (f"pipeline-wang-q{name}-n128", ["pipeline"],
                config("wang_torus.json", grid=128, cubic={"q": q}),
                WANG_NOT_REAL if isinstance(q, list) else None)
+    for q, expect in ((0.3, ROUNDTRIP), (1.2, None)):
+        yield (f"pipeline-wang-q{q}-n512", ["pipeline"],
+               config("wang_torus.json", grid=512, cubic={"q": q}), expect)
     for n in (64, 128):
         for eps in (0, 0.01, 0.05, 0.1):
             cfg = config("sine_chart.json", grid=n,
@@ -50,6 +54,9 @@ def cells():
         yield (f"gauss-solve-perturbed-sine{eps}-n128", ["gauss", "solve"],
                config("gauss_perturbed.json",
                       chart={"kind": "sine", "eps": eps}), None)
+    yield ("gauss-solve-perturbed-sine0.1-n512", ["gauss", "solve"],
+           config("gauss_perturbed.json", grid=512,
+                  chart={"kind": "sine", "eps": 0.1}), None)
     for deg in (0, 90, 180):
         t = math.radians(deg)
         yield (f"pipeline-pair-arg{deg}-n64", ["pipeline"],
