@@ -28,10 +28,10 @@ eta(u, v) = v^T Q3 u with Q3 = diag(1, 1, -1): both members of a pair
 are stored as plain vectors, the dual acting through Q3.  The standard
 hyperboloid x^2 + y^2 - z^2 = -1 is then exactly self-dual, (f, f).
 
-Derivatives are the shared centered stencils; pairs coming from frame
-integration are not grid-periodic, so their residual fields carry a
-NaN margin where the wrapped stencil is meaningless (reduce with
-np.nanmax).
+Derivatives are the shared centered stencils.  No pair is taken to be
+grid-periodic (frame integration gives none that is), so the residual
+fields carry a NaN margin where the wrapped stencil is meaningless
+(reduce with np.nanmax).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ __all__ = [
 #: rows and columns, with no arithmetic).
 SWAP12 = [1, 0, 2]
 
-#: Residual fields of non-periodic pairs are NaN on this margin, and
+#: Residual fields of a pair are NaN on this margin along the seam, and
 #: the structure fit reads a row block with this many rows of halo.
 FIT_MARGIN = 4
 
@@ -120,12 +120,6 @@ def _nan_margin(arr: np.ndarray, margin: int) -> None:
     arr[:, -margin:] = np.nan
 
 
-def _interior(arr: np.ndarray, margin: int) -> np.ndarray:
-    if margin <= 0:
-        return arr
-    return arr[margin:-margin, margin:-margin]
-
-
 # ----------------------------------------------------------------------
 # domain types
 
@@ -135,12 +129,11 @@ class AffinePair:
 
     Both members are stored as plain (n, n, 3) vector fields; duality
     acts through the quadric pairing eta, so the dual swap is the plain
-    exchange of the two arrays.  periodic marks whether the fields wrap
-    across the grid seam (synthetic torus data does, integrated frames
-    do not).  path_residual records the row/column-order disagreement
-    of the frame integration that produced the pair, when applicable,
-    and dual_residual how far its derived f- lift strays from the minus
-    frame integrated on its own along the base row and column.
+    exchange of the two arrays.  path_residual records the
+    row/column-order disagreement of the frame integration that
+    produced the pair, when applicable, and dual_residual how far its
+    derived f- lift strays from the minus frame integrated on its own
+    along the base row and column.
     The structure fit of f+ is kept on the pair once computed, so
     structure_residuals and blaschke_data share one fit.
     """
@@ -148,7 +141,6 @@ class AffinePair:
     fplus: np.ndarray
     fminus: np.ndarray
     spacing: float
-    periodic: bool = True
     path_residual: float = 0.0
     dual_residual: float = 0.0
     _fit: tuple | None = field(default=None, init=False, repr=False,
@@ -178,7 +170,6 @@ class AffinePair:
 
     def dual(self) -> "AffinePair":
         return AffinePair(self.fminus, self.fplus, self.spacing,
-                          periodic=self.periodic,
                           path_residual=self.path_residual,
                           dual_residual=self.dual_residual)
 
@@ -190,14 +181,13 @@ class BlaschkeData:
     pickC is stored fully symmetrized (the raw fit is symmetric in its
     first two slots only; the pre-symmetrization defect is a residual
     reported by the extraction, not part of the stored tensor).
-    Non-periodic extractions carry NaN margins.
+    The fields carry the structure fit's NaN margins.
     """
 
     gB: np.ndarray       # (n, n, 2, 2)
     pickC: np.ndarray    # (n, n, 2, 2, 2), totally symmetric
     shapeS: np.ndarray   # (n, n, 2, 2)
     spacing: float
-    periodic: bool = True
 
     def __post_init__(self):
         gB = np.asarray(self.gB, dtype=float)
@@ -221,10 +211,6 @@ class BlaschkeData:
         object.__setattr__(self, "gB", gB)
         object.__setattr__(self, "pickC", C)
         object.__setattr__(self, "shapeS", S)
-
-    @property
-    def n(self) -> int:
-        return self.gB.shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -429,8 +415,8 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
         if imax > 1e-7 * max(1.0, float(np.max(np.abs(amb)))):
             raise NotReal(f"projected {part} lift has imaginary part {imax:.3e}")
         out[part] = amb.real
-    return AffinePair(out["plus"], out["minus"], h, periodic=False,
-                      path_residual=resid, dual_residual=dual)
+    return AffinePair(out["plus"], out["minus"], h, path_residual=resid,
+                      dual_residual=dual)
 
 
 # ----------------------------------------------------------------------
@@ -444,8 +430,8 @@ def _fit_structure(pair: AffinePair):
     xi = (1/2) Laplace-Beltrami(gB) f in divergence form, shape
     operator from the tangential part of d(xi), and the Pick form
     C(X,Y,Z) = gB((LC(gB) - induced)(X,Y), Z), symmetrized.
-    Non-periodic output carries NaN margins (gB: 2, xi: 3, C: 3, S: 4
-    nodes deep).
+    The output carries NaN margins along the seam (gB: 2, xi: 3, C: 3,
+    S: 4 nodes deep).
 
     The fit runs FIT_ROWS grid rows at a time, each block read with
     FIT_MARGIN rows of halo on either side, wrapped across the seam:
@@ -453,20 +439,19 @@ def _fit_structure(pair: AffinePair):
     4 rows, so every fitted row equals the whole-grid fit bit for bit,
     and only the outputs are grid-sized.  The frame determinant is
     gated before a block is solved, over the block and its halo (the
-    seam band 2 deep left out for a non-periodic pair): once a node
-    fails, no further block is fitted, and DegenerateFrame reports the
-    grid's smallest determinant after the last block.
+    seam band 2 deep left out): once a node fails, no further block is
+    fitted, and DegenerateFrame reports the smallest determinant off
+    that band after the last block.
     """
     f = pair.fplus
     h = pair.spacing
-    per = pair.periodic
     n = pair.n
     gB = np.empty((n, n, 2, 2))
     xi = np.empty((n, n, 3))
     S = np.empty((n, n, 2, 2))
     C_sym = np.empty((n, n, 2, 2, 2))
     det = np.empty((n, n))
-    lo = 0 if per else 2                 # the gate leaves out the seam band
+    lo = 2                               # the gate leaves out the seam band
     degenerate = False
     for r0 in range(0, n, FIT_ROWS):
         r1 = min(r0 + FIT_ROWS, n)
@@ -487,12 +472,10 @@ def _fit_structure(pair: AffinePair):
                                     (gB, xi, S, C_sym)])
 
     if degenerate:
-        det_valid = det if per else _interior(det, 2)
-        raise DegenerateFrame(
-            f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
-    if not per:
-        for arr, margin in ((gB, 2), (xi, 3), (S, FIT_MARGIN), (C_sym, 3)):
-            _nan_margin(arr, margin)
+        raise DegenerateFrame("frame determinant reaches "
+                              f"{np.min(np.abs(det[lo:-lo, lo:-lo])):.3e}")
+    for arr, margin in ((gB, 2), (xi, 3), (S, FIT_MARGIN), (C_sym, 3)):
+        _nan_margin(arr, margin)
     return gB, xi, S, C_sym
 
 
@@ -612,7 +595,7 @@ def structure_residuals(pair: AffinePair):
 def blaschke_data(pair: AffinePair) -> BlaschkeData:
     """Extract Blaschke metric, symmetrized Pick form and shape field."""
     gB, _, S, C_sym = _fitted(pair)
-    return BlaschkeData(gB, C_sym, S, pair.spacing, periodic=pair.periodic)
+    return BlaschkeData(gB, C_sym, S, pair.spacing)
 
 
 def pick_cubic(data: BlaschkeData) -> np.ndarray:

@@ -10,13 +10,16 @@ The tau-conjugate z1 - tau*z2 swaps the idempotent components and fixes C.
 The tau-norm w * conj_tau(w) = z1^2 - z2^2 is complex valued; it vanishes
 exactly on the zero divisors.
 
-Vectors and matrices over C_tau share one private base, _Pair: a pair
-(plus, minus) of complex arrays of a fixed SHAPE, with the pair arithmetic
-written once.  BcVec3 pairs 3-vectors; BcMat3 pairs 3x3 arrays and adds
-identity, products, det and inverse, each componentwise.  Scalars keep
-their (z1, z2) storage, which fixes the rounding of tau-scalar results.
-The map phi_iso embeds GL(3,C) into the matrices preserving the Hermitian
-form q via A |-> A e+ + Q (A^-1)^T Q e-, with Q = diag(1,1,-1).
+Scalars keep their (z1, z2) storage, which fixes the rounding of
+tau-scalar results, and carry +, -, * and negation; `invert` inverts
+one.  Vectors and matrices over C_tau share one private base, _Pair: a
+pair (plus, minus) of complex arrays of a fixed SHAPE, with the pair
+operations the program uses written once: difference, scaling by a
+C_tau scalar and tau-conjugation.  BcVec3 pairs 3-vectors; BcMat3 pairs
+3x3 arrays and adds only the product, part by part.  Equality of any of
+these values is identity; compare their parts.  The map phi_iso embeds
+GL(3,C) into the matrices preserving the Hermitian form q via
+A |-> A e+ + Q (A^-1)^T Q e-, with Q = diag(1,1,-1).
 """
 
 from __future__ import annotations
@@ -66,16 +69,6 @@ class Bicomplex(Frozen):
     def __repr__(self):
         return "Bicomplex(%r, %r)" % (self.z1, self.z2)
 
-    def __eq__(self, other):
-        other = as_bicomplex(other)
-        if other is None:
-            return NotImplemented
-        return self.z1 == other.z1 and self.z2 == other.z2
-
-    def __hash__(self):
-        # a tau-real value equals its complex number, so it hashes as one
-        return hash(self.z1) if self.z2 == 0 else hash((self.z1, self.z2))
-
     def __add__(self, other):
         other = as_bicomplex(other)
         if other is None:
@@ -93,12 +86,6 @@ class Bicomplex(Frozen):
             return NotImplemented
         return Bicomplex(self.z1 - other.z1, self.z2 - other.z2)
 
-    def __rsub__(self, other):
-        other = as_bicomplex(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = as_bicomplex(other)
         if other is None:
@@ -108,27 +95,8 @@ class Bicomplex(Frozen):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = as_bicomplex(other)
-        if other is None:
-            return NotImplemented
-        return self * invert(other)
 
-    def __rtruediv__(self, other):
-        other = as_bicomplex(other)
-        if other is None:
-            return NotImplemented
-        return other * invert(self)
-
-    def __abs__(self):
-        # sup of the idempotent moduli; a convenient absolute scale, not the tau-norm
-        return max(abs(self.plus), abs(self.minus))
-
-
-ONE = Bicomplex(1.0, 0.0)
 TAU = Bicomplex(0.0, 1.0)
-E_PLUS = Bicomplex(0.5, 0.5)
-E_MINUS = Bicomplex(0.5, -0.5)
 
 
 def as_bicomplex(x):
@@ -163,7 +131,7 @@ def invert(w: Bicomplex) -> Bicomplex:
 
 class _Pair(Frozen):
     """An idempotent pair w = plus e+ + minus e- of complex arrays of
-    shape SHAPE.  Addition, scaling by a C_tau scalar and
+    shape SHAPE.  Difference, scaling by a C_tau scalar and
     tau-conjugation (which swaps the parts) act part by part."""
 
     __slots__ = ("plus", "minus")
@@ -188,29 +156,13 @@ class _Pair(Frozen):
         v = np.asarray(v, dtype=complex).reshape(cls.SHAPE)
         return cls(v, v)
 
-    @property
-    def z1(self) -> np.ndarray:
-        return (self.plus + self.minus) / 2.0
-
-    @property
-    def z2(self) -> np.ndarray:
-        return (self.plus - self.minus) / 2.0
-
     def tau_conj(self):
         return type(self)(self.minus, self.plus)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return type(self)(self.plus + other.plus, self.minus + other.minus)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return type(self)(self.plus - other.plus, self.minus - other.minus)
-
-    def __neg__(self):
-        return type(self)(-self.plus, -self.minus)
 
     def scale(self, a):
         w = as_bicomplex(a)
@@ -218,13 +170,6 @@ class _Pair(Frozen):
             raise TypeError(f"cannot scale {type(self).__name__} by "
                             f"{type(a).__name__}")
         return type(self)(w.plus * self.plus, w.minus * self.minus)
-
-    def __mul__(self, a):
-        if as_bicomplex(a) is None:
-            return NotImplemented
-        return self.scale(a)
-
-    __rmul__ = __mul__
 
     def norm_max(self) -> float:
         return float(np.maximum(np.abs(self.plus).max(),
@@ -246,34 +191,18 @@ class BcVec3(_Pair):
 class BcMat3(_Pair):
     """3x3 matrix over C_tau as an idempotent pair (plus, minus).
 
-    Products, inverses and determinants act componentwise because
-    e+ e- = 0.  tau-conjugation swaps the two components.
+    Products act componentwise because e+ e- = 0.  tau-conjugation
+    swaps the two components.
     """
 
     __slots__ = ()
     SHAPE = (3, 3)
-
-    @classmethod
-    def identity(cls) -> "BcMat3":
-        return cls(np.eye(3), np.eye(3))
 
     def __matmul__(self, other):
         if isinstance(other, (BcMat3, BcVec3)):
             return type(other)(self.plus @ other.plus,
                                self.minus @ other.minus)
         return NotImplemented
-
-    def det(self) -> Bicomplex:
-        return Bicomplex.from_idempotent(np.linalg.det(self.plus),
-                                         np.linalg.det(self.minus))
-
-    def inv(self) -> "BcMat3":
-        dp = np.linalg.det(self.plus)
-        dm = np.linalg.det(self.minus)
-        if abs(dp) < 1e-13 or abs(dm) < 1e-13:
-            raise Singular("idempotent determinant too small: %g / %g"
-                           % (abs(dp), abs(dm)))
-        return BcMat3(np.linalg.inv(self.plus), np.linalg.inv(self.minus))
 
 
 def phi_iso(A) -> BcMat3:

@@ -104,11 +104,6 @@ class HyperboloidPoint(Frozen):
         return (abs(lam_p * lam_m - 1.0)
                 < ORBIT_TOL * max(1.0, abs(lam_p * lam_m)))
 
-    def __eq__(self, other):
-        if not isinstance(other, HyperboloidPoint):
-            return NotImplemented
-        return self.same_as(other)
-
     def __repr__(self):
         return f"HyperboloidPoint({self.rep!r})"
 
@@ -136,14 +131,6 @@ class TangentVector(Frozen):
 
     def J(self) -> "TangentVector":
         return TangentVector(self.base, self.vec.scale(TAU).scale(1j), check=False)
-
-    def __add__(self, other):
-        if self.base is not other.base and not self.base.same_as(other.base):
-            raise BaseMismatch("tangent vectors at different points")
-        return TangentVector(self.base, self.vec + other.vec, check=False)
-
-    def scale(self, a) -> "TangentVector":
-        return TangentVector(self.base, self.vec.scale(a), check=False)
 
     def __repr__(self):
         return f"TangentVector({self.vec!r} at {self.base!r})"

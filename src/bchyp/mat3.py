@@ -28,8 +28,6 @@ The module stores nothing.  Planes are the one dense layout of the
 package's 3x3 fields: the transport chain (connection, affine) keeps its
 data as planes from end to end, and `planes` converts a (..., 3, 3)
 stack for the callers that start from one (the word scan's generators).
-Batch shapes broadcast, so a constant matrix enters as plain (3, 3)
-planes.
 """
 
 from __future__ import annotations
@@ -45,7 +43,8 @@ def planes(M) -> np.ndarray:
 
 
 def matmul(A, B, out=None) -> np.ndarray:
-    """A @ B for planes A (m, 3, ...) and B (3, k, ...).
+    """A @ B for planes A (m, 3, ...) and B (3, k, ...) of one batch
+    shape.
 
     Row form: out = A[:, 0] B[0, :] + A[:, 1] B[1, :] + A[:, 2] B[2, :],
     each term one broadcast product over all m k entries, so every entry
@@ -53,13 +52,7 @@ def matmul(A, B, out=None) -> np.ndarray:
     when given, must not share memory with A or B.
     """
     A, B = np.asarray(A), np.asarray(B)
-    batch = A.shape[2:]
-    if B.shape[2:] != batch:
-        # line up the batch axes, so a constant factor broadcasts
-        batch = np.broadcast_shapes(batch, B.shape[2:])
-        A, B = (M.reshape(M.shape[:2] + (1,) * (len(batch) + 2 - M.ndim)
-                          + M.shape[2:]) for M in (A, B))
-    shape = (A.shape[0], B.shape[1]) + batch
+    shape = (A.shape[0], B.shape[1]) + A.shape[2:]
     if out is None:
         out = np.empty(shape, dtype=np.result_type(A, B))
     tmp = np.empty(shape, dtype=out.dtype)

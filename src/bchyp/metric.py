@@ -12,8 +12,9 @@ plus the two commutator coefficients
     [d_zbar, d_w] = logA * d_w - logB * d_zbar,
     logA = d_zbar log(dz/dw),    logB = d_w log(dwbar/dzbar).
 
-We never solve the Beltrami equation: charts are either exactly constant
-in mu (closed form) or supplied as smooth fields by the caller.
+We never solve the Beltrami equation: every chart is built in closed
+form, its commutator coefficients included (constant mu, or the sine
+diffeomorphism of BeltramiChart.sine_perturbed).
 
 All derivatives are centered second-order differences on the periodic
 grid, and second derivatives are *compositions* of first differences.
@@ -120,9 +121,6 @@ class TorusGrid(Frozen):
     def dy(self, f: np.ndarray) -> np.ndarray:
         return centered_dy(f, self.spacing)
 
-    def dz(self, f: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.dx(f) - 1j * self.dy(f))
-
     def dzb(self, f: np.ndarray) -> np.ndarray:
         return 0.5 * (self.dx(f) + 1j * self.dy(f))
 
@@ -133,32 +131,20 @@ class TorusGrid(Frozen):
         return f"TorusGrid(n={self.n})"
 
 
-def _stencil_logs(grid, mu, dwz, dzbwb):
-    """Commutator coefficients (logA, logB) of a chart from grid stencils."""
-    logA = grid.dzb(dwz) / dwz
-    logB = dwz * (grid.dz(dzbwb) + np.conj(mu) * grid.dzb(dzbwb)) / dzbwb
-    return logA, logB
-
-
 class BeltramiChart(Frozen):
-    """First-order data of a w-coordinate over the z-chart."""
+    """First-order data of a w-coordinate over the z-chart, with its
+    two commutator coefficients logA and logB in closed form."""
 
     __slots__ = ("grid", "mu", "dwz", "dzbwb", "logA", "logB")
 
-    def __init__(self, grid: TorusGrid, mu, dwz, dzbwb,
-                 logA=None, logB=None):
+    def __init__(self, grid: TorusGrid, mu, dwz, dzbwb, logA, logB):
         mu = grid.field(mu)
         sup = np.abs(mu).max()
         if sup >= 1.0:
             raise ValueError(f"sup|mu| = {sup} >= 1: metric not positive")
-        dwz = grid.field(dwz)
-        dzbwb = grid.field(dzbwb)
-        if logA is None or logB is None:
-            la, lb = _stencil_logs(grid, mu, dwz, dzbwb)
-            logA = la if logA is None else logA
-            logB = lb if logB is None else logB
-        self._set(grid=grid, mu=mu, dwz=dwz, dzbwb=dzbwb,
-                  logA=grid.field(logA), logB=grid.field(logB))
+        self._set(grid=grid, mu=mu, dwz=grid.field(dwz),
+                  dzbwb=grid.field(dzbwb), logA=grid.field(logA),
+                  logB=grid.field(logB))
 
     @classmethod
     def constant_mu(cls, grid: TorusGrid, m: complex) -> "BeltramiChart":
@@ -179,8 +165,10 @@ class BeltramiChart(Frozen):
         """Chart of the real diffeomorphism w = z + eps sin(2pi x)cos(2pi y).
 
         All first-order fields and commutator coefficients are closed
-        form (the Jacobian determinant collapses to 1 + eps s_x), so the
-        chart carries no stencil error of its own.
+        form (the Jacobian determinant collapses to 1 + eps s_x).  The
+        connection still differentiates the chart by stencils:
+        connection.assemble takes d_w(dwz) and d_zbar(dzbwb) on the
+        grid (ROADMAP item 24).
         """
         a = 2.0 * np.pi
         X, Y = a * grid.x, a * grid.y

@@ -57,7 +57,7 @@ from scipy.linalg import expm, null_space
 from bchyp import mat3
 from bchyp._frozen import Frozen
 from bchyp.affine import (
-    FIT_MARGIN, DegenerateFrame, _christoffel, _interior, _nan_margin, eta,
+    FIT_MARGIN, DegenerateFrame, _christoffel, _nan_margin, eta,
 )
 from bchyp.bicomplex import as_bicomplex
 from bchyp.connection import (
@@ -65,7 +65,7 @@ from bchyp.connection import (
     max_abs, maurer_cartan_residual, transport,
 )
 from bchyp.metric import (
-    ComplexMetric, _stencil_logs, centered_dx, centered_dy, laplacian,
+    ComplexMetric, centered_dx, centered_dy, laplacian,
 )
 from bchyp.replib import (COND_TOL, DET_DRIFT, DET_TOL, GAP_FLOOR, GAP_TOL,
                           NotDiagonalizable, NotUnimodular)
@@ -335,11 +335,21 @@ def entry_mapping(field):
             for part, P in field.items()}
 
 
+def constant_planes(K, M: np.ndarray) -> np.ndarray:
+    """A constant matrix K (m, k) as planes of the batch shape of planes
+    M (a broadcast view), so that mat3.matmul takes it with M."""
+    K = np.asarray(K)
+    K = K.reshape(K.shape + (1,) * (M.ndim - 2))
+    return np.broadcast_to(K, K.shape[:2] + M.shape[2:])
+
+
 def solve(A, B):
-    """X with A X = B for planes A (3, 3, ...) and B (3, k, ...), as
-    adj(A) B / det(A); a singular A gives non-finite entries without a
-    warning."""
-    A = np.asarray(A)
+    """X with A X = B for planes A (3, 3, ...) and B (3, k, ...) or a
+    constant B (3, k), as adj(A) B / det(A); a singular A gives
+    non-finite entries without a warning."""
+    A, B = np.asarray(A), np.asarray(B)
+    if B.ndim < A.ndim:
+        B = constant_planes(B, A)
     X = mat3.matmul(mat3.adj(A), B)
     with np.errstate(divide="ignore", invalid="ignore"):
         X /= mat3.det(A)
@@ -393,7 +403,6 @@ def fit_structure_whole(pair):
     degenerate-frame gate before the solves."""
     f = pair.fplus
     h = pair.spacing
-    per = pair.periodic
     n = pair.n
     frame = np.empty((3, 3, n, n))
     second = np.empty((3, 3, n, n))
@@ -405,7 +414,7 @@ def fit_structure_whole(pair):
         second[i, 1] = centered_dy(fx, h)
         second[i, 2] = centered_dy(fy, h)
     det = mat3.det(frame)
-    det_valid = det if per else _interior(det, 2)
+    det_valid = det[2:n - 2, 2:n - 2]
     if float(np.min(np.abs(det_valid))) < 1e-10:
         raise DegenerateFrame(
             f"frame determinant reaches {np.min(np.abs(det_valid)):.3e}")
@@ -447,14 +456,12 @@ def fit_structure_whole(pair):
     C_sym[..., 1, 1, 1] = C[2][1]
     S = np.moveaxis(scoef, (0, 1), (2, 3))
     xi = np.moveaxis(xi, 0, -1)
-    if per:
-        return gB, xi, S, C_sym
     return (_mask_margin(gB, 2), _mask_margin(xi, 3),
             _mask_margin(S, FIT_MARGIN), _mask_margin(C_sym, 3))
 
 
 def _mask_margin(arr: np.ndarray, margin: int) -> np.ndarray:
-    """NaN out the wrap-contaminated band of a non-periodic field."""
+    """NaN out the wrap-contaminated band of a field along the seam."""
     if margin <= 0:
         return arr
     out = np.array(arr, dtype=float if arr.dtype != complex else complex)
@@ -547,6 +554,7 @@ def _adjoint(M: np.ndarray, K: np.ndarray) -> np.ndarray:
     """K M^T K for planes M and a constant symmetric K (QTILDE, HTILDE).
     The pairings are bilinear over C_tau, so no conjugation enters and
     the adjoint respects the idempotent parts."""
+    K = constant_planes(K, M)
     return mat3.matmul(mat3.matmul(K, M.swapaxes(0, 1)), K)
 
 
@@ -676,14 +684,14 @@ def conjugate_frame(conn, g):
     For g in the stabilizer group of QTILDE this preserves the pairing
     residual exactly; holonomies conjugate by the same g.
     """
-    gi = g.inv()
-
     def cf(name: str) -> dict:
         M = dense(conn, name)
         out = {}
         for part in PARTS:
-            P = mat3.matmul(mat3.matmul(getattr(gi, part), M[part]),
-                            getattr(g, part))
+            gp = getattr(g, part)
+            gi = constant_planes(np.linalg.inv(gp), M[part])
+            P = mat3.matmul(mat3.matmul(gi, M[part]),
+                            constant_planes(gp, M[part]))
             out[part] = {(i, j): P[i, j] for i in range(3) for j in range(3)}
         return out
 
@@ -710,10 +718,20 @@ def curvature(h) -> np.ndarray:
     return -laplacian(h, h.psi)
 
 
+def stencil_logs(grid, mu, dwz, dzbwb):
+    """Commutator coefficients (logA, logB) of a chart from the grid's
+    2nd-order stencils: logA = d_zbar(dwz) / dwz and
+    logB = dwz (d_z + conj(mu) d_zbar)(dzbwb) / dzbwb."""
+    dz = 0.5 * (grid.dx(dzbwb) - 1j * grid.dy(dzbwb))
+    logA = grid.dzb(dwz) / dwz
+    logB = dwz * (dz + np.conj(mu) * grid.dzb(dzbwb)) / dzbwb
+    return logA, logB
+
+
 def consistency_residual(chart) -> float:
     """Max-abs gap between supplied and stencil-computed commutator
     coefficients; O(spacing^2) for genuinely smooth chart data."""
-    la, lb = _stencil_logs(chart.grid, chart.mu, chart.dwz, chart.dzbwb)
+    la, lb = stencil_logs(chart.grid, chart.mu, chart.dwz, chart.dzbwb)
     return float(max(np.abs(chart.logA - la).max(),
                      np.abs(chart.logB - lb).max()))
 
@@ -724,12 +742,13 @@ def isclose(a, b, tol: float = 1e-12) -> bool:
     return abs(a.z1 - b.z1) <= tol and abs(a.z2 - b.z2) <= tol
 
 
-def conormal_residual(pair) -> np.ndarray:
-    """max(|eta(d_x f+, f-)|, |eta(d_y f+, f-)|) per node."""
+def conormal_residual(pair, margin: int = 1) -> np.ndarray:
+    """max(|eta(d_x f+, f-)|, |eta(d_y f+, f-)|) per node, NaN on the
+    `margin` seam band (0 for a pair that wraps across the seam)."""
     cx = eta(centered_dx(pair.fplus, pair.spacing), pair.fminus)
     cy = eta(centered_dy(pair.fplus, pair.spacing), pair.fminus)
     res = np.maximum(np.abs(cx), np.abs(cy))
-    return res if pair.periodic else _mask_margin(res, 1)
+    return _mask_margin(res, margin)
 
 
 def _gauss_curvature(gB: np.ndarray, spacing: float) -> np.ndarray:

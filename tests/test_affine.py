@@ -46,7 +46,7 @@ def hyperboloid_patch(n):
 
 def hyperboloid_pair(n):
     f, r, grid = hyperboloid_patch(n)
-    return AffinePair(f, f, grid.spacing, periodic=False), r, grid
+    return AffinePair(f, f, grid.spacing), r, grid
 
 
 def deformed_pair(n, amp=0.05):
@@ -103,7 +103,7 @@ def test_deformed_pair_conormal_order():
     for n in (32, 64):
         f, grid = deformed_pair(n)
         pair = AffinePair(f, f, grid.spacing)
-        assert (np.max(oracles.conormal_residual(pair))
+        assert (np.max(oracles.conormal_residual(pair, margin=0))
                 < 0.5 * grid.spacing ** 2)
 
 
@@ -157,7 +157,7 @@ def test_structure_equivariance_unimodular():
     fL = np.einsum("ij,...j->...i", L, pair.fplus)
     fmL = np.einsum("ij,...j->...i", Q3 @ np.linalg.inv(L).T @ Q3,
                     pair.fminus)
-    pairL = AffinePair(fL, fmL, grid.spacing, periodic=False)
+    pairL = AffinePair(fL, fmL, grid.spacing)
 
     gB0, xi0, S0, C0 = _fit_structure(pair)
     gBL, xiL, SL_, CL = _fit_structure(pairL)
@@ -232,7 +232,7 @@ def test_roundtrip_checks_fit_each_side_once(monkeypatch):
 
     def fresh():
         return AffinePair(cached.fplus, cached.fminus, cached.spacing,
-                          periodic=False, path_residual=cached.path_residual)
+                          path_residual=cached.path_residual)
 
     fit = affine._fit_structure
     calls = []
@@ -582,13 +582,11 @@ def same_fit(got, want):
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_blocked_fit_equals_the_whole_grid_oracle(n):
     # row blocks with a 4-row halo fit every node as the whole grid
-    # does: a pair flagged periodic wraps its halo across the seam (the
-    # hyperboloid patch, whose seam jump reaches every stencil), and an
-    # integrated pair matches with its NaN margins
-    f, _, grid = hyperboloid_patch(n)
-    wrapped = AffinePair(f, f, grid.spacing, periodic=True)
+    # does, NaN margins and all: the hyperboloid patch, whose seam jump
+    # reaches every wrapped stencil, and an integrated pair
+    patch = hyperboloid_pair(n)[0]
     pair = integrate_frame(wang_conn(n))
-    for p in (wrapped, pair, pair.dual()):
+    for p in (patch, pair, pair.dual()):
         assert same_fit(_fit_structure(p), oracles.fit_structure_whole(p))
 
 
@@ -600,13 +598,12 @@ def test_blocked_fit_raises_the_grid_minimum_of_a_degenerate_frame(row):
     # gate raises with the whole-grid fit's minimum
     f, _, grid = hyperboloid_patch(128)
     f[row:row + 4] = f[row]
-    for per in (True, False):
-        pair = AffinePair(f, f, grid.spacing, periodic=per)
-        with pytest.raises(DegenerateFrame) as want:
-            oracles.fit_structure_whole(pair)
-        with pytest.raises(DegenerateFrame) as got:
-            _fit_structure(pair)
-        assert str(got.value) == str(want.value)
+    pair = AffinePair(f, f, grid.spacing)
+    with pytest.raises(DegenerateFrame) as want:
+        oracles.fit_structure_whole(pair)
+    with pytest.raises(DegenerateFrame) as got:
+        _fit_structure(pair)
+    assert str(got.value) == str(want.value)
 
 
 def test_integrate_frame_peak_memory_within_five_fields():

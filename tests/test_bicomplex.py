@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bchyp import bicomplex
 from bchyp.bicomplex import (
-    Bicomplex, BcVec3, BcMat3, ONE, TAU, E_PLUS, E_MINUS, Q3,
+    Bicomplex, BcVec3, BcMat3, TAU, Q3,
     tau_conj, invert, phi_iso, compatibility_residual,
     ZeroDivisor, Singular,
 )
@@ -16,6 +16,22 @@ from oracles import isclose
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
+
+# the unit and the idempotents e+ = (1 + tau)/2, e- = (1 - tau)/2
+ONE = Bicomplex(1.0, 0.0)
+E_PLUS = Bicomplex(0.5, 0.5)
+E_MINUS = Bicomplex(0.5, -0.5)
+
+
+def parts(w):
+    """The (1, tau) coefficients of a scalar: values compare by these,
+    since equality of Bicomplex is identity."""
+    return w.z1, w.z2
+
+
+def sup(w):
+    """The larger idempotent modulus of a scalar, an absolute scale."""
+    return max(abs(w.plus), abs(w.minus))
 
 
 def bc(draw_re1, draw_im1, draw_re2, draw_im2):
@@ -26,11 +42,11 @@ bicomplexes = st.builds(bc, finite, finite, finite, finite)
 
 
 def test_basis_relations():
-    assert TAU * TAU == ONE
-    assert E_PLUS * E_PLUS == E_PLUS
-    assert E_MINUS * E_MINUS == E_MINUS
-    assert E_PLUS * E_MINUS == Bicomplex(0, 0)
-    assert E_PLUS + E_MINUS == ONE
+    assert parts(TAU * TAU) == (1, 0)
+    assert parts(E_PLUS * E_PLUS) == parts(E_PLUS)
+    assert parts(E_MINUS * E_MINUS) == parts(E_MINUS)
+    assert parts(E_PLUS * E_MINUS) == (0, 0)
+    assert parts(E_PLUS + E_MINUS) == (1, 0)
     # j = tau*i squares to -1
     j = TAU * Bicomplex(1j, 0)
     assert isclose(j * j, Bicomplex(-1, 0))
@@ -46,12 +62,12 @@ def test_idempotent_views_reconstruct():
 
 def test_tau_conj_examples():
     # definition on basis elements
-    assert tau_conj(ONE + TAU) == ONE - TAU
+    assert parts(tau_conj(ONE + TAU)) == parts(ONE - TAU)
     # tau-conjugation fixes C
-    assert tau_conj(Bicomplex(1j, 0)) == Bicomplex(1j, 0)
+    assert parts(tau_conj(Bicomplex(1j, 0))) == (1j, 0)
     # componentwise
     w = Bicomplex(2 + 3j, 1 - 1j)
-    assert tau_conj(w) == Bicomplex(2 + 3j, -(1 - 1j))
+    assert parts(tau_conj(w)) == (2 + 3j, -(1 - 1j))
 
 
 @given(bicomplexes, bicomplexes)
@@ -67,11 +83,11 @@ def test_tau_conj_involutive_multiplicative(a, b):
 def test_tau_norm_examples():
     # the tau-norm w conj_tau(w): 1 + tau is a zero divisor (scaled
     # idempotent), and the unit scalars cosh(v) + tau sinh(v) have norm 1
-    assert (ONE + TAU) * tau_conj(ONE + TAU) == 0
+    assert parts((ONE + TAU) * tau_conj(ONE + TAU)) == (0, 0)
     v = 0.7 + 0.3j
     w = Bicomplex(cmath.cosh(v), cmath.sinh(v))
-    assert abs(w * tau_conj(w) - 1.0) < 1e-12
-    assert Bicomplex(1j, 0) * tau_conj(Bicomplex(1j, 0)) == -1
+    assert sup(w * tau_conj(w) - 1.0) < 1e-12
+    assert parts(Bicomplex(1j, 0) * tau_conj(Bicomplex(1j, 0))) == (-1, 0)
 
 
 @given(bicomplexes)
@@ -88,17 +104,17 @@ def test_tau_norm_is_idempotent_product(w):
 @given(bicomplexes, bicomplexes, bicomplexes)
 @settings(max_examples=200, deadline=None)
 def test_ring_axioms(a, b, c):
-    scale = 1 + max(abs(a), abs(b), abs(c)) ** 3
+    scale = 1 + max(sup(a), sup(b), sup(c)) ** 3
     d1 = (a * b) * c - a * (b * c)
-    assert abs(d1) < 1e-12 * scale
+    assert sup(d1) < 1e-12 * scale
     d2 = a * (b + c) - (a * b + a * c)
-    assert abs(d2) < 1e-12 * scale
+    assert sup(d2) < 1e-12 * scale
     d3 = a * b - b * a
-    assert abs(d3) < 1e-12 * scale
+    assert sup(d3) < 1e-12 * scale
 
 
 def test_invert_examples():
-    assert invert(ONE) == ONE
+    assert parts(invert(ONE)) == (1, 0)
     assert isclose(invert(TAU), TAU)
     w = Bicomplex.from_idempotent(2.0, 0.5)
     wi = invert(w)
@@ -114,29 +130,11 @@ def test_invert_zero_divisor():
         invert(E_MINUS)
 
 
-def test_division():
-    a = Bicomplex(drand := 2 + 1j, 0.5 - 0.25j)
-    b = Bicomplex(1 - 1j, 0.125j)
-    q = a / b
-    assert isclose(q * b, a, 1e-12)
-    assert drand == 2 + 1j  # walrus only used to silence linters on constants
-
-
 def test_scalar_coercion():
     w = Bicomplex(1, 2)
     assert isclose(2 * w, Bicomplex(2, 4))
     assert isclose(w + 1, Bicomplex(2, 2))
     assert isclose((1 + 1j) * TAU, Bicomplex(0, 1 + 1j))
-
-
-@pytest.mark.parametrize("x", [1, -2, 0.5, 3 + 4j, 1j, 0])
-def test_tau_real_values_hash_as_their_number(x):
-    w = Bicomplex(x, 0)
-    assert w == x and hash(w) == hash(x)
-    assert w in {x} and x in {w}
-    assert {x: "x"}[w] == "x"
-    assert Bicomplex(x, -0.0) in {w}
-    assert TAU + x not in {x}
 
 
 @pytest.mark.parametrize("cls", [BcVec3, BcMat3])
@@ -150,23 +148,21 @@ def test_pair_arithmetic(cls):
     x, y = draw(), draw()
     w = cls.from_tau_parts(x, y)
     assert type(w) is cls and w.plus.shape == cls.SHAPE
-    assert np.allclose(w.z1, x, rtol=0, atol=1e-14)
-    assert np.allclose(w.z2, y, rtol=0, atol=1e-14)
+    assert np.array_equal(w.plus, x + y) and np.array_equal(w.minus, x - y)
     c = cls.from_complex(x)
     assert np.array_equal(c.plus, x) and np.array_equal(c.minus, x)
     assert not c.plus.flags.writeable
     v = cls(draw(), draw())
-    for got, p, m in ((w + v, w.plus + v.plus, w.minus + v.minus),
-                      (w - v, w.plus - v.plus, w.minus - v.minus),
-                      (-w, -w.plus, -w.minus)):
-        assert type(got) is cls
-        assert np.array_equal(got.plus, p) and np.array_equal(got.minus, m)
+    got = w - v
+    assert type(got) is cls
+    assert np.array_equal(got.plus, w.plus - v.plus)
+    assert np.array_equal(got.minus, w.minus - v.minus)
     a = Bicomplex(0.5 - 1j, 2 + 0.25j)
     for s, sp, sm in ((2 - 1j, 2 - 1j, 2 - 1j), (a, a.plus, a.minus)):
-        for got in (w.scale(s), w * s, s * w):
-            assert type(got) is cls
-            assert np.array_equal(got.plus, sp * w.plus)
-            assert np.array_equal(got.minus, sm * w.minus)
+        got = w.scale(s)
+        assert type(got) is cls
+        assert np.array_equal(got.plus, sp * w.plus)
+        assert np.array_equal(got.minus, sm * w.minus)
     t = w.tau_conj()
     assert np.array_equal(t.plus, w.minus) and np.array_equal(t.minus, w.plus)
     assert np.array_equal(t.tau_conj().plus, w.plus)
@@ -176,14 +172,15 @@ def test_pair_arithmetic(cls):
 
 
 def test_pair_arithmetic_refuses_foreign_operands():
-    # + and - take only the same pair type, * and scale only a C_tau
-    # scalar; anything else is a TypeError, never a silent broadcast
+    # - takes only the same pair type and scale only a C_tau scalar;
+    # anything else is a TypeError, never a silent broadcast, and so is
+    # an operation the pairs do not carry
     v = BcVec3([1, 2, 3], [1j, 0, 0])
-    X = BcMat3.identity()
-    for bad in (lambda: X + v, lambda: v + X, lambda: X - v, lambda: v - X,
-                lambda: v + 1, lambda: 1 - v, lambda: v + Bicomplex(1, 0),
-                lambda: v * "a", lambda: "a" * v, lambda: v * None,
-                lambda: v * v, lambda: X * X, lambda: v.scale("a")):
+    X = BcMat3(np.eye(3), np.eye(3))
+    for bad in (lambda: X - v, lambda: v - X, lambda: v - 1, lambda: 1 - v,
+                lambda: v - Bicomplex(1, 0), lambda: v.scale("a"),
+                lambda: v.scale(None), lambda: v.scale(v), lambda: X + X,
+                lambda: -v, lambda: 2 * v, lambda: v * TAU):
         with pytest.raises(TypeError):
             bad()
 
@@ -199,11 +196,6 @@ def test_mat3_acts_on_vec3():
         X @ Bicomplex(1, 0)
 
 
-def test_mat3_inv_rejects_a_singular_part():
-    with pytest.raises(Singular, match="idempotent determinant too small"):
-        BcMat3(np.eye(3), np.diag([1.0, 1.0, 0.0])).inv()
-
-
 def test_pair_arithmetic_lives_once_on_the_base():
     # BcVec3 and BcMat3 share one copy of the pair arithmetic: neither
     # redefines a method of the base
@@ -215,20 +207,18 @@ def test_pair_arithmetic_lives_once_on_the_base():
                 {s.name for s in node.body if isinstance(s, ast.FunctionDef)}
                 | {t.id for s in node.body if isinstance(s, ast.Assign)
                    for t in s.targets if isinstance(t, ast.Name)})
-    shared = {"__init__", "from_tau_parts", "from_complex", "z1", "z2",
-              "tau_conj", "__add__", "__sub__", "__neg__", "scale",
-              "__mul__", "__rmul__", "norm_max", "__repr__"}
+    shared = {"__init__", "from_tau_parts", "from_complex", "tau_conj",
+              "__sub__", "scale", "norm_max", "__repr__"}
     assert shared <= names.get("_Pair", set())
     assert names["BcVec3"] == {"__slots__", "SHAPE"}
-    assert names["BcMat3"] == {"__slots__", "SHAPE", "identity",
-                               "__matmul__", "det", "inv"}
+    assert names["BcMat3"] == {"__slots__", "SHAPE", "__matmul__"}
 
 
 def test_vec3_basics():
     v = BcVec3.from_tau_parts([1, 0, 0], [0, 1, 0])
     assert np.allclose(v.plus, [1, 1, 0])
     assert np.allclose(v.minus, [1, -1, 0])
-    assert np.allclose(v.z1, [1, 0, 0])
+    assert np.allclose((v.plus + v.minus) / 2, [1, 0, 0])
     c = v.tau_conj()
     assert np.allclose(c.plus, v.minus)
     w = v.scale(TAU)
@@ -245,10 +235,11 @@ def test_mat3_product_and_det():
     Z = X @ Y
     assert np.abs(Z.plus - X.plus @ Y.plus).max() == 0
     assert np.abs(Z.minus - X.minus @ Y.minus).max() == 0
-    dZ = Z.det()
-    dXdY = X.det() * Y.det()
-    assert abs(dZ.z1 - dXdY.z1) < 1e-9 * (1 + abs(dXdY.z1))
-    I = X @ X.inv()
+    for part in ("plus", "minus"):
+        dZ = np.linalg.det(getattr(Z, part))
+        dXdY = np.linalg.det(getattr(X, part)) * np.linalg.det(getattr(Y, part))
+        assert abs(dZ - dXdY) < 1e-9 * (1 + abs(dXdY))
+    I = X @ BcMat3(np.linalg.inv(X.plus), np.linalg.inv(X.minus))
     assert np.abs(I.plus - np.eye(3)).max() < 1e-12
     assert np.abs(I.minus - np.eye(3)).max() < 1e-12
 
@@ -306,10 +297,10 @@ def test_phi_iso_preserves_q_matrix():
 def test_phi_det_identity():
     rng = np.random.default_rng(3)
     A = random_gl3(rng)
-    d = phi_iso(A).det()
+    X = phi_iso(A)
     dA = np.linalg.det(A)
-    assert abs(d.plus - dA) < 1e-10 * (1 + abs(dA))
-    assert abs(d.minus - 1.0 / dA) < 1e-10 * (1 + abs(1 / dA))
+    assert abs(np.linalg.det(X.plus) - dA) < 1e-10 * (1 + abs(dA))
+    assert abs(np.linalg.det(X.minus) - 1.0 / dA) < 1e-10 * (1 + abs(1 / dA))
 
 
 def test_phi_singular_rejected():

@@ -1,24 +1,33 @@
 """Every module of the package that declares __all__ exports only names
-it defines, every name of the package runs on a program path, every
-defaulted parameter is set by a call on one, and every slotted value
-type keeps the one immutability rule of bchyp._frozen.Frozen."""
+it defines, every def of the package is called on a program path (a
+call trace of the CLI commands and the frozen criteria says which) and
+every other name is named by one, every defaulted parameter is set by a
+call on one, and every slotted value type keeps the one immutability
+rule of bchyp._frozen.Frozen."""
 
 import ast
+import contextlib
+import functools
 import importlib
+import io
 import pkgutil
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bchyp
-from bchyp.criteria import CRITERIA
+from bchyp import cli
+from bchyp.criteria import run_criterion
 from bchyp.bicomplex import BcMat3, BcVec3, Bicomplex
 from bchyp.chtau import Flag, HyperboloidPoint, TangentVector
 from bchyp.connection import Loop, assemble
 from bchyp.gauss import wang_specialize
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 from bchyp.replib import Representation
+from commands import commands
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bchyp.__path__))
 SOURCES = sorted(Path(bchyp.__file__).parent.glob("*.py"))
@@ -34,50 +43,91 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-#: The program paths: the CLI and the frozen acceptance criteria, whose
-#: table CRITERIA names its functions through globals(), so they are
-#: read off the table itself.
-ROOTS = {"cli.main", "criteria.run_criterion", "criteria.CRITERIA"} | {
-    f"criteria.{f.__name__}" for f in CRITERIA.values()}
+@functools.cache
+def traced() -> frozenset:
+    """Keys "module.qualname" of every package def that the program
+    paths call, recorded with sys.setprofile: the CLI commands of
+    tests/commands.py but the claimed-range cells (which call no def
+    that the others do not), then criterion 8 through run_criterion, as
+    tests/test_acceptance.py runs it.  The CLI runs the other nine
+    criteria itself; its `affine roundtrip` runs criterion 8's check
+    through roundtrip_criterion, which also returns the pair.  A def
+    cached by functools runs once per process, so each cache is cleared
+    first."""
+    for name in MODULES:
+        for value in vars(importlib.import_module(f"bchyp.{name}")).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    codes = set()
 
-#: Names that no program path runs but that stay, each with its reason:
-#: perfbench/spans.py LAYERS patches it, so `perfbench --trace 1` needs
-#: it until the package records its own spans (ROADMAP item 1), or an
-#: open item puts it on a program path.  What a kept name uses is kept
-#: with it.
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for argv, _ in commands(Path(tmp), with_cells=False):
+                cli.main(argv + ["--json"])
+            print(run_criterion(8).line)
+        finally:
+            sys.setprofile(previous)
+    stems = {str(path): path.stem for path in SOURCES}
+    return frozenset(f"{stems[c.co_filename]}.{c.co_qualname}"
+                     for c in codes if c.co_filename in stems)
+
+
+#: Defs that no program path calls but that stay, each with its reason,
+#: keyed "module.name" or "module.Class.method": perfbench/spans.py
+#: LAYERS patches it, so `perfbench --trace 1` needs it until the
+#: package records its own spans (ROADMAP item 1); an open item puts it
+#: on a program path; or it runs only on a failure path or when a value
+#: is printed.  A relative import listed here is kept like a def.
+REPR = "the printed form of a value type, for error messages and sessions"
 KEPT = {
     "gauss.laplacian_matrix": "a perfbench LAYERS span (item 1)",
     "cli.maurer_cartan_residual": "a perfbench LAYERS span (item 1)",
     "cli.residual_background": "a perfbench LAYERS span (item 1)",
     "replib.loxodromy": "a perfbench LAYERS span (item 1)",
     "replib.transversality": "a perfbench LAYERS span (item 1)",
-    "replib.LoxodromyReport": "loxodromy's report (item 1)",
-    "chtau.Flag": "the flags of loxodromy and transversality (item 1)",
+    "chtau.Flag.__init__": "loxodromy's and transversality's flags (item 1)",
+    "chtau.line_plane_det": "transversality's measure (item 1)",
     "chtau.HyperboloidPoint.normalize": "the surface checks (item 19)",
+    "chtau.HyperboloidPoint.same_as": "para_hermitian_eval's base check "
+                                      "(item 19)",
     "chtau.TangentVector.I": "the surface checks (item 19)",
     "chtau.para_hermitian_eval": "the surface checks (item 19)",
     "bicomplex.tau_conj": "the surface checks (item 19)",
     "bicomplex.im_tau": "the surface checks (item 19)",
     "bicomplex._Pair.from_tau_parts": "the surface checks (item 19)",
     "bicomplex._Pair.tau_conj": "the surface checks (item 19)",
-}
+    "_frozen.Frozen.__setattr__": "refuses every assignment after __init__",
+    "affine.PathDependent.__init__": "raised only on a failure path",
+    "gauss.DidNotConverge.__init__": "raised only on a failure path",
+} | {f"{cls}.__repr__": REPR for cls in (
+    "bicomplex.Bicomplex", "bicomplex._Pair", "chtau.HyperboloidPoint",
+    "chtau.TangentVector", "chtau.Flag", "connection.FlatConnectionField",
+    "connection.Loop", "gauss.SolveReport", "metric.TorusGrid",
+    "metric.BeltramiChart", "metric.ComplexMetric", "metric.CubicPair")}
 
 
-def package_graph():
-    """(defs, imports, wholes, checked) of the package source, keyed
-    "module.name", with a method keyed "module.Class.method".  defs
-    maps each top-level def, class, assignment and method to the AST
-    nodes that run with it (a class: its body but the methods, its bases
-    and decorators); imports maps a relative import to the name it
-    imports; wholes maps a module to the package modules it imports
-    whole.  checked holds every __all__ entry, top-level def and class,
-    public method and relative import."""
+def package_graph(sources):
+    """(defs, imports, wholes, checked) of the modules `sources` maps by
+    name to their source text, keyed "module.name", with a method keyed
+    "module.Class.method".  defs maps each top-level def, class,
+    assignment and method to the AST nodes that run with it (a class:
+    its body but the methods, its bases and decorators); imports maps a
+    relative import to the name it imports; wholes maps a module to the
+    package modules it imports whole.  checked holds every top-level
+    def, class and constant (a non-dunder name assigned at top level),
+    method and relative import."""
     defs, imports, wholes, checked = {}, {}, {}, set()
-    for path in SOURCES:
-        mod, wholes[path.stem] = path.stem, set()
-        checked |= {f"{mod}.{name}" for name in getattr(
-            importlib.import_module(f"bchyp.{mod}"), "__all__", ())}
-        for node in ast.parse(path.read_text()).body:
+    for mod, text in sources.items():
+        wholes[mod] = set()
+        for node in ast.parse(text).body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
                     if node.module is None:
@@ -96,59 +146,106 @@ def package_graph():
                 for stmt in node.body:
                     if isinstance(stmt, ast.FunctionDef):
                         defs[f"{cls}.{stmt.name}"] = [stmt]
-                        if not stmt.name.startswith("_"):
-                            checked.add(f"{cls}.{stmt.name}")
+                        checked.add(f"{cls}.{stmt.name}")
                     else:
                         defs[cls].append(stmt)
             elif isinstance(node, ast.Assign):
                 for t in node.targets:
-                    if isinstance(t, ast.Name) and t.id != "__all__":
+                    if isinstance(t, ast.Name) and not t.id.startswith("__"):
                         defs[f"{mod}.{t.id}"] = [node.value]
+                        checked.add(f"{mod}.{t.id}")
     return defs, imports, wholes, checked
 
 
 def reach(roots, defs, imports, wholes):
     """Every key that a name-level walk from roots reaches.  A name
-    resolves in its own module, through its imports; an attribute of a
-    module imported whole resolves in that module; any other attribute
-    reaches the method (or property) of that name of every reached
-    class, and a reached class reaches its dunder methods."""
-    seen, attrs, todo = set(), set(), list(roots)
+    resolves in its own module, through its imports, and an attribute
+    of a module imported whole resolves in that module.  An attribute
+    of anything else reaches nothing: which method it runs is the
+    trace's to say."""
+    seen, todo = set(), list(roots)
     while todo:
         key = todo.pop()
-        if key not in seen:
-            seen.add(key)
-            if key in imports:
-                todo.append(imports[key])
-            mod = key.split(".")[0]
-            for node in (n for top in defs.get(key, ())
-                         for n in ast.walk(top)):
-                if (isinstance(node, ast.Name)
-                        and isinstance(node.ctx, ast.Load)):
-                    todo.append(f"{mod}.{node.id}")
-                elif isinstance(node, ast.Attribute):
-                    base = getattr(node.value, "id", None)
-                    if base in wholes[mod]:
-                        todo.append(f"{base}.{node.attr}")
-                    attrs.add(node.attr)
-        if not todo:
-            todo = [m for m in defs if m.count(".") == 2
-                    and m.rsplit(".", 1)[0] in seen and m not in seen
-                    and (m.rsplit(".", 1)[1] in attrs
-                         or m.endswith("__"))]
+        if key in seen:
+            continue
+        seen.add(key)
+        if key in imports:
+            todo.append(imports[key])
+        mod = key.split(".")[0]
+        for node in (n for top in defs.get(key, ()) for n in ast.walk(top)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                todo.append(f"{mod}.{node.id}")
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) in wholes[mod]):
+                todo.append(f"{node.value.id}.{node.attr}")
     return seen
 
 
+def is_def(node_list):
+    return len(node_list) == 1 and isinstance(node_list[0], ast.FunctionDef)
+
+
+def audit(graph, called, kept):
+    """(dead, stale) for a package graph, the keys of the defs that ran
+    and the kept names.  A def lives when it ran or is kept; any other
+    checked name when a walk from the live defs and the kept names
+    reaches it.  dead lists the checked names that do not live, stale
+    the kept names that ran or that a walk from the defs that ran
+    reaches."""
+    defs, imports, wholes, checked = graph
+    functions = {k for k, v in defs.items() if is_def(v)}
+    ran = called & functions
+    kept = set(kept)
+    live = ran | kept | (reach(ran | kept, defs, imports, wholes) - functions)
+    running = ran | (reach(ran, defs, imports, wholes) - functions)
+    return sorted(checked - live), sorted(kept & running)
+
+
+def source_graph():
+    """package_graph of the package source, with every __all__ entry
+    checked as well."""
+    defs, imports, wholes, checked = package_graph(
+        {path.stem: path.read_text() for path in SOURCES})
+    checked |= {f"{path.stem}.{name}" for path in SOURCES
+                for name in getattr(importlib.import_module(
+                    f"bchyp.{path.stem}"), "__all__", ())}
+    return defs, imports, wholes, checked
+
+
 def test_every_name_runs_on_a_program_path():
-    # a name reached from no program path is dead code: it is deleted,
-    # or it moves to tests/oracles.py when a test compares against it
-    defs, imports, wholes, checked = package_graph()
+    # a def that no program path calls is dead code, and so is a class,
+    # constant or import that no live def names: it is deleted, or it
+    # moves to tests/oracles.py when a test compares against it
+    graph = source_graph()
+    defs, imports = graph[:2]
     assert set(KEPT) <= set(defs) | set(imports)
-    program = reach(ROOTS, defs, imports, wholes)
-    kept = reach(ROOTS | set(KEPT), defs, imports, wholes)
-    assert sorted(checked - kept) == []
+    dead, stale = audit(graph, traced(), KEPT)
+    assert dead == []
     # a kept name that a program path comes to run leaves the list
-    assert sorted(set(KEPT) & program) == []
+    assert stale == []
+
+
+def test_the_audit_names_an_uncalled_method_and_a_kept_name_that_runs():
+    # make reads Point.norm but never calls it: the attribute reaches no
+    # method by its name, so norm is dead; make ran, so keeping it is
+    # stale, and so is keeping the constant that it names
+    graph = package_graph({"m": (
+        "LIMIT = 2\n"
+        "class Point:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "    def norm(self):\n"
+        "        return abs(self.x)\n"
+        "def make(x):\n"
+        "    return Point(min(x, LIMIT)).norm\n")})
+    called = {"m.make", "m.Point.__init__"}
+    assert audit(graph, called, {}) == (["m.Point.norm"], [])
+    assert audit(graph, called, {"m.make": "planted"}) == (
+        ["m.Point.norm"], ["m.make"])
+    assert audit(graph, called, {"m.Point.norm": "", "m.LIMIT": ""}) == (
+        [], ["m.LIMIT"])
+    assert audit(graph, {"m.Point.norm"}, {}) == (
+        ["m.LIMIT", "m.Point", "m.Point.__init__", "m.make"], [])
 
 
 #: Defaulted parameters that no program call sets but that stay, each
@@ -210,10 +307,9 @@ def callees(call, mod, cls, functions, imports, wholes):
 def test_every_parameter_is_set_on_a_program_path():
     # a default that no program call overrides is a knob that changes
     # nothing: the parameter goes, or it joins KNOBS with its reason
-    defs, imports, wholes, _ = package_graph()
-    program = reach(ROOTS, defs, imports, wholes)
-    functions = {k: v[0] for k, v in defs.items()
-                 if len(v) == 1 and isinstance(v[0], ast.FunctionDef)}
+    defs, imports, wholes, _ = source_graph()
+    functions = {k: v[0] for k, v in defs.items() if is_def(v)}
+    program = traced() & set(functions)
     unset = {f"{k}.{name}" for k in program & set(functions)
              for name in parameters(functions[k])[2]}
     for key in program:

@@ -40,16 +40,6 @@ def test_matmul_matches_stacked_matmul(dtype, k):
     assert np.abs(got - A @ B).max() < 1e-14 * np.abs(A @ B).max()
 
 
-def test_matmul_broadcasts_a_constant_factor():
-    rng = np.random.default_rng(3)
-    G = stack(rng, (3, 3), complex)
-    M = stack(rng, (5, 3, 3), complex)
-    left = oracles.stacked(mat3.matmul(mat3.planes(G), mat3.planes(M)))
-    right = oracles.stacked(mat3.matmul(mat3.planes(M), mat3.planes(G)))
-    assert np.abs(left - G @ M).max() < 1e-14 * np.abs(G @ M).max()
-    assert np.abs(right - M @ G).max() < 1e-14 * np.abs(M @ G).max()
-
-
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_det_matches_lapack(dtype):
     A = stack(np.random.default_rng(4), (50, 3, 3), dtype)

@@ -4,11 +4,8 @@ keep, in process with --json, and print one line per command:
     exit-code sha256(stdout) sha256(stderr) sha256(--out files) argv
 
 The --out hash covers the names and bytes of every file the run writes,
-and is "-" for a run without --out.  The commands are the 12 bare
-stages; gauss solve, conn flatness, conn holonomy and pipeline on each
-shipped config; rep anosov on each shipped generator file; the --out
-runs of affine roundtrip and of the Wang pipeline; and the cells of the
-claimed-range matrix, tests/test_range.py, imported from it.
+and is "-" for a run without --out.  The commands are those of
+tests/commands.py, the list that tests/test_exports.py traces too.
 
 The package and the cells come from the checkout this file is in, so
 to compare two checkouts, run each one's copy and diff the outputs:
@@ -24,7 +21,6 @@ named by its cell id, so identical behaviour prints identical lines.
 import contextlib
 import hashlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -33,40 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from bchyp import cli  # noqa: E402
-from test_range import cells  # noqa: E402
-
-STAGES = (["algebra"], ["chtau"], ["metric", "convergence"],
-          ["metric", "stokes"], ["gauss", "solve"], ["conn", "flatness"],
-          ["conn", "holonomy"], ["affine", "roundtrip"],
-          ["affine", "secondvar"], ["rep", "anosov"], ["rep", "goldman"],
-          ["pipeline"])
-CONFIG_STAGES = (["gauss", "solve"], ["conn", "flatness"],
-                 ["conn", "holonomy"], ["pipeline"])
-CONFIGS = ROOT / "configs"
-
-
-def commands(tmp: Path):
-    """(argv, --out directory or None) of every command, in a fixed
-    order; each cell's config is written to tmp first."""
-    for stage in STAGES:
-        yield stage, None
-    for name in ("constant_torus", "gauss_perturbed", "sine_chart",
-                 "wang_torus"):
-        for stage in CONFIG_STAGES:
-            yield stage + ["--config", str(CONFIGS / f"{name}.json")], None
-    for name in ("gens_fuchsian", "gens_reducible"):
-        yield ["rep", "anosov", "--gens", str(CONFIGS / f"{name}.json")], None
-    for argv, name in ((["affine", "roundtrip"], "affine-roundtrip"),
-                       (["pipeline", "--config",
-                         str(CONFIGS / "wang_torus.json")], "pipeline-wang")):
-        yield argv + ["--out", str(tmp / name)], tmp / name
-    for cell, command, cfg, _ in cells():
-        argv = list(command)
-        if cfg is not None:
-            path = tmp / f"{cell}.json"
-            path.write_text(json.dumps(cfg))
-            argv += ["--config", str(path)]
-        yield argv, None
+from commands import commands  # noqa: E402
 
 
 def sha(data: bytes) -> str:
