@@ -49,7 +49,7 @@ class Bicomplex(Frozen):
 
     __slots__ = ("z1", "z2")
 
-    def __init__(self, z1=0.0, z2=0.0):
+    def __init__(self, z1, z2):
         self._set(z1=complex(z1), z2=complex(z2))
 
     @classmethod

@@ -12,17 +12,20 @@ One binary, eight stages:
     bchyp pipeline [--config F] [--out DIR]
 
 Run without --config, each stage executes its frozen acceptance
-check(s); with --config it runs the same measurements over the
-configured datum, through the same check bundles for flatness,
-holonomy and the roundtrip (criteria.flatness_check, holonomy_checks,
-roundtrip_checks).  All numeric output is JSON (the run manifest) or
+check(s).  gauss, conn and pipeline carry a configured datum along one
+route, run_chain: solve -> assemble -> flatness -> holonomy ->
+roundtrip (Wang data only).  gauss solve --config asks for the solve,
+conn flatness/holonomy --config for their one step, pipeline for all;
+each step is checked by the criteria bundle its frozen criterion uses.
+All numeric output is JSON (the run manifest) or
 CSV (point clouds); manifests are canonicalized (sorted keys, no
 timestamps or timings) so an identical config reproduces identical
 bytes.  Wall times and runtime limits show only on the plain-text
 result lines.  Exit codes: 0 all checks passed, 1 a stage check failed
 or a stage stopped on one of the package's typed numeric failures (a
 one-line "stage failure" message on stderr, no traceback), 2
-configuration error.
+configuration error, also an --out that cannot be made a directory
+or written into.
 """
 
 from __future__ import annotations
@@ -51,8 +54,7 @@ from .connection import (Loop, assemble, holonomy,  # noqa: F401
                          maurer_cartan_residual)
 from .gauss import (DidNotConverge, GaussProblem,  # noqa: F401
                     LinearSolveFailure, residual_background, solve_newton)
-from .metric import (BeltramiChart, ComplexMetric, CubicPair, TorusGrid,
-                     symbol_check)
+from .metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 from .replib import (NotDiagonalizable, NotUnimodular, Representation,
                      anosov_scan)
 
@@ -191,8 +193,6 @@ def load_config(path: str | None) -> dict:
 def build_chart(cfg: dict, grid: TorusGrid) -> BeltramiChart:
     chart = read(cfg, "chart")
     if chart["kind"] == "constant":
-        if not symbol_check(chart["mu"]):
-            raise ConfigError("chart fails the ellipticity symbol check")
         return BeltramiChart.constant_mu(grid, chart["mu"])
     if chart["kind"] == "sine":
         return BeltramiChart.sine_perturbed(grid, chart["eps"])
@@ -201,13 +201,14 @@ def build_chart(cfg: dict, grid: TorusGrid) -> BeltramiChart:
 
 def build_problem(cfg: dict):
     """(GaussProblem, chart, grid, cubic kind) of a config; a datum the
-    constructors reject is a ConfigError."""
+    constructors reject is a ConfigError.  Wang data q is the pair
+    alpha = beta = q, on the Hitchin locus."""
     cubic = read(cfg, "cubic")
     try:
         grid = TorusGrid(read(cfg, "grid"))
         chart = build_chart(cfg, grid)
         if cubic["kind"] == "wang":
-            alpha, beta = cubic["q"], np.conj(cubic["q"])
+            alpha = beta = cubic["q"]
         else:
             alpha, beta = cubic["alpha"], cubic["beta"]
         if cubic["perturb"]:
@@ -309,46 +310,15 @@ def stage_metric(args):
     return [criteria.criterion_3()]
 
 
-def stage_gauss(args):
+def stage_chain(args):
+    """gauss, conn and pipeline: a bare gauss or conn runs the frozen
+    criterion of its step, and every other run carries its configured
+    datum through run_chain, pipeline through every step."""
+    if args.command == "pipeline":
+        return run_chain(args.cfg, CHAIN, args.out)
     if args.config is None:
-        return [criteria.criterion_4()]
-    t0 = time.perf_counter()
-    rep, *_ = _solved_from_config(args.cfg)
-    solver = read(args.cfg, "solver")
-    res = rep.residual_history[-1]
-    checks = [("converged", 0.0 if rep.converged else 1.0, 0.0),
-              ("residual", res, solver["tol"]),
-              ("iterations", float(rep.iterations), solver["max_iter"])]
-    return [criteria._result(4, "Gauss solve (config)", checks, t0)]
-
-
-def _solved_from_config(cfg):
-    problem, chart, grid, kind = build_problem(cfg)
-    rep = solve_newton(problem, **read(cfg, "solver"))
-    return rep, problem, chart, grid, kind
-
-
-def stage_conn(args):
-    if args.config is None:
-        if args.action == "flatness":
-            return [criteria.criterion_5()]
-        return [criteria.criterion_6()]
-    t0 = time.perf_counter()
-    rep, problem, chart, grid, _ = _solved_from_config(args.cfg)
-    conn = assemble(rep.psi, problem.C, chart)
-    if args.action == "flatness":
-        return [criteria._result(
-            5, "flatness (config)",
-            [criteria.flatness_check(conn)], t0)]
-    return [criteria._result(
-        6, "holonomy (config)",
-        criteria.holonomy_checks(*_period_holonomies(conn, grid.n),
-                                 grid.spacing), t0)]
-
-
-def _period_holonomies(conn, n):
-    return (holonomy(conn, Loop.x_period(n)),
-            holonomy(conn, Loop.y_period(n)))
+        return [getattr(criteria, f"criterion_{CHAIN[args.action]}")()]
+    return run_chain(args.cfg, (args.action,), args.out)
 
 
 def stage_affine(args):
@@ -365,7 +335,6 @@ def _write_point_cloud(outdir: Path, pair):
     most CLOUD_NODES x CLOUD_NODES nodes; x, y are the node coordinates."""
     n = pair.n
     stride = -(-n // CLOUD_NODES)
-    outdir.mkdir(parents=True, exist_ok=True)
     rows = ["x,y,f1,f2,f3"]
     f = pair.fplus
     for iy in range(0, n, stride):
@@ -397,35 +366,46 @@ def stage_rep(args):
                     message=r.message + f"; claim: {report.claim}")]
 
 
-def stage_pipeline(args):
-    """solve -> assemble -> flatness -> holonomy -> (Hitchin) roundtrip;
-    each result's runtime covers its own step."""
-    t0 = time.perf_counter()
-    rep, problem, chart, grid, kind = _solved_from_config(args.cfg)
-    res = rep.residual_history[-1]
-    results = [criteria._result(4, "solve", [
-        ("residual", res, read(args.cfg, "solver")["tol"])], t0)]
+# ----------------------------------------------------------------------
+# the configured chain
 
-    t0 = time.perf_counter()
-    conn = assemble(rep.psi, problem.C, chart)
-    results.append(criteria._result(
-        5, "flatness", [criteria.flatness_check(conn)], t0))
+#: The steps of run_chain in order, each the title of its result, with
+#: the criterion whose check bundle it runs.
+CHAIN = {"solve": 4, "flatness": 5, "holonomy": 6, "roundtrip": 8}
 
-    t0 = time.perf_counter()
-    results.append(criteria._result(
-        6, "holonomy",
-        criteria.holonomy_checks(*_period_holonomies(conn, grid.n),
-                                 grid.spacing), t0))
 
-    if kind == "wang":
+def run_chain(cfg: dict, steps, out) -> list:
+    """The results of the asked steps of CHAIN on the configured datum,
+    each checked by its criterion's bundle.  The datum is solved once
+    and, unless only the solve is asked for, assembled once; the
+    roundtrip runs on Wang data only and writes its point cloud into
+    out, when given.  A runtime covers the work since the last result."""
+    results, t0 = [], time.perf_counter()
+
+    def record(step, checks):
+        nonlocal t0
+        results.append(criteria._result(CHAIN[step], step, checks, t0))
         t0 = time.perf_counter()
+
+    problem, chart, grid, kind = build_problem(cfg)
+    solver = read(cfg, "solver")
+    report = solve_newton(problem, **solver)
+    if "solve" in steps:
+        record("solve", criteria.solve_checks(report, **solver))
+    if set(steps) <= {"solve"}:
+        return results
+    conn = assemble(report.psi, problem.C, chart)
+    if "flatness" in steps:
+        record("flatness", [criteria.flatness_check(conn)])
+    if "holonomy" in steps:
+        record("holonomy", criteria.holonomy_checks(
+            holonomy(conn, Loop.x_period(grid.n)),
+            holonomy(conn, Loop.y_period(grid.n)), grid.spacing))
+    if "roundtrip" in steps and kind == "wang":
         pair = affine.integrate_frame(conn)
-        checks = ([("path", float(pair.path_residual), 1e-12),
-                   ("dual", float(pair.dual_residual), 1e-9)]
-                  + criteria.roundtrip_checks(pair, rep.psi))
-        results.append(criteria._result(8, "roundtrip", checks, t0))
-        if args.out:
-            _write_point_cloud(Path(args.out), pair)
+        record("roundtrip", criteria.roundtrip_checks(pair, report.psi))
+        if out:
+            _write_point_cloud(Path(out), pair)
     return results
 
 
@@ -490,11 +470,11 @@ _STAGES = {
     "algebra": stage_algebra,
     "chtau": stage_chtau,
     "metric": stage_metric,
-    "gauss": stage_gauss,
-    "conn": stage_conn,
+    "gauss": stage_chain,
+    "conn": stage_chain,
     "affine": stage_affine,
     "rep": stage_rep,
-    "pipeline": stage_pipeline,
+    "pipeline": stage_chain,
 }
 
 
@@ -505,9 +485,19 @@ def main(argv=None) -> int:
     try:
         # read once: the stage runs on args.cfg, the manifest records it
         args.cfg = load_config(getattr(args, "config", None))
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         results = _STAGES[args.command](args)
+        if args.json or args.out:
+            manifest = _canonical(run_manifest(command, args.cfg, results))
+        if args.out:
+            (Path(args.out) / "manifest.json").write_text(manifest)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:        # the only files a run writes are --out's
+        print(f"config error: cannot write --out {args.out}: {e}",
+              file=sys.stderr)
         return 2
     except StageFailure as e:
         print(f"stage failure (criterion {e.criterion}): {e}",
@@ -517,17 +507,11 @@ def main(argv=None) -> int:
         print(f"stage failure ({type(e).__name__}): {e}", file=sys.stderr)
         return 1
 
-    if args.json or args.out:
-        manifest = _canonical(run_manifest(command, args.cfg, results))
     if args.json:
         sys.stdout.write(manifest)
     else:
         for r in results:
             print(r.line)
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "manifest.json").write_text(manifest)
     failing = [r.cid for r in results if not r.passed]
     if failing:
         print(f"stage failure (criterion {failing[0]})", file=sys.stderr)

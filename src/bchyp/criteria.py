@@ -7,9 +7,12 @@ line.  Comparisons against "independent" routes use the 4th-order
 verification stencils defined here rather than the package's own
 2nd-order primitives, so agreement isolates the primitives' error.
 
-The flatness, holonomy and roundtrip checks are check bundles: plain
-functions of already-computed objects, called by the frozen criteria
-and by the CLI's --config runs alike.
+Each stage of the chain has one check bundle, a plain function that
+turns already-computed objects into (name, value, bound) checks:
+solve_checks, flatness_check, holonomy_checks and roundtrip_checks.
+The frozen criteria and the CLI's --config runs call the same bundles,
+so criterion 8 and the roundtrip step of `bchyp pipeline` run the same
+checks.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from .replib import (Representation, anosov_scan, goldman_pairing,
 
 __all__ = [
     "CriterionResult", "run_criterion", "CRITERIA",
-    "fuchsian_generators", "reducible_generators", "flatness_check",
-    "holonomy_checks", "roundtrip_checks", "roundtrip_criterion",
+    "fuchsian_generators", "reducible_generators", "solve_checks",
+    "flatness_check", "holonomy_checks", "roundtrip_checks",
+    "roundtrip_criterion",
 ] + [f"criterion_{i}" for i in range(1, 11)]
 
 
@@ -72,6 +76,14 @@ def _result(cid, title, checks, t0, limit=None):
 # ----------------------------------------------------------------------
 # check bundles: (name, value, bound) lists from computed objects
 
+def solve_checks(report, tol, max_iter):
+    """A Newton solve that converged, with its last residual within tol
+    and at most max_iter steps."""
+    return [("converged", 0.0 if report.converged else 1.0, 0.0),
+            ("residual", report.residual_history[-1], tol),
+            ("iterations", float(report.iterations), max_iter)]
+
+
 def flatness_check(conn, name="flatness"):
     """The Maurer-Cartan residual of conn against 10 spacing^2."""
     return (name, conn.flatness_residual(), 10.0 * conn.grid.spacing ** 2)
@@ -90,7 +102,8 @@ def holonomy_checks(Hx, Hy, spacing):
 
 
 def roundtrip_checks(pair, psi):
-    """Induced structure of an integrated pair against the hyperbolic
+    """An integrated pair: its path residual to 1e-12 and its dual
+    residual to 1e-9, then its induced structure against the hyperbolic
     affine sphere over the solved psi, each to 20 spacing^2: eta = -1,
     shape operator Id, affine normal f, Blaschke metric 2 exp(2 psi) Id
     and opposite Pick forms on the two sides.  The structure of f+ is
@@ -105,7 +118,9 @@ def roundtrip_checks(pair, psi):
     q_plus = affine.pick_cubic(affine.blaschke_data(pair))
     q_minus = affine.pick_cubic(affine.blaschke_data(pair.dual()))
     pick_sum = float(np.nanmax(np.abs(q_plus + q_minus)))
-    return [("eta", eta_res, 20 * h2),
+    return [("path", float(pair.path_residual), 1e-12),
+            ("dual", float(pair.dual_residual), 1e-9),
+            ("eta", eta_res, 20 * h2),
             ("shape", float(np.nanmax(S_res)), 20 * h2),
             ("conormal", float(np.nanmax(xi_res)), 20 * h2),
             ("blaschke", blaschke, 20 * h2),

@@ -64,7 +64,7 @@ def matmul(A, B, out=None) -> np.ndarray:
     return out
 
 
-def expm(S, degree: int, squarings: int = 0) -> np.ndarray:
+def expm(S, degree: int, squarings: int) -> np.ndarray:
     """exp(S) for planes S: the degree-`degree` Taylor polynomial of
     S / 2^squarings, then squared `squarings` times.  The caller
     chooses the degree and the squarings from the norm of S.

@@ -160,8 +160,7 @@ class BeltramiChart(Frozen):
         return cls.constant_mu(grid, 0.0)
 
     @classmethod
-    def sine_perturbed(cls, grid: TorusGrid, eps: float = 0.05
-                       ) -> "BeltramiChart":
+    def sine_perturbed(cls, grid: TorusGrid, eps: float) -> "BeltramiChart":
         """Chart of the real diffeomorphism w = z + eps sin(2pi x)cos(2pi y).
 
         All first-order fields and commutator coefficients are closed

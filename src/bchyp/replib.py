@@ -464,7 +464,7 @@ def vertical_variation(qdot1, qbardot2, h: ComplexMetric) -> VariationField:
                           {"plus": Pzb, "minus": -Pzb})
 
 
-def horizontal_pattern(h: ComplexMetric, seed: int = 0) -> VariationField:
+def horizontal_pattern(h: ComplexMetric, seed: int) -> VariationField:
     """A representative complex-structure variation at a zero-cubic
     point: smooth random fields in the block pattern
 

@@ -64,32 +64,41 @@ def test_threads_key_is_gone(tmp_path, capsys):
 
 
 def test_degenerate_chart_exits_two(tmp_path, capsys):
+    # |mu| = 1 is no chart: the chart constructor refuses it
     cfg = write_cfg(tmp_path,
                     {"chart": {"kind": "constant", "mu": [1.0, 0.0]}})
     assert main(["pipeline", "--config", cfg]) == 2
-    assert "symbol check" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: invalid datum: |mu| = 1.0 >= 1\n")
 
 
 def test_symbol_floor_is_one_boundary_for_solver_and_config(tmp_path,
                                                             capsys):
+    # the solver's symbol check is the only one: a config datum reaches
+    # it through build_problem
     grid = TorusGrid(16)
     for modulus, elliptic in ((0.994, True), (0.996, False)):
         mu = modulus * np.exp(1j * np.pi / 3)
         chart = BeltramiChart.constant_mu(grid, mu)
-        cfg = {"chart": {"kind": "constant", "mu": [mu.real, mu.imag]}}
+        path = write_cfg(tmp_path, {"grid": 16, "chart": {
+            "kind": "constant", "mu": [mu.real, mu.imag]}})
+        cfg = load_config(path)
         if elliptic:
             GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0),
                          Kg=0.0)
-            assert np.allclose(cli.build_chart(cfg, grid).mu, mu)
+            assert np.allclose(cli.build_problem(cfg)[1].mu, mu)
             continue
         with pytest.raises(ValueError, match="symbol check"):
             GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0),
                          Kg=0.0)
         with pytest.raises(ConfigError, match="symbol check"):
-            cli.build_chart(cfg, grid)
-        assert main(["gauss", "solve", "--config",
-                     write_cfg(tmp_path, cfg)]) == 2
-        assert "symbol check" in capsys.readouterr().err
+            cli.build_problem(cfg)
+        assert main(["gauss", "solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: invalid datum: chart fails the symbol check: "
+            "floor ")
+        assert err.count("\n") == 1
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -282,6 +291,21 @@ def test_affine_roundtrip_out_writes_the_criterion_pair(monkeypatch,
     assert len(rows) == 1 + 64 * 64
     assert rows[2].startswith("0.015625,0.0,")
     assert rows[-1].startswith("0.984375,0.984375,")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["algebra"], "F"), (["pipeline"], "F/sub")], ids=["file", "below-file"])
+def test_out_that_cannot_be_a_directory_exits_two(tmp_path, capsys, argv,
+                                                  out):
+    # main makes the --out directory before the stage runs, so a path
+    # that is a file, or lies below one, stops the run with one line
+    (tmp_path / "F").write_text("")
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"config error: cannot write --out {tmp_path / out}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_plain_run_builds_no_manifest(monkeypatch, capsys):
@@ -594,6 +618,43 @@ def test_frozen_criteria_match_the_sine_chart_config(capsys):
     assert config_residuals("holonomy") == criteria.criterion_6().residuals
     assert (config_residuals("flatness")["flatness"]
             == criteria.criterion_5().residuals["solved"])
+
+
+@pytest.mark.parametrize("name", ["constant_torus", "gauss_perturbed",
+                                  "sine_chart", "wang_torus"])
+def test_config_steps_are_the_pipeline_s_steps(capsys, name):
+    """A --config run of gauss solve, conn flatness or conn holonomy
+    gives the pipeline's result of the same criterion: one route, one
+    bundle per step."""
+    def results(argv):
+        main(argv + ["--config", cfg_path(f"{name}.json"), "--json"])
+        return json.loads(capsys.readouterr().out)["results"]
+
+    chain = {r["criterion"]: r for r in results(["pipeline"])}
+    for argv, cid in ((["gauss", "solve"], 4), (["conn", "flatness"], 5),
+                      (["conn", "holonomy"], 6)):
+        assert results(argv) == [chain[cid]]
+
+
+def test_affine_roundtrip_is_the_pipeline_roundtrip_of_its_datum(tmp_path,
+                                                                 capsys):
+    """Criterion 8's datum is Wang q = 1.2 in Wang's normalization, the
+    pair alpha = beta = 0.6: the config q = 0.6 at n = 128.  Its
+    pipeline roundtrip and criterion 8 run the same checks on the same
+    pair, so they agree bit for bit."""
+    code, out = run_json(capsys, ["affine", "roundtrip"])
+    assert code == 0
+    (criterion,) = json.loads(out)["results"]
+    cfg = write_cfg(tmp_path, {"grid": 128,
+                               "cubic": {"kind": "wang", "q": 0.6}})
+    code, out = run_json(capsys, ["pipeline", "--config", cfg])
+    assert code == 0
+    (chain,) = [r for r in json.loads(out)["results"]
+                if r["criterion"] == 8]
+    assert "path" in criterion["residuals"]
+    assert "dual" in criterion["residuals"]
+    assert (criterion["residuals"], criterion["message"]) == (
+        chain["residuals"], chain["message"])
 
 
 def test_cli_calls_go_through_the_patched_names(monkeypatch, capsys):

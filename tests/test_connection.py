@@ -107,7 +107,7 @@ def test_assemble_zero_cubic_pattern():
 
 def test_assemble_s_entries_track_conformal_factor():
     grid = TorusGrid(32)
-    chart = BeltramiChart.sine_perturbed(grid)
+    chart = BeltramiChart.sine_perturbed(grid, 0.05)
     psi = smooth_psi(grid)
     conn = assemble(psi, CubicPair(grid, 0.3, 0.1), chart)
     s = np.sqrt(conn.s2)
@@ -119,7 +119,7 @@ def test_assemble_s_entries_track_conformal_factor():
 
 def test_assemble_traceless_and_gram_compatible():
     grid = TorusGrid(32)
-    chart = BeltramiChart.sine_perturbed(grid)
+    chart = BeltramiChart.sine_perturbed(grid, 0.05)
     conn = assemble(smooth_psi(grid), CubicPair(grid, 0.7, 0.2 + 0.1j), chart)
     for part in dense(conn, "Ahat").values():
         assert np.abs(np.trace(part)).max() < 1e-13

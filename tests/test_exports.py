@@ -2,8 +2,8 @@
 it defines, every def of the package is called on a program path (a
 call trace of the CLI commands and the frozen criteria says which) and
 every other name is named by one, every defaulted parameter is set by a
-call on one, and every slotted value type keeps the one immutability
-rule of bchyp._frozen.Frozen."""
+call on one and left to its default by another, and every slotted value
+type keeps the one immutability rule of bchyp._frozen.Frozen."""
 
 import ast
 import contextlib
@@ -304,34 +304,72 @@ def callees(call, mod, cls, functions, imports, wholes):
     return [(f"{key}.__init__", 1)] if f"{key}.__init__" in functions else []
 
 
-def test_every_parameter_is_set_on_a_program_path():
-    # a default that no program call overrides is a knob that changes
-    # nothing: the parameter goes, or it joins KNOBS with its reason
+def program_calls():
+    """(defaulted, calls) of the program path: defaulted holds the
+    "module.def.parameter" keys of every defaulted parameter of a def
+    that ran, calls one (def key, parameter names passed) per call in
+    such a def and per def that it may run."""
     defs, imports, wholes, _ = source_graph()
     functions = {k: v[0] for k, v in defs.items() if is_def(v)}
     program = traced() & set(functions)
-    unset = {f"{k}.{name}" for k in program & set(functions)
-             for name in parameters(functions[k])[2]}
+    defaulted = {f"{k}.{name}" for k in program
+                 for name in parameters(functions[k])[2]}
+    calls = []
     for key in program:
         mod = key.split(".")[0]
-        node = functions.get(key)
-        cls = (key.rsplit(".", 1)[0] if node is not None and any(
+        node = functions[key]
+        cls = (key.rsplit(".", 1)[0] if any(
             getattr(d, "id", None) == "classmethod"
             for d in node.decorator_list) else None)
-        for call in (n for top in defs.get(key, ()) for n in ast.walk(top)
-                     if isinstance(n, ast.Call)):
+        for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
             spread = (any(isinstance(a, ast.Starred) for a in call.args)
                       or any(k.arg is None for k in call.keywords))
             for target, bound in callees(call, mod, cls, functions,
                                          imports, wholes):
                 positional, keyword, _ = parameters(functions[target])
-                passed = (positional + keyword if spread else
-                          positional[bound:bound + len(call.args)]
-                          + [k.arg for k in call.keywords])
-                unset -= {f"{target}.{name}" for name in passed}
+                calls.append((target, set(
+                    positional + keyword if spread else
+                    positional[bound:bound + len(call.args)]
+                    + [k.arg for k in call.keywords])))
+    return defaulted, calls
+
+
+def test_every_parameter_is_set_on_a_program_path():
+    # a default that no program call overrides is a knob that changes
+    # nothing: the parameter goes, or it joins KNOBS with its reason
+    defaulted, calls = program_calls()
+    unset = defaulted - {f"{target}.{name}" for target, passed in calls
+                         for name in passed}
     assert sorted(unset - set(KNOBS)) == []
     # a knob that a program call comes to set leaves the list
     assert sorted(set(KNOBS) - unset) == []
+
+
+#: Defaulted parameters that every program call sets but that keep
+#: their default, each with its reason, keyed as in KNOBS.
+DEFAULTS = {
+    "chtau.TangentVector.__init__.check": (
+        "the public constructor validates a caller's vector; the "
+        "package's own constructions pass False"),
+}
+
+
+def test_every_default_is_used_on_a_program_path():
+    # a default that every program call overrides changes nothing on any
+    # program path: the parameter becomes required, or it joins DEFAULTS
+    # with its reason.  A def that no program call runs (the entry point,
+    # run_criterion) is called from outside, so its defaults stay.
+    defaulted, calls = program_calls()
+
+    def overridden(key):
+        target, name = key.rsplit(".", 1)
+        passed = [names for callee, names in calls if callee == target]
+        return passed and all(name in names for names in passed)
+
+    always = {key for key in defaulted if overridden(key)}
+    assert sorted(always - set(DEFAULTS)) == []
+    # a default that a program call comes to rely on leaves the list
+    assert sorted(set(DEFAULTS) - always) == []
 
 
 def test_every_value_type_is_immutable():
