@@ -158,6 +158,9 @@ def read(cfg: dict, name: str):
         raise ConfigError("solver.tol must be positive")
     if name == "solver" and values["max_iter"] < 0:
         raise ConfigError("solver.max_iter must not be negative")
+    if name == "cubic" and values["kind"] == "wang" and values["perturb"]:
+        # perturb is added to alpha alone, which leaves the Hitchin locus
+        raise ConfigError("cubic.perturb must be 0 for cubic kind 'wang'")
     return values
 
 

@@ -37,12 +37,11 @@ Krylov count per step depends on the data, not on the grid size.
 Steps are damped by halving on the residual max-norm, from the constant
 root of the averaged data, complex where the mean of |C|^2_g is.
 
-SciPy's sparse stack (scipy.sparse and scipy.sparse.linalg, which pull
-in scipy.linalg) is imported inside the two functions that use it,
-_solve_krylov and laplacian_matrix, not at module level: importing it
-costs about 0.3 s and 27 MB, and a CLI command that never solves
-(rep) or whose Newton loop takes no step (constant data) should not pay
-for it.
+The GMRES is the package's own (_gmres, a NumPy port of SciPy's
+loop), so no command imports scipy.sparse: importing
+scipy.sparse.linalg costs a fresh process about 0.2 s and 31 MB.
+laplacian_matrix, a reference route for checks that the solver never
+builds, keeps its lazy import of scipy.sparse.
 """
 
 from __future__ import annotations
@@ -68,6 +67,9 @@ __all__ = [
 ]
 
 MAX_HALVINGS = 10   # damping halvings per Newton step before it stalls
+GMRES_RESTART = 50  # Krylov vectors per GMRES cycle
+GMRES_CYCLES = 20   # GMRES cycles before LinearSolveFailure
+GMRES_RTOL = 1e-12  # GMRES stops at |b - A x| <= GMRES_RTOL |b|
 
 
 class NoPositiveRoot(ArithmeticError):
@@ -255,12 +257,10 @@ def _solve_krylov(problem: GaussProblem, weight: np.ndarray,
     the operator built once per problem, and the preconditioner is
     ifft2(fft2(r) / symbol) with the symbol of J at mean coefficients,
     rebuilt per Newton step from the operator's three means.  Returns d
-    and the number of GMRES iterations; raises LinearSolveFailure when
-    the true residual is not below 1e-12 |F| after 20 cycles of restart
-    50.
+    and the number of GMRES iterations; _gmres raises
+    LinearSolveFailure when the true residual is not below 1e-12 |F|
+    after 20 cycles of restart 50.
     """
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     shape = F.shape
     lap = problem.laplacian
     symbol = laplacian_symbol(lap) - weight.mean()
@@ -272,24 +272,101 @@ def _solve_krylov(problem: GaussProblem, weight: np.ndarray,
     def precondition(r):
         return np.fft.ifft2(np.fft.fft2(r.reshape(shape)) / symbol).ravel()
 
-    J = LinearOperator((F.size, F.size), matvec=apply, dtype=complex)
-    M = LinearOperator(J.shape, matvec=precondition, dtype=complex)
-    count = 0
-
-    def tick(_):
-        nonlocal count
-        count += 1
-
     # GMRES sees F scaled below 1 by a power of two, which is exact, so
     # the norms of a huge residual cannot overflow
     scale = 2.0 ** -max(math.frexp(float(np.abs(F).max()))[1], 0)
-    x, info = gmres(J, -scale * F.ravel(), rtol=1e-12, atol=0.0,
-                    restart=50, maxiter=20, M=M, callback=tick,
-                    callback_type="pr_norm")
-    if info != 0:
-        raise LinearSolveFailure(
-            f"GMRES returned info={info} after {count} iterations")
+    x, count = _gmres(apply, precondition, -scale * F.ravel())
     return x.reshape(shape) / scale, count
+
+
+def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, iterations) with |b - apply(x)| <= GMRES_RTOL |b| for b != 0,
+    by restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+    1986) from x = 0.
+
+    A port of the loop of scipy.sparse.linalg.gmres (SciPy 1.17) with
+    restart GMRES_RESTART, maxiter GMRES_CYCLES and atol 0: left
+    preconditioning, modified Gram-Schmidt, Givens rotations, and
+    SciPy's control of the inner tolerance on the preconditioned
+    residual (gh-8400), checked against the true residual after each
+    cycle.  LinearSolveFailure, with the iteration count, when the
+    cycles run out or the Krylov space breaks down above the tolerance.
+    """
+    eps = np.finfo(float).eps
+    bnorm = np.linalg.norm(b)
+    atol = GMRES_RTOL * bnorm
+    x = np.zeros_like(b)
+    v = np.empty((GMRES_RESTART + 1, b.size), dtype=complex)
+    h = np.zeros((GMRES_RESTART, GMRES_RESTART + 1), dtype=complex)
+    z = precondition(b)
+    ptol = np.linalg.norm(z) * min(1.0, atol / bnorm)
+    factor, count = 1.0, 0
+    for _ in range(GMRES_CYCLES):
+        beta = np.linalg.norm(z)
+        np.multiply(z, 1 / beta, out=v[0])
+        S = np.zeros(GMRES_RESTART + 1, dtype=complex)
+        S[0] = beta
+        givens, breakdown = [], False
+        for col in range(GMRES_RESTART):
+            w = precondition(apply(v[col]))
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):            # modified Gram-Schmidt
+                t = np.vdot(v[k], w)
+                h[col, k] = t
+                w -= t * v[k]
+            h1 = np.linalg.norm(w)
+            if h1 <= eps * h0:                  # an exact solution
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                h[col, col + 1] = h1
+                np.multiply(w, 1 / h1, out=v[col + 1])
+            for k, (c, s) in enumerate(givens):  # the past rotations
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k] = c * n0 + s * n1
+                h[col, k + 1] = -s.conjugate() * n0 + c * n1
+            c, s, h[col, col] = _rotation(h[col, col], h[col, col + 1])
+            givens.append((c, s))
+            h[col, col + 1] = 0
+            S[col], S[col + 1] = c * S[col], -s.conjugate() * S[col]
+            presid = abs(S[col + 1])
+            count += 1
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()                  # back substitution
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - apply(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol:
+            return x, count
+        if breakdown:
+            break
+        factor = (max(eps, 0.25 * factor) if presid <= ptol
+                  else min(1.0, 1.5 * factor))
+        ptol = presid * min(factor, atol / rnorm)
+        z = precondition(r)
+    raise LinearSolveFailure(
+        f"GMRES stopped after {count} iterations at relative residual "
+        f"{rnorm / bnorm:.3e}, above {GMRES_RTOL:g}")
+
+
+def _rotation(f, g):
+    """(c, s, r), c real, with c f + s g = r and -conj(s) f + c g = 0:
+    LAPACK's zlartg, written out because scipy.linalg.lapack would
+    import scipy.linalg."""
+    d = math.hypot(abs(f), abs(g))
+    if d == 0:
+        return 1.0, 0.0, 0.0
+    u = f / abs(f) if f else 1.0
+    return abs(f) / d, u * g.conjugate() / d, u * d
 
 
 def solve_newton(problem: GaussProblem, tol: float = 1e-10,

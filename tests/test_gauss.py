@@ -17,9 +17,9 @@ from bchyp.gauss import (
     residual_background, constant_root,
     solve_newton, wang_specialize,
     laplacian_matrix, laplacian_symbol,
-    NoPositiveRoot,
+    LinearSolveFailure, NoPositiveRoot,
 )
-from oracles import ChartMismatch, curvature, residual_intrinsic
+from oracles import ChartMismatch, curvature, residual_intrinsic, scipy_gmres
 
 
 def flat_problem(n=32, alpha=0.0, beta=0.0, Kg=0.0, mu=0.0):
@@ -367,6 +367,60 @@ def test_solve_on_nonidentity_chart():
     rep = solve_newton(p)
     assert rep.converged
     assert np.abs(residual_background(rep.psi, p)).max() <= 1e-10
+
+
+# (eps, alpha = beta, perturb): the six corners of the perturbed-pair
+# band that the gauss-solve benchmark solves, and the sine chart at
+# eps = 0.1, where GMRES takes about 30 iterations per Newton step
+NEWTON_SYSTEMS = [(0.0, 0.6, 0.05), (0.0, 0.6, 0.1), (0.0, 1.0, 0.05),
+                  (0.0, 1.0, 0.1), (0.02, 0.6, 0.1), (0.02, 1.0, 0.05),
+                  (0.1, 0.6, 0.1)]
+
+
+@pytest.mark.parametrize("eps, a, perturb", NEWTON_SYSTEMS)
+def test_gmres_matches_scipy_on_the_newton_systems(monkeypatch, eps, a,
+                                                   perturb):
+    # every Newton system of the solve goes to both GMRES codes
+    kernel, seen = gauss._gmres, []
+
+    def compared(apply, precondition, b):
+        x, count = kernel(apply, precondition, b)
+        y, oracle_count, info = scipy_gmres(apply, precondition, b)
+        seen.append((count, oracle_count, info,
+                     np.linalg.norm(x - y) / np.linalg.norm(y)))
+        return x, count
+
+    monkeypatch.setattr(gauss, "_gmres", compared)
+    rep = solve_newton(band_problem(128, eps, a, perturb))
+    assert rep.converged and rep.iterations >= 2
+    assert len(seen) == rep.iterations
+    for count, oracle_count, info, difference in seen:
+        assert info == 0 and count == oracle_count, seen
+        assert difference <= 1e-12, seen
+
+
+def test_gmres_failure_gives_its_iteration_count():
+    # the cyclic shift e_k -> e_{k+1} on C^51 with b = e_0: each cycle's
+    # 50 Krylov vectors e_0..e_49 leave the residual at |b|, so all 20
+    # cycles run, as SciPy's gmres does (info 20 after 1000 iterations);
+    # on C^50 the 50th vector closes the space and the solve is exact
+    def shift(x):
+        return np.roll(x, 1)
+
+    def identity(r):
+        return r
+
+    b = np.zeros(51, dtype=complex)
+    b[0] = 1.0
+    assert scipy_gmres(shift, identity, b)[1:] == (1000, 20)
+    with pytest.raises(LinearSolveFailure, match=r"after 1000 iterations "):
+        gauss._gmres(shift, identity, b)
+    x, count = gauss._gmres(shift, identity, b[:50])
+    assert count == 50 and np.abs(shift(x) - b[:50]).max() <= 1e-15
+    # a zero operator breaks down at once, above the tolerance
+    assert scipy_gmres(np.zeros_like, identity, b)[1:] == (1, 20)
+    with pytest.raises(LinearSolveFailure, match=r"after 1 iterations "):
+        gauss._gmres(np.zeros_like, identity, b)
 
 
 def test_krylov_iterations_do_not_grow_with_grid():
