@@ -601,9 +601,9 @@ def blaschke_data(pair: AffinePair) -> BlaschkeData:
 def pick_cubic(data: BlaschkeData) -> np.ndarray:
     """Cubic-differential coefficient q_hat = C_xxx - i C_xxy.
 
-    For the pair integrated from Wang data with cubic alpha = beta =
-    q/2 this recovers q_hat = 2 alpha = q on the f+ side and -q on the
-    f- side.
+    For the pair integrated from Wang data alpha = beta = q this
+    recovers Wang's cubic q_hat = 2 alpha = 2q on the f+ side and -2q
+    on the f- side.
     """
     C = data.pickC
     return C[..., 0, 0, 0] - 1j * C[..., 0, 0, 1]

@@ -25,9 +25,9 @@ import numpy as np
 from . import affine
 from .affine import integrate_frame, second_variation_trace
 from .bicomplex import compatibility_residual, phi_iso
+from .config import build_problem
 from .connection import Loop, assemble, holonomy
-from .gauss import (GaussProblem, constant_root, residual_background,
-                    solve_newton, wang_specialize)
+from .gauss import constant_root, residual_background, solve_newton
 from .metric import (BeltramiChart, ComplexMetric, CubicPair, TorusGrid,
                      laplacian)
 from .replib import (Representation, anosov_scan, goldman_pairing,
@@ -200,13 +200,21 @@ def _test_phi(g):
             + 0.5 * np.sin(2 * np.pi * (g.x + g.y)))
 
 
-def _solved_sine(n):
-    """Gauss-solved constant cubic datum over the smooth sine chart."""
-    grid = TorusGrid(n)
-    chart = BeltramiChart.sine_perturbed(grid, 0.01)
-    C = CubicPair(grid, 0.6, 0.6)
-    report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0))
-    return report.psi, C, chart
+_FLAT = {"chart": {"kind": "identity"}, "background": {"kg": 0.0}}
+#: The solved data of criteria 4 (constant, perturbed), 5 and 6 (sine)
+#: and 8 (wang; criterion 9 takes it at n = 32), each the config
+#: sections that config.build_problem reads, in full.
+DATA = {
+    "constant": _FLAT | {"grid": 32, "cubic": {
+        "kind": "pair", "alpha": 2.0, "beta": 2.0, "perturb": 0.0}},
+    "perturbed": _FLAT | {"grid": 128, "cubic": {
+        "kind": "pair", "alpha": 1.0, "beta": 1.0, "perturb": 0.1}},
+    "sine": {"grid": 64, "chart": {"kind": "sine", "eps": 0.01},
+             "background": {"kg": 0.0}, "cubic": {
+                 "kind": "pair", "alpha": 0.6, "beta": 0.6, "perturb": 0.0}},
+    "wang": _FLAT | {"grid": 128, "cubic": {
+        "kind": "wang", "q": 0.6, "perturb": 0.0}},
+}
 
 
 def fuchsian_generators():
@@ -294,16 +302,11 @@ def criterion_4() -> CriterionResult:
     """Gauss solver: constant data reproduces the closed-form root in
     <= 3 Newton steps; a perturbed datum converges to 1e-10 at n=128."""
     t0 = time.perf_counter()
-    g32 = TorusGrid(32)
-    bg = ComplexMetric(BeltramiChart.identity(g32), 0.0)
-    rep = solve_newton(GaussProblem(bg, CubicPair(g32, 2.0, 2.0), Kg=0.0))
+    rep = solve_newton(build_problem(DATA["constant"])[0])
     u = constant_root(0.5, 0.0)
     const_err = float(np.abs(rep.psi - 0.5 * np.log(u)).max())
 
-    g128 = TorusGrid(128)
-    alpha = 1.0 + 0.1 * np.exp(2j * np.pi * g128.x)
-    bg128 = ComplexMetric(BeltramiChart.identity(g128), 0.0)
-    problem = GaussProblem(bg128, CubicPair(g128, alpha, 1.0), Kg=0.0)
+    problem = build_problem(DATA["perturbed"])[0]
     rep128 = solve_newton(problem)
     final = float(np.abs(residual_background(rep128.psi, problem)).max())
     checks = [("const_err", const_err, 1e-10),
@@ -319,9 +322,10 @@ def criterion_5() -> CriterionResult:
     g16 = TorusGrid(16)
     conn0 = assemble(0.0, CubicPair(g16, 1.0, 1.0),
                      BeltramiChart.identity(g16))
-    psi, C, chart = _solved_sine(64)
+    problem, chart, _, _ = build_problem(DATA["sine"])
+    conn = assemble(solve_newton(problem).psi, problem.C, chart)
     checks = [("constant", conn0.flatness_residual(), 1e-13),
-              flatness_check(assemble(psi, C, chart), "solved")]
+              flatness_check(conn, "solved")]
     return _result(5, "flatness residual", checks, t0)
 
 
@@ -329,13 +333,12 @@ def criterion_6() -> CriterionResult:
     """Period holonomies of a solved datum: unimodular plus-parts,
     commuting periods, and the minus-part compatibility identity."""
     t0 = time.perf_counter()
-    n = 64
-    psi, C, chart = _solved_sine(n)
-    conn = assemble(psi, C, chart)
-    Hx = holonomy(conn, Loop.x_period(n))
-    Hy = holonomy(conn, Loop.y_period(n))
+    problem, chart, grid, _ = build_problem(DATA["sine"])
+    conn = assemble(solve_newton(problem).psi, problem.C, chart)
+    Hx = holonomy(conn, Loop.x_period(grid.n))
+    Hy = holonomy(conn, Loop.y_period(grid.n))
     return _result(6, "holonomy invariants",
-                   holonomy_checks(Hx, Hy, chart.grid.spacing), t0)
+                   holonomy_checks(Hx, Hy, grid.spacing), t0)
 
 
 def criterion_7() -> CriterionResult:
@@ -368,11 +371,12 @@ def criterion_7() -> CriterionResult:
 
 def roundtrip_criterion():
     """Criterion 8 and the pair it integrated: (CriterionResult,
-    AffinePair) of the frozen Wang datum q = 1.2 at n = 128."""
+    AffinePair) of the frozen Wang datum, config q = 0.6 (Wang's
+    q = 1.2), at n = 128."""
     t0 = time.perf_counter()
-    problem = wang_specialize(1.2, TorusGrid(128))
+    problem, chart, _, _ = build_problem(DATA["wang"])
     report = solve_newton(problem)
-    conn = assemble(report.psi, problem.C, problem.background.chart)
+    conn = assemble(report.psi, problem.C, chart)
     pair = integrate_frame(conn)
     result = _result(8, "affine roundtrip",
                      roundtrip_checks(pair, report.psi), t0)
@@ -389,9 +393,7 @@ def criterion_9() -> CriterionResult:
     """Second variation: the trace field is strictly negative at every
     node for seeded random nonvanishing sections over solved data."""
     t0 = time.perf_counter()
-    n = 32
-    grid = TorusGrid(n)
-    problem = wang_specialize(1.2, grid)
+    problem, chart, grid, _ = build_problem(DATA["wang"] | {"grid": 32})
     report = solve_newton(problem)
     psi = np.real(report.psi)
     rng = np.random.default_rng(99)
@@ -400,13 +402,12 @@ def criterion_9() -> CriterionResult:
     for _ in range(10):
         a, b = rng.normal(size=2)
         ph = rng.uniform(0, 2 * np.pi, size=3)
-        Z = np.zeros((n, n, 2))
+        Z = np.zeros((grid.n, grid.n, 2))
         # first component bounded away from zero: nonvanishing section
         Z[..., 0] = (0.9 + 0.3 * np.sin(tx + ph[0]) * np.cos(ty + ph[1])
                      + 0.1 * np.tanh(a))
         Z[..., 1] = 0.5 * np.cos(tx + ph[2]) + 0.1 * np.tanh(b)
-        tr = second_variation_trace(Z, psi, problem.C,
-                                    problem.background.chart)
+        tr = second_variation_trace(Z, psi, problem.C, chart)
         worst = max(worst, float(tr.max()))
     checks = [("max_trace", worst, -1e-12)]
     return _result(9, "second variation sign", checks, t0)

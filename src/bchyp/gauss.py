@@ -54,7 +54,7 @@ import numpy as np
 from . import mat3
 from ._frozen import Frozen
 from .metric import (
-    TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
+    TorusGrid, ComplexMetric, CubicPair, LaplaceBeltrami,
     cubic_norm, ellipticity_floor, stencil_symbols, symbol_check,
 )
 
@@ -62,7 +62,7 @@ __all__ = [
     "NoPositiveRoot", "DidNotConverge", "LinearSolveFailure",
     "GaussProblem", "SolveReport",
     "residual_background", "constant_root",
-    "solve_newton", "wang_specialize",
+    "solve_newton",
     "laplacian_matrix", "laplacian_symbol",
 ]
 
@@ -409,17 +409,3 @@ def solve_newton(problem: GaussProblem, tol: float = 1e-10,
         else:
             raise DidNotConverge(it, res)
     raise DidNotConverge(max_iter, res, stalled=False)
-
-
-def wang_specialize(q, grid: TorusGrid) -> GaussProblem:
-    """Hitchin-locus (affine sphere) problem for a cubic differential q
-    (a scalar or a field on grid) over the flat torus.
-
-    Wang's normalization q relates to the pair by alpha = beta = q/2, so
-    that 2|q|^2_{g_B} of the solved Blaschke metric equals 8|C|^2_h
-    exactly, and the solved metric satisfies K - 2|q|^2 = -1.
-    """
-    qf = grid.field(q)
-    bg = ComplexMetric(BeltramiChart.identity(grid), 0.0)
-    C = CubicPair(grid, qf / 2.0, qf / 2.0)
-    return GaussProblem(bg, C, Kg=0.0)

@@ -50,6 +50,9 @@ the reduced system and the constant frame change; the intrinsic Gauss
 residual; the metric curvature and the chart's consistency residual;
 the C_tau isclose; the conormal residual of a pair and the Wang
 identity of Blaschke data.
+
+wang_problem builds the tests' Wang data through config.build_problem,
+the one route from config values to a GaussProblem.
 """
 
 import numpy as np
@@ -62,6 +65,7 @@ from bchyp.affine import (
     FIT_MARGIN, DegenerateFrame, _christoffel, _nan_margin, eta,
 )
 from bchyp.bicomplex import as_bicomplex
+from bchyp.config import build_problem
 from bchyp.connection import (
     PARTS, FlatConnectionField, _omega_at, expm_steps, grid_step_generators,
     max_abs, maurer_cartan_residual, transport,
@@ -800,3 +804,11 @@ def pick_and_wang(data, q) -> np.ndarray:
             - data.gB[..., 0, 1] ** 2)
     nq2 = np.abs(qf) ** 2 * detg ** (-1.5)
     return K - 2.0 * nq2 + 1.0
+
+
+def wang_problem(q, n):
+    """The GaussProblem of Wang config data q on the n-grid, as a
+    --config run builds it: the pair alpha = beta = q, for which Wang's
+    normalized cubic differential is 2q."""
+    return build_problem({"grid": n, "chart": {}, "background": {},
+                          "cubic": {"kind": "wang", "q": q}})[0]

@@ -23,7 +23,7 @@ from bchyp.connection import (
     F0, FlatConnectionField, assemble, grid_step_generators,
 )
 from bchyp.criteria import roundtrip_checks
-from bchyp.gauss import GaussProblem, solve_newton, wang_specialize
+from bchyp.gauss import GaussProblem, solve_newton
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 
 _CACHE = {}
@@ -60,10 +60,12 @@ def deformed_pair(n, amp=0.05):
     return f, grid
 
 
-def solved_wang(n, q=1.2):
+def solved_wang(n):
+    """The pair, real psi and grid of Wang config data q = 0.6 (Wang's
+    q = 1.2) on the n-grid."""
     if n not in _CACHE:
-        grid = TorusGrid(n)
-        problem = wang_specialize(q, grid)
+        problem = oracles.wang_problem(0.6, n)
+        grid = problem.grid
         report = solve_newton(problem)
         assert report.converged
         conn = assemble(report.psi, problem.C, problem.background.chart)
@@ -296,7 +298,7 @@ def test_integrate_dual_swap_exchanges_lifts():
     # feeding the connection with its idempotent parts exchanged must
     # produce the swapped pair
     pair, psi, grid = solved_wang(32)
-    problem = wang_specialize(1.2, grid)
+    problem = oracles.wang_problem(0.6, grid.n)
     report = solve_newton(problem)
     conn = assemble(report.psi, problem.C, problem.background.chart)
     from bchyp.connection import FlatConnectionField
@@ -354,8 +356,8 @@ def test_integrate_generic_nine_plane_field_like_the_structured_one():
         return FlatConnectionField(A, B, c.chart, c.s2)
 
     n = 32
-    grid = TorusGrid(n)
-    problem = wang_specialize(1.2, grid)
+    problem = oracles.wang_problem(0.6, n)
+    grid = problem.grid
     conn = assemble(solve_newton(problem).psi, problem.C,
                     problem.background.chart)
     pair, pair_generic = integrate_frame(conn), integrate_frame(generic(conn))
@@ -371,7 +373,7 @@ def test_integrate_generic_nine_plane_field_like_the_structured_one():
 
 def test_integrate_validates_base():
     pair, psi, grid = solved_wang(32)
-    problem = wang_specialize(1.2, grid)
+    problem = oracles.wang_problem(0.6, grid.n)
     report = solve_newton(problem)
     conn = assemble(report.psi, problem.C, problem.background.chart)
     with pytest.raises(ValueError, match="base"):
@@ -383,7 +385,7 @@ def test_integrate_off_origin_base_rebases_the_pair():
     # is G_0(b)^-1 G_0, with G_0(b) = exp(ix0 Sx) exp(iy0 Sy) from the
     # origin; the reverse sweeps behind b run on both axes
     n = 32
-    problem = wang_specialize(1.2, TorusGrid(n))
+    problem = oracles.wang_problem(0.6, n)
     report = solve_newton(problem)
     conn = assemble(report.psi, problem.C, problem.background.chart)
     iy0, ix0 = n // 2, n // 3
@@ -413,7 +415,7 @@ FIELD_128 = 128 * 128 * 9 * 16
 
 
 def wang_conn(n):
-    problem = wang_specialize(1.2, TorusGrid(n))
+    problem = oracles.wang_problem(0.6, n)
     return assemble(solve_newton(problem).psi, problem.C,
                     problem.background.chart)
 
@@ -522,7 +524,8 @@ def test_derived_minus_lift_equals_the_integrated_one(datum):
 
 @pytest.mark.parametrize("q", [0.3, 0.5, -0.7, 1.2, 2.5])
 def test_dual_residual_is_rounding_on_wang_data(q):
-    problem = wang_specialize(q, TorusGrid(128))
+    # q is Wang's normalized q, the config's q / 2
+    problem = oracles.wang_problem(q / 2, 128)
     conn = assemble(solve_newton(problem).psi, problem.C,
                     problem.background.chart)
     assert integrate_frame(conn).dual_residual <= 1e-12
@@ -656,8 +659,8 @@ def test_second_variation_unit_direction_constant_data():
 def test_second_variation_constant_wang_closed_form():
     # at the constant solved datum the cubic term contributes exactly -1
     n = 32
-    grid = TorusGrid(n)
-    problem = wang_specialize(1.2, grid)
+    problem = oracles.wang_problem(0.6, n)
+    grid = problem.grid
     report = solve_newton(problem)
     psi = np.real(report.psi)
     lam = 2.0 * np.exp(2.0 * psi)
@@ -685,8 +688,8 @@ def test_second_variation_local_support():
 
 def test_second_variation_negative_for_random_fields():
     n = 32
-    grid = TorusGrid(n)
-    problem = wang_specialize(1.2, grid)
+    problem = oracles.wang_problem(0.6, n)
+    grid = problem.grid
     report = solve_newton(problem)
     psi = np.real(report.psi)
     rng = np.random.default_rng(7)
@@ -716,7 +719,7 @@ def test_integrate_rejects_nan_path_and_dual_residuals(monkeypatch):
     # a NaN fails both `<= tol` gates: in the two orders' disagreement
     # of the plus frame, and in the base-line comparison of the derived
     # minus lift, poisoned on the base row and on the base column
-    problem = wang_specialize(1.2, TorusGrid(16))
+    problem = oracles.wang_problem(0.6, 16)
     conn = assemble(solve_newton(problem).psi, problem.C,
                     problem.background.chart)
     integrate_part = affine._integrate_part

@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,32 @@ def test_linear_solve_failure_exits_one_with_message(monkeypatch, capsys):
     assert err.count("\n") == 1
     assert err.startswith("stage failure")
     assert message in err
+
+
+def test_grid_too_large_for_memory_exits_one(tmp_path):
+    """A grid whose fields cannot be allocated stops with one stage
+    failure line on stderr, no traceback.  The child's address space is
+    capped at 4 GB, so the allocation fails at once whatever the
+    machine's overcommit setting, and BLAS runs one thread."""
+    cfg = write_cfg(tmp_path, {"grid": 1 << 20})
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 4 << 30
+        if hard != resource.RLIM_INFINITY:
+            limit = min(limit, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    src = str(Path(bchyp.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "bchyp.cli", "pipeline", "--config", cfg],
+        capture_output=True, text=True, preexec_fn=cap,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                 OMP_NUM_THREADS="1"))
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.count("\n") == 1
+    assert run.stderr.startswith(
+        "stage failure (MemoryError): Unable to allocate")
 
 
 @pytest.mark.parametrize("payload, message", [
@@ -610,27 +637,60 @@ def test_runtime_limit_fails_but_stays_out_of_the_manifest(monkeypatch,
     assert slow.line.endswith("(2.00s, limit 1s)")
 
 
-def test_frozen_criteria_match_the_sine_chart_config(capsys):
-    """configs/sine_chart.json is the datum of criteria 5 and 6 (sine
-    chart eps 0.01, alpha = beta = 0.6, n = 64), so the shared bundles
-    give the same numbers: the criteria build the same cubic pair and
-    give the same K_g = 0 that the config's background sets."""
-    cfg = load_config(cfg_path("sine_chart.json"))
-    assert cfg["grid"] == 64
-    assert cfg["chart"] == {"kind": "sine", "eps": 0.01}
-    assert cfg["cubic"] == {"kind": "pair", "alpha": 0.6, "beta": 0.6,
-                            "perturb": 0.0}
+#: The --config runs that give a frozen criterion's numbers on its datum:
+#: (datum in criteria.DATA, the shipped config that holds it or None,
+#: [(command, criterion, {run residual: criterion residual}, or None for
+#: every residual and the message)]).
+CRITERION_RUNS = [
+    ("perturbed", "gauss_perturbed.json",
+     [(["gauss", "solve"], 4, {"residual": "perturbed_res"})]),
+    ("sine", "sine_chart.json",
+     [(["conn", "flatness"], 5, {"flatness": "solved"}),
+      (["conn", "holonomy"], 6, None)]),
+    ("wang", None, [(["pipeline"], 8, None)]),
+]
 
-    def config_residuals(action):
-        code, out = run_json(capsys, ["conn", action, "--config",
-                                      cfg_path("sine_chart.json")])
+
+@pytest.mark.parametrize("datum, shipped, runs", CRITERION_RUNS,
+                         ids=[datum for datum, *_ in CRITERION_RUNS])
+def test_each_criterion_is_the_config_run_of_its_datum(tmp_path, capsys,
+                                                       datum, shipped, runs):
+    """A chain criterion builds its frozen datum with config.build_problem
+    and checks it with the bundle its --config run uses, so the two give
+    the same numbers bit for bit: criterion 4's perturbed residual is the
+    solve's of configs/gauss_perturbed.json, criteria 5 and 6 are conn
+    flatness and holonomy on configs/sine_chart.json, and criterion 8 is
+    the pipeline's roundtrip of Wang config q = 0.6 (Wang's q = 1.2) at
+    n = 128, with its path and dual checks."""
+    cfg = criteria.DATA[datum]
+    if shipped is not None:
+        loaded = load_config(cfg_path(shipped))
+        assert {name: loaded[name] for name in cfg} == cfg
+    path = write_cfg(tmp_path, cfg)
+    for argv, cid, keys in runs:
+        code, out = run_json(capsys, argv + ["--config", path])
         assert code == 0
-        (result,) = json.loads(out)["results"]
-        return result["residuals"]
+        (got,) = [r for r in json.loads(out)["results"]
+                  if r["criterion"] == cid]
+        want = criteria.run_criterion(cid)
+        if keys is None:
+            assert (got["residuals"], got["message"]) == (
+                want.residuals, want.message)
+        else:
+            assert {key: got["residuals"][key] for key in keys} == {
+                key: want.residuals[name] for key, name in keys.items()}
+    if datum == "wang":
+        assert {"path", "dual"} <= set(want.residuals)
 
-    assert config_residuals("holonomy") == criteria.criterion_6().residuals
-    assert (config_residuals("flatness")["flatness"]
-            == criteria.criterion_5().residuals["solved"])
+
+@pytest.mark.parametrize("datum", sorted(criteria.DATA))
+def test_frozen_data_pass_through_load_config_unchanged(tmp_path, datum):
+    """Each frozen datum holds the sections build_problem reads, each
+    in full, as load_config gives them back."""
+    cfg = criteria.DATA[datum]
+    assert set(cfg) == {"grid", "chart", "background", "cubic"}
+    loaded = load_config(write_cfg(tmp_path, cfg))
+    assert {name: loaded[name] for name in cfg} == cfg
 
 
 @pytest.mark.parametrize("name", ["constant_torus", "gauss_perturbed",
@@ -647,27 +707,6 @@ def test_config_steps_are_the_pipeline_s_steps(capsys, name):
     for argv, cid in ((["gauss", "solve"], 4), (["conn", "flatness"], 5),
                       (["conn", "holonomy"], 6)):
         assert results(argv) == [chain[cid]]
-
-
-def test_affine_roundtrip_is_the_pipeline_roundtrip_of_its_datum(tmp_path,
-                                                                 capsys):
-    """Criterion 8's datum is Wang q = 1.2 in Wang's normalization, the
-    pair alpha = beta = 0.6: the config q = 0.6 at n = 128.  Its
-    pipeline roundtrip and criterion 8 run the same checks on the same
-    pair, so they agree bit for bit."""
-    code, out = run_json(capsys, ["affine", "roundtrip"])
-    assert code == 0
-    (criterion,) = json.loads(out)["results"]
-    cfg = write_cfg(tmp_path, {"grid": 128,
-                               "cubic": {"kind": "wang", "q": 0.6}})
-    code, out = run_json(capsys, ["pipeline", "--config", cfg])
-    assert code == 0
-    (chain,) = [r for r in json.loads(out)["results"]
-                if r["criterion"] == 8]
-    assert "path" in criterion["residuals"]
-    assert "dual" in criterion["residuals"]
-    assert (criterion["residuals"], criterion["message"]) == (
-        chain["residuals"], chain["message"])
 
 
 def test_cli_calls_go_through_the_patched_names(monkeypatch, capsys):
@@ -696,7 +735,7 @@ def test_cli_calls_go_through_the_patched_names(monkeypatch, capsys):
         "structure_residuals": 1, "blaschke_data": 2, "anosov_scan": 1}
     assert sorted(args[1].steps[0] for args in calls["holonomy"]) == [
         (0, 1), (1, 0)]
-    assert isinstance(calls["solve_newton"][0][0], cli.GaussProblem)
+    assert isinstance(calls["solve_newton"][0][0], GaussProblem)
 
 
 def test_benchmark_hooks_resolve():

@@ -16,10 +16,11 @@ from bchyp.connection import (
     maurer_cartan_residual, step_generators,
 )
 from bchyp.criteria import _result, holonomy_checks
-from bchyp.gauss import GaussProblem, solve_newton, wang_specialize
+from bchyp.gauss import GaussProblem, solve_newton
 from oracles import (
     HTILDE, QTILDE, conjugate_frame, dense, higgs_split, hitchin_residuals,
     pairing_residual, reduced_system_residual, residual_intrinsic,
+    wang_problem,
 )
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 
@@ -469,7 +470,7 @@ def test_step_exponentials_keep_the_minus_part_structure():
     # solve, which is exact enough here; LAPACK's pivoted inverse rounds
     # the diagonal at ulp(1) by itself.
     n = 128
-    problem = wang_specialize(1.2, TorusGrid(n))
+    problem = wang_problem(0.6, n)
     report = solve_newton(problem)
     conn = assemble(report.psi, problem.C, problem.background.chart)
     E = {part: oracles.stacked(expm_steps(step_generators(
@@ -580,7 +581,7 @@ def test_holonomy_reads_omega_only_on_its_loop():
     # fields (Ox, Oy, two idempotent parts each)
     n = 128
     field = n * n * 9 * 16          # one complex 3x3 field
-    problem = wang_specialize(1.2, TorusGrid(n))
+    problem = wang_problem(0.6, n)
     report = solve_newton(problem)
     conn = assemble(report.psi, problem.C, problem.background.chart)
     tracemalloc.start()

@@ -24,10 +24,10 @@ from bchyp.criteria import run_criterion
 from bchyp.bicomplex import BcMat3, BcVec3, Bicomplex
 from bchyp.chtau import Flag, HyperboloidPoint, TangentVector
 from bchyp.connection import Loop, assemble
-from bchyp.gauss import wang_specialize
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 from bchyp.replib import Representation
 from commands import commands
+from oracles import wang_problem
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bchyp.__path__))
 SOURCES = sorted(Path(bchyp.__file__).parent.glob("*.py"))
@@ -387,7 +387,7 @@ def test_every_value_type_is_immutable():
         Flag([1, 0, 0], [0, 0, 1]),
         conn,
         Loop.x_period(16),
-        wang_specialize(0.5, grid),
+        wang_problem(0.25, 16),
         grid,
         chart,
         ComplexMetric(chart, 0.0),

@@ -15,11 +15,12 @@ from bchyp.metric import (
 from bchyp.gauss import (
     GaussProblem,
     residual_background, constant_root,
-    solve_newton, wang_specialize,
+    solve_newton,
     laplacian_matrix, laplacian_symbol,
     LinearSolveFailure, NoPositiveRoot,
 )
-from oracles import ChartMismatch, curvature, residual_intrinsic, scipy_gmres
+from oracles import (ChartMismatch, curvature, residual_intrinsic,
+                     scipy_gmres, wang_problem)
 
 
 def flat_problem(n=32, alpha=0.0, beta=0.0, Kg=0.0, mu=0.0):
@@ -244,7 +245,7 @@ def test_solve_builds_no_laplacian_without_a_newton_step(monkeypatch):
         raise AssertionError("laplacian_matrix built by the solver")
 
     monkeypatch.setattr(gauss, "laplacian_matrix", refuse)
-    rep = solve_newton(wang_specialize(1.2, TorusGrid(32)))
+    rep = solve_newton(wang_problem(0.6, 32))
     assert rep.converged
     assert rep.iterations == 0
     p = band_problem(32, 0.0, 1.0, 0.1)      # the perturbed datum
@@ -502,15 +503,13 @@ def test_solve_band_corners_with_two_blas_threads():
 # ------------------------------------------------------------------- wang
 
 def test_wang_zero_datum_reduces():
-    g = TorusGrid(32)
-    p = wang_specialize(0.0, g)
+    p = wang_problem(0.0, 32)
     assert np.abs(p.C.alpha).max() == 0 and np.abs(p.C.beta).max() == 0
     assert np.abs(p.Kg).max() == 0
 
 
 def test_wang_constant_one_matches_root():
-    g = TorusGrid(32)
-    p = wang_specialize(1.0, g)
+    p = wang_problem(0.5, 32)
     rep = solve_newton(p)
     assert rep.converged
     c = float(np.mean(p.cnorm_g).real)          # = 1/32
@@ -520,13 +519,15 @@ def test_wang_constant_one_matches_root():
 
 
 def test_wang_equation_pointwise():
-    # K - 2|q|^2 = -1 with 2|q|^2 = 8 |C|^2_h for alpha = beta = q/2
-    g = TorusGrid(64)
-    p = wang_specialize(2.0, g)
+    # K - 2|q_W|^2 = -1 with 2|q_W|^2 = 8 |C|^2_h for Wang's q_W = 2q,
+    # the config's q giving alpha = beta = q
+    q = 1.0
+    p = wang_problem(q, 64)
     rep = solve_newton(p)
     h = ComplexMetric(p.background.chart, rep.psi)
     two_q2 = 8.0 * cubic_norm(h, p.C)
-    want = (2.0 * 2.0) * np.exp(-6 * rep.psi) / 4.0     # |q|^2 e^{-6psi}/4
+    q_w = 2.0 * q
+    want = (q_w * q_w) * np.exp(-6 * rep.psi) / 4.0   # |q_W|^2 e^{-6psi}/4
     assert np.abs(two_q2 - want).max() < 1e-13
     K = curvature(h)
     assert np.abs(K - two_q2 + 1.0).max() < 1e-10

@@ -9,8 +9,8 @@ import oracles
 from bchyp import mat3
 from bchyp.affine import integrate_frame
 from bchyp.connection import assemble
-from bchyp.gauss import solve_newton, wang_specialize
-from bchyp.metric import TorusGrid, centered_dx, centered_dy
+from bchyp.gauss import solve_newton
+from bchyp.metric import centered_dx, centered_dy
 
 
 def stack(rng, shape, dtype):
@@ -75,7 +75,7 @@ def test_adjugate_solve_on_integrated_wang_frame():
     pair integrated from constant Wang data, with the second derivatives
     as right-hand sides, away from the seam of the non-periodic pair."""
     n = 32
-    problem = wang_specialize(1.2, TorusGrid(n))
+    problem = oracles.wang_problem(0.6, n)
     report = solve_newton(problem)
     pair = integrate_frame(assemble(report.psi, problem.C,
                                     problem.background.chart))
