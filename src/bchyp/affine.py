@@ -42,13 +42,13 @@ import numpy as np
 
 from . import mat3
 from .connection import (
-    F0, PARTS, FlatConnectionField, grid_step_generators, step_generators,
-    step_norms, taylor_degree, transport,
+    F0, PARTS, FlatConnectionField, grid_step_generators, step_norms,
+    taylor_degree, transport,
 )
 from .metric import BeltramiChart, CubicPair, centered_dx, centered_dy
 
 __all__ = [
-    "NotReal", "PathDependent", "DegenerateFrame",
+    "NotReal", "PathDependent", "DegenerateFrame", "NotDual",
     "AffinePair", "BlaschkeData",
     "eta", "integrate_frame",
     "structure_residuals", "blaschke_data", "pick_cubic",
@@ -95,6 +95,10 @@ class PathDependent(RuntimeError):
 
 class DegenerateFrame(ArithmeticError):
     """The moving frame {f_x, f_y, f} is numerically singular."""
+
+
+class NotDual(ValueError):
+    """eta(f+, f-) of a pair deviates from -1 by more than 1e-6."""
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +161,7 @@ class AffinePair:
             raise ValueError("non-finite entries in pair")
         dev = float(np.max(np.abs(eta(fp, fm) + 1.0)))
         if dev > 1e-6:
-            raise ValueError(f"eta(f+, f-) deviates from -1 by {dev:.3e}")
+            raise NotDual(f"eta(f+, f-) deviates from -1 by {dev:.3e}")
         object.__setattr__(self, "fplus", fp)
         object.__setattr__(self, "fminus", fm)
 
@@ -342,17 +346,16 @@ def _dual_residual(conn, base, sigma_minus):
     """Max-abs gap, NaN if either side is NaN, between the derived minus
     lift sigma_minus (3, n, n) and the lift column of the minus frame
     integrated on its own along the base row and the base column: the
-    line generators of step_generators, swept both ways from the
-    identity at the base, each line at the Taylor degrees of its own
-    steps."""
-    iy0, ix0 = base
+    minus generators of those two lines (grid_step_generators with a
+    line), swept both ways from the identity at the base, each line at
+    the Taylor degrees of its own steps."""
     n = conn.grid.n
-    line = np.arange(n)
     resid = 0.0
-    for i0, iy, ix, diy, dix, derived in (
-            (ix0, iy0, line, 0, 1, sigma_minus[:, iy0]),
-            (iy0, line, ix0, 1, 0, sigma_minus[:, :, ix0])):
-        S = step_generators(conn, iy, ix, diy, dix, "minus")
+    for leg, derived in ((0, sigma_minus[:, base[0]]),
+                         (1, sigma_minus[:, :, base[1]])):
+        # leg 0 sweeps row base[0] from column base[1], leg 1 the reverse
+        line, i0 = base[leg], base[1 - leg]
+        S = grid_step_generators(conn, "minus", leg, line)
         norms = step_norms(S)
         k, ki = (taylor_degree(m.max(initial=0.0))
                  for m in (norms, norms[:i0]))

@@ -143,8 +143,14 @@ def build_chart(cfg: dict, grid: TorusGrid) -> BeltramiChart:
 def build_problem(cfg: dict):
     """(GaussProblem, chart, grid, cubic kind) of a config; a datum the
     constructors reject is a ConfigError.  Wang data q is the Hitchin-
-    locus pair alpha = beta = q: Wang's normalized cubic is 2q."""
+    locus pair alpha = beta = q: Wang's normalized cubic is 2q.
+
+    A datum whose |C|^2_g is identically zero (also by underflow) while
+    kg >= 0 is refused: integrating the Gauss equation over the torus
+    then asks for the integral of e^{2 psi} to be -kg times the area,
+    which no real psi gives."""
     cubic = read(cfg, "cubic")
+    kg = read(cfg, "background")["kg"]
     try:
         grid = TorusGrid(read(cfg, "grid"))
         chart = build_chart(cfg, grid)
@@ -156,11 +162,15 @@ def build_problem(cfg: dict):
             alpha = alpha + cubic["perturb"] * np.exp(2j * np.pi * grid.x)
         problem = GaussProblem(ComplexMetric(chart, 0.0),
                                CubicPair(grid, alpha, beta),
-                               Kg=read(cfg, "background")["kg"])
+                               Kg=kg)
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(f"invalid datum: {e}") from e
+    if kg >= 0 and not problem.cnorm_g.any():
+        raise ConfigError(f"invalid datum: |C|^2_g is zero everywhere and "
+                          f"kg = {kg} >= 0, so the Gauss equation has no "
+                          f"solution")
     return problem, chart, grid, cubic["kind"]
 
 

@@ -28,27 +28,30 @@ frames stay planes.
 
 Transport along the connection, shared by holonomy and by
 affine.integrate_frame: midpoint-sampled step generators
-(step_generators, which gathers Omega only at the nodes the steps
-touch, for a loop; grid_step_generators, the same rule for every step
-of the grid from one evaluation of Omega and a shift), one batched
-exponential per idempotent component (expm_steps; the algebra splits,
-so ordinary 3x3 exponentials suffice), then the ordered product
-(transport).  The exponential keeps the Taylor degree table and
-backward-error reasoning of Al-Mohy & Higham: taylor_degree picks the
-degree from the largest step 1-norm (step_norms), once per batch, so
-integrate_frame can exponentiate a grid's steps in blocks with the
-degree of the whole.  mat3.expm only evaluates the chosen polynomial
-more cheaply, as a Horner recurrence that Cayley-Hamilton reduces to
-one plane product.  It adds the identity last, so each step keeps the
-minus-part structure E_minus = QTILDE E_plus^-T QTILDE to round-off far
-below ulp(1); affine.integrate_frame relies on it, integrating only the
-plus part over the grid and deriving the minus lift from the plus
-frame.  Steps multiply on the right, as the frame equation
-dG = G Omega has it; in that order the assembled connection is flat.
-Each step is G + G (E - I), its 27 products written by one broadcast
-multiply into a reused buffer and summed in the order of the row-form
-product mat3.matmul.  Holonomy is the product along a loop,
+(grid_step_generators, for every step of the grid or for the steps of
+one row or column, from one evaluation of Omega on the nodes the steps
+leave and a shift), one batched exponential per idempotent component
+(expm_steps; the algebra splits, so ordinary 3x3 exponentials
+suffice), then the ordered product (transport).  The exponential keeps
+the Taylor degree table and backward-error reasoning of
+Al-Mohy & Higham: taylor_degree picks the degree from the largest step
+1-norm (step_norms), once per batch, so integrate_frame can
+exponentiate a grid's steps in blocks with the degree of the whole.
+mat3.expm only evaluates the chosen polynomial more cheaply, as a
+Horner recurrence that Cayley-Hamilton reduces to one plane product.
+It adds the identity last, so each step keeps the minus-part structure
+E_minus = QTILDE E_plus^-T QTILDE to round-off far below ulp(1);
+affine.integrate_frame relies on it, integrating only the plus part
+over the grid and deriving the minus lift from the plus frame.  Steps
+multiply on the right, as the frame equation dG = G Omega has it; in
+that order the assembled connection is flat.  Each step is
+G + G (E - I), its 27 products written by one broadcast multiply into
+a reused buffer and summed in the order of the row-form product
+mat3.matmul.  Holonomy is the product along a period,
 G(end) = G(start) H, and sections (F' = Omega F) transport by H^-1.
+The torus testbed has pi_1 = Z^2, generated by the two periods, so the
+holonomy of a flat datum around any loop is a word in H_x and H_y, and
+holonomy computes those two: each from the steps of one grid line.
 Holonomy is returned in the ambient gauge: conjugated by a constant
 model frame F0 with F0^T Q F0 = QTILDE, after which group elements
 satisfy the compatibility X_minus = Q (X_plus^-1)^T Q and the plus
@@ -67,7 +70,7 @@ from .metric import BeltramiChart, CubicPair, TorusGrid
 __all__ = [
     "F0", "PARTS", "FlatConnectionField", "Loop", "max_abs",
     "assemble", "maurer_cartan_residual",
-    "step_generators", "grid_step_generators", "step_norms", "taylor_degree",
+    "grid_step_generators", "step_norms", "taylor_degree",
     "expm_steps", "transport",
     "holonomy",
 ]
@@ -202,36 +205,26 @@ def _omega_at(conn: FlatConnectionField, part: str, leg: int, iy, ix
 
 
 class Loop(Frozen):
-    """Closed grid-aligned path on the torus.
+    """One period of the torus grid: the n unit steps from node (0, 0)
+    along x (leg 0, steps (1, 0)) or along y (leg 1, steps (0, 1)).
 
-    Steps are (dix, diy) cell displacements; closure means the total
-    displacement is a lattice vector, i.e. a multiple of n cells in each
-    direction.
+    The two periods generate pi_1 = Z^2, so holonomy needs no other
+    loop.
     """
 
-    __slots__ = ("n", "steps")
+    __slots__ = ("n", "leg", "steps")
 
-    def __init__(self, n: int, steps):
+    def __init__(self, n: int, leg: int):
         n = int(n)
-        steps = tuple((int(a), int(b)) for a, b in steps)
-        if not steps:
-            raise ValueError("empty loop")
-        if any(s == (0, 0) for s in steps):
-            raise ValueError("zero step in loop")
-        sx = sum(s[0] for s in steps)
-        sy = sum(s[1] for s in steps)
-        if sx % n != 0 or sy % n != 0:
-            raise ValueError(f"loop is not closed: total displacement "
-                             f"({sx}, {sy}) cells on an n={n} grid")
-        self._set(n=n, steps=steps)
+        self._set(n=n, leg=leg, steps=(((1, 0), (0, 1))[leg],) * n)
 
     @classmethod
     def x_period(cls, n: int) -> "Loop":
-        return cls(n, ((1, 0),) * n)
+        return cls(n, 0)
 
     @classmethod
     def y_period(cls, n: int) -> "Loop":
-        return cls(n, ((0, 1),) * n)
+        return cls(n, 1)
 
     def __repr__(self):
         return f"Loop(n={self.n}, {len(self.steps)} steps)"
@@ -329,47 +322,29 @@ def _product_entry(A: dict, B: dict, i: int, j: int):
     return 0.0 if acc is None else acc
 
 
-def step_generators(conn: FlatConnectionField, iy, ix, diy, dix,
-                    part: str) -> np.ndarray:
-    """Midpoint generators of the grid steps (ix, iy) -> (ix+dix, iy+diy)
+def grid_step_generators(conn: FlatConnectionField, part: str,
+                         leg: int, line=None) -> np.ndarray:
+    """Midpoint generators of the unit grid steps along x (leg 0:
+    (ix, iy) -> (ix+1, iy)) or along y (leg 1: (ix, iy) -> (ix, iy+1))
     in one idempotent part ("plus" or "minus").
 
-    Omega is sampled as the average of its values at the two endpoint
-    nodes (indices wrap around the torus) and contracted with the step
-    displacement h (dix, diy).  The four index arguments broadcast
-    together to a batch shape; the result is the (3, 3, *batch)
-    generator planes, whose exponentials transport a frame across each
-    step.  Omega is read only at the endpoint nodes, and a leg whose
-    displacement is zero across the batch is skipped.
+    With no line, every step of the grid, as (3, 3, n, n) planes
+    indexed [.., iy, ix] by the node each step leaves; with a line, the
+    n steps of row iy = line (leg 0) or column ix = line (leg 1), as
+    (3, 3, n) planes, bit for bit the matching row or column of the
+    whole grid.  Omega is sampled as the average of its values at the
+    two ends of each step (indices wrap around the torus) and
+    contracted with the step: it is evaluated once on the nodes the
+    steps leave, and its start and end values are added through
+    shifted slices.
     """
-    iy, ix, diy, dix = np.broadcast_arrays(iy, ix, diy, dix)
-    n = conn.grid.n
-    jy, jx = (iy + diy) % n, (ix + dix) % n
-    S = np.zeros((3, 3) + iy.shape, dtype=complex)
-    for leg, w in ((0, dix), (1, diy)):
-        if np.any(w):
-            S += ((_omega_at(conn, part, leg, iy, ix)
-                   + _omega_at(conn, part, leg, jy, jx)) * w)
-    S *= 0.5 * conn.grid.spacing
-    return S
-
-
-def grid_step_generators(conn: FlatConnectionField, part: str,
-                         leg: int) -> np.ndarray:
-    """Midpoint generators of every unit grid step along x (leg 0:
-    (ix, iy) -> (ix+1, iy)) or along y (leg 1: (ix, iy) -> (ix, iy+1)),
-    as (3, 3, n, n) planes indexed [.., iy, ix] by the node each step
-    leaves.
-
-    The rule of step_generators on the whole grid, with Omega evaluated
-    once over the grid and its start and end values added through
-    shifted slices instead of gathered at both ends of every edge; the
-    sum runs in the same order, so the two agree bit for bit.
-    """
-    O = _omega_at(conn, part, leg, slice(None), slice(None))
+    nodes = [slice(None), slice(None)]
+    if line is not None:
+        nodes[leg] = line
+    O = _omega_at(conn, part, leg, *nodes)
     S = np.empty_like(O)
-    # Omega(start) + Omega(end), shifted along x (axis 3) or y (axis 2)
-    ahead = (slice(None),) * (3 - leg)
+    # Omega(start) + Omega(end), shifted along the axis the steps run on
+    ahead = (slice(None),) * (2 if leg else O.ndim - 1)
     np.add(O[ahead + (slice(0, -1),)], O[ahead + (slice(1, None),)],
            out=S[ahead + (slice(0, -1),)])
     np.add(O[ahead + (-1,)], O[ahead + (0,)], out=S[ahead + (-1,)])
@@ -465,13 +440,15 @@ def transport(E: np.ndarray, start=None, out=None) -> np.ndarray:
 
 
 def holonomy(conn: FlatConnectionField, loop: Loop) -> BcMat3:
-    """Path-ordered product of step exponentials of Omega along the loop.
+    """Path-ordered product of step exponentials of Omega along a
+    period.
 
-    Each step samples Omega at the segment midpoint (average of the two
-    endpoint node values) and exponentiates per idempotent component;
-    the steps multiply on the right in traversal order (transport), so
-    a frame carried around the loop returns as G(end) = G(start) H.
-    All steps of one component go through one batched exponential.
+    The steps are those of grid line 0 of the loop's leg (row iy = 0
+    for the x period, column ix = 0 for the y period), their midpoint
+    generators from grid_step_generators, exponentiated per idempotent
+    component, one batched exponential per component; they multiply on
+    the right in traversal order (transport), so a frame carried around
+    the period returns as G(end) = G(start) H.
 
     The frame-basis product (group condition wrt QTILDE) is returned
     in the ambient gauge, conjugated by the constant model frame F0,
@@ -481,14 +458,10 @@ def holonomy(conn: FlatConnectionField, loop: Loop) -> BcMat3:
     on its class; holonomy does not check flatness, and
     FlatConnectionField.flatness_residual is that check.
     """
-    g = conn.grid
-    if loop.n != g.n:
+    if loop.n != conn.grid.n:
         raise ValueError("loop and connection grids differ")
-    d = np.array(loop.steps)                    # (steps, 2): (dix, diy)
-    start = np.cumsum(d, axis=0) - d            # node each step leaves
     # the two parts' steps side by side, transported together
-    E = np.stack([expm_steps(step_generators(
-        conn, start[:, 1] % g.n, start[:, 0] % g.n, d[:, 1], d[:, 0], part))
-        for part in PARTS], axis=-1)
+    E = np.stack([expm_steps(grid_step_generators(conn, part, loop.leg, 0))
+                  for part in PARTS], axis=-1)
     H = transport(E)[:, :, -1]
     return BcMat3(*(F0 @ H[..., k] @ F0_INV for k in range(len(PARTS))))

@@ -553,13 +553,17 @@ def test_integrate_frame_builds_no_grid_of_minus_generators(monkeypatch):
     # the minus part is integrated only along the base row and column
     built = []
 
-    def spy(conn, part, leg):
-        built.append((part, leg))
-        return grid_step_generators(conn, part, leg)
+    def spy(conn, part, leg, line=None):
+        built.append((part, leg, line))
+        return grid_step_generators(conn, part, leg, line)
 
     monkeypatch.setattr(affine, "grid_step_generators", spy)
     integrate_frame(wang_conn(32), base=(5, 7))
-    assert sorted(built) == [("plus", 0), ("plus", 1)]
+    assert sorted(b[:2] for b in built if b[2] is None) == [
+        ("plus", 0), ("plus", 1)]
+    # row iy = 5 and column ix = 7
+    assert sorted(b for b in built if b[0] == "minus") == [
+        ("minus", 0, 5), ("minus", 1, 7)]
 
 
 def test_sweep_is_the_only_transport_in_affine():

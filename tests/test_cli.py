@@ -422,6 +422,36 @@ def test_perturbed_wang_data_exits_two(tmp_path, capsys, command):
         "config error: cubic.perturb must be 0 for cubic kind 'wang'\n")
 
 
+@pytest.mark.parametrize("command", ["gauss solve", "pipeline"])
+@pytest.mark.parametrize("cubic", [
+    {"kind": "pair", "alpha": 0, "beta": 0},
+    {"kind": "pair", "alpha": 1e-300, "beta": 1e-300},
+    {"kind": "wang", "q": 0},
+], ids=["pair", "underflow", "wang"])
+def test_zero_cubic_datum_exits_two(tmp_path, capsys, command, cubic):
+    # with |C|^2 = 0 and kg >= 0 the integrated Gauss equation asks for
+    # the integral of e^{2 psi} to be -kg times the area: Newton drove
+    # psi down until e^{2 psi} fell below tol, and every check passed
+    cfg = write_cfg(tmp_path, {"grid": 32, "cubic": cubic})
+    assert main([*command.split(), "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid datum: |C|^2_g is zero everywhere and "
+        "kg = 0.0 >= 0, so the Gauss equation has no solution\n")
+
+
+def test_large_wang_q_eta_drift_exits_one(tmp_path, capsys):
+    # the integrated frame's det drifts from 1 by more than the pair's
+    # 1e-6 bound on eta(f+, f-) = -det G
+    cfg = write_cfg(tmp_path, {"grid": 64, "cubic": {"kind": "wang",
+                                                     "q": 40}})
+    assert main(["pipeline", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(
+        "stage failure (NotDual): eta(f+, f-) deviates from -1 by")
+    assert "Traceback" not in err
+
+
 def _solver_calls(monkeypatch):
     calls = []
     solve = cli.solve_newton

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bchyp import gauss
+from bchyp.config import ConfigError, build_problem
 from bchyp.metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
     laplacian, cubic_norm,
@@ -503,9 +504,14 @@ def test_solve_band_corners_with_two_blas_threads():
 # ------------------------------------------------------------------- wang
 
 def test_wang_zero_datum_reduces():
-    p = wang_problem(0.0, 32)
+    # q = 0 is the pair alpha = beta = 0; with kg >= 0 the Gauss
+    # equation of that pair has no solution, so only kg < 0 builds it
+    p = build_problem({"grid": 32, "chart": {}, "background": {"kg": -1.0},
+                       "cubic": {"kind": "wang", "q": 0.0}})[0]
     assert np.abs(p.C.alpha).max() == 0 and np.abs(p.C.beta).max() == 0
-    assert np.abs(p.Kg).max() == 0
+    assert np.abs(p.Kg + 1.0).max() == 0
+    with pytest.raises(ConfigError, match="zero everywhere"):
+        wang_problem(0.0, 32)
 
 
 def test_wang_constant_one_matches_root():
