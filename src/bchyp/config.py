@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .gauss import GaussProblem
-from .metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
+from .metric import BeltramiChart, CubicPair, TorusGrid
 from .replib import Representation
 
 __all__ = ["ConfigError", "SCHEMA", "read", "load_config", "build_chart",
@@ -27,7 +27,8 @@ class ConfigError(ValueError):
 #: Every config entry with its type and default.  chart and cubic list
 #: their keys per kind under "kind"; the first kind is the default.  A
 #: complex value is a number or an [re, im] pair, and a bool is no number.
-#: seed is recorded in the manifest and never read.
+#: seed is recorded in the manifest and never read; background.kg is
+#: recorded and must be 0.
 SCHEMA = {
     "grid": (int, 64),
     "chart": {"kind": {"identity": {},
@@ -96,6 +97,11 @@ def read(cfg: dict, name: str):
         raise ConfigError("solver.tol must be positive")
     if name == "solver" and values["max_iter"] < 0:
         raise ConfigError("solver.max_iter must not be negative")
+    if name == "background" and values["kg"] != 0:
+        # the chart metric is flat, and by Gauss-Bonnet 0 is the only
+        # constant curvature of a torus metric
+        raise ConfigError("background.kg must be 0: the torus background "
+                          "is flat")
     if name == "cubic" and values["kind"] == "wang" and values["perturb"]:
         # perturb is added to alpha alone, which leaves the Hitchin locus
         raise ConfigError("cubic.perturb must be 0 for cubic kind 'wang'")
@@ -145,12 +151,10 @@ def build_problem(cfg: dict):
     constructors reject is a ConfigError.  Wang data q is the Hitchin-
     locus pair alpha = beta = q: Wang's normalized cubic is 2q.
 
-    A datum whose |C|^2_g is identically zero (also by underflow) while
-    kg >= 0 is refused: integrating the Gauss equation over the torus
-    then asks for the integral of e^{2 psi} to be -kg times the area,
-    which no real psi gives."""
+    A datum whose |C|^2_g is identically zero (also by underflow) is
+    refused: integrating the Gauss equation over the torus then asks
+    for the integral of e^{2 psi} to be 0, which no real psi gives."""
     cubic = read(cfg, "cubic")
-    kg = read(cfg, "background")["kg"]
     try:
         grid = TorusGrid(read(cfg, "grid"))
         chart = build_chart(cfg, grid)
@@ -160,17 +164,14 @@ def build_problem(cfg: dict):
             alpha, beta = cubic["alpha"], cubic["beta"]
         if cubic["perturb"]:
             alpha = alpha + cubic["perturb"] * np.exp(2j * np.pi * grid.x)
-        problem = GaussProblem(ComplexMetric(chart, 0.0),
-                               CubicPair(grid, alpha, beta),
-                               Kg=kg)
+        problem = GaussProblem(chart, CubicPair(grid, alpha, beta))
     except ConfigError:
         raise
     except ValueError as e:
         raise ConfigError(f"invalid datum: {e}") from e
-    if kg >= 0 and not problem.cnorm_g.any():
-        raise ConfigError(f"invalid datum: |C|^2_g is zero everywhere and "
-                          f"kg = {kg} >= 0, so the Gauss equation has no "
-                          f"solution")
+    if not problem.cnorm_g.any():
+        raise ConfigError("invalid datum: |C|^2_g is zero everywhere, so "
+                          "the Gauss equation has no solution")
     return problem, chart, grid, cubic["kind"]
 
 

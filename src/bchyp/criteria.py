@@ -200,7 +200,7 @@ def _test_phi(g):
             + 0.5 * np.sin(2 * np.pi * (g.x + g.y)))
 
 
-_FLAT = {"chart": {"kind": "identity"}, "background": {"kg": 0.0}}
+_FLAT = {"chart": {"kind": "identity"}}
 #: The solved data of criteria 4 (constant, perturbed), 5 and 6 (sine)
 #: and 8 (wang; criterion 9 takes it at n = 32), each the config
 #: sections that config.build_problem reads, in full.
@@ -209,9 +209,8 @@ DATA = {
         "kind": "pair", "alpha": 2.0, "beta": 2.0, "perturb": 0.0}},
     "perturbed": _FLAT | {"grid": 128, "cubic": {
         "kind": "pair", "alpha": 1.0, "beta": 1.0, "perturb": 0.1}},
-    "sine": {"grid": 64, "chart": {"kind": "sine", "eps": 0.01},
-             "background": {"kg": 0.0}, "cubic": {
-                 "kind": "pair", "alpha": 0.6, "beta": 0.6, "perturb": 0.0}},
+    "sine": {"grid": 64, "chart": {"kind": "sine", "eps": 0.01}, "cubic": {
+        "kind": "pair", "alpha": 0.6, "beta": 0.6, "perturb": 0.0}},
     "wang": _FLAT | {"grid": 128, "cubic": {
         "kind": "wang", "q": 0.6, "perturb": 0.0}},
 }
@@ -303,7 +302,7 @@ def criterion_4() -> CriterionResult:
     <= 3 Newton steps; a perturbed datum converges to 1e-10 at n=128."""
     t0 = time.perf_counter()
     rep = solve_newton(build_problem(DATA["constant"])[0])
-    u = constant_root(0.5, 0.0)
+    u = constant_root(0.5)
     const_err = float(np.abs(rep.psi - 0.5 * np.log(u)).max())
 
     problem = build_problem(DATA["perturbed"])[0]

@@ -1,21 +1,21 @@
 """Newton solver for the Gauss equation of the conformal factor.
 
-The unknown is a complex field psi with h = e^{2 psi} g over a fixed
-background metric g.  The solved equation, in background form, is
+The unknown is a complex field psi with h = e^{2 psi} g over the bare
+chart metric g of the flat torus.  The solved equation, in background
+form, is
 
-    F(psi) = Delta_g psi - K_g - e^{2 psi} + 8 e^{-4 psi} |C|^2_g = 0,
+    F(psi) = Delta_g psi - e^{2 psi} + 8 e^{-4 psi} |C|^2_g = 0,
 
-whose zero set realizes K_h = -1 + 8 |C|^2_h.  K_g enters as an
-explicit field, which every GaussProblem is given, so both the
-hyperbolic-background case (K_g = -1) and the flat torus testbed
-(K_g = 0) run through one code path.  The cubic pair enters as given:
-the solver neither projects nor checks its holomorphy.
+whose zero set realizes K_h = -1 + 8 |C|^2_h.  The background is flat,
+K_g = 0: on the torus Gauss-Bonnet gives int K_g dA = 2 pi chi(T^2) = 0,
+so 0 is the only constant curvature a background can have.  The cubic
+pair enters as given: the solver neither projects nor checks its
+holomorphy.
 
 An intrinsic formulation Delta_h psi + alpha conj(beta) e^{-6 psi} - 1
-(valid when the background is the bare chart metric; the tests'
-oracles.residual_intrinsic) provides an independent residual; with
-shared stencils the two are related by the exact discrete identity
-F = e^{2 psi} * F_intrinsic.
+(the tests' oracles.residual_intrinsic) provides an independent
+residual; with shared stencils the two are related by the exact
+discrete identity F = e^{2 psi} * F_intrinsic.
 
 The Newton linearization is
 
@@ -31,9 +31,9 @@ diagonal weight applied matrix-free (Knoll & Keyes, J. Comput. Phys.
 is the exact FFT inverse of J's constant-coefficient part: the Fourier
 symbol of the centered stencils with every chart coefficient and the
 weight replaced by its grid mean (Concus & Golub, SIAM J. Numer. Anal.
-10, 1973).  On the identity chart over a constant background it
-differs from J only by the weight's variation about its mean, so the
-Krylov count per step depends on the data, not on the grid size.
+10, 1973).  On the identity chart it differs from J only by the
+weight's variation about its mean, so the Krylov count per step
+depends on the data, not on the grid size.
 Steps are damped by halving on the residual max-norm, from the constant
 root of the averaged data, complex where the mean of |C|^2_g is.
 
@@ -46,15 +46,15 @@ builds, keeps its lazy import of scipy.sparse.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import mat3
 from ._frozen import Frozen
 from .metric import (
-    TorusGrid, ComplexMetric, CubicPair, LaplaceBeltrami,
+    TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
     cubic_norm, ellipticity_floor, stencil_symbols, symbol_check,
 )
 
@@ -73,7 +73,8 @@ GMRES_RTOL = 1e-12  # GMRES stops at |b - A x| <= GMRES_RTOL |b|
 
 
 class NoPositiveRoot(ArithmeticError):
-    """-Kg - u + 8c/u^2 = 0 has no reliable root with Re u > 0."""
+    """u^3 = 8c has no root with Re u > 0 that floats hold: c is 0, or
+    |c| is not finite."""
 
 
 class DidNotConverge(RuntimeError):
@@ -94,23 +95,23 @@ class LinearSolveFailure(RuntimeError):
 
 
 class GaussProblem(Frozen):
-    """Background metric + cubic datum + explicit K_g field.
+    """The Gauss equation of a cubic pair over a chart's flat metric.
 
-    laplacian is Delta_g, the LaplaceBeltrami operator of the
-    background, built once here; every residual and Newton matvec of a
-    solve applies it.
+    background is ComplexMetric(chart, 0), the bare chart metric, and
+    laplacian is Delta_g, its LaplaceBeltrami operator, built once here;
+    every residual and Newton matvec of a solve applies it.
     """
 
-    __slots__ = ("background", "C", "Kg", "cnorm_g", "laplacian")
+    __slots__ = ("background", "C", "cnorm_g", "laplacian")
 
-    def __init__(self, background: ComplexMetric, C: CubicPair, Kg):
-        grid = background.grid
-        if C.grid != grid:
-            raise ValueError("cubic pair and background live on different grids")
-        if not symbol_check(background.chart.mu):
+    def __init__(self, chart: BeltramiChart, C: CubicPair):
+        if C.grid != chart.grid:
+            raise ValueError("cubic pair and chart live on different grids")
+        if not symbol_check(chart.mu):
             raise ValueError(f"chart fails the symbol check: floor "
-                             f"{ellipticity_floor(background.chart.mu):.2e}")
-        self._set(background=background, C=C, Kg=grid.field(Kg),
+                             f"{ellipticity_floor(chart.mu):.2e}")
+        background = ComplexMetric(chart, 0.0)
+        self._set(background=background, C=C,
                   laplacian=LaplaceBeltrami(background))
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
             self._set(cnorm_g=cubic_norm(background, C))
@@ -123,9 +124,8 @@ class GaussProblem(Frozen):
 
     def initial_guess(self) -> np.ndarray:
         """The constant root of the averaged data (zero if it has none)."""
-        kg = float(np.mean(self.Kg).real)
         try:
-            u = constant_root(np.mean(self.cnorm_g), kg)
+            u = constant_root(np.mean(self.cnorm_g))
         except NoPositiveRoot:
             return np.zeros((self.grid.n, self.grid.n), dtype=complex)
         return np.full((self.grid.n, self.grid.n), 0.5 * np.log(u),
@@ -155,7 +155,7 @@ class SolveReport:
 
 
 def residual_background(psi, problem: GaussProblem) -> np.ndarray:
-    """Delta_g psi - K_g - e^{2 psi} + 8 e^{-4 psi} |C|^2_g."""
+    """Delta_g psi - e^{2 psi} + 8 e^{-4 psi} |C|^2_g."""
     return _residual_and_weight(psi, problem)[0]
 
 
@@ -163,52 +163,31 @@ def _residual_and_weight(psi, problem: GaussProblem):
     """residual_background and the Newton weight, from one pair of exps."""
     psi = problem.grid.field(psi)
     e2, e4 = np.exp(2 * psi), np.exp(-4 * psi)
-    return (problem.laplacian(psi) - problem.Kg - e2
-            + 8 * e4 * problem.cnorm_g,
+    return (problem.laplacian(psi) - e2 + 8 * e4 * problem.cnorm_g,
             2.0 * e2 + 32.0 * e4 * problem.cnorm_g)
 
 
-def constant_root(c, Kg: float):
-    """Root u = e^{2 psi} of -Kg - u + 8c/u^2 = 0: the root of
-    u^3 + Kg u^2 - 8c with the largest real part, from mat3.cubic_roots,
-    then at most two Newton steps, to 1e-14.
+def constant_root(c):
+    """Root u = e^{2 psi} of -u + 8c/u^2 = 0, that is u^3 = 8c, with the
+    largest real part: 2 |c|^{1/3} e^{i arg(c) / 3}, arg in (-pi, pi].
 
-    For real c >= 0 it is the largest positive root, a float (a complex
-    pair has real part (-Kg - r)/2 < 0 beside the real root r > -Kg).
-    Else it is complex: the root continued from the positive root at |c|
-    along the arc to arg c.  On the branch cut c < 0 two roots tie in
-    real part, and the one with Im u > 0 is taken, the limit from
-    arg c > 0: a convention, not a claim about quasi-Fuchsian pairs.
-    NoPositiveRoot when Re u <= 0 or the residual exceeds 1e-10 times
-    the size of the terms, max(1, |u|^3, |Kg| |u|^2, 8|c|), whose
-    rounding grows with |Kg|, as for the NaN of an overflow
-    (|Kg| >~ 1e51).
+    For real c > 0 it is the float 2 cbrt(c).  Else it is complex: the
+    root continued from the positive root at |c| along the arc to
+    arg c.  On the branch cut c < 0 (also with imaginary part -0.0) two
+    roots tie in real part, and arg c = pi takes the one with Im u > 0,
+    the limit from arg c > 0: a convention, not a claim about
+    quasi-Fuchsian pairs.  NoPositiveRoot when c = 0 or |c| is not
+    finite.
     """
     c = complex(c)
-    if c.imag == 0 and c.real >= 0:
-        c = c.real
-    Kg = float(Kg)
-    if c == 0.0 and Kg >= 0:
-        raise NoPositiveRoot(f"c = 0 and Kg = {Kg} >= 0")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        roots = mat3.cubic_roots(-Kg, 0.0, 8 * c)
-        u = roots[np.argmax(roots.real)]
-        if c.imag == 0:               # real: a tie is a conjugate pair
-            u = u.real if isinstance(c, float) else u.real + 1j * abs(u.imag)
-        for _ in range(2):            # Newton polish
-            f = u ** 3 + Kg * u ** 2 - 8 * c
-            df = 3 * u ** 2 + 2 * Kg * u
-            if df == 0:
-                break
-            step = f / df
-            u -= step
-            if abs(step) < 1e-14 * max(1.0, abs(u)):
-                break
-        residual = abs(u ** 3 + Kg * u ** 2 - 8 * c)
-        size = max(1.0, abs(u) ** 3, abs(Kg) * abs(u) ** 2, 8 * abs(c))
-    if not (u.real > 0 and residual <= 1e-10 * size):
-        raise NoPositiveRoot(f"no reliable positive root for c={c}, Kg={Kg}")
-    return float(u) if isinstance(c, float) else complex(u)
+    modulus = math.hypot(c.real, c.imag)
+    if not 0 < modulus < math.inf:
+        raise NoPositiveRoot(f"u^3 = 8c has no finite root with Re u > 0 "
+                             f"for c = {c}")
+    if c.imag == 0 and c.real > 0:
+        return 2.0 * float(np.cbrt(c.real))
+    arg = cmath.phase(c) if c.imag else math.pi
+    return cmath.rect(2.0 * float(np.cbrt(modulus)), arg / 3)
 
 
 def laplacian_matrix(metric: ComplexMetric) -> "scipy.sparse.csr_matrix":

@@ -704,10 +704,6 @@ def conjugate_frame(conn, g):
     return FlatConnectionField(cf("Ahat"), cf("Bhat"), conn.chart, conn.s2)
 
 
-class ChartMismatch(ValueError):
-    """Intrinsic residual requires a bare-chart (psi = 0) background."""
-
-
 def scipy_gmres(apply, precondition, b: np.ndarray):
     """(x, iterations, info) of scipy.sparse.linalg.gmres on apply(x) = b,
     left-preconditioned by precondition, with the settings of the Newton
@@ -727,9 +723,6 @@ def scipy_gmres(apply, precondition, b: np.ndarray):
 
 def residual_intrinsic(psi, problem) -> np.ndarray:
     """Delta_h psi + alpha conj(beta) e^{-6 psi} - 1 in the unknown h."""
-    if np.abs(problem.background.psi).max() > 1e-13:
-        raise ChartMismatch("background must be the bare chart metric "
-                            "(psi field identically zero)")
     psi = problem.grid.field(psi)
     h = ComplexMetric(problem.background.chart, psi)
     ab = problem.C.alpha * np.conj(problem.C.beta)

@@ -24,7 +24,7 @@ from bchyp.connection import (
 )
 from bchyp.criteria import roundtrip_checks
 from bchyp.gauss import GaussProblem, solve_newton
-from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
+from bchyp.metric import BeltramiChart, CubicPair, TorusGrid
 
 _CACHE = {}
 
@@ -501,7 +501,7 @@ def sine_pair_conn(n):
     grid = TorusGrid(n)
     chart = BeltramiChart.sine_perturbed(grid, 0.01)
     C = CubicPair(grid, 0.6, 0.3 + 0.2j)
-    report = solve_newton(GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0))
+    report = solve_newton(GaussProblem(chart, C))
     return assemble(report.psi, C, chart)
 
 

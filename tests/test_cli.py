@@ -17,7 +17,7 @@ import bchyp
 from bchyp import affine, cli, criteria
 from bchyp.gauss import (GaussProblem, LinearSolveFailure,
                          residual_background)
-from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
+from bchyp.metric import BeltramiChart, CubicPair, TorusGrid
 from bchyp.cli import (ConfigError, config_hash, load_config,
                        load_generators, main)
 from bchyp.criteria import CriterionResult
@@ -85,13 +85,11 @@ def test_symbol_floor_is_one_boundary_for_solver_and_config(tmp_path,
             "kind": "constant", "mu": [mu.real, mu.imag]}})
         cfg = load_config(path)
         if elliptic:
-            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0),
-                         Kg=0.0)
+            GaussProblem(chart, CubicPair(grid, 0, 0))
             assert np.allclose(cli.build_problem(cfg)[1].mu, mu)
             continue
         with pytest.raises(ValueError, match="symbol check"):
-            GaussProblem(ComplexMetric(chart, 0.0), CubicPair(grid, 0, 0),
-                         Kg=0.0)
+            GaussProblem(chart, CubicPair(grid, 0, 0))
         with pytest.raises(ConfigError, match="symbol check"):
             cli.build_problem(cfg)
         assert main(["gauss", "solve", "--config", path]) == 2
@@ -231,15 +229,20 @@ def test_newton_failure_exits_one_with_message(tmp_path, capsys, payload,
     assert err.startswith(f"stage failure (DidNotConverge): {message}")
 
 
-@pytest.mark.parametrize("kg", [-1e4, 1e8, -1e8, 1e20, 1e100, 1e300,
-                                -1e300])
-def test_huge_kg_prints_no_warning(tmp_path, capsys, kg):
-    # damping trials that overflow and GMRES on a residual near the
-    # float range must not print RuntimeWarnings (errors here, under
-    # filterwarnings = error) around the one outcome line
-    cfg = write_cfg(tmp_path, {"grid": 16, "background": {"kg": kg}})
-    assert main(["gauss", "solve", "--config", cfg]) in (0, 1)
-    assert capsys.readouterr().err.count("\n") <= 1
+@pytest.mark.parametrize("size, perturb", [
+    (1e100, 5e99), (1e140, 5e139), (1e150, 5e149), (1.0, 1e4),
+    (1e150, 1e154)])
+def test_huge_cubic_data_print_no_warning(tmp_path, capsys, size, perturb):
+    # damping trials that overflow (the last two data) and GMRES on a
+    # residual near the float range must not print RuntimeWarnings
+    # (errors here, under filterwarnings = error) around the one outcome
+    # line
+    cfg = write_cfg(tmp_path, {"grid": 16, "cubic": {
+        "kind": "pair", "alpha": size, "beta": size, "perturb": perturb}})
+    assert main(["gauss", "solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("stage failure (DidNotConverge): ")
 
 
 def test_pair_on_the_branch_cut_solves(tmp_path, capsys):
@@ -379,6 +382,12 @@ def test_given_section_records_its_defaults(tmp_path, capsys, payload,
         load_config(None) | payload)
 
 
+#: Background curvatures the reader refuses, however small or large: the
+#: chart metric of the torus is flat, K_g = 0.
+NONZERO_KG = [-1.0, 0.5, -1e-300, -1e4, 1e8, -1e8, 1e20, 1e100, 1e300,
+              -1e300]
+
+
 @pytest.mark.parametrize("payload", [
     {"grid": 100},
     {"grid": 8},
@@ -398,10 +407,12 @@ def test_given_section_records_its_defaults(tmp_path, capsys, payload,
     {"solver": {"tol": float("nan")}},
     {"background": {"kg": float("nan")}},
     {"chart": {"kind": "sine", "eps": float("nan")}},
-], ids=["grid_100", "grid_8", "grid_bool", "tol_str", "perturb_str",
-        "kg_str", "q_overflow", "max_iter_float", "max_iter_str",
-        "seed_str", "mu_on_identity", "max_iter_negative", "tol_inf",
-        "tol_zero", "tol_negative", "tol_nan", "kg_nan", "eps_nan"])
+] + [{"background": {"kg": kg}} for kg in NONZERO_KG],
+    ids=["grid_100", "grid_8", "grid_bool", "tol_str", "perturb_str",
+         "kg_str", "q_overflow", "max_iter_float", "max_iter_str",
+         "seed_str", "mu_on_identity", "max_iter_negative", "tol_inf",
+         "tol_zero", "tol_negative", "tol_nan", "kg_nan", "eps_nan"]
+    + [f"kg_{kg!r}" for kg in NONZERO_KG])
 def test_malformed_config_exits_two(tmp_path, capsys, payload):
     cfg = write_cfg(tmp_path, {"grid": 16} | payload)
     assert main(["gauss", "solve", "--config", cfg]) == 2
@@ -429,14 +440,14 @@ def test_perturbed_wang_data_exits_two(tmp_path, capsys, command):
     {"kind": "wang", "q": 0},
 ], ids=["pair", "underflow", "wang"])
 def test_zero_cubic_datum_exits_two(tmp_path, capsys, command, cubic):
-    # with |C|^2 = 0 and kg >= 0 the integrated Gauss equation asks for
-    # the integral of e^{2 psi} to be -kg times the area: Newton drove
-    # psi down until e^{2 psi} fell below tol, and every check passed
+    # with |C|^2 = 0 the integrated Gauss equation asks for the integral
+    # of e^{2 psi} to be 0: Newton drove psi down until e^{2 psi} fell
+    # below tol, and every check passed
     cfg = write_cfg(tmp_path, {"grid": 32, "cubic": cubic})
     assert main([*command.split(), "--config", cfg]) == 2
     assert capsys.readouterr().err == (
-        "config error: invalid datum: |C|^2_g is zero everywhere and "
-        "kg = 0.0 >= 0, so the Gauss equation has no solution\n")
+        "config error: invalid datum: |C|^2_g is zero everywhere, so the "
+        "Gauss equation has no solution\n")
 
 
 def test_large_wang_q_eta_drift_exits_one(tmp_path, capsys):
@@ -718,7 +729,7 @@ def test_frozen_data_pass_through_load_config_unchanged(tmp_path, datum):
     """Each frozen datum holds the sections build_problem reads, each
     in full, as load_config gives them back."""
     cfg = criteria.DATA[datum]
-    assert set(cfg) == {"grid", "chart", "background", "cubic"}
+    assert set(cfg) == {"grid", "chart", "cubic"}
     loaded = load_config(write_cfg(tmp_path, cfg))
     assert {name: loaded[name] for name in cfg} == cfg
 

@@ -59,7 +59,7 @@ def solved_sine(n, eps=0.01):
         grid = TorusGrid(n)
         chart = BeltramiChart.sine_perturbed(grid, eps)
         C = CubicPair(grid, 0.6, 0.6)
-        problem = GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0)
+        problem = GaussProblem(chart, C)
         report = solve_newton(problem)
         assert report.converged
         _SOLVED[(n, eps)] = (report.psi, problem.C, chart)
@@ -266,7 +266,7 @@ def test_reduced_r0_is_scaled_gauss_residual():
     tx, ty = 2 * np.pi * grid.x, 2 * np.pi * grid.y
     psi = smooth_psi(grid)
     C = CubicPair(grid, 0.5 + 0.2 * np.sin(ty), 0.3 * np.cos(tx) + 0.8)
-    problem = GaussProblem(ComplexMetric(chart, 0.0), C, Kg=0.0)
+    problem = GaussProblem(chart, C)
     ri = residual_intrinsic(psi, problem)
     s2 = ComplexMetric(chart, psi).s2
     r0, _, _ = reduced_system_residual(psi, C, chart)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bchyp import gauss
-from bchyp.config import ConfigError, build_problem
+from bchyp.config import ConfigError
 from bchyp.metric import (
     TorusGrid, BeltramiChart, ComplexMetric, CubicPair, LaplaceBeltrami,
     laplacian, cubic_norm,
@@ -20,82 +20,62 @@ from bchyp.gauss import (
     laplacian_matrix, laplacian_symbol,
     LinearSolveFailure, NoPositiveRoot,
 )
-from oracles import (ChartMismatch, curvature, residual_intrinsic,
-                     scipy_gmres, wang_problem)
+from oracles import curvature, residual_intrinsic, scipy_gmres, wang_problem
 
 
-def flat_problem(n=32, alpha=0.0, beta=0.0, Kg=0.0, mu=0.0):
+def flat_problem(n=32, alpha=0.0, beta=0.0, mu=0.0):
     g = TorusGrid(n)
-    bg = ComplexMetric(BeltramiChart.constant_mu(g, mu), 0.0)
-    C = CubicPair(g, alpha, beta)
-    return GaussProblem(bg, C, Kg=Kg)
+    return GaussProblem(BeltramiChart.constant_mu(g, mu),
+                        CubicPair(g, alpha, beta))
 
 
 def band_problem(n, eps, a, perturb, shift=0):
-    """alpha = a + perturb e^{2 pi i (x + shift/n)}, beta = a, Kg = 0,
-    on the identity chart (eps = 0) or the sine chart of amplitude eps.
+    """alpha = a + perturb e^{2 pi i (x + shift/n)}, beta = a, on the
+    identity chart (eps = 0) or the sine chart of amplitude eps.
     A whole-cell shift is an exact symmetry of the discrete problem."""
     g = TorusGrid(n)
     chart = (BeltramiChart.identity(g) if eps == 0
              else BeltramiChart.sine_perturbed(g, eps))
     alpha = a + perturb * np.exp(2j * np.pi * (g.x + shift / n))
-    return GaussProblem(ComplexMetric(chart, 0.0), CubicPair(g, alpha, a),
-                        Kg=0.0)
+    return GaussProblem(chart, CubicPair(g, alpha, a))
 
 
 # ------------------------------------------------------------ constant root
 
 def test_constant_root_examples():
-    assert abs(constant_root(0.0, -1.0) - 1.0) < 1e-14
-    assert abs(constant_root(1.0 / 8.0, 0.0) - 1.0) < 1e-14
-    assert abs(constant_root(1.0, 0.0) - 2.0) < 1e-13
+    assert constant_root(1.0 / 8.0) == 1.0
+    assert constant_root(1.0) == 2.0
+    assert abs(constant_root(1j) - (np.sqrt(3.0) + 1j)) < 1e-15
 
 
 def test_constant_root_no_root():
-    with pytest.raises(NoPositiveRoot):
-        constant_root(0.0, 0.0)
-    with pytest.raises(NoPositiveRoot):
-        constant_root(0.0, 2.0)
-
-
-@pytest.mark.parametrize("kg", [1e300, -1e300], ids=["plus", "minus"])
-def test_constant_root_overflow_is_no_positive_root(kg):
-    # the Cardano estimate leaves the float range and comes out NaN,
-    # which the residual gate turns into the error initial_guess catches
-    with pytest.raises(NoPositiveRoot):
-        constant_root(0.18, kg)
-
-
-def test_constant_root_polish_accuracy():
-    for c, kg in [(0.3, -0.7), (2.5, 1.2), (1e-6, -2.0), (7.0, 0.0)]:
-        u = constant_root(c, kg)
-        assert u > 0
-        assert abs(u ** 3 + kg * u ** 2 - 8 * c) < 1e-12 * max(1.0, 8 * c)
+    # c = 0, and a c whose modulus floats cannot hold
+    for c in (0.0, complex(0.0, -0.0), np.inf, -np.inf, complex(0.0, np.inf),
+              np.nan, complex(1.5e308, 1.5e308)):
+        with pytest.raises(NoPositiveRoot):
+            constant_root(c)
 
 
 def test_constant_root_matches_companion_roots():
-    # closed form against the largest positive real eigenvalue root of
-    # u^3 + Kg u^2 - 8c on a seeded grid; c >= 1e-3 keeps np.roots itself
-    # accurate (its absolute error is about eps |Kg|)
+    # the closed form against the root of u^3 - 8c with the largest real
+    # part from np.roots, over seeded moduli and every argument; one
+    # Newton step takes the eigenvalue's error of up to ~14 eps down to
+    # about 1 eps
     rng = np.random.default_rng(13)
-    for c, kg in zip(10.0 ** rng.uniform(-3, 3, 200), rng.uniform(-5, 5, 200)):
-        roots = np.roots([1.0, kg, 0.0, -8.0 * c])
-        real = roots[np.abs(roots.imag) <= 1e-9 * np.abs(roots)].real
-        ref = real[real > 0].max()
-        assert abs(constant_root(c, kg) - ref) <= 1e-13 * ref
-
-
-def test_constant_root_picks_largest():
-    # Kg < 0 with small c: roots near 0 and near -Kg; want the largest
-    u = constant_root(1e-4, -1.0)
-    assert u > 0.9
+    for r, arg in zip(10.0 ** rng.uniform(-6, 6, 500),
+                      rng.uniform(-np.pi, np.pi, 500)):
+        c = r * np.exp(1j * arg)
+        roots = np.roots([1.0, 0.0, 0.0, -8.0 * c])
+        ref = roots[np.argmax(roots.real)]
+        ref -= (ref ** 3 - 8.0 * c) / (3.0 * ref ** 2)
+        assert abs(constant_root(c) - ref) <= 1e-15 * abs(ref), c
 
 
 def test_constant_root_is_a_float_exactly_for_real_nonnegative_c():
-    assert type(constant_root(0.18, 0.0)) is float
-    assert type(constant_root(np.complex128(0.18), -1.0)) is float
-    assert type(constant_root(-0.18, 0.0)) is complex
-    assert type(constant_root(0.18 + 1e-21j, 0.0)) is complex
+    assert type(constant_root(0.18)) is float
+    assert type(constant_root(np.complex128(0.18))) is float
+    assert type(constant_root(-0.18)) is complex
+    assert type(constant_root(0.18 + 1e-21j)) is complex
 
 
 def test_constant_root_follows_the_arc_from_the_positive_root():
@@ -103,62 +83,39 @@ def test_constant_root_follows_the_arc_from_the_positive_root():
     # |c| along the arc to arg c, tracked with np.roots in small steps
     rng = np.random.default_rng(21)
     for _ in range(20):
-        kg = rng.uniform(-3.0, 3.0)
         r = 10.0 ** rng.uniform(-3.0, 1.4)
         arg = np.deg2rad(rng.uniform(-179.0, 179.0))
-        u = constant_root(r, kg)
+        u = constant_root(r)
         for t in np.linspace(0.0, arg, 400)[1:]:
-            roots = np.roots([1.0, kg, 0.0, -8.0 * r * np.exp(1j * t)])
+            roots = np.roots([1.0, 0.0, 0.0, -8.0 * r * np.exp(1j * t)])
             u = roots[np.argmin(np.abs(roots - u))]
-        got = constant_root(r * np.exp(1j * arg), kg)
+        got = constant_root(r * np.exp(1j * arg))
         assert abs(got - u) <= 1e-12 * abs(u)
-        assert abs(got ** 3 + kg * got ** 2 - 8 * r * np.exp(1j * arg)) \
+        assert abs(got ** 3 - 8 * r * np.exp(1j * arg)) \
             < 1e-12 * max(1.0, 8 * r)
 
 
-@pytest.mark.parametrize("band", [(-100.0, -30.0), (-300.0, -100.0),
-                                  (-1000.0, -300.0), (-1000.0, 3.0)])
-def test_constant_root_accepts_correct_roots_at_large_negative_kg(band):
-    # the rounding of u^3 and Kg u^2 grows with |Kg|, so the residual
-    # gate scales with the size of the terms: every seeded draw is
-    # accepted, and each root is np.roots' largest real root
-    rng = np.random.default_rng(abs(int(band[0] * band[1])))
-    for _ in range(1000):
-        c = rng.uniform(1e-4, 10.0)
-        kg = rng.uniform(*band)
-        roots = np.roots([1.0, kg, 0.0, -8.0 * c])
-        ref = roots[np.argmax(roots.real)].real
-        assert abs(constant_root(c, kg) - ref) <= 1e-12 * ref, (c, kg)
-
-
-@pytest.mark.parametrize("kg", [0.0, -1.0, 1.0])
-def test_constant_root_branch_cut_is_reached_from_above(kg):
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_constant_root_branch_cut_is_reached_from_above(zero):
     # on c < 0 two roots tie in real part; the one with Im > 0 is taken,
-    # the limit from arg c > 0, and arg c < 0 gives its conjugate
-    on_cut = constant_root(-1.0 / 8.0, kg)
-    above = constant_root(np.exp(1j * (np.pi - 1e-9)) / 8.0, kg)
-    below = constant_root(np.exp(-1j * (np.pi - 1e-9)) / 8.0, kg)
+    # the limit from arg c > 0, whatever the sign of the zero imaginary
+    # part, and arg c < 0 gives its conjugate
+    on_cut = constant_root(complex(-1.0 / 8.0, zero))
+    above = constant_root(np.exp(1j * (np.pi - 1e-9)) / 8.0)
+    below = constant_root(np.exp(-1j * (np.pi - 1e-9)) / 8.0)
     assert on_cut.imag > 0 and on_cut.real > 0
     assert abs(on_cut - above) < 1e-8
     assert abs(on_cut - below.conjugate()) < 1e-8
-    assert constant_root(complex(-1.0 / 8.0, -0.0), kg) == on_cut
-    if kg == 0.0:
-        assert abs(on_cut - np.exp(1j * np.pi / 3)) < 1e-15
+    assert abs(on_cut - np.exp(1j * np.pi / 3)) < 1e-15
 
 
 # -------------------------------------------------------------- residuals
 
-def test_residual_background_hyperbolic_case():
-    p = flat_problem(32, Kg=-1.0)
-    r = residual_background(0.0, p)
-    assert np.abs(r).max() < 1e-14
-
-
 def test_residual_background_constant_root_oracle():
-    p = flat_problem(32, alpha=2.0, beta=2.0, Kg=0.0)
+    p = flat_problem(32, alpha=2.0, beta=2.0)
     c = float(np.mean(p.cnorm_g).real)          # = alpha*conj(beta)/8
     assert abs(c - 0.5) < 1e-14
-    u = constant_root(c, 0.0)
+    u = constant_root(c)
     r = residual_background(0.5 * np.log(u), p)
     assert np.abs(r).max() < 1e-12
 
@@ -168,9 +125,8 @@ def test_residual_cross_check_exact():
     rng = np.random.default_rng(4)
     for mu in (0.0, 0.25 + 0.1j):
         g = TorusGrid(32)
-        bg = ComplexMetric(BeltramiChart.constant_mu(g, mu), 0.0)
         C = CubicPair(g, 1.1, 0.8 - 0.3j)
-        p = GaussProblem(bg, C, Kg=0.0)
+        p = GaussProblem(BeltramiChart.constant_mu(g, mu), C)
         for _ in range(10):
             psi = (0.3 * np.cos(2 * np.pi * g.x)
                    + 0.1j * np.sin(2 * np.pi * g.y)
@@ -193,21 +149,13 @@ def test_residual_intrinsic_zero_cubic():
     assert np.abs((r + 1.0) - laplacian(h, psi)).max() < 1e-13
 
 
-def test_residual_intrinsic_chart_mismatch():
-    g = TorusGrid(32)
-    bg = ComplexMetric(BeltramiChart.identity(g), 0.3)
-    p = GaussProblem(bg, CubicPair(g, 0.0, 0.0), Kg=0.0)
-    with pytest.raises(ChartMismatch):
-        residual_intrinsic(0.0, p)
-
-
 # ---------------------------------------------------------- problem setup
 
 def test_problem_rejects_degenerate_symbol():
     g = TorusGrid(16)
-    bg = ComplexMetric(BeltramiChart.constant_mu(g, 0.9995), 0.0)
     with pytest.raises(ValueError):
-        GaussProblem(bg, CubicPair(g, 0.0, 0.0), Kg=0.0)
+        GaussProblem(BeltramiChart.constant_mu(g, 0.9995),
+                     CubicPair(g, 0.0, 0.0))
 
 
 def test_laplacian_matrix_matches_operator():
@@ -279,27 +227,18 @@ def test_solve_builds_the_coefficient_fields_once(monkeypatch):
     assert sum(rep.krylov_iterations) >= 2
 
 
-def test_solve_hyperbolic_background():
-    p = flat_problem(32, Kg=-1.0)
-    rep = solve_newton(p)
-    assert rep.converged
-    assert rep.iterations <= 2
-    assert np.abs(rep.psi).max() < 1e-12
-
-
 def test_solve_constant_data_matches_root():
-    p = flat_problem(32, alpha=2.0, beta=2.0, Kg=0.0)
+    p = flat_problem(32, alpha=2.0, beta=2.0)
     rep = solve_newton(p)
     assert rep.converged and rep.iterations <= 3
-    u = constant_root(0.5, 0.0)
+    u = constant_root(0.5)
     assert np.abs(rep.psi - 0.5 * np.log(u)).max() < 1e-10
 
 
 def test_solve_perturbed_datum():
     g = TorusGrid(64)
     alpha = 1.0 + 0.1 * np.exp(2j * np.pi * g.x)
-    bg = ComplexMetric(BeltramiChart.identity(g), 0.0)
-    p = GaussProblem(bg, CubicPair(g, alpha, 1.0), Kg=0.0)
+    p = GaussProblem(BeltramiChart.identity(g), CubicPair(g, alpha, 1.0))
     rep = solve_newton(p)
     assert rep.converged
     assert np.abs(residual_background(rep.psi, p)).max() <= 1e-10
@@ -339,8 +278,7 @@ def test_newton_rejects_solver_settings_the_config_refuses(solver):
 def test_newton_quadratic_tail():
     g = TorusGrid(64)
     alpha = 1.0 + 0.1 * np.exp(2j * np.pi * g.x)
-    p = GaussProblem(ComplexMetric(BeltramiChart.identity(g), 0.0),
-                     CubicPair(g, alpha, 1.0), Kg=0.0)
+    p = GaussProblem(BeltramiChart.identity(g), CubicPair(g, alpha, 1.0))
     hist = solve_newton(p).residual_history
     for a, b in zip(hist, hist[1:]):
         if a < 1e-2:
@@ -353,8 +291,7 @@ def test_solution_second_differences_bounded():
     for n in (32, 64, 128):
         g = TorusGrid(n)
         alpha = 1.0 + 0.1 * np.exp(2j * np.pi * g.x)
-        p = GaussProblem(ComplexMetric(BeltramiChart.identity(g), 0.0),
-                         CubicPair(g, alpha, 1.0), Kg=0.0)
+        p = GaussProblem(BeltramiChart.identity(g), CubicPair(g, alpha, 1.0))
         psi = solve_newton(p).psi
         psi_zb = g.dzb(psi)
         tops.append(np.abs(0.5 * (g.dx(psi_zb) - 1j * g.dy(psi_zb))).max())
@@ -364,8 +301,7 @@ def test_solution_second_differences_bounded():
 def test_solve_on_nonidentity_chart():
     g = TorusGrid(32)
     chart = BeltramiChart.sine_perturbed(g, 0.05)
-    p = GaussProblem(ComplexMetric(chart, 0.0),
-                     CubicPair(g, 1.0, 1.0), Kg=0.0)
+    p = GaussProblem(chart, CubicPair(g, 1.0, 1.0))
     rep = solve_newton(p)
     assert rep.converged
     assert np.abs(residual_background(rep.psi, p)).max() <= 1e-10
@@ -425,6 +361,25 @@ def test_gmres_failure_gives_its_iteration_count():
         gauss._gmres(np.zeros_like, identity, b)
 
 
+def test_krylov_solve_of_a_residual_near_the_float_range():
+    # the norms of an F this size overflow, so _solve_krylov hands GMRES
+    # F scaled by a power of two; on constant data the preconditioner is
+    # the exact inverse, and one iteration solves the system
+    p = flat_problem(16, alpha=1.0, beta=1.0)
+    _, weight = gauss._residual_and_weight(p.initial_guess(), p)
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    F *= 1e300 / np.abs(F).max()
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            np.linalg.norm(F)
+        d, count = gauss._solve_krylov(p, weight, F)
+    s = 2.0 ** -1000                    # residual norms in the float range
+    r = p.laplacian(s * d) - weight * (s * d) + s * F
+    assert count == 1
+    assert np.linalg.norm(r) <= gauss.GMRES_RTOL * np.linalg.norm(s * F)
+
+
 def test_krylov_iterations_do_not_grow_with_grid():
     counts = []
     for n in (64, 128, 256):
@@ -453,8 +408,7 @@ def test_constant_pair_off_the_hitchin_locus_starts_solved(eps, theta):
     chart = (BeltramiChart.identity(g) if eps == 0
              else BeltramiChart.sine_perturbed(g, eps))
     beta = np.exp(-1j * np.deg2rad(theta))
-    p = GaussProblem(ComplexMetric(chart, 0.0), CubicPair(g, 1.0, beta),
-                     Kg=0.0)
+    p = GaussProblem(chart, CubicPair(g, 1.0, beta))
     rep = solve_newton(p)
     assert rep.converged and rep.iterations == 0
     assert rep.residual_history[-1] <= 1e-14
@@ -504,12 +458,8 @@ def test_solve_band_corners_with_two_blas_threads():
 # ------------------------------------------------------------------- wang
 
 def test_wang_zero_datum_reduces():
-    # q = 0 is the pair alpha = beta = 0; with kg >= 0 the Gauss
-    # equation of that pair has no solution, so only kg < 0 builds it
-    p = build_problem({"grid": 32, "chart": {}, "background": {"kg": -1.0},
-                       "cubic": {"kind": "wang", "q": 0.0}})[0]
-    assert np.abs(p.C.alpha).max() == 0 and np.abs(p.C.beta).max() == 0
-    assert np.abs(p.Kg + 1.0).max() == 0
+    # q = 0 is the pair alpha = beta = 0, whose Gauss equation over the
+    # flat background has no solution
     with pytest.raises(ConfigError, match="zero everywhere"):
         wang_problem(0.0, 32)
 
@@ -520,7 +470,7 @@ def test_wang_constant_one_matches_root():
     assert rep.converged
     c = float(np.mean(p.cnorm_g).real)          # = 1/32
     assert abs(c - 1 / 32) < 1e-15
-    u = constant_root(c, 0.0)
+    u = constant_root(c)
     assert np.abs(rep.psi - 0.5 * np.log(u)).max() < 1e-10
 
 

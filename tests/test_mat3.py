@@ -137,9 +137,9 @@ def test_cubic_roots_of_a_0d_input():
 
 
 def test_every_cubic_goes_through_mat3(monkeypatch):
-    """The Gauss constant root and the word spectra of the scan take their
-    roots from mat3.cubic_roots, the one closed form in the package."""
-    from bchyp import gauss, replib
+    """The word spectra of the scan take their roots from
+    mat3.cubic_roots, the one cubic solver in the package."""
+    from bchyp import replib
     calls = []
 
     def spy(*c, _roots=mat3.cubic_roots):
@@ -147,9 +147,6 @@ def test_every_cubic_goes_through_mat3(monkeypatch):
         return _roots(*c)
 
     monkeypatch.setattr(mat3, "cubic_roots", spy)
-    assert gauss.constant_root(0.125, 0.0) == 1.0
-    assert calls == [()]
     M = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     replib.anosov_scan(replib.Representation({"a": M}), 1)
-    assert len(calls) > 1
-    assert not hasattr(gauss, "_largest_root")
+    assert calls
