@@ -125,7 +125,9 @@ class GaussProblem(Frozen):
     def initial_guess(self) -> np.ndarray:
         """The constant root of the averaged data (zero if it has none)."""
         try:
-            u = constant_root(np.mean(self.cnorm_g))
+            # the mean as a sum of |C|^2_g / n^2: the same bits on a
+            # power-of-two grid, and a sum that cannot overflow
+            u = constant_root(np.sum(self.cnorm_g / self.cnorm_g.size))
         except NoPositiveRoot:
             return np.zeros((self.grid.n, self.grid.n), dtype=complex)
         return np.full((self.grid.n, self.grid.n), 0.5 * np.log(u),
@@ -242,7 +244,8 @@ def _solve_krylov(problem: GaussProblem, weight: np.ndarray,
     """
     shape = F.shape
     lap = problem.laplacian
-    symbol = laplacian_symbol(lap) - weight.mean()
+    # the weight's mean, summed as in initial_guess so it cannot overflow
+    symbol = laplacian_symbol(lap) - np.sum(weight / weight.size)
 
     def apply(d):
         d = d.reshape(shape)

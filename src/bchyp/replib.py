@@ -58,6 +58,16 @@ TIE_TOL = 1e-12         # relative: transversality values this close tie
 GAP_FLOOR = np.cbrt(EPS)   # times ||M||_F / |l1|
 CENTRALIZER_TOL = 1e-8  # singular values below this span the centralizer
 
+#: Words that anosov_scan gives `_spectra` at a time, at least: a pass
+#: takes whole word lengths until it holds this many.  A `_spectra` call
+#: costs about 0.36 ms at any size plus 1.2 to 1.6 us per word (2-core
+#: x86-64 Xeon, NumPy 2.4), so the two costs cross between about 230
+#: and 300 words.  A pass much larger than that spends more on words
+#: past an early stop than it saves in calls.  A pass of several lengths
+#: holds at most 2562 words (seven generators: 14 + 182 + 2366), under
+#: the 8192 where `_spectra`'s bits start to depend on the batch.
+SCAN_PASS_WORDS = 256
+
 
 class NotUnimodular(ValueError):
     """Input matrix is not in SL within the stated tolerance."""
@@ -178,7 +188,9 @@ def _adjugate_eigen(X, lam):
 def _spectra(X, length):
     """Loxodromy data of N words in closed form, from planes X
     (3, 3, 2, N) of the words X[:, :, 0] and of their inverses
-    X[:, :, 1], each a product of `length` generators.
+    X[:, :, 1]; word i is a product of length[i] generators, `length`
+    an int for all N or an (N,) array, ascending (a scan pass of
+    consecutive word lengths).
 
     l1 is the top root of the word's characteristic polynomial and
     l3 = 1 / (top root of the inverse's), each refined by one Rayleigh
@@ -198,22 +210,42 @@ def _spectra(X, length):
     span of top two) and repelling = the attracting flag of the
     inverse.  Both gaps must exceed GAP_TOL and the round-off floor
     GAP_FLOOR ||M||_F / |l1|, which rescaling leaves alone: a unipotent
-    word's eigenvalues scatter by about eps^(1/3) ||M||.  Raises
-    NotUnimodular for a word whose det is off one by more than
-    length * DET_TOL + DET_DRIFT ||M||_F^3, and NotDiagonalizable when
-    that first word has gaps above GAP_TOL but all three eigenvalues
-    have condition kappa of COND_TOL or more.  A single large kappa
-    does not count: a cluster root can land near a critical point of
-    the polynomial, where tr adj vanishes and kappa means nothing.
+    word's eigenvalues scatter by about eps^(1/3) ||M||.
+
+    A word's det may be off one by length * DET_TOL + DET_DRIFT
+    ||M||_F^3.  The first length with a word off by more is cut off
+    before any eigen work, and NotUnimodular names its worst word
+    unless a word of an earlier length is not loxodromic: a scan of one
+    length at a time stops at that word and never reaches the det.
+    Every other value is entrywise, so a pass gives each word the bits
+    that a call on its length alone gives, up to 8192 words: from 256
+    KiB on, NumPy computes a product with a temporary operand in place,
+    and its in-place complex product rounds differently.
+
+    Raises NotDiagonalizable when the first word that is not loxodromic
+    has gaps above GAP_TOL but all three eigenvalues have condition
+    kappa of COND_TOL or more.  A single large kappa does not count: a
+    cluster root can land near a critical point of the polynomial,
+    where tr adj vanishes and kappa means nothing.
     """
     top, c1, det = _top_root(X)
-    M = X[:, :, 0]
     norms = np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=(0, 1)))
+    length = np.broadcast_to(length, det[0].shape)
+    drift = np.abs(det[0] - 1.0) / (length * DET_TOL
+                                    + DET_DRIFT * norms[0] ** 3)
+    failed = np.flatnonzero(~(drift <= 1.0))
+    unimodular = None
+    if failed.size:
+        level = np.flatnonzero(length == length[failed[0]])
+        worst = level[np.argmax(drift[level])]
+        unimodular = NotUnimodular(f"det {det[0, worst]:.12g} is not 1")
+        cut = level[0]
+        if not cut:
+            raise unimodular
+        X, top, c1 = X[..., :cut], top[:, :cut], c1[:, :cut]
+        norms = norms[:, :cut]
+    M = X[:, :, 0]
     fro = norms[0]
-    drift = np.abs(det[0] - 1.0) / (length * DET_TOL + DET_DRIFT * fro ** 3)
-    worst = int(np.argmax(drift))
-    if not drift[worst] <= 1.0:
-        raise NotUnimodular(f"det {det[0, worst]:.12g} is not 1")
     vec, w, kappa = _adjugate_eigen(X, top)
     Xv = mat3.matmul(X, vec[:, None])[:, 0]
     np.divide((w * Xv).sum(axis=0), (w * vec).sum(axis=0), out=top,
@@ -233,6 +265,8 @@ def _spectra(X, length):
     stop = int(bad[0]) if bad.size else M.shape[-1]
     if stop < M.shape[-1] and defective[stop]:
         raise NotDiagonalizable(f"eigenvalue condition {kappa[stop]:.3e}")
+    if stop == M.shape[-1] and unimodular is not None:
+        raise unimodular
     top, bottom = vec[:, 0, :stop].T, vec[:, 1, :stop].T
     mid = mid[:, :stop].T
     flags = np.stack(_unit_incident(
@@ -341,9 +375,13 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     distinct eigenvalue moduli with relative gaps above GAP_TOL and
     above the round-off floor of the word (see `_spectra`).  Words are
     enumerated shortest first, with one batched product of the words and
-    one of their inverses per word length and closed-form spectra; the
-    scan stops at the first word that fails, reports it as the
-    obstruction, and reports the words before it.  (2) Transversality:
+    one of their inverses per word length, each built from the length
+    before.  Their closed-form spectra are taken in passes of
+    consecutive lengths, each pass the next lengths up to at least
+    SCAN_PASS_WORDS words (or the last length), so short lengths share
+    one `_spectra` call and a stop wastes at most a pass.  The scan
+    stops at the first word that fails, reports it as the obstruction,
+    and reports the words before it.  (2) Transversality:
     the minimum over the short-word sample (length <= 2) of flag-pair
     transversality, all four attracting/repelling combinations per pair,
     identical flags skipped.  Short words are used because their fixed
@@ -370,7 +408,8 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     last, level = np.arange(len(letters)), spelled
     mats = np.stack([gens, gens[:, :, last ^ 1]], axis=2)  # words, inverses
     words, moduli, gaps, attracting, repelling = [], [], [], [], []
-    obstruction = None
+    obstruction, anchors = None, 0
+    batch, labels, lengths = [], [], []     # the pass being gathered
     for length in range(1, max_word_len + 1):
         if length > 1:
             parent = np.repeat(np.arange(len(level)), follow.shape[1])
@@ -382,19 +421,27 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
                         out=mats[:, :, 1])
             level = [level[p] + spelled[t]
                      for p, t in zip(parent.tolist(), last.tolist())]
-        m, g, stop, att, rpl = _spectra(mats, length)
-        words += level[:stop]
+        if length <= 2:
+            anchors += len(level)
+        batch.append(mats)
+        labels += level
+        lengths += [length] * len(level)
+        if len(labels) < SCAN_PASS_WORDS and length < max_word_len:
+            continue
+        X = np.concatenate(batch, axis=-1) if len(batch) > 1 else mats
+        m, g, stop, att, rpl = _spectra(X, np.array(lengths))
+        words += labels[:stop]
         moduli.append(m[:stop])
         gaps.append(g[:stop])
         attracting.append(att)
         repelling.append(rpl)
-        if length <= 2:
-            anchors = len(words)
-        if stop < len(level):
-            obstruction = (f"word {level[stop]} is not loxodromic: moduli "
+        if stop < len(labels):
+            obstruction = (f"word {labels[stop]} is not loxodromic: moduli "
                            f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
                            f"{m[stop, 2]:.6g})")
             break
+        batch, labels, lengths = [], [], []
+    anchors = min(anchors, len(words))
     attracting = np.concatenate(attracting)
     repelling = np.concatenate(repelling)
     min_t, witness = _anchor_transversality(

@@ -231,10 +231,11 @@ def test_newton_failure_exits_one_with_message(tmp_path, capsys, payload,
 
 @pytest.mark.parametrize("size, perturb", [
     (1e100, 5e99), (1e140, 5e139), (1e150, 5e149), (1.0, 1e4),
-    (1e150, 1e154)])
+    (1e150, 1e154), (1e154, 0.0), (1e154, 5e153)])
 def test_huge_cubic_data_print_no_warning(tmp_path, capsys, size, perturb):
-    # damping trials that overflow (the last two data) and GMRES on a
-    # residual near the float range must not print RuntimeWarnings
+    # damping trials that overflow ((1, 1e4) and (1e150, 1e154)), GMRES
+    # on a residual near the float range, and a |C|^2_g whose grid sum
+    # overflows (the last two data) must not print RuntimeWarnings
     # (errors here, under filterwarnings = error) around the one outcome
     # line
     cfg = write_cfg(tmp_path, {"grid": 16, "cubic": {

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bchyp import mat3, replib
 from bchyp.chtau import Flag
 from bchyp.cli import load_generators
 from bchyp.metric import BeltramiChart, ComplexMetric, TorusGrid
@@ -330,6 +331,18 @@ def test_scan_diagonal_su3_conjugate_passes():
         assert len(rpt.words) == count
 
 
+def spy_passes(monkeypatch):
+    """A list that records the word lengths of every _spectra call."""
+    passes, spectra = [], replib._spectra
+
+    def recorded(X, length):
+        passes.append(tuple(np.unique(length).tolist()))
+        return spectra(X, length)
+
+    monkeypatch.setattr(replib, "_spectra", recorded)
+    return passes
+
+
 def test_scan_calls_neither_eig_nor_svd(monkeypatch):
     """Word spectra are closed-form: no eig, and no SVD beyond the one
     of the centralizer's stacked (18, 9) commutator system."""
@@ -352,8 +365,10 @@ def test_scan_calls_neither_eig_nor_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counted_eig)
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(Flag, "__init__", counted_init)
+    passes = spy_passes(monkeypatch)
     rpt = anosov_scan(fuchsian_rep(), 4)
     assert calls == {"eig": 0, "Flag": 0}
+    assert passes == [(1, 2, 3, 4)]        # one _spectra call, 160 words
     assert svd_shapes == [(18, 9)]
     assert len(rpt.words) == 160
     for flags in (rpt.attracting, rpt.repelling):
@@ -459,6 +474,138 @@ def test_reducible_conjugates_stop_where_the_shipped_file_stops():
         rpt = anosov_scan(conjugated(shipped, U), 5)
         assert rpt.obstruction.split(":")[0] == ref.obstruction.split(":")[0]
         assert len(rpt.words) == len(ref.words)
+
+
+# ----------------------------------------------------------------------
+# passes of word lengths against one length at a time
+
+def three_generator_rep():
+    """Embedded hyperbolics of eigenvalue 6 whose axes through i are 60
+    degrees apart.  Their 936 words to length 4 fill the first pass;
+    the scan stops in the second, at the conjugate aabAA, whose norm
+    puts its gaps under the round-off floor."""
+    def axis(t):
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        return irreducible_embed(R @ np.diag([6.0, 1.0 / 6.0]) @ R.T)
+    return Representation({n: axis(k * np.pi / 6)
+                           for k, n in enumerate("abc")})
+
+
+def level_planes(generators, max_len):
+    """(length, labels, planes) per word length, in word_levels' order:
+    (3, 3, 2, N) planes of each word and of its inverse, built from its
+    parent's by mat3.matmul as a scan of one length at a time builds
+    them (the word times its last letter, that letter's inverse times
+    the inverse)."""
+    spelled = [c for n in generators for c in (n, n.upper())]
+    gens = mat3.planes(np.stack([M for n in generators for M in (
+        generators[n], np.linalg.inv(generators[n]))]))
+    index = {c: i for i, c in enumerate(spelled)}       # inverse: i ^ 1
+    X, row = None, {}
+    for length, labels, _ in word_levels(generators, max_len):
+        last = np.array([index[w[-1]] for w in labels])
+        if X is None:
+            X = np.stack([gens, gens[:, :, last ^ 1]], axis=2)
+        else:
+            parent = np.array([row[w[:-1]] for w in labels])
+            X = np.stack([
+                mat3.matmul(X[:, :, 0, parent], gens[:, :, last]),
+                mat3.matmul(gens[:, :, last ^ 1], X[:, :, 1, parent])],
+                axis=2)
+        row = {w: i for i, w in enumerate(labels)}
+        yield length, labels, X
+
+
+def per_length_scan(rep, max_len):
+    """Words, moduli, gaps, flags and obstruction of a scan that calls
+    _spectra once per word length."""
+    words, tables, obstruction = [], [], None
+    for length, labels, X in level_planes(rep.generators, max_len):
+        m, g, stop, att, rpl = replib._spectra(X, length)
+        words += labels[:stop]
+        tables.append((m[:stop], g[:stop], att, rpl))
+        if stop < len(labels):
+            obstruction = (f"word {labels[stop]} is not loxodromic: moduli "
+                           f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
+                           f"{m[stop, 2]:.6g})")
+            break
+    return words, [np.concatenate(t) for t in zip(*tables)], obstruction
+
+
+@pytest.mark.parametrize("name", [
+    "fuchsian", "reducible", "diagonal_su3", "three_generators"])
+def test_passes_equal_one_length_at_a_time_bit_for_bit(name):
+    if name == "three_generators":
+        rep = three_generator_rep()
+    elif name == "diagonal_su3":
+        a, b = 2.399153235626715, 5.454452311404331
+        rep = conjugated(load_generators(str(CONFIGS / "gens_fuchsian.json")),
+                         np.diag(np.exp(1j * np.array([a, b, -a - b]))))
+    else:
+        rep = load_generators(str(CONFIGS / f"gens_{name}.json"))
+    words, tables, obstruction = per_length_scan(rep, 8)
+    for max_len in range(1, 9):
+        rpt = anosov_scan(rep, max_len)
+        n = len(rpt.words)
+        assert list(rpt.words) == words[:n]
+        for got, want in zip((rpt.moduli, rpt.gaps, rpt.attracting,
+                              rpt.repelling), tables):
+            assert np.array_equal(got, want[:n])
+        if rpt.obstruction and rpt.obstruction.startswith("word"):
+            assert rpt.obstruction == obstruction and n == len(words)
+        else:
+            assert n == len(words) or len(words[n]) == max_len + 1
+    if name == "three_generators":
+        assert obstruction.startswith("word aabAA") and len(words) == 966
+
+
+def pass_planes(mats):
+    """(3, 3, 2, N) planes of the matrices and of their inverses."""
+    return mat3.planes(np.stack([np.stack([M, np.linalg.inv(M)])
+                                 for M in mats]).swapaxes(0, 1))
+
+
+def test_det_past_the_stop_is_not_reached():
+    # the det of the length-3 word fails, but the pass stops at the
+    # unipotent word of length 2: a scan of one length at a time never
+    # multiplies out length 3
+    H = irreducible_embed(np.diag([2.0, 0.5]))
+    X = pass_planes([H, UNI, 1.01 * H])
+    moduli, _, stop, att, _ = replib._spectra(X, np.array([1, 2, 3]))
+    alone = replib._spectra(X[..., :1], 1)
+    assert stop == 1 and moduli.shape == (2, 3)
+    assert np.array_equal(moduli[:1], alone[0])
+    assert np.array_equal(att, alone[3])
+
+
+@pytest.mark.parametrize("lead", [True, False],
+                         ids=["second_length", "first_length"])
+def test_det_before_the_stop_names_the_worst_word_of_its_length(lead):
+    # both words of length 2 fail the det, 1.02 H the worse; the
+    # unipotent word of length 3 after them is never reached
+    H = irreducible_embed(np.diag([2.0, 0.5]))
+    mats, lengths = [1.01 * H, 1.02 * H, UNI], [2, 2, 3]
+    if lead:
+        mats, lengths = [H] + mats, [1] + lengths
+    with pytest.raises(NotUnimodular,
+                       match=r"^det 1\.061208\+0j is not 1$"):
+        replib._spectra(pass_planes(mats), np.array(lengths))
+
+
+@pytest.mark.parametrize("name, max_len, passes", [
+    ("fuchsian", 5, [(1, 2, 3, 4, 5)]),
+    ("fuchsian", 8, [(1, 2, 3, 4, 5), (6,), (7,), (8,)]),
+    ("reducible", 5, [(1, 2, 3, 4, 5)]),
+    ("reducible", 8, [(1, 2, 3, 4, 5)])])
+def test_scan_passes_on_the_shipped_files(monkeypatch, name, max_len,
+                                          passes):
+    """Whole lengths gather to SCAN_PASS_WORDS words a pass: 484 words
+    to length 5 with two generators, then one length a pass.  The
+    reducible pair stops at abAB, in its first pass."""
+    assert replib.SCAN_PASS_WORDS == 256
+    seen = spy_passes(monkeypatch)
+    anosov_scan(load_generators(str(CONFIGS / f"gens_{name}.json")), max_len)
+    assert seen == passes
 
 
 # ----------------------------------------------------------------------
