@@ -17,8 +17,8 @@ classical affine differential geometry:
                         each node, in row blocks, rebuilds the affine
                         normal as (1/2) Laplace-Beltrami of f, and
                         reports how far the pair is from S = Id, xi = f;
-  * blaschke_data       extracts the Blaschke metric, Pick form and
-                        shape operator;
+  * blaschke_data       returns the Pick form of the same fit, which
+                        pick_cubic reads as the cubic differential;
   * second_variation_trace  assembles the trace of the index form of
                         the normal variation PZ, negative wherever
                         Z != 0.
@@ -49,8 +49,7 @@ from .metric import BeltramiChart, CubicPair, centered_dx, centered_dy
 
 __all__ = [
     "NotReal", "PathDependent", "DegenerateFrame", "NotDual",
-    "AffinePair", "BlaschkeData",
-    "eta", "integrate_frame",
+    "AffinePair", "eta", "integrate_frame",
     "structure_residuals", "blaschke_data", "pick_cubic",
     "second_variation_trace",
 ]
@@ -176,45 +175,6 @@ class AffinePair:
         return AffinePair(self.fminus, self.fplus, self.spacing,
                           path_residual=self.path_residual,
                           dual_residual=self.dual_residual)
-
-
-@dataclass(frozen=True)
-class BlaschkeData:
-    """Blaschke metric, Pick form and shape operator of one immersion.
-
-    pickC is stored fully symmetrized (the raw fit is symmetric in its
-    first two slots only; the pre-symmetrization defect is a residual
-    reported by the extraction, not part of the stored tensor).
-    The fields carry the structure fit's NaN margins.
-    """
-
-    gB: np.ndarray       # (n, n, 2, 2)
-    pickC: np.ndarray    # (n, n, 2, 2, 2), totally symmetric
-    shapeS: np.ndarray   # (n, n, 2, 2)
-    spacing: float
-
-    def __post_init__(self):
-        gB = np.asarray(self.gB, dtype=float)
-        C = np.asarray(self.pickC, dtype=float)
-        S = np.asarray(self.shapeS, dtype=float)
-        n = gB.shape[0]
-        if gB.shape != (n, n, 2, 2) or S.shape != (n, n, 2, 2):
-            raise ValueError("gB/shapeS must be (n, n, 2, 2)")
-        if C.shape != (n, n, 2, 2, 2):
-            raise ValueError("pickC must be (n, n, 2, 2, 2)")
-        # a 2x2x2 tensor is totally symmetric iff C_001 = C_010 = C_100
-        # and C_011 = C_101 = C_110
-        dev = 0.0
-        for u, v in (((0, 0, 1), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)),
-                     ((0, 1, 1), (1, 0, 1)), ((1, 0, 1), (1, 1, 0))):
-            d = np.abs(C[(...,) + u] - C[(...,) + v])
-            if np.any(~np.isnan(d)):
-                dev = max(dev, float(np.nanmax(d)))
-        if dev > 1e-10:
-            raise ValueError(f"pickC asymmetric by {dev:.3e}")
-        object.__setattr__(self, "gB", gB)
-        object.__setattr__(self, "pickC", C)
-        object.__setattr__(self, "shapeS", S)
 
 
 # ----------------------------------------------------------------------
@@ -423,7 +383,7 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
 
 
 # ----------------------------------------------------------------------
-# structure equations, Blaschke data, Pick form
+# structure equations and the Pick form
 
 def _fit_structure(pair: AffinePair):
     """Node-wise fit of the affine structure equations of f+.
@@ -595,20 +555,21 @@ def structure_residuals(pair: AffinePair):
     return gB, xi_res, S_res
 
 
-def blaschke_data(pair: AffinePair) -> BlaschkeData:
-    """Extract Blaschke metric, symmetrized Pick form and shape field."""
-    gB, _, S, C_sym = _fitted(pair)
-    return BlaschkeData(gB, C_sym, S, pair.spacing)
+def blaschke_data(pair: AffinePair) -> np.ndarray:
+    """The Pick form of f+, as the totally symmetric (n, n, 2, 2, 2)
+    tensor C of the structure fit that structure_residuals shares:
+    read-only, with a NaN margin 3 nodes deep."""
+    return _fitted(pair)[3]
 
 
-def pick_cubic(data: BlaschkeData) -> np.ndarray:
-    """Cubic-differential coefficient q_hat = C_xxx - i C_xxy.
+def pick_cubic(C: np.ndarray) -> np.ndarray:
+    """Cubic-differential coefficient q_hat = C_xxx - i C_xxy of a Pick
+    tensor C (blaschke_data).
 
     For the pair integrated from Wang data alpha = beta = q this
     recovers Wang's cubic q_hat = 2 alpha = 2q on the f+ side and -2q
     on the f- side.
     """
-    C = data.pickC
     return C[..., 0, 0, 0] - 1j * C[..., 0, 0, 1]
 
 

@@ -14,10 +14,10 @@ Scalars keep their (z1, z2) storage, which fixes the rounding of
 tau-scalar results, and carry +, -, * and negation; `invert` inverts
 one.  Vectors and matrices over C_tau share one private base, _Pair: a
 pair (plus, minus) of complex arrays of a fixed SHAPE, with the pair
-operations the program uses written once: difference, scaling by a
-C_tau scalar and tau-conjugation.  BcVec3 pairs 3-vectors; BcMat3 pairs
-3x3 arrays and adds only the product, part by part.  Equality of any of
-these values is identity; compare their parts.  The map phi_iso embeds
+operations the program uses written once: difference and scaling by
+a C_tau scalar.  BcVec3 pairs 3-vectors; BcMat3 pairs 3x3 arrays and
+adds only the product, part by part.  Equality of any of these values
+is identity; compare their parts.  The map phi_iso embeds
 GL(3,C) into the matrices preserving the Hermitian form q via
 A |-> A e+ + Q (A^-1)^T Q e-, with Q = diag(1,1,-1).
 """
@@ -108,17 +108,8 @@ def as_bicomplex(x):
     return None
 
 
-def tau_conj(w: Bicomplex) -> Bicomplex:
-    """conj_tau(z1 + tau z2) = z1 - tau z2; multiplicative involution fixing C."""
-    return Bicomplex(w.z1, -w.z2)
-
-
 def re_tau(w: Bicomplex) -> complex:
     return w.z1
-
-
-def im_tau(w: Bicomplex) -> complex:
-    return w.z2
 
 
 def invert(w: Bicomplex) -> Bicomplex:
@@ -131,8 +122,8 @@ def invert(w: Bicomplex) -> Bicomplex:
 
 class _Pair(Frozen):
     """An idempotent pair w = plus e+ + minus e- of complex arrays of
-    shape SHAPE.  Difference, scaling by a C_tau scalar and
-    tau-conjugation (which swaps the parts) act part by part."""
+    shape SHAPE.  Difference and scaling by a C_tau scalar act part by
+    part."""
 
     __slots__ = ("plus", "minus")
     SHAPE: tuple = ()
@@ -145,19 +136,9 @@ class _Pair(Frozen):
         self._set(plus=p, minus=m)
 
     @classmethod
-    def from_tau_parts(cls, x, y):
-        """Build from w = x + tau*y with complex arrays x, y."""
-        x = np.asarray(x, dtype=complex).reshape(cls.SHAPE)
-        y = np.asarray(y, dtype=complex).reshape(cls.SHAPE)
-        return cls(x + y, x - y)
-
-    @classmethod
     def from_complex(cls, v):
         v = np.asarray(v, dtype=complex).reshape(cls.SHAPE)
         return cls(v, v)
-
-    def tau_conj(self):
-        return type(self)(self.minus, self.plus)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -191,8 +172,7 @@ class BcVec3(_Pair):
 class BcMat3(_Pair):
     """3x3 matrix over C_tau as an idempotent pair (plus, minus).
 
-    Products act componentwise because e+ e- = 0.  tau-conjugation
-    swaps the two components.
+    Products act componentwise because e+ e- = 0.
     """
 
     __slots__ = ()

@@ -23,16 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from ._frozen import Frozen
-from .bicomplex import (
-    Bicomplex, BcVec3, TAU, Q3,
-    re_tau, im_tau, invert,
-)
+from .bicomplex import Bicomplex, BcVec3, TAU, Q3, re_tau, invert
 
 __all__ = [
-    "BaseMismatch", "IsotropicPlane",
-    "HyperboloidPoint", "TangentVector", "Flag",
-    "q_form", "project_tangent",
-    "para_hermitian_eval", "para_holo_sectional",
+    "IsotropicPlane", "HyperboloidPoint", "TangentVector", "Flag",
+    "q_form", "project_tangent", "para_holo_sectional",
     "submanifold_membership", "line_plane_det",
 ]
 
@@ -40,10 +35,6 @@ POINT_TOL = 1e-12
 FLAG_TOL = 1e-10    # |plane . line| on unit vectors: line inside plane
 ORBIT_TOL = 1e-9    # relative scale-fit residual: on the unit-norm orbit
 ISO_TOL = 1e-10     # para_holo_sectional: |q(X,X)| below it is isotropic
-
-
-class BaseMismatch(ValueError):
-    """Tangent operands are attached to different base points."""
 
 
 class IsotropicPlane(ArithmeticError):
@@ -76,34 +67,6 @@ class HyperboloidPoint(Frozen):
             raise ValueError(f"representative not normalized: q(z,z) = {qz!r}")
         self._set(rep=rep)
 
-    @classmethod
-    def normalize(cls, z: BcVec3) -> "HyperboloidPoint":
-        """Rescale z so that q(z,z) = -1 (complex scaling suffices)."""
-        c = q_form(z, z)
-        # q(z,z) is tau-real; use its complex value
-        cval = c.plus
-        if abs(cval) < 1e-13 or abs(c.minus) < 1e-13:
-            raise IsotropicPlane("cannot normalize a q-null vector")
-        a = 1.0 / np.sqrt(-cval + 0j)
-        return cls(z.scale(a))
-
-    def same_as(self, other: "HyperboloidPoint") -> bool:
-        """Equality modulo the unit-tau-norm orbit u = e^v e+ + e^-v e-.
-
-        The orbit acts by independent complex scalings (lam, 1/lam) on the
-        idempotent halves, so a least-squares scale fit on each half plus
-        the unit-product constraint decides membership exactly; this is
-        the converged limit of a grid-scan-and-refine over the orbit.
-        """
-        p, m = self.rep, other.rep
-        scale = max(p.norm_max(), m.norm_max(), 1.0)
-        lam_p, res_p = _fit_scale(p.plus, m.plus)
-        lam_m, res_m = _fit_scale(p.minus, m.minus)
-        if res_p > ORBIT_TOL * scale or res_m > ORBIT_TOL * scale:
-            return False
-        return (abs(lam_p * lam_m - 1.0)
-                < ORBIT_TOL * max(1.0, abs(lam_p * lam_m)))
-
     def __repr__(self):
         return f"HyperboloidPoint({self.rep!r})"
 
@@ -121,11 +84,8 @@ class TangentVector(Frozen):
                 raise ValueError(f"not tangent: q(vec, rep) = {r!r}")
         self._set(base=base, vec=vec)
 
-    # the three para-Hermitian structures; all preserve tangency since
-    # q is C_tau-linear in its first slot
-    def I(self) -> "TangentVector":
-        return TangentVector(self.base, self.vec.scale(1j), check=False)
-
+    # P and J = IP; both preserve tangency since q is C_tau-linear in
+    # its first slot
     def P(self) -> "TangentVector":
         return TangentVector(self.base, self.vec.scale(TAU), check=False)
 
@@ -141,19 +101,6 @@ def project_tangent(p: HyperboloidPoint, V: BcVec3) -> TangentVector:
     lam = -q_form(V, p.rep)
     vec = V - p.rep.scale(lam)
     return TangentVector(p, vec, check=False)
-
-
-def para_hermitian_eval(X: TangentVector, Y: TangentVector,
-                        ) -> tuple[complex, complex]:
-    """(g, omega) = (Re_tau q(X,Y), Im_tau q(X,Y)), unrescaled.
-
-    Identities: omega(X,Y) = g(PX,Y) = -g(X,PY), g(PX,PY) = -g(X,Y),
-    g(IX,Y) = i g(X,Y), g(JX,JY) = g(X,Y).
-    """
-    if X.base is not Y.base and not X.base.same_as(Y.base):
-        raise BaseMismatch("operands live at different base points")
-    qxy = q_form(X.vec, Y.vec)
-    return re_tau(qxy), im_tau(qxy)
 
 
 def para_holo_sectional(p: HyperboloidPoint, X: TangentVector) -> complex:

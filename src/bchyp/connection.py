@@ -120,21 +120,18 @@ class FlatConnectionField(Frozen):
     entries left out (assemble) or all nine present; one array may
     stand for several entries.  The planes are kept read-only in
     `planes`, keyed "Ahat"/"Bhat", then part.  Both matrices are traceless by
-    construction (enforced here, as are finite entries and s2), and the
+    construction (enforced here, as are finite entries), and the
     idempotent parts of well-formed data satisfy
     M_minus = -QTILDE M_plus^T QTILDE, the infinitesimal form of
     preservation of the frame Gram matrix.
     """
 
-    __slots__ = ("planes", "chart", "s2")
+    __slots__ = ("planes", "chart")
 
-    def __init__(self, Ahat, Bhat, chart: BeltramiChart, s2):
+    def __init__(self, Ahat, Bhat, chart: BeltramiChart):
         n = chart.grid.n
         planes = {name: {part: dict(field[part]) for part in PARTS}
                   for name, field in (("Ahat", Ahat), ("Bhat", Bhat))}
-        s2 = chart.grid.field(s2)
-        if not np.isfinite(s2).all():
-            raise ValueError("s2 has non-finite entries")
         for name, field in planes.items():
             arrays = _distinct(field)
             if any(p.shape != (n, n) for p in arrays):
@@ -150,7 +147,7 @@ class FlatConnectionField(Frozen):
                 raise ValueError(f"{name} has nonzero trace ({worst:.2e})")
             for p in arrays:
                 p.flags.writeable = False
-        self._set(planes=planes, chart=chart, s2=s2)
+        self._set(planes=planes, chart=chart)
 
     @property
     def grid(self) -> TorusGrid:
@@ -267,7 +264,7 @@ def assemble(psi, C: CubicPair, chart: BeltramiChart) -> FlatConnectionField:
     B = {(0, 0): b11, (1, 1): -b11, (0, 2): s, (2, 1): s}
     Ahat = {"plus": A | {(0, 1): -pA}, "minus": A | {(0, 1): pA}}
     Bhat = {"plus": B | {(1, 0): -rB}, "minus": B | {(1, 0): rB}}
-    return FlatConnectionField(Ahat, Bhat, chart, s2)
+    return FlatConnectionField(Ahat, Bhat, chart)
 
 
 def maurer_cartan_residual(conn: FlatConnectionField) -> dict:

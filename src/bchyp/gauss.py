@@ -188,7 +188,9 @@ def constant_root(c):
                              f"for c = {c}")
     if c.imag == 0 and c.real > 0:
         return 2.0 * float(np.cbrt(c.real))
-    arg = cmath.phase(c) if c.imag else math.pi
+    # cmath.phase raises OverflowError where the phase underflows;
+    # math.atan2 is the same C atan2 and returns the bits it rounds to
+    arg = math.atan2(c.imag, c.real) if c.imag else math.pi
     return cmath.rect(2.0 * float(np.cbrt(modulus)), arg / 3)
 
 

@@ -97,14 +97,14 @@ def stencil_symbols(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
 class TorusGrid(Frozen):
     """Periodic n x n grid on [0,1)^2; fields are indexed [iy, ix]."""
 
-    __slots__ = ("n", "spacing", "x", "y", "z")
+    __slots__ = ("n", "spacing", "x", "y")
 
     def __init__(self, n: int):
         if n < 16 or (n & (n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 16, got {n}")
         ax = np.arange(n) / n
         x, y = np.meshgrid(ax, ax)          # x varies along axis 1
-        self._set(n=int(n), spacing=1.0 / n, x=x, y=y, z=x + 1j * y)
+        self._set(n=int(n), spacing=1.0 / n, x=x, y=y)
 
     def field(self, values) -> np.ndarray:
         """Broadcast a scalar or array to a complex (n, n) field."""

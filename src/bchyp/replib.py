@@ -25,6 +25,12 @@ skipped — a line always lies inside its own flag's plane, so that zero
 is a tautology of incidence — while a *shared* line or plane between
 distinct flags is exactly the reducible degeneracy the scan must
 report.
+
+Only those anchors get flags: the scan builds the attracting and
+repelling flags of the words of length <= 2 and of no other word.  Its
+report keeps the scanned words and their moduli, the least gap and
+transversality, the centralizer dimension and the obstruction, whose
+text names the witness pair of a flag failure.
 """
 
 from __future__ import annotations
@@ -202,13 +208,14 @@ def _spectra(X, length):
     round-off cluster of condition near eps^(-2/3), where one quotient
     would move a root past the gap floor and fake a gap.
 
-    Returns (moduli, gaps, stop, attracting, repelling): eigenvalue
-    moduli, descending, over the cube root of their product; relative
-    gaps; the index of the first word that is not loxodromic (N if
-    none); and the flags of the words before it as (stop, 2, 3) arrays
-    of unit rows [line, plane covector], attracting = (top eigenvector,
-    span of top two) and repelling = the attracting flag of the
-    inverse.  Both gaps must exceed GAP_TOL and the round-off floor
+    Returns (moduli, gaps, stop, vec, mid): eigenvalue moduli,
+    descending, over the cube root of their product; relative gaps; the
+    index of the first word that is not loxodromic (N if none); and the
+    eigenvector planes of the words, (3, 2, N') for the top eigenvectors
+    of the words and of their inverses and (3, N') for the middle ones,
+    from which `_flags` builds the flags of the words before the stop
+    (N' is N, or less where the det gate cut the pass).  Both gaps must
+    exceed GAP_TOL and the round-off floor
     GAP_FLOOR ||M||_F / |l1|, which rescaling leaves alone: a unipotent
     word's eigenvalues scatter by about eps^(1/3) ||M||.
 
@@ -267,12 +274,19 @@ def _spectra(X, length):
         raise NotDiagonalizable(f"eigenvalue condition {kappa[stop]:.3e}")
     if stop == M.shape[-1] and unimodular is not None:
         raise unimodular
-    top, bottom = vec[:, 0, :stop].T, vec[:, 1, :stop].T
-    mid = mid[:, :stop].T
+    return moduli, gaps, stop, vec, mid
+
+
+def _flags(vec, mid, k):
+    """(attracting, repelling) flags of the first k words of a `_spectra`
+    pass, from its eigenvector planes, as (k, 2, 3) arrays of unit rows
+    [line, plane covector]: attracting = (top eigenvector, span of top
+    two), repelling = the attracting flag of the inverse."""
+    top, bottom, mid = vec[:, 0, :k].T, vec[:, 1, :k].T, mid[:, :k].T
     flags = np.stack(_unit_incident(
         np.concatenate([top, bottom]),
         np.concatenate([np.cross(top, mid), np.cross(bottom, mid)])), axis=1)
-    return moduli, gaps, stop, flags[:stop], flags[stop:]
+    return flags[:k], flags[k:]
 
 
 def loxodromy(M) -> LoxodromyReport:
@@ -281,8 +295,8 @@ def loxodromy(M) -> LoxodromyReport:
     the inverse from np.linalg.inv."""
     M = np.asarray(M, dtype=complex)
     X = mat3.planes(np.stack([M, np.linalg.inv(M)]))[..., None]
-    moduli, gaps, stop, att, rpl = _spectra(X, 1)
-    flags = (Flag(*att[0]), Flag(*rpl[0])) if stop else ()
+    moduli, gaps, stop, vec, mid = _spectra(X, 1)
+    flags = [Flag(*F[0]) for F in _flags(vec, mid, 1)] if stop else []
     return LoxodromyReport(tuple(moduli[0]), tuple(gaps[0]), stop == 1,
                            *flags)
 
@@ -300,17 +314,15 @@ def transversality(F1: Flag, F2: Flag) -> float:
 
 @dataclass(frozen=True)
 class AnosovReport:
-    """Finite-length diagnostics; `claim` states the honest conclusion."""
+    """Finite-length diagnostics; `claim` states the honest conclusion.
+    The witness of min_transversality is named in the obstruction that
+    it raises."""
 
     max_word_len: int
     words: tuple                    # word strings, enumeration order
     moduli: np.ndarray              # (W, 3) descending per word
-    gaps: np.ndarray                # (W, 2) relative gaps
-    attracting: np.ndarray          # (W, 2, 3) unit [line, plane]
-    repelling: np.ndarray           # (W, 2, 3) unit [line, plane]
     min_gap: float
     min_transversality: float
-    witness_pair: tuple             # words realizing the minimum
     centralizer_dim: int
     obstruction: str | None = None
 
@@ -394,7 +406,8 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     to zero and is reported as an obstruction against TRANS_TOL.
 
     The report also carries the centralizer dimension and the per-word
-    moduli/gap tables and (W, 2, 3) flag arrays of the scanned words.
+    moduli of the scanned words.  Flags are built for the anchors only
+    (`_flags`), the only flags that the transversality channel reads.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
@@ -407,7 +420,7 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
                        for s in range(len(letters))])
     last, level = np.arange(len(letters)), spelled
     mats = np.stack([gens, gens[:, :, last ^ 1]], axis=2)  # words, inverses
-    words, moduli, gaps, attracting, repelling = [], [], [], [], []
+    words, moduli, min_gap, anchor_flags = [], [], np.inf, None
     obstruction, anchors = None, 0
     batch, labels, lengths = [], [], []     # the pass being gathered
     for length in range(1, max_word_len + 1):
@@ -429,37 +442,31 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
         if len(labels) < SCAN_PASS_WORDS and length < max_word_len:
             continue
         X = np.concatenate(batch, axis=-1) if len(batch) > 1 else mats
-        m, g, stop, att, rpl = _spectra(X, np.array(lengths))
+        m, g, stop, vec, mid = _spectra(X, np.array(lengths))
         words += labels[:stop]
         moduli.append(m[:stop])
-        gaps.append(g[:stop])
-        attracting.append(att)
-        repelling.append(rpl)
+        min_gap = min(min_gap, float(g[:stop].min(initial=np.inf)))
+        if anchor_flags is None:
+            # 26 generators make at most 52 words of length 1, fewer
+            # than SCAN_PASS_WORDS, so the first pass holds every anchor
+            anchors = min(anchors, stop)
+            anchor_flags = _flags(vec, mid, anchors)
         if stop < len(labels):
             obstruction = (f"word {labels[stop]} is not loxodromic: moduli "
                            f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
                            f"{m[stop, 2]:.6g})")
             break
         batch, labels, lengths = [], [], []
-    anchors = min(anchors, len(words))
-    attracting = np.concatenate(attracting)
-    repelling = np.concatenate(repelling)
-    min_t, witness = _anchor_transversality(
-        words[:anchors], attracting[:anchors], repelling[:anchors])
+    min_t, witness = _anchor_transversality(words[:anchors], *anchor_flags)
     if obstruction is None and min_t < TRANS_TOL:
         obstruction = (f"flags of {witness[0]} and {witness[1]} are not "
                        f"transverse: {min_t:.3e}")
-    gaps = np.concatenate(gaps)
     return AnosovReport(
         max_word_len=max_word_len,
         words=tuple(words),
         moduli=np.concatenate(moduli),
-        gaps=gaps,
-        attracting=attracting,
-        repelling=repelling,
-        min_gap=float(gaps.min()) if gaps.size else np.inf,
+        min_gap=min_gap,
         min_transversality=min_t,
-        witness_pair=witness,
         centralizer_dim=centralizer_check(rep),
         obstruction=obstruction,
     )

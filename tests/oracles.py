@@ -48,8 +48,8 @@ its object here): the connection's dense planes, Omega on the whole
 grid, the pairing residual, the Higgs split with its Hitchin halves,
 the reduced system and the constant frame change; the intrinsic Gauss
 residual; the metric curvature and the chart's consistency residual;
-the C_tau isclose; the conormal residual of a pair and the Wang
-identity of Blaschke data.
+the C_tau isclose, tau-conjugate and (1, tau)-part constructor; the
+conormal residual of a pair and the Wang identity of a Blaschke metric.
 
 wang_problem builds the tests' Wang data through config.build_problem,
 the one route from config values to a GaussProblem.
@@ -64,7 +64,7 @@ from bchyp._frozen import Frozen
 from bchyp.affine import (
     FIT_MARGIN, DegenerateFrame, _christoffel, _nan_margin, eta,
 )
-from bchyp.bicomplex import as_bicomplex
+from bchyp.bicomplex import Bicomplex, as_bicomplex
 from bchyp.config import build_problem
 from bchyp.connection import (
     PARTS, FlatConnectionField, _omega_at, expm_steps, grid_step_generators,
@@ -543,7 +543,7 @@ def spectra_oracle(M, length):
 # compare the package against them: the connection's dense planes,
 # pairing residual, Higgs split, Hitchin halves and reduced system; the
 # intrinsic Gauss residual; the metric curvature and chart consistency;
-# the Wang identity of Blaschke data and the conormal of a pair
+# the Wang identity of a Blaschke metric and the conormal of a pair
 
 # Gram matrix of the moving frame: q(e1,e2) = 1, q(sigma,sigma) = -1
 QTILDE = np.array([[0.0, 1.0, 0.0],
@@ -701,7 +701,7 @@ def conjugate_frame(conn, g):
             out[part] = {(i, j): P[i, j] for i in range(3) for j in range(3)}
         return out
 
-    return FlatConnectionField(cf("Ahat"), cf("Bhat"), conn.chart, conn.s2)
+    return FlatConnectionField(cf("Ahat"), cf("Bhat"), conn.chart)
 
 
 def scipy_gmres(apply, precondition, b: np.ndarray):
@@ -758,6 +758,19 @@ def isclose(a, b, tol: float = 1e-12) -> bool:
     return abs(a.z1 - b.z1) <= tol and abs(a.z2 - b.z2) <= tol
 
 
+def tau_conj(w):
+    """conj_tau(z1 + tau z2) = z1 - tau z2, the multiplicative
+    involution of C_tau that fixes C."""
+    return Bicomplex(w.z1, -w.z2)
+
+
+def tau_parts(cls, x, y):
+    """The pair (BcVec3 or BcMat3) of w = x + tau y for complex arrays
+    x, y: parts plus = x + y, minus = x - y."""
+    x, y = (np.asarray(v, dtype=complex).reshape(cls.SHAPE) for v in (x, y))
+    return cls(x + y, x - y)
+
+
 def conormal_residual(pair, margin: int = 1) -> np.ndarray:
     """max(|eta(d_x f+, f-)|, |eta(d_y f+, f-)|) per node, NaN on the
     `margin` seam band (0 for a pair that wraps across the seam)."""
@@ -783,8 +796,9 @@ def _gauss_curvature(gB: np.ndarray, spacing: float) -> np.ndarray:
     return (g00 * R[0] + g01 * R[1]) / detg
 
 
-def pick_and_wang(data, q) -> np.ndarray:
-    """Pointwise Wang residual K_gB - 2 |q|^2_gB + 1.
+def pick_and_wang(gB, spacing: float, q) -> np.ndarray:
+    """Pointwise Wang residual K_gB - 2 |q|^2_gB + 1 of a Blaschke metric
+    field gB (structure_residuals).
 
     q is the cubic coefficient field (extracted via pick_cubic or known
     analytically); its squared norm is |q|^2 (det gB)^(-3/2).  The
@@ -792,9 +806,8 @@ def pick_and_wang(data, q) -> np.ndarray:
     Hitchin-locus connection, and reduces to K + 1 for q = 0.
     """
     qf = np.asarray(q)
-    K = _gauss_curvature(data.gB, data.spacing)
-    detg = (data.gB[..., 0, 0] * data.gB[..., 1, 1]
-            - data.gB[..., 0, 1] ** 2)
+    K = _gauss_curvature(gB, spacing)
+    detg = gB[..., 0, 0] * gB[..., 1, 1] - gB[..., 0, 1] ** 2
     nq2 = np.abs(qf) ** 2 * detg ** (-1.5)
     return K - 2.0 * nq2 + 1.0
 

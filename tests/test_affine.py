@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 import oracles
 from bchyp.affine import (
-    AffinePair, BlaschkeData, DegenerateFrame, NotReal, PathDependent,
+    AffinePair, DegenerateFrame, NotReal, PathDependent,
     blaschke_data, eta, integrate_frame, pick_cubic, second_variation_trace,
     structure_residuals,
 )
@@ -178,15 +178,6 @@ def test_structure_degenerate_frame_raises():
         structure_residuals(AffinePair(f, f, 1.0 / n))
 
 
-def test_blaschke_data_rejects_asymmetric_pick():
-    n = 16
-    eye = np.broadcast_to(np.eye(2), (n, n, 2, 2)).copy()
-    C = np.zeros((n, n, 2, 2, 2))
-    C[..., 0, 0, 1] = 1.0
-    with pytest.raises(ValueError, match="asymmetric"):
-        BlaschkeData(eye, C, eye.copy(), 1.0 / n)
-
-
 # ----------------------------------------------------------------------
 # frame integration of solved torus data
 
@@ -212,10 +203,11 @@ def test_integrate_constant_wang_structure():
 def test_integrate_constant_wang_pick_matches_datum():
     pair, _, grid = solved_wang(32)
     h2 = grid.spacing ** 2
-    data = blaschke_data(pair)
-    q_hat = pick_cubic(data)
+    q_hat = pick_cubic(blaschke_data(pair))
     assert np.nanmax(np.abs(q_hat - 1.2)) < 4.0 * h2
-    wang = oracles.pick_and_wang(data, np.full((grid.n, grid.n), 1.2))
+    gB = structure_residuals(pair)[0]
+    wang = oracles.pick_and_wang(gB, grid.spacing,
+                                 np.full((grid.n, grid.n), 1.2))
     assert np.nanmax(np.abs(wang)) < 5.0 * h2
 
 
@@ -257,14 +249,14 @@ def test_roundtrip_checks_fit_each_side_once(monkeypatch):
 def test_integrate_wang_blaschke_spd_and_apolar():
     pair, _, grid = solved_wang(32)
     h2 = grid.spacing ** 2
-    data = blaschke_data(pair)
-    filled = np.where(np.isnan(data.gB), np.eye(2), data.gB)
+    gB, C = structure_residuals(pair)[0], blaschke_data(pair)
+    filled = np.where(np.isnan(gB), np.eye(2), gB)
     eigs = np.linalg.eigvalsh(filled)[..., 0]
-    eigs = np.where(np.isnan(data.gB[..., 0, 0]), np.nan, eigs)
+    eigs = np.where(np.isnan(gB[..., 0, 0]), np.nan, eigs)
     assert np.nanmin(eigs) > 0.5
     ginv = np.linalg.inv(filled)
-    tr = np.einsum("...ab,...abc->...c", ginv, data.pickC)
-    tr = np.where(np.isnan(data.pickC[..., 0, 0, :]), np.nan, tr)
+    tr = np.einsum("...ab,...abc->...c", ginv, C)
+    tr = np.where(np.isnan(C[..., 0, 0, :]), np.nan, tr)
     assert np.nanmax(np.abs(tr)) < 2.0 * h2
 
 
@@ -306,7 +298,7 @@ def test_integrate_dual_swap_exchanges_lifts():
     sw = FlatConnectionField(
         oracles.entry_mapping({"plus": A["minus"], "minus": A["plus"]}),
         oracles.entry_mapping({"plus": B["minus"], "minus": B["plus"]}),
-        conn.chart, conn.s2)
+        conn.chart)
     swapped = integrate_frame(sw)
     assert np.max(np.abs(swapped.fplus - pair.fminus)) < 1e-11
     assert np.max(np.abs(swapped.fminus - pair.fplus)) < 1e-11
@@ -353,7 +345,7 @@ def test_integrate_generic_nine_plane_field_like_the_structured_one():
     def generic(c):
         A, B = (oracles.entry_mapping(oracles.dense(c, name))
                 for name in ("Ahat", "Bhat"))
-        return FlatConnectionField(A, B, c.chart, c.s2)
+        return FlatConnectionField(A, B, c.chart)
 
     n = 32
     problem = oracles.wang_problem(0.6, n)
@@ -541,7 +533,7 @@ def test_dual_residual_flags_a_minus_part_that_is_not_the_dual():
                                in conn.planes[name]["minus"].items()}}
               for name in ("Ahat", "Bhat")}
     scaled = FlatConnectionField(planes["Ahat"], planes["Bhat"],
-                                 conn.chart, conn.s2)
+                                 conn.chart)
     affine._require_real(scaled)
     assert integrate_frame(conn).dual_residual <= 1e-12
     pair = integrate_frame(scaled)

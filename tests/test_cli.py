@@ -246,6 +246,27 @@ def test_huge_cubic_data_print_no_warning(tmp_path, capsys, size, perturb):
     assert err.startswith("stage failure (DidNotConverge): ")
 
 
+@pytest.mark.parametrize("command", [
+    ["gauss", "solve"], ["conn", "flatness"], ["conn", "holonomy"],
+    ["pipeline"]], ids=["gauss-solve", "conn-flatness", "conn-holonomy",
+                        "pipeline"])
+@pytest.mark.parametrize("data", [
+    {"chart": {"kind": "identity"},
+     "cubic": {"kind": "wang", "q": [-1e154, -1e-300]}},
+    {"chart": {"kind": "sine", "eps": 0.0},
+     "cubic": {"kind": "wang", "q": [1e-300, 1e100]}}],
+    ids=["identity", "sine"])
+def test_cubic_data_of_a_tiny_phase_print_one_line(tmp_path, capsys,
+                                                   command, data):
+    # the phase of the constant root's c underflows; the initial guess
+    # must still be a number, so the run ends in one outcome line
+    cfg = write_cfg(tmp_path, {"grid": 16} | data)
+    assert main(command + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("stage failure (DidNotConverge): ")
+
+
 def test_pair_on_the_branch_cut_solves(tmp_path, capsys):
     # alpha conj(beta) = -1: the constant root is complex, Newton needs
     # no step

@@ -24,10 +24,10 @@ from oracles import (
 )
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 
-AHAT_CONST = BcMat3.from_tau_parts([[0, 0, 0], [0, 0, 1], [1, 0, 0]],
-                                   [[0, -1, 0], [0, 0, 0], [0, 0, 0]])
-BHAT_CONST = BcMat3.from_tau_parts([[0, 0, 1], [0, 0, 0], [0, 1, 0]],
-                                   [[0, 0, 0], [-1, 0, 0], [0, 0, 0]])
+AHAT_CONST = oracles.tau_parts(BcMat3, [[0, 0, 0], [0, 0, 1], [1, 0, 0]],
+                               [[0, -1, 0], [0, 0, 0], [0, 0, 0]])
+BHAT_CONST = oracles.tau_parts(BcMat3, [[0, 0, 1], [0, 0, 0], [0, 1, 0]],
+                               [[0, 0, 0], [-1, 0, 0], [0, 0, 0]])
 
 _SOLVED = {}
 
@@ -81,7 +81,6 @@ def test_assemble_constant_data_closed_form():
     grid = TorusGrid(16)
     chart = BeltramiChart.identity(grid)
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0), chart)
-    assert np.abs(conn.s2 - 1.0).max() < 1e-14
     Ahat, Bhat = dense(conn, "Ahat"), dense(conn, "Bhat")
     A = BcMat3(Ahat["plus"][:, :, 3, 5], Ahat["minus"][:, :, 3, 5])
     B = BcMat3(Bhat["plus"][:, :, 11, 2], Bhat["minus"][:, :, 11, 2])
@@ -111,7 +110,7 @@ def test_assemble_s_entries_track_conformal_factor():
     chart = BeltramiChart.sine_perturbed(grid, 0.05)
     psi = smooth_psi(grid)
     conn = assemble(psi, CubicPair(grid, 0.3, 0.1), chart)
-    s = np.sqrt(conn.s2)
+    s = np.sqrt(ComplexMetric(chart, psi).s2)
     for part in dense(conn, "Ahat").values():
         assert np.abs(part[1, 2] - s).max() < 1e-13
     for part in dense(conn, "Bhat").values():
@@ -163,7 +162,7 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
     conn = assemble(smooth_psi(grid), CubicPair(grid, 0.6, 0.8), chart)
     generic = FlatConnectionField(oracles.entry_mapping(dense(conn, "Ahat")),
                                   oracles.entry_mapping(dense(conn, "Bhat")),
-                                  chart, conn.s2)
+                                  chart)
     for parts in generic.planes.values():
         assert all(len(parts[part]) == 9 for part in ("plus", "minus"))
     for name in ("Ahat", "Bhat"):
@@ -197,7 +196,7 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
                                       for part, M in field.items()})
 
     mc = maurer_cartan_residual(
-        FlatConnectionField(entries(A), entries(B), chart, 1.0))
+        FlatConnectionField(entries(A), entries(B), chart))
     for part in PARTS:
         ref = oracles.maurer_cartan_dense(A[part], B[part], chart)
         assert (np.abs(oracles.stacked(mc[part]) - ref).max()
@@ -206,7 +205,7 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
     traced[3, 5, 2, 2] += 1e-6
     with pytest.raises(ValueError, match="Ahat has nonzero trace"):
         FlatConnectionField(entries({"plus": traced, "minus": A["minus"]}),
-                            entries(B), chart, 1.0)
+                            entries(B), chart)
 
 
 def test_maurer_cartan_constant_data_zero():
@@ -314,7 +313,7 @@ def test_holonomy_zero_connection_is_identity():
     chart = BeltramiChart.identity(grid)
     zero = oracles.entry_mapping(
         {part: np.zeros((3, 3, 16, 16), dtype=complex) for part in PARTS})
-    conn = FlatConnectionField(zero, zero, chart, 1.0)
+    conn = FlatConnectionField(zero, zero, chart)
     H = holonomy(conn, Loop.x_period(16))
     assert (H - IDENTITY).norm_max() < 1e-14
 
@@ -428,23 +427,18 @@ def test_expm_steps_rejects_non_finite_generators(bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("where", ["Ahat", "Bhat", "s2"])
+@pytest.mark.parametrize("where", ["Ahat", "Bhat"])
 def test_connection_rejects_non_finite_entries(where, bad):
     grid = TorusGrid(16)
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0),
                     BeltramiChart.identity(grid))
-    fields = {"Ahat": dense(conn, "Ahat"), "Bhat": dense(conn, "Bhat"),
-              "s2": conn.s2.copy()}
-    if where == "s2":
-        fields["s2"][3, 5] = bad
-    else:
-        # off the diagonal: the trace stays finite
-        fields[where]["minus"][0, 1, 3, 5] = bad
+    fields = {"Ahat": dense(conn, "Ahat"), "Bhat": dense(conn, "Bhat")}
+    # off the diagonal: the trace stays finite
+    fields[where]["minus"][0, 1, 3, 5] = bad
     for name in ("Ahat", "Bhat"):
         fields[name] = oracles.entry_mapping(fields[name])
     with pytest.raises(ValueError, match=f"{where} has non-finite"):
-        FlatConnectionField(fields["Ahat"], fields["Bhat"], conn.chart,
-                            fields["s2"])
+        FlatConnectionField(fields["Ahat"], fields["Bhat"], conn.chart)
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.1], ids=["identity", "sine"])

@@ -2,8 +2,9 @@
 it defines, every def of the package is called on a program path (a
 call trace of the CLI commands and the frozen criteria says which) and
 every other name is named by one, every defaulted parameter is set by a
-call on one and left to its default by another, and every slotted value
-type keeps the one immutability rule of bchyp._frozen.Frozen."""
+call on one and left to its default by another, every field of a value
+type is read on one, and every slotted value type keeps the one
+immutability rule of bchyp._frozen.Frozen."""
 
 import ast
 import contextlib
@@ -11,6 +12,7 @@ import functools
 import importlib
 import io
 import pkgutil
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -95,15 +97,6 @@ KEPT = {
     "replib.transversality": "a perfbench LAYERS span (item 1)",
     "chtau.Flag.__init__": "loxodromy's and transversality's flags (item 1)",
     "chtau.line_plane_det": "transversality's measure (item 1)",
-    "chtau.HyperboloidPoint.normalize": "the surface checks (item 19)",
-    "chtau.HyperboloidPoint.same_as": "para_hermitian_eval's base check "
-                                      "(item 19)",
-    "chtau.TangentVector.I": "the surface checks (item 19)",
-    "chtau.para_hermitian_eval": "the surface checks (item 19)",
-    "bicomplex.tau_conj": "the surface checks (item 19)",
-    "bicomplex.im_tau": "the surface checks (item 19)",
-    "bicomplex._Pair.from_tau_parts": "the surface checks (item 19)",
-    "bicomplex._Pair.tau_conj": "the surface checks (item 19)",
     "_frozen.Frozen.__setattr__": "refuses every assignment after __init__",
     "affine.PathDependent.__init__": "raised only on a failure path",
     "gauss.DidNotConverge.__init__": "raised only on a failure path",
@@ -370,6 +363,135 @@ def test_every_default_is_used_on_a_program_path():
     assert sorted(always - set(DEFAULTS)) == []
     # a default that a program call comes to rely on leaves the list
     assert sorted(set(DEFAULTS) - always) == []
+
+
+#: Fields of value types that no program path reads but that stay, each
+#: with its reason, keyed "module.Class.field".
+LOXODROMY = "the report of replib.loxodromy, which KEPT keeps (item 1)"
+FIELDS = {
+    "connection.Loop.steps": (
+        "perfbench/verify.py reads steps[0] to tell the two periods apart "
+        "(item 1)"),
+    "gauss.SolveReport.krylov_iterations": "item 27's sidecar",
+    "gauss.SolveReport.halvings": "item 27's sidecar",
+    "replib.AnosovReport.words": (
+        "perfbench/checks.py check_fuchsian reads each word's row (item 1)"),
+    "replib.AnosovReport.moduli": (
+        "perfbench/checks.py check_fuchsian reads each word's row (item 1)"),
+} | {f"replib.LoxodromyReport.{name}": LOXODROMY
+     for name in ("gaps", "loxodromic", "attracting", "repelling")}
+
+
+def value_fields(sources):
+    """Keys "module.Class.field" of the fields of every class of the
+    modules `sources` maps by name to their source text: its __slots__
+    entries, and the annotated names of a dataclass body."""
+    fields = set()
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            dataclass = any(ast.unparse(d).startswith("dataclass")
+                            for d in node.decorator_list)
+            for stmt in node.body:
+                if any(getattr(t, "id", None) == "__slots__"
+                       for t in getattr(stmt, "targets", ())):
+                    names = ast.literal_eval(stmt.value)
+                elif (dataclass and isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)):
+                    names = [stmt.target.id]
+                else:
+                    continue
+                fields |= {f"{mod}.{node.name}.{name}" for name in names}
+    return fields
+
+
+def field_audit(graph, fields, called, kept, listed):
+    """(unread, stale) for a package graph, its fields, the keys of the
+    defs that ran, the kept names and the listed fields.  A field is
+    read when a def that ran or is kept loads an attribute of its name,
+    its own class's __init__, __post_init__ and __repr__ aside; by name,
+    so the audit errs toward read.  unread lists the unlisted fields
+    that no such def reads, stale the listed fields that one does."""
+    defs = graph[0]
+    readers = {k for k, v in defs.items() if is_def(v)} & (called | set(kept))
+    loads = {key: {n.attr for n in ast.walk(defs[key][0])
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load)} for key in readers}
+
+    def read(field):
+        cls, name = field.rsplit(".", 1)
+        own = {f"{cls}.{m}" for m in ("__init__", "__post_init__", "__repr__")}
+        return any(name in attrs for key, attrs in loads.items()
+                   if key not in own)
+
+    unread = {field for field in fields if not read(field)}
+    return sorted(unread - set(listed)), sorted(set(listed) - unread)
+
+
+def test_every_field_is_read_on_a_program_path():
+    # a field that no program path reads is data that every value of
+    # its type carries for nothing: it is deleted, or it joins FIELDS
+    # with its reason
+    fields = value_fields({path.stem: path.read_text() for path in SOURCES})
+    assert set(FIELDS) <= fields
+    unread, stale = field_audit(source_graph(), fields, traced(), KEPT,
+                                FIELDS)
+    assert unread == []
+    # a listed field that a program path comes to read leaves the list
+    assert stale == []
+
+
+def test_the_field_audit_names_a_written_slot_and_a_listed_slot_read():
+    # tag is written by __init__ and read by the class's own __repr__
+    # only, so it is unread; y is read by norm only, which counts once
+    # norm is kept; make reads x, so listing x is stale.  The
+    # dataclass's annotated count is read by make, its unannotated
+    # LIMIT is no field.
+    sources = {"m": (
+        "from dataclasses import dataclass\n"
+        "class Point:\n"
+        "    __slots__ = ('x', 'y', 'tag')\n"
+        "    def __init__(self, x, y, tag):\n"
+        "        self.x, self.y, self.tag = x, y, tag\n"
+        "    def __repr__(self):\n"
+        "        return f'Point({self.tag})'\n"
+        "    def norm(self):\n"
+        "        return abs(self.y)\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    count: int\n"
+        "    LIMIT = 2\n"
+        "def make(x):\n"
+        "    return Report(1).count + Point(x, x, '').x\n")}
+    graph, fields = package_graph(sources), value_fields(sources)
+    assert fields == {"m.Point.x", "m.Point.y", "m.Point.tag",
+                      "m.Report.count"}
+    called = {"m.make", "m.Point.__init__", "m.Point.__repr__"}
+    assert field_audit(graph, fields, called, {}, {}) == (
+        ["m.Point.tag", "m.Point.y"], [])
+    assert field_audit(graph, fields, called, {"m.Point.norm": ""}, {}) == (
+        ["m.Point.tag"], [])
+    assert field_audit(graph, fields, called, {"m.Point.norm": ""},
+                       {"m.Point.tag": "", "m.Point.x": ""}) == (
+        [], ["m.Point.x"])
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_reason_that_cites_perfbench_names_what_it_mentions():
+    # a name kept for the benchmark stays only while a perfbench source
+    # mentions it: when the benchmark stops naming it, the entry fails
+    # here and goes
+    text = "\n".join(path.read_text()
+                     for path in sorted(PERFBENCH.glob("*.py")))
+    cited = sorted(key.rsplit(".", 1)[1]
+                   for key, reason in (KEPT | FIELDS).items()
+                   if "perfbench" in reason)
+    assert cited
+    assert [name for name in cited
+            if not re.search(rf"\b{name}\b", text)] == []
 
 
 def test_every_value_type_is_immutable():

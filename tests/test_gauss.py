@@ -71,6 +71,13 @@ def test_constant_root_matches_companion_roots():
         assert abs(constant_root(c) - ref) <= 1e-15 * abs(ref), c
 
 
+def test_constant_root_of_a_phase_below_the_float_range_is_finite():
+    # arg c = 1e-400 underflows to 0.0: the root is the real 2 cbrt|c|
+    # (cmath.phase raises OverflowError on it)
+    u = constant_root(complex(1e300, 1e-100))
+    assert np.isfinite(u) and u == 2.0 * np.cbrt(1e300)
+
+
 def test_constant_root_is_a_float_exactly_for_real_nonnegative_c():
     assert type(constant_root(0.18)) is float
     assert type(constant_root(np.complex128(0.18))) is float

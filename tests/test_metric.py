@@ -30,7 +30,7 @@ def test_grid_validation():
         TorusGrid(8)
     g = TorusGrid(16)
     assert g.spacing == 1 / 16
-    assert g.z[0, 3] == 3 / 16 and g.z[2, 0] == 2j / 16
+    assert g.x[2, 3] == 3 / 16 and g.y[2, 3] == 2 / 16
 
 
 def test_grid_stencils_exact_on_low_modes():

@@ -287,7 +287,8 @@ def test_transversality_matches_determinant_oracle():
 # ----------------------------------------------------------------------
 # the word scan
 
-def test_scan_fuchsian_pair_passes():
+def test_scan_fuchsian_pair_passes(monkeypatch):
+    seen = spy_anchors(monkeypatch)
     rpt = anosov_scan(fuchsian_rep(), 5)
     assert rpt.obstruction is None
     assert len(rpt.words) == 484
@@ -296,13 +297,13 @@ def test_scan_fuchsian_pair_passes():
     assert rpt.centralizer_dim == 1
     # the pairs tie by symmetry: the witness realizes the minimum, and
     # it is the first tied pair in loop order
-    flags = {w + s: Flag(*F) for w, a, r in zip(
-        rpt.words, rpt.attracting, rpt.repelling)
-        for s, F in (("+", a), ("-", r))}
-    value = oracle_transversality(*(flags[w] for w in rpt.witness_pair))
-    assert abs(value - rpt.min_transversality) <= TIE_TOL * value
-    assert rpt.witness_pair == first_tied(anchor_pairs(rpt),
-                                          rpt.min_transversality)
+    (words, att, rpl, (best, witness)), = seen
+    assert best == rpt.min_transversality
+    flags = {w + s: Flag(*F) for w, a, r in zip(words, att, rpl)
+             for s, F in (("+", a), ("-", r))}
+    value = oracle_transversality(*(flags[w] for w in witness))
+    assert abs(value - best) <= TIE_TOL * value
+    assert witness == first_tied(anchor_pairs(words, att, rpl), best)
     assert "word length 5" in rpt.claim
     # moduli table is internally consistent
     assert np.all(np.diff(rpt.moduli, axis=1) <= 0)
@@ -343,6 +344,21 @@ def spy_passes(monkeypatch):
     return passes
 
 
+def spy_anchors(monkeypatch):
+    """A list that records (words, attracting, repelling, (minimum,
+    witness)) of every _anchor_transversality call: the anchors' flags
+    and the witness, which the report does not keep."""
+    calls, anchored = [], replib._anchor_transversality
+
+    def recorded(words, attracting, repelling):
+        out = anchored(words, attracting, repelling)
+        calls.append((list(words), attracting, repelling, out))
+        return out
+
+    monkeypatch.setattr(replib, "_anchor_transversality", recorded)
+    return calls
+
+
 def test_scan_calls_neither_eig_nor_svd(monkeypatch):
     """Word spectra are closed-form: no eig, and no SVD beyond the one
     of the centralizer's stacked (18, 9) commutator system."""
@@ -366,24 +382,43 @@ def test_scan_calls_neither_eig_nor_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     monkeypatch.setattr(Flag, "__init__", counted_init)
     passes = spy_passes(monkeypatch)
+    anchors = spy_anchors(monkeypatch)
     rpt = anosov_scan(fuchsian_rep(), 4)
     assert calls == {"eig": 0, "Flag": 0}
     assert passes == [(1, 2, 3, 4)]        # one _spectra call, 160 words
     assert svd_shapes == [(18, 9)]
     assert len(rpt.words) == 160
-    for flags in (rpt.attracting, rpt.repelling):
-        assert isinstance(flags, np.ndarray) and flags.shape == (160, 2, 3)
+    (words, *pair, _), = anchors
+    assert words == list(rpt.words[:16])   # 4 + 12 words of length <= 2
+    for flags in pair:
+        assert isinstance(flags, np.ndarray) and flags.shape == (16, 2, 3)
         assert np.abs(np.linalg.norm(flags, axis=-1) - 1.0).max() < 1e-15
         lines, planes = flags[:, 0], flags[:, 1]
         assert np.abs(np.einsum("ni,ni->n", planes, lines)).max() < 1e-10
 
 
-def anchor_pairs(rpt):
+def test_scan_builds_flags_for_the_anchors_only(monkeypatch):
+    """Only the transversality channel reads flags, and only the
+    anchors': of the 484 words to length 5, the 16 of length <= 2 get
+    unit flags, attracting and repelling in one call."""
+    rows, unit = [], replib._unit_incident
+
+    def recorded(lines, planes):
+        rows.append((len(lines), len(planes)))
+        return unit(lines, planes)
+
+    monkeypatch.setattr(replib, "_unit_incident", recorded)
+    rpt = anosov_scan(fuchsian_rep(), 5)
+    assert len(rpt.words) == 484
+    assert rows == [(2 * 16, 2 * 16)]
+
+
+def anchor_pairs(words, attracting, repelling):
     """(label, label, oracle transversality) of the short-word flag
     pairs in the scan's loop order, projectively identical flags
     skipped."""
-    anchors = [(w, Flag(*fa), Flag(*fr)) for w, fa, fr in zip(
-        rpt.words, rpt.attracting, rpt.repelling) if len(w) <= 2]
+    anchors = [(w, Flag(*fa), Flag(*fr))
+               for w, fa, fr in zip(words, attracting, repelling)]
     for i, (wi, ai, ri) in enumerate(anchors):
         for wj, aj, rj in anchors[i + 1:]:
             for si, Fi in (("+", ai), ("-", ri)):
@@ -400,7 +435,7 @@ def first_tied(pairs, best):
                 if v <= best * (1.0 + TIE_TOL))
 
 
-def test_scan_transversality_matches_pairwise_oracle():
+def test_scan_transversality_matches_pairwise_oracle(monkeypatch):
     """Off the symmetric example the batched minimum and its witness
     agree with a pairwise loop over the determinant oracle.  Exact ties
     remain, since the sample is closed under inversion and a flag pair
@@ -413,12 +448,15 @@ def test_scan_transversality_matches_pairwise_oracle():
         M = irreducible_embed(M) + 1e-3 * rng.standard_normal((3, 3))
         return M / np.linalg.det(M) ** (1 / 3)
 
+    seen = spy_anchors(monkeypatch)
     rpt = anosov_scan(Representation(
         {k: bump(M) for k, M in zip("ab", fuchsian_sl2())}), 3)
-    pairs = list(anchor_pairs(rpt))
+    (words, att, rpl, (_, witness)), = seen
+    assert all(len(w) <= 2 for w in words) and len(words) == 16
+    pairs = list(anchor_pairs(words, att, rpl))
     best = min(v for _, _, v in pairs)
     assert abs(rpt.min_transversality - best) < 1e-14
-    assert rpt.witness_pair == first_tied(pairs, best)
+    assert witness == first_tied(pairs, best)
 
 
 def test_scan_numbers_are_unitary_conjugation_invariant():
@@ -517,24 +555,28 @@ def level_planes(generators, max_len):
 
 
 def per_length_scan(rep, max_len):
-    """Words, moduli, gaps, flags and obstruction of a scan that calls
-    _spectra once per word length."""
-    words, tables, obstruction = [], [], None
+    """Words, moduli, gaps, anchor flags (attracting, repelling of the
+    words of length <= 2) and obstruction of a scan that calls _spectra
+    once per word length."""
+    words, tables, flags, obstruction = [], [], [], None
     for length, labels, X in level_planes(rep.generators, max_len):
-        m, g, stop, att, rpl = replib._spectra(X, length)
+        m, g, stop, vec, mid = replib._spectra(X, length)
         words += labels[:stop]
-        tables.append((m[:stop], g[:stop], att, rpl))
+        tables.append((m[:stop], g[:stop]))
+        if length <= 2:
+            flags.append(replib._flags(vec, mid, stop))
         if stop < len(labels):
             obstruction = (f"word {labels[stop]} is not loxodromic: moduli "
                            f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
                            f"{m[stop, 2]:.6g})")
             break
-    return words, [np.concatenate(t) for t in zip(*tables)], obstruction
+    return (words, [np.concatenate(t) for t in zip(*tables)],
+            [np.concatenate(t) for t in zip(*flags)], obstruction)
 
 
 @pytest.mark.parametrize("name", [
     "fuchsian", "reducible", "diagonal_su3", "three_generators"])
-def test_passes_equal_one_length_at_a_time_bit_for_bit(name):
+def test_passes_equal_one_length_at_a_time_bit_for_bit(monkeypatch, name):
     if name == "three_generators":
         rep = three_generator_rep()
     elif name == "diagonal_su3":
@@ -543,14 +585,19 @@ def test_passes_equal_one_length_at_a_time_bit_for_bit(name):
                          np.diag(np.exp(1j * np.array([a, b, -a - b]))))
     else:
         rep = load_generators(str(CONFIGS / f"gens_{name}.json"))
-    words, tables, obstruction = per_length_scan(rep, 8)
+    words, (moduli, gaps), flags, obstruction = per_length_scan(rep, 8)
+    seen = spy_anchors(monkeypatch)
     for max_len in range(1, 9):
         rpt = anosov_scan(rep, max_len)
         n = len(rpt.words)
         assert list(rpt.words) == words[:n]
-        for got, want in zip((rpt.moduli, rpt.gaps, rpt.attracting,
-                              rpt.repelling), tables):
-            assert np.array_equal(got, want[:n])
+        assert np.array_equal(rpt.moduli, moduli[:n])
+        assert rpt.min_gap == gaps[:n].min(initial=np.inf)
+        anchors, *pair, _ = seen.pop()
+        assert anchors == words[:len(anchors)]
+        assert len(anchors) == min(n, len(flags[0]))
+        for got, want in zip(pair, flags):
+            assert np.array_equal(got, want[:len(anchors)])
         if rpt.obstruction and rpt.obstruction.startswith("word"):
             assert rpt.obstruction == obstruction and n == len(words)
         else:
@@ -571,11 +618,13 @@ def test_det_past_the_stop_is_not_reached():
     # multiplies out length 3
     H = irreducible_embed(np.diag([2.0, 0.5]))
     X = pass_planes([H, UNI, 1.01 * H])
-    moduli, _, stop, att, _ = replib._spectra(X, np.array([1, 2, 3]))
+    moduli, _, stop, vec, mid = replib._spectra(X, np.array([1, 2, 3]))
     alone = replib._spectra(X[..., :1], 1)
     assert stop == 1 and moduli.shape == (2, 3)
     assert np.array_equal(moduli[:1], alone[0])
-    assert np.array_equal(att, alone[3])
+    for got, want in zip(replib._flags(vec, mid, stop),
+                         replib._flags(*alone[3:], 1)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lead", [True, False],
@@ -664,13 +713,14 @@ def sym2_moduli(A, B, max_len):
 
 @pytest.mark.parametrize("conjugate", [False, True],
                          ids=["shipped", "diagonal_su3"])
-def test_scan_moduli_and_flags_match_the_eig_oracle(conjugate):
+def test_scan_moduli_and_flags_match_the_eig_oracle(monkeypatch, conjugate):
     """Against the exact symmetric-square moduli the closed form is no
-    less accurate than eig, and its flags are eig's to 1e-12."""
+    less accurate than eig, and the anchors' flags are eig's to 1e-12."""
     rep = load_generators(str(CONFIGS / "gens_fuchsian.json"))
     if conjugate:
         a, b = 2.399153235626715, 5.454452311404331
         rep = conjugated(rep, np.diag(np.exp(1j * np.array([a, b, -a - b]))))
+    seen = spy_anchors(monkeypatch)
     for length in (5, 8):
         rpt = anosov_scan(rep, length)
         labels, moduli, att, rpl, stop = oracle_scan(rep, length)
@@ -678,7 +728,9 @@ def test_scan_moduli_and_flags_match_the_eig_oracle(conjugate):
         exact = sym2_moduli(*fuchsian_sl2(), length)
         assert (np.abs(rpt.moduli / exact - 1.0).max()
                 <= np.abs(moduli / exact - 1.0).max())
-        for flags, ref in ((rpt.attracting, att), (rpt.repelling, rpl)):
+        words, *pair, _ = seen.pop()
+        assert words == labels[:16]
+        for flags, ref in zip(pair, (att[:16], rpl[:16])):
             overlap = np.abs(np.einsum("wki,wki->wk", flags.conj(), ref))
             assert (1.0 - overlap).max() < 1e-12
 
@@ -769,11 +821,8 @@ def test_scan_rejects_bad_length():
 
 
 def test_report_validates_moduli():
-    flag = loxodromy(irreducible_embed(np.diag([2.0, 0.5]))).attracting
-    kw = dict(max_word_len=1, words=("a",), gaps=np.array([[0.5, 0.5]]),
-              attracting=(flag,), repelling=(flag,), min_gap=0.5,
-              min_transversality=1.0, witness_pair=("a+", "a-"),
-              centralizer_dim=1)
+    kw = dict(max_word_len=1, words=("a",), min_gap=0.5,
+              min_transversality=1.0, centralizer_dim=1)
     with pytest.raises(ValueError, match="sorted"):
         AnosovReport(moduli=np.array([[1.0, 2.0, 0.5]]), **kw)
     with pytest.raises(ValueError, match="unimodular"):
