@@ -52,8 +52,8 @@ from .config import (ConfigError, build_problem, load_config,
                      load_generators, read)
 # maurer_cartan_residual and residual_background stay importable here,
 # unused, because perfbench/spans.py wraps them
-from .connection import (Loop, assemble, holonomy,  # noqa: F401
-                         maurer_cartan_residual)
+from .connection import (Loop, Unrepresentable, assemble,  # noqa: F401
+                         holonomy, maurer_cartan_residual)
 from .gauss import (DidNotConverge, LinearSolveFailure,  # noqa: F401
                     residual_background, solve_newton)
 from .replib import NotDiagonalizable, NotUnimodular, anosov_scan
@@ -73,7 +73,7 @@ class StageFailure(Exception):
 #: a stage failure (exit code 1) with a one-line message.
 NUMERIC_FAILURES = (LinearSolveFailure, DidNotConverge, PathDependent,
                     NotReal, NotDual, DegenerateFrame, NotUnimodular,
-                    NotDiagonalizable)
+                    NotDiagonalizable, Unrepresentable)
 
 CLOUD_NODES = 64   # point clouds keep at most this many nodes per axis
 

@@ -72,7 +72,7 @@ __all__ = [
     "assemble", "maurer_cartan_residual",
     "grid_step_generators", "step_norms", "taylor_degree",
     "expm_steps", "transport",
-    "holonomy",
+    "holonomy", "Unrepresentable",
 ]
 
 # constant model frame over the ambient form diag(1,1,-1); its columns have
@@ -96,6 +96,10 @@ TAYLOR_THETA = (2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3,
 
 #: Idempotent parts, in storage order.
 PARTS = ("plus", "minus")
+
+
+class Unrepresentable(ArithmeticError):
+    """A step exponential or a transported frame leaves the float range."""
 
 
 def max_abs(*fields) -> float:
@@ -453,12 +457,23 @@ def holonomy(conn: FlatConnectionField, loop: Loop) -> BcMat3:
 
     The holonomy of data that is not flat depends on the loop, not only
     on its class; holonomy does not check flatness, and
-    FlatConnectionField.flatness_residual is that check.
+    FlatConnectionField.flatness_residual is that check.  A step
+    generator of finite norm can still have an exponential, or a
+    period a frame, past the float range; the first overflow raises
+    Unrepresentable instead of carrying inf and NaN into the checks.
     """
     if loop.n != conn.grid.n:
         raise ValueError("loop and connection grids differ")
-    # the two parts' steps side by side, transported together
-    E = np.stack([expm_steps(grid_step_generators(conn, part, loop.leg, 0))
-                  for part in PARTS], axis=-1)
-    H = transport(E)[:, :, -1]
-    return BcMat3(*(F0 @ H[..., k] @ F0_INV for k in range(len(PARTS))))
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            # the two parts' steps side by side, transported together
+            E = np.stack([expm_steps(grid_step_generators(conn, part,
+                                                          loop.leg, 0))
+                          for part in PARTS], axis=-1)
+            H = transport(E)[:, :, -1]
+            return BcMat3(*(F0 @ H[..., k] @ F0_INV
+                            for k in range(len(PARTS))))
+        except FloatingPointError as e:
+            raise Unrepresentable(
+                f"the holonomy of leg {loop.leg} leaves the float range: "
+                f"{e}") from None

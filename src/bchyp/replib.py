@@ -13,7 +13,11 @@ integrated over the torus.
 
 The scan is a necessary-condition filter, not a certificate: its
 strongest positive outcome is "no obstruction found up to length L".
-Loxodromy is checked shortest first, to the first failure.  The transversality
+Loxodromy is checked shortest first, to the first failure, on one word
+per conjugacy class: eigenvalue moduli are class functions, and the
+cyclically reduced representative of a class is never longer than its
+members, so it carries no conjugator's norm into the round-off floor.
+Every scanned word reports the moduli of its class.  The transversality
 minimum is taken over the short-word sample (length <= 2, closed under
 inversion), whose fixed flags approximate distinct boundary points of
 the group; a deep word w = x g x^-1 has flags dragged toward the
@@ -27,14 +31,17 @@ distinct flags is exactly the reducible degeneracy the scan must
 report.
 
 Only those anchors get flags: the scan builds the attracting and
-repelling flags of the words of length <= 2 and of no other word.  Its
-report keeps the scanned words and their moduli, the least gap and
-transversality, the centralizer dimension and the obstruction, whose
-text names the witness pair of a flag failure.
+repelling flags of the words of length <= 2 and of no other word, and
+multiplies out only the class representatives, the anchors and their
+prefixes.  Its report keeps the scanned words and their moduli, the
+least gap of the representatives and the least transversality, the
+centralizer dimension and the obstruction, whose text names the
+witness pair of a flag failure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +71,16 @@ TIE_TOL = 1e-12         # relative: transversality values this close tie
 GAP_FLOOR = np.cbrt(EPS)   # times ||M||_F / |l1|
 CENTRALIZER_TOL = 1e-8  # singular values below this span the centralizer
 
-#: Words that anosov_scan gives `_spectra` at a time, at least: a pass
-#: takes whole word lengths until it holds this many.  A `_spectra` call
-#: costs about 0.36 ms at any size plus 1.2 to 1.6 us per word (2-core
-#: x86-64 Xeon, NumPy 2.4), so the two costs cross between about 230
-#: and 300 words.  A pass much larger than that spends more on words
-#: past an early stop than it saves in calls.  A pass of several lengths
-#: holds at most 2562 words (seven generators: 14 + 182 + 2366), under
-#: the 8192 where `_spectra`'s bits start to depend on the batch.
+#: Words that anosov_scan hands `_spectra` at a time, at least: a pass
+#: takes whole word lengths until their class representatives and
+#: anchors number this many.  A `_spectra` call costs about 0.36 ms at
+#: any size plus 1.2 to 1.6 us per word (2-core x86-64 Xeon, NumPy 2.4),
+#: so the two costs cross between about 230 and 300 words.  A pass much
+#: larger than that spends more on words past an early stop than it
+#: saves in calls.  A pass of several lengths holds at most 2704 words
+#: (26 generators: 52 + 2652 anchors), under the 8192 where `_spectra`'s
+#: bits start to depend on the batch; one length alone passes 8192
+#: classes only far out (two generators: 22 185 at length 12).
 SCAN_PASS_WORDS = 256
 
 
@@ -191,12 +200,15 @@ def _adjugate_eigen(X, lam):
     return v, w, kappa
 
 
-def _spectra(X, length):
+def _spectra(X, length, decides):
     """Loxodromy data of N words in closed form, from planes X
     (3, 3, 2, N) of the words X[:, :, 0] and of their inverses
     X[:, :, 1]; word i is a product of length[i] generators, `length`
     an int for all N or an (N,) array, ascending (a scan pass of
-    consecutive word lengths).
+    consecutive word lengths).  `decides`, True or an (N,) bool array,
+    marks the words whose gaps decide the stop: the scan hands over
+    class representatives, which decide, and the short anchors, which
+    are there for their flags.
 
     l1 is the top root of the word's characteristic polynomial and
     l3 = 1 / (top root of the inverse's), each refined by one Rayleigh
@@ -210,34 +222,36 @@ def _spectra(X, length):
 
     Returns (moduli, gaps, stop, vec, mid): eigenvalue moduli,
     descending, over the cube root of their product; relative gaps; the
-    index of the first word that is not loxodromic (N if none); and the
-    eigenvector planes of the words, (3, 2, N') for the top eigenvectors
-    of the words and of their inverses and (3, N') for the middle ones,
-    from which `_flags` builds the flags of the words before the stop
-    (N' is N, or less where the det gate cut the pass).  Both gaps must
-    exceed GAP_TOL and the round-off floor
+    index of the first deciding word that is not loxodromic (N if
+    none); and the eigenvector planes of the words, (3, 2, N') for the
+    top eigenvectors of the words and of their inverses and (3, N') for
+    the middle ones, from which `_flags` builds the flags of the words
+    before the stop (N' is N, or less where the det gate cut the pass).
+    Both gaps must exceed GAP_TOL and the round-off floor
     GAP_FLOOR ||M||_F / |l1|, which rescaling leaves alone: a unipotent
     word's eigenvalues scatter by about eps^(1/3) ||M||.
 
     A word's det may be off one by length * DET_TOL + DET_DRIFT
     ||M||_F^3.  The first length with a word off by more is cut off
     before any eigen work, and NotUnimodular names its worst word
-    unless a word of an earlier length is not loxodromic: a scan of one
-    length at a time stops at that word and never reaches the det.
+    unless a deciding word of an earlier length is not loxodromic: a
+    scan of one length at a time stops at that word and never reaches
+    the det.
     Every other value is entrywise, so a pass gives each word the bits
     that a call on its length alone gives, up to 8192 words: from 256
     KiB on, NumPy computes a product with a temporary operand in place,
     and its in-place complex product rounds differently.
 
-    Raises NotDiagonalizable when the first word that is not loxodromic
-    has gaps above GAP_TOL but all three eigenvalues have condition
-    kappa of COND_TOL or more.  A single large kappa does not count: a
-    cluster root can land near a critical point of the polynomial,
-    where tr adj vanishes and kappa means nothing.
+    Raises NotDiagonalizable when the first deciding word that is not
+    loxodromic has gaps above GAP_TOL but all three eigenvalues have
+    condition kappa of COND_TOL or more.  A single large kappa does not
+    count: a cluster root can land near a critical point of the
+    polynomial, where tr adj vanishes and kappa means nothing.
     """
     top, c1, det = _top_root(X)
     norms = np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=(0, 1)))
     length = np.broadcast_to(length, det[0].shape)
+    decides = np.broadcast_to(decides, det[0].shape)
     drift = np.abs(det[0] - 1.0) / (length * DET_TOL
                                     + DET_DRIFT * norms[0] ** 3)
     failed = np.flatnonzero(~(drift <= 1.0))
@@ -250,7 +264,7 @@ def _spectra(X, length):
         if not cut:
             raise unimodular
         X, top, c1 = X[..., :cut], top[:, :cut], c1[:, :cut]
-        norms = norms[:, :cut]
+        norms, decides = norms[:, :cut], decides[:cut]
     M = X[:, :, 0]
     fro = norms[0]
     vec, w, kappa = _adjugate_eigen(X, top)
@@ -268,7 +282,7 @@ def _spectra(X, length):
     low = gaps.min(axis=1)
     defective = (low > GAP_TOL) & ~(kappa < COND_TOL)
     floor = np.maximum(GAP_TOL, GAP_FLOOR * fro / m[:, 0])
-    bad = np.flatnonzero(~(low > floor) | defective)
+    bad = np.flatnonzero((~(low > floor) | defective) & decides)
     stop = int(bad[0]) if bad.size else M.shape[-1]
     if stop < M.shape[-1] and defective[stop]:
         raise NotDiagonalizable(f"eigenvalue condition {kappa[stop]:.3e}")
@@ -295,7 +309,7 @@ def loxodromy(M) -> LoxodromyReport:
     the inverse from np.linalg.inv."""
     M = np.asarray(M, dtype=complex)
     X = mat3.planes(np.stack([M, np.linalg.inv(M)]))[..., None]
-    moduli, gaps, stop, vec, mid = _spectra(X, 1)
+    moduli, gaps, stop, vec, mid = _spectra(X, 1, True)
     flags = [Flag(*F[0]) for F in _flags(vec, mid, 1)] if stop else []
     return LoxodromyReport(tuple(moduli[0]), tuple(gaps[0]), stop == 1,
                            *flags)
@@ -380,20 +394,122 @@ def _anchor_transversality(words, attracting, repelling):
                               for f in (p[k], q[k]))
 
 
+@functools.cache
+def _class_table(letters: int, max_len: int):
+    """The conjugacy classes of the reduced words up to max_len in
+    `letters` letters (letters 2j and 2j + 1 are a generator and its
+    inverse), and the words that the scan multiplies out.
+
+    Words are in scan order: shortest first, and within a length
+    lexicographic in the letter indices.  The class of a word is
+    represented by its cyclically reduced core, the word with its end
+    pairs x ... x^-1 stripped, taken at the earliest in scan order of
+    the rotations of that core and of its inverse, all of the core's
+    length (Lyndon & Schupp, Combinatorial Group Theory, ch. I).  So no
+    member of a class comes before its representative.  A rotation of
+    the core never equals one of its inverse: in a free group only 1 is
+    conjugate to its inverse.  A word is coded as an int64 in base
+    `letters`, first letter highest, plus the number of codes of the
+    shorter lengths, so codes ascend in scan order, a rotation is
+    modular arithmetic on a code and np.searchsorted finds a code's
+    scan index.
+
+    The scan hands `_spectra` the representatives and the anchors (the
+    words of length <= 2, which carry the transversality channel's
+    flags), and multiplies out those and their prefixes.  Returns
+    (row, inverse, handed, levels), read-only:
+      row: (W,) for each word, the index among the handed words of its
+        representative;
+      inverse: (W,) bool, the word is conjugate to its representative's
+        inverse;
+      handed: (H,) ascending scan indices of the handed words;
+      levels: per length, (digits, parent, last, hand): the letter
+        indices (N, length) of every word of that length; and of the
+        words multiplied out, the positions of their parents among the
+        multiplied words of the length before (None at length 1), their
+        last letters, and the positions of the handed words among them.
+    """
+    follow = np.array([[t for t in range(letters) if t != s ^ 1]
+                       for s in range(letters)])
+    power = letters ** np.arange(max_len + 1, dtype=np.int64)
+    digits, last = [np.arange(letters)[:, None]], np.arange(letters)
+    for length in range(2, max_len + 1):
+        parent = np.repeat(np.arange(len(last)), letters - 1)
+        last = follow[last].ravel()
+        digits.append(np.column_stack([digits[-1][parent], last]))
+    # the codes of length k start after the sum of letters^j, j < k
+    shift = (power - letters) // (letters - 1)
+    key = np.concatenate([d @ power[length - 1::-1] + shift[length]
+                          for length, d in enumerate(digits, 1)])
+    rep, inverse = [], []
+    for length, d in enumerate(digits, 1):
+        half = length // 2
+        ends = d[:, :half] == d[:, :length - half - 1:-1] ^ 1
+        strip = np.logical_and.accumulate(ends, axis=1).sum(axis=1)
+        k = length - 2 * strip
+        weights = power[length - 1::-1]
+        core = d @ weights // power[strip] % power[k]
+        back = (d[:, ::-1] ^ 1) @ weights // power[strip] % power[k]
+        best, best_back, top = core.copy(), back.copy(), power[k - 1]
+        for _ in range(length - 1):          # a core of length k cycles
+            core = core % top * letters + core // top
+            back = back % top * letters + back // top
+            np.minimum(best, core, out=best)
+            np.minimum(best_back, back, out=best_back)
+        flip = best_back < best
+        inverse.append(flip)
+        rep.append(np.searchsorted(
+            key, np.where(flip, best_back, best) + shift[k]))
+    rep, inverse = np.concatenate(rep), np.concatenate(inverse)
+    anchors = sum(len(d) for d in digits[:2])
+    mask = rep == np.arange(len(rep))
+    mask[:anchors] = True
+    handed = np.flatnonzero(mask)
+    rank = np.cumsum(mask) - 1
+    # multiply out the handed words and every prefix of one
+    start = np.cumsum([0] + [len(d) for d in digits])
+    built = mask.copy()
+    for length in range(max_len, 1, -1):
+        child = np.flatnonzero(built[start[length - 1]:start[length]])
+        built[start[length - 2] + child // (letters - 1)] = True
+    levels, position = [], None
+    for length, d in enumerate(digits, 1):
+        lo, hi = start[length - 1], start[length]
+        keep = np.flatnonzero(built[lo:hi])
+        parent = None if position is None else position[keep // (letters - 1)]
+        position = np.cumsum(built[lo:hi]) - 1
+        levels.append((d, parent, d[keep, -1],
+                       np.flatnonzero(mask[lo:hi][keep])))
+    out = (rank[rep], inverse, handed, tuple(levels))
+    for a in (*out[:3], *(x for level in levels for x in level
+                          if x is not None)):
+        a.setflags(write=False)
+    return out
+
+
 def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     """Necessary Anosov conditions over all reduced words up to a length.
 
     Two channels.  (1) Loxodromy: every enumerated word must have three
     distinct eigenvalue moduli with relative gaps above GAP_TOL and
-    above the round-off floor of the word (see `_spectra`).  Words are
-    enumerated shortest first, with one batched product of the words and
-    one of their inverses per word length, each built from the length
-    before.  Their closed-form spectra are taken in passes of
-    consecutive lengths, each pass the next lengths up to at least
-    SCAN_PASS_WORDS words (or the last length), so short lengths share
-    one `_spectra` call and a stop wastes at most a pass.  The scan
-    stops at the first word that fails, reports it as the obstruction,
-    and reports the words before it.  (2) Transversality:
+    above the round-off floor of the word (see `_spectra`).  Eigenvalue
+    moduli are class functions, so the scan takes the spectra of one
+    word per conjugacy class, its cyclically reduced representative
+    (`_class_table`), and gives every word the row of its class, with
+    the moduli reversed and inverted for a word conjugate to the
+    representative's inverse.  A representative is never longer than
+    the words of its class, so its product carries no conjugator's
+    norm into the round-off floor.  Words are enumerated shortest
+    first; the representatives, the anchors and their prefixes are
+    multiplied out one batched product per word length, each built
+    from the length before.  Their closed-form spectra are taken in
+    passes of consecutive lengths, each pass the next lengths up to at
+    least SCAN_PASS_WORDS handed words (or the last length), so short
+    lengths share one `_spectra` call and a stop wastes at most a
+    pass.  The scan stops at the first word whose class fails, which is
+    that class's representative, reports it as the obstruction, and
+    reports the words before it; `min_gap` is the least gap of the
+    representatives before it.  (2) Transversality:
     the minimum over the short-word sample (length <= 2) of flag-pair
     transversality, all four attracting/repelling combinations per pair,
     identical flags skipped.  Short words are used because their fixed
@@ -403,7 +519,9 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     the contraction of x for *every* faithful discrete example, and says
     nothing about flag position.  A shared line or plane between
     distinct sample flags (the reducible degeneracy) drives the minimum
-    to zero and is reported as an obstruction against TRANS_TOL.
+    to zero and is reported as an obstruction against TRANS_TOL.  Each
+    anchor gets its own spectrum for its flags; its gaps do not decide
+    loxodromy, its class's do.
 
     The report also carries the centralizer dimension and the per-word
     moduli of the scanned words.  Flags are built for the anchors only
@@ -411,52 +529,58 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
-    letters = [(n, e) for n in rep.names for e in (1, -1)]
     gens = mat3.planes(np.stack([g for g in rep.generators.values()
                                  for g in (g, np.linalg.inv(g))]))
-    spelled = [n.upper() if e < 0 else n for n, e in letters]
-    # letter t may follow s unless it cancels it (inverses: 2j, 2j + 1)
-    follow = np.array([[t for t in range(len(letters)) if t != s ^ 1]
-                       for s in range(len(letters))])
-    last, level = np.arange(len(letters)), spelled
-    mats = np.stack([gens, gens[:, :, last ^ 1]], axis=2)  # words, inverses
-    words, moduli, min_gap, anchor_flags = [], [], np.inf, None
-    obstruction, anchors = None, 0
-    batch, labels, lengths = [], [], []     # the pass being gathered
-    for length in range(1, max_word_len + 1):
-        if length > 1:
-            parent = np.repeat(np.arange(len(level)), follow.shape[1])
-            last = follow[last].ravel()
+    spelled = np.array([c for n in rep.names for c in (n, n.upper())])
+    row, inverse, handed, levels = _class_table(len(spelled), max_word_len)
+    decides = row[handed] == np.arange(len(handed))
+    anchors = sum(len(level[0]) for level in levels[:2])
+    rows, min_gap, anchor_flags, stopped = [], np.inf, None, None
+    first, batch, lengths = 0, [], []       # the pass being gathered
+    for length, (_, parent, last, hand) in enumerate(levels, 1):
+        if parent is None:
+            mats = np.stack([gens, gens[:, :, last ^ 1]], axis=2)
+        else:
             prev, mats = mats, np.empty((3, 3, 2, len(last)), complex)
             mat3.matmul(prev[:, :, 0, parent], gens[:, :, last],
                         out=mats[:, :, 0])
             mat3.matmul(gens[:, :, last ^ 1], prev[:, :, 1, parent],
                         out=mats[:, :, 1])
-            level = [level[p] + spelled[t]
-                     for p, t in zip(parent.tolist(), last.tolist())]
-        if length <= 2:
-            anchors += len(level)
-        batch.append(mats)
-        labels += level
-        lengths += [length] * len(level)
-        if len(labels) < SCAN_PASS_WORDS and length < max_word_len:
+        batch.append(mats[..., hand])
+        lengths += [length] * len(hand)
+        if len(lengths) < SCAN_PASS_WORDS and length < max_word_len:
             continue
-        X = np.concatenate(batch, axis=-1) if len(batch) > 1 else mats
-        m, g, stop, vec, mid = _spectra(X, np.array(lengths))
-        words += labels[:stop]
-        moduli.append(m[:stop])
-        min_gap = min(min_gap, float(g[:stop].min(initial=np.inf)))
+        X = np.concatenate(batch, axis=-1) if len(batch) > 1 else batch[0]
+        end = first + len(lengths)
+        m, g, stop, vec, mid = _spectra(X, np.array(lengths),
+                                        decides[first:end])
+        rows.append(m[:stop])
+        min_gap = min(min_gap, float(
+            g[:stop][decides[first:first + stop]].min(initial=np.inf)))
         if anchor_flags is None:
             # 26 generators make at most 52 words of length 1, fewer
             # than SCAN_PASS_WORDS, so the first pass holds every anchor
             anchors = min(anchors, stop)
             anchor_flags = _flags(vec, mid, anchors)
-        if stop < len(labels):
-            obstruction = (f"word {labels[stop]} is not loxodromic: moduli "
-                           f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
-                           f"{m[stop, 2]:.6g})")
+        if stop < len(lengths):
+            stopped = m[stop]
+            first += stop
             break
-        batch, labels, lengths = [], [], []
+        first, batch, lengths = end, [], []
+    count = len(row) if stopped is None else int(handed[first])
+    labels, left = [], count + (stopped is not None)
+    for length, (digits, *_) in enumerate(levels, 1):
+        if left <= 0:
+            break
+        labels += spelled[digits[:left]].view(f"<U{length}").ravel().tolist()
+        left -= len(digits)
+    words = labels[:count]
+    moduli = np.concatenate(rows)[row[:count]]
+    flip = inverse[:count]
+    moduli[flip] = 1.0 / moduli[flip, ::-1]
+    obstruction = None if stopped is None else (
+        f"word {labels[count]} is not loxodromic: moduli ({stopped[0]:.6g}, "
+        f"{stopped[1]:.6g}, {stopped[2]:.6g})")
     min_t, witness = _anchor_transversality(words[:anchors], *anchor_flags)
     if obstruction is None and min_t < TRANS_TOL:
         obstruction = (f"flags of {witness[0]} and {witness[1]} are not "
@@ -464,7 +588,7 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     return AnosovReport(
         max_word_len=max_word_len,
         words=tuple(words),
-        moduli=np.concatenate(moduli),
+        moduli=moduli,
         min_gap=min_gap,
         min_transversality=min_t,
         centralizer_dim=centralizer_check(rep),
@@ -474,12 +598,17 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
 
 def centralizer_check(rep: Representation) -> int:
     """Dimension of {X : X g = g X for every generator g}, via the rank
-    of the generators' 9x9 commutator systems taken together."""
-    blocks = []
+    of the generators' 9x9 commutator systems taken together.
+
+    The system of g is kron(I, g) - kron(g^T, I), entry [3i + a, 3j + b]
+    = d_ij g_ab - g_ji d_ab, written as the two broadcast products that
+    np.kron forms, so its bits are kron's."""
+    G = np.stack(list(rep.generators.values()))         # [g, a, b]
     eye = np.eye(3)
-    for g in rep.generators.values():
-        blocks.append(np.kron(eye, g) - np.kron(g.T, eye))
-    sv = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+    system = (eye[:, None, :, None] * G[:, None, :, None, :]
+              - G.transpose(0, 2, 1)[:, :, None, :, None]
+              * eye[None, :, None, :])                   # [g, i, a, j, b]
+    sv = np.linalg.svd(system.reshape(-1, 9), compute_uv=False)
     return int(np.sum(sv < CENTRALIZER_TOL))
 
 

@@ -33,7 +33,7 @@ def commands(tmp: Path, with_cells: bool = True):
                  "wang_torus"):
         for stage in CONFIG_STAGES:
             yield stage + ["--config", str(CONFIGS / f"{name}.json")], None
-    for name in ("gens_fuchsian", "gens_reducible"):
+    for name in ("gens_fuchsian", "gens_reducible", "gens_schottky3"):
         yield ["rep", "anosov", "--gens", str(CONFIGS / f"{name}.json")], None
     for argv, name in ((["affine", "roundtrip"], "affine-roundtrip"),
                        (["pipeline", "--config",

@@ -37,6 +37,12 @@ fields, and takes the dual lift column from its np.cross;
 fit_structure_whole fits the structure equations over the whole grid
 at once.  solve is the adjugate solve X = adj(A) B / det(A) on planes.
 
+The word scan's conjugacy classes have a string route: reduced_words
+lists the words in the scan's order with itertools.product, and
+class_representative cyclically reduces a word and takes the least
+rotation of it and of its inverse, letter by letter, where the package
+works on integer codes.
+
 stacked turns (3, 3, ...) planes back into a (..., 3, 3) stack, for
 comparing the package's planes with stack references, and entry_mapping
 turns dense {part: planes} fields into the entry mappings that
@@ -54,6 +60,8 @@ conormal residual of a pair and the Wang identity of a Blaschke metric.
 wang_problem builds the tests' Wang data through config.build_problem,
 the one route from config values to a GaussProblem.
 """
+
+import itertools
 
 import numpy as np
 from scipy.linalg import expm, null_space
@@ -536,6 +544,39 @@ def spectra_oracle(M, length):
     attracting = np.stack([unit(top), unit(np.cross(top, mid))], axis=1)
     repelling = np.stack([unit(bottom), unit(np.cross(bottom, mid))], axis=1)
     return moduli, gaps, stop, attracting, repelling
+
+
+def reduced_words(names: str, max_len: int) -> list:
+    """Every reduced word in the generators `names` up to max_len, as
+    strings with upper case for an inverse, in the scan's order:
+    shortest first, then lexicographic in the letter order a A b B ...
+    (itertools.product over that alphabet, cancelling pairs dropped)."""
+    alphabet = "".join(c + c.upper() for c in names)
+    return ["".join(w) for length in range(1, max_len + 1)
+            for w in itertools.product(alphabet, repeat=length)
+            if all(x != y.swapcase() for x, y in zip(w, w[1:]))]
+
+
+def class_representative(word: str, names: str) -> tuple:
+    """(representative, inverse) of a reduced word's conjugacy class, on
+    strings: strip the cancelling end pairs (x ... X), then take the
+    least, in the scan's letter order, of the rotations of the core and
+    of the core's inverse; `inverse` says the least came from the
+    inverse's rotations."""
+    rank = {c: i for i, c in enumerate("".join(c + c.upper()
+                                               for c in names))}
+    while len(word) > 1 and word[0] == word[-1].swapcase():
+        word = word[1:-1]
+    back = word[::-1].swapcase()
+
+    def least(w):
+        return min((w[i:] + w[:i] for i in range(len(w))),
+                   key=lambda r: [rank[c] for c in r])
+
+    forward, backward = least(word), least(back)
+    if [rank[c] for c in backward] < [rank[c] for c in forward]:
+        return backward, True
+    return forward, False
 
 
 # ----------------------------------------------------------------------

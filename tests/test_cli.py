@@ -246,6 +246,26 @@ def test_huge_cubic_data_print_no_warning(tmp_path, capsys, size, perturb):
     assert err.startswith("stage failure (DidNotConverge): ")
 
 
+@pytest.mark.parametrize("command", [["conn", "holonomy"], ["pipeline"]],
+                         ids=["conn-holonomy", "pipeline"])
+@pytest.mark.parametrize("alpha", [1e9, 1e100], ids=["transport", "expm"])
+def test_holonomy_past_the_float_range_prints_one_line(tmp_path, capsys,
+                                                        command, alpha):
+    # beta = 1e-300 gives step generators of 1-norm 6e104 (alpha 1e9) to
+    # 3e165 (alpha 1e100): a period's frame product, or a step
+    # exponential's squarings, overflow; that is a typed failure, not
+    # RuntimeWarnings (errors here, under filterwarnings = error)
+    cfg = write_cfg(tmp_path, {"grid": 32, "chart": {
+        "kind": "constant", "mu": [-0.006132403605126235, -0.703287790341407]},
+        "cubic": {"kind": "pair", "alpha": [alpha, -0.0], "beta": 1e-300,
+                  "perturb": 1.0}})
+    assert main(command + ["--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("stage failure (Unrepresentable): the holonomy of "
+                          "leg 0 leaves the float range: overflow")
+
+
 @pytest.mark.parametrize("command", [
     ["gauss", "solve"], ["conn", "flatness"], ["conn", "holonomy"],
     ["pipeline"]], ids=["gauss-solve", "conn-flatness", "conn-holonomy",
@@ -311,6 +331,20 @@ def test_fuchsian_scan_length_six_raises_nothing(capsys):
     code = main(["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
                  "--len", "6"])
     assert code == 0
+
+
+@pytest.mark.parametrize("length", ["5", "6"])
+def test_schottky_scan_fails_only_on_the_transversality_bound(capsys,
+                                                              length):
+    # every class of the Schottky file is loxodromic (a scan of every
+    # word stopped at the conjugate aabAA of b); criterion 10 fails on
+    # its 0.01 bound for min_transversality alone
+    code = main(["rep", "anosov", "--gens", cfg_path("gens_schottky3.json"),
+                 "--len", length])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "stage failure (criterion 10)\n")
+    assert "min_transversality=-0.000225<=-0.01; centralizer_dim=1" in out
+    assert f"claim: no obstruction found up to word length {length}" in out
 
 
 def test_pipeline_out_cloud_comes_from_the_configured_pair(tmp_path, capsys):

@@ -23,6 +23,9 @@ FLATNESS = "stage failure (criterion 5)"                           # item 24
 ROUNDTRIP = "stage failure (criterion 8)"                          # item 13
 # the reducible pair is the scan's negative control, not a fault
 REDUCIBLE = "stage failure (criterion 10)"
+# the Schottky file has no obstruction, but its anchors b and bc have
+# attracting flags 2.3e-4 apart, under criterion 10's 0.01 bound (item 34)
+SCHOTTKY = "stage failure (criterion 10)"
 
 
 def config(base, **over):
@@ -66,6 +69,11 @@ def cells():
             yield (f"rep-anosov-{gens[:-5]}-len{length}",
                    ["rep", "anosov", "--gens", str(CONFIGS / gens),
                     "--len", str(length)], None, expect)
+    schottky = str(CONFIGS / "gens_schottky3.json")
+    for length in (5, 6):
+        yield (f"rep-anosov-gens_schottky3-len{length}",
+               ["rep", "anosov", "--gens", schottky, "--len", str(length)],
+               None, SCHOTTKY)
 
 
 @pytest.mark.parametrize("command, cfg, expect",

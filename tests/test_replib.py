@@ -333,12 +333,13 @@ def test_scan_diagonal_su3_conjugate_passes():
 
 
 def spy_passes(monkeypatch):
-    """A list that records the word lengths of every _spectra call."""
+    """A list that records the word lengths of every _spectra call, one
+    entry per word handed over."""
     passes, spectra = [], replib._spectra
 
-    def recorded(X, length):
-        passes.append(tuple(np.unique(length).tolist()))
-        return spectra(X, length)
+    def recorded(X, length, decides):
+        passes.append(np.broadcast_to(length, X.shape[-1:]).tolist())
+        return spectra(X, length, decides)
 
     monkeypatch.setattr(replib, "_spectra", recorded)
     return passes
@@ -385,7 +386,8 @@ def test_scan_calls_neither_eig_nor_svd(monkeypatch):
     anchors = spy_anchors(monkeypatch)
     rpt = anosov_scan(fuchsian_rep(), 4)
     assert calls == {"eig": 0, "Flag": 0}
-    assert passes == [(1, 2, 3, 4)]        # one _spectra call, 160 words
+    # one _spectra call: 16 anchors and 19 classes of length 3 and 4
+    assert passes == [[1] * 4 + [2] * 12 + [3] * 6 + [4] * 13]
     assert svd_shapes == [(18, 9)]
     assert len(rpt.words) == 160
     (words, *pair, _), = anchors
@@ -519,14 +521,25 @@ def test_reducible_conjugates_stop_where_the_shipped_file_stops():
 
 def three_generator_rep():
     """Embedded hyperbolics of eigenvalue 6 whose axes through i are 60
-    degrees apart.  Their 936 words to length 4 fill the first pass;
-    the scan stops in the second, at the conjugate aabAA, whose norm
-    puts its gaps under the round-off floor."""
+    degrees apart, a Schottky group (configs/gens_schottky3.json holds
+    the same three matrices).  Their words have moduli (|mu|^2, 1,
+    |mu|^-2) with |mu| >= 6, so every gap is at least 35/36.  A scan of
+    all words once stopped at the conjugate aabAA of b, whose norm
+    1.07e7 put its gaps under the round-off floor; the class scan reads
+    b's row for it."""
     def axis(t):
         R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         return irreducible_embed(R @ np.diag([6.0, 1.0 / 6.0]) @ R.T)
     return Representation({n: axis(k * np.pi / 6)
                            for k, n in enumerate("abc")})
+
+
+def test_the_shipped_schottky_file_holds_the_three_generators():
+    shipped = load_generators(str(CONFIGS / "gens_schottky3.json"))
+    rep = three_generator_rep()
+    assert shipped.names == rep.names
+    for name in rep.names:
+        assert np.array_equal(shipped.generators[name], rep.generators[name])
 
 
 def level_planes(generators, max_len):
@@ -554,29 +567,45 @@ def level_planes(generators, max_len):
         yield length, labels, X
 
 
-def per_length_scan(rep, max_len):
-    """Words, moduli, gaps, anchor flags (attracting, repelling of the
-    words of length <= 2) and obstruction of a scan that calls _spectra
-    once per word length."""
-    words, tables, flags, obstruction = [], [], [], None
-    for length, labels, X in level_planes(rep.generators, max_len):
-        m, g, stop, vec, mid = replib._spectra(X, length)
-        words += labels[:stop]
-        tables.append((m[:stop], g[:stop]))
-        if length <= 2:
-            flags.append(replib._flags(vec, mid, stop))
-        if stop < len(labels):
-            obstruction = (f"word {labels[stop]} is not loxodromic: moduli "
-                           f"({m[stop, 0]:.6g}, {m[stop, 1]:.6g}, "
-                           f"{m[stop, 2]:.6g})")
-            break
-    return (words, [np.concatenate(t) for t in zip(*tables)],
-            [np.concatenate(t) for t in zip(*flags)], obstruction)
+def per_word_spectra(rep, max_len):
+    """Labels, moduli, gaps and anchor flags (attracting, repelling of
+    the words of length <= 2) of every reduced word up to max_len, each
+    from `_spectra` on the planes that a scan of one length at a time
+    builds for it, in chunks of 4096 words with no word deciding a
+    stop.  Below 8192 words `_spectra` is entrywise, so these are the
+    bits that any pass under that size gives the word."""
+    labels, moduli, gaps, flags = [], [], [], []
+    for length, level, X in level_planes(rep.generators, max_len):
+        for lo in range(0, len(level), 4096):
+            m, g, _, vec, mid = replib._spectra(X[..., lo:lo + 4096],
+                                                length, False)
+            moduli.append(m)
+            gaps.append(g)
+            if length <= 2:
+                flags.append(replib._flags(vec, mid, len(m)))
+        labels += level
+    return (labels, np.concatenate(moduli), np.concatenate(gaps),
+            [np.concatenate(t) for t in zip(*flags)])
+
+
+def class_rows(names, max_len):
+    """(scan index of the representative, conjugate to its inverse) of
+    every reduced word up to max_len, from the scan's class table."""
+    row, inverse, handed, _ = replib._class_table(2 * len(names), max_len)
+    return handed[row], inverse
 
 
 @pytest.mark.parametrize("name", [
     "fuchsian", "reducible", "diagonal_su3", "three_generators"])
 def test_passes_equal_one_length_at_a_time_bit_for_bit(monkeypatch, name):
+    """Each class representative's row is the row that `_spectra` gives
+    that word in a scan of one length at a time, bit for bit; every
+    other word carries its class's row, reversed and inverted for a
+    conjugate of the representative's inverse; min_gap is the least
+    gap of the representatives, and the anchors' flags are their own.
+    The three generators run to length 6, past the conjugate aabAA of
+    b that a scan of every word stopped on."""
+    longest = 6 if name == "three_generators" else 8
     if name == "three_generators":
         rep = three_generator_rep()
     elif name == "diagonal_su3":
@@ -585,25 +614,33 @@ def test_passes_equal_one_length_at_a_time_bit_for_bit(monkeypatch, name):
                          np.diag(np.exp(1j * np.array([a, b, -a - b]))))
     else:
         rep = load_generators(str(CONFIGS / f"gens_{name}.json"))
-    words, (moduli, gaps), flags, obstruction = per_length_scan(rep, 8)
+    labels, moduli, gaps, flags = per_word_spectra(rep, longest)
+    cls, inverse = class_rows(rep.names, longest)
+    own = cls == np.arange(len(cls))
+    want = moduli[cls]
+    want[inverse] = 1.0 / want[inverse, ::-1]
     seen = spy_anchors(monkeypatch)
-    for max_len in range(1, 9):
+    for max_len in range(1, longest + 1):
         rpt = anosov_scan(rep, max_len)
         n = len(rpt.words)
-        assert list(rpt.words) == words[:n]
-        assert np.array_equal(rpt.moduli, moduli[:n])
-        assert rpt.min_gap == gaps[:n].min(initial=np.inf)
+        assert list(rpt.words) == labels[:n]
+        assert np.array_equal(rpt.moduli, want[:n])
+        assert rpt.min_gap == gaps[:n][own[:n]].min(initial=np.inf)
         anchors, *pair, _ = seen.pop()
-        assert anchors == words[:len(anchors)]
+        assert anchors == labels[:len(anchors)]
         assert len(anchors) == min(n, len(flags[0]))
-        for got, want in zip(pair, flags):
-            assert np.array_equal(got, want[:len(anchors)])
-        if rpt.obstruction and rpt.obstruction.startswith("word"):
-            assert rpt.obstruction == obstruction and n == len(words)
+        for got, ref in zip(pair, flags):
+            assert np.array_equal(got, ref[:len(anchors)])
+        if name == "reducible" and max_len >= 4:
+            assert rpt.obstruction.startswith("word abAB is not loxodromic")
+            assert n == 66
         else:
-            assert n == len(words) or len(words[n]) == max_len + 1
+            assert n == sum(len(w) <= max_len for w in labels)
+            assert rpt.obstruction is None or name == "reducible"
     if name == "three_generators":
-        assert obstruction.startswith("word aabAA") and len(words) == 966
+        k, b = labels.index("aabAA"), labels.index("b")
+        assert cls[k] == b and not inverse[k]
+        assert np.array_equal(rpt.moduli[k], moduli[b])
 
 
 def pass_planes(mats):
@@ -618,8 +655,8 @@ def test_det_past_the_stop_is_not_reached():
     # multiplies out length 3
     H = irreducible_embed(np.diag([2.0, 0.5]))
     X = pass_planes([H, UNI, 1.01 * H])
-    moduli, _, stop, vec, mid = replib._spectra(X, np.array([1, 2, 3]))
-    alone = replib._spectra(X[..., :1], 1)
+    moduli, _, stop, vec, mid = replib._spectra(X, np.array([1, 2, 3]), True)
+    alone = replib._spectra(X[..., :1], 1, True)
     assert stop == 1 and moduli.shape == (2, 3)
     assert np.array_equal(moduli[:1], alone[0])
     for got, want in zip(replib._flags(vec, mid, stop),
@@ -638,23 +675,87 @@ def test_det_before_the_stop_names_the_worst_word_of_its_length(lead):
         mats, lengths = [H] + mats, [1] + lengths
     with pytest.raises(NotUnimodular,
                        match=r"^det 1\.061208\+0j is not 1$"):
-        replib._spectra(pass_planes(mats), np.array(lengths))
+        replib._spectra(pass_planes(mats), np.array(lengths), True)
+
+
+def test_only_deciding_words_stop_a_pass():
+    # an anchor that is not its class's representative is handed over
+    # for its flags: its own gaps do not stop the pass, its class's do
+    H = irreducible_embed(np.diag([2.0, 0.5]))
+    X = pass_planes([UNI, H])
+    assert replib._spectra(X, 1, True)[2] == 0
+    assert replib._spectra(X, 1, np.array([False, True]))[2] == 2
 
 
 @pytest.mark.parametrize("name, max_len, passes", [
     ("fuchsian", 5, [(1, 2, 3, 4, 5)]),
-    ("fuchsian", 8, [(1, 2, 3, 4, 5), (6,), (7,), (8,)]),
+    ("fuchsian", 8, [(1, 2, 3, 4, 5, 6, 7), (8,)]),
     ("reducible", 5, [(1, 2, 3, 4, 5)]),
-    ("reducible", 8, [(1, 2, 3, 4, 5)])])
+    ("reducible", 8, [(1, 2, 3, 4, 5, 6, 7)])])
 def test_scan_passes_on_the_shipped_files(monkeypatch, name, max_len,
                                           passes):
-    """Whole lengths gather to SCAN_PASS_WORDS words a pass: 484 words
-    to length 5 with two generators, then one length a pass.  The
-    reducible pair stops at abAB, in its first pass."""
+    """Whole lengths gather to SCAN_PASS_WORDS handed words a pass: with
+    two generators, 61 to length 5 and 285 to length 7, then the 418
+    classes of length 8.  The reducible pair stops at abAB, in its
+    first pass."""
     assert replib.SCAN_PASS_WORDS == 256
     seen = spy_passes(monkeypatch)
     anosov_scan(load_generators(str(CONFIGS / f"gens_{name}.json")), max_len)
-    assert seen == passes
+    assert [tuple(sorted(set(p))) for p in seen] == passes
+
+
+@pytest.mark.parametrize("max_len, words, handed", [
+    (5, 484, 61), (8, 13120, 703)])
+def test_scan_hands_spectra_one_word_per_class(monkeypatch, max_len, words,
+                                               handed):
+    """_spectra sees the 16 anchors and one representative per class of
+    length 3 and more: 45 classes to length 5, 687 to length 8."""
+    seen = spy_passes(monkeypatch)
+    rpt = anosov_scan(load_generators(str(CONFIGS / "gens_fuchsian.json")),
+                      max_len)
+    assert len(rpt.words) == words
+    assert sum(len(p) for p in seen) == handed
+
+
+@pytest.mark.parametrize("generators, max_len", [
+    (1, 6), (2, 6), (3, 6), (26, 2)])
+def test_class_table_matches_the_string_route(generators, max_len):
+    names = "abcdefghijklmnopqrstuvwxyz"[:generators]
+    words = oracles.reduced_words(names, max_len)
+    index = {w: i for i, w in enumerate(words)}
+    want = [oracles.class_representative(w, names) for w in words]
+    cls, inverse = class_rows(names, max_len)
+    assert cls.tolist() == [index[r] for r, _ in want]
+    assert inverse.tolist() == [flip for _, flip in want]
+    # a representative is cyclically reduced, represents itself, and no
+    # member of its class comes before it
+    for i in set(cls.tolist()):
+        w = words[i]
+        assert len(w) == 1 or w[0] != w[-1].swapcase()
+        assert cls[i] == i and not inverse[i]
+    assert np.all(cls <= np.arange(len(cls)))
+
+
+@pytest.mark.parametrize("max_len, words", [(5, 4686), (6, 23436)])
+def test_three_generator_scan_finds_no_obstruction(max_len, words):
+    """Every word of the Schottky group has gaps of at least 35/36: the
+    class scan reads them off the representatives, whose norms do not
+    lift the round-off floor."""
+    rpt = anosov_scan(three_generator_rep(), max_len)
+    assert rpt.obstruction is None
+    assert len(rpt.words) == words
+    assert abs(rpt.min_gap - 35 / 36) < 1e-13
+
+
+def test_fuchsian_min_gap_does_not_fall_with_length():
+    """The least gap is the commutator abAB's: tr [A, B] = -337/144 =
+    -(16/9 + 9/16), so its moduli ratio is (9/16)^2 and its gap
+    1 - 81/256 = 175/256.  Its class representative has length 4 at
+    every scan length, so length 8 reads the value of length 5."""
+    rep = load_generators(str(CONFIGS / "gens_fuchsian.json"))
+    short, long = anosov_scan(rep, 5), anosov_scan(rep, 8)
+    assert abs(long.min_gap - short.min_gap) <= 1e-13
+    assert abs(short.min_gap - 175 / 256) <= 1e-13
 
 
 # ----------------------------------------------------------------------
@@ -836,6 +937,30 @@ def test_centralizer_dimensions():
     assert centralizer_check(diag) == 3
     triv = Representation({"a": np.eye(3), "b": np.eye(3)})
     assert centralizer_check(triv) == 9
+
+
+def test_centralizer_system_is_krons_bit_for_bit(monkeypatch):
+    """The commutator system that the SVD sees is the stack of
+    kron(I, g) - kron(g^T, I), to the sign of every zero."""
+    seen, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    eye = np.eye(3)
+    for rep in (fuchsian_rep(), reducible_rep(), three_generator_rep(),
+                conjugated(fuchsian_rep(),
+                           random_su3(np.random.default_rng(3))),
+                load_generators(str(CONFIGS / "gens_reducible.json"))):
+        centralizer_check(rep)
+        want = np.vstack([np.kron(eye, g) - np.kron(g.T, eye)
+                          for g in rep.generators.values()])
+        got, = seen
+        seen.clear()
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ----------------------------------------------------------------------
