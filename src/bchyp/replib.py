@@ -32,11 +32,11 @@ report.
 
 Only those anchors get flags: the scan builds the attracting and
 repelling flags of the words of length <= 2 and of no other word, and
-multiplies out only the class representatives, the anchors and their
-prefixes.  Its report keeps the scanned words and their moduli, the
-least gap of the representatives and the least transversality, the
-centralizer dimension and the obstruction, whose text names the
-witness pair of a flag failure.
+takes spectra of the class representatives and the anchors only.  Its
+report keeps the scanned words and their moduli, the least gap of the
+representatives and the least transversality, the centralizer
+dimension and the obstruction, whose text names the witness pair of a
+flag failure.
 """
 
 from __future__ import annotations
@@ -71,16 +71,16 @@ TIE_TOL = 1e-12         # relative: transversality values this close tie
 GAP_FLOOR = np.cbrt(EPS)   # times ||M||_F / |l1|
 CENTRALIZER_TOL = 1e-8  # singular values below this span the centralizer
 
-#: Words that anosov_scan hands `_spectra` at a time, at least: a pass
-#: takes whole word lengths until their class representatives and
-#: anchors number this many.  A `_spectra` call costs about 0.36 ms at
-#: any size plus 1.2 to 1.6 us per word (2-core x86-64 Xeon, NumPy 2.4),
-#: so the two costs cross between about 230 and 300 words.  A pass much
-#: larger than that spends more on words past an early stop than it
-#: saves in calls.  A pass of several lengths holds at most 2704 words
-#: (26 generators: 52 + 2652 anchors), under the 8192 where `_spectra`'s
-#: bits start to depend on the batch; one length alone passes 8192
-#: classes only far out (two generators: 22 185 at length 12).
+#: Words that anosov_scan multiplies out a pass at a time, at least: a
+#: pass takes whole word lengths until it holds this many, and hands
+#: `_spectra` their class representatives and anchors.  A `_spectra`
+#: call costs about 0.36 ms at any size plus 1.2 to 1.6 us per word
+#: (2-core x86-64 Xeon, NumPy 2.4).  A pass much larger than this
+#: multiplies out more words past an early stop than it saves in calls.
+#: A pass of several lengths holds at most 2704 words (26 generators:
+#: 52 + 2652 anchors), under the 8192 where `_spectra`'s bits start to
+#: depend on the batch; one length alone hands it 8192 classes only far
+#: out (two generators: 22 185 at length 12).
 SCAN_PASS_WORDS = 256
 
 
@@ -398,7 +398,7 @@ def _anchor_transversality(words, attracting, repelling):
 def _class_table(letters: int, max_len: int):
     """The conjugacy classes of the reduced words up to max_len in
     `letters` letters (letters 2j and 2j + 1 are a generator and its
-    inverse), and the words that the scan multiplies out.
+    inverse).
 
     Words are in scan order: shortest first, and within a length
     lexicographic in the letter indices.  The class of a word is
@@ -409,80 +409,76 @@ def _class_table(letters: int, max_len: int):
     member of a class comes before its representative.  A rotation of
     the core never equals one of its inverse: in a free group only 1 is
     conjugate to its inverse.  A word is coded as an int64 in base
-    `letters`, first letter highest, plus the number of codes of the
-    shorter lengths, so codes ascend in scan order, a rotation is
-    modular arithmetic on a code and np.searchsorted finds a code's
-    scan index.
+    `letters`, first letter highest, so a stripped end, a rotation and
+    the code of a core's inverse are modular arithmetic on codes; the
+    codes of the shorter lengths are counted in, so codes ascend in
+    scan order and np.searchsorted finds a code's scan index.  All
+    lengths are done at once: every core turns max_len - 1 times, at
+    least once through each of its rotations.
+
+    The table depends only on (letters, max_len), so it is cached for
+    the process.  That pays when one process scans many representations
+    at one letter count and length, as a sweep over a family of them
+    does; a `rep anosov` command scans once and builds it.  For four
+    letters it takes about 0.18 ms at length 5 and 3.2 ms at length 8
+    (2-core x86-64, NumPy 2.4), against 0.33 ms and 14.6 ms for the
+    spectra of the words that it spares.
 
     The scan hands `_spectra` the representatives and the anchors (the
     words of length <= 2, which carry the transversality channel's
-    flags), and multiplies out those and their prefixes.  Returns
-    (row, inverse, handed, levels), read-only:
+    flags).  Returns (row, inverse, handed, levels), read-only:
       row: (W,) for each word, the index among the handed words of its
         representative;
       inverse: (W,) bool, the word is conjugate to its representative's
         inverse;
       handed: (H,) ascending scan indices of the handed words;
-      levels: per length, (digits, parent, last, hand): the letter
-        indices (N, length) of every word of that length; and of the
-        words multiplied out, the positions of their parents among the
-        multiplied words of the length before (None at length 1), their
-        last letters, and the positions of the handed words among them.
+      levels: per length, (digits, hand): the letter indices
+        (N, length) of its words, and the positions of its handed words
+        among them.
     """
     follow = np.array([[t for t in range(letters) if t != s ^ 1]
                        for s in range(letters)])
     power = letters ** np.arange(max_len + 1, dtype=np.int64)
-    digits, last = [np.arange(letters)[:, None]], np.arange(letters)
+    # per length: digits, and the codes of the words and their inverses
+    digits = [np.arange(letters)[:, None]]
+    code = [np.arange(letters, dtype=np.int64)]
+    back = [code[0] ^ 1]
     for length in range(2, max_len + 1):
-        parent = np.repeat(np.arange(len(last)), letters - 1)
-        last = follow[last].ravel()
+        parent = np.arange(len(code[-1])).repeat(letters - 1)
+        last = follow[digits[-1][:, -1]].ravel()
         digits.append(np.column_stack([digits[-1][parent], last]))
+        code.append(code[-1][parent] * letters + last)
+        back.append((last ^ 1) * power[length - 1] + back[-1][parent])
+    sizes = [len(c) for c in code]
+    n = np.arange(1, max_len + 1).repeat(sizes)
+    code, back = np.concatenate(code), np.concatenate(back)
     # the codes of length k start after the sum of letters^j, j < k
     shift = (power - letters) // (letters - 1)
-    key = np.concatenate([d @ power[length - 1::-1] + shift[length]
-                          for length, d in enumerate(digits, 1)])
-    rep, inverse = [], []
-    for length, d in enumerate(digits, 1):
-        half = length // 2
-        ends = d[:, :half] == d[:, :length - half - 1:-1] ^ 1
-        strip = np.logical_and.accumulate(ends, axis=1).sum(axis=1)
-        k = length - 2 * strip
-        weights = power[length - 1::-1]
-        core = d @ weights // power[strip] % power[k]
-        back = (d[:, ::-1] ^ 1) @ weights // power[strip] % power[k]
-        best, best_back, top = core.copy(), back.copy(), power[k - 1]
-        for _ in range(length - 1):          # a core of length k cycles
-            core = core % top * letters + core // top
-            back = back % top * letters + back // top
-            np.minimum(best, core, out=best)
-            np.minimum(best_back, back, out=best_back)
-        flip = best_back < best
-        inverse.append(flip)
-        rep.append(np.searchsorted(
-            key, np.where(flip, best_back, best) + shift[k]))
-    rep, inverse = np.concatenate(rep), np.concatenate(inverse)
-    anchors = sum(len(d) for d in digits[:2])
+    key = code + shift[n]
+    # strip the end pairs x ... x^-1; a core of one letter has the same
+    # letter at both ends, so it is never stripped and k stays >= 1
+    k = n
+    for _ in range(max_len // 2):
+        head, rest = np.divmod(code, power[k - 1])
+        ends = head == code % letters ^ 1
+        code = np.where(ends, rest // letters, code)
+        k = k - 2 * ends
+    cores = np.stack([code, back // power[(n - k) // 2] % power[k]])
+    best, top = cores.copy(), power[k - 1]
+    for _ in range(max_len - 1):              # a core of length k cycles
+        head, rest = np.divmod(cores, top)
+        cores = rest * letters + head
+        np.minimum(best, cores, out=best)
+    inverse = best[1] < best[0]
+    rep = np.searchsorted(key, best.min(axis=0) + shift[k])
     mask = rep == np.arange(len(rep))
-    mask[:anchors] = True
-    handed = np.flatnonzero(mask)
+    mask[:sum(sizes[:2])] = True
     rank = np.cumsum(mask) - 1
-    # multiply out the handed words and every prefix of one
-    start = np.cumsum([0] + [len(d) for d in digits])
-    built = mask.copy()
-    for length in range(max_len, 1, -1):
-        child = np.flatnonzero(built[start[length - 1]:start[length]])
-        built[start[length - 2] + child // (letters - 1)] = True
-    levels, position = [], None
-    for length, d in enumerate(digits, 1):
-        lo, hi = start[length - 1], start[length]
-        keep = np.flatnonzero(built[lo:hi])
-        parent = None if position is None else position[keep // (letters - 1)]
-        position = np.cumsum(built[lo:hi]) - 1
-        levels.append((d, parent, d[keep, -1],
-                       np.flatnonzero(mask[lo:hi][keep])))
-    out = (rank[rep], inverse, handed, tuple(levels))
-    for a in (*out[:3], *(x for level in levels for x in level
-                          if x is not None)):
+    start = np.cumsum([0] + sizes)
+    levels = tuple((d, np.flatnonzero(mask[start[i]:start[i + 1]]))
+                   for i, d in enumerate(digits))
+    out = (rank[rep], inverse, np.flatnonzero(mask), levels)
+    for a in (*out[:3], *(x for level in levels for x in level)):
         a.setflags(write=False)
     return out
 
@@ -500,13 +496,12 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     representative's inverse.  A representative is never longer than
     the words of its class, so its product carries no conjugator's
     norm into the round-off floor.  Words are enumerated shortest
-    first; the representatives, the anchors and their prefixes are
-    multiplied out one batched product per word length, each built
-    from the length before.  Their closed-form spectra are taken in
-    passes of consecutive lengths, each pass the next lengths up to at
-    least SCAN_PASS_WORDS handed words (or the last length), so short
-    lengths share one `_spectra` call and a stop wastes at most a
-    pass.  The scan stops at the first word whose class fails, which is
+    first and multiplied out one batched product per word length, each
+    built from the length before, in passes of consecutive lengths,
+    each pass the next lengths up to at least SCAN_PASS_WORDS words (or
+    the last length); a pass hands `_spectra` its representatives and
+    anchors, so short lengths share one call and a stop wastes at most
+    a pass.  The scan stops at the first word whose class fails, which is
     that class's representative, reports it as the obstruction, and
     reports the words before it; `min_gap` is the least gap of the
     representatives before it.  (2) Transversality:
@@ -532,15 +527,27 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     gens = mat3.planes(np.stack([g for g in rep.generators.values()
                                  for g in (g, np.linalg.inv(g))]))
     spelled = np.array([c for n in rep.names for c in (n, n.upper())])
-    row, inverse, handed, levels = _class_table(len(spelled), max_word_len)
-    decides = row[handed] == np.arange(len(handed))
+    letters = len(spelled)
+    # the classes to the first pass's last length, and the rest only
+    # past it: a scan that stops in its first pass reads no more
+    reach, size = 1, letters
+    while size < SCAN_PASS_WORDS and reach < max_word_len:
+        size += letters * (letters - 1) ** reach
+        reach += 1
+    row, inverse, handed, levels = _class_table(letters, reach)
     anchors = sum(len(level[0]) for level in levels[:2])
     rows, min_gap, anchor_flags, stopped = [], np.inf, None, None
-    first, batch, lengths = 0, [], []       # the pass being gathered
-    for length, (_, parent, last, hand) in enumerate(levels, 1):
-        if parent is None:
+    first, batch, lengths, size = 0, [], [], 0  # the pass being gathered
+    for length in range(1, max_word_len + 1):
+        if length > len(levels):
+            row, inverse, handed, levels = _class_table(letters,
+                                                        max_word_len)
+        digits, hand = levels[length - 1]
+        last = digits[:, -1]
+        if length == 1:
             mats = np.stack([gens, gens[:, :, last ^ 1]], axis=2)
         else:
+            parent = np.arange(len(last)) // (letters - 1)
             prev, mats = mats, np.empty((3, 3, 2, len(last)), complex)
             mat3.matmul(prev[:, :, 0, parent], gens[:, :, last],
                         out=mats[:, :, 0])
@@ -548,15 +555,16 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
                         out=mats[:, :, 1])
         batch.append(mats[..., hand])
         lengths += [length] * len(hand)
-        if len(lengths) < SCAN_PASS_WORDS and length < max_word_len:
+        size += len(digits)
+        if size < SCAN_PASS_WORDS and length < max_word_len:
             continue
         X = np.concatenate(batch, axis=-1) if len(batch) > 1 else batch[0]
         end = first + len(lengths)
-        m, g, stop, vec, mid = _spectra(X, np.array(lengths),
-                                        decides[first:end])
+        decides = row[handed[first:end]] == np.arange(first, end)
+        m, g, stop, vec, mid = _spectra(X, np.array(lengths), decides)
         rows.append(m[:stop])
         min_gap = min(min_gap, float(
-            g[:stop][decides[first:first + stop]].min(initial=np.inf)))
+            g[:stop][decides[:stop]].min(initial=np.inf)))
         if anchor_flags is None:
             # 26 generators make at most 52 words of length 1, fewer
             # than SCAN_PASS_WORDS, so the first pass holds every anchor
@@ -566,10 +574,10 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
             stopped = m[stop]
             first += stop
             break
-        first, batch, lengths = end, [], []
+        first, batch, lengths, size = end, [], [], 0
     count = len(row) if stopped is None else int(handed[first])
     labels, left = [], count + (stopped is not None)
-    for length, (digits, *_) in enumerate(levels, 1):
+    for length, (digits, _) in enumerate(levels, 1):
         if left <= 0:
             break
         labels += spelled[digits[:left]].view(f"<U{length}").ravel().tolist()

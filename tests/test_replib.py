@@ -689,19 +689,37 @@ def test_only_deciding_words_stop_a_pass():
 
 @pytest.mark.parametrize("name, max_len, passes", [
     ("fuchsian", 5, [(1, 2, 3, 4, 5)]),
-    ("fuchsian", 8, [(1, 2, 3, 4, 5, 6, 7), (8,)]),
+    ("fuchsian", 8, [(1, 2, 3, 4, 5), (6,), (7,), (8,)]),
     ("reducible", 5, [(1, 2, 3, 4, 5)]),
-    ("reducible", 8, [(1, 2, 3, 4, 5, 6, 7)])])
+    ("reducible", 8, [(1, 2, 3, 4, 5)])])
 def test_scan_passes_on_the_shipped_files(monkeypatch, name, max_len,
                                           passes):
-    """Whole lengths gather to SCAN_PASS_WORDS handed words a pass: with
-    two generators, 61 to length 5 and 285 to length 7, then the 418
-    classes of length 8.  The reducible pair stops at abAB, in its
-    first pass."""
+    """Whole lengths gather to SCAN_PASS_WORDS words a pass: 484 words
+    to length 5 with two generators, then one length a pass.  The
+    reducible pair stops at abAB, in its first pass."""
     assert replib.SCAN_PASS_WORDS == 256
     seen = spy_passes(monkeypatch)
     anosov_scan(load_generators(str(CONFIGS / f"gens_{name}.json")), max_len)
     assert [tuple(sorted(set(p))) for p in seen] == passes
+
+
+@pytest.mark.parametrize("name, tables", [
+    ("fuchsian", [5, 8]), ("reducible", [5])])
+def test_scan_builds_classes_to_the_lengths_it_reaches(monkeypatch, name,
+                                                      tables):
+    """A scan builds the class table to its first pass's last length,
+    and to --len only once it goes past that pass: the reducible pair
+    stops at abAB in its first pass and builds no class of length 6 to
+    8."""
+    built, table = [], replib._class_table
+
+    def recorded(letters, max_len):
+        built.append(max_len)
+        return table(letters, max_len)
+
+    monkeypatch.setattr(replib, "_class_table", recorded)
+    anosov_scan(load_generators(str(CONFIGS / f"gens_{name}.json")), 8)
+    assert built == tables
 
 
 @pytest.mark.parametrize("max_len, words, handed", [
