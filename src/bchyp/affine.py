@@ -6,12 +6,12 @@ dual pair of hyperbolic affine spheres (f+, f-) in R^3.  This module
 carries out that correspondence numerically and closes the loop with
 classical affine differential geometry:
 
-  * integrate_frame     transports the plus frame over the grid from a
-                        base point, every row and column through one
-                        blocked two-way sweep (_sweep), takes the dual
+  * integrate_frame     transports the plus frame over the grid from
+                        node (0, 0), every row and column through one
+                        blocked forward sweep (_sweep), takes the dual
                         lift as the cross product of its tangent
                         columns, checked against the minus frame
-                        integrated along the base row and column, and
+                        integrated along row 0 and column 0, and
                         projects both lifts to the real pair;
   * structure_residuals fits D_X df(Y) = f_*(nabla) + g_B(X, Y) xi at
                         each node, in row blocks, rebuilds the affine
@@ -136,7 +136,7 @@ class AffinePair:
     row/column-order disagreement of the frame integration that
     produced the pair, when applicable, and dual_residual how far its
     derived f- lift strays from the minus frame integrated on its own
-    along the base row and column.
+    along row 0 and column 0.
     The structure fit of f+ is kept on the pair once computed, so
     structure_residuals and blaschke_data share one fit.
     """
@@ -206,86 +206,69 @@ def _require_real(conn: FlatConnectionField):
                       f"{REAL_TOL * scale:.3e}")
 
 
-def _sweep(S, k, ki, i0, start, view, each=None):
-    """Transport `start`, the frames of line i0, across the lines of the
-    step generators S (axis 2): forward at Taylor degree k, then back
-    through the inverse steps at degree ki.  A batch of lines (S of
-    ndim 4) goes FRAME_BLOCK steps at a time, a single line in one
-    block, its step planes copied contiguous if S's are strided.
-    view(a, b) is the array that takes the frames of lines a..b in line
-    order (a backward block fills it reversed); each(F, a) sees a
-    block's new frames, F[:, :, 0] those of line a.
+def _sweep(S, k, start, view, each=None):
+    """Transport `start`, the frames of line 0, forward across the lines
+    of the step generators S (axis 2) at Taylor degree k.  A batch of
+    lines (S of ndim 4) goes FRAME_BLOCK steps at a time, a single line
+    in one block, its step planes copied contiguous if S's are strided.
+    view(a, b) is the array that takes the frames of lines a..b; each(F,
+    a) sees a block's new frames, F[:, :, 0] those of line a.
     """
     n = S.shape[2]
     size = FRAME_BLOCK if S.ndim > 3 else n
-    for back in (False, True):
-        frames = start
-        for e in range(i0, 0, -size) if back else range(i0, n - 1, size):
-            a, b = (max(e - size, 0), e) if back else (e, min(e + size, n - 1))
-            steps = S[:, :, a:b]
-            if not steps[0, 0].flags.c_contiguous:
-                steps = np.ascontiguousarray(steps)
-            E = (mat3.expm(-steps, *ki)[:, :, ::-1] if back
-                 else mat3.expm(steps, *k))
-            block = view(a, b)
-            frames = transport(E, frames, out=block[:, :, ::-1] if back
-                               else block)[:, :, -1]
-            if each is not None:        # the frames past the start
-                each(block[:, :, :-1] if back else block[:, :, 1:],
-                     a if back else a + 1)
+    frames = start
+    for a in range(0, n - 1, size):     # the wrap step n - 1 is not taken
+        b = min(a + size, n - 1)
+        steps = S[:, :, a:b]
+        if not steps[0, 0].flags.c_contiguous:
+            steps = np.ascontiguousarray(steps)
+        block = view(a, b)
+        frames = transport(mat3.expm(steps, *k), frames, out=block)[:, :, -1]
+        if each is not None:        # the frames past the start
+            each(block[:, :, 1:], a + 1)
 
 
-def _integrate_part(conn, base, sl):
-    """Frame of the plus part, integrated both ways by _sweep, with each
-    leg's Taylor degree taken from the norm of all its steps (the
-    inverse steps' from the edges behind the base) as expm_steps would;
-    the kernel works entry by entry, so blocks equal the whole bit for
-    bit.  Row then column: the base row along x, then every column
-    along y, into the kept frames G.  Column then row: from G's base
-    column, reached along y alone with the same steps, every row along
-    x over the transposed x-steps [.., ix, iy], a block of frames at a
-    time into a rolling buffer compared against G.  Returns the lift
-    column of G and the dual lift column derived from G (_dual_column)
-    as (3, n, n) planes, the max-abs disagreement of the two orders on
-    [sl, sl] (NaN if either frame is), and the frame size there.
+def _integrate_part(conn):
+    """Frame of the plus part, integrated from node (0, 0) by _sweep,
+    with each leg's Taylor degree taken from the norm of all its steps
+    as expm_steps would; the kernel works entry by entry, so blocks
+    equal the whole bit for bit.  Row then column: row 0 along x, then
+    every column along y, into the kept frames G.  Column then row: from
+    G's column 0, reached along y alone with the same steps, every row
+    along x over the transposed x-steps [.., ix, iy], a block of frames
+    at a time into a rolling buffer compared against G.  Returns the
+    lift column of G and the dual lift column derived from G
+    (_dual_column) as (3, n, n) planes, the max-abs disagreement of the
+    two orders (NaN if either frame is), and the frame size.
     """
-    iy0, ix0 = base
     n = conn.grid.n
     Sx = grid_step_generators(conn, "plus", 0)
     Sy = grid_step_generators(conn, "plus", 1)
-    nx, ny = step_norms(Sx), step_norms(Sy)
-    kx, kxi, ky, kyi = (taylor_degree(m.max(initial=0.0))
-                        for m in (nx, nx[:, :ix0], ny, ny[:iy0]))
-    del nx, ny
+    kx, ky = (taylor_degree(step_norms(S).max(initial=0.0))
+              for S in (Sx, Sy))
 
     # row then column, into G[:, :, iy, ix]
     G = np.empty((3, 3, n, n), dtype=complex)
-    row = G[:, :, iy0]
-    _sweep(Sx[:, :, iy0], kx, kxi, ix0, np.eye(3),
-           lambda a, b: row[:, :, a:b + 1])
-    _sweep(Sy, ky, kyi, iy0, row, lambda a, b: G[:, :, a:b + 1])
+    row = G[:, :, 0]
+    _sweep(Sx[:, :, 0], kx, np.eye(3), lambda a, b: row[:, :, a:b + 1])
+    _sweep(Sy, ky, row, lambda a, b: G[:, :, a:b + 1])
     del Sy
-    lo, hi = sl.indices(n)[:2]
     resid = 0.0
 
     def gap(F, c0):
-        """Fold max |G - F| on [sl, sl] into resid; F[:, :, 0], F[:, :,
-        1], ... holds the frames of the columns c0, c0 + 1, ..."""
+        """Fold max |G - F| into resid; F[:, :, 0], F[:, :, 1], ... holds
+        the frames of the columns c0, c0 + 1, ..."""
         nonlocal resid
-        a, b = max(c0, lo), min(c0 + F.shape[2], hi)
-        if a < b:
-            resid = np.maximum(resid, np.abs(
-                G[:, :, sl, a:b]
-                - F[:, :, a - c0:b - c0, sl].swapaxes(2, 3)).max())
+        resid = np.maximum(resid, np.abs(
+            G[:, :, :, c0:c0 + F.shape[2]] - F.swapaxes(2, 3)).max())
 
-    # column then row, frames [.., ix, iy], both ways from G's base
-    # column: the two orders agree there bit for bit
+    # column then row, frames [.., ix, iy], from G's column 0: the two
+    # orders agree there bit for bit
     F = np.empty((3, 3, FRAME_BLOCK + 1, n), dtype=complex)
-    _sweep(Sx.swapaxes(2, 3), kx, kxi, ix0, G[:, :, :, ix0],
+    _sweep(Sx.swapaxes(2, 3), kx, G[:, :, :, 0],
            lambda a, b: F[:, :, :b - a + 1], gap)
     # plane by plane, so no grid-sized temporary is held
-    gmax = np.max([np.abs(G[i, j, sl, sl]).max()
-                   for i in range(3) for j in range(3)])
+    gmax = np.max([np.abs(G[i, j]).max() for i in range(3) for j in range(3)])
     return G[:, 2].copy(), _dual_column(G), float(resid), float(gmax)
 
 
@@ -302,41 +285,34 @@ def _dual_column(G):
                      a0 * b1 - a1 * b0])
 
 
-def _dual_residual(conn, base, sigma_minus):
+def _dual_residual(conn, sigma_minus):
     """Max-abs gap, NaN if either side is NaN, between the derived minus
     lift sigma_minus (3, n, n) and the lift column of the minus frame
-    integrated on its own along the base row and the base column: the
-    minus generators of those two lines (grid_step_generators with a
-    line), swept both ways from the identity at the base, each line at
-    the Taylor degrees of its own steps."""
+    integrated on its own along row 0 and column 0: the minus
+    generators of those two lines (grid_step_generators with a line),
+    swept from the identity at node (0, 0), each line at the Taylor
+    degree of its own steps."""
     n = conn.grid.n
     resid = 0.0
-    for leg, derived in ((0, sigma_minus[:, base[0]]),
-                         (1, sigma_minus[:, :, base[1]])):
-        # leg 0 sweeps row base[0] from column base[1], leg 1 the reverse
-        line, i0 = base[leg], base[1 - leg]
-        S = grid_step_generators(conn, "minus", leg, line)
-        norms = step_norms(S)
-        k, ki = (taylor_degree(m.max(initial=0.0))
-                 for m in (norms, norms[:i0]))
+    for leg, derived in ((0, sigma_minus[:, 0]), (1, sigma_minus[:, :, 0])):
+        S = grid_step_generators(conn, "minus", leg, 0)
         frames = np.empty((3, 3, n), dtype=complex)
-        _sweep(S, k, ki, i0, np.eye(3), lambda a, b: frames[:, :, a:b + 1])
+        _sweep(S, taylor_degree(step_norms(S).max(initial=0.0)), np.eye(3),
+               lambda a, b: frames[:, :, a:b + 1])
         resid = np.maximum(resid, np.abs(frames[:, 2] - derived).max())
     return float(resid)
 
 
-def integrate_frame(conn: FlatConnectionField, base=(0, 0),
-                    trim: int = 0) -> AffinePair:
+def integrate_frame(conn: FlatConnectionField) -> AffinePair:
     """Integrate the moving frame of real connection data to a pair.
 
-    The plus frame solves dG = G Omega with G(base) = Id (q-orthonormal,
+    The plus frame solves dG = G Omega with G(0, 0) = Id (q-orthonormal,
     lift column (0, 0, 1)) through the transport kernel that holonomy
     uses (connection.grid_step_generators, the Taylor exponential at
     the degree taylor_degree picks, and transport), on (3, 3, ...)
     entry planes throughout.  _sweep carries frames from a line of
-    nodes forward, then back through inverse steps (built only for the
-    edges behind the base), exponentiating FRAME_BLOCK rows or columns
-    at a time.  The lift is the third column of G.  Each minus step is
+    nodes forward, exponentiating FRAME_BLOCK rows or columns at a
+    time.  The lift is the third column of G.  Each minus step is
     QTILDE E^-T QTILDE of its plus step, so the minus frame is
     QTILDE G^-T QTILDE and its lift column is -QTILDE (e1 x e2) / det G
     over the plus frame's columns e1, e2: the dual affine sphere is the
@@ -348,23 +324,19 @@ def integrate_frame(conn: FlatConnectionField, base=(0, 0),
     which the traceless steps keep at -1 to rounding.
 
     Row-then-column and column-then-row orders are both integrated from
-    the same exponentials, the second starting from the first's base
-    column and compared block by block, never stored; their
-    disagreement over the grid (optionally trimmed by `trim` nodes for
-    data whose seam rows are invalid) is the path residual.  The minus
-    frame is integrated on its own along the base row and the base
-    column only, and its lift column there is compared with the derived
-    one: the dual residual.  Each must stay below PATH_TOL spacing^2
-    scaled by the plus frame size, else PathDependent.
+    the same exponentials, the second starting from the first's column
+    0 and compared block by block, never stored; their disagreement over
+    the grid is the path residual.  No sweep takes the wrap step from
+    the last row or column back to the first.  The minus frame is
+    integrated on its own along row 0 and column 0 only, and its lift
+    column there is compared with the derived one: the dual residual.
+    Each must stay below PATH_TOL spacing^2 scaled by the plus frame
+    size, else PathDependent.
     """
     _require_real(conn)
-    n, h = conn.grid.n, conn.grid.spacing
-    iy0, ix0 = base
-    if not (0 <= iy0 < n and 0 <= ix0 < n):
-        raise ValueError(f"base {base} outside grid")
-    sl = slice(trim, n - trim) if trim > 0 else slice(None)
-    sigma_plus, sigma_minus, resid, gmax = _integrate_part(conn, base, sl)
-    dual = _dual_residual(conn, base, sigma_minus)
+    h = conn.grid.spacing
+    sigma_plus, sigma_minus, resid, gmax = _integrate_part(conn)
+    dual = _dual_residual(conn, sigma_minus)
     tol = PATH_TOL * h * h * max(1.0, gmax)
     for r in (resid, dual):
         if not r <= tol:

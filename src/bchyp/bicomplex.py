@@ -198,6 +198,10 @@ def phi_iso(A) -> BcMat3:
 
 
 def compatibility_residual(X: BcMat3) -> float:
-    """max-abs of X- - Q (X+^-1)^T Q; zero on the image of phi_iso."""
-    expected = Q3 @ np.linalg.inv(X.plus).T @ Q3
-    return float(np.abs(X.minus - expected).max())
+    """max-abs of X- - Q (X+^-1)^T Q; zero on the image of phi_iso, and
+    inf where X+ is singular in floating point."""
+    try:
+        inv = np.linalg.inv(X.plus)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(np.abs(X.minus - Q3 @ inv.T @ Q3).max())

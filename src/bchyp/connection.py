@@ -402,8 +402,8 @@ def transport(E: np.ndarray, start=None, out=None) -> np.ndarray:
     discrete frame equation dG = G Omega.  E holds (3, 3, K, ...)
     planes of K steps along its third axis, each one matrix or a batch
     carried side by side.  Returns the (3, 3, K + 1, ...) frames,
-    written into out if given: a strided (even reversed) view of a
-    larger array, filled in place.
+    written into out if given: a strided view of a larger array,
+    filled in place.
 
     Each product is evaluated as G_k + G_k (E_k - I).  A step is close
     to the identity, so the increment E_k - I is small and exact

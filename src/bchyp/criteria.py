@@ -92,10 +92,12 @@ def flatness_check(conn, name="flatness"):
 def holonomy_checks(Hx, Hy, spacing):
     """Period holonomies: unimodular plus-parts, the pairing
     compatibility H- = Q3 (H+)^-T Q3, and periods commuting to 10
-    spacing."""
-    det_dev = np.max([abs(np.linalg.det(H.plus) - 1.0) for H in (Hx, Hy)])
+    spacing.  Past the float range a value is inf or NaN, with no
+    warning, and its check fails."""
     compat = np.max([compatibility_residual(H) for H in (Hx, Hy)])
-    comm = float((Hx @ Hy - Hy @ Hx).norm_max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_dev = np.max([abs(np.linalg.det(H.plus) - 1.0) for H in (Hx, Hy)])
+        comm = float((Hx @ Hy - Hy @ Hx).norm_max())
     return [("plus_det", float(det_dev), 1e-9),
             ("compat", float(compat), 1e-9),
             ("commute", comm, 10.0 * spacing)]

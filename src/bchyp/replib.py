@@ -64,7 +64,7 @@ GAP_TOL = 1e-6          # relative eigenvalue-modulus gap for loxodromy
 TRANS_TOL = 1e-8        # transversality below this is an obstruction
 FLAG_MATCH_TOL = 1e-8   # projective closeness that identifies two flags
 COND_TOL = 1e12         # eigenvalue condition: defective beyond
-DET_TOL = 1e-10         # det slack per generator, as in Representation
+DET_TOL = 1e-10         # det slack per generator, checked by Representation
 EPS = np.finfo(float).eps
 DET_DRIFT = 4 * EPS     # det round-off per ||M||_F^3
 TIE_TOL = 1e-12         # relative: transversality values this close tie
@@ -113,7 +113,7 @@ class Representation(Frozen):
             if M.shape != (3, 3):
                 raise ValueError(f"generator {name!r} is not 3x3")
             d = np.linalg.det(M)
-            if abs(d - 1.0) > 1e-10:
+            if abs(d - 1.0) > DET_TOL:
                 raise NotUnimodular(
                     f"generator {name!r} has det {d:.12g}")
             gens[name] = M

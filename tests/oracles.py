@@ -34,6 +34,8 @@ package bit for bit: transport_row_form steps G + mat3.matmul(G, E - I)
 integrate_part_sweeps integrates the frame of either idempotent part
 from whole-grid step exponentials, sweeping both orders into full frame
 fields, and takes the dual lift column from its np.cross;
+strip_connection writes the connection of the C = 0 strip datum in
+closed form, the one non-constant geometry that the tests integrate;
 fit_structure_whole fits the structure equations over the whole grid
 at once.  solve is the adjugate solve X = adj(A) B / det(A) on planes.
 
@@ -79,7 +81,8 @@ from bchyp.connection import (
     max_abs, maurer_cartan_residual, transport,
 )
 from bchyp.metric import (
-    ComplexMetric, centered_dx, centered_dy, laplacian,
+    BeltramiChart, ComplexMetric, TorusGrid, centered_dx, centered_dy,
+    laplacian,
 )
 from bchyp.replib import (COND_TOL, DET_DRIFT, DET_TOL, GAP_FLOOR, GAP_TOL,
                           NotDiagonalizable, NotUnimodular)
@@ -370,45 +373,55 @@ def solve(A, B):
     return X
 
 
-def _sweep(Ex, Ey, Exi, Eyi, base):
-    """Frames over the grid from base, row then column, from whole-grid
-    (3, 3, ny, nx) step exponentials (inverses only behind the base)."""
-    iy0, ix0 = base
+def _sweep(Ex, Ey):
+    """Frames over the grid from node (0, 0), row then column, from
+    whole-grid (3, 3, ny, nx) step exponentials, the wrap steps left
+    out."""
     G = np.empty_like(Ex)
-    row = G[:, :, iy0]
-    transport(Ex[:, :, iy0, ix0:-1], out=row[:, :, ix0:])
-    transport(Exi[:, :, iy0, ::-1], row[:, :, ix0], out=row[:, :, ix0::-1])
-    transport(Ey[:, :, iy0:-1], row, out=G[:, :, iy0:])
-    transport(Eyi[:, :, ::-1], row, out=G[:, :, iy0::-1])
+    row = G[:, :, 0]
+    transport(Ex[:, :, 0, :-1], out=row)
+    transport(Ey[:, :, :-1], row, out=G)
     return G
 
 
-def integrate_part_sweeps(conn, part, base, sl):
+def integrate_part_sweeps(conn, part):
     """affine._integrate_part from whole-grid exponentials, for either
     idempotent part: both sweep orders fill full frame fields (the
     column-then-row one over transposed copies of the exponentials),
     compared afterwards.  Returns the lift column, the dual lift column
     -QTILDE (e1 x e2) through np.cross, the order disagreement and the
     frame size."""
-    iy0, ix0 = base
-    S = grid_step_generators(conn, part, 0)
-    Ex, Exi = expm_steps(S), expm_steps(-S[..., :ix0])
-    S = grid_step_generators(conn, part, 1)
-    Ey, Eyi = expm_steps(S), expm_steps(-S[:, :, :iy0])
-    del S
-    G_xy = _sweep(Ex, Ey, Exi, Eyi, base)
-    Ex, Ey, Exi, Eyi = (np.ascontiguousarray(E.swapaxes(2, 3))
-                        for E in (Ex, Ey, Exi, Eyi))
-    Gt = _sweep(Ey, Ex, Eyi, Exi, (ix0, iy0))
+    Ex, Ey = (expm_steps(grid_step_generators(conn, part, leg))
+              for leg in (0, 1))
+    G_xy = _sweep(Ex, Ey)
+    Gt = _sweep(*(np.ascontiguousarray(E.swapaxes(2, 3)) for E in (Ey, Ex)))
     entries = [(i, j) for i in range(3) for j in range(3)]
-    resid = np.max([np.abs(G_xy[i, j, sl, sl] - Gt[i, j].T[sl, sl]).max()
+    resid = np.max([np.abs(G_xy[i, j] - Gt[i, j].T).max()
                     for i, j in entries])
-    gmax = np.max([np.abs(G_xy[i, j, sl, sl]).max() for i, j in entries])
+    gmax = np.max([np.abs(G_xy[i, j]).max() for i, j in entries])
     # -QTILDE (e1 x e2): QTILDE exchanges the first two entries and
     # negates the third
     c = np.cross(G_xy[:, 0], G_xy[:, 1], axis=0)
     dual = np.stack([-c[1], -c[0], c[2]])
     return G_xy[:, 2].copy(), dual, float(resid), float(gmax)
+
+
+def strip_connection(n):
+    """The connection of the C = 0 strip datum psi = -log(sqrt(2)
+    (y + 0.35)) over the identity chart on the n-grid, in closed form:
+    a = -psi_z = (i/2) psi_y, b = psi_zbar = (i/2) psi_y with
+    psi_y = -1 / (y + 0.35), s = e^psi, and no cubic entries.  It is
+    flat, real and not constant, and it is no torus datum: only its
+    wrap step from row n - 1 to row 0 is invalid, and a sweep from
+    row 0 never takes it."""
+    grid = TorusGrid(n)
+    psi = -np.log(np.sqrt(2.0) * (grid.y + 0.35))
+    a = -0.5j / (grid.y + 0.35)         # (i/2) psi_y
+    s = np.exp(psi)
+    A = {(0, 0): a, (1, 1): -a, (1, 2): s, (2, 0): s}
+    B = {(0, 0): a, (1, 1): -a, (0, 2): s, (2, 1): s}
+    return FlatConnectionField({p: A for p in PARTS}, {p: B for p in PARTS},
+                               BeltramiChart.identity(grid))
 
 
 def fit_structure_whole(pair):

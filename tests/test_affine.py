@@ -20,7 +20,7 @@ from bchyp import affine
 from bchyp.affine import _fit_structure
 from bchyp.bicomplex import Q3
 from bchyp.connection import (
-    F0, FlatConnectionField, assemble, grid_step_generators,
+    FlatConnectionField, assemble, grid_step_generators,
 )
 from bchyp.criteria import roundtrip_checks
 from bchyp.gauss import GaussProblem, solve_newton
@@ -263,14 +263,12 @@ def test_integrate_wang_blaschke_spd_and_apolar():
 def test_integrate_fuchsian_patch_lands_on_hyperboloid():
     # C = 0 forces the two lifts to coincide, so the surface sits on the
     # standard quadric; psi = -log(sqrt(2)(y + y0)) solves the flat-chart
-    # equation on the strip and the seam rows are trimmed from the check.
+    # equation on the strip, whose closed-form connection is valid on
+    # every step that the sweeps from node (0, 0) take
     n = 64
     grid = TorusGrid(n)
-    zero = np.zeros((n, n))
-    C0 = CubicPair(grid, zero, zero)
     psi = -np.log(np.sqrt(2.0) * (grid.y + 0.35))
-    conn = assemble(psi, C0, BeltramiChart.identity(grid))
-    pair = integrate_frame(conn, base=(n // 2, 0), trim=2)
+    pair = integrate_frame(oracles.strip_connection(n))
     h2 = grid.spacing ** 2
     assert np.max(np.abs(pair.fplus - pair.fminus)) < 1e-13
     assert np.max(np.abs(eta(pair.fplus, pair.fplus) + 1.0)) < 1e-11
@@ -284,6 +282,15 @@ def test_integrate_fuchsian_patch_lands_on_hyperboloid():
     lam = 2.0 * np.exp(2.0 * psi)
     dev = np.abs(gB - lam[..., None, None] * np.eye(2))
     assert np.nanmax(dev) < 400.0 * h2
+
+
+def test_integrate_strip_path_residual_converges_at_second_order():
+    # the first convergence test of integrate_frame on non-constant
+    # geometry: the two sweep orders of the strip datum disagree at
+    # about 2 h^2, so each halving of h divides the residual by about 4
+    res = [integrate_frame(oracles.strip_connection(n)).path_residual
+           for n in (64, 128, 256)]
+    assert res[0] / res[1] >= 3.5 and res[1] / res[2] >= 3.5, res
 
 
 def test_integrate_dual_swap_exchanges_lifts():
@@ -363,45 +370,6 @@ def test_integrate_generic_nine_plane_field_like_the_structured_one():
         integrate_frame(generic(bad))
 
 
-def test_integrate_validates_base():
-    pair, psi, grid = solved_wang(32)
-    problem = oracles.wang_problem(0.6, grid.n)
-    report = solve_newton(problem)
-    conn = assemble(report.psi, problem.C, problem.background.chart)
-    with pytest.raises(ValueError, match="base"):
-        integrate_frame(conn, base=(99, 0))
-
-
-def test_integrate_off_origin_base_rebases_the_pair():
-    # constant Wang data is flat to round-off, so the frame from base b
-    # is G_0(b)^-1 G_0, with G_0(b) = exp(ix0 Sx) exp(iy0 Sy) from the
-    # origin; the reverse sweeps behind b run on both axes
-    n = 32
-    problem = oracles.wang_problem(0.6, n)
-    report = solve_newton(problem)
-    conn = assemble(report.psi, problem.C, problem.background.chart)
-    iy0, ix0 = n // 2, n // 3
-    pair0 = integrate_frame(conn)
-    pairb = integrate_frame(conn, base=(iy0, ix0))
-    # G(base) = Id: the lift column there is F0 e3 = e3 on both sides
-    for f in (pairb.fplus, pairb.fminus):
-        assert np.array_equal(f[iy0, ix0], [0.0, 0.0, 1.0])
-    Ox, Oy = oracles.omega_xy(conn)
-    h = conn.grid.spacing
-    F0i = np.linalg.inv(F0)
-    for part, f0, fb in (("plus", pair0.fplus, pairb.fplus),
-                         ("minus", pair0.fminus, pairb.fminus)):
-        Sx = h * Ox[part][:, :, 0, 0]
-        Sy = h * Oy[part][:, :, 0, 0]
-        G0b = expm(ix0 * Sx) @ expm(iy0 * Sy)
-        Ainv = F0 @ np.linalg.inv(G0b) @ F0i
-        rebased = np.einsum("ij,...j->...i", Ainv, f0)
-        assert np.abs(rebased.imag).max() < 1e-12
-        err = np.abs(fb - rebased.real).max()
-        assert err < 1e-12 * max(1.0, np.abs(f0).max()), (part, err)
-    assert pairb.path_residual < 1e-12
-
-
 #: one complex 3x3 field at n = 128, the unit of the memory bounds
 FIELD_128 = 128 * 128 * 9 * 16
 
@@ -412,45 +380,27 @@ def wang_conn(n):
                     problem.background.chart)
 
 
-def strip_conn(n, flip=False):
-    """The C = 0 strip datum of the Fuchsian patch test: flat, real and
-    not constant, and not periodic in y, so the two sweep orders
-    disagree across the seam rows.  Flipped (y -> 1 - y, also a
-    solution), its largest steps lie at the far end of the grid."""
-    grid = TorusGrid(n)
-    zero = np.zeros((n, n))
-    y = 1.0 - grid.y if flip else grid.y
-    psi = -np.log(np.sqrt(2.0) * (y + 0.35))
-    return assemble(psi, CubicPair(grid, zero, zero),
-                    BeltramiChart.identity(grid))
-
-
-def integrated(conn, base, trim):
+def integrated(conn):
     """The pair of integrate_frame, or the residual it raised."""
     try:
-        return integrate_frame(conn, base=base, trim=trim)
+        return integrate_frame(conn)
     except PathDependent as exc:
         return exc.residual
 
 
 @pytest.mark.parametrize("n", [16, 64, 128])
-@pytest.mark.parametrize("base", [(0, 0), (40, 70)], ids=["origin", "off"])
-@pytest.mark.parametrize("trim", [0, 2])
-@pytest.mark.parametrize("datum", [wang_conn, strip_conn],
+@pytest.mark.parametrize("datum", [wang_conn, oracles.strip_connection],
                          ids=["wang", "strip"])
 def test_streamed_integrate_frame_equals_the_sweep_oracle(
-        monkeypatch, n, base, trim, datum):
+        monkeypatch, n, datum):
     # blocks of step exponentials, and column-then-row frames compared
     # block by block, give the pair and the path residual of whole-grid
-    # sweeps bit for bit; n = 16 is smaller than one block, and the off
-    # base wraps into the grid
+    # sweeps bit for bit; n = 16 is smaller than one block
     conn = datum(n)
-    base = (base[0] % n, base[1] % n)
-    got = integrated(conn, base, trim)
-    monkeypatch.setattr(
-        affine, "_integrate_part", lambda conn, base, sl:
-        oracles.integrate_part_sweeps(conn, "plus", base, sl))
-    want = integrated(conn, base, trim)
+    got = integrated(conn)
+    monkeypatch.setattr(affine, "_integrate_part", lambda conn:
+                        oracles.integrate_part_sweeps(conn, "plus"))
+    want = integrated(conn)
     if isinstance(want, AffinePair):
         assert np.array_equal(got.fplus, want.fplus)
         assert np.array_equal(got.fminus, want.fminus)
@@ -462,11 +412,11 @@ def test_streamed_integrate_frame_equals_the_sweep_oracle(
 
 def test_streamed_integrate_part_keeps_the_whole_grid_taylor_degrees(
         monkeypatch):
-    # on the flipped strip the y-steps behind an off-origin base take a
-    # lower degree than the rest (8 against 9 at n = 64); the blocks use
-    # the same degrees as whole-grid exponentials, where a higher degree
-    # could give the same bits and slip past the bitwise test above
-    conn = strip_conn(64, flip=True)
+    # on the strip at n = 32 the x-steps take a higher degree than the
+    # y-steps (11 against 10); the blocks use the same degrees as
+    # whole-grid exponentials, where a higher degree could give the same
+    # bits and slip past the bitwise test above
+    conn = oracles.strip_connection(32)
     expm = affine.mat3.expm
 
     def degrees(integrate_part, *part):
@@ -477,12 +427,12 @@ def test_streamed_integrate_part_keeps_the_whole_grid_taylor_degrees(
             return expm(S, degree, squarings)
 
         monkeypatch.setattr(affine.mat3, "expm", recording)
-        integrate_part(conn, *part, (40, 6), slice(None))
+        integrate_part(conn, *part)
         monkeypatch.setattr(affine.mat3, "expm", expm)
         return used
 
     want = degrees(oracles.integrate_part_sweeps, "plus")
-    assert len(want) == 3
+    assert len(want) == 2
     assert degrees(affine._integrate_part) == want
 
 
@@ -505,13 +455,10 @@ def test_derived_minus_lift_equals_the_integrated_one(datum):
     # minus lift is -QTILDE (e1 x e2) / det G of the plus frame G, and
     # det G = 1 to rounding
     conn = datum()
-    n = conn.grid.n
-    for base in ((0, 0), (n // 2, n // 3)):
-        derived = affine._integrate_part(conn, base, slice(None))[1]
-        want = oracles.integrate_part_sweeps(conn, "minus", base,
-                                             slice(None))[0]
-        err = np.abs(derived - want).max()
-        assert err <= 1e-12 * np.abs(want).max(), (base, err)
+    derived = affine._integrate_part(conn)[1]
+    want = oracles.integrate_part_sweeps(conn, "minus")[0]
+    err = np.abs(derived - want).max()
+    assert err <= 1e-12 * np.abs(want).max(), err
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, -0.7, 1.2, 2.5])
@@ -542,7 +489,7 @@ def test_dual_residual_flags_a_minus_part_that_is_not_the_dual():
 
 
 def test_integrate_frame_builds_no_grid_of_minus_generators(monkeypatch):
-    # the minus part is integrated only along the base row and column
+    # the minus part is integrated only along row 0 and column 0
     built = []
 
     def spy(conn, part, leg, line=None):
@@ -550,16 +497,15 @@ def test_integrate_frame_builds_no_grid_of_minus_generators(monkeypatch):
         return grid_step_generators(conn, part, leg, line)
 
     monkeypatch.setattr(affine, "grid_step_generators", spy)
-    integrate_frame(wang_conn(32), base=(5, 7))
+    integrate_frame(wang_conn(32))
     assert sorted(b[:2] for b in built if b[2] is None) == [
         ("plus", 0), ("plus", 1)]
-    # row iy = 5 and column ix = 7
     assert sorted(b for b in built if b[0] == "minus") == [
-        ("minus", 0, 5), ("minus", 1, 7)]
+        ("minus", 0, 0), ("minus", 1, 0)]
 
 
 def test_sweep_is_the_only_transport_in_affine():
-    # one blocked two-way sweep: no other function of the module builds
+    # one blocked forward sweep: no other function of the module builds
     # step exponentials or transports frames
     tree = ast.parse(Path(affine.__file__).read_text())
     callers = set()
@@ -713,8 +659,8 @@ def test_second_variation_rejects_bad_shape():
 
 def test_integrate_rejects_nan_path_and_dual_residuals(monkeypatch):
     # a NaN fails both `<= tol` gates: in the two orders' disagreement
-    # of the plus frame, and in the base-line comparison of the derived
-    # minus lift, poisoned on the base row and on the base column
+    # of the plus frame, and in the row-0 and column-0 comparison of the
+    # derived minus lift, poisoned on row 0 and on column 0
     problem = oracles.wang_problem(0.6, 16)
     conn = assemble(solve_newton(problem).psi, problem.C,
                     problem.background.chart)

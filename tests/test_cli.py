@@ -266,6 +266,27 @@ def test_holonomy_past_the_float_range_prints_one_line(tmp_path, capsys,
                           "leg 0 leaves the float range: overflow")
 
 
+@pytest.mark.parametrize("command", [["conn", "holonomy"], ["pipeline"]],
+                         ids=["conn-holonomy", "pipeline"])
+@pytest.mark.parametrize("alpha", [1.0, 1e7, 1e8], ids=["1", "1e7", "1e8"])
+def test_singular_holonomy_fails_its_checks_in_one_line(tmp_path, capsys,
+                                                        command, alpha):
+    # the same datum at smaller alpha: every step stays finite, but the
+    # period holonomies reach 9e99 to 7e202, so their plus parts are
+    # singular in floating point and, from alpha = 1e7, their dets
+    # overflow; criterion 6's bundle fails, with no LinAlgError and no
+    # RuntimeWarning (errors here, under filterwarnings = error)
+    cfg = write_cfg(tmp_path, {"grid": 32, "chart": {
+        "kind": "constant", "mu": [-0.006132403605126235, -0.703287790341407]},
+        "cubic": {"kind": "pair", "alpha": [alpha, -0.0], "beta": 1e-300,
+                  "perturb": 1.0}})
+    assert main(command + ["--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1
+    assert err.startswith("stage failure (criterion ")
+    assert "compat=inf" in out
+
+
 @pytest.mark.parametrize("command", [
     ["gauss", "solve"], ["conn", "flatness"], ["conn", "holonomy"],
     ["pipeline"]], ids=["gauss-solve", "conn-flatness", "conn-holonomy",

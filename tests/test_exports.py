@@ -246,12 +246,6 @@ def test_the_audit_names_an_uncalled_method_and_a_kept_name_that_runs():
 #: "Class.method").
 KNOBS = {
     "cli.main.argv": "the entry point reads sys.argv",
-    "affine.integrate_frame.base": (
-        "the C = 0 strip datum, the only non-constant geometry the tests "
-        "integrate, needs an off-seam base (ROADMAP Known gaps)"),
-    "affine.integrate_frame.trim": (
-        "the C = 0 strip datum needs a trimmed residual (ROADMAP Known "
-        "gaps)"),
 }
 
 
