@@ -17,7 +17,7 @@ classical affine differential geometry:
                         each node, in row blocks, rebuilds the affine
                         normal as (1/2) Laplace-Beltrami of f, and
                         reports how far the pair is from S = Id, xi = f;
-  * blaschke_data       returns the Pick form of the same fit, which
+  * blaschke_data       returns the Pick form of that fit alone, which
                         pick_cubic reads as the cubic differential;
   * second_variation_trace  assembles the trace of the index form of
                         the normal variation PZ, negative wherever
@@ -36,7 +36,7 @@ fields carry a NaN margin where the wrapped stencil is meaningless
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,8 +137,6 @@ class AffinePair:
     produced the pair, when applicable, and dual_residual how far its
     derived f- lift strays from the minus frame integrated on its own
     along row 0 and column 0.
-    The structure fit of f+ is kept on the pair once computed, so
-    structure_residuals and blaschke_data share one fit.
     """
 
     fplus: np.ndarray
@@ -146,8 +144,6 @@ class AffinePair:
     spacing: float
     path_residual: float = 0.0
     dual_residual: float = 0.0
-    _fit: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         fp = np.asarray(self.fplus, dtype=float)
@@ -484,17 +480,6 @@ def _fit_rows(frame, det, h, out):
     C_sym[..., 1, 1, 1] = C[2][1]
 
 
-def _fitted(pair: AffinePair):
-    """The structure fit of f+, computed once per pair.  Its arrays are
-    shared by every later reader, so they are made read-only."""
-    if pair._fit is None:
-        fit = _fit_structure(pair)
-        for arr in fit:
-            arr.flags.writeable = False
-        object.__setattr__(pair, "_fit", fit)
-    return pair._fit
-
-
 def _christoffel(g, ginv, spacing: float) -> np.ndarray:
     """Levi-Civita symbols of a 2x2 metric field given by its entry
     planes g[a][b] (and those of its inverse), as (2, 3, n, n) planes
@@ -514,24 +499,24 @@ def _christoffel(g, ginv, spacing: float) -> np.ndarray:
 
 
 def structure_residuals(pair: AffinePair):
-    """(gB, xi_residual, S_residual) of the structure-equation fit.
+    """(gB, xi_residual, S_residual, C) of one structure fit of f+.
 
     xi_residual is the per-node max-norm of xi_hat - f (deviation of
     the affine normal from the position), S_residual that of S - Id.
-    A hyperbolic affine sphere drives both to O(spacing^2).
+    A hyperbolic affine sphere drives both to O(spacing^2).  C is the
+    Pick form of the same fit, as blaschke_data returns it.
     """
-    gB, xi, S, _ = _fitted(pair)
+    gB, xi, S, C = _fit_structure(pair)
     xi_res = np.max(np.abs(xi - pair.fplus), axis=-1)
     eye = np.eye(2)
     S_res = np.max(np.abs(S - eye), axis=(-2, -1))
-    return gB, xi_res, S_res
+    return gB, xi_res, S_res, C
 
 
 def blaschke_data(pair: AffinePair) -> np.ndarray:
     """The Pick form of f+, as the totally symmetric (n, n, 2, 2, 2)
-    tensor C of the structure fit that structure_residuals shares:
-    read-only, with a NaN margin 3 nodes deep."""
-    return _fitted(pair)[3]
+    tensor C of the structure fit, with a NaN margin 3 nodes deep."""
+    return _fit_structure(pair)[3]
 
 
 def pick_cubic(C: np.ndarray) -> np.ndarray:

@@ -82,7 +82,7 @@ CLOUD_NODES = 64   # point clouds keep at most this many nodes per axis
 # manifest
 
 def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def config_hash(cfg: dict) -> str:
@@ -90,7 +90,8 @@ def config_hash(cfg: dict) -> str:
 
 
 def run_manifest(command: str, cfg: dict, results) -> dict:
-    """Deterministic summary: no timestamps, no timings."""
+    """Deterministic summary: no timestamps, no timings.  Strict JSON
+    has no NaN or Infinity, so a non-finite residual is its name."""
     return {
         "command": command,
         "config": cfg,
@@ -105,7 +106,8 @@ def run_manifest(command: str, cfg: dict, results) -> dict:
                 "criterion": r.cid,
                 "title": r.title,
                 "passed": bool(r.passed),
-                "residuals": {k: float(v) for k, v in r.residuals.items()},
+                "residuals": {k: float(v) if np.isfinite(v) else str(v)
+                              for k, v in r.residuals.items()},
                 "message": r.message,
             }
             for r in results

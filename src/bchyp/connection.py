@@ -22,9 +22,10 @@ shares the planes that repeat); a caller may give all nine.  Every dense
 3x3 grid field is held as {part: (3, 3, n, n) planes}, keyed by PARTS,
 and runs on the batched kernel mat3: Omega and the step generators are
 written entry by entry from the present planes, the Maurer-Cartan
-residual differentiates only the present planes and multiplies only
-present pairs in its commutator, and the exponentials and transported
-frames stay planes.
+residual differentiates only the present planes, multiplies only
+present pairs in its commutator and reduces each entry to its max-abs
+as it is formed, and the exponentials and transported frames stay
+planes.
 
 Transport along the connection, shared by holonomy and by
 affine.integrate_frame: midpoint-sampled step generators
@@ -68,11 +69,10 @@ from .bicomplex import BcMat3
 from .metric import BeltramiChart, CubicPair, TorusGrid
 
 __all__ = [
-    "F0", "PARTS", "FlatConnectionField", "Loop", "max_abs",
-    "assemble", "maurer_cartan_residual",
-    "grid_step_generators", "step_norms", "taylor_degree",
-    "expm_steps", "transport",
-    "holonomy", "Unrepresentable",
+    "F0", "PARTS", "FlatConnectionField", "Loop", "assemble",
+    "maurer_cartan_residual", "grid_step_generators", "step_norms",
+    "taylor_degree", "expm_steps", "transport", "holonomy",
+    "Unrepresentable",
 ]
 
 # constant model frame over the ambient form diag(1,1,-1); its columns have
@@ -99,14 +99,8 @@ PARTS = ("plus", "minus")
 
 
 class Unrepresentable(ArithmeticError):
-    """A step exponential or a transported frame leaves the float range."""
-
-
-def max_abs(*fields) -> float:
-    """Largest |entry| over the parts of {part: planes} fields; NaN if
-    any entry is NaN (np.max propagates it, Python's max would not)."""
-    return float(np.max([np.abs(P).max() for field in fields
-                         for P in field.values()]))
+    """A step exponential, a transported frame or a word of
+    replib.anosov_scan leaves the float range."""
 
 
 def _distinct(planes: dict):
@@ -161,15 +155,6 @@ class FlatConnectionField(Frozen):
         """Largest |entry| of Ahat and Bhat over the grid."""
         return max(float(np.abs(p).max()) for field in self.planes.values()
                    for p in _distinct(field))
-
-    def flatness_residual(self) -> float:
-        """Max-abs of the Maurer-Cartan residual.
-
-        This is the flatness check: holonomy does not run it, and the
-        holonomy of data that is not flat depends on the loop, not only
-        on its class.
-        """
-        return max_abs(maurer_cartan_residual(self))
 
     def __repr__(self):
         return f"FlatConnectionField(n={self.grid.n})"
@@ -271,45 +256,46 @@ def assemble(psi, C: CubicPair, chart: BeltramiChart) -> FlatConnectionField:
     return FlatConnectionField(Ahat, Bhat, chart)
 
 
-def maurer_cartan_residual(conn: FlatConnectionField) -> dict:
-    """d Omega + Omega ^ Omega contracted to the frame coefficient
+def maurer_cartan_residual(conn: FlatConnectionField) -> float:
+    """Max-abs of d Omega + Omega ^ Omega contracted to the frame
+    coefficient
 
         Bhat_w - logB Bhat - Ahat_zbar + logA Ahat + [Ahat, Bhat],
 
     zero exactly for constant exact data and O(spacing^2) for smooth
-    solved data.  The logA/logB terms are the commutator coefficients of
-    the (d_w, d_zbar) frame acting on the matrix legs.  The residual is
-    evaluated entry by entry on the connection's planes: the stencils
-    run only on the planes present, an absent plane enters as a scalar
-    zero, and each commutator entry sums, left to right over k, only the
-    products A_ik B_kj (and B_ik A_kj) whose factors are both present, so
-    the result equals the dense evaluation bit for bit up to the sign of
-    a zero.  Returned dense, as {part: (3, 3, n, n) planes}: its
-    entries that the structure leaves out of Ahat and Bhat need not
-    vanish.
+    solved data: the flatness check, which holonomy does not run.  The
+    logA/logB terms are the commutator coefficients of the (d_w, d_zbar)
+    frame acting on the matrix legs.  Each (part, i, j) entry is formed
+    from the connection's planes and at once reduced into a running max
+    that keeps a NaN: the stencils run only on the planes present, an
+    absent plane enters as a scalar zero, and each commutator entry
+    sums, left to right over k, only the products A_ik B_kj (and
+    B_ik A_kj) whose factors are both present.  A max is exact, so the
+    value is the max-abs of the dense evaluation bit for bit, and no
+    (3, 3, n, n) field is built.  Entries that the structure leaves out
+    of Ahat and Bhat need not vanish here.
     """
     c = conn.chart
-    n = conn.grid.n
     # the derivative terms of a plane that stands for several entries
     # (or both parts) are computed once, keyed by the array
     b_terms = {id(b): c.d_w(b) - c.logB * b
                for b in _distinct(conn.planes["Bhat"])}
     a_terms = {id(a): (c.grid.dzb(a), c.logA * a)
                for a in _distinct(conn.planes["Ahat"])}
-    out = {}
+    worst = 0.0
     for part in PARTS:
         A = conn.planes["Ahat"][part]
         B = conn.planes["Bhat"][part]
-        r = np.zeros((3, 3, n, n), dtype=complex)
         for i in range(3):
             for j in range(3):
                 rb = b_terms[id(B[i, j])] if (i, j) in B else 0.0
                 dzb_a, la = (a_terms[id(A[i, j])] if (i, j) in A
                              else (0.0, 0.0))
-                r[i, j] = rb - dzb_a + la + (_product_entry(A, B, i, j)
-                                             - _product_entry(B, A, i, j))
-        out[part] = r
-    return out
+                r = rb - dzb_a + la + (_product_entry(A, B, i, j)
+                                       - _product_entry(B, A, i, j))
+                # np.maximum keeps a NaN, Python's max would drop it
+                worst = np.maximum(worst, np.abs(r).max())
+    return float(worst)
 
 
 def _product_entry(A: dict, B: dict, i: int, j: int):
@@ -457,7 +443,7 @@ def holonomy(conn: FlatConnectionField, loop: Loop) -> BcMat3:
 
     The holonomy of data that is not flat depends on the loop, not only
     on its class; holonomy does not check flatness, and
-    FlatConnectionField.flatness_residual is that check.  A step
+    maurer_cartan_residual is that check.  A step
     generator of finite norm can still have an exponential, or a
     period a frame, past the float range; the first overflow raises
     Unrepresentable instead of carrying inf and NaN into the checks.

@@ -50,7 +50,7 @@ from . import mat3
 from ._frozen import Frozen
 from .bicomplex import Bicomplex
 from .chtau import Flag, _unit_incident, line_plane_det
-from .connection import PARTS
+from .connection import PARTS, Unrepresentable
 from .metric import ComplexMetric
 
 __all__ = [
@@ -64,7 +64,7 @@ GAP_TOL = 1e-6          # relative eigenvalue-modulus gap for loxodromy
 TRANS_TOL = 1e-8        # transversality below this is an obstruction
 FLAG_MATCH_TOL = 1e-8   # projective closeness that identifies two flags
 COND_TOL = 1e12         # eigenvalue condition: defective beyond
-DET_TOL = 1e-10         # det slack per generator, checked by Representation
+DET_TOL = 1e-10         # det slack per generator in a product (_det_slack)
 EPS = np.finfo(float).eps
 DET_DRIFT = 4 * EPS     # det round-off per ||M||_F^3
 TIE_TOL = 1e-12         # relative: transversality values this close tie
@@ -95,10 +95,16 @@ class NotDiagonalizable(ArithmeticError):
 # ----------------------------------------------------------------------
 # representation container
 
+def _det_slack(length, fro):
+    """|det - 1| allowed a product of `length` generators of norm fro."""
+    return length * DET_TOL + DET_DRIFT * fro ** 3
+
+
 class Representation(Frozen):
     """Named SL(3, C) generators.  Each name is one lowercase ASCII
     letter, so the scan spells a word letter by letter, with upper case
-    for an inverse."""
+    for an inverse.  A generator's det must be one within the word
+    scan's det gate at length 1 (_det_slack)."""
 
     __slots__ = ("generators",)
 
@@ -113,7 +119,9 @@ class Representation(Frozen):
             if M.shape != (3, 3):
                 raise ValueError(f"generator {name!r} is not 3x3")
             d = np.linalg.det(M)
-            if abs(d - 1.0) > DET_TOL:
+            with np.errstate(over="ignore"):    # the scan fails past it
+                slack = _det_slack(1, np.linalg.norm(M))
+            if abs(d - 1.0) > slack:
                 raise NotUnimodular(
                     f"generator {name!r} has det {d:.12g}")
             gens[name] = M
@@ -231,8 +239,8 @@ def _spectra(X, length, decides):
     GAP_FLOOR ||M||_F / |l1|, which rescaling leaves alone: a unipotent
     word's eigenvalues scatter by about eps^(1/3) ||M||.
 
-    A word's det may be off one by length * DET_TOL + DET_DRIFT
-    ||M||_F^3.  The first length with a word off by more is cut off
+    A word's det may be off one by _det_slack, length * DET_TOL +
+    DET_DRIFT ||M||_F^3.  The first length with a word off by more is cut off
     before any eigen work, and NotUnimodular names its worst word
     unless a deciding word of an earlier length is not loxodromic: a
     scan of one length at a time stops at that word and never reaches
@@ -252,8 +260,7 @@ def _spectra(X, length, decides):
     norms = np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=(0, 1)))
     length = np.broadcast_to(length, det[0].shape)
     decides = np.broadcast_to(decides, det[0].shape)
-    drift = np.abs(det[0] - 1.0) / (length * DET_TOL
-                                    + DET_DRIFT * norms[0] ** 3)
+    drift = np.abs(det[0] - 1.0) / _det_slack(length, norms[0])
     failed = np.flatnonzero(~(drift <= 1.0))
     unimodular = None
     if failed.size:
@@ -521,9 +528,22 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     The report also carries the centralizer dimension and the per-word
     moduli of the scanned words.  Flags are built for the anchors only
     (`_flags`), the only flags that the transversality channel reads.
+
+    Overflow and invalid values raise: a word past the float range
+    raises Unrepresentable, not a NaN verdict.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return _scan(rep, max_word_len)
+        except FloatingPointError as e:
+            raise Unrepresentable(
+                f"the word scan leaves the float range: {e}") from None
+
+
+def _scan(rep: Representation, max_word_len: int) -> AnosovReport:
+    """anosov_scan under its floating-point state."""
     gens = mat3.planes(np.stack([g for g in rep.generators.values()
                                  for g in (g, np.linalg.inv(g))]))
     spelled = np.array([c for n in rep.names for c in (n, n.upper())])

@@ -24,9 +24,11 @@ The connection has dense references on (n, n, 3, 3) stacks, where the
 package works on entry planes and leaves structural zeros out: the
 dense assembly (through the restated stencils, so it pins the
 package's entries bit for bit), the dense Maurer-Cartan residual with
-np.matmul for its commutator, and transport as a loop of np.matmul
-products.  matmul_in_order writes out the product order that the
-package documents for its plane kernel, entry by entry.
+np.matmul for its commutator (maurer_cartan_field evaluates it on a
+connection's planes, a field whose max_abs the package's flatness check
+returns), and transport as a loop of np.matmul products.
+matmul_in_order writes out the product order that the package documents
+for its plane kernel, entry by entry.
 
 Whole-grid references pin the streamed and blocked routes of the
 package bit for bit: transport_row_form steps G + mat3.matmul(G, E - I)
@@ -78,7 +80,7 @@ from bchyp.bicomplex import Bicomplex, as_bicomplex
 from bchyp.config import build_problem
 from bchyp.connection import (
     PARTS, FlatConnectionField, _omega_at, expm_steps, grid_step_generators,
-    max_abs, maurer_cartan_residual, transport,
+    transport,
 )
 from bchyp.metric import (
     BeltramiChart, ComplexMetric, TorusGrid, centered_dx, centered_dy,
@@ -293,6 +295,21 @@ def maurer_cartan_dense(A, B, chart):
     lA, lB = chart.logA[..., None, None], chart.logB[..., None, None]
     return (d_w_two_pass(chart, B) - lB * B - dzb_roll(A, h) + lA * A
             + (A @ B - B @ A))
+
+
+def maurer_cartan_field(conn) -> dict:
+    """The Maurer-Cartan residual of a connection as {part: (3, 3, n, n)
+    planes}: maurer_cartan_dense on its dense Ahat and Bhat."""
+    A, B = dense(conn, "Ahat"), dense(conn, "Bhat")
+    return {part: mat3.planes(maurer_cartan_dense(
+        stacked(A[part]), stacked(B[part]), conn.chart)) for part in PARTS}
+
+
+def max_abs(*fields) -> float:
+    """Largest |entry| over the parts of {part: planes} fields; NaN if
+    any entry is NaN (np.max propagates it, Python's max would not)."""
+    return float(np.max([np.abs(P).max() for field in fields
+                         for P in field.values()]))
 
 
 def matmul_in_order(A, B):
@@ -735,7 +752,7 @@ def hitchin_residuals(conn) -> tuple[dict, dict]:
     the HTILDE-symmetric projection is the holomorphy sub-equation for
     the Higgs field.  Their sum reconstructs the full residual exactly.
     """
-    return _h_halves(maurer_cartan_residual(conn))
+    return _h_halves(maurer_cartan_field(conn))
 
 
 def conjugate_frame(conn, g):

@@ -115,7 +115,7 @@ def test_deformed_pair_conormal_order():
 def test_structure_hyperboloid_closed_form():
     pair, r, grid = hyperboloid_pair(64)
     h2 = grid.spacing ** 2
-    gB, xi_res, S_res = structure_residuals(pair)
+    gB, xi_res, S_res, _ = structure_residuals(pair)
     # pullback of dr^2 + sinh^2 r dtheta^2 under the affine window
     g_exact = np.zeros_like(gB)
     g_exact[..., 0, 0] = 0.35 ** 2
@@ -129,7 +129,7 @@ def test_structure_hyperboloid_convergence():
     errs = {}
     for n in (32, 64):
         pair, r, grid = hyperboloid_pair(n)
-        gB, xi_res, S_res = structure_residuals(pair)
+        gB, xi_res, S_res, _ = structure_residuals(pair)
         g_exact = np.zeros_like(gB)
         g_exact[..., 0, 0] = 0.35 ** 2
         g_exact[..., 1, 1] = (1.1 ** 2) * np.sinh(r) ** 2
@@ -192,7 +192,7 @@ def test_integrate_constant_wang_pair_invariants():
 def test_integrate_constant_wang_structure():
     pair, psi, grid = solved_wang(32)
     h2 = grid.spacing ** 2
-    gB, xi_res, S_res = structure_residuals(pair)
+    gB, xi_res, S_res, _ = structure_residuals(pair)
     assert np.nanmax(xi_res) < 1.5 * h2
     assert np.nanmax(S_res) < 0.5 * h2
     lam = 2.0 * np.exp(2.0 * psi)
@@ -219,31 +219,33 @@ def test_integrate_constant_wang_dual_pick_sign():
 
 
 def test_roundtrip_checks_fit_each_side_once(monkeypatch):
-    """structure_residuals and blaschke_data share the fit of f+, so one
-    roundtrip bundle fits twice (f+ and f-), with the same residuals
-    as three independent fits."""
-    cached, psi, _ = solved_wang(32)
-
-    def fresh():
-        return AffinePair(cached.fplus, cached.fminus, cached.spacing,
-                          path_residual=cached.path_residual)
-
+    """structure_residuals returns the Pick form of its fit of f+, so
+    one roundtrip bundle fits twice (f+, then the dual's f+, which is
+    f-), and its structure checks equal those of independent fits."""
+    pair, psi, _ = solved_wang(32)
     fit = affine._fit_structure
     calls = []
 
-    def counting(pair):
-        calls.append(pair)
-        return fit(pair)
+    def counting(p):
+        calls.append(p)
+        return fit(p)
 
     monkeypatch.setattr(affine, "_fit_structure", counting)
-    shared = roundtrip_checks(fresh(), psi)
+    got = {name: value for name, value, _ in roundtrip_checks(pair, psi)}
     assert len(calls) == 2
-    assert calls[0].fplus is calls[1].fminus      # f+, then the dual's
+    assert calls[0] is pair and calls[1].fplus is pair.fminus
 
-    monkeypatch.setattr(affine, "_fitted", counting)    # no sharing
-    separate = roundtrip_checks(fresh(), psi)
-    assert len(calls) == 5
-    assert shared == separate
+    gB, xi, S, C_plus = oracles.fit_structure_whole(pair)
+    C_minus = oracles.fit_structure_whole(pair.dual())[3]
+    lam = 2.0 * np.exp(2.0 * psi)
+    want = {
+        "shape": np.nanmax(np.abs(S - np.eye(2))),
+        "conormal": np.nanmax(np.abs(xi - pair.fplus)),
+        "blaschke": np.nanmax(np.abs(gB - lam[..., None, None]
+                                     * np.eye(2))),
+        "pick_sum": np.nanmax(np.abs(pick_cubic(C_plus)
+                                     + pick_cubic(C_minus)))}
+    assert {name: got[name] for name in want} == want
 
 
 def test_integrate_wang_blaschke_spd_and_apolar():
@@ -274,7 +276,7 @@ def test_integrate_fuchsian_patch_lands_on_hyperboloid():
     assert np.max(np.abs(eta(pair.fplus, pair.fplus) + 1.0)) < 1e-11
     assert pair.path_residual < 40.0 * h2
 
-    gB, xi_res, S_res = structure_residuals(pair)
+    gB, xi_res, S_res, _ = structure_residuals(pair)
     assert np.nanmax(xi_res) < 40.0 * h2
     assert np.nanmax(S_res) < 30.0 * h2
     K = oracles._gauss_curvature(gB, grid.spacing)

@@ -287,6 +287,26 @@ def test_singular_holonomy_fails_its_checks_in_one_line(tmp_path, capsys,
     assert "compat=inf" in out
 
 
+def test_non_finite_residuals_make_strict_json(tmp_path, capsys):
+    # the α = 1e8 datum above: its commutator is NaN and its det and
+    # compatibility residuals are inf, which the manifest names as
+    # strings, since strict JSON has no NaN or Infinity
+    cfg = write_cfg(tmp_path, {"grid": 32, "chart": {
+        "kind": "constant", "mu": [-0.006132403605126235, -0.703287790341407]},
+        "cubic": {"kind": "pair", "alpha": 1e8, "beta": 1e-300,
+                  "perturb": 1.0}})
+    assert main(["conn", "holonomy", "--json", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert err == "stage failure (criterion 6)\n"
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    manifest = json.loads(out, parse_constant=refuse)
+    assert manifest["results"][0]["residuals"] == {
+        "commute": "nan", "compat": "inf", "plus_det": "inf"}
+
+
 @pytest.mark.parametrize("command", [
     ["gauss", "solve"], ["conn", "flatness"], ["conn", "holonomy"],
     ["pipeline"]], ids=["gauss-solve", "conn-flatness", "conn-holonomy",
@@ -366,6 +386,31 @@ def test_schottky_scan_fails_only_on_the_transversality_bound(capsys,
     assert (code, err) == (1, "stage failure (criterion 10)\n")
     assert "min_transversality=-0.000225<=-0.01; centralizer_dim=1" in out
     assert f"claim: no obstruction found up to word length {length}" in out
+
+
+def _diag_and_other(t, other):
+    A = np.diag([t, 1.0, 1.0 / t])
+    if other is None:                    # conjugate A by a unipotent U
+        U = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        other = U @ A @ np.linalg.inv(U)
+    return [A.tolist(), np.asarray(other).tolist()]
+
+
+@pytest.mark.parametrize("gens, length", [
+    (_diag_and_other(1e100, np.diag([2.0, 1.0, 0.5])), "1"),
+    (_diag_and_other(1e20, None), "3")], ids=["diagonal", "conjugate"])
+def test_scan_past_the_float_range_fails_in_one_line(tmp_path, capsys,
+                                                     gens, length):
+    # the spectra of these words overflow in Cardano's formula; the scan
+    # stops there with the typed failure, not with RuntimeWarnings and a
+    # NaN verdict
+    p = tmp_path / "gens.json"
+    p.write_text(json.dumps(gens))
+    assert main(["rep", "anosov", "--gens", str(p), "--len", length]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("stage failure (Unrepresentable): ")
 
 
 def test_pipeline_out_cloud_comes_from_the_configured_pair(tmp_path, capsys):
@@ -850,7 +895,7 @@ def test_cli_calls_go_through_the_patched_names(monkeypatch, capsys):
                  "--len", "3"]) == 0
     assert {k: len(v) for k, v in calls.items()} == {
         "solve_newton": 1, "holonomy": 2, "integrate_frame": 1,
-        "structure_residuals": 1, "blaschke_data": 2, "anosov_scan": 1}
+        "structure_residuals": 1, "blaschke_data": 1, "anosov_scan": 1}
     assert sorted(args[1].steps[0] for args in calls["holonomy"]) == [
         (0, 1), (1, 0)]
     assert isinstance(calls["solve_newton"][0][0], GaussProblem)

@@ -12,15 +12,15 @@ from bchyp.bicomplex import BcMat3, Q3, compatibility_residual
 from bchyp.connection import (
     F0, PARTS, FlatConnectionField, Loop,
     TAYLOR_THETA,
-    assemble, expm_steps, grid_step_generators, holonomy, max_abs,
+    assemble, expm_steps, grid_step_generators, holonomy,
     maurer_cartan_residual,
 )
-from bchyp.criteria import _result, holonomy_checks
+from bchyp.criteria import _result, flatness_check, holonomy_checks
 from bchyp.gauss import GaussProblem, solve_newton
 from oracles import (
     HTILDE, QTILDE, conjugate_frame, dense, higgs_split, hitchin_residuals,
-    pairing_residual, reduced_system_residual, residual_intrinsic,
-    wang_problem,
+    max_abs, maurer_cartan_field, pairing_residual, reduced_system_residual,
+    residual_intrinsic, wang_problem,
 )
 from bchyp.metric import BeltramiChart, ComplexMetric, CubicPair, TorusGrid
 
@@ -148,12 +148,12 @@ def test_structured_assemble_and_residual_match_dense_oracles(eps):
             assert set(parts[part]) == support[name], (name, part)
     assert len({id(p) for parts in conn.planes.values()
                 for part in parts.values() for p in part.values()}) == 9
-    mc = maurer_cartan_residual(conn)
-    for got, A, B in ((mc["plus"], Ap, Bp), (mc["minus"], Am, Bm)):
-        ref = oracles.maurer_cartan_dense(A, B, chart)
-        assert np.abs(ref).max() > 0.1
-        assert (np.abs(oracles.stacked(got) - ref).max()
-                <= 1e-13 * np.abs(ref).max())
+    # the program's flatness float is the max-abs of the dense residual
+    parts = [np.abs(oracles.maurer_cartan_dense(a, b, chart)).max()
+             for a, b in ((Ap, Bp), (Am, Bm))]
+    assert min(parts) > 0.1
+    want = max(parts)
+    assert abs(maurer_cartan_residual(conn) - want) <= 1e-13 * want
 
 
 def test_generic_nine_plane_field_is_accepted_and_checked():
@@ -170,9 +170,7 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
             assert np.array_equal(dense(generic, name)[part],
                                   dense(conn, name)[part])
     # the structural zeros of the generic field add exact zeros
-    mc, mc_generic = (maurer_cartan_residual(c) for c in (conn, generic))
-    assert np.array_equal(mc_generic["plus"], mc["plus"])
-    assert np.array_equal(mc_generic["minus"], mc["minus"])
+    assert maurer_cartan_residual(generic) == maurer_cartan_residual(conn)
     for part in ("plus", "minus"):
         for leg in (0, 1):
             assert np.array_equal(grid_step_generators(generic, part, leg),
@@ -195,12 +193,12 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
         return oracles.entry_mapping({part: mat3.planes(M)
                                       for part, M in field.items()})
 
-    mc = maurer_cartan_residual(
+    got = maurer_cartan_residual(
         FlatConnectionField(entries(A), entries(B), chart))
-    for part in PARTS:
-        ref = oracles.maurer_cartan_dense(A[part], B[part], chart)
-        assert (np.abs(oracles.stacked(mc[part]) - ref).max()
-                <= 1e-13 * np.abs(ref).max())
+    want = max(np.abs(oracles.maurer_cartan_dense(A[part], B[part],
+                                                  chart)).max()
+               for part in PARTS)
+    assert abs(got - want) <= 1e-13 * want
     traced = A["plus"].copy()
     traced[3, 5, 2, 2] += 1e-6
     with pytest.raises(ValueError, match="Ahat has nonzero trace"):
@@ -212,7 +210,9 @@ def test_maurer_cartan_constant_data_zero():
     grid = TorusGrid(16)
     chart = BeltramiChart.identity(grid)
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0), chart)
-    assert max_abs(maurer_cartan_residual(conn)) <= 1e-13
+    got = maurer_cartan_residual(conn)
+    assert got <= 1e-13
+    assert abs(got - max_abs(maurer_cartan_field(conn))) <= 1e-13
 
 
 def test_maurer_cartan_solved_datum_second_order():
@@ -220,7 +220,9 @@ def test_maurer_cartan_solved_datum_second_order():
         psi, C, chart = solved_sine(n)
         conn = assemble(psi, C, chart)
         h = chart.grid.spacing
-        assert max_abs(maurer_cartan_residual(conn)) <= 10 * h * h
+        got = maurer_cartan_residual(conn)
+        assert got <= 10 * h * h
+        assert abs(got - max_abs(maurer_cartan_field(conn))) <= 10 * h * h
 
 
 def test_maurer_cartan_reads_cubic_holomorphy_defect():
@@ -229,11 +231,30 @@ def test_maurer_cartan_reads_cubic_holomorphy_defect():
     delta = 0.05 * np.sin(2 * np.pi * grid.x)
     C = CubicPair(grid, 1.0 + delta, 1.0)
     conn = assemble(0.0, C, chart)
-    mc = maurer_cartan_residual(conn)
+    mc = maurer_cartan_field(conn)
     _, r1, _ = reduced_system_residual(0.0, C, chart)
     assert np.abs(r1).max() > 0.05
     assert np.abs(mc["plus"][0, 1] - r1).max() < 1e-13
     assert np.abs(mc["minus"][0, 1] + r1).max() < 1e-13
+    assert abs(maurer_cartan_residual(conn) - max_abs(mc)) < 1e-13
+
+
+def test_maurer_cartan_residual_peak_memory_within_three_fields():
+    # each entry is reduced as it is formed: the traced rise holds the
+    # memoized derivative terms and one entry's temporaries, not a dense
+    # (3, 3, n, n) residual per part
+    n = 128
+    field = n * n * 9 * 16          # one complex 3x3 field
+    grid = TorusGrid(n)
+    chart = BeltramiChart.sine_perturbed(grid, 0.01)
+    conn = assemble(smooth_psi(grid), CubicPair(grid, 0.6, 0.8), chart)
+    tracemalloc.start()
+    try:
+        maurer_cartan_residual(conn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * field, peak / field
 
 
 def test_reduced_system_constant_exact_datum():
@@ -281,9 +302,11 @@ def test_flatness_entries_equal_reduced_system_frozen_factors():
     chart = BeltramiChart.constant_mu(grid, 0.2 + 0.1j)
     psi = smooth_psi(grid)
     C0 = CubicPair(grid, 0.0, 0.0)
-    mc = maurer_cartan_residual(assemble(psi, C0, chart))
+    conn = assemble(psi, C0, chart)
+    mc = maurer_cartan_field(conn)
     r0, _, _ = reduced_system_residual(psi, C0, chart)
     scale = max(1.0, np.abs(r0).max())
+    assert abs(maurer_cartan_residual(conn) - max_abs(mc)) < 1e-12 * scale
     assert np.abs(mc["plus"][0, 0] - r0).max() < 1e-12 * scale
     assert np.abs(mc["minus"][0, 0] - r0).max() < 1e-12 * scale
     assert np.abs(mc["plus"][1, 1] + r0).max() < 1e-12 * scale
@@ -296,8 +319,10 @@ def test_flatness_entries_equal_reduced_system_frozen_factors():
     chart2 = BeltramiChart.identity(grid)
     tx, ty = 2 * np.pi * grid.x, 2 * np.pi * grid.y
     C = CubicPair(grid, 1.0 + 0.2 * np.sin(tx), 0.8 + 0.1 * np.cos(ty))
-    mc2 = maurer_cartan_residual(assemble(0.0, C, chart2))
+    conn2 = assemble(0.0, C, chart2)
+    mc2 = maurer_cartan_field(conn2)
     q0, q1, q2 = reduced_system_residual(0.0, C, chart2)
+    assert abs(maurer_cartan_residual(conn2) - max_abs(mc2)) < 1e-12
     assert np.abs(mc2["plus"][0, 0] - q0).max() < 1e-12
     assert np.abs(mc2["plus"][1, 1] + q0).max() < 1e-12
     assert np.abs(mc2["plus"][0, 1] - q1).max() < 1e-12
@@ -389,8 +414,10 @@ def test_frame_conjugation_covariance():
     conn2 = conjugate_frame(conn, g)
     assert pairing_residual(conn2) < 1e-10
     gi = inverse(g)
-    mc1 = maurer_cartan_residual(conn)
-    mc2 = maurer_cartan_residual(conn2)
+    mc1 = maurer_cartan_field(conn)
+    mc2 = maurer_cartan_field(conn2)
+    for c, mc in ((conn, mc1), (conn2, mc2)):
+        assert abs(maurer_cartan_residual(c) - max_abs(mc)) < 1e-11
     for part in PARTS:
         want = (getattr(gi, part) @ oracles.stacked(mc1[part])
                 @ getattr(g, part))
@@ -549,8 +576,8 @@ def test_holonomy_matches_per_step_expm_product(loop):
 
 
 def test_holonomy_never_evaluates_the_maurer_cartan_residual(monkeypatch):
-    # flatness is checked once, by flatness_residual; holonomy trusts
-    # its caller and reads Omega only
+    # flatness is checked once, by flatness_check; holonomy trusts its
+    # caller and reads Omega only
     calls = []
     original = connection.maurer_cartan_residual
 
@@ -564,7 +591,7 @@ def test_holonomy_never_evaluates_the_maurer_cartan_residual(monkeypatch):
     holonomy(conn, Loop.x_period(32))
     holonomy(conn, Loop.y_period(32))
     assert calls == []
-    assert conn.flatness_residual() == max_abs(original(conn))
+    assert flatness_check(conn)[1] == original(conn)
     assert calls == [conn]
 
 
@@ -618,11 +645,13 @@ def test_higgs_split_zero_cubic_pattern():
 def test_hitchin_residuals_partition_flatness():
     psi, C, chart = solved_sine(32)
     conn = assemble(psi, C, chart)
-    mc = maurer_cartan_residual(conn)
+    mc = maurer_cartan_field(conn)
     curv, holo = hitchin_residuals(conn)
     gap = max_abs({part: (curv[part] + holo[part]) - mc[part]
                    for part in PARTS})
     assert gap < 1e-15 * max(1.0, max_abs(mc))
+    assert (abs(maurer_cartan_residual(conn) - max_abs(mc))
+            < 1e-15 * max(1.0, max_abs(mc)))
     curv_p, holo_p = (oracles.stacked(f["plus"]) for f in (curv, holo))
     ad = HTILDE @ np.swapaxes(curv_p, -1, -2) @ HTILDE
     assert np.abs(ad + curv_p).max() < 1e-15
@@ -640,11 +669,19 @@ def test_loop_validation():
         holonomy(conn, Loop.x_period(32))
 
 
-def test_max_abs_propagates_nan_in_the_minus_part():
-    n = 4
-    field = {"plus": np.ones((3, 3, n, n), dtype=complex),
-             "minus": np.full((3, 3, n, n), np.nan, dtype=complex)}
-    assert np.isnan(max_abs(field))
+def test_maurer_cartan_residual_propagates_nan_in_the_minus_part():
+    # finite planes, one NaN node of logA: it reaches only the minus
+    # entry (0, 1), the last part reduced, where Python's max would
+    # drop it against the finite running max
+    n = 16
+    grid = TorusGrid(n)
+    logA = np.zeros((n, n), dtype=complex)
+    logA[3, 5] = np.nan
+    chart = BeltramiChart(grid, 0.0, 1.0, 1.0, logA=logA, logB=0.0)
+    plane = 1.0 + np.sin(2 * np.pi * grid.x).astype(complex)
+    conn = FlatConnectionField({"plus": {}, "minus": {(0, 1): plane}},
+                               {"plus": {}, "minus": {}}, chart)
+    assert np.isnan(maurer_cartan_residual(conn))
 
 
 def test_holonomy_checks_fail_on_nan_minus_part():

@@ -23,6 +23,7 @@ from bchyp.chtau import Flag
 from bchyp.cli import load_generators
 from bchyp.metric import BeltramiChart, ComplexMetric, TorusGrid
 from bchyp.replib import (
+    DET_TOL,
     GAP_FLOOR,
     GAP_TOL,
     TIE_TOL,
@@ -110,6 +111,21 @@ def test_representation_names_are_single_lowercase_letters(name):
 def test_representation_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         Representation({"a": 2.0 * np.eye(3)})
+    # det 1.001 at norm about sqrt(3): far past the round-off of its det
+    with pytest.raises(NotUnimodular, match="det 1.001"):
+        Representation({"a": np.diag([1.001, 1.0, 1.0 / 1.001])
+                        @ np.diag([1.0, 1.0, 1.001])})
+
+
+def test_representation_gates_det_as_the_scan_gates_a_word():
+    # a conjugate of diag(1e4, 1, 1e-4) by a rotation has det 1 up to
+    # 1.49e-10 of round-off, within the scan's gate at length 1
+    # (DET_TOL + DET_DRIFT ||M||_F^3, about 8.9e-4) but past DET_TOL
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    assert np.linalg.det(Q) > 0
+    A = Q @ np.diag([1e4, 1.0, 1e-4]) @ Q.T
+    assert DET_TOL < abs(np.linalg.det(A) - 1.0) < 2 * DET_TOL
+    assert np.array_equal(Representation({"a": A}).generators["a"], A)
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +258,11 @@ def test_loxodromy_jordan_pair_with_a_wide_gap_reads_not_loxodromic():
     assert not r.loxodromic and r.attracting is None
     assert 1e3 * GAP_TOL < r.gaps[0] < GAP_FLOOR * np.linalg.norm(M) / 2.0
     assert np.allclose(r.moduli, (2.0, 2.0, 0.25), rtol=1e-2)
-    # the scan never meets such a word: its det misses 1 by more than
-    # the generator gate allows
-    with pytest.raises(NotUnimodular):
-        Representation({"a": M})
+    # its det misses 1 by 4.8e-9, the round-off of Q J Q^T at norm 3e4,
+    # so it loads as a generator, and the scan stops on it the same way
+    report = anosov_scan(Representation({"a": M}), 3)
+    assert report.words == ()
+    assert report.obstruction.startswith("word a is not loxodromic")
 
 
 def test_loxodromy_det_gate():
