@@ -266,15 +266,22 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> float:
     solved data: the flatness check, which holonomy does not run.  The
     logA/logB terms are the commutator coefficients of the (d_w, d_zbar)
     frame acting on the matrix legs.  Each (part, i, j) entry is formed
-    from the connection's planes and at once reduced into a running max
-    that keeps a NaN: the stencils run only on the planes present, an
-    absent plane enters as a scalar zero, and each commutator entry
-    sums, left to right over k, only the products A_ik B_kj (and
-    B_ik A_kj) whose factors are both present.  A max is exact, so the
-    value is the max-abs of the dense evaluation bit for bit, and no
+    from the connection's planes (_mc_entries) and at once reduced to
+    its max-abs: the stencils run only on the planes present, an absent
+    plane enters as a scalar zero, and each commutator entry sums, left
+    to right over k, only the products A_ik B_kj (and B_ik A_kj) whose
+    factors are both present.  A max is exact, so the value is the
+    max-abs of the dense evaluation bit for bit, a NaN included, and no
     (3, 3, n, n) field is built.  Entries that the structure leaves out
     of Ahat and Bhat need not vanish here.
     """
+    # np.max keeps a NaN, Python's max would drop it
+    return float(np.max([np.abs(r).max() for *_, r in _mc_entries(conn)]))
+
+
+def _mc_entries(conn: FlatConnectionField):
+    """Yield each entry of the Maurer-Cartan residual as (part, i, j, r),
+    r the scalar 0.0 where no term is present."""
     c = conn.chart
     # the derivative terms of a plane that stands for several entries
     # (or both parts) are computed once, keyed by the array
@@ -282,7 +289,6 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> float:
                for b in _distinct(conn.planes["Bhat"])}
     a_terms = {id(a): (c.grid.dzb(a), c.logA * a)
                for a in _distinct(conn.planes["Ahat"])}
-    worst = 0.0
     for part in PARTS:
         A = conn.planes["Ahat"][part]
         B = conn.planes["Bhat"][part]
@@ -291,11 +297,9 @@ def maurer_cartan_residual(conn: FlatConnectionField) -> float:
                 rb = b_terms[id(B[i, j])] if (i, j) in B else 0.0
                 dzb_a, la = (a_terms[id(A[i, j])] if (i, j) in A
                              else (0.0, 0.0))
-                r = rb - dzb_a + la + (_product_entry(A, B, i, j)
-                                       - _product_entry(B, A, i, j))
-                # np.maximum keeps a NaN, Python's max would drop it
-                worst = np.maximum(worst, np.abs(r).max())
-    return float(worst)
+                yield part, i, j, (rb - dzb_a + la
+                                   + (_product_entry(A, B, i, j)
+                                      - _product_entry(B, A, i, j)))
 
 
 def _product_entry(A: dict, B: dict, i: int, j: int):

@@ -64,9 +64,9 @@ GAP_TOL = 1e-6          # relative eigenvalue-modulus gap for loxodromy
 TRANS_TOL = 1e-8        # transversality below this is an obstruction
 FLAG_MATCH_TOL = 1e-8   # projective closeness that identifies two flags
 COND_TOL = 1e12         # eigenvalue condition: defective beyond
-DET_TOL = 1e-10         # det slack per generator in a product (_det_slack)
+DET_TOL = 1e-10         # det slack per generator, and per letter of a word
 EPS = np.finfo(float).eps
-DET_DRIFT = 4 * EPS     # det round-off per ||M||_F^3
+DET_DRIFT = 4 * EPS     # det round-off per ||M||_F^3 (LU: ||M|| ||adj M||)
 TIE_TOL = 1e-12         # relative: transversality values this close tie
 GAP_FLOOR = np.cbrt(EPS)   # times ||M||_F / |l1|
 CENTRALIZER_TOL = 1e-8  # singular values below this span the centralizer
@@ -95,16 +95,13 @@ class NotDiagonalizable(ArithmeticError):
 # ----------------------------------------------------------------------
 # representation container
 
-def _det_slack(length, fro):
-    """|det - 1| allowed a product of `length` generators of norm fro."""
-    return length * DET_TOL + DET_DRIFT * fro ** 3
-
-
 class Representation(Frozen):
     """Named SL(3, C) generators.  Each name is one lowercase ASCII
     letter, so the scan spells a word letter by letter, with upper case
-    for an inverse.  A generator's det must be one within the word
-    scan's det gate at length 1 (_det_slack)."""
+    for an inverse.  A generator's det, from LU, must be one within
+    DET_TOL and its first-order round-off, DET_DRIFT ||M||_F ||adj M||_F;
+    a generator for which either is not finite is refused, as its det
+    cannot be checked."""
 
     __slots__ = ("generators",)
 
@@ -118,12 +115,15 @@ class Representation(Frozen):
             M = np.asarray(M, dtype=complex)
             if M.shape != (3, 3):
                 raise ValueError(f"generator {name!r} is not 3x3")
-            d = np.linalg.det(M)
-            with np.errstate(over="ignore"):    # the scan fails past it
-                slack = _det_slack(1, np.linalg.norm(M))
-            if abs(d - 1.0) > slack:
-                raise NotUnimodular(
-                    f"generator {name!r} has det {d:.12g}")
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = np.linalg.det(M)
+                slack = DET_TOL + DET_DRIFT * (np.linalg.norm(M)
+                                               * np.linalg.norm(mat3.adj(M)))
+            if not (np.isfinite(d) and np.isfinite(slack)):
+                raise NotUnimodular(f"generator {name!r} is not finite or "
+                                    f"too large to check its det")
+            if not abs(d - 1.0) <= slack:
+                raise NotUnimodular(f"generator {name!r} has det {d:.12g}")
             gens[name] = M
         self._set(generators=gens)
 
@@ -239,7 +239,7 @@ def _spectra(X, length, decides):
     GAP_FLOOR ||M||_F / |l1|, which rescaling leaves alone: a unipotent
     word's eigenvalues scatter by about eps^(1/3) ||M||.
 
-    A word's det may be off one by _det_slack, length * DET_TOL +
+    A word's det, in closed form, may be off one by length * DET_TOL +
     DET_DRIFT ||M||_F^3.  The first length with a word off by more is cut off
     before any eigen work, and NotUnimodular names its worst word
     unless a deciding word of an earlier length is not loxodromic: a
@@ -260,7 +260,8 @@ def _spectra(X, length, decides):
     norms = np.sqrt((X.real ** 2 + X.imag ** 2).sum(axis=(0, 1)))
     length = np.broadcast_to(length, det[0].shape)
     decides = np.broadcast_to(decides, det[0].shape)
-    drift = np.abs(det[0] - 1.0) / _det_slack(length, norms[0])
+    drift = np.abs(det[0] - 1.0) / (length * DET_TOL
+                                    + DET_DRIFT * norms[0] ** 3)
     failed = np.flatnonzero(~(drift <= 1.0))
     unimodular = None
     if failed.size:

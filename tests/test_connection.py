@@ -66,6 +66,23 @@ def solved_sine(n, eps=0.01):
     return _SOLVED[(n, eps)]
 
 
+def program_field(conn, rtol=1e-13):
+    """The program's Maurer-Cartan entries (connection._mc_entries) as
+    {part: (3, 3, n, n) planes}, after checking that each entry matches
+    the dense oracle's to rtol of max(1, its max-abs) and that
+    maurer_cartan_residual is their max-abs bit for bit."""
+    n = conn.grid.n
+    mc = {part: np.zeros((3, 3, n, n), dtype=complex) for part in PARTS}
+    for part, i, j, r in connection._mc_entries(conn):
+        mc[part][i, j] = r
+    ref = maurer_cartan_field(conn)
+    scale = max(1.0, max_abs(ref))
+    for part in PARTS:
+        assert np.abs(mc[part] - ref[part]).max() <= rtol * scale, part
+    assert maurer_cartan_residual(conn) == max_abs(mc)
+    return mc
+
+
 def smooth_psi(grid, amp=0.1):
     tx, ty = 2 * np.pi * grid.x, 2 * np.pi * grid.y
     return amp * np.sin(tx) * np.cos(ty) + 0.4j * amp * np.cos(tx)
@@ -148,12 +165,12 @@ def test_structured_assemble_and_residual_match_dense_oracles(eps):
             assert set(parts[part]) == support[name], (name, part)
     assert len({id(p) for parts in conn.planes.values()
                 for part in parts.values() for p in part.values()}) == 9
-    # the program's flatness float is the max-abs of the dense residual
-    parts = [np.abs(oracles.maurer_cartan_dense(a, b, chart)).max()
-             for a, b in ((Ap, Bp), (Am, Bm))]
-    assert min(parts) > 0.1
-    want = max(parts)
-    assert abs(maurer_cartan_residual(conn) - want) <= 1e-13 * want
+    mc = program_field(conn)
+    for got, A, B in ((mc["plus"], Ap, Bp), (mc["minus"], Am, Bm)):
+        ref = oracles.maurer_cartan_dense(A, B, chart)
+        assert np.abs(ref).max() > 0.1
+        assert (np.abs(oracles.stacked(got) - ref).max()
+                <= 1e-13 * np.abs(ref).max())
 
 
 def test_generic_nine_plane_field_is_accepted_and_checked():
@@ -170,6 +187,9 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
             assert np.array_equal(dense(generic, name)[part],
                                   dense(conn, name)[part])
     # the structural zeros of the generic field add exact zeros
+    mc, mc_generic = program_field(conn), program_field(generic)
+    assert np.array_equal(mc_generic["plus"], mc["plus"])
+    assert np.array_equal(mc_generic["minus"], mc["minus"])
     assert maurer_cartan_residual(generic) == maurer_cartan_residual(conn)
     for part in ("plus", "minus"):
         for leg in (0, 1):
@@ -193,12 +213,11 @@ def test_generic_nine_plane_field_is_accepted_and_checked():
         return oracles.entry_mapping({part: mat3.planes(M)
                                       for part, M in field.items()})
 
-    got = maurer_cartan_residual(
-        FlatConnectionField(entries(A), entries(B), chart))
-    want = max(np.abs(oracles.maurer_cartan_dense(A[part], B[part],
-                                                  chart)).max()
-               for part in PARTS)
-    assert abs(got - want) <= 1e-13 * want
+    mc = program_field(FlatConnectionField(entries(A), entries(B), chart))
+    for part in PARTS:
+        ref = oracles.maurer_cartan_dense(A[part], B[part], chart)
+        assert (np.abs(oracles.stacked(mc[part]) - ref).max()
+                <= 1e-13 * np.abs(ref).max())
     traced = A["plus"].copy()
     traced[3, 5, 2, 2] += 1e-6
     with pytest.raises(ValueError, match="Ahat has nonzero trace"):
@@ -210,9 +229,8 @@ def test_maurer_cartan_constant_data_zero():
     grid = TorusGrid(16)
     chart = BeltramiChart.identity(grid)
     conn = assemble(0.0, CubicPair(grid, 1.0, 1.0), chart)
-    got = maurer_cartan_residual(conn)
-    assert got <= 1e-13
-    assert abs(got - max_abs(maurer_cartan_field(conn))) <= 1e-13
+    program_field(conn)
+    assert maurer_cartan_residual(conn) <= 1e-13
 
 
 def test_maurer_cartan_solved_datum_second_order():
@@ -220,9 +238,8 @@ def test_maurer_cartan_solved_datum_second_order():
         psi, C, chart = solved_sine(n)
         conn = assemble(psi, C, chart)
         h = chart.grid.spacing
-        got = maurer_cartan_residual(conn)
-        assert got <= 10 * h * h
-        assert abs(got - max_abs(maurer_cartan_field(conn))) <= 10 * h * h
+        program_field(conn)
+        assert maurer_cartan_residual(conn) <= 10 * h * h
 
 
 def test_maurer_cartan_reads_cubic_holomorphy_defect():
@@ -231,12 +248,11 @@ def test_maurer_cartan_reads_cubic_holomorphy_defect():
     delta = 0.05 * np.sin(2 * np.pi * grid.x)
     C = CubicPair(grid, 1.0 + delta, 1.0)
     conn = assemble(0.0, C, chart)
-    mc = maurer_cartan_field(conn)
+    mc = program_field(conn)
     _, r1, _ = reduced_system_residual(0.0, C, chart)
     assert np.abs(r1).max() > 0.05
     assert np.abs(mc["plus"][0, 1] - r1).max() < 1e-13
     assert np.abs(mc["minus"][0, 1] + r1).max() < 1e-13
-    assert abs(maurer_cartan_residual(conn) - max_abs(mc)) < 1e-13
 
 
 def test_maurer_cartan_residual_peak_memory_within_three_fields():
@@ -303,10 +319,9 @@ def test_flatness_entries_equal_reduced_system_frozen_factors():
     psi = smooth_psi(grid)
     C0 = CubicPair(grid, 0.0, 0.0)
     conn = assemble(psi, C0, chart)
-    mc = maurer_cartan_field(conn)
+    mc = program_field(conn)
     r0, _, _ = reduced_system_residual(psi, C0, chart)
     scale = max(1.0, np.abs(r0).max())
-    assert abs(maurer_cartan_residual(conn) - max_abs(mc)) < 1e-12 * scale
     assert np.abs(mc["plus"][0, 0] - r0).max() < 1e-12 * scale
     assert np.abs(mc["minus"][0, 0] - r0).max() < 1e-12 * scale
     assert np.abs(mc["plus"][1, 1] + r0).max() < 1e-12 * scale
@@ -320,9 +335,8 @@ def test_flatness_entries_equal_reduced_system_frozen_factors():
     tx, ty = 2 * np.pi * grid.x, 2 * np.pi * grid.y
     C = CubicPair(grid, 1.0 + 0.2 * np.sin(tx), 0.8 + 0.1 * np.cos(ty))
     conn2 = assemble(0.0, C, chart2)
-    mc2 = maurer_cartan_field(conn2)
+    mc2 = program_field(conn2)
     q0, q1, q2 = reduced_system_residual(0.0, C, chart2)
-    assert abs(maurer_cartan_residual(conn2) - max_abs(mc2)) < 1e-12
     assert np.abs(mc2["plus"][0, 0] - q0).max() < 1e-12
     assert np.abs(mc2["plus"][1, 1] + q0).max() < 1e-12
     assert np.abs(mc2["plus"][0, 1] - q1).max() < 1e-12
@@ -414,10 +428,8 @@ def test_frame_conjugation_covariance():
     conn2 = conjugate_frame(conn, g)
     assert pairing_residual(conn2) < 1e-10
     gi = inverse(g)
-    mc1 = maurer_cartan_field(conn)
-    mc2 = maurer_cartan_field(conn2)
-    for c, mc in ((conn, mc1), (conn2, mc2)):
-        assert abs(maurer_cartan_residual(c) - max_abs(mc)) < 1e-11
+    mc1 = program_field(conn)
+    mc2 = program_field(conn2)
     for part in PARTS:
         want = (getattr(gi, part) @ oracles.stacked(mc1[part])
                 @ getattr(g, part))
@@ -645,13 +657,12 @@ def test_higgs_split_zero_cubic_pattern():
 def test_hitchin_residuals_partition_flatness():
     psi, C, chart = solved_sine(32)
     conn = assemble(psi, C, chart)
+    program_field(conn)
     mc = maurer_cartan_field(conn)
     curv, holo = hitchin_residuals(conn)
     gap = max_abs({part: (curv[part] + holo[part]) - mc[part]
                    for part in PARTS})
     assert gap < 1e-15 * max(1.0, max_abs(mc))
-    assert (abs(maurer_cartan_residual(conn) - max_abs(mc))
-            < 1e-15 * max(1.0, max_abs(mc)))
     curv_p, holo_p = (oracles.stacked(f["plus"]) for f in (curv, holo))
     ad = HTILDE @ np.swapaxes(curv_p, -1, -2) @ HTILDE
     assert np.abs(ad + curv_p).max() < 1e-15
@@ -672,7 +683,7 @@ def test_loop_validation():
 def test_maurer_cartan_residual_propagates_nan_in_the_minus_part():
     # finite planes, one NaN node of logA: it reaches only the minus
     # entry (0, 1), the last part reduced, where Python's max would
-    # drop it against the finite running max
+    # drop it against the finite maxima before it
     n = 16
     grid = TorusGrid(n)
     logA = np.zeros((n, n), dtype=complex)

@@ -115,17 +115,30 @@ def test_representation_rejects_non_unimodular():
     with pytest.raises(NotUnimodular, match="det 1.001"):
         Representation({"a": np.diag([1.001, 1.0, 1.0 / 1.001])
                         @ np.diag([1.0, 1.0, 1.001])})
+    # the gate scales with the round-off of det, about 12 and 1.3e-3
+    # here, not with ||M||_F^3 (8.9e8 and 888), which would pass both
+    for diag, det in (([1e8, 1.0, 1.0], "100000000"),
+                      ([1e6, 1.5, 1e-6], "1.5")):
+        with pytest.raises(NotUnimodular, match=f"has det {det}"):
+            Representation({"a": np.diag(diag)})
 
 
-def test_representation_gates_det_as_the_scan_gates_a_word():
+def test_representation_gates_det_at_its_round_off():
     # a conjugate of diag(1e4, 1, 1e-4) by a rotation has det 1 up to
-    # 1.49e-10 of round-off, within the scan's gate at length 1
-    # (DET_TOL + DET_DRIFT ||M||_F^3, about 8.9e-4) but past DET_TOL
+    # 1.49e-10 of round-off, past DET_TOL but within DET_TOL +
+    # DET_DRIFT ||M||_F ||adj M||_F, about 9e-8
     Q = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
     assert np.linalg.det(Q) > 0
     A = Q @ np.diag([1e4, 1.0, 1e-4]) @ Q.T
     assert DET_TOL < abs(np.linalg.det(A) - 1.0) < 2 * DET_TOL
     assert np.array_equal(Representation({"a": A}).generators["a"], A)
+
+
+@pytest.mark.parametrize("entry", [1e160, np.inf, np.nan])
+def test_representation_refuses_a_det_it_cannot_check(entry):
+    # past about 1e154 the gate overflows, and would pass any det
+    with pytest.raises(NotUnimodular, match="too large to check its det"):
+        Representation({"a": np.diag([entry, 1.0, 1.0 / entry])})
 
 
 # ----------------------------------------------------------------------
