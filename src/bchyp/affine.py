@@ -134,7 +134,7 @@ class AffinePair:
     acts through the quadric pairing eta, so the dual swap is the plain
     exchange of the two arrays.  path_residual records the
     row/column-order disagreement of the frame integration that
-    produced the pair, when applicable, and dual_residual how far its
+    produced the pair, and dual_residual how far its
     derived f- lift strays from the minus frame integrated on its own
     along row 0 and column 0.
     """
@@ -142,8 +142,8 @@ class AffinePair:
     fplus: np.ndarray
     fminus: np.ndarray
     spacing: float
-    path_residual: float = 0.0
-    dual_residual: float = 0.0
+    path_residual: float
+    dual_residual: float
 
     def __post_init__(self):
         fp = np.asarray(self.fplus, dtype=float)

@@ -41,7 +41,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, affine, criteria
 from .affine import DegenerateFrame, NotDual, NotReal, PathDependent
@@ -99,7 +98,6 @@ def run_manifest(command: str, cfg: dict, results) -> dict:
         "versions": {
             "artifact": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "results": [
             {

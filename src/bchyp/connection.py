@@ -100,7 +100,8 @@ PARTS = ("plus", "minus")
 
 class Unrepresentable(ArithmeticError):
     """A step exponential, a transported frame or a word of
-    replib.anosov_scan leaves the float range."""
+    replib.anosov_scan leaves the float range, or the scan's words leave
+    its int64 word codes."""
 
 
 def _distinct(planes: dict):

@@ -18,7 +18,7 @@ checks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,9 +48,9 @@ class CriterionResult:
     title: str
     passed: bool
     runtime: float
-    residuals: dict = field(default_factory=dict)
-    message: str = ""
-    limit: float | None = None
+    residuals: dict
+    message: str
+    limit: float | None
 
     @property
     def line(self) -> str:

@@ -346,7 +346,7 @@ class AnosovReport:
     min_gap: float
     min_transversality: float
     centralizer_dim: int
-    obstruction: str | None = None
+    obstruction: str | None
 
     def __post_init__(self):
         m = np.asarray(self.moduli, dtype=float)
@@ -400,6 +400,18 @@ def _anchor_transversality(words, attracting, repelling):
     k = np.flatnonzero(values <= best * (1.0 + TIE_TOL))[0]
     return float(best), tuple(words[f // 2] + "+-"[f % 2]
                               for f in (p[k], q[k]))
+
+
+def _longest_coded(letters: int) -> int:
+    """The longest word length whose `_class_table` codes fit an int64.
+    The codes count every string of up to that many letters, so their
+    count letters + letters^2 + ... must not pass 2^63: length 62 for
+    one generator.  With two or more, memory runs out first."""
+    length, count = 0, 0
+    while count + letters ** (length + 1) <= 2 ** 63:
+        length += 1
+        count += letters ** length
+    return length
 
 
 @functools.cache
@@ -531,10 +543,17 @@ def anosov_scan(rep: Representation, max_word_len: int) -> AnosovReport:
     (`_flags`), the only flags that the transversality channel reads.
 
     Overflow and invalid values raise: a word past the float range
-    raises Unrepresentable, not a NaN verdict.
+    raises Unrepresentable, not a NaN verdict, and so does a length past
+    `_longest_coded`, before any word is built.
     """
     if max_word_len < 1:
         raise ValueError("max_word_len must be at least 1")
+    longest = _longest_coded(2 * len(rep.generators))
+    if max_word_len > longest:
+        raise Unrepresentable(
+            f"words of length {max_word_len} leave the scan's int64 codes, "
+            f"which reach length {longest} with {len(rep.generators)} "
+            f"generator(s)")
     with np.errstate(over="raise", invalid="raise"):
         try:
             return _scan(rep, max_word_len)

@@ -42,7 +42,7 @@ fit_structure_whole fits the structure equations over the whole grid
 at once.  solve is the adjugate solve X = adj(A) B / det(A) on planes.
 
 The word scan's conjugacy classes have a string route: reduced_words
-lists the words in the scan's order with itertools.product, and
+lists the words in the scan's order, letter by letter, and
 class_representative cyclically reduces a word and takes the least
 rotation of it and of its inverse, letter by letter, where the package
 works on integer codes.
@@ -64,8 +64,6 @@ conormal residual of a pair and the Wang identity of a Blaschke metric.
 wang_problem builds the tests' Wang data through config.build_problem,
 the one route from config values to a GaussProblem.
 """
-
-import itertools
 
 import numpy as np
 from scipy.linalg import expm, null_space
@@ -580,11 +578,17 @@ def reduced_words(names: str, max_len: int) -> list:
     """Every reduced word in the generators `names` up to max_len, as
     strings with upper case for an inverse, in the scan's order:
     shortest first, then lexicographic in the letter order a A b B ...
-    (itertools.product over that alphabet, cancelling pairs dropped)."""
+    Each length extends the words of the length before, in order, by
+    every letter of that alphabet that does not cancel the last one, so
+    it never lists an unreduced word (one generator has two words of
+    every length)."""
     alphabet = "".join(c + c.upper() for c in names)
-    return ["".join(w) for length in range(1, max_len + 1)
-            for w in itertools.product(alphabet, repeat=length)
-            if all(x != y.swapcase() for x, y in zip(w, w[1:]))]
+    words, level = list(alphabet), list(alphabet)
+    for _ in range(max_len - 1):
+        level = [w + c for w in level for c in alphabet
+                 if c != w[-1].swapcase()]
+        words += level
+    return words
 
 
 def class_representative(word: str, names: str) -> tuple:

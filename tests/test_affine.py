@@ -46,7 +46,7 @@ def hyperboloid_patch(n):
 
 def hyperboloid_pair(n):
     f, r, grid = hyperboloid_patch(n)
-    return AffinePair(f, f, grid.spacing), r, grid
+    return AffinePair(f, f, grid.spacing, 0.0, 0.0), r, grid
 
 
 def deformed_pair(n, amp=0.05):
@@ -79,17 +79,17 @@ def solved_wang(n):
 def test_pair_rejects_eta_violation():
     f, grid = deformed_pair(32)
     with pytest.raises(ValueError, match="eta"):
-        AffinePair(f, 1.1 * f, grid.spacing)
+        AffinePair(f, 1.1 * f, grid.spacing, 0.0, 0.0)
 
 
 def test_pair_shape_and_finiteness_gates():
     f, grid = deformed_pair(32)
     with pytest.raises(ValueError):
-        AffinePair(f[..., :2], f[..., :2], grid.spacing)
+        AffinePair(f[..., :2], f[..., :2], grid.spacing, 0.0, 0.0)
     g = f.copy()
     g[3, 4, 0] = np.nan
     with pytest.raises(ValueError):
-        AffinePair(g, f, grid.spacing)
+        AffinePair(g, f, grid.spacing, 0.0, 0.0)
 
 
 def test_hyperboloid_pair_invariants():
@@ -104,7 +104,7 @@ def test_hyperboloid_pair_invariants():
 def test_deformed_pair_conormal_order():
     for n in (32, 64):
         f, grid = deformed_pair(n)
-        pair = AffinePair(f, f, grid.spacing)
+        pair = AffinePair(f, f, grid.spacing, 0.0, 0.0)
         assert (np.max(oracles.conormal_residual(pair, margin=0))
                 < 0.5 * grid.spacing ** 2)
 
@@ -159,7 +159,7 @@ def test_structure_equivariance_unimodular():
     fL = np.einsum("ij,...j->...i", L, pair.fplus)
     fmL = np.einsum("ij,...j->...i", Q3 @ np.linalg.inv(L).T @ Q3,
                     pair.fminus)
-    pairL = AffinePair(fL, fmL, grid.spacing)
+    pairL = AffinePair(fL, fmL, grid.spacing, 0.0, 0.0)
 
     gB0, xi0, S0, C0 = _fit_structure(pair)
     gBL, xiL, SL_, CL = _fit_structure(pairL)
@@ -175,7 +175,7 @@ def test_structure_degenerate_frame_raises():
     f = np.zeros((n, n, 3))
     f[..., 2] = 1.0
     with pytest.raises(DegenerateFrame):
-        structure_residuals(AffinePair(f, f, 1.0 / n))
+        structure_residuals(AffinePair(f, f, 1.0 / n, 0.0, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -545,7 +545,7 @@ def test_blocked_fit_raises_the_grid_minimum_of_a_degenerate_frame(row):
     # gate raises with the whole-grid fit's minimum
     f, _, grid = hyperboloid_patch(128)
     f[row:row + 4] = f[row]
-    pair = AffinePair(f, f, grid.spacing)
+    pair = AffinePair(f, f, grid.spacing, 0.0, 0.0)
     with pytest.raises(DegenerateFrame) as want:
         oracles.fit_structure_whole(pair)
     with pytest.raises(DegenerateFrame) as got:

@@ -21,6 +21,7 @@ from bchyp.metric import BeltramiChart, CubicPair, TorusGrid
 from bchyp.cli import (ConfigError, config_hash, load_config,
                        load_generators, main)
 from bchyp.criteria import CriterionResult
+from commands import STAGES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -141,7 +142,7 @@ def test_sine_chart_holonomy_passes_on_a_finer_grid(tmp_path, capsys):
 
 def test_failing_check_exits_one(monkeypatch, capsys):
     failed = CriterionResult(1, "forced failure", False, 0.0,
-                             {"err": 1.0}, "err=1>0")
+                             {"err": 1.0}, "err=1>0", None)
     monkeypatch.setitem(cli._STAGES, "algebra", lambda args: [failed])
     assert main(["algebra"]) == 1
     assert "stage failure (criterion 1)" in capsys.readouterr().err
@@ -161,7 +162,7 @@ def test_bare_stage_runs_its_own_criterion(monkeypatch, capsys, command,
     for k in range(1, 11):
         def recorder(k=k):
             calls.append(k)
-            return CriterionResult(k, "stub", True, 0.0, {}, "stub")
+            return CriterionResult(k, "stub", True, 0.0, {}, "stub", None)
         monkeypatch.setattr(criteria, f"criterion_{k}", recorder)
     assert main(command.split()) == 0
     assert calls == [cid]
@@ -411,6 +412,23 @@ def test_scan_past_the_float_range_fails_in_one_line(tmp_path, capsys,
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("stage failure (Unrepresentable): ")
+
+
+def test_scan_past_its_int64_codes_fails_in_one_line(tmp_path, capsys):
+    # one generator scans to length 62 (and fails criterion 10 on the
+    # 3-dimensional centralizer of a diagonal matrix); past it the class
+    # table's int64 codes wrap, so 63 and 64 are refused in one line
+    p = tmp_path / "gens.json"
+    p.write_text(json.dumps([np.diag([1.1, 1.0, 1 / 1.1]).tolist()]))
+    assert main(["rep", "anosov", "--gens", str(p), "--len", "62"]) == 1
+    assert capsys.readouterr().err == "stage failure (criterion 10)\n"
+    for length in ("63", "64"):
+        assert main(["rep", "anosov", "--gens", str(p), "--len",
+                     length]) == 1
+        assert capsys.readouterr() == ("", (
+            f"stage failure (Unrepresentable): words of length {length} "
+            "leave the scan's int64 codes, which reach length 62 with 1 "
+            "generator(s)\n"))
 
 
 def test_pipeline_out_cloud_comes_from_the_configured_pair(tmp_path, capsys):
@@ -744,30 +762,34 @@ def test_main_calls_share_one_parser_and_no_flags(capsys):
     assert cli._parser() is cli._parser()
 
 
-LOADS_SPARSE = """\
-import contextlib, io, sys
+LOADS_SCIPY = """\
+import contextlib, io, json, sys
 from bchyp.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(code, "scipy.sparse" in sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(code, "scipy" in sys.modules, *argv)
 """
 
 
-@pytest.mark.parametrize("argv", [
-    ["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"), "--len", "5"],
-    ["pipeline", "--config", cfg_path("wang_torus.json")],
-    ["gauss", "solve", "--config", cfg_path("gauss_perturbed.json")],
-], ids=["rep-anosov", "pipeline-wang", "gauss-solve"])
-def test_no_command_imports_the_sparse_stack(argv):
-    """The Newton step runs the package's own GMRES, so no command loads
-    SciPy's sparse stack: not a scan, not a pipeline whose Newton loop
-    takes no step, and not a solve that takes Newton steps.  Each run
-    needs a fresh interpreter, since the tests import SciPy."""
+def test_no_command_imports_scipy():
+    """NumPy is the one runtime dependency: no bare stage imports SciPy,
+    nor a scan, a pipeline whose Newton loop takes no step or a solve
+    that takes Newton steps (the package runs its own GMRES).  The runs
+    share one fresh interpreter, since the tests import SciPy, and a
+    module once imported stays in sys.modules for the runs after it."""
+    runs = [list(stage) for stage in STAGES] + [
+        ["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
+         "--len", "5"],
+        ["pipeline", "--config", cfg_path("wang_torus.json")],
+        ["gauss", "solve", "--config", cfg_path("gauss_perturbed.json")]]
     src = str(Path(bchyp.__file__).resolve().parents[1])
-    fresh = subprocess.run([sys.executable, "-c", LOADS_SPARSE, *argv],
-                           capture_output=True, text=True,
-                           env=dict(os.environ, PYTHONPATH=src))
-    assert (fresh.stdout, fresh.stderr) == ("0 False\n", "")
+    fresh = subprocess.run(
+        [sys.executable, "-c", LOADS_SCIPY, json.dumps(runs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert fresh.stderr == ""
+    assert fresh.stdout.splitlines() == [" ".join(["0", "False", *argv])
+                                         for argv in runs]
 
 
 def test_manifest_structure(capsys):
@@ -778,7 +800,7 @@ def test_manifest_structure(capsys):
     m = json.loads(out)
     assert m["passed"] is True
     assert m["config_hash"] == config_hash(m["config"])
-    assert set(m["versions"]) == {"artifact", "numpy", "scipy"}
+    assert set(m["versions"]) == {"artifact", "numpy"}
     assert m["versions"]["artifact"] == bchyp.__version__
     for r in m["results"]:
         assert "runtime" not in r["residuals"]

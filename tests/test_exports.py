@@ -1,10 +1,12 @@
 """Every module of the package that declares __all__ exports only names
 it defines, every def of the package is called on a program path (a
 call trace of the CLI commands and the frozen criteria says which) and
-every other name is named by one, every defaulted parameter is set by a
-call on one and left to its default by another, every field of a value
-type is read on one, and every slotted value type keeps the one
-immutability rule of bchyp._frozen.Frozen."""
+every other name is named by one, every defaulted parameter (a
+dataclass field with a default too) is set by a call on one and left to
+its default by another, every field of a value type is read on one,
+every slotted value type keeps the one immutability rule of
+bchyp._frozen.Frozen, and the package imports no third-party package
+but NumPy."""
 
 import ast
 import contextlib
@@ -33,6 +35,7 @@ from oracles import wang_problem
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bchyp.__path__))
 SOURCES = sorted(Path(bchyp.__file__).parent.glob("*.py"))
+TEXTS = {path.stem: path.read_text() for path in SOURCES}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -47,15 +50,17 @@ def test_every_exported_name_resolves(name):
 
 @functools.cache
 def traced() -> frozenset:
-    """Keys "module.qualname" of every package def that the program
-    paths call, recorded with sys.setprofile: the CLI commands of
-    tests/commands.py but the claimed-range cells (which call no def
-    that the others do not), then criterion 8 through run_criterion, as
-    tests/test_acceptance.py runs it.  The CLI runs the other nine
-    criteria itself; its `affine roundtrip` runs criterion 8's check
-    through roundtrip_criterion, which also returns the pair.  A def
-    cached by functools runs once per process, so each cache is cleared
-    first."""
+    """Keys "module.name" (a method "module.Class.method") of every
+    package def that the program paths call, recorded with
+    sys.setprofile: the CLI commands of tests/commands.py but the
+    claimed-range cells (which call no def that the others do not), then
+    criterion 8 through run_criterion, as tests/test_acceptance.py runs
+    it.  The CLI runs the other nine criteria itself; its `affine
+    roundtrip` runs criterion 8's check through roundtrip_criterion,
+    which also returns the pair.  A def cached by functools runs once per
+    process, so each cache is cleared first.  A code object is matched
+    to its def by file and first line, which for a decorated def is the
+    line of its first decorator (co_qualname would need Python 3.11)."""
     for name in MODULES:
         for value in vars(importlib.import_module(f"bchyp.{name}")).values():
             if hasattr(value, "cache_clear"):
@@ -77,9 +82,15 @@ def traced() -> frozenset:
             print(run_criterion(8).line)
         finally:
             sys.setprofile(previous)
-    stems = {str(path): path.stem for path in SOURCES}
-    return frozenset(f"{stems[c.co_filename]}.{c.co_qualname}"
-                     for c in codes if c.co_filename in stems)
+    paths = {path.stem: str(path) for path in SOURCES}
+    starts = {}
+    for key, nodes in source_graph()[0].items():
+        if is_def(nodes):
+            first = min([nodes[0].lineno]
+                        + [d.lineno for d in nodes[0].decorator_list])
+            starts[paths[key.split(".")[0]], first] = key
+    return frozenset(starts[c.co_filename, c.co_firstlineno] for c in codes
+                     if (c.co_filename, c.co_firstlineno) in starts)
 
 
 #: Defs that no program path calls but that stay, each with its reason,
@@ -197,8 +208,7 @@ def audit(graph, called, kept):
 def source_graph():
     """package_graph of the package source, with every __all__ entry
     checked as well."""
-    defs, imports, wholes, checked = package_graph(
-        {path.stem: path.read_text() for path in SOURCES})
+    defs, imports, wholes, checked = package_graph(TEXTS)
     checked |= {f"{path.stem}.{name}" for path in SOURCES
                 for name in getattr(importlib.import_module(
                     f"bchyp.{path.stem}"), "__all__", ())}
@@ -239,6 +249,91 @@ def test_the_audit_names_an_uncalled_method_and_a_kept_name_that_runs():
         [], ["m.LIMIT"])
     assert audit(graph, {"m.Point.norm"}, {}) == (
         ["m.LIMIT", "m.Point", "m.Point.__init__", "m.make"], [])
+
+
+def scoped_imports(tree, mod):
+    """(scope, node) of every import statement of a module's AST: scope
+    is None for an import that runs with the module, else the key
+    "module.name" or "module.Class.method" of the def that it runs in (a
+    def nested in a def counts as the outer one)."""
+    found = []
+
+    def visit(node, scope, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((scope, child))
+            elif isinstance(child, ast.FunctionDef) and scope is None:
+                visit(child, prefix + child.name, None)
+            elif isinstance(child, ast.ClassDef) and scope is None:
+                visit(child, None, prefix + child.name + ".")
+            else:
+                visit(child, scope, prefix)
+
+    visit(tree, None, f"{mod}.")
+    return found
+
+
+def import_audit(sources, kept):
+    """The imports of the modules `sources` maps by name to their source
+    text that may bring in a third-party package other than NumPy, each
+    as "scope: statement" (the scope of scoped_imports, or the module).
+    An import that runs with its module must be relative or from the
+    standard library or NumPy; an import inside a def hides from that
+    check, so it is allowed only in a def that `kept` lists."""
+    foreign = []
+    for mod, text in sources.items():
+        for scope, node in scoped_imports(ast.parse(text), mod):
+            if scope is None:
+                roots = ([a.name for a in node.names]
+                         if isinstance(node, ast.Import)
+                         else [] if node.level else [node.module])
+                if all(r.split(".")[0] in sys.stdlib_module_names | {"numpy"}
+                       for r in roots):
+                    continue
+            elif scope in kept:
+                continue
+            foreign.append(f"{scope or mod}: {ast.unparse(node)}")
+    return foreign
+
+
+def test_numpy_is_the_one_third_party_import():
+    # NumPy is the package's one runtime dependency (pyproject.toml):
+    # SciPy and the rest of the test extra serve the tests' oracles only
+    assert import_audit(TEXTS, KEPT) == []
+
+
+def test_the_import_audit_names_a_foreign_and_a_lazy_import():
+    # scipy, at module level, in a def and in a method, is foreign; so
+    # is the standard library's math inside solve, since a def's import
+    # is not checked by module; keeping reference allows its import
+    sources = {"m": (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "import numpy as np\n"
+        "import scipy\n"
+        "from numpy.linalg import norm\n"
+        "from . import other\n"
+        "from .other import value\n"
+        "from scipy.sparse import eye\n"
+        "def solve(x):\n"
+        "    import math\n"
+        "    def inner():\n"
+        "        from . import late\n"
+        "    return math.sqrt(x)\n"
+        "def reference(x):\n"
+        "    import scipy.sparse as sp\n"
+        "    return sp.eye(x)\n"
+        "class Point:\n"
+        "    import sys\n"
+        "    def norm(self):\n"
+        "        from scipy.linalg import norm\n")}
+    foreign = ["m: import scipy", "m: from scipy.sparse import eye",
+               "m.solve: import math", "m.solve: from . import late",
+               "m.reference: import scipy.sparse as sp",
+               "m.Point.norm: from scipy.linalg import norm"]
+    assert import_audit(sources, {}) == foreign
+    assert import_audit(sources, {"m.reference": "planted"}) == (
+        foreign[:4] + foreign[5:])
 
 
 #: Defaulted parameters that no program call sets but that stay, each
@@ -291,16 +386,47 @@ def callees(call, mod, cls, functions, imports, wholes):
     return [(f"{key}.__init__", 1)] if f"{key}.__init__" in functions else []
 
 
-def program_calls():
-    """(defaulted, calls) of the program path: defaulted holds the
-    "module.def.parameter" keys of every defaulted parameter of a def
-    that ran, calls one (def key, parameter names passed) per call in
-    such a def and per def that it may run."""
-    defs, imports, wholes, _ = source_graph()
-    functions = {k: v[0] for k, v in defs.items() if is_def(v)}
-    program = traced() & set(functions)
-    defaulted = {f"{k}.{name}" for k in program
-                 for name in parameters(functions[k])[2]}
+def dataclass_fields(node):
+    """The annotated field statements of a dataclass's body; none for
+    any other class."""
+    if not any(ast.unparse(d).startswith("dataclass")
+               for d in node.decorator_list):
+        return []
+    return [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+def dataclass_inits(sources):
+    """The __init__ that each dataclass of the modules `sources` maps by
+    name to their source text generates, keyed "module.Class.__init__":
+    a def whose parameters are the class's fields, each defaulted where
+    the field has a value.  A dataclass that writes its own __init__
+    generates none."""
+    inits = {}
+    for mod, text in sources.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.ClassDef) or any(
+                    getattr(stmt, "name", None) == "__init__"
+                    for stmt in node.body):
+                continue
+            fields = [f.target.id + ("" if f.value is None else "=0")
+                      for f in dataclass_fields(node)]
+            if fields:
+                inits[f"{mod}.{node.name}.__init__"] = ast.parse(
+                    f"def __init__(self, {', '.join(fields)}): pass").body[0]
+    return inits
+
+
+def program_calls(graph, inits, called):
+    """(defaulted, calls) of the program path of a package graph, given
+    the __init__s that its dataclasses generate and the keys of the defs
+    that ran: defaulted holds the "module.def.parameter" keys of every
+    defaulted parameter of a def that ran, calls one (def key, parameter
+    names passed) per call in such a def and per def that it may run.  A
+    generated __init__ runs wherever a def that ran calls its class."""
+    defs, imports, wholes, _ = graph
+    functions = inits | {k: v[0] for k, v in defs.items() if is_def(v)}
+    program = called & set(functions)
     calls = []
     for key in program:
         mod = key.split(".")[0]
@@ -318,15 +444,38 @@ def program_calls():
                     positional + keyword if spread else
                     positional[bound:bound + len(call.args)]
                     + [k.arg for k in call.keywords])))
+    program |= {target for target, _ in calls} & set(inits)
+    defaulted = {f"{k}.{name}" for k in program
+                 for name in parameters(functions[k])[2]}
     return defaulted, calls
+
+
+def package_calls():
+    """program_calls of the package on its traced program path."""
+    return program_calls(source_graph(), dataclass_inits(TEXTS), traced())
+
+
+def knobs(defaulted, calls):
+    """The defaulted parameters that no call sets."""
+    return defaulted - {f"{target}.{name}" for target, passed in calls
+                        for name in passed}
+
+
+def fixed(defaulted, calls):
+    """The defaulted parameters that every call of their def sets."""
+
+    def overridden(key):
+        target, name = key.rsplit(".", 1)
+        passed = [names for callee, names in calls if callee == target]
+        return passed and all(name in names for names in passed)
+
+    return {key for key in defaulted if overridden(key)}
 
 
 def test_every_parameter_is_set_on_a_program_path():
     # a default that no program call overrides is a knob that changes
     # nothing: the parameter goes, or it joins KNOBS with its reason
-    defaulted, calls = program_calls()
-    unset = defaulted - {f"{target}.{name}" for target, passed in calls
-                         for name in passed}
+    unset = knobs(*package_calls())
     assert sorted(unset - set(KNOBS)) == []
     # a knob that a program call comes to set leaves the list
     assert sorted(set(KNOBS) - unset) == []
@@ -346,17 +495,49 @@ def test_every_default_is_used_on_a_program_path():
     # program path: the parameter becomes required, or it joins DEFAULTS
     # with its reason.  A def that no program call runs (the entry point,
     # run_criterion) is called from outside, so its defaults stay.
-    defaulted, calls = program_calls()
-
-    def overridden(key):
-        target, name = key.rsplit(".", 1)
-        passed = [names for callee, names in calls if callee == target]
-        return passed and all(name in names for names in passed)
-
-    always = {key for key in defaulted if overridden(key)}
+    always = fixed(*package_calls())
     assert sorted(always - set(DEFAULTS)) == []
     # a default that a program call comes to rely on leaves the list
     assert sorted(set(DEFAULTS) - always) == []
+
+
+def test_the_default_audits_read_a_dataclass_field_as_a_parameter():
+    # make and remake pass Report's note and neither sets extra, so the
+    # one default changes nothing and the other is a knob; once bare
+    # relies on note and sets extra, both defaults count.  LIMIT is no
+    # field, Unbuilt runs on no program path and Custom writes its own
+    # __init__.
+    sources = {"m": (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    words: tuple\n"
+        "    note: str = ''\n"
+        "    extra: dict = field(default_factory=dict)\n"
+        "    LIMIT = 2\n"
+        "@dataclass\n"
+        "class Unbuilt:\n"
+        "    size: int = 0\n"
+        "@dataclass\n"
+        "class Custom:\n"
+        "    size: int\n"
+        "    def __init__(self, size=0):\n"
+        "        self.size = size\n"
+        "def make(x):\n"
+        "    return Report(x, 'made')\n"
+        "def remake(report):\n"
+        "    return Report(report.words, note=report.note)\n"
+        "def bare(x):\n"
+        "    return Report(x, extra={})\n")}
+    graph, inits = package_graph(sources), dataclass_inits(sources)
+    assert set(inits) == {"m.Report.__init__", "m.Unbuilt.__init__"}
+    defaulted, calls = program_calls(graph, inits, {"m.make", "m.remake"})
+    assert defaulted == {"m.Report.__init__.note", "m.Report.__init__.extra"}
+    assert knobs(defaulted, calls) == {"m.Report.__init__.extra"}
+    assert fixed(defaulted, calls) == {"m.Report.__init__.note"}
+    defaulted, calls = program_calls(graph, inits,
+                                     {"m.make", "m.remake", "m.bare"})
+    assert knobs(defaulted, calls) == fixed(defaulted, calls) == set()
 
 
 #: Fields of value types that no program path reads but that stay, each
@@ -385,18 +566,12 @@ def value_fields(sources):
         for node in ast.parse(text).body:
             if not isinstance(node, ast.ClassDef):
                 continue
-            dataclass = any(ast.unparse(d).startswith("dataclass")
-                            for d in node.decorator_list)
+            names = [f.target.id for f in dataclass_fields(node)]
             for stmt in node.body:
                 if any(getattr(t, "id", None) == "__slots__"
                        for t in getattr(stmt, "targets", ())):
-                    names = ast.literal_eval(stmt.value)
-                elif (dataclass and isinstance(stmt, ast.AnnAssign)
-                      and isinstance(stmt.target, ast.Name)):
-                    names = [stmt.target.id]
-                else:
-                    continue
-                fields |= {f"{mod}.{node.name}.{name}" for name in names}
+                    names += ast.literal_eval(stmt.value)
+            fields |= {f"{mod}.{node.name}.{name}" for name in names}
     return fields
 
 
@@ -427,7 +602,7 @@ def test_every_field_is_read_on_a_program_path():
     # a field that no program path reads is data that every value of
     # its type carries for nothing: it is deleted, or it joins FIELDS
     # with its reason
-    fields = value_fields({path.stem: path.read_text() for path in SOURCES})
+    fields = value_fields(TEXTS)
     assert set(FIELDS) <= fields
     unread, stale = field_audit(source_graph(), fields, traced(), KEPT,
                                 FIELDS)

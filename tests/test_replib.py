@@ -21,6 +21,7 @@ import oracles
 from bchyp import mat3, replib
 from bchyp.chtau import Flag
 from bchyp.cli import load_generators
+from bchyp.connection import Unrepresentable
 from bchyp.metric import BeltramiChart, ComplexMetric, TorusGrid
 from bchyp.replib import (
     DET_TOL,
@@ -766,8 +767,10 @@ def test_scan_hands_spectra_one_word_per_class(monkeypatch, max_len, words,
 
 
 @pytest.mark.parametrize("generators, max_len", [
-    (1, 6), (2, 6), (3, 6), (26, 2)])
+    (1, 6), (1, 62), (2, 6), (3, 6), (26, 2)])
 def test_class_table_matches_the_string_route(generators, max_len):
+    """Length 62 is the longest whose one-generator codes fit an int64
+    (test_scan_refuses_lengths_past_its_int64_codes)."""
     names = "abcdefghijklmnopqrstuvwxyz"[:generators]
     words = oracles.reduced_words(names, max_len)
     index = {w: i for i, w in enumerate(words)}
@@ -969,9 +972,32 @@ def test_scan_rejects_bad_length():
         anosov_scan(fuchsian_rep(), 0)
 
 
+def test_scan_refuses_lengths_past_its_int64_codes(monkeypatch):
+    """The class table codes every string of up to L letters as an
+    int64, and one generator's two letters give 2 + 4 + ... + 2^L
+    codes: 2^63 - 2 at L = 62.  Past that the codes wrap, and a table
+    to length 63 would give a^63 the row of a^62, so the scan refuses
+    the length before it builds any table."""
+    rep = Representation({"a": np.diag([1.1, 1.0, 1 / 1.1])})
+    assert replib._longest_coded(2) == 62
+    rpt = anosov_scan(rep, 62)
+    assert rpt.words[-2:] == ("a" * 62, "A" * 62)
+    np.testing.assert_allclose(rpt.moduli[-2:], [[1.1 ** 62, 1.0,
+                                                  1.1 ** -62]] * 2,
+                               rtol=1e-12)
+    built = []
+    monkeypatch.setattr(replib, "_class_table",
+                        lambda *args: built.append(args))
+    with pytest.raises(Unrepresentable, match=(
+            "^words of length 63 leave the scan's int64 codes, which "
+            r"reach length 62 with 1 generator\(s\)$")):
+        anosov_scan(rep, 63)
+    assert built == []
+
+
 def test_report_validates_moduli():
     kw = dict(max_word_len=1, words=("a",), min_gap=0.5,
-              min_transversality=1.0, centralizer_dim=1)
+              min_transversality=1.0, centralizer_dim=1, obstruction=None)
     with pytest.raises(ValueError, match="sorted"):
         AnosovReport(moduli=np.array([[1.0, 2.0, 0.5]]), **kw)
     with pytest.raises(ValueError, match="unimodular"):
