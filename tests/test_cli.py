@@ -772,24 +772,37 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_no_command_imports_scipy():
-    """NumPy is the one runtime dependency: no bare stage imports SciPy,
-    nor a scan, a pipeline whose Newton loop takes no step or a solve
-    that takes Newton steps (the package runs its own GMRES).  The runs
-    share one fresh interpreter, since the tests import SciPy, and a
-    module once imported stays in sys.modules for the runs after it."""
-    runs = [list(stage) for stage in STAGES] + [
-        ["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"),
-         "--len", "5"],
-        ["pipeline", "--config", cfg_path("wang_torus.json")],
-        ["gauss", "solve", "--config", cfg_path("gauss_perturbed.json")]]
+def fresh_scipy_check(runs):
+    """Run each argv in ``runs`` through ``main`` in one fresh interpreter
+    and return its printed ``code loads-scipy argv`` lines.  A fresh one is
+    needed since the tests import SciPy, and a module once imported stays
+    in sys.modules for the runs after it."""
     src = str(Path(bchyp.__file__).resolve().parents[1])
     fresh = subprocess.run(
         [sys.executable, "-c", LOADS_SCIPY, json.dumps(runs)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert fresh.stderr == ""
-    assert fresh.stdout.splitlines() == [" ".join(["0", "False", *argv])
-                                         for argv in runs]
+    return fresh.stdout.splitlines()
+
+
+def test_no_stage_imports_scipy():
+    """NumPy is the one runtime dependency: no bare stage imports SciPy."""
+    runs = [list(stage) for stage in STAGES]
+    assert fresh_scipy_check(runs) == [" ".join(["0", "False", *argv])
+                                       for argv in runs]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "anosov", "--gens", cfg_path("gens_fuchsian.json"), "--len", "5"],
+    ["pipeline", "--config", cfg_path("wang_torus.json")],
+    ["gauss", "solve", "--config", cfg_path("gauss_perturbed.json")],
+], ids=["rep-anosov", "pipeline-wang", "gauss-solve"])
+def test_no_command_imports_the_sparse_stack(argv):
+    """The Newton step runs the package's own GMRES, so no command loads
+    SciPy, its sparse stack or any other part: not a scan, not a pipeline
+    whose Newton loop takes no step, and not a solve that takes Newton
+    steps."""
+    assert fresh_scipy_check([argv]) == [" ".join(["0", "False", *argv])]
 
 
 def test_manifest_structure(capsys):
