@@ -351,6 +351,8 @@ class AnosovReport:
     def __post_init__(self):
         m = np.asarray(self.moduli, dtype=float)
         if m.size:
+            if not np.all(np.isfinite(m)):
+                raise ValueError("per-word moduli must be finite")
             if np.any(np.diff(m, axis=1) > 1e-12):
                 raise ValueError("per-word moduli must be sorted")
             prod = np.prod(m, axis=1)

@@ -1002,6 +1002,10 @@ def test_report_validates_moduli():
         AnosovReport(moduli=np.array([[1.0, 2.0, 0.5]]), **kw)
     with pytest.raises(ValueError, match="unimodular"):
         AnosovReport(moduli=np.array([[2.0, 1.0, 0.25]]), **kw)
+    # NaN fails no comparison and inf * 0 is NaN: refused before either
+    for row in ([np.nan, 1.0, 1.0], [np.inf, 1.0, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            AnosovReport(moduli=np.array([row]), **kw)
 
 
 def test_centralizer_dimensions():
